@@ -3,7 +3,7 @@ modules of total dimension <= 2, cross-checking the emitted one-parameter
 family against the functor images."""
 
 from ditalg import certify, classify, iso_test, jordan_at, reduce_to_minimal
-from ditalg.bimodule import generic_regular, push_generic
+from ditalg.bimodule import generic_regular, push_generic, specialize_jordan
 from ditalg.fixtures import exk
 from ditalg.pipeline import Obstruction, brute_force_indecomposables
 from ditalg.scalars import PrimeField
@@ -36,10 +36,10 @@ def main():
     comp = plan.composite()
     for fam in report.families:
         Z = push_generic(comp, generic_regular(minimal, fam.point))
-        print(f"\nfamily check at {fam.point}: Z has rank {Z.total_rank()}")
+        print(f"\nfamily check at {fam.point}: Z has rank {Z.total_dim()}")
         for lam_int in range(3):
             lam = F.from_int(lam_int)
-            via_bimodule = Z.specialize(lam)
+            via_bimodule = specialize_jordan(Z, lam)
             via_functor = comp.apply_rep(jordan_at(minimal, fam.point, lam, 1))
             ok = iso_test(dit, via_bimodule, via_functor)
             print(f"  Z (x) Gamma/(x-{lam_int})  ~  F(J_1({lam_int})): "

@@ -33,8 +33,8 @@ from .reduce import (
 )
 from .admissible import AdmissibleModuleData, build_admissible, reduce_admissible
 from .bimodule import (
-    GenericRep, WildCertificate, evaluate_functor_on_bimodule, generic_regular,
-    push_generic, verify_wild_certificate,
+    WildCertificate, evaluate_functor_on_bimodule, generic_regular,
+    push_generic, specialize_jordan, verify_wild_certificate,
 )
 from .pipeline import (
     ClassificationReport, Obstruction, ReductionPlan, classify,

@@ -695,7 +695,7 @@ def reduce_admissible(dit: Dit, adm: AdmissibleModuleData,
         cols_x = x_order[src_p]
         roffs = block_offsets(N, tgt_p)
         coffs = block_offsets(N, src_p)
-        out = Mat(F, roffs[-1], coffs[-1])
+        out = Mat(N.ring, roffs[-1], coffs[-1])
         for ri, u in enumerate(rows_x):
             for ci, v in enumerate(cols_x):
                 e = mat[u.index][v.index]
@@ -709,7 +709,7 @@ def reduce_admissible(dit: Dit, adm: AdmissibleModuleData,
 
     def apply_rep_real(N: Rep) -> Rep:
         dims = {p: block_offsets(N, p)[-1] for p in b.point_order}
-        M = Rep(dit, dims)
+        M = Rep(dit, dims, ring=N.ring)
         for p in b.point_order:
             if not b.factor(p).is_trivial:
                 M.point_ops[p] = _assemble_blocks(N, p, p, sigma_x_action(p))

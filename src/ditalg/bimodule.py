@@ -1,230 +1,58 @@
-"""Parametrizing bimodules: representations with entries in a rational
-algebra Gamma = k[x]_f, pushed through reduction functors generically, plus
-partial verification of wildness certificates over the free 2-generator
-algebra."""
+"""Parametrizing bimodules and wildness certificates.
+
+A one-parameter family is a `Rep` whose ring is Gamma = k[x]_h: it is pushed
+through reduction functors by their own `apply_rep` and specialized by the
+ring map Gamma -> k[J] at a Jordan block.  Wildness certificates over the free
+2-generator algebra get a partial verification."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .interlace import Dit
 from .modcat import Rep
 from .scalars import Field, LocElt, LocalizedRing, Poly
-from .scalars.linalg import Mat
-from .tensor import Elem, Word
+from .scalars.linalg import Mat, block_matrix
 
 
 class BimoduleError(ValueError):
     pass
 
 
-def _gmat_mul(ring: LocalizedRing, a: Mat, b: Mat) -> Mat:
-    out = Mat(ring, a.rows, b.cols)
-    for i in range(a.rows):
-        for j in range(b.cols):
-            acc = ring.zero
-            for k in range(a.cols):
-                acc = ring.add(acc, ring.mul(a.data[i][k], b.data[k][j]))
-            out.data[i][j] = acc
+def specialize_jordan(Z: Rep, eigen, size: int = 1) -> Rep:
+    """Z (x)_Gamma Gamma/(x - eigen)^size over the ground field.
+
+    Every entry goes through the ring map Gamma -> k[x]/(x - eigen)^size =
+    k[J], J the Jordan block J_size(eigen): it becomes the upper triangular
+    Toeplitz block of its Taylor coefficients at eigen, so ranks scale by
+    size.  size = 1 evaluates at x = eigen."""
+    F = Z.field
+    modulus = (Poly.x(F) - Poly.const(F, eigen)) ** size
+    g, h_inv, _ = Z.ring.h.xgcd(modulus)
+    if not g.is_one():
+        raise BimoduleError("Jordan eigenvalue meets the inverted locus")
+    recentre = Poly.x(F) + Poly.const(F, eigen)
+
+    def block(e: LocElt) -> Mat:
+        taylor = ((e.num * h_inv ** e.den_exp) % modulus).compose(recentre)
+        return Mat(F, size, size, [[taylor.coeff(j - i) if j >= i else F.zero
+                                    for j in range(size)] for i in range(size)])
+
+    def entrywise(m: Mat) -> Mat:
+        return block_matrix(F, [[block(e) for e in row] for row in m.data],
+                            [size] * m.rows, [size] * m.cols)
+
+    out = Rep(Z.dit, {p: n * size for p, n in Z.dims.items()},
+              {a: entrywise(m) for a, m in Z.arrow_ops.items()},
+              {p: entrywise(m) for p, m in Z.point_ops.items()})
+    err = out.validate()
+    if err:
+        raise BimoduleError(f"Jordan specialization invalid: {err}")
     return out
 
 
-def _gmat_det(ring: LocalizedRing, m: Mat) -> LocElt:
-    n = m.rows
-    if n == 0:
-        return ring.one
-    if n == 1:
-        return m.data[0][0]
-    acc = ring.zero
-    sign = 1
-    for j in range(n):
-        if not ring.is_zero(m.data[0][j]):
-            minor = Mat(ring, n - 1, n - 1,
-                        [[m.data[i][c] for c in range(n) if c != j] for i in range(1, n)])
-            term = ring.mul(m.data[0][j], _gmat_det(ring, minor))
-            acc = ring.add(acc, term if sign > 0 else ring.neg(term))
-        sign = -sign
-    return acc
-
-
-def _gmat_inverse(ring: LocalizedRing, m: Mat) -> Mat:
-    """Adjugate inverse; the determinant must be a unit of the ring."""
-    n = m.rows
-    d = _gmat_det(ring, m)
-    dinv = ring.inv(d)
-    out = Mat(ring, n, n)
-    for i in range(n):
-        for j in range(n):
-            minor = Mat(ring, n - 1, n - 1,
-                        [[m.data[r][c] for c in range(n) if c != i]
-                         for r in range(n) if r != j])
-            cof = _gmat_det(ring, minor)
-            if (i + j) % 2 == 1:
-                cof = ring.neg(cof)
-            out.data[i][j] = ring.mul(dinv, cof)
-    return out
-
-
-@dataclass
-class GenericRep:
-    """A right-Gamma-free representation: per point a free Gamma-module of
-    finite rank with left arrow/x actions given by Gamma-entry matrices."""
-
-    dit: Dit
-    gamma: LocalizedRing
-    dims: Dict[str, int]
-    arrow_ops: Dict[str, Mat] = field(default_factory=dict)
-    point_ops: Dict[str, Mat] = field(default_factory=dict)
-
-    def __post_init__(self):
-        b = self.dit.bigraph
-        for p in b.point_order:
-            self.dims.setdefault(p, 0)
-        for a in b.solid_arrows():
-            self.arrow_ops.setdefault(
-                a.name, Mat(self.gamma, self.dims[a.target], self.dims[a.source]))
-        for p in b.point_order:
-            if not b.factor(p).is_trivial:
-                self.point_ops.setdefault(p, Mat(self.gamma, self.dims[p], self.dims[p]))
-
-    def total_rank(self) -> int:
-        return sum(self.dims.values())
-
-    def poly_action(self, point: str, pol: Poly) -> Mat:
-        X = self.point_ops[point]
-        R = self.gamma
-        out = Mat(R, X.rows, X.rows)
-        power = Mat(R, X.rows, X.rows)
-        for i in range(X.rows):
-            power.data[i][i] = R.one
-        for c in pol.coeffs:
-            if not pol.field.is_zero(c):
-                sc = LocElt(R, Poly.const(pol.field, c), 0)
-                for i in range(X.rows):
-                    for j in range(X.rows):
-                        out.data[i][j] = R.add(out.data[i][j], R.mul(sc, power.data[i][j]))
-            power = _gmat_mul(R, power, X)
-        return out
-
-    def decoration_action(self, point: str, key) -> Mat:
-        a, j = key
-        R = self.gamma
-        n = self.dims[point]
-        ident = Mat(R, n, n)
-        for i in range(n):
-            ident.data[i][i] = R.one
-        if self.dit.bigraph.factor(point).is_trivial:
-            if key != (0, 0):
-                raise BimoduleError("nontrivial decoration at a trivial point")
-            return ident
-        X = self.point_ops[point]
-        out = ident
-        for _ in range(a):
-            out = _gmat_mul(R, out, X)
-        if j:
-            ring = self.dit.bigraph.factor_ring(point)
-            hX = self.poly_action(point, ring.h)
-            hinv = _gmat_inverse(R, hX)
-            for _ in range(j):
-                out = _gmat_mul(R, out, hinv)
-        return out
-
-    def word_action(self, w: Word) -> Mat:
-        b = self.dit.bigraph
-        pts = w.path(b)
-        cur = self.decoration_action(pts[0], w.coeffs[0])
-        for i, name in enumerate(w.arrows):
-            cur = _gmat_mul(self.gamma, self.arrow_ops[name], cur)
-            cur = _gmat_mul(self.gamma, self.decoration_action(pts[i + 1], w.coeffs[i + 1]), cur)
-        return cur
-
-    def elem_action(self, elem: Elem, source: str, target: str) -> Mat:
-        R = self.gamma
-        F = self.dit.field
-        out = Mat(R, self.dims[target], self.dims[source])
-        b = self.dit.bigraph
-        for w, c in elem.terms.items():
-            if w.start == source and w.end(b) == target:
-                m = self.word_action(w)
-                sc = LocElt(R, Poly.const(F, c), 0)
-                for i in range(m.rows):
-                    for j in range(m.cols):
-                        out.data[i][j] = R.add(out.data[i][j], R.mul(sc, m.data[i][j]))
-        return out
-
-    def specialize(self, value) -> Rep:
-        """Evaluate x -> value (a field element away from the inverted roots)."""
-        F = self.dit.field
-        out = Rep(self.dit, dict(self.dims))
-        for a, m in self.arrow_ops.items():
-            out.arrow_ops[a] = Mat(F, m.rows, m.cols,
-                                   [[e.eval(value) for e in row] for row in m.data])
-        for p, m in self.point_ops.items():
-            out.point_ops[p] = Mat(F, m.rows, m.cols,
-                                   [[e.eval(value) for e in row] for row in m.data])
-        err = out.validate()
-        if err:
-            raise BimoduleError(f"specialization invalid: {err}")
-        return out
-
-    def specialize_jordan(self, eigen, size: int) -> Rep:
-        """Z (x)_Gamma Gamma/(x - eigen)^size: substitute the Jordan block for
-        x in every entry (blocks replace scalars, ranks scale by size)."""
-        F = self.dit.field
-        J = Mat(F, size, size)
-        for i in range(size):
-            J.data[i][i] = eigen
-            if i + 1 < size:
-                J.data[i][i + 1] = F.one
-
-        def entry_matrix(e: LocElt) -> Mat:
-            num = _poly_at_matrix(F, e.num, J)
-            if e.den_exp:
-                hJ = _poly_at_matrix(F, self.gamma.h, J)
-                hinv = hJ.inverse()
-                if hinv is None:
-                    raise BimoduleError("Jordan eigenvalue meets the inverted locus")
-                num = num * hinv.power(e.den_exp)
-            return num
-
-        dims = {p: n * size for p, n in self.dims.items()}
-        out = Rep(self.dit, dims)
-        for a, m in self.arrow_ops.items():
-            big = Mat(F, m.rows * size, m.cols * size)
-            for i in range(m.rows):
-                for j in range(m.cols):
-                    blk = entry_matrix(m.data[i][j])
-                    for r in range(size):
-                        for c in range(size):
-                            big.data[i * size + r][j * size + c] = blk.data[r][c]
-            out.arrow_ops[a] = big
-        for p, m in self.point_ops.items():
-            big = Mat(F, m.rows * size, m.cols * size)
-            for i in range(m.rows):
-                for j in range(m.cols):
-                    blk = entry_matrix(m.data[i][j])
-                    for r in range(size):
-                        for c in range(size):
-                            big.data[i * size + r][j * size + c] = blk.data[r][c]
-            out.point_ops[p] = big
-        err = out.validate()
-        if err:
-            raise BimoduleError(f"Jordan specialization invalid: {err}")
-        return out
-
-
-def _poly_at_matrix(F, pol: Poly, J: Mat) -> Mat:
-    out = Mat(F, J.rows, J.rows)
-    power = Mat.identity_of(F, J.rows)
-    for c in pol.coeffs:
-        if not F.is_zero(c):
-            out = out + power.scale(c)
-        power = power * J
-    return out
-
-
-def generic_regular(dit: Dit, point: str, extra_inverted: Sequence[Poly] = ()) -> GenericRep:
+def generic_regular(dit: Dit, point: str, extra_inverted: Sequence[Poly] = ()) -> Rep:
     """The rank-one generic module at a rational point: Gamma itself with x
     acting as multiplication by x."""
     b = dit.bigraph
@@ -233,87 +61,13 @@ def generic_regular(dit: Dit, point: str, extra_inverted: Sequence[Poly] = ()) -
         raise BimoduleError("generic module needs a rational point")
     gamma = LocalizedRing(b.field, tuple(fac.inverted or ()) + tuple(extra_inverted))
     dims = {p: (1 if p == point else 0) for p in b.point_order}
-    g = GenericRep(dit, gamma, dims)
-    g.point_ops[point] = Mat(gamma, 1, 1, [[LocElt(gamma, Poly.x(b.field), 0)]])
-    return g
+    x = Mat(gamma, 1, 1, [[LocElt(gamma, Poly.x(b.field), 0)]])
+    return Rep(dit, dims, point_ops={point: x}, ring=gamma)
 
 
-def push_generic(functor, Z: GenericRep) -> GenericRep:
-    """Apply a reduction functor's object formula with generic entries."""
-    kind = functor.kind
-    if kind == "composite":
-        cur = Z
-        for st in reversed(functor.children):
-            cur = push_generic(st, cur)
-        return cur
-    dit = functor.source
-    b = dit.bigraph
-    R = Z.gamma
-    if kind in ("deletion", "regularization", "factor_out", "induced", "basechange"):
-        point_map = functor.data["point_map"]
-        arrow_images = functor.data["arrow_images"]
-        dims = {}
-        for p in b.point_order:
-            ip = point_map.get(p)
-            dims[p] = Z.dims[ip] if ip is not None else 0
-        M = GenericRep(dit, R, dims)
-        for a in b.solid_arrows():
-            img = arrow_images.get(a.name)
-            if img is None or img.is_zero():
-                M.arrow_ops[a.name] = Mat(R, dims[a.target], dims[a.source])
-            else:
-                M.arrow_ops[a.name] = Z.elem_action(img, point_map[a.source],
-                                                    point_map[a.target])
-        for p in b.point_order:
-            if not b.factor(p).is_trivial:
-                ip = point_map.get(p)
-                M.point_ops[p] = Z.point_ops[ip] if ip is not None else Mat(R, 0, 0)
-        return M
-    if kind == "absorption":
-        point = functor.data["point"]
-        loop = functor.data["loop"]
-        dims = dict(Z.dims)
-        M = GenericRep(dit, R, dims)
-        for a in b.solid_arrows():
-            M.arrow_ops[a.name] = Z.point_ops[point] if a.name == loop else Z.arrow_ops[a.name]
-        for p in b.point_order:
-            if not b.factor(p).is_trivial:
-                M.point_ops[p] = Z.point_ops[p]
-        return M
-    if kind == "admissible":
-        adm = functor.data["adm"]
-        sigma = functor.data["sigma"]
-        x_order = {p: adm.x_basis_at(p) for p in b.point_order}
-
-        def offsets(p):
-            offs = [0]
-            for x in x_order[p]:
-                offs.append(offs[-1] + Z.dims[x.summand.label])
-            return offs
-
-        def assemble(src_p, tgt_p, mat) -> Mat:
-            roffs, coffs = offsets(tgt_p), offsets(src_p)
-            out = Mat(R, roffs[-1], coffs[-1])
-            for ri, u in enumerate(x_order[tgt_p]):
-                for ci, v in enumerate(x_order[src_p]):
-                    e = mat[u.index][v.index]
-                    if e is None or e.is_zero():
-                        continue
-                    blk = Z.elem_action(e, v.summand.label, u.summand.label)
-                    for i in range(blk.rows):
-                        for j in range(blk.cols):
-                            out.data[roffs[ri] + i][coffs[ci] + j] = blk.data[i][j]
-            return out
-
-        dims = {p: offsets(p)[-1] for p in b.point_order}
-        M = GenericRep(dit, R, dims)
-        for a in b.solid_arrows():
-            M.arrow_ops[a.name] = assemble(a.source, a.target, sigma.letter_arrow(a.name))
-        for p in b.point_order:
-            if not b.factor(p).is_trivial:
-                M.point_ops[p] = assemble(p, p, sigma.letter_decoration(p, (1, 0)))
-        return M
-    raise BimoduleError(f"cannot push a generic module through kind {kind!r}")
+def push_generic(functor, Z: Rep) -> Rep:
+    """F(Z) for a family Z over Gamma: the functor's own object formula."""
+    return functor.apply_rep(Z)
 
 
 # -- wild certificates -------------------------------------------------------
@@ -505,7 +259,7 @@ def _kxy_iso(F, XY1, XY2) -> bool:
 
 
 def evaluate_functor_on_bimodule(functor, point: str,
-                                 extra_inverted: Sequence[Poly] = ()) -> GenericRep:
+                                 extra_inverted: Sequence[Poly] = ()) -> Rep:
     """Z = F(Gamma): the parametrizing bimodule carried by a composite
     reduction functor at a rational point of its target."""
     gen = generic_regular(functor.target, point, extra_inverted)

@@ -31,29 +31,34 @@ SEARCH_SEED = 20240601
 @dataclass
 class Rep:
     """A representation: dims per point, solid-arrow matrices (target x
-    source), and the x-action at rational points."""
+    source), and the x-action at rational points.  The entries lie in `ring`:
+    the ground field by default, or Gamma = k[x]_h for a one-parameter family
+    (a Gamma-free bimodule Z, specialized by `bimodule.specialize_jordan`)."""
 
     dit: Dit
     dims: Dict[str, int]
     arrow_ops: Dict[str, Mat] = field(default_factory=dict)
     point_ops: Dict[str, Mat] = field(default_factory=dict)
+    ring: object = None
 
     def __post_init__(self):
         b = self.dit.bigraph
-        F = b.field
+        if self.ring is None:
+            self.ring = b.field
+        R = self.ring
         for p in b.point_order:
             self.dims.setdefault(p, 0)
         for a in b.solid_arrows():
             m = self.arrow_ops.get(a.name)
             if m is None:
-                self.arrow_ops[a.name] = Mat(F, self.dims[a.target], self.dims[a.source])
+                self.arrow_ops[a.name] = Mat(R, self.dims[a.target], self.dims[a.source])
             elif (m.rows, m.cols) != (self.dims[a.target], self.dims[a.source]):
                 raise ModcatError(f"arrow {a.name}: matrix shape mismatch")
         for p in b.point_order:
             if not b.factor(p).is_trivial:
                 m = self.point_ops.get(p)
                 if m is None:
-                    self.point_ops[p] = Mat(F, self.dims[p], self.dims[p])
+                    self.point_ops[p] = Mat(R, self.dims[p], self.dims[p])
                 elif (m.rows, m.cols) != (self.dims[p], self.dims[p]):
                     raise ModcatError(f"point {p}: x-action shape mismatch")
 
@@ -72,24 +77,23 @@ class Rep:
 
     def poly_action(self, point: str, p: Poly) -> Mat:
         X = self.point_ops[point]
-        F = self.field
-        out = Mat(F, X.rows, X.cols)
-        power = Mat.identity_of(F, X.rows)
+        R = self.ring
+        out = Mat(R, X.rows, X.cols)
+        power = Mat.identity_of(R, X.rows)
         for c in p.coeffs:
-            if not F.is_zero(c):
-                out = out + power.scale(c)
+            if not self.field.is_zero(c):
+                out = out + power.scale(R.embed(c))
             power = power * X
         return out
 
     def decoration_action(self, point: str, key: Tuple[int, int]) -> Mat:
         """Action of the decoration basis element x^a / h^j at a point."""
         a, j = key
-        F = self.field
         n = self.dims[point]
         if self.dit.bigraph.factor(point).is_trivial:
             if key != (0, 0):
                 raise ModcatError("nontrivial decoration at a trivial point")
-            return Mat.identity_of(F, n)
+            return Mat.identity_of(self.ring, n)
         X = self.point_ops[point]
         out = X.power(a)
         if j:
@@ -115,12 +119,12 @@ class Rep:
         return cur
 
     def elem_action(self, elem: Elem, source: str, target: str) -> Mat:
-        F = self.field
-        out = Mat(F, self.dims[target], self.dims[source])
+        R = self.ring
+        out = Mat(R, self.dims[target], self.dims[source])
         b = self.dit.bigraph
         for w, c in elem.terms.items():
             if w.start == source and w.end(b) == target:
-                out = out + self.word_action(w).scale(c)
+                out = out + self.word_action(w).scale(R.embed(c))
         return out
 
     def validate(self) -> Optional[str]:

@@ -10,10 +10,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .admissible import build_admissible, reduce_admissible, recompute_triangular_filtrations
 from .bigraph import Bigraph, Factor
-from .bimodule import GenericRep, generic_regular, push_generic
+from .bimodule import generic_regular, push_generic
 from .interlace import Dit, certify, membership_in_ideal_window
 from .modcat import (
-    Rep, decompose, hom_dim, is_indecomposable, iso_test, jordan_at, simple_at,
+    ModcatError, Rep, decompose, hom_dim, is_indecomposable, iso_test, jordan_at,
+    simple_at,
 )
 from .reduce import (
     ReductionError, ReductionFunctor, StepSpec, absorb, change_solid_basis,
@@ -676,7 +677,7 @@ def _reduce_rec(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], Dit]:
 class Family:
     point: str
     inverted: Tuple[Poly, ...]
-    bimodule: GenericRep
+    bimodule: Rep
     sample_images: List[Tuple[object, Rep]] = field(default_factory=list)
 
 
@@ -697,7 +698,7 @@ class ClassificationReport:
             out.append(f"indecomposable dims {dict(r.dims)}")
         for fam in self.families:
             out.append(f"family at {fam.point}: Gamma = k[x] localized at "
-                       f"{[str(p) for p in fam.inverted]}, rank {fam.bimodule.total_rank()}")
+                       f"{[str(p) for p in fam.inverted]}, rank {fam.bimodule.total_dim()}")
         for r in self.exceptional:
             out.append(f"exceptional dims {dict(r.dims)}")
         out.extend(self.notes)
@@ -739,7 +740,7 @@ def classify(dit: Dit, d: int, budget: int = 200,
                 for t in range(1, d + 1):
                     try:
                         img = push(jordan_at(minimal, p, lam, t))
-                    except Exception:
+                    except ModcatError:
                         continue
                     if 0 < img.total_dim() <= d:
                         fam.sample_images.append(((lam, t), img))

@@ -48,12 +48,6 @@ class ReductionFunctor:
     def __call__(self, N: Rep) -> Rep:
         return self.apply_rep(N)
 
-    def describe(self) -> str:
-        extra = ""
-        if self.kind == "admissible":
-            extra = f" (c_X = {self.dim_scale})"
-        return f"{self.kind}{extra}: {len(self.target.bigraph.points)} points"
-
 
 def compose_functors(steps: Sequence[ReductionFunctor]) -> ReductionFunctor:
     """steps[0] is the outermost (source-side) reduction; the composite maps
@@ -198,21 +192,16 @@ def induced_reduction(dit: Dit, point_map: Dict[str, Optional[str]],
         for p in b.point_order:
             ip = point_map.get(p)
             dims[p] = N.dims[ip] if ip is not None else 0
-        M = Rep(dit, dims)
+        M = Rep(dit, dims, ring=N.ring)
         for arr in b.solid_arrows():
             img = arrow_images.get(arr.name)
-            if img is None or img.is_zero():
-                M.arrow_ops[arr.name] = Mat(dit.field, dims[arr.target], dims[arr.source])
-            else:
+            if img is not None and not img.is_zero():
                 M.arrow_ops[arr.name] = N.elem_action(
                     img, point_map[arr.source], point_map[arr.target])
         for p in b.point_order:
-            if not b.factor(p).is_trivial:
-                ip = point_map.get(p)
-                if ip is None:
-                    M.point_ops[p] = Mat(dit.field, 0, 0)
-                else:
-                    M.point_ops[p] = N.point_ops[ip]
+            ip = point_map.get(p)
+            if ip is not None and not b.factor(p).is_trivial:
+                M.point_ops[p] = N.point_ops[ip]
         return M
 
     def apply_morphism(f: MorphismPair, Nm: Rep, Nn: Rep) -> MorphismPair:
@@ -466,8 +455,7 @@ def absorb(dit: Dit, loop_arrow: str, name: str = "") -> Tuple[Dit, ReductionFun
     inherit_certificates(dit, new_dit)
 
     def apply_rep(N: Rep) -> Rep:
-        dims = dict(N.dims)
-        M = Rep(dit, dims)
+        M = Rep(dit, dict(N.dims), ring=N.ring)
         for a in b.solid_arrows():
             if a.name == loop_arrow:
                 M.arrow_ops[a.name] = N.point_ops[point]
@@ -549,7 +537,7 @@ def detach_source(dit: Dit, point: str, name: str = "") -> Tuple[Dit, ReductionF
     inherit_certificates(dit, new_dit)
 
     def res_rep(M: Rep) -> Rep:
-        out = Rep(new_dit, dict(M.dims))
+        out = Rep(new_dit, dict(M.dims), ring=M.ring)
         for a in tgt.solid_arrows():
             out.arrow_ops[a.name] = M.arrow_ops[a.name]
         for p in tgt.point_order:
@@ -724,7 +712,6 @@ def change_solid_basis(dit: Dit, source_point: str, target_point: str,
     differential values and ideal generators are rewritten.  This is an
     isomorphism of presentations (a unimodular change of the generator basis
     of one arm of W0)."""
-    from .bimodule import _gmat_det, _gmat_inverse
     from .scalars import LocalizedRing, LocElt, Poly
     from .tensor import decompose_locelt, key_to_locelt
 
@@ -757,10 +744,9 @@ def change_solid_basis(dit: Dit, source_point: str, target_point: str,
 
     n = len(old)
     C = Mat(ring, n, n, [[coeff_of(e, old[j]) for j in range(n)] for _, e in new_arrows])
-    det = _gmat_det(ring, C)
-    if not ring.is_unit(det):
+    Cinv = C.inverse()
+    if Cinv is None:
         raise ReductionError("base change matrix is not invertible over the arm ring")
-    Cinv = _gmat_inverse(ring, C)
 
     tgt = Bigraph(F, [(p, b.factor(p)) for p in b.point_order],
                   solid=[(a.name, a.source, a.target) for a in b.solid_arrows()
@@ -814,7 +800,7 @@ def change_solid_basis(dit: Dit, source_point: str, target_point: str,
     comb_by_new = {nm: comb for nm, comb in new_arrows}
 
     def apply_rep(N: Rep) -> Rep:
-        M = Rep(dit, dict(N.dims))
+        M = Rep(dit, dict(N.dims), ring=N.ring)
         for a in b.solid_arrows():
             if a.name in set(old):
                 M.arrow_ops[a.name] = N.elem_action(arrow_images[a.name],

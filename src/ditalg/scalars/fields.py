@@ -56,6 +56,11 @@ class Field:
     def from_int(self, n: int):
         raise NotImplementedError
 
+    def embed(self, c):
+        """A scalar as an element of this coefficient ring: the identity, as
+        `LocalizedRing.embed` is for k[x]_h."""
+        return c
+
     def is_zero(self, a) -> bool:
         return a == self.zero
 

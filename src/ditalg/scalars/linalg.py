@@ -2,7 +2,9 @@
 
 Matrices are lists of row lists holding raw field values; every routine takes
 the field context explicitly.  Everything here is plain Gaussian elimination,
-which is all the artifact needs at desk scale.
+which is all the artifact needs at desk scale.  `Mat` also holds entries in a
+ring such as k[x]_h (any context with the field's add/mul/neg/is_zero); over a
+ring, where a pivot may be a non-unit, `det` and `inverse` use cofactors.
 """
 
 from __future__ import annotations
@@ -67,23 +69,8 @@ def mul(F: Field, a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_vec(F: Field, a: Matrix, v: Sequence) -> List:
-    out = []
-    for row in a:
-        acc = F.zero
-        for c, x in zip(row, v):
-            if not (F.is_zero(c) or F.is_zero(x)):
-                acc = F.add(acc, F.mul(c, x))
-        out.append(acc)
-    return out
-
-
 def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)] if a else []
-
-
-def is_zero_matrix(F: Field, a: Matrix) -> bool:
-    return all(F.is_zero(x) for r in a for x in r)
 
 
 def equal(F: Field, a: Matrix, b: Matrix) -> bool:
@@ -197,6 +184,38 @@ def inverse(F: Field, m: Matrix) -> Optional[Matrix]:
     return [row[n:] for row in red]
 
 
+def cofactor_det(R, m: Matrix):
+    """Determinant by cofactor expansion along the first row.  It divides by
+    nothing, so it also works over a ring whose pivots may be non-units,
+    such as k[x]_h."""
+    n = len(m)
+    if n == 0:
+        return R.one
+    acc = R.zero
+    for j in range(n):
+        if not R.is_zero(m[0][j]):
+            minor = [row[:j] + row[j + 1:] for row in m[1:]]
+            term = R.mul(m[0][j], cofactor_det(R, minor))
+            acc = R.add(acc, term if j % 2 == 0 else R.neg(term))
+    return acc
+
+
+def adjugate_inverse(R, m: Matrix) -> Optional[Matrix]:
+    """adj(m) / det(m), or None when det(m) is not a unit of the ring R."""
+    n = len(m)
+    d = cofactor_det(R, m)
+    if not R.is_unit(d):
+        return None
+    dinv = R.inv(d)
+    out = zeros(R, n, n)
+    for i in range(n):
+        for j in range(n):
+            minor = [row[:i] + row[i + 1:] for r, row in enumerate(m) if r != j]
+            cof = R.mul(dinv, cofactor_det(R, minor))
+            out[i][j] = cof if (i + j) % 2 == 0 else R.neg(cof)
+    return out
+
+
 def row_space_contains(F: Field, span_rows: Matrix, vec: Sequence) -> bool:
     """Is vec in the row space of span_rows?"""
     if all(F.is_zero(v) for v in vec):
@@ -220,43 +239,6 @@ def solve_linear(F: Field, system: Matrix, rhs: Sequence):
     return part, kernel_basis(F, system, cols)
 
 
-def horizontal_stack(a: Matrix, b: Matrix) -> Matrix:
-    if not a:
-        return copy(b)
-    if not b:
-        return copy(a)
-    return [ra + rb for ra, rb in zip(a, b)]
-
-
-def vertical_stack(a: Matrix, b: Matrix) -> Matrix:
-    return copy(a) + copy(b)
-
-
-def block_diag(F: Field, blocks: Sequence[Matrix]) -> Matrix:
-    rows = sum(len(b) for b in blocks)
-    cols = sum(len(b[0]) if b else 0 for b in blocks)
-    out = zeros(F, rows, cols)
-    r0 = c0 = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            for j, v in enumerate(row):
-                out[r0 + i][c0 + j] = v
-        r0 += len(b)
-        c0 += len(b[0]) if b else 0
-    return out
-
-
-def column_span_basis(F: Field, m: Matrix) -> List[List]:
-    """Basis of the column space, as column vectors."""
-    if not m or not m[0]:
-        return []
-    _, pivots = rref(F, m)
-    cols = transpose(m)
-    # pivots of rref(m) index independent columns of m
-    _, piv2 = rref(F, copy(m))
-    return [cols[c] for c in piv2]
-
-
 class Mat:
     """Shape-aware exact matrix (zero-dimensional shapes are routine for
     representations, so shapes are explicit rather than inferred)."""
@@ -277,10 +259,6 @@ class Mat:
     @staticmethod
     def identity_of(F: Field, n: int) -> "Mat":
         return Mat(F, n, n, identity(F, n))
-
-    @staticmethod
-    def zeros_of(F: Field, r: int, c: int) -> "Mat":
-        return Mat(F, r, c)
 
     def copy(self) -> "Mat":
         return Mat(self.F, self.rows, self.cols, self.data)
@@ -324,13 +302,18 @@ class Mat:
             return None
         if self.rows == 0:
             return Mat(self.F, 0, 0)
-        inv = inverse(self.F, self.data)
+        if isinstance(self.F, Field):
+            inv = inverse(self.F, self.data)
+        else:
+            inv = adjugate_inverse(self.F, self.data)
         return None if inv is None else Mat(self.F, self.rows, self.cols, inv)
 
     def det(self):
         if self.rows == 0:
             return self.F.one
-        return det(self.F, self.data)
+        if isinstance(self.F, Field):
+            return det(self.F, self.data)
+        return cofactor_det(self.F, self.data)
 
     def rank(self) -> int:
         if self.rows == 0 or self.cols == 0:
@@ -341,11 +324,6 @@ class Mat:
         return Mat(self.F, self.cols, self.rows,
                    transpose(self.data) if self.rows and self.cols else None)
 
-    def entries(self):
-        for i, row in enumerate(self.data):
-            for j, v in enumerate(row):
-                yield i, j, v
-
     def power(self, n: int) -> "Mat":
         out = Mat.identity_of(self.F, self.rows)
         base = self
@@ -355,13 +333,6 @@ class Mat:
             base = base * base
             n >>= 1
         return out
-
-    def hstack(self, o: "Mat") -> "Mat":
-        return Mat(self.F, self.rows, self.cols + o.cols,
-                   [ra + rb for ra, rb in zip(self.data, o.data)])
-
-    def vstack(self, o: "Mat") -> "Mat":
-        return Mat(self.F, self.rows + o.rows, self.cols, self.data + o.data)
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "Mat":
         return Mat(self.F, r1 - r0, c1 - c0,

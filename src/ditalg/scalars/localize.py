@@ -69,6 +69,10 @@ class LocalizedRing:
     def from_poly(self, p: Poly) -> "LocElt":
         return LocElt(self, p, 0)
 
+    def embed(self, c) -> "LocElt":
+        """A ground-field scalar as a constant of the ring."""
+        return LocElt(self, Poly.const(self.field, c), 0)
+
     def is_unit(self, a: "LocElt") -> bool:
         if a.num.is_zero():
             return False
@@ -94,9 +98,6 @@ class LocalizedRing:
             cur = cur * self.h
         # 1/a = h^e * cof / h^m
         return LocElt(self, cof * self.h ** a.den_exp, m)
-
-    def unit_check(self, value: "LocElt") -> bool:
-        return self.is_unit(value)
 
     def __eq__(self, other):
         return (isinstance(other, LocalizedRing) and other.field == self.field
@@ -222,9 +223,6 @@ class ModulePresentation:
             for i, p in enumerate(col):
                 rows[i][j] = p
         return ModulePresentation(ring, rank, tuple(tuple(r) for r in rows))
-
-    def relation_matrix(self) -> PolyMatrix:
-        return [list(r) for r in self.relations]
 
 
 @dataclass

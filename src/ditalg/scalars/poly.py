@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
+from . import linalg
 from .fields import Field, PrimeField, RationalField, is_prime
 
 
@@ -112,12 +113,6 @@ class Poly:
         if F.is_zero(c):
             return Poly.zero(F)
         return Poly(F, tuple(F.mul(c, a) for a in self.coeffs))
-
-    def shift(self, n: int) -> "Poly":
-        """Multiply by x^n."""
-        if self.is_zero() or n == 0:
-            return self if n == 0 else self
-        return Poly(self.field, (self.field.zero,) * n + self.coeffs)
 
     def divmod(self, other: "Poly") -> Tuple["Poly", "Poly"]:
         F = self.field
@@ -299,7 +294,7 @@ def _berlekamp_splitting(f: Poly) -> List[Poly]:
         cur = (cur * xp) % f
     # Kernel of (B - I)^T acting on coefficient columns: v(x)^p = v(x) mod f.
     mat = [[F.sub(rows[i][j], F.one if i == j else F.zero) for i in range(n)] for j in range(n)]
-    kernel = _kernel_basis(F, mat, n)
+    kernel = linalg.kernel_basis(F, mat, n)
     r = len(kernel)
     if r == 1:
         return [f]
@@ -332,40 +327,6 @@ def _berlekamp_splitting(f: Poly) -> List[Poly]:
         if len(factors) == r:
             break
     return [g.monic() for g in factors]
-
-
-def _kernel_basis(F: Field, mat, n: int) -> List[List]:
-    """Nullspace basis of an n x n matrix given as list of rows."""
-    rows = [list(r) for r in mat]
-    m = len(rows)
-    pivots = {}
-    rank = 0
-    for col in range(n):
-        piv = None
-        for r in range(rank, m):
-            if not F.is_zero(rows[r][col]):
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = F.inv(rows[rank][col])
-        rows[rank] = [F.mul(inv, v) for v in rows[rank]]
-        for r in range(m):
-            if r != rank and not F.is_zero(rows[r][col]):
-                c = rows[r][col]
-                rows[r] = [F.sub(v, F.mul(c, w)) for v, w in zip(rows[r], rows[rank])]
-        pivots[col] = rank
-        rank += 1
-    basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for fc in free:
-        vec = [F.zero] * n
-        vec[fc] = F.one
-        for col, r in pivots.items():
-            vec[col] = F.neg(rows[r][fc])
-        basis.append(vec)
-    return basis
 
 
 def _factor_prime_field(f: Poly) -> List[Tuple[Poly, int]]:

@@ -52,12 +52,6 @@ def poly_mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return out
 
 
-def poly_mat_equal(a: PolyMatrix, b: PolyMatrix) -> bool:
-    if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
-        return False
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def poly_det(F: Field, m: PolyMatrix) -> Poly:
     """Determinant by fraction-free expansion (small matrices only)."""
     n = len(m)

@@ -229,16 +229,9 @@ class Elem:
                         out[word] = acc
         return Elem(b, out)
 
-    def degree_part(self, d: int) -> "Elem":
-        b = self.bigraph
-        return Elem(b, {w: c for w, c in self.terms.items() if w.degree(b) == d})
-
     def degrees(self) -> List[int]:
         b = self.bigraph
         return sorted({w.degree(b) for w in self.terms})
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
 
     def max_length(self) -> int:
         return max((w.length() for w in self.terms), default=0)
@@ -247,12 +240,6 @@ class Elem:
         b = self.bigraph
         return Elem(b, {w: c for w, c in self.terms.items()
                         if w.start == source and w.end(b) == target})
-
-    def support_points(self) -> set:
-        pts = set()
-        for w in self.terms:
-            pts.update(w.path(self.bigraph))
-        return pts
 
     def __str__(self):
         if not self.terms:
@@ -292,18 +279,6 @@ class Layer:
             raise ValueError("solid filtration must exhaust the solid arrows")
         if self.w1_levels and self.w1_levels[-1] != dashed:
             raise ValueError("dashed filtration must exhaust the dashed arrows")
-
-    def w0_level_of(self, arrow: str) -> int:
-        for i, s in enumerate(self.w0_levels):
-            if arrow in s:
-                return i + 1
-        raise KeyError(arrow)
-
-    def w1_level_of(self, arrow: str) -> int:
-        for i, s in enumerate(self.w1_levels):
-            if arrow in s:
-                return i + 1
-        raise KeyError(arrow)
 
 
 class Differential:

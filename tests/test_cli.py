@@ -163,3 +163,16 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "classify" in proc.stdout
+
+
+def test_classify_demo_script(capsys):
+    # the demo cross-checks each emitted family against the functor images
+    import runpy
+    from pathlib import Path
+
+    demo = Path(__file__).resolve().parent.parent / "scripts" / "run_classify_demo.py"
+    runpy.run_path(str(demo), run_name="demo")["main"]()
+    out = capsys.readouterr().out
+    assert "family check at" in out
+    assert "MISMATCH" not in out
+    assert "0 missing" in out

@@ -2,7 +2,8 @@ import pytest
 
 from ditalg.bigraph import Bigraph, Factor
 from ditalg.bimodule import (
-    NCPoly, WildCertificate, generic_regular, push_generic, verify_wild_certificate,
+    NCPoly, WildCertificate, generic_regular, push_generic, specialize_jordan,
+    verify_wild_certificate,
 )
 from ditalg.fixtures import ex1, ex2, exi, exk, stellar_case1, stellar_case2
 from ditalg.interlace import certify
@@ -103,7 +104,7 @@ def test_exk_parametrization_square():
     for lam_int in (0, 1, 2):
         lam = F3.from_int(lam_int)
         for t in (1, 2):
-            via_bimodule = Z.specialize_jordan(lam, t)
+            via_bimodule = specialize_jordan(Z, lam, t)
             via_functor = comp.apply_rep(jordan_at(minimal, p, lam, t))
             assert via_bimodule.dim_vector() == via_functor.dim_vector()
             assert iso_test(d, via_bimodule, via_functor), (lam_int, t)

@@ -390,7 +390,7 @@ def test_evaluate_functor_on_bimodule_identityish():
     # F = deletion composite: Z = Gamma placed at the surviving points, with
     # specializations matching the functor applied to Jordan blocks
     from ditalg.bigraph import Bigraph, Factor
-    from ditalg.bimodule import evaluate_functor_on_bimodule
+    from ditalg.bimodule import evaluate_functor_on_bimodule, specialize_jordan
     from ditalg.tensor import Differential, Layer
     from ditalg.interlace import Dit, IdealData
     from ditalg.scalars import Poly
@@ -403,12 +403,37 @@ def test_evaluate_functor_on_bimodule_identityish():
     certify(d)
     nd, f = delete_idempotents(d, ["g"])
     Z = evaluate_functor_on_bimodule(f, "g")
-    assert Z.total_rank() == 1
+    assert Z.total_dim() == 1
     for lam in (1, 2):
-        spec = Z.specialize(F.from_int(lam))
+        spec = specialize_jordan(Z, F.from_int(lam))
         via = f(jordan_at(nd, "g", F.from_int(lam), 1))
         assert spec.dim_vector() == via.dim_vector()
         assert iso_test(d, spec, via)
+
+
+def test_specialize_jordan_inverts_denominators():
+    # an entry 1/x goes to J^-1 at the Jordan block J = J_2(1)
+    from ditalg.bimodule import specialize_jordan
+    from ditalg.tensor import Differential, Layer
+    from ditalg.interlace import Dit, IdealData
+    from ditalg.modcat import Rep
+    from ditalg.scalars import LocalizedRing, LocElt, Poly
+
+    F = F3
+    x = Poly.x(F)
+    b = Bigraph(F, [("t", Factor.trivial()), ("g", Factor.rational([x]))],
+                solid=[("a", "t", "g")])
+    layer = Layer(b)
+    d = Dit(layer, Differential(layer, {}), IdealData(), name="arm")
+    gamma = LocalizedRing(F, [x])
+    Z = Rep(d, {"t": 1, "g": 1},
+            arrow_ops={"a": Mat(gamma, 1, 1, [[LocElt(gamma, Poly.one(F), 1)]])},
+            point_ops={"g": Mat(gamma, 1, 1, [[LocElt(gamma, x, 0)]])}, ring=gamma)
+    S = specialize_jordan(Z, F.one, 2)
+    J = Mat(F, 2, 2, [[F.one, F.one], [F.zero, F.one]])
+    assert S.dims == {"t": 2, "g": 2}
+    assert S.point_ops["g"] == J
+    assert S.arrow_ops["a"] == J.inverse()
 
 
 def test_decompose_seed_equivalence():

@@ -178,6 +178,17 @@ def test_locelt_normalization():
     assert R.mul(u, inv) == R.one
 
 
+def test_det_and_inverse_over_localized_ring():
+    # the pivot x - 1 is not a unit of F3[x]_x, so elimination cannot be used
+    F3 = PrimeField(3)
+    R = LocalizedRing(F3, [Poly.x(F3)])
+    x_minus_1 = LocElt(R, Poly.from_ints(F3, [-1, 1]), 0)
+    M = linalg.Mat(R, 2, 2, [[x_minus_1, R.one], [R.one, R.zero]])
+    assert M.det() == R.from_int(-1)
+    assert (M * M.inverse()).is_identity()
+    assert linalg.Mat(R, 1, 1, [[x_minus_1]]).inverse() is None
+
+
 def test_localize_free_trivial():
     R = LocalizedRing(F5)
     pres = ModulePresentation.make(R, 2, [])
