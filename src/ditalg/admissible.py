@@ -11,19 +11,18 @@ products across.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bigraph import Bigraph, Factor
-from .interlace import CertificationError, Dit, IdealData, certify
+from .interlace import CertificationError, Dit, IdealData
 from .modcat import (
-    EndAlgebra, MorphismPair, Rep, algebra_radical, compose, decompose,
-    evaluate_f1, hom, identity_morphism, is_indecomposable, iso_test,
-    zero_morphism,
+    EndAlgebra, MorphismPair, Rep, algebra_radical, compose, evaluate_f1,
+    is_indecomposable, iso_test, zero_morphism,
 )
-from .scalars import Field, LocalizedRing, LocElt, Poly
+from .scalars import LocalizedRing, LocElt, Poly
 from .scalars.linalg import Mat
-from .tensor import Differential, Elem, Layer, UNIT, Word, decompose_locelt
+from .tensor import Differential, Elem, Layer, UNIT
 
 
 class AdmissibleError(ValueError):

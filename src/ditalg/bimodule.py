@@ -3,17 +3,21 @@
 A one-parameter family is a `Rep` whose ring is Gamma = k[x]_h: it is pushed
 through reduction functors by their own `apply_rep` and specialized by the
 ring map Gamma -> k[J] at a Jordan block.  Wildness certificates over the free
-2-generator algebra get a partial verification."""
+2-generator algebra get a partial verification: its checks are exact
+module-category decisions on both sides, but on finitely many samples they
+are only necessary conditions."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .interlace import Dit
+from .bigraph import Bigraph, Factor
+from .interlace import Dit, IdealData
 from .modcat import Rep
 from .scalars import Field, LocElt, LocalizedRing, Poly
 from .scalars.linalg import Mat, block_matrix
+from .tensor import Differential, Layer
 
 
 class BimoduleError(ValueError):
@@ -142,12 +146,22 @@ class WildCertificate:
         return out
 
 
+def _free_algebra_kxy(F: Field) -> Dit:
+    """k<x,y> as a ditalgebra: one point, solid loops x and y, zero
+    differential and no ideal.  Its modules are the pairs (k^n, X, Y)."""
+    b = Bigraph(F, [("0", Factor.trivial())], solid=[("x", "0", "0"), ("y", "0", "0")])
+    layer = Layer(b, w0_levels=(frozenset({"x", "y"}),))
+    return Dit(layer, Differential(layer, {}), IdealData(), name="KXY")
+
+
 def verify_wild_certificate(dit: Dit, cert: WildCertificate,
                             samples: Sequence[Tuple[Mat, Mat]]) -> dict:
     """Necessary-condition checks: nonzero right rank, and on every sample
-    pair the tensor functor preserves indecomposability and non-isomorphy."""
+    pair the tensor functor preserves indecomposability and non-isomorphy.
+    A sample (X, Y) is decided as a module over `_free_algebra_kxy`."""
     from .modcat import is_indecomposable, iso_test
 
+    kxy = _free_algebra_kxy(dit.field)
     report = {"rank_ok": sum(cert.ranks.values()) > 0, "violations": []}
     images = []
     for (X, Y) in samples:
@@ -155,107 +169,19 @@ def verify_wild_certificate(dit: Dit, cert: WildCertificate,
         if M.validate() is not None:
             report["violations"].append("image violates the ideal")
             continue
-        images.append(((X, Y), M))
-    for idx, ((X, Y), M) in enumerate(images):
-        if _kxy_indecomposable(dit.field, X, Y) and not M.is_zero():
+        images.append((Rep(kxy, {"0": X.rows}, {"x": X, "y": Y}), M))
+    for idx, (N, M) in enumerate(images):
+        if is_indecomposable(kxy, N) and not M.is_zero():
             if not is_indecomposable(dit, M):
                 report["violations"].append(f"sample {idx}: indecomposability lost")
     for i in range(len(images)):
         for j in range(i + 1, len(images)):
-            (XY1, M1), (XY2, M2) = images[i], images[j]
-            if not _kxy_iso(dit.field, XY1, XY2) and M1.dim_vector() == M2.dim_vector():
+            (N1, M1), (N2, M2) = images[i], images[j]
+            if M1.dim_vector() == M2.dim_vector() and not iso_test(kxy, N1, N2):
                 if iso_test(dit, M1, M2):
                     report["violations"].append(f"samples {i},{j}: isoclasses merged")
     report["ok"] = report["rank_ok"] and not report["violations"]
     return report
-
-
-def _kxy_indecomposable(F, X, Y) -> bool:
-    """Indecomposability of (k^n, X, Y) over k<x,y>: no nontrivial idempotent
-    commuting with both actions (exact, by commutant + idempotent search)."""
-    n = X.rows
-    if n == 1:
-        return True
-    from .scalars import linalg
-
-    rows = []
-    for mat in (X, Y):
-        for i in range(n):
-            for j in range(n):
-                row = [F.zero] * (n * n)
-                for k in range(n):
-                    row[i * n + k] = F.add(row[i * n + k], mat.data[k][j])
-                    row[k * n + j] = F.sub(row[k * n + j], mat.data[i][k])
-                rows.append(row)
-    kern = linalg.kernel_basis(F, rows, n * n)
-    # commutant spanned by kern; search for a nontrivial idempotent
-    if len(kern) == 1:
-        return True
-    from itertools import product
-
-    if F.char and F.char ** len(kern) <= 100000:
-        coeffs_iter = product(range(F.char), repeat=len(kern))
-    else:
-        import random as _r
-
-        rng = _r.Random(7)
-        coeffs_iter = ([F.random(rng) for _ in kern] for _ in range(500))
-    ident = [F.one if i == j else F.zero for i in range(n) for j in range(n)]
-    for coeffs in coeffs_iter:
-        vec = [F.zero] * (n * n)
-        for c, base in zip(coeffs, kern):
-            for t in range(n * n):
-                vec[t] = F.add(vec[t], F.mul(F.from_int(c) if isinstance(c, int) else c, base[t]))
-        E = Mat(F, n, n, [[vec[i * n + j] for j in range(n)] for i in range(n)])
-        if (E * E) == E and not E.is_zero() and not E.is_identity():
-            return False
-    return True
-
-
-def _kxy_iso(F, XY1, XY2) -> bool:
-    """(X1, Y1) ~ (X2, Y2) iff an invertible g conjugates both."""
-    X1, Y1 = XY1
-    X2, Y2 = XY2
-    if X1.rows != X2.rows:
-        return False
-    n = X1.rows
-    from .scalars import linalg
-
-    rows = []
-    for (A1, A2) in ((X1, X2), (Y1, Y2)):
-        for i in range(n):
-            for j in range(n):
-                row = [F.zero] * (n * n)
-                for k in range(n):
-                    row[i * n + k] = F.add(row[i * n + k], A1.data[k][j])
-                    row[k * n + j] = F.sub(row[k * n + j], A2.data[i][k])
-                rows.append(row)
-    kern = linalg.kernel_basis(F, rows, n * n)
-    from itertools import product
-
-    if F.char and F.char ** len(kern) <= 100000:
-        for coeffs in product(range(F.char), repeat=len(kern)):
-            vec = [F.zero] * (n * n)
-            for c, base in zip(coeffs, kern):
-                for t in range(n * n):
-                    vec[t] = F.add(vec[t], F.mul(F.from_int(c), base[t]))
-            g = Mat(F, n, n, [[vec[i * n + j] for j in range(n)] for i in range(n)])
-            if not F.is_zero(g.det()):
-                return True
-        return False
-    import random as _r
-
-    rng = _r.Random(11)
-    for _ in range(300):
-        vec = [F.zero] * (n * n)
-        for base in kern:
-            c = F.random(rng)
-            for t in range(n * n):
-                vec[t] = F.add(vec[t], F.mul(c, base[t]))
-        g = Mat(F, n, n, [[vec[i * n + j] for j in range(n)] for i in range(n)])
-        if not F.is_zero(g.det()):
-            return True
-    return False
 
 
 def evaluate_functor_on_bimodule(functor, point: str,

@@ -1,23 +1,20 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 parse error, 3 certificate failure, 4 obstruction.
-DITALG_SEED (or --seed) fixes the search seed used inside endomorphism-algebra
-idempotent searches; everything else is deterministic.
+Every command is deterministic: the same input gives the same output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import modcat
 from .interlace import UnsupportedShapeError, certify
 from .pipeline import Obstruction, classify, reduce_to_minimal
 from .presentation import (
-    ParseError, emit_presentation, load_module, load_presentation, save_presentation,
-    save_report,
+    ParseError, load_module, load_presentation, save_presentation, save_report,
 )
 from .reduce import StepSpec
 
@@ -26,14 +23,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_CERT = 3
 EXIT_OBSTRUCTION = 4
-
-
-def _seed(args):
-    seed = args.seed
-    if seed is None:
-        seed = os.environ.get("DITALG_SEED")
-    if seed is not None:
-        modcat.SEARCH_SEED = int(seed)
 
 
 def cmd_check(args) -> int:
@@ -107,7 +96,6 @@ def cmd_reduce(args) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    _seed(args)
     certify(dit)
     if args.plan:
         try:
@@ -144,7 +132,6 @@ def cmd_classify(args) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    _seed(args)
     certify(dit)
     sample = []
     if args.lambda_sample:
@@ -168,8 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact computer algebra for differential biquiver algebras "
                     "with relations: certification, hom spaces, reductions, and "
                     "bounded-dimension classification")
-    ap.add_argument("--seed", type=int, default=None,
-                    help="override the idempotent-search seed (DITALG_SEED)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="run the presentation certificates")

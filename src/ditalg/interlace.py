@@ -7,11 +7,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bigraph import Bigraph, BigraphError, Factor, HeightMap, height_maps
+from .bigraph import Bigraph, BigraphError, height_maps
 from .scalars import linalg
 from .tensor import (
-    Differential, Elem, Layer, Word, elem_coordinates, graded_component_basis,
-    idempotent_word, in_span,
+    Differential, Elem, Layer, Word, elem_coordinates, graded_component_basis, in_span,
 )
 
 

@@ -10,22 +10,17 @@ of the endomorphism algebra.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .interlace import Dit, is_roiter
-from .scalars import Field, Poly, PrimeField, RationalField, factor as poly_factor
+from .scalars import Field, Poly, PrimeField, factor as poly_factor
 from .scalars.linalg import Mat, block_matrix
 from .tensor import Elem, Word
 
 
 class ModcatError(ValueError):
     pass
-
-
-# seed for the randomized part of idempotent searches (CLI: --seed/DITALG_SEED)
-SEARCH_SEED = 20240601
 
 
 @dataclass
@@ -131,13 +126,12 @@ class Rep:
         """None if valid, else a diagnostic: ideal annihilation and
         invertibility of the inverted polynomials."""
         b = self.dit.bigraph
-        F = self.field
         for p in b.point_order:
             fac = b.factor(p)
             if not fac.is_trivial:
                 for h in fac.inverted or ():
                     m = self.poly_action(p, h)
-                    if m.rows and F.is_zero(m.det()):
+                    if m.rows and not self.ring.is_unit(m.det()):
                         return f"inverted polynomial {h} is singular at point {p}"
         for g in self.dit.ideal.generators:
             for i in b.point_order:
@@ -956,16 +950,35 @@ def _crt_idempotent(F, qtable, qdim, qident, z, mp) -> Optional[List]:
     return coords
 
 
+def _split_candidates(F: Field, qdim: int):
+    """Basis elements, sums of two, then the moment curve sum_i t^i b_i for
+    t = 0 .. (qdim - 1) C(qdim, 2), and t < p over F_p."""
+    unit = [[F.one if k == i else F.zero for k in range(qdim)] for i in range(qdim)]
+    yield from unit
+    for i in range(qdim):
+        for j in range(i + 1, qdim):
+            yield [F.add(a, b) for a, b in zip(unit[i], unit[j])]
+    count = (qdim - 1) * qdim * (qdim - 1) // 2 + 1
+    for t in range(min(count, F.char) if F.char else count):
+        yield [F.from_int(t ** i) for i in range(qdim)]
+
+
 def _end_is_local(dit: Dit, M: Rep) -> Tuple[bool, Optional[MorphismPair]]:
     """(True, None) when End(M) is local; else (False, e) with a nontrivial
-    exact idempotent endomorphism.
+    exact idempotent endomorphism.  Deterministic and exact; S = End(M)/rad is
+    semisimple of dimension m.
 
-    Over a prime field the decision is deterministic: E/rad is semisimple, and
-    it is a division ring iff the Frobenius-fixed subspace {z : z^p = z} is
-    one-dimensional; a fixed element outside the scalars has a squarefree
-    split minimal polynomial and yields an idempotent by CRT.  Over Q the
-    commutative case factors a primitive element; indecomposability then means
-    an irreducible minimal polynomial.
+    * F_p, S commutative: z -> z^p - z is linear, with fixed space F_p^r for
+      r simple factors.  S is a field iff r = 1; else any fixed element off
+      the scalars has a split squarefree minimal polynomial, and CRT splits.
+    * F_p with S noncommutative, or Q: the candidates of `_split_candidates`
+      in order.  A reducible minimal polynomial splits by CRT.  In a
+      commutative S the first candidate of degree m is primitive, and if its
+      minimal polynomial is irreducible S is a field.  The moment curve
+      meets each of the <= C(m, 2) hyperplanes of non-primitive elements in
+      <= m - 1 points, so the list always reaches a primitive element.
+    * A noncommutative S over F_p is not a division ring (Wedderburn) and is
+      never reported local; if no candidate splits it, ModcatError.
     """
     E = EndAlgebra(dit, M)
     if E.dim == 1:
@@ -973,84 +986,57 @@ def _end_is_local(dit: Dit, M: Rep) -> Tuple[bool, Optional[MorphismPair]]:
     F = E.F
     table = E.mult_table()
     rad = algebra_radical(F, table, E.dim)
-    ss_dim = E.dim - len(rad)
-    if ss_dim <= 1:
+    if E.dim - len(rad) <= 1:
         return True, None
     ident = E.identity_coords()
     proj, lift, qtable, qdim = _quotient_algebra(F, table, E.dim, rad)
     qident = proj(ident)
-    from .scalars import linalg
+    commutative = all(qtable[i][j] == qtable[j][i] for i in range(qdim)
+                      for j in range(i + 1, qdim))
 
-    def finish(q_idem) -> Tuple[bool, Optional[MorphismPair]]:
+    def split(z) -> Tuple[Optional[Tuple[bool, MorphismPair]], Poly]:
+        mp = _min_poly(F, qtable, qdim, z, qident)
+        q_idem = _crt_idempotent(F, qtable, qdim, qident, z, mp)
+        if q_idem is None:
+            return None, mp
         e = _newton_lift_idempotent(F, table, E.dim, lift(q_idem))
         if e is None:
             raise ModcatError("idempotent failed to lift")
         if all(F.is_zero(c) for c in e) or e == ident:
             raise ModcatError("degenerate idempotent after lifting")
-        return False, E.from_coordinates(e)
+        return (False, E.from_coordinates(e)), mp
 
-    if isinstance(F, PrimeField):
-        p = F.p
+    if isinstance(F, PrimeField) and commutative:
+        from .scalars import linalg
+
         cols = []
         for j in range(qdim):
             z = [F.one if t == j else F.zero for t in range(qdim)]
-            zp = list(qident)
             # z^p by square-and-multiply in the quotient algebra
-            acc = None
-            base = z
-            n = p
+            zp, base, n = qident, z, F.p
             while n:
                 if n & 1:
-                    acc = base if acc is None else _convolve(F, qtable, acc, base, qdim)
+                    zp = _convolve(F, qtable, zp, base, qdim)
                 base = _convolve(F, qtable, base, base, qdim)
                 n >>= 1
-            zp = acc
             cols.append([F.sub(a, b) for a, b in zip(zp, z)])
         rows = [[cols[j][i] for j in range(qdim)] for i in range(qdim)]
         fixed = linalg.kernel_basis(F, rows, qdim)
         if len(fixed) <= 1:
             return True, None
-        # pick a fixed element outside the scalar line
-        for z in fixed:
-            if not linalg.row_space_contains(F, [qident], z):
-                mp = _min_poly(F, qtable, qdim, z, qident)
-                q_idem = _crt_idempotent(F, qtable, qdim, qident, z, mp)
-                if q_idem is not None:
-                    return finish(q_idem)
-        base = fixed[0]
-        z = [F.add(a, b) for a, b in zip(fixed[0], fixed[1])]
-        mp = _min_poly(F, qtable, qdim, z, qident)
-        q_idem = _crt_idempotent(F, qtable, qdim, qident, z, mp)
-        if q_idem is not None:
-            return finish(q_idem)
-        raise ModcatError("Frobenius-fixed element failed to split")
+        z = next(z for z in fixed if not linalg.row_space_contains(F, [qident], z))
+        found, _ = split(z)
+        if found is None:
+            raise ModcatError("Frobenius-fixed element failed to split")
+        return found
 
-    # characteristic zero: commutative case via a primitive element
-    commutative = all(qtable[i][j] == qtable[j][i] for i in range(qdim)
-                      for j in range(i + 1, qdim))
-    candidates: List[List] = []
-    for i in range(qdim):
-        candidates.append([F.one if k == i else F.zero for k in range(qdim)])
-    for i in range(qdim):
-        for j in range(i + 1, qdim):
-            candidates.append([F.one if k in (i, j) else F.zero for k in range(qdim)])
-    rng = random.Random(SEARCH_SEED)
-    for _ in range(300):
-        candidates.append([F.random(rng) for _ in range(qdim)])
-    best_primitive = None
-    for z in candidates:
-        mp = _min_poly(F, qtable, qdim, z, qident)
-        q_idem = _crt_idempotent(F, qtable, qdim, qident, z, mp)
-        if q_idem is not None:
-            return finish(q_idem)
-        if mp.degree == qdim:
-            best_primitive = mp
-    if commutative and best_primitive is not None:
-        # etale algebra with an irreducible primitive polynomial: a field
-        return True, None
-    if commutative:
-        raise ModcatError("no primitive element found in a commutative quotient")
-    raise ModcatError("noncommutative division quotient over Q is out of scope")
+    for z in _split_candidates(F, qdim):
+        found, mp = split(z)
+        if found is not None:
+            return found
+        if commutative and mp.degree == qdim:
+            return True, None
+    raise ModcatError("no candidate splits End(M)/rad")
 
 
 def is_indecomposable(dit: Dit, M: Rep) -> bool:

@@ -9,24 +9,19 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .admissible import build_admissible, reduce_admissible, recompute_triangular_filtrations
-from .bigraph import Bigraph, Factor
 from .bimodule import generic_regular, push_generic
-from .interlace import Dit, certify, membership_in_ideal_window
-from .modcat import (
-    ModcatError, Rep, decompose, hom_dim, is_indecomposable, iso_test, jordan_at,
-    simple_at,
-)
+from .interlace import Dit, certify
+from .modcat import ModcatError, Rep, is_indecomposable, iso_test, jordan_at, simple_at
 from .reduce import (
     ReductionError, ReductionFunctor, StepSpec, absorb, change_solid_basis,
-    compose_functors, delete_idempotents, detach_source, factor_out,
-    regularize, rep_spec,
+    compose_functors, delete_idempotents, factor_out, regularize, rep_spec,
 )
 from .scalars import (
     LocalizedRing, LocElt, ModulePresentation, Poly, factor as poly_factor,
     localize_to_free, strip_h_factors,
 )
 from .scalars.linalg import Mat
-from .tensor import Elem, UNIT, Word
+from .tensor import Elem, UNIT
 
 
 class PipelineError(ValueError):

@@ -11,12 +11,12 @@ source (paths from i to j act like b*a).  Polynomials are strings such as
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .bigraph import Bigraph, Factor
 from .interlace import Dit, IdealData
 from .scalars import Field, LocElt, LocalizedRing, Poly, field_from_name
-from .tensor import Differential, Elem, Layer, UNIT, Word, decompose_locelt
+from .tensor import Differential, Elem, Layer
 
 
 class ParseError(ValueError):

@@ -9,13 +9,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bigraph import Bigraph, Factor
-from .interlace import (
-    CertificationError, Dit, IdealData, certify, membership_in_ideal_window,
-)
-from .modcat import (
-    MorphismPair, Rep, evaluate_f1, hom, transport_structure, zero_morphism,
-)
-from .scalars import Field, Poly
+from .interlace import Dit, IdealData, membership_in_ideal_window
+from .modcat import MorphismPair, Rep, evaluate_f1, zero_morphism
+from .scalars import Poly
 from .scalars.linalg import Mat
 from .tensor import Differential, Elem, Layer, Word, UNIT
 

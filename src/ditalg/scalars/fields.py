@@ -61,6 +61,11 @@ class Field:
         `LocalizedRing.embed` is for k[x]_h."""
         return c
 
+    def is_unit(self, a) -> bool:
+        """True when a is invertible: in a field, when a is nonzero (as
+        `LocalizedRing.is_unit` is for k[x]_h)."""
+        return not self.is_zero(a)
+
     def is_zero(self, a) -> bool:
         return a == self.zero
 

@@ -9,7 +9,7 @@ becomes free and a direct summand of the next, with explicit nested bases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .fields import Field
 from .poly import Poly

@@ -8,7 +8,7 @@ makes the output deterministic.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .fields import Field
 from .poly import Poly

@@ -14,10 +14,10 @@ carry the unit decoration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bigraph import Bigraph, BigraphError, Factor
-from .scalars import Field, LocElt, LocalizedRing, Poly
+from .bigraph import Bigraph, BigraphError
+from .scalars import LocElt, LocalizedRing, Poly
 
 # decoration basis key: (a, j) represents x^a / h^j; j = 0 is the monomial x^a,
 # and for j >= 1 the numerator satisfies a < deg h.

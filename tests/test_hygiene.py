@@ -1,0 +1,65 @@
+"""Source hygiene of the package, checked with the standard-library `ast`:
+no unused top-level imports, and no module draws on `random` (every decision
+the library makes is deterministic)."""
+
+import ast
+import functools
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ditalg"
+MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+
+
+@functools.lru_cache(maxsize=None)
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf8"), filename=str(path))
+
+
+def _used_names(tree):
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # string annotations such as "LocElt" or "Optional[Mat]"
+            try:
+                inner = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+    return used
+
+
+def _unused_top_level_imports(tree):
+    used = _used_names(tree)
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used:
+                    unused.append(name)
+    return unused
+
+
+def test_no_unused_top_level_imports():
+    offenders = {str(p.relative_to(SRC)): _unused_top_level_imports(_tree(p))
+                 for p in MODULES}
+    assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def _imports_random(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name.split(".")[0] == "random" for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] == "random":
+                return True
+    return False
+
+
+def test_no_random_import():
+    assert [str(p.relative_to(SRC)) for p in MODULES if _imports_random(_tree(p))] == []

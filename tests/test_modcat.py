@@ -290,6 +290,46 @@ def test_decompose_seed_stability():
     assert sorted(p.dim_vector() for p in parts1) == [(1, 0), (1, 1), (1, 1)]
 
 
+def _p1_plus_p1_plus_r1(d):
+    F = d.field
+    p1 = Rep(d, {"1": 1, "2": 2}, {"a": Mat(F, 2, 1, [[1], [0]]),
+                                   "b": Mat(F, 2, 1, [[0], [1]])})
+    r1 = Rep(d, {"1": 1, "2": 1}, {"a": Mat(F, 1, 1, [[1]]), "b": Mat(F, 1, 1, [[5]])})
+    return direct_sum([p1, p1, r1])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 13])
+def test_decompose_twisted_repeated_summand(seed):
+    # End/rad of P1 + P1 + R1 is M_2(k) x k, not commutative: the twists
+    # must still split into three summands (seed 13 once came out as two)
+    d = exk(F101)
+    certify(d)
+    S = _p1_plus_p1_plus_r1(d)
+    rng = random.Random(seed)
+    f0 = {}
+    for p in ("1", "2"):
+        n = S.dims[p]
+        while p not in f0 or f0[p].inverse() is None:
+            f0[p] = Mat(F101, n, n, [[F101.random(rng) for _ in range(n)] for _ in range(n)])
+    T = transport_structure(d, S, f0, {})
+    parts = decompose(d, T)
+    assert sorted(p.dim_vector() for p in parts) == [(1, 1), (1, 2), (1, 2)]
+    assert iso_test(d, T, S)
+
+
+def test_kronecker_over_q_with_field_endomorphisms():
+    # a = I, b = companion(x^2 + 1): End = Q(i) is a field, so M is
+    # indecomposable; End(M + M) = M_2(Q(i)) splits into two summands
+    d = exk(QQ)
+    certify(d)
+    M = Rep(d, {"1": 2, "2": 2}, {"a": Mat(QQ, 2, 2, [[1, 0], [0, 1]]),
+                                  "b": Mat(QQ, 2, 2, [[0, -1], [1, 0]])})
+    assert is_indecomposable(d, M)
+    parts = decompose(d, direct_sum([M, M]))
+    assert len(parts) == 2
+    assert all(iso_test(d, p, M) for p in parts)
+
+
 # -- iso tests ----------------------------------------------------------------
 
 def test_iso_self():
@@ -351,6 +391,27 @@ def test_jordan_blocks_at_rational_point():
     M = direct_sum([j1, jordan_at(d, "1", F.from_int(1), 1)])
     parts = decompose(d, M)
     assert sorted(p.total_dim() for p in parts) == [1, 2]
+
+
+def test_validate_reports_singular_inverted_polynomial_over_gamma():
+    # x-action 0 at a point inverting x: singular over F3 and over F3[x]_x
+    from ditalg.scalars import LocalizedRing, LocElt
+    from ditalg.tensor import Differential, Layer
+    from ditalg.interlace import Dit, IdealData
+
+    F = F3
+    x = Poly.x(F)
+    b = Bigraph(F, [("g", Factor.rational([x]))])
+    layer = Layer(b)
+    d = Dit(layer, Differential(layer, {}), IdealData(), name="loop-point")
+    gamma = LocalizedRing(F, [x])
+    want = "inverted polynomial x is singular at point g"
+    assert Rep(d, {"g": 1}, point_ops={"g": Mat(F, 1, 1)}).validate() == want
+    zero = Rep(d, {"g": 1}, point_ops={"g": Mat(gamma, 1, 1)}, ring=gamma)
+    assert zero.validate() == want
+    generic = Rep(d, {"g": 1}, point_ops={"g": Mat(gamma, 1, 1, [[LocElt(gamma, x, 0)]])},
+                  ring=gamma)
+    assert generic.validate() is None
 
 
 # -- endomorphism algebra radical ------------------------------------------------

@@ -186,8 +186,8 @@ def three_kronecker(F):
     return Dit(layer, Differential(layer, {}), IdealData(), name="K3")
 
 
-def test_wild_certificate_on_three_kronecker():
-    F = F3
+@pytest.mark.parametrize("F", [F3, F5], ids=["F3", "F5"])
+def test_wild_certificate_on_three_kronecker(F):
     d = three_kronecker(F)
     certify(d)
     cert = WildCertificate(d, ranks={"1": 1, "2": 1}, arrow_ops={
@@ -199,6 +199,8 @@ def test_wild_certificate_on_three_kronecker():
     for (x1, y1) in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1)):
         samples.append((Mat(F, 1, 1, [[F.from_int(x1)]]), Mat(F, 1, 1, [[F.from_int(y1)]])))
     samples.append((Mat(F, 2, 2, [[0, 1], [0, 0]]), Mat(F, 2, 2, [[0, 0], [0, 0]])))
+    # decomposable over k<x,y>: its image may decompose too
+    samples.append((Mat(F, 3, 3), Mat(F, 3, 3)))
     report = verify_wild_certificate(d, cert, samples)
     assert report["ok"], report
 
