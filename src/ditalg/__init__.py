@@ -22,7 +22,7 @@ from .interlace import (
     lift_differential, quotient,
 )
 from .modcat import (
-    MorphismPair, Rep, compose, decompose, direct_sum, hom, hom_dim,
+    IsoClassIndex, MorphismPair, Rep, compose, decompose, direct_sum, hom, hom_dim,
     hom_via_quotient, is_indecomposable, is_isomorphism, iso_test, jordan_at,
     simple_at, split_idempotent, transport_structure,
 )

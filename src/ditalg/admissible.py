@@ -17,8 +17,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .bigraph import Bigraph, Factor
 from .interlace import CertificationError, Dit, IdealData
 from .modcat import (
-    EndAlgebra, MorphismPair, Rep, algebra_radical, compose, evaluate_f1,
-    is_indecomposable, iso_test, zero_morphism,
+    DecomposableError, EndAlgebra, IsoClassIndex, MorphismPair, Rep, compose, evaluate_f1,
+    zero_morphism,
 )
 from .scalars import LocalizedRing, LocElt, Poly
 from .scalars.linalg import Mat
@@ -154,14 +154,16 @@ def build_admissible(dit: Dit, b_arrows: Sequence[str],
         summands.append(Summand("regular", label, point=point,
                                 extra_inverted=tuple(p.monic() for p in extra)))
     if check:
-        reps = [s.rep for s in summands if s.kind == "findim"]
-        for r in reps:
-            if not is_indecomposable(b_dit, r):
-                raise AdmissibleError("findim summands must be indecomposable")
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                if iso_test(b_dit, reps[i], reps[j]):
-                    raise AdmissibleError("findim summands must be pairwise non-isomorphic")
+        index = IsoClassIndex(b_dit)
+        for s in summands:
+            if s.kind != "findim":
+                continue
+            try:
+                new = index.add(s.rep)
+            except DecomposableError:
+                raise AdmissibleError("findim summands must be indecomposable") from None
+            if not new:
+                raise AdmissibleError("findim summands must be pairwise non-isomorphic")
 
     # dual basis of X over S
     x_basis: List[DualBasisElement] = []
@@ -187,11 +189,9 @@ def build_admissible(dit: Dit, b_arrows: Sequence[str],
             for s in findim_summands:
                 offs[p].append(offs[p][-1] + s.rep.dims[p])
         E = EndAlgebra(b_dit, Z)
-        table = E.mult_table()
-        rad = algebra_radical(E.F, table, E.dim)
         # split each radical element into (dom, cod)-summand components
         comp_map: Dict[Tuple[int, int], List[MorphismPair]] = {}
-        for vec in rad:
+        for vec in E.rad:
             f = E.from_coordinates(vec)
             for si, s_dom in enumerate(findim_summands):
                 for sj, s_cod in enumerate(findim_summands):

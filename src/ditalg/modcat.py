@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .interlace import Dit, is_roiter
-from .scalars import Field, Poly, PrimeField, factor as poly_factor
+from .scalars import Field, Poly, PrimeField, factor as poly_factor, linalg
 from .scalars.linalg import Mat, block_matrix
 from .tensor import Elem, Word
 
@@ -326,23 +326,25 @@ def _u_condition_rows(dit: Dit, M: Rep, N: Rep):
     return builder.rows, total
 
 
-def hom(dit: Dit, M: Rep, N: Rep) -> List[MorphismPair]:
-    """Exact basis of U(M, N)."""
-    from .scalars import linalg
-
+def _hom_space(dit: Dit, M: Rep, N: Rep):
+    """Kernel of the U-condition system as (vectors, free columns): vector k
+    is 1 at free[k] and 0 at the other free columns."""
     rows, total = _u_condition_rows(dit, M, N)
     if total == 0:
-        return []
-    F = M.field
-    if not rows:
-        basis_vecs = [[F.one if i == j else F.zero for i in range(total)] for j in range(total)]
-    else:
-        basis_vecs = linalg.kernel_basis(F, rows, total)
-    return [_vector_to_pair(dit, M, N, v) for v in basis_vecs]
+        return [], []
+    return linalg.kernel_with_free(M.field, rows, total)
+
+
+def hom(dit: Dit, M: Rep, N: Rep) -> List[MorphismPair]:
+    """Exact basis of U(M, N)."""
+    vecs, _ = _hom_space(dit, M, N)
+    return [_vector_to_pair(dit, M, N, v) for v in vecs]
 
 
 def hom_dim(dit: Dit, M: Rep, N: Rep) -> int:
-    return len(hom(dit, M, N))
+    """dim U(M, N): the unknowns less the rank of the U-condition rows."""
+    rows, total = _u_condition_rows(dit, M, N)
+    return total - linalg.rank(M.field, rows)
 
 
 def in_hom(dit: Dit, M: Rep, N: Rep, f: MorphismPair) -> bool:
@@ -528,27 +530,39 @@ def jordan_at(dit: Dit, point: str, eigen, size: int) -> Rep:
 
 
 class EndAlgebra:
-    """End(M) with a fixed basis and structure constants via composition."""
+    """End(M) with a fixed basis, its multiplication table `table`
+    (table[i][j] = coordinates of basis[i] . basis[j]) and its radical `rad`,
+    built once and shared by the locality and isomorphism decisions.
+
+    The basis is the kernel basis of the U-condition system, which is 1 at
+    its own free column and 0 at the other free columns, so the coordinates
+    of an endomorphism are its entries at the free columns.  `coordinates`
+    checks that they reproduce every entry, which is membership in End(M).
+    """
 
     def __init__(self, dit: Dit, M: Rep):
         self.dit = dit
         self.M = M
-        self.F = dit.field
-        self.basis = hom(dit, M, M)
+        self.F = F = dit.field
+        self._vecs, self._free = _hom_space(dit, M, M)
+        self.basis = [_vector_to_pair(dit, M, M, v) for v in self._vecs]
         self.dim = len(self.basis)
-        self._vecs = [pair_to_vector(dit, M, M, f) for f in self.basis]
-        from .scalars import linalg
-
-        self._solve_rows = linalg.transpose(self._vecs) if self._vecs else []
+        self.table = [[self.coordinates(compose(dit, a, b, M, M, M)) for b in self.basis]
+                      for a in self.basis]
+        self.rad = algebra_radical(F, self.table, self.dim)
+        self._rad_rows, self._rad_pivots = linalg.rref(F, self.rad) if self.rad else ([], [])
 
     def coordinates(self, f: MorphismPair) -> List:
-        from .scalars import linalg
-
+        F = self.F
         vec = pair_to_vector(self.dit, self.M, self.M, f)
-        sol = linalg.solve(self.F, self._solve_rows, vec)
-        if sol is None:
+        coords = [vec[c] for c in self._free]
+        back = [F.zero] * len(vec)
+        for c, v in zip(coords, self._vecs):
+            if not F.is_zero(c):
+                back = [F.add(x, F.mul(c, y)) for x, y in zip(back, v)]
+        if back != vec:
             raise ModcatError("morphism not in End(M)")
-        return sol
+        return coords
 
     def from_coordinates(self, coords) -> MorphismPair:
         F = self.F
@@ -558,24 +572,18 @@ class EndAlgebra:
                 out = morphism_sum(out, morphism_scale(b, c))
         return out
 
-    def multiply(self, a: List, b: List) -> List:
-        fa = self.from_coordinates(a)
-        fb = self.from_coordinates(b)
-        return self.coordinates(compose(self.dit, fa, fb, self.M, self.M, self.M))
-
     def identity_coords(self) -> List:
         return self.coordinates(identity_morphism(self.M))
 
-    def mult_table(self) -> List[List[List]]:
-        table = []
-        for i in range(self.dim):
-            row = []
-            ei = [self.F.one if k == i else self.F.zero for k in range(self.dim)]
-            for j in range(self.dim):
-                ej = [self.F.one if k == j else self.F.zero for k in range(self.dim)]
-                row.append(self.multiply(ei, ej))
-            table.append(row)
-        return table
+    def mod_rad(self, coords) -> List:
+        """coords reduced modulo the radical: zero iff coords lie in it."""
+        F = self.F
+        v = list(coords)
+        for row, c in zip(self._rad_rows, self._rad_pivots):
+            if not F.is_zero(v[c]):
+                f = v[c]
+                v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, row)]
+        return v
 
 
 def charpoly(F: Field, m: Mat) -> Poly:
@@ -628,11 +636,12 @@ def algebra_radical(F: Field, table: List[List[List]], dim: int) -> List[List]:
     Char p: the Friedl-Ronyai chain using characteristic-polynomial
     coefficients c_{p^i} of the regular representation; over a prime field the
     maps x -> c_{p^i}(rho(x y)) are linear on each step's subspace, so every
-    step is a kernel computation.  The result is verified to be a nilpotent
+    step is a kernel computation.  The first step, k = 1, is the whole char-0
+    case: c_1(rho(z)) = -tr L_z = -sum_i z_i tau_i with tau_i the trace of
+    left multiplication by the i-th basis element, read off the table with no
+    characteristic polynomial.  The result is verified to be a nilpotent
     ideal before returning.
     """
-    from .scalars import linalg
-
     if dim == 0:
         return []
 
@@ -649,10 +658,19 @@ def algebra_radical(F: Field, table: List[List[List]], dim: int) -> List[List]:
             cols.append(col)
         return Mat(F, dim, dim, [[cols[j][i] for j in range(dim)] for i in range(dim)])
 
-    def cp_coefficient(m: Mat, k: int):
-        # coefficient c_k with charpoly = t^n - c_1 t^{n-1} + ... (sign folded)
-        chi = charpoly(F, m)
-        return chi.coeff(dim - k)
+    tau = [F.zero] * dim
+    for i in range(dim):
+        for j in range(dim):
+            tau[i] = F.add(tau[i], table[i][j][j])
+
+    def cp_coefficient(z, k: int):
+        # coefficient of t^{n-k} in the charpoly of L_z (sign folded)
+        if k == 1:
+            tr = F.zero
+            for zi, ti in zip(z, tau):
+                tr = F.add(tr, F.mul(zi, ti))
+            return F.neg(tr)
+        return charpoly(F, left_mult_matrix(z)).coeff(dim - k)
 
     current: List[List] = [[F.one if i == j else F.zero for i in range(dim)] for j in range(dim)]
 
@@ -664,7 +682,7 @@ def algebra_radical(F: Field, table: List[List[List]], dim: int) -> List[List]:
             row = []
             for x in space:
                 prod = _convolve(F, table, x, y, dim)
-                row.append(cp_coefficient(left_mult_matrix(prod), k))
+                row.append(cp_coefficient(prod, k))
             rows.append(row)
         ker = linalg.kernel_basis(F, rows, len(space))
         out = []
@@ -733,8 +751,6 @@ def _convolve(F, table, x, y, dim):
 
 
 def _min_poly(F, table, dim, x, identity_coords) -> Poly:
-    from .scalars import linalg
-
     powers = [list(identity_coords)]
     cur = list(identity_coords)
     while True:
@@ -761,8 +777,6 @@ def split_idempotent(dit: Dit, M: Rep, e: MorphismPair):
         raise ModcatError("idempotent splitting requires a Roiter certificate")
 
     # Step 1: base change making e0 = diag(1, 0)
-    from .scalars import linalg as la
-
     h0: Dict[str, Mat] = {}
     rank1: Dict[str, int] = {}
     for p in b.point_order:
@@ -873,25 +887,15 @@ def split_idempotent(dit: Dit, M: Rep, e: MorphismPair):
     return M1, M2, h
 
 
-def _quotient_algebra(F, table, dim, rad):
+def _quotient_algebra(E: EndAlgebra):
     """Quotient E/rad with structure constants: returns (proj, lift, qtable,
     qdim) where proj/lift move between E-coordinates and quotient coords."""
-    from .scalars import linalg
-
-    red, pivots = linalg.rref(F, rad) if rad else ([], [])
-    pivot_set = set(pivots)
+    F, dim = E.F, E.dim
+    pivot_set = set(E._rad_pivots)
     free = [j for j in range(dim) if j not in pivot_set]
 
-    def reduce_mod_rad(vec):
-        v = list(vec)
-        for r, c in enumerate(pivots):
-            if not F.is_zero(v[c]):
-                f = v[c]
-                v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, red[r])]
-        return v
-
     def proj(vec):
-        v = reduce_mod_rad(vec)
+        v = E.mod_rad(vec)
         return [v[j] for j in free]
 
     def lift(q):
@@ -905,7 +909,7 @@ def _quotient_algebra(F, table, dim, rad):
     for i in range(qdim):
         row = []
         for j in range(qdim):
-            prod = _convolve(F, table, lift([F.one if t == i else F.zero for t in range(qdim)]),
+            prod = _convolve(F, E.table, lift([F.one if t == i else F.zero for t in range(qdim)]),
                              lift([F.one if t == j else F.zero for t in range(qdim)]), dim)
             row.append(proj(prod))
         qtable.append(row)
@@ -963,8 +967,8 @@ def _split_candidates(F: Field, qdim: int):
         yield [F.from_int(t ** i) for i in range(qdim)]
 
 
-def _end_is_local(dit: Dit, M: Rep) -> Tuple[bool, Optional[MorphismPair]]:
-    """(True, None) when End(M) is local; else (False, e) with a nontrivial
+def _end_is_local(E: EndAlgebra) -> Tuple[bool, Optional[MorphismPair]]:
+    """(True, None) when E = End(M) is local; else (False, e) with a nontrivial
     exact idempotent endomorphism.  Deterministic and exact; S = End(M)/rad is
     semisimple of dimension m.
 
@@ -980,16 +984,11 @@ def _end_is_local(dit: Dit, M: Rep) -> Tuple[bool, Optional[MorphismPair]]:
     * A noncommutative S over F_p is not a division ring (Wedderburn) and is
       never reported local; if no candidate splits it, ModcatError.
     """
-    E = EndAlgebra(dit, M)
-    if E.dim == 1:
+    if E.dim - len(E.rad) <= 1:
         return True, None
-    F = E.F
-    table = E.mult_table()
-    rad = algebra_radical(F, table, E.dim)
-    if E.dim - len(rad) <= 1:
-        return True, None
+    F, table = E.F, E.table
     ident = E.identity_coords()
-    proj, lift, qtable, qdim = _quotient_algebra(F, table, E.dim, rad)
+    proj, lift, qtable, qdim = _quotient_algebra(E)
     qident = proj(ident)
     commutative = all(qtable[i][j] == qtable[j][i] for i in range(qdim)
                       for j in range(i + 1, qdim))
@@ -1007,8 +1006,6 @@ def _end_is_local(dit: Dit, M: Rep) -> Tuple[bool, Optional[MorphismPair]]:
         return (False, E.from_coordinates(e)), mp
 
     if isinstance(F, PrimeField) and commutative:
-        from .scalars import linalg
-
         cols = []
         for j in range(qdim):
             z = [F.one if t == j else F.zero for t in range(qdim)]
@@ -1042,45 +1039,48 @@ def _end_is_local(dit: Dit, M: Rep) -> Tuple[bool, Optional[MorphismPair]]:
 def is_indecomposable(dit: Dit, M: Rep) -> bool:
     if M.is_zero():
         return False
-    local, _ = _end_is_local(dit, M)
+    local, _ = _end_is_local(EndAlgebra(dit, M))
     return local
+
+
+def _decompose(dit: Dit, M: Rep) -> List[EndAlgebra]:
+    """The End algebras of M's indecomposable summands (with multiplicity)."""
+    if M.is_zero():
+        return []
+    E = EndAlgebra(dit, M)
+    local, e = _end_is_local(E)
+    if local:
+        return [E]
+    M1, M2, _ = split_idempotent(dit, M, e)
+    return _decompose(dit, M1) + _decompose(dit, M2)
 
 
 def decompose(dit: Dit, M: Rep) -> List[Rep]:
     """Krull-Schmidt list of indecomposable summands (with multiplicity)."""
-    if M.is_zero():
-        return []
-    local, e = _end_is_local(dit, M)
-    if local:
-        return [M]
-    M1, M2, _ = split_idempotent(dit, M, e)
-    return decompose(dit, M1) + decompose(dit, M2)
+    return [E.M for E in _decompose(dit, M)]
 
 
-def _indec_iso(dit: Dit, M: Rep, N: Rep) -> Optional[MorphismPair]:
-    """Indecomposables are isomorphic iff some composite g.f with
-    f in Hom(M,N), g in Hom(N,M) misses the radical of End(M): the composite
-    is then a unit of the local algebra End(M), forcing f0 bijective."""
+def _indec_iso(E: EndAlgebra, N: Rep) -> Optional[MorphismPair]:
+    """An isomorphism M -> N for M = E.M indecomposable (E local), or None.
+
+    Indecomposables are isomorphic iff some composite g.f with f in Hom(M,N),
+    g in Hom(N,M) misses the radical of End(M): the composite is then a unit
+    of the local algebra End(M), forcing f0 bijective.  Isomorphic M and N
+    have dim Hom(M,N) = dim Hom(N,M) = dim End(M), which is tested first."""
+    dit, M = E.dit, E.M
     if M.dim_vector() != N.dim_vector():
         return None
     homMN = hom(dit, M, N)
-    homNM = hom(dit, N, M)
-    if not homMN or not homNM:
+    if len(homMN) != E.dim:
         return None
-    E = EndAlgebra(dit, M)
-    table = E.mult_table()
-    rad = algebra_radical(E.F, table, E.dim)
-    from .scalars import linalg
-
+    homNM = hom(dit, N, M)
+    if len(homNM) != E.dim:
+        return None
+    F = E.F
     for f in homMN:
         for g in homNM:
-            gf = compose(dit, g, f, M, N, M)
-            coords = E.coordinates(gf)
-            if rad:
-                in_rad = linalg.row_space_contains(E.F, rad, coords)
-            else:
-                in_rad = all(E.F.is_zero(c) for c in coords)
-            if not in_rad:
+            coords = E.coordinates(compose(dit, g, f, M, N, M))
+            if not all(F.is_zero(c) for c in E.mod_rad(coords)):
                 if is_isomorphism(dit, f, M, N) is not None:
                     return f
     return None
@@ -1097,23 +1097,69 @@ def iso_test(dit: Dit, M: Rep, N: Rep) -> bool:
     for f in basis[:12]:
         if is_isomorphism(dit, f, M, N) is not None:
             return True
-    parts_m = decompose(dit, M)
+    parts_m = _decompose(dit, M)
     parts_n = decompose(dit, N)
     if len(parts_m) != len(parts_n):
         return False
     used = [False] * len(parts_n)
-    for pm in parts_m:
+    for em in parts_m:
         found = False
         for i, pn in enumerate(parts_n):
             if used[i]:
                 continue
-            if _indec_iso(dit, pm, pn) is not None:
+            if _indec_iso(em, pn) is not None:
                 used[i] = True
                 found = True
                 break
         if not found:
             return False
     return True
+
+
+class DecomposableError(ModcatError):
+    """An IsoClassIndex was handed a zero or decomposable module."""
+
+
+class IsoClassIndex:
+    """Indecomposables up to isomorphism, bucketed by dimension vector.
+
+    `find` and `add` build End(M) once.  Its locality decides that M is
+    indecomposable (DecomposableError otherwise), and the same End data
+    matches M against the classes of its bucket by `_indec_iso`.  `classes`
+    lists the stored representatives in the order they were added.
+    """
+
+    def __init__(self, dit: Dit):
+        self.dit = dit
+        self.classes: List[Rep] = []
+        self._buckets: Dict[Tuple[int, ...], List[Rep]] = {}
+
+    def _local_end(self, M: Rep) -> EndAlgebra:
+        if M.is_zero():
+            raise DecomposableError("the zero module is not indecomposable")
+        E = EndAlgebra(self.dit, M)
+        if not _end_is_local(E)[0]:
+            raise DecomposableError("module is decomposable")
+        return E
+
+    def _match(self, E: EndAlgebra) -> Optional[Rep]:
+        for N in self._buckets.get(E.M.dim_vector(), ()):
+            if _indec_iso(E, N) is not None:
+                return N
+        return None
+
+    def find(self, M: Rep) -> Optional[Rep]:
+        """The stored class isomorphic to the indecomposable M, or None."""
+        return self._match(self._local_end(M))
+
+    def add(self, M: Rep) -> bool:
+        """Store the indecomposable M unless its class is present; True when
+        M is new."""
+        if self._match(self._local_end(M)) is not None:
+            return False
+        self._buckets.setdefault(M.dim_vector(), []).append(M)
+        self.classes.append(M)
+        return True
 
 
 def hom_via_quotient(dit: Dit, M: Rep, N: Rep, qp=None) -> List[MorphismPair]:
@@ -1123,7 +1169,6 @@ def hom_via_quotient(dit: Dit, M: Rep, N: Rep, qp=None) -> List[MorphismPair]:
     plain interlaced-presentation solver.  Pass a precomputed
     QuotientPresentation to amortize the normal-form setup."""
     from .interlace import quotient
-    from .scalars import linalg
 
     if qp is None:
         qp = quotient(dit)

@@ -11,7 +11,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .admissible import build_admissible, reduce_admissible, recompute_triangular_filtrations
 from .bimodule import generic_regular, push_generic
 from .interlace import Dit, certify
-from .modcat import ModcatError, Rep, is_indecomposable, iso_test, jordan_at, simple_at
+from .modcat import DecomposableError, IsoClassIndex, ModcatError, Rep, jordan_at, simple_at
 from .reduce import (
     ReductionError, ReductionFunctor, StepSpec, absorb, change_solid_basis,
     compose_functors, delete_idempotents, factor_out, regularize, rep_spec,
@@ -742,40 +742,26 @@ def classify(dit: Dit, d: int, budget: int = 200,
             families.append(fam)
 
     # dedup everything shown
-    shown: List[Rep] = []
-    for img in images:
-        if not any(iso_test(dit, img, s) for s in shown):
-            shown.append(img)
+    index = IsoClassIndex(dit)
+    shown = [img for img in images if index.add(img)]
     family_members: List[Rep] = []
     for fam in families:
-        kept = []
-        for key, img in fam.sample_images:
-            if not any(iso_test(dit, img, s) for s in shown + family_members):
-                kept.append((key, img))
-                family_members.append(img)
-        fam.sample_images = kept
+        fam.sample_images = [(key, img) for key, img in fam.sample_images if index.add(img)]
+        family_members += [img for _, img in fam.sample_images]
 
     # sporadics outside every family are the report's exceptional modules;
-    # without any one-parameter family the notion is empty
-    if families:
-        exceptional = [s for s in shown
-                       if not any(iso_test(dit, s, m) for m in family_members
-                                  if m.dim_vector() == s.dim_vector())]
-    else:
-        exceptional = []
+    # without any one-parameter family the notion is empty.  A family member
+    # was kept only when isomorphic to no shown module, so every shown module
+    # lies outside every family.
+    exceptional = list(shown) if families else []
 
     report = ClassificationReport(plan=plan, minimal=minimal,
                                   indecomposables=shown + family_members,
                                   families=families, exceptional=exceptional)
 
     if brute_force_residue and F.char and _brute_feasible(dit, d):
-        residue = []
-        all_classes = brute_force_indecomposables(dit, d)
-        covered = report.indecomposables
-        for cls in all_classes:
-            if not any(iso_test(dit, cls, c) for c in covered if
-                       c.dim_vector() == cls.dim_vector()):
-                residue.append(cls)
+        residue = [cls for cls in brute_force_indecomposables(dit, d)
+                   if index.find(cls) is None]
         report.brute_residue = residue
         if residue:
             report.notes.append(
@@ -810,7 +796,7 @@ def brute_force_indecomposables(dit: Dit, d: int) -> List[Rep]:
     b = dit.bigraph
     F = dit.field
     pts = b.point_order
-    classes: List[Rep] = []
+    index = IsoClassIndex(dit)
     for dims in itertools.product(range(d + 1), repeat=len(pts)):
         if not 0 < sum(dims) <= d:
             continue
@@ -826,7 +812,6 @@ def brute_force_indecomposables(dit: Dit, d: int) -> List[Rep]:
         for vals in itertools.product(range(F.char), repeat=total):
             rep = Rep(dit, dict(dimmap))
             off = 0
-            ok = True
             for a, (r, c) in zip(arrows, shapes):
                 rep.arrow_ops[a.name] = Mat(F, r, c,
                                             [[F.from_int(vals[off + i * c + j])
@@ -839,9 +824,8 @@ def brute_force_indecomposables(dit: Dit, d: int) -> List[Rep]:
                 off += r * c
             if rep.validate() is not None:
                 continue
-            if not is_indecomposable(dit, rep):
-                continue
-            if not any(iso_test(dit, rep, c) for c in classes
-                       if c.dim_vector() == rep.dim_vector()):
-                classes.append(rep)
-    return classes
+            try:
+                index.add(rep)
+            except DecomposableError:
+                pass          # not a class: classes are indecomposable
+    return index.classes

@@ -114,24 +114,30 @@ def rank(F: Field, m: Matrix) -> int:
     return len(rref(F, m)[1])
 
 
-def kernel_basis(F: Field, m: Matrix, cols: Optional[int] = None) -> List[List]:
-    """Nullspace basis of m (solutions of m*v = 0) as a list of vectors."""
+def kernel_with_free(F: Field, m: Matrix, cols: Optional[int] = None) -> Tuple[List[List], List[int]]:
+    """Nullspace basis of m (solutions of m*v = 0) and its free columns:
+    basis vector k is 1 at free[k] and 0 at every other free column, so a
+    kernel vector's coordinates are its entries at the free columns."""
     if cols is None:
         cols = len(m[0]) if m else 0
     if not m:
-        return [ [F.one if i == j else F.zero for i in range(cols)] for j in range(cols) ]
+        return identity(F, cols), list(range(cols))
     a, pivots = rref(F, m)
     pivot_of_col = {c: r for r, c in enumerate(pivots)}
+    free = [c for c in range(cols) if c not in pivot_of_col]
     basis = []
-    for free in range(cols):
-        if free in pivot_of_col:
-            continue
+    for f in free:
         v = [F.zero] * cols
-        v[free] = F.one
+        v[f] = F.one
         for c, r in pivot_of_col.items():
-            v[c] = F.neg(a[r][free])
+            v[c] = F.neg(a[r][f])
         basis.append(v)
-    return basis
+    return basis, free
+
+
+def kernel_basis(F: Field, m: Matrix, cols: Optional[int] = None) -> List[List]:
+    """Nullspace basis of m (solutions of m*v = 0) as a list of vectors."""
+    return kernel_with_free(F, m, cols)[0]
 
 
 def solve(F: Field, a: Matrix, b: Sequence) -> Optional[List]:

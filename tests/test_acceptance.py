@@ -134,6 +134,10 @@ def test_criterion_2_category_axioms():
 def _all_modules_up_to_iso(dit, max_total, F):
     b = dit.bigraph
     pts = b.point_order
+    # the simple at each point (x acting by 0 at a rational point): the
+    # dimension vector and dim Hom to and from each simple are isomorphism
+    # invariants, so they bucket candidates before the exact iso test
+    simples = [Rep(dit, {p: 1}) for p in pts]
     buckets = {}
     for dims in itertools.product(range(max_total + 1), repeat=len(pts)):
         if not 0 < sum(dims) <= max_total:
@@ -154,18 +158,24 @@ def _all_modules_up_to_iso(dit, max_total, F):
                 off += r * c
             if rep.validate() is not None:
                 continue
-            # cheap invariants bucket candidates before the exact iso test
-            ranks = tuple(rep.arrow_ops[a.name].rank() for a in arrows)
-            comp_ranks = []
-            for a1 in arrows:
-                for a2 in arrows:
-                    if b.arrow(a1.name).target == b.arrow(a2.name).source:
-                        comp_ranks.append((rep.arrow_ops[a2.name] * rep.arrow_ops[a1.name]).rank())
-            key = (rep.dim_vector(), ranks, tuple(comp_ranks))
+            key = (rep.dim_vector(),) + tuple(
+                (hom_dim(dit, S, rep), hom_dim(dit, rep, S)) for S in simples)
             bucket = buckets.setdefault(key, [])
             if not any(iso_test(dit, rep, c) for c in bucket):
                 bucket.append(rep)
     return [rep for bucket in buckets.values() for rep in bucket]
+
+
+@pytest.mark.parametrize("fixture,F,max_total", [(ex2, F2, 2), (exr, F3, 3)])
+def test_all_modules_up_to_iso_pairwise_noniso(fixture, F, max_total):
+    # the oracle once bucketed by arrow ranks, which are not invariants once
+    # delta is nonzero, and listed isomorphic modules twice on these cases
+    d = fixture(F)
+    certify(d)
+    classes = _all_modules_up_to_iso(d, max_total, F)
+    for i, M in enumerate(classes):
+        for N in classes[i + 1:]:
+            assert not iso_test(d, M, N), (M.dims, N.dims)
 
 
 def test_criterion_3_psi_equivalence():

@@ -6,12 +6,13 @@ from ditalg.bigraph import Bigraph, Factor
 from ditalg.fixtures import ex1, ex2, exi, exk, exa
 from ditalg.interlace import certify
 from ditalg.modcat import (
-    EndAlgebra, MorphismPair, Rep, algebra_radical, compose, decompose,
-    direct_sum, hom, hom_dim, identity_morphism, in_hom, is_indecomposable,
-    is_isomorphism, iso_test, jordan_at, simple_at, split_idempotent,
-    transport_structure, zero_morphism, morphism_sum, morphism_scale,
+    DecomposableError, EndAlgebra, IsoClassIndex, ModcatError, MorphismPair, Rep,
+    algebra_radical, charpoly, compose, decompose, direct_sum, hom, hom_dim,
+    identity_morphism, in_hom, is_indecomposable, is_isomorphism, iso_test, jordan_at,
+    pair_to_vector, simple_at, split_idempotent, transport_structure, zero_morphism,
+    morphism_sum, morphism_scale,
 )
-from ditalg.scalars import PrimeField, Poly, QQ
+from ditalg.scalars import PrimeField, Poly, QQ, linalg
 from ditalg.scalars.linalg import Mat
 
 F2 = PrimeField(2)
@@ -298,10 +299,7 @@ def _p1_plus_p1_plus_r1(d):
     return direct_sum([p1, p1, r1])
 
 
-@pytest.mark.parametrize("seed", [0, 1, 13])
-def test_decompose_twisted_repeated_summand(seed):
-    # End/rad of P1 + P1 + R1 is M_2(k) x k, not commutative: the twists
-    # must still split into three summands (seed 13 once came out as two)
+def _twisted_p1_p1_r1(seed):
     d = exk(F101)
     certify(d)
     S = _p1_plus_p1_plus_r1(d)
@@ -311,19 +309,30 @@ def test_decompose_twisted_repeated_summand(seed):
         n = S.dims[p]
         while p not in f0 or f0[p].inverse() is None:
             f0[p] = Mat(F101, n, n, [[F101.random(rng) for _ in range(n)] for _ in range(n)])
-    T = transport_structure(d, S, f0, {})
+    return d, transport_structure(d, S, f0, {})
+
+
+def _kronecker_qi():
+    d = exk(QQ)
+    certify(d)
+    return d, Rep(d, {"1": 2, "2": 2}, {"a": Mat(QQ, 2, 2, [[1, 0], [0, 1]]),
+                                       "b": Mat(QQ, 2, 2, [[0, -1], [1, 0]])})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 13])
+def test_decompose_twisted_repeated_summand(seed):
+    # End/rad of P1 + P1 + R1 is M_2(k) x k, not commutative: the twists
+    # must still split into three summands (seed 13 once came out as two)
+    d, T = _twisted_p1_p1_r1(seed)
     parts = decompose(d, T)
     assert sorted(p.dim_vector() for p in parts) == [(1, 1), (1, 2), (1, 2)]
-    assert iso_test(d, T, S)
+    assert iso_test(d, T, _p1_plus_p1_plus_r1(d))
 
 
 def test_kronecker_over_q_with_field_endomorphisms():
     # a = I, b = companion(x^2 + 1): End = Q(i) is a field, so M is
     # indecomposable; End(M + M) = M_2(Q(i)) splits into two summands
-    d = exk(QQ)
-    certify(d)
-    M = Rep(d, {"1": 2, "2": 2}, {"a": Mat(QQ, 2, 2, [[1, 0], [0, 1]]),
-                                  "b": Mat(QQ, 2, 2, [[0, -1], [1, 0]])})
+    d, M = _kronecker_qi()
     assert is_indecomposable(d, M)
     parts = decompose(d, direct_sum([M, M]))
     assert len(parts) == 2
@@ -446,3 +455,118 @@ def test_end_of_indecomposable_local():
     M = p1_rep(d)
     E = EndAlgebra(d, M)
     assert E.dim == 1
+
+
+def _end_cases():
+    d3 = exk(F3)
+    certify(d3)
+    M3 = Rep(d3, {"1": 2, "2": 2}, {"a": Mat(F3, 2, 2, [[1, 0], [0, 1]]),
+                                    "b": Mat(F3, 2, 2, [[0, 1], [0, 0]])})
+    yield d3, direct_sum([M3, kron_rep(d3, 1, 2), simple_at(d3, "2")])
+    d2 = ex2(F3)
+    certify(d2)
+    yield d2, direct_sum([simple_at(d2, p) for p in d2.bigraph.point_order])
+    yield _twisted_p1_p1_r1(1)
+    dq, Mq = _kronecker_qi()
+    yield dq, direct_sum([Mq, Mq, simple_at(dq, "1")])
+
+
+def test_end_coordinates_reject_non_endomorphism():
+    d = exk(F3)
+    certify(d)
+    M = kron_rep(d, 1, 2)
+    E = EndAlgebra(d, M)
+    assert E.coordinates(identity_morphism(M)) == E.identity_coords()
+    f = zero_morphism(M, M)
+    f.f0["1"] = Mat(F3, 1, 1, [[1]])   # a f0_1 - f0_2 a = 1: not a morphism
+    assert not in_hom(d, M, M, f)
+    with pytest.raises(ModcatError, match="not in End"):
+        E.coordinates(f)
+
+
+def test_mult_table_matches_solved_coordinates():
+    for d, M in _end_cases():
+        E = EndAlgebra(d, M)
+        vecs = [pair_to_vector(d, M, M, f) for f in E.basis]
+        cols = linalg.transpose(vecs)
+        for i, a in enumerate(E.basis):
+            for j, b in enumerate(E.basis):
+                vec = pair_to_vector(d, M, M, compose(d, a, b, M, M, M))
+                assert E.table[i][j] == linalg.solve(E.F, cols, vec)
+
+
+def _charpoly_radical(F, table, dim):
+    """The radical chain of `algebra_radical` with every coefficient c_k,
+    c_1 included, read off a characteristic polynomial."""
+    def left_mult(z):
+        return Mat(F, dim, dim, [[_sum(F, [F.mul(z[i], table[i][j][r]) for i in range(dim)])
+                                  for j in range(dim)] for r in range(dim)])
+
+    def product(x, y):
+        return [_sum(F, [F.mul(F.mul(x[i], y[j]), table[i][j][r])
+                         for i in range(dim) for j in range(dim)]) for r in range(dim)]
+
+    def step(space, k):
+        rows = [[charpoly(F, left_mult(product(x, y))).coeff(dim - k) for x in space]
+                for y in space]
+        return [[_sum(F, [F.mul(c, base[t]) for c, base in zip(combo, space)])
+                 for t in range(dim)]
+                for combo in linalg.kernel_basis(F, rows, len(space))]
+
+    rad = linalg.identity(F, dim)
+    if F.char == 0:
+        return step(rad, 1)
+    power = 1
+    while power <= dim and rad:
+        rad = step(rad, power)
+        power *= F.char
+    return rad
+
+
+def _sum(F, values):
+    out = F.zero
+    for v in values:
+        out = F.add(out, v)
+    return out
+
+
+def test_trace_form_radical_matches_charpoly_chain():
+    dq, Mq = _kronecker_qi()
+    for d, M in (_twisted_p1_p1_r1(0), (dq, Mq), (dq, direct_sum([Mq, simple_at(dq, "2")]))):
+        E = EndAlgebra(d, M)
+        want = _charpoly_radical(E.F, E.table, E.dim)
+        assert E.rad == want
+        assert algebra_radical(E.F, E.table, E.dim) == want
+    assert len(EndAlgebra(*_twisted_p1_p1_r1(0)).rad) > 0
+
+
+def test_iso_class_index_agrees_with_iso_test():
+    import itertools
+
+    d = exk(F2)
+    certify(d)
+    candidates = []
+    for n1, n2 in itertools.product(range(4), repeat=2):
+        if not 0 < n1 + n2 <= 3:
+            continue
+        for vals in itertools.product(range(2), repeat=2 * n1 * n2):
+            a = [list(vals[i * n1:(i + 1) * n1]) for i in range(n2)]
+            b = [list(vals[n1 * n2 + i * n1:n1 * n2 + (i + 1) * n1]) for i in range(n2)]
+            M = Rep(d, {"1": n1, "2": n2}, {"a": Mat(F2, n2, n1, a), "b": Mat(F2, n2, n1, b)})
+            if M.validate() is None:
+                candidates.append(M)
+    index = IsoClassIndex(d)
+    indecs = []
+    for M in candidates:
+        if is_indecomposable(d, M):
+            index.add(M)
+            indecs.append(M)
+        else:
+            with pytest.raises(DecomposableError):
+                index.add(M)
+    assert len(indecs) > len(index.classes) > 0
+    for M in indecs:
+        found = index.find(M)
+        assert found is not None
+        for C in index.classes:
+            assert iso_test(d, M, C) == (C is found)

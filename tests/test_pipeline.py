@@ -221,3 +221,36 @@ def test_wild_certificate_detects_bad_witness():
                (Mat(F, 1, 1, [[F.one]]), Mat(F, 1, 1, [[F.zero]]))]
     report = verify_wild_certificate(d, collapse, samples)
     assert not report["ok"]
+
+
+def test_referee_builds_each_end_algebra_once(monkeypatch):
+    # one End(M) per valid candidate serves both its locality and its
+    # isomorphism class; no candidate is decomposed
+    from ditalg import modcat
+
+    counts = {"valid": 0, "end": 0, "decompose": 0}
+    validate, end_init = modcat.Rep.validate, modcat.EndAlgebra.__init__
+
+    def counting_validate(self):
+        out = validate(self)
+        counts["valid"] += out is None
+        return out
+
+    def counting_init(self, *args):
+        counts["end"] += 1
+        end_init(self, *args)
+
+    def no_decompose(*args):
+        counts["decompose"] += 1
+        raise AssertionError("the referee decomposed a candidate")
+
+    monkeypatch.setattr(modcat.Rep, "validate", counting_validate)
+    monkeypatch.setattr(modcat.EndAlgebra, "__init__", counting_init)
+    monkeypatch.setattr(modcat, "decompose", no_decompose)
+    monkeypatch.setattr(modcat, "_decompose", no_decompose)
+    d = exk(F2)
+    certify(d)
+    classes = brute_force_indecomposables(d, 3)
+    assert len(classes) > 0
+    assert 0 < counts["end"] <= counts["valid"]
+    assert counts["decompose"] == 0
