@@ -11,6 +11,7 @@ of the endomorphism algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .interlace import Dit, is_roiter
@@ -531,8 +532,9 @@ def jordan_at(dit: Dit, point: str, eigen, size: int) -> Rep:
 
 class EndAlgebra:
     """End(M) with a fixed basis, its multiplication table `table`
-    (table[i][j] = coordinates of basis[i] . basis[j]) and its radical `rad`,
-    built once and shared by the locality and isomorphism decisions.
+    (table[i][j] = coordinates of basis[i] . basis[j]) and its radical `rad`.
+    The basis is built at once; the table and the radical on first use, so
+    a module that a witness already decides never gets them.
 
     The basis is the kernel basis of the U-condition system, which is 1 at
     its own free column and 0 at the other free columns, so the coordinates
@@ -543,14 +545,24 @@ class EndAlgebra:
     def __init__(self, dit: Dit, M: Rep):
         self.dit = dit
         self.M = M
-        self.F = F = dit.field
+        self.F = dit.field
         self._vecs, self._free = _hom_space(dit, M, M)
         self.basis = [_vector_to_pair(dit, M, M, v) for v in self._vecs]
         self.dim = len(self.basis)
-        self.table = [[self.coordinates(compose(dit, a, b, M, M, M)) for b in self.basis]
-                      for a in self.basis]
-        self.rad = algebra_radical(F, self.table, self.dim)
-        self._rad_rows, self._rad_pivots = linalg.rref(F, self.rad) if self.rad else ([], [])
+
+    @cached_property
+    def table(self) -> List[List[List]]:
+        dit, M = self.dit, self.M
+        return [[self.coordinates(compose(dit, a, b, M, M, M)) for b in self.basis]
+                for a in self.basis]
+
+    @cached_property
+    def rad(self) -> List[List]:
+        return algebra_radical(self.F, self.table, self.dim)
+
+    @cached_property
+    def _rad_rref(self) -> Tuple[List[List], List[int]]:
+        return linalg.rref(self.F, self.rad) if self.rad else ([], [])
 
     def coordinates(self, f: MorphismPair) -> List:
         F = self.F
@@ -579,7 +591,7 @@ class EndAlgebra:
         """coords reduced modulo the radical: zero iff coords lie in it."""
         F = self.F
         v = list(coords)
-        for row, c in zip(self._rad_rows, self._rad_pivots):
+        for row, c in zip(*self._rad_rref):
             if not F.is_zero(v[c]):
                 f = v[c]
                 v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, row)]
@@ -891,7 +903,7 @@ def _quotient_algebra(E: EndAlgebra):
     """Quotient E/rad with structure constants: returns (proj, lift, qtable,
     qdim) where proj/lift move between E-coordinates and quotient coords."""
     F, dim = E.F, E.dim
-    pivot_set = set(E._rad_pivots)
+    pivot_set = set(E._rad_rref[1])
     free = [j for j in range(dim) if j not in pivot_set]
 
     def proj(vec):
@@ -967,14 +979,38 @@ def _split_candidates(F: Field, qdim: int):
         yield [F.from_int(t ** i) for i in range(qdim)]
 
 
+def _is_commutative(qtable, qdim) -> bool:
+    return all(qtable[i][j] == qtable[j][i] for i in range(qdim)
+               for j in range(i + 1, qdim))
+
+
+def _frobenius_fixed(F: PrimeField, qtable, qdim, qident) -> List[List]:
+    """Fixed space of z -> z^p on a commutative semisimple S over F_p.  The
+    map z -> z^p - z is linear there, and S is a product of r finite fields
+    with fixed space F_p^r, so S is a field iff the space has dimension 1."""
+    cols = []
+    for j in range(qdim):
+        z = [F.one if t == j else F.zero for t in range(qdim)]
+        # z^p by square-and-multiply in the quotient algebra
+        zp, base, n = qident, z, F.p
+        while n:
+            if n & 1:
+                zp = _convolve(F, qtable, zp, base, qdim)
+            base = _convolve(F, qtable, base, base, qdim)
+            n >>= 1
+        cols.append([F.sub(a, b) for a, b in zip(zp, z)])
+    rows = [[cols[j][i] for j in range(qdim)] for i in range(qdim)]
+    return linalg.kernel_basis(F, rows, qdim)
+
+
 def _end_is_local(E: EndAlgebra) -> Tuple[bool, Optional[MorphismPair]]:
     """(True, None) when E = End(M) is local; else (False, e) with a nontrivial
-    exact idempotent endomorphism.  Deterministic and exact; S = End(M)/rad is
-    semisimple of dimension m.
+    exact idempotent endomorphism, which `_decompose` splits off.
+    Deterministic and exact; S = End(M)/rad is semisimple of dimension m.
 
-    * F_p, S commutative: z -> z^p - z is linear, with fixed space F_p^r for
-      r simple factors.  S is a field iff r = 1; else any fixed element off
-      the scalars has a split squarefree minimal polynomial, and CRT splits.
+    * F_p, S commutative: any element of the Frobenius fixed space
+      (`_frobenius_fixed`) off the scalars has a split squarefree minimal
+      polynomial, and CRT splits.
     * F_p with S noncommutative, or Q: the candidates of `_split_candidates`
       in order.  A reducible minimal polynomial splits by CRT.  In a
       commutative S the first candidate of degree m is primitive, and if its
@@ -990,8 +1026,7 @@ def _end_is_local(E: EndAlgebra) -> Tuple[bool, Optional[MorphismPair]]:
     ident = E.identity_coords()
     proj, lift, qtable, qdim = _quotient_algebra(E)
     qident = proj(ident)
-    commutative = all(qtable[i][j] == qtable[j][i] for i in range(qdim)
-                      for j in range(i + 1, qdim))
+    commutative = _is_commutative(qtable, qdim)
 
     def split(z) -> Tuple[Optional[Tuple[bool, MorphismPair]], Poly]:
         mp = _min_poly(F, qtable, qdim, z, qident)
@@ -1006,19 +1041,7 @@ def _end_is_local(E: EndAlgebra) -> Tuple[bool, Optional[MorphismPair]]:
         return (False, E.from_coordinates(e)), mp
 
     if isinstance(F, PrimeField) and commutative:
-        cols = []
-        for j in range(qdim):
-            z = [F.one if t == j else F.zero for t in range(qdim)]
-            # z^p by square-and-multiply in the quotient algebra
-            zp, base, n = qident, z, F.p
-            while n:
-                if n & 1:
-                    zp = _convolve(F, qtable, zp, base, qdim)
-                base = _convolve(F, qtable, base, base, qdim)
-                n >>= 1
-            cols.append([F.sub(a, b) for a, b in zip(zp, z)])
-        rows = [[cols[j][i] for j in range(qdim)] for i in range(qdim)]
-        fixed = linalg.kernel_basis(F, rows, qdim)
+        fixed = _frobenius_fixed(F, qtable, qdim, qident)
         if len(fixed) <= 1:
             return True, None
         z = next(z for z in fixed if not linalg.row_space_contains(F, [qident], z))
@@ -1036,11 +1059,47 @@ def _end_is_local(E: EndAlgebra) -> Tuple[bool, Optional[MorphismPair]]:
     raise ModcatError("no candidate splits End(M)/rad")
 
 
+def _fitting_rank(m: Mat) -> int:
+    """rank(m^k) for k >= size: the dimension of m's invertible Fitting part."""
+    k = 1
+    while k < m.rows:
+        m, k = m * m, 2 * k
+    return m.rank()
+
+
+def _is_local(E: EndAlgebra) -> bool:
+    """Whether E = End(M) is local, for M nonzero, decided without
+    constructing an idempotent.
+
+    * A witness first.  In a local End(M) every element is a unit or lies in
+      the nilpotent radical.  A unit f has bijective f0, as g0 f0 = (g f)0 =
+      1; a nilpotent f has f0^n = (f^n)0 = 0.  So a basis element whose
+      block-diagonal f0 is singular but not nilpotent, that is with Fitting
+      rank rank(f0^n) strictly between 0 and dim M, proves M decomposable,
+      and neither the table nor the radical is built.
+    * Over F_p, S = End(M)/rad: a noncommutative S is not a division ring
+      (Wedderburn's little theorem); a commutative S is local iff its
+      Frobenius fixed space has dimension <= 1 (`_frobenius_fixed`).
+    * Over Q, the candidate loop of `_end_is_local`.
+    """
+    n = E.M.total_dim()
+    for f in E.basis:
+        if 0 < sum(_fitting_rank(m) for m in f.f0.values()) < n:
+            return False
+    if E.dim - len(E.rad) <= 1:
+        return True
+    if not isinstance(E.F, PrimeField):
+        return _end_is_local(E)[0]
+    proj, _, qtable, qdim = _quotient_algebra(E)
+    if not _is_commutative(qtable, qdim):
+        return False
+    return len(_frobenius_fixed(E.F, qtable, qdim, proj(E.identity_coords()))) <= 1
+
+
 def is_indecomposable(dit: Dit, M: Rep) -> bool:
     if M.is_zero():
         return False
-    local, _ = _end_is_local(EndAlgebra(dit, M))
-    return local
+    return _is_local(EndAlgebra(dit, M))
 
 
 def _decompose(dit: Dit, M: Rep) -> List[EndAlgebra]:
@@ -1063,26 +1122,21 @@ def decompose(dit: Dit, M: Rep) -> List[Rep]:
 def _indec_iso(E: EndAlgebra, N: Rep) -> Optional[MorphismPair]:
     """An isomorphism M -> N for M = E.M indecomposable (E local), or None.
 
-    Indecomposables are isomorphic iff some composite g.f with f in Hom(M,N),
-    g in Hom(N,M) misses the radical of End(M): the composite is then a unit
-    of the local algebra End(M), forcing f0 bijective.  Isomorphic M and N
-    have dim Hom(M,N) = dim Hom(N,M) = dim End(M), which is tested first."""
+    Isomorphic M and N have dim Hom(M,N) = dim End(M), which is tested
+    first.  Then a basis scan is exact: if phi: M -> N is an isomorphism,
+    Hom(M,N) = phi.End(M), and its non-isomorphisms phi.rad End(M) form a
+    proper subspace, since End(M) is local.  A basis of Hom(M,N) does not lie
+    in a proper subspace, so some basis element is an isomorphism, which the
+    Roiter test `is_isomorphism` recognizes (and verifies by its inverse)."""
     dit, M = E.dit, E.M
     if M.dim_vector() != N.dim_vector():
         return None
     homMN = hom(dit, M, N)
     if len(homMN) != E.dim:
         return None
-    homNM = hom(dit, N, M)
-    if len(homNM) != E.dim:
-        return None
-    F = E.F
     for f in homMN:
-        for g in homNM:
-            coords = E.coordinates(compose(dit, g, f, M, N, M))
-            if not all(F.is_zero(c) for c in E.mod_rad(coords)):
-                if is_isomorphism(dit, f, M, N) is not None:
-                    return f
+        if is_isomorphism(dit, f, M, N) is not None:
+            return f
     return None
 
 
@@ -1123,9 +1177,9 @@ class DecomposableError(ModcatError):
 class IsoClassIndex:
     """Indecomposables up to isomorphism, bucketed by dimension vector.
 
-    `find` and `add` build End(M) once.  Its locality decides that M is
-    indecomposable (DecomposableError otherwise), and the same End data
-    matches M against the classes of its bucket by `_indec_iso`.  `classes`
+    `find` and `add` build End(M) once.  Its locality (`_is_local`) decides
+    that M is indecomposable (DecomposableError otherwise), and the same End
+    data matches M against the classes of its bucket by `_indec_iso`.  `classes`
     lists the stored representatives in the order they were added.
     """
 
@@ -1138,7 +1192,7 @@ class IsoClassIndex:
         if M.is_zero():
             raise DecomposableError("the zero module is not indecomposable")
         E = EndAlgebra(self.dit, M)
-        if not _end_is_local(E)[0]:
+        if not _is_local(E):
             raise DecomposableError("module is decomposable")
         return E
 

@@ -30,6 +30,9 @@ class PipelineError(ValueError):
 
 @dataclass
 class Obstruction:
+    """Why the reduction stopped, the presentation `dit` it stopped at, and
+    the plan `steps` that lead there: from the input, or from the subproblem of
+    the source-detachment recursion that was open when it stopped."""
     reason: str
     dit: Dit
     steps: List["PlanStep"] = field(default_factory=list)
@@ -185,6 +188,32 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def _open_steps(ctx: dict, start: Optional[Dit] = None) -> List[PlanStep]:
+    """A fresh step list for one phase, kept on ctx's stack of open phases
+    until `_close_steps`.  A phase that raises leaves it there for
+    `_stopped_at`.  `start` marks a recursion level with that input: its
+    steps begin a new chain instead of continuing the caller's."""
+    steps: List[PlanStep] = []
+    ctx.setdefault("open", []).append((start, steps))
+    return steps
+
+
+def _close_steps(ctx: dict, steps: List[PlanStep]) -> List[PlanStep]:
+    assert ctx["open"].pop()[1] is steps
+    return steps
+
+
+def _stopped_at(ctx: dict, dit: Dit) -> Tuple[Dit, List[PlanStep]]:
+    """The presentation a failed reduction stopped at and the steps leading
+    to it from the input of the innermost open recursion level."""
+    start, steps = dit, []
+    for level, phase_steps in ctx.get("open", []):
+        if level is not None:
+            start, steps = level, []
+        steps = steps + phase_steps
+    return (steps[-1].functor.target if steps else start), steps
+
+
 def _admissible_step(dit: Dit, b_arrows, findim_reps, regular_specs, ctx,
                      note: str) -> Tuple[Dit, PlanStep]:
     spec = StepSpec("admissible", {
@@ -206,7 +235,7 @@ def stellar_to_seminested(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], 
     rational points meeting the ideal with the finite-representation-type
     module; case 2 localizes the arms, base-changes the ideal into a direct
     summand of W0, and factors it out."""
-    steps: List[PlanStep] = []
+    steps = _open_steps(ctx)
     cur = dit
     guard = 0
     while True:
@@ -215,7 +244,7 @@ def stellar_to_seminested(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], 
             raise PipelineError("stellar phase failed to make progress")
         b = cur.bigraph
         if cur.ideal.is_zero():
-            return steps, cur
+            return _close_steps(ctx, steps), cur
         # idempotents inside I die first
         dead = [p for p in b.point_order if point_in_ideal(cur, p)]
         if dead:
@@ -251,7 +280,7 @@ def stellar_to_seminested(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], 
         center = stellar_center(cur)
         if center is None:
             if not cur.bigraph.solid_arrows():
-                return steps, cur
+                return _close_steps(ctx, steps), cur
             raise PipelineError("stellar phase requires a stellar presentation")
 
         # case 2: I cap R = 0, so I sits inside W0; make it a summand
@@ -305,7 +334,7 @@ def stellar_to_seminested(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], 
                 changed = True
             ideal_arrows.extend(sel)
         if not ideal_arrows:
-            return steps, cur
+            return _close_steps(ctx, steps), cur
         nd, f = factor_out(cur, ideal_arrows, name=_fresh(ctx, f"{cur.name}.q"))
         _spend(ctx)
         steps.append(PlanStep(StepSpec("factor_out", {"solid": ideal_arrows}), f,
@@ -430,14 +459,14 @@ def seminested_loop(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], Dit]:
     """Priority order: regularize whatever regularizes (shrinks the layer),
     absorb delta-closed loops, and only then edge-reduce the minimal solid
     arrow (which grows the quiver before later steps shrink it again)."""
-    steps: List[PlanStep] = []
+    steps = _open_steps(ctx)
     cur = dit
     while True:
         cur = _prune_heavy_points(cur, d, ctx, steps)
         b = cur.bigraph
         solids = b.solid_arrows()
         if not solids:
-            return steps, cur
+            return _close_steps(ctx, steps), cur
         recompute_triangular_filtrations(cur)
         level_of = {}
         for i, lv in enumerate(cur.layer.w0_levels):
@@ -592,16 +621,16 @@ def reduce_to_minimal(dit: Dit, d: int, budget: int = 200):
     try:
         steps, final = _reduce_rec(dit, d, ctx)
     except _BudgetExhausted:
-        return Obstruction("budget exhausted", dit)
+        return Obstruction("budget exhausted", *_stopped_at(ctx, dit))
     except PipelineError as exc:
-        return Obstruction(str(exc), dit)
+        return Obstruction(str(exc), *_stopped_at(ctx, dit))
     plan = ReductionPlan(source=dit, steps=steps, final=final, dimension_bound=d,
                          budget_used=budget - ctx["budget"])
     return plan, final
 
 
 def _reduce_rec(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], Dit]:
-    steps: List[PlanStep] = []
+    steps = _open_steps(ctx, start=dit)
     cur = dit
     certify(cur)
 
@@ -618,14 +647,14 @@ def _reduce_rec(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], Dit]:
         cur = nd
 
     if is_minimal(cur):
-        return steps, cur
+        return _close_steps(ctx, steps), cur
     if not cur.bigraph.solid_arrows():
         # armless presentation with an ideal: case 1 of the stellar phase
         st_steps, cur = stellar_to_seminested(cur, d, ctx)
         steps.extend(st_steps)
         loop_steps, cur = seminested_loop(cur, d, ctx)
         steps.extend(loop_steps)
-        return steps, cur
+        return _close_steps(ctx, steps), cur
 
     order = cur.bigraph.topological_order()
     if order is None:
@@ -662,7 +691,7 @@ def _reduce_rec(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], Dit]:
     steps.extend(st_steps)
     loop_steps, cur = seminested_loop(cur, d, ctx)
     steps.extend(loop_steps)
-    return steps, cur
+    return _close_steps(ctx, steps), cur
 
 
 # -- classification ----------------------------------------------------------------------
@@ -766,7 +795,8 @@ def classify(dit: Dit, d: int, budget: int = 200,
         if residue:
             report.notes.append(
                 f"{len(residue)} indecomposable class(es) outside the functor image "
-                "(the finite exceptional set of the parametrization)")
+                "(not exceptional: the families are specialized only at Jordan "
+                "blocks of the sampled eigenvalues)")
     return report
 
 

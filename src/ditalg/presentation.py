@@ -254,7 +254,7 @@ def emit_elem(b: Bigraph, elem: Elem) -> List[List[str]]:
 def parse_presentation(data: dict, name: str = "") -> Dit:
     try:
         field = field_from_name(data["field"])
-    except Exception as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad field spec: {exc}", "field")
     points = []
     for i, p in enumerate(data.get("points", [])):
@@ -276,7 +276,7 @@ def parse_presentation(data: dict, name: str = "") -> Dit:
     dashed = [(a["name"], a["source"], a["target"]) for a in data.get("dashed_arrows", [])]
     try:
         b = Bigraph(field, points, solid=solid, dashed=dashed)
-    except Exception as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(str(exc), "arrows")
     delta_vals = {}
     for aname, arrs in data.get("differential", {}).items():

@@ -1,6 +1,6 @@
 """Source hygiene of the package, checked with the standard-library `ast`:
-no unused top-level imports, and no module draws on `random` (every decision
-the library makes is deterministic)."""
+no unused top-level imports, no module draws on `random` (every decision
+the library makes is deterministic), and no handler swallows every error."""
 
 import ast
 import functools
@@ -63,3 +63,23 @@ def _imports_random(tree):
 
 def test_no_random_import():
     assert [str(p.relative_to(SRC)) for p in MODULES if _imports_random(_tree(p))] == []
+
+
+def _catch_all_handlers(tree):
+    """Line numbers of bare `except:` and of handlers naming Exception or
+    BaseException, alone or in a tuple."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        if node.type is None or any(isinstance(t, ast.Name) and t.id in
+                                    ("Exception", "BaseException") for t in types):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_catch_all_except():
+    offenders = {str(p.relative_to(SRC)): _catch_all_handlers(_tree(p))
+                 for p in sorted(SRC.rglob("*.py"))}
+    assert {k: v for k, v in offenders.items() if v} == {}

@@ -1,10 +1,12 @@
+import itertools
 import random
 
 import pytest
 
 from ditalg.bigraph import Bigraph, Factor
-from ditalg.fixtures import ex1, ex2, exi, exk, exa
+from ditalg.fixtures import ex1, ex2, exi, exk, exa, exl
 from ditalg.interlace import certify
+from ditalg import modcat
 from ditalg.modcat import (
     DecomposableError, EndAlgebra, IsoClassIndex, ModcatError, MorphismPair, Rep,
     algebra_radical, charpoly, compose, decompose, direct_sum, hom, hom_dim,
@@ -540,21 +542,32 @@ def test_trace_form_radical_matches_charpoly_chain():
     assert len(EndAlgebra(*_twisted_p1_p1_r1(0)).rad) > 0
 
 
-def test_iso_class_index_agrees_with_iso_test():
-    import itertools
+def _candidates(d, bound):
+    """Every valid module of total dimension 1..bound over the prime field
+    of d (solid-arrow matrices only: no rational points)."""
+    F, b = d.field, d.bigraph
+    assert all(b.factor(p).is_trivial for p in b.point_order)
+    arrows = b.solid_arrows()
+    out = []
+    for dims in itertools.product(range(bound + 1), repeat=len(b.point_order)):
+        if not 0 < sum(dims) <= bound:
+            continue
+        dimmap = dict(zip(b.point_order, dims))
+        shapes = [(dimmap[a.target], dimmap[a.source]) for a in arrows]
+        for vals in itertools.product(range(F.char), repeat=sum(r * c for r, c in shapes)):
+            it = iter(vals)
+            M = Rep(d, dimmap, {a.name: Mat(F, r, c, [[next(it) for _ in range(c)]
+                                                      for _ in range(r)])
+                                for a, (r, c) in zip(arrows, shapes)})
+            if M.validate() is None:
+                out.append(M)
+    return out
 
+
+def test_iso_class_index_agrees_with_iso_test():
     d = exk(F2)
     certify(d)
-    candidates = []
-    for n1, n2 in itertools.product(range(4), repeat=2):
-        if not 0 < n1 + n2 <= 3:
-            continue
-        for vals in itertools.product(range(2), repeat=2 * n1 * n2):
-            a = [list(vals[i * n1:(i + 1) * n1]) for i in range(n2)]
-            b = [list(vals[n1 * n2 + i * n1:n1 * n2 + (i + 1) * n1]) for i in range(n2)]
-            M = Rep(d, {"1": n1, "2": n2}, {"a": Mat(F2, n2, n1, a), "b": Mat(F2, n2, n1, b)})
-            if M.validate() is None:
-                candidates.append(M)
+    candidates = _candidates(d, 3)
     index = IsoClassIndex(d)
     indecs = []
     for M in candidates:
@@ -570,3 +583,87 @@ def test_iso_class_index_agrees_with_iso_test():
         assert found is not None
         for C in index.classes:
             assert iso_test(d, M, C) == (C is found)
+
+
+# -- locality and isomorphism decided without construction ------------------------
+
+def _locality_cases():
+    """(dit, module) pairs: every valid exk/F2 and exl/F2 module of total
+    dimension <= 3, twisted P1 + P1 + R1 over F_101, the Q(i) Kronecker module
+    and its double, and S1 + S1 with End/rad = M_2(k) noncommutative."""
+    for fixture in (exk, exl):
+        d = fixture(F2)
+        certify(d)
+        for M in _candidates(d, 3):
+            yield d, M
+    for seed in (0, 1, 13):
+        yield _twisted_p1_p1_r1(seed)
+    dq, Mq = _kronecker_qi()
+    yield dq, Mq
+    yield dq, direct_sum([Mq, Mq])
+    d3 = exk(F3)
+    certify(d3)
+    yield d3, direct_sum([simple_at(d3, "1"), simple_at(d3, "1")])
+
+
+@pytest.mark.parametrize("witness", [True, False])
+def test_is_local_agrees_with_idempotent_decision(monkeypatch, witness):
+    # with the witness switched off (no Fitting rank strictly inside 0..dim M)
+    # the Wedderburn and Frobenius decisions must agree on their own
+    if not witness:
+        monkeypatch.setattr(modcat, "_fitting_rank", lambda m: 0)
+    seen = {True: 0, False: 0}
+    for d, M in _locality_cases():
+        want = modcat._end_is_local(EndAlgebra(d, M))[0]
+        assert modcat._is_local(EndAlgebra(d, M)) == want
+        seen[want] += 1
+    assert seen[True] > 0 and seen[False] > 0
+
+
+def _f0_fitting_rank(f, n):
+    return sum(m.power(n).rank() for m in f.f0.values())
+
+
+def test_witness_never_fires_on_a_local_module():
+    fired = 0
+    for d, M in _locality_cases():
+        E = EndAlgebra(d, M)
+        n = M.total_dim()
+        ranks = {_f0_fitting_rank(f, n) for f in E.basis}
+        if modcat._end_is_local(E)[0]:
+            assert ranks <= {0, n}
+        fired += not ranks <= {0, n}
+    assert fired > 0
+
+
+def _composite_iso(E, N):
+    """The former criterion: M = E.M and N are isomorphic iff dim Hom(M,N) =
+    dim Hom(N,M) = dim End(M) and some composite g.f, f in Hom(M,N), g in
+    Hom(N,M), misses the radical of the local End(M)."""
+    d, M = E.dit, E.M
+    homMN, homNM = hom(d, M, N), hom(d, N, M)
+    if not len(homMN) == len(homNM) == E.dim:
+        return False
+    return any(not linalg.row_space_contains(E.F, E.rad, E.coordinates(compose(d, g, f, M, N, M)))
+               for f in homMN for g in homNM)
+
+
+def test_indec_iso_scan_agrees_with_composite_criterion():
+    # up to dimension 4: the regular (2, 2) modules have End(M) = k[t]/(t^2),
+    # where a basis element of Hom(M, N) need not be an isomorphism
+    d = exk(F2)
+    certify(d)
+    indecs = [M for M in _candidates(d, 4) if is_indecomposable(d, M)]
+    pairs = isos = 0
+    for M in indecs:
+        E = EndAlgebra(d, M)
+        for N in indecs:
+            if M.dim_vector() != N.dim_vector():
+                continue
+            f = modcat._indec_iso(E, N)
+            assert (f is not None) == _composite_iso(E, N)
+            if f is not None:
+                assert is_isomorphism(d, f, M, N) is not None
+            pairs += 1
+            isos += f is not None
+    assert pairs > isos > len(indecs)

@@ -158,6 +158,15 @@ def test_stellar_case2_produces_summand_witness():
     out = reduce_to_minimal(d, 2, 150)
     assert isinstance(out, Obstruction)
     assert "rational endpoint" in out.reason
+    # the obstruction names where the reduction stopped and the steps there
+    assert out.dit is not d and out.steps
+    assert out.steps[0].functor.source is d
+    for prev, nxt in zip(out.steps, out.steps[1:]):
+        assert prev.functor.target is nxt.functor.source
+    assert out.steps[-1].functor.target is out.dit
+    b = out.dit.bigraph
+    assert any(not (b.factor(a.source).is_trivial and b.factor(a.target).is_trivial)
+               for a in b.solid_arrows())
 
 
 def test_wildness_transport_on_plan():
@@ -254,3 +263,50 @@ def test_referee_builds_each_end_algebra_once(monkeypatch):
     assert len(classes) > 0
     assert 0 < counts["end"] <= counts["valid"]
     assert counts["decompose"] == 0
+
+
+def test_referee_decides_locality_without_idempotents(monkeypatch):
+    # the referee only needs yes/no answers: no minimal polynomial is
+    # factored, no idempotent is built or lifted, and a witness decides
+    # most decomposable candidates before their radical is computed
+    from ditalg import modcat
+
+    counts = {"valid": 0, "radical": 0, "factor": 0, "crt": 0, "lift": 0}
+    validate, radical = modcat.Rep.validate, modcat.algebra_radical
+
+    def counting_validate(self):
+        out = validate(self)
+        counts["valid"] += out is None
+        return out
+
+    def counting_radical(*args):
+        counts["radical"] += 1
+        return radical(*args)
+
+    def counted(key):
+        def call(*args):
+            counts[key] += 1
+            raise AssertionError(f"the referee called {key}")
+        return call
+
+    monkeypatch.setattr(modcat.Rep, "validate", counting_validate)
+    monkeypatch.setattr(modcat, "algebra_radical", counting_radical)
+    monkeypatch.setattr(modcat, "poly_factor", counted("factor"))
+    monkeypatch.setattr(modcat, "_crt_idempotent", counted("crt"))
+    monkeypatch.setattr(modcat, "_newton_lift_idempotent", counted("lift"))
+    d = exk(F2)
+    certify(d)
+    assert len(brute_force_indecomposables(d, 3)) > 0
+    assert counts["factor"] == counts["crt"] == counts["lift"] == 0
+    assert 0 < counts["radical"] < counts["valid"]
+
+
+def test_residue_note_names_the_sampling_cause():
+    d = exk(F3)
+    certify(d)
+    rep = classify(d, 4, 150)
+    assert len(rep.brute_residue) == 3
+    assert rep.notes == [
+        "3 indecomposable class(es) outside the functor image (not exceptional: "
+        "the families are specialized only at Jordan blocks of the sampled "
+        "eigenvalues)"]
