@@ -495,8 +495,6 @@ class SigmaExpander:
 
     def expand(self, elem: Elem) -> List[List[Optional[Elem]]]:
         """Full sigma matrix of an element of the source algebra."""
-        tgt = self.maps.target
-        F = self.F
         total: List[List[Optional[Elem]]] = [[None] * self.n for _ in range(self.n)]
         b = self.adm.dit.bigraph
         for w, coeff in elem.terms.items():

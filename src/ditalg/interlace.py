@@ -413,10 +413,7 @@ class GradedIdeal:
 def generated_ideal(dit: Dit) -> GradedIdeal:
     """Lemma hypothesis: the dit is interlaced with I, or I is balanced;
     otherwise raises naming the failed inclusion."""
-    try:
-        bal = check_balanced(dit)
-    except UnsupportedShapeError:
-        raise
+    bal = check_balanced(dit)
     inter = None
     if not bal:
         inter = check_interlaced(dit)

@@ -3,9 +3,15 @@
 Objects are point-graded spaces with solid-arrow actions (plus an x-action at
 rational points) annihilated by the ideal; morphisms are pairs (f0, f1).
 Everything reduces to exact linear algebra: hom spaces are kernels of the
-U-condition system, isomorphism testing and idempotent splitting run through
-the Roiter property, and Krull-Schmidt decomposition goes through the radical
-of the endomorphism algebra.
+U-condition system, and isomorphism testing and idempotent splitting run
+through the Roiter property.  One function, `_locality`, decides whether
+End(M) is local and, for a decomposable M, supplies a witness: an
+endomorphism f that is neither a unit nor nilpotent, read off a basis
+element by its Fitting rank or lifted from End(M)/rad.  Krull-Schmidt
+decomposition splits off the Fitting idempotent of f, a polynomial in f
+built from its minimal polynomial x^k q by xgcd(x^k, q).  `iso_test`
+rejects first on the four hom dimensions, which are isomorphism
+invariants.
 """
 
 from __future__ import annotations
@@ -284,8 +290,11 @@ class _RowBuilder:
                             row[off + p * u_cols + q], F.mul(s, F.mul(lv, rv)))
 
 
-def _u_condition_rows(dit: Dit, M: Rep, N: Rep):
-    """Rows of the linear system cutting out U(M, N)."""
+def _u_condition_rows(dit: Dit, M: Rep, N: Rep, delta, dashed_kernel=()):
+    """Rows of the linear system cutting out U(M, N) in a presentation:
+    `delta(name)` is the delta-value of the solid arrow `name`, and f1 must
+    vanish on each W1-supported element of `dashed_kernel` (the V-bar
+    identifications of a quotient presentation)."""
     b = dit.bigraph
     F = M.field
     blocks, total = _unknown_layout(dit, M, N)
@@ -312,25 +321,35 @@ def _u_condition_rows(dit: Dit, M: Rep, N: Rep):
                                Mat.identity_of(F, M.dims[arr.source]))
         builder.add_left_right(rows, Mat.identity_of(F, N.dims[arr.target]),
                                off_t, rt, ct, M.arrow_ops[arr.name], sign=F.neg(F.one))
-        dv = dit.delta.of_arrow(arr.name)
-        for w, coeff in dv.terms.items():
+        for w, coeff in delta(arr.name).terms.items():
             # split at the dashed arrow: suffix acts on N, prefix on M
             j = next(k for k, nm in enumerate(w.arrows) if b.arrow(nm).dashed)
             pts = w.path(b)
-            vname = w.arrows[j]
-            off_v, rv, cv = offs[("f1", vname)]
+            off_v, rv, cv = offs[("f1", w.arrows[j])]
             prefix = Word(w.start, w.arrows[:j], w.coeffs[:j + 1])
             suffix = Word(pts[j + 1], w.arrows[j + 1:], w.coeffs[j + 1:])
-            pm = M.word_action(prefix)
-            sn = N.word_action(suffix)
-            builder.add_left_right(rows, sn, off_v, rv, cv, pm, sign=F.neg(coeff))
+            builder.add_left_right(rows, N.word_action(suffix), off_v, rv, cv,
+                                   M.word_action(prefix), sign=F.neg(coeff))
+
+    # V-bar identifications: f1 kills each element of dashed_kernel
+    for e in dashed_kernel:
+        groups = {}
+        for w, c in e.terms.items():
+            groups.setdefault((w.start, w.end(b)), []).append((w, c))
+        for (i, jp), terms in groups.items():
+            rows = builder.new_rows(N.dims[jp] * M.dims[i])
+            for w, c in terms:
+                off_v, rv, cv = offs[("f1", w.arrows[0])]
+                left = N.decoration_action(jp, w.coeffs[1])
+                right = M.decoration_action(i, w.coeffs[0])
+                builder.add_left_right(rows, left, off_v, rv, cv, right, sign=c)
     return builder.rows, total
 
 
 def _hom_space(dit: Dit, M: Rep, N: Rep):
     """Kernel of the U-condition system as (vectors, free columns): vector k
     is 1 at free[k] and 0 at the other free columns."""
-    rows, total = _u_condition_rows(dit, M, N)
+    rows, total = _u_condition_rows(dit, M, N, dit.delta.of_arrow)
     if total == 0:
         return [], []
     return linalg.kernel_with_free(M.field, rows, total)
@@ -344,14 +363,13 @@ def hom(dit: Dit, M: Rep, N: Rep) -> List[MorphismPair]:
 
 def hom_dim(dit: Dit, M: Rep, N: Rep) -> int:
     """dim U(M, N): the unknowns less the rank of the U-condition rows."""
-    rows, total = _u_condition_rows(dit, M, N)
+    rows, total = _u_condition_rows(dit, M, N, dit.delta.of_arrow)
     return total - linalg.rank(M.field, rows)
 
 
 def in_hom(dit: Dit, M: Rep, N: Rep, f: MorphismPair) -> bool:
     """Independent membership check of the U-conditions (no solving)."""
     b = dit.bigraph
-    F = M.field
     for p in b.point_order:
         if not b.factor(p).is_trivial:
             if not (N.point_ops[p] * f.f0[p] - f.f0[p] * M.point_ops[p]).is_zero():
@@ -373,7 +391,6 @@ def compose(dit: Dit, g: MorphismPair, f: MorphismPair, M: Rep, N: Rep, L: Rep) 
     """(g f)^0 = g0 f0 and
     (g f)^1(v) = g0 f1(v) + g1(v) f0 + (g1 * f1)(delta(v))."""
     b = dit.bigraph
-    F = M.field
     out = zero_morphism(M, L)
     for p in b.point_order:
         out.f0[p] = g.f0[p] * f.f0[p]
@@ -392,13 +409,12 @@ def compose(dit: Dit, g: MorphismPair, f: MorphismPair, M: Rep, N: Rep, L: Rep) 
 
 def transport_structure(dit: Dit, N: Rep, f0: Dict[str, Mat], f1: Dict[str, Mat]) -> Rep:
     """Given bijective R-linear f0: M -> N (M's spaces implied by shapes) and
-    any f1, build the A-structure on M making (f0, f1) a морphism into N.
+    any f1, build the A-structure on M making (f0, f1) a morphism into N.
 
     The construction follows the triangular filtration of the solid arrows, so
     prefixes of delta-values only use already-transported actions.
     """
     b = dit.bigraph
-    F = dit.field
     dims = {p: f0[p].cols for p in b.point_order}
     M = Rep(dit, dims)
     f0_inv = {}
@@ -762,17 +778,25 @@ def _convolve(F, table, x, y, dim):
     return out
 
 
-def _min_poly(F, table, dim, x, identity_coords) -> Poly:
-    powers = [list(identity_coords)]
-    cur = list(identity_coords)
+def _powers(F, table, dim, x, one):
+    """The coordinates of 1, x, x^2, ... in an algebra given by its table."""
+    cur = one
     while True:
+        yield cur
         cur = _convolve(F, table, cur, x, dim)
-        rows = linalg.transpose(powers)
-        sol = linalg.solve(F, rows, cur)
-        if sol is not None:
-            coeffs = [F.neg(c) for c in sol] + [F.one]
-            return Poly.make(F, coeffs)
-        powers.append(list(cur))
+
+
+def _min_poly(F: Field, powers) -> Poly:
+    """Minimal polynomial of an algebra element x from the coordinates of
+    1, x, x^2, ... (an endless iterator, read up to the first linear
+    dependence)."""
+    found: List[List] = []
+    for cur in powers:
+        if found:
+            sol = linalg.solve(F, linalg.transpose(found), cur)
+            if sol is not None:
+                return Poly.make(F, [F.neg(c) for c in sol] + [F.one])
+        found.append(cur)
 
 
 def split_idempotent(dit: Dit, M: Rep, e: MorphismPair):
@@ -928,44 +952,6 @@ def _quotient_algebra(E: EndAlgebra):
     return proj, lift, qtable, qdim
 
 
-def _newton_lift_idempotent(F, table, dim, e):
-    """e idempotent mod rad -> exact idempotent of E via e <- 3e^2 - 2e^3."""
-    for _ in range(dim + 4):
-        e2 = _convolve(F, table, e, e, dim)
-        if e2 == e:
-            return e
-        e3 = _convolve(F, table, e2, e, dim)
-        e = [F.sub(F.mul(F.from_int(3), a), F.mul(F.from_int(2), b))
-             for a, b in zip(e2, e3)]
-    e2 = _convolve(F, table, e, e, dim)
-    return e if e2 == e else None
-
-
-def _crt_idempotent(F, qtable, qdim, qident, z, mp) -> Optional[List]:
-    """Given z with reducible squarefree-split min poly, the CRT idempotent
-    (1 mod first factor power, 0 mod the rest) evaluated at z."""
-    facs = poly_factor(mp)
-    if len(facs) < 2:
-        return None
-    f1, m1 = facs[0]
-    lead = f1 ** m1
-    rest = Poly.one(F)
-    for g, m in facs[1:]:
-        rest = rest * g ** m
-    gcd, s, t = lead.xgcd(rest)
-    if not gcd.is_one():
-        return None
-    q = t * rest
-    coords = [F.zero] * qdim
-    acc = list(qident)
-    for c in q.coeffs:
-        if not F.is_zero(c):
-            for k in range(qdim):
-                coords[k] = F.add(coords[k], F.mul(c, acc[k]))
-        acc = _convolve(F, qtable, acc, z, qdim)
-    return coords
-
-
 def _split_candidates(F: Field, qdim: int):
     """Basis elements, sums of two, then the moment curve sum_i t^i b_i for
     t = 0 .. (qdim - 1) C(qdim, 2), and t < p over F_p."""
@@ -1003,62 +989,6 @@ def _frobenius_fixed(F: PrimeField, qtable, qdim, qident) -> List[List]:
     return linalg.kernel_basis(F, rows, qdim)
 
 
-def _end_is_local(E: EndAlgebra) -> Tuple[bool, Optional[MorphismPair]]:
-    """(True, None) when E = End(M) is local; else (False, e) with a nontrivial
-    exact idempotent endomorphism, which `_decompose` splits off.
-    Deterministic and exact; S = End(M)/rad is semisimple of dimension m.
-
-    * F_p, S commutative: any element of the Frobenius fixed space
-      (`_frobenius_fixed`) off the scalars has a split squarefree minimal
-      polynomial, and CRT splits.
-    * F_p with S noncommutative, or Q: the candidates of `_split_candidates`
-      in order.  A reducible minimal polynomial splits by CRT.  In a
-      commutative S the first candidate of degree m is primitive, and if its
-      minimal polynomial is irreducible S is a field.  The moment curve
-      meets each of the <= C(m, 2) hyperplanes of non-primitive elements in
-      <= m - 1 points, so the list always reaches a primitive element.
-    * A noncommutative S over F_p is not a division ring (Wedderburn) and is
-      never reported local; if no candidate splits it, ModcatError.
-    """
-    if E.dim - len(E.rad) <= 1:
-        return True, None
-    F, table = E.F, E.table
-    ident = E.identity_coords()
-    proj, lift, qtable, qdim = _quotient_algebra(E)
-    qident = proj(ident)
-    commutative = _is_commutative(qtable, qdim)
-
-    def split(z) -> Tuple[Optional[Tuple[bool, MorphismPair]], Poly]:
-        mp = _min_poly(F, qtable, qdim, z, qident)
-        q_idem = _crt_idempotent(F, qtable, qdim, qident, z, mp)
-        if q_idem is None:
-            return None, mp
-        e = _newton_lift_idempotent(F, table, E.dim, lift(q_idem))
-        if e is None:
-            raise ModcatError("idempotent failed to lift")
-        if all(F.is_zero(c) for c in e) or e == ident:
-            raise ModcatError("degenerate idempotent after lifting")
-        return (False, E.from_coordinates(e)), mp
-
-    if isinstance(F, PrimeField) and commutative:
-        fixed = _frobenius_fixed(F, qtable, qdim, qident)
-        if len(fixed) <= 1:
-            return True, None
-        z = next(z for z in fixed if not linalg.row_space_contains(F, [qident], z))
-        found, _ = split(z)
-        if found is None:
-            raise ModcatError("Frobenius-fixed element failed to split")
-        return found
-
-    for z in _split_candidates(F, qdim):
-        found, mp = split(z)
-        if found is not None:
-            return found
-        if commutative and mp.degree == qdim:
-            return True, None
-    raise ModcatError("no candidate splits End(M)/rad")
-
-
 def _fitting_rank(m: Mat) -> int:
     """rank(m^k) for k >= size: the dimension of m's invertible Fitting part."""
     k = 1
@@ -1067,39 +997,100 @@ def _fitting_rank(m: Mat) -> int:
     return m.rank()
 
 
-def _is_local(E: EndAlgebra) -> bool:
-    """Whether E = End(M) is local, for M nonzero, decided without
-    constructing an idempotent.
+def _locality(E: EndAlgebra, witness: bool = False
+              ) -> Tuple[bool, Optional[MorphismPair]]:
+    """(True, None) when E = End(M), M nonzero, is local.  Otherwise
+    (False, f), where f is a witness: an element of End(M) that is neither
+    a unit nor nilpotent, which `_decompose` splits off by its Fitting
+    idempotent.  Without `witness` a nonlocal E may give (False, None), and
+    over F_p the decision then factors no polynomial.  Exact and seed-free.
 
-    * A witness first.  In a local End(M) every element is a unit or lies in
-      the nilpotent radical.  A unit f has bijective f0, as g0 f0 = (g f)0 =
+    * The basis scan first.  A unit f has bijective f0, as g0 f0 = (g f)0 =
       1; a nilpotent f has f0^n = (f^n)0 = 0.  So a basis element whose
-      block-diagonal f0 is singular but not nilpotent, that is with Fitting
-      rank rank(f0^n) strictly between 0 and dim M, proves M decomposable,
-      and neither the table nor the radical is built.
-    * Over F_p, S = End(M)/rad: a noncommutative S is not a division ring
-      (Wedderburn's little theorem); a commutative S is local iff its
-      Frobenius fixed space has dimension <= 1 (`_frobenius_fixed`).
-    * Over Q, the candidate loop of `_end_is_local`.
+      block-diagonal f0 has Fitting rank rank(f0^n) strictly between 0 and
+      dim M is a witness, found before the table or the radical is built.
+    * Else S = End(M)/rad, semisimple; E is local iff S is a division ring.
+      Over F_p a noncommutative S is not (Wedderburn's little theorem), and
+      a commutative S is a field iff its Frobenius fixed space has
+      dimension <= 1 (`_frobenius_fixed`).  Any fixed z off the scalars has
+      a split squarefree minimal polynomial of degree >= 2.
+    * Over Q, and for a witness in a noncommutative S over F_p, the
+      candidates of `_split_candidates` in order.  In a commutative S the
+      first candidate of degree dim S is primitive, and if its minimal
+      polynomial is irreducible S is a field.  The moment curve meets each of
+      the <= C(m, 2) hyperplanes of non-primitive elements in <= m - 1
+      points, so the list always reaches a primitive element.
+    * A reducible minimal polynomial g^m h of z, g irreducible and coprime
+      to h, gives the witness: in k[z] = k[x]/(g^m) x k[x]/(h) the element
+      g(z)^m is (0, unit), neither a unit nor nilpotent in S, so no lift of
+      it to End(M) is either.
     """
     n = E.M.total_dim()
     for f in E.basis:
         if 0 < sum(_fitting_rank(m) for m in f.f0.values()) < n:
-            return False
+            return False, f
     if E.dim - len(E.rad) <= 1:
-        return True
-    if not isinstance(E.F, PrimeField):
-        return _end_is_local(E)[0]
-    proj, _, qtable, qdim = _quotient_algebra(E)
-    if not _is_commutative(qtable, qdim):
-        return False
-    return len(_frobenius_fixed(E.F, qtable, qdim, proj(E.identity_coords()))) <= 1
+        return True, None
+    F = E.F
+    proj, lift, qtable, qdim = _quotient_algebra(E)
+    qident = proj(E.identity_coords())
+    commutative = _is_commutative(qtable, qdim)
+    candidates = _split_candidates(F, qdim)
+    if isinstance(F, PrimeField):
+        if commutative:
+            fixed = _frobenius_fixed(F, qtable, qdim, qident)
+            if len(fixed) <= 1:
+                return True, None
+            candidates = (z for z in fixed
+                          if not linalg.row_space_contains(F, [qident], z))
+        if not witness:
+            return False, None
+    for z in candidates:
+        mp = _min_poly(F, _powers(F, qtable, qdim, z, qident))
+        facs = poly_factor(mp)
+        if len(facs) > 1:
+            g, m = facs[0]
+            w = [F.zero] * qdim
+            for c, zk in zip((g ** m).coeffs, _powers(F, qtable, qdim, z, qident)):
+                w = [F.add(a, F.mul(c, b)) for a, b in zip(w, zk)]
+            return False, E.from_coordinates(lift(w))
+        if commutative and mp.degree == qdim:
+            return True, None
+    raise ModcatError("no candidate splits End(M)/rad")
 
 
 def is_indecomposable(dit: Dit, M: Rep) -> bool:
     if M.is_zero():
         return False
-    return _is_local(EndAlgebra(dit, M))
+    return _locality(EndAlgebra(dit, M))[0]
+
+
+def _fitting_idempotent(E: EndAlgebra, f: MorphismPair) -> MorphismPair:
+    """The idempotent of Fitting's lemma for a witness f of `_locality`:
+    f's minimal polynomial is x^k q with k >= 1 (f is no unit), q(0) != 0
+    and q nonconstant (f is not nilpotent).  With s x^k + t q = 1 from
+    xgcd, e = (s x^k)(f) is 0 mod x^k and 1 mod q, so e^2 = e, e != 0, 1,
+    exactly in End(M): the projection onto the part where f is invertible."""
+    dit, M, F = E.dit, E.M, E.F
+    powers = [identity_morphism(M)]
+
+    def coords():
+        while True:
+            yield E.coordinates(powers[-1])
+            powers.append(compose(dit, powers[-1], f, M, M, M))
+
+    mp = _min_poly(F, coords())
+    k = next(i for i, c in enumerate(mp.coeffs) if not F.is_zero(c))
+    xk = Poly.make(F, [F.zero] * k + [F.one])
+    q = mp // xk
+    if k == 0 or q.is_constant():
+        raise ModcatError("a Fitting idempotent needs a non-unit, non-nilpotent f")
+    _, s, _ = xk.xgcd(q)
+    e = zero_morphism(M, M)
+    for c, fk in zip((s * xk).coeffs, powers):
+        if not F.is_zero(c):
+            e = morphism_sum(e, morphism_scale(fk, c))
+    return e
 
 
 def _decompose(dit: Dit, M: Rep) -> List[EndAlgebra]:
@@ -1107,10 +1098,10 @@ def _decompose(dit: Dit, M: Rep) -> List[EndAlgebra]:
     if M.is_zero():
         return []
     E = EndAlgebra(dit, M)
-    local, e = _end_is_local(E)
+    local, f = _locality(E, witness=True)
     if local:
         return [E]
-    M1, M2, _ = split_idempotent(dit, M, e)
+    M1, M2, _ = split_idempotent(dit, M, _fitting_idempotent(E, f))
     return _decompose(dit, M1) + _decompose(dit, M2)
 
 
@@ -1141,17 +1132,20 @@ def _indec_iso(E: EndAlgebra, N: Rep) -> Optional[MorphismPair]:
 
 
 def iso_test(dit: Dit, M: Rep, N: Rep) -> bool:
-    """Exact isomorphism decision via Krull-Schmidt matching."""
+    """Exact isomorphism decision.  Isomorphic M and N have equal dim
+    Hom(M,N), dim Hom(N,M), dim End M and dim End N, so unequal ones reject
+    at the cost of four ranks.  An indecomposable M is then decided by
+    `_indec_iso`, any other M by Krull-Schmidt matching of the summands."""
     if M.dim_vector() != N.dim_vector():
         return False
     if M.is_zero():
         return True
-    # quick witness attempts
-    basis = hom(dit, M, N)
-    for f in basis[:12]:
-        if is_isomorphism(dit, f, M, N) is not None:
-            return True
+    d = hom_dim(dit, M, N)
+    if any(hom_dim(dit, X, Y) != d for X, Y in ((N, M), (M, M), (N, N))):
+        return False
     parts_m = _decompose(dit, M)
+    if len(parts_m) == 1:
+        return _indec_iso(parts_m[0], N) is not None
     parts_n = decompose(dit, N)
     if len(parts_m) != len(parts_n):
         return False
@@ -1177,7 +1171,7 @@ class DecomposableError(ModcatError):
 class IsoClassIndex:
     """Indecomposables up to isomorphism, bucketed by dimension vector.
 
-    `find` and `add` build End(M) once.  Its locality (`_is_local`) decides
+    `find` and `add` build End(M) once.  Its locality (`_locality`) decides
     that M is indecomposable (DecomposableError otherwise), and the same End
     data matches M against the classes of its bucket by `_indec_iso`.  `classes`
     lists the stored representatives in the order they were added.
@@ -1192,7 +1186,7 @@ class IsoClassIndex:
         if M.is_zero():
             raise DecomposableError("the zero module is not indecomposable")
         E = EndAlgebra(self.dit, M)
-        if not _is_local(E):
+        if not _locality(E)[0]:
             raise DecomposableError("module is decomposable")
         return E
 
@@ -1220,65 +1214,13 @@ def hom_via_quotient(dit: Dit, M: Rep, N: Rep, qp=None) -> List[MorphismPair]:
     """Hom space computed through the quotient-ditalgebra presentation: the
     reduced differential replaces delta and the W1-supported part of the
     generated ideal imposes the V-bar identifications.  Independent of the
-    plain interlaced-presentation solver.  Pass a precomputed
+    plain interlaced presentation that `hom` solves.  Pass a precomputed
     QuotientPresentation to amortize the normal-form setup."""
     from .interlace import quotient
 
     if qp is None:
         qp = quotient(dit)
-    b = dit.bigraph
-    F = M.field
-    blocks, total = _unknown_layout(dit, M, N)
-    offs = {(kind, name): (off, r, c) for kind, name, r, c, off in blocks}
-    builder = _RowBuilder(F, total)
-
-    for p in b.point_order:
-        if b.factor(p).is_trivial:
-            continue
-        off, r, c = offs[("f0", p)]
-        rows = builder.new_rows(N.dims[p] * M.dims[p])
-        builder.add_left_right(rows, N.point_ops[p], off, r, c,
-                               Mat.identity_of(F, M.dims[p]))
-        builder.add_left_right(rows, Mat.identity_of(F, N.dims[p]), off, r, c,
-                               M.point_ops[p], sign=F.neg(F.one))
-
-    for arr in b.solid_arrows():
-        rows = builder.new_rows(N.dims[arr.target] * M.dims[arr.source])
-        off_s, rs, cs = offs[("f0", arr.source)]
-        off_t, rt, ct = offs[("f0", arr.target)]
-        builder.add_left_right(rows, N.arrow_ops[arr.name], off_s, rs, cs,
-                               Mat.identity_of(F, M.dims[arr.source]))
-        builder.add_left_right(rows, Mat.identity_of(F, N.dims[arr.target]),
-                               off_t, rt, ct, M.arrow_ops[arr.name], sign=F.neg(F.one))
-        for w, coeff in qp.reduced_delta[arr.name].terms.items():
-            j = next(k for k, nm in enumerate(w.arrows) if b.arrow(nm).dashed)
-            pts = w.path(b)
-            vname = w.arrows[j]
-            off_v, rv, cv = offs[("f1", vname)]
-            prefix = Word(w.start, w.arrows[:j], w.coeffs[:j + 1])
-            suffix = Word(pts[j + 1], w.arrows[j + 1:], w.coeffs[j + 1:])
-            builder.add_left_right(rows, N.word_action(suffix), off_v, rv, cv,
-                                   M.word_action(prefix), sign=F.neg(coeff))
-
-    # V-bar identifications: f1 kills the W1-supported part of J cap V
-    for e in qp.dashed_kernel:
-        groups = {}
-        for w, c in e.terms.items():
-            key = (w.start, w.end(b))
-            groups.setdefault(key, []).append((w, c))
-        for (i, jp), terms in groups.items():
-            rows = builder.new_rows(N.dims[jp] * M.dims[i])
-            for w, c in terms:
-                vname = w.arrows[0]
-                off_v, rv, cv = offs[("f1", vname)]
-                left = N.decoration_action(jp, w.coeffs[1])
-                right = M.decoration_action(i, w.coeffs[0])
-                builder.add_left_right(rows, left, off_v, rv, cv, right, sign=c)
-
-    if total == 0:
-        return []
-    if not builder.rows:
-        vecs = [[F.one if i == j else F.zero for i in range(total)] for j in range(total)]
-    else:
-        vecs = linalg.kernel_basis(F, builder.rows, total)
-    return [_vector_to_pair(dit, M, N, v) for v in vecs]
+    rows, total = _u_condition_rows(dit, M, N, qp.reduced_delta.__getitem__,
+                                    qp.dashed_kernel)
+    return [_vector_to_pair(dit, M, N, v)
+            for v in linalg.kernel_basis(M.field, rows, total)]

@@ -325,13 +325,11 @@ def stellar_to_seminested(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], 
             continue
         # base-change every arm so the ideal part is an arrow subset, then factor out
         ideal_arrows: List[str] = []
-        changed = False
         for p, (arm, bi, bfull, ring) in arm_data.items():
             sel, nd, step = _arm_base_change(cur, center, p, arm, ring, ctx)
             if step is not None:
                 steps.append(step)
                 cur = nd
-                changed = True
             ideal_arrows.extend(sel)
         if not ideal_arrows:
             return _close_steps(ctx, steps), cur

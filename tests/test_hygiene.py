@@ -1,6 +1,7 @@
 """Source hygiene of the package, checked with the standard-library `ast`:
 no unused top-level imports, no module draws on `random` (every decision
-the library makes is deterministic), and no handler swallows every error."""
+the library makes is deterministic), and no handler swallows every error.
+Every source file is plain ASCII."""
 
 import ast
 import functools
@@ -83,3 +84,14 @@ def test_no_catch_all_except():
     offenders = {str(p.relative_to(SRC)): _catch_all_handlers(_tree(p))
                  for p in sorted(SRC.rglob("*.py"))}
     assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def test_sources_are_ascii():
+    offenders = {}
+    for p in sorted(SRC.rglob("*")):
+        if p.is_file() and "__pycache__" not in p.parts:
+            bad = [i for i, line in enumerate(p.read_bytes().splitlines(), 1)
+                   if not line.isascii()]
+            if bad:
+                offenders[str(p.relative_to(SRC))] = bad
+    assert offenders == {}

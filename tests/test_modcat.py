@@ -608,16 +608,54 @@ def _locality_cases():
 
 @pytest.mark.parametrize("witness", [True, False])
 def test_is_local_agrees_with_idempotent_decision(monkeypatch, witness):
-    # with the witness switched off (no Fitting rank strictly inside 0..dim M)
-    # the Wedderburn and Frobenius decisions must agree on their own
+    # the oracle: M is indecomposable iff `decompose`, whose every split
+    # passes the exact idempotence test of `split_idempotent`, returns one
+    # summand.  With the basis witness switched off (no Fitting rank strictly
+    # inside 0..dim M) the Wedderburn and Frobenius decisions must agree on
+    # their own.
+    cases = [(d, M, len(decompose(d, M)) == 1) for d, M in _locality_cases()]
     if not witness:
         monkeypatch.setattr(modcat, "_fitting_rank", lambda m: 0)
     seen = {True: 0, False: 0}
-    for d, M in _locality_cases():
-        want = modcat._end_is_local(EndAlgebra(d, M))[0]
-        assert modcat._is_local(EndAlgebra(d, M)) == want
+    for d, M, want in cases:
+        assert modcat._locality(EndAlgebra(d, M))[0] == want
         seen[want] += 1
     assert seen[True] > 0 and seen[False] > 0
+
+
+@pytest.mark.parametrize("witness", [True, False])
+def test_fitting_idempotent_splits_every_nonlocal_case(monkeypatch, witness):
+    if not witness:
+        monkeypatch.setattr(modcat, "_fitting_rank", lambda m: 0)
+    split = 0
+    for d, M in _locality_cases():
+        E = EndAlgebra(d, M)
+        local, f = modcat._locality(E, witness=True)
+        if local:
+            continue
+        e = modcat._fitting_idempotent(E, f)
+        assert compose(d, e, e, M, M, M) == e
+        assert not e.is_zero() and e != identity_morphism(M)
+        M1, M2, _ = split_idempotent(d, M, e)
+        assert not M1.is_zero() and not M2.is_zero()
+        split += 1
+    assert split > 0
+
+
+def test_iso_test_rejects_unequal_hom_dims_without_decomposing(monkeypatch):
+    d = exk(F2)
+    certify(d)
+    M = direct_sum([simple_at(d, "1"), simple_at(d, "2")])   # End M = k x k
+    N = kron_rep(d, 1, 0)                                     # End N = k
+
+    def forbidden(*args):
+        raise AssertionError("iso_test decomposed a pair its hom dims reject")
+
+    monkeypatch.setattr(modcat, "_decompose", forbidden)
+    assert M.dim_vector() == N.dim_vector()
+    assert hom_dim(d, M, M) != hom_dim(d, N, N)
+    assert not iso_test(d, M, N)
+    assert not iso_test(d, N, M)
 
 
 def _f0_fitting_rank(f, n):
@@ -630,7 +668,7 @@ def test_witness_never_fires_on_a_local_module():
         E = EndAlgebra(d, M)
         n = M.total_dim()
         ranks = {_f0_fitting_rank(f, n) for f in E.basis}
-        if modcat._end_is_local(E)[0]:
+        if len(decompose(d, M)) == 1:
             assert ranks <= {0, n}
         fired += not ranks <= {0, n}
     assert fired > 0

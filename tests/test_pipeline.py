@@ -267,11 +267,11 @@ def test_referee_builds_each_end_algebra_once(monkeypatch):
 
 def test_referee_decides_locality_without_idempotents(monkeypatch):
     # the referee only needs yes/no answers: no minimal polynomial is
-    # factored, no idempotent is built or lifted, and a witness decides
+    # factored, no idempotent is built or split, and a witness decides
     # most decomposable candidates before their radical is computed
     from ditalg import modcat
 
-    counts = {"valid": 0, "radical": 0, "factor": 0, "crt": 0, "lift": 0}
+    counts = {"valid": 0, "radical": 0, "factor": 0, "fitting": 0, "split": 0}
     validate, radical = modcat.Rep.validate, modcat.algebra_radical
 
     def counting_validate(self):
@@ -292,12 +292,12 @@ def test_referee_decides_locality_without_idempotents(monkeypatch):
     monkeypatch.setattr(modcat.Rep, "validate", counting_validate)
     monkeypatch.setattr(modcat, "algebra_radical", counting_radical)
     monkeypatch.setattr(modcat, "poly_factor", counted("factor"))
-    monkeypatch.setattr(modcat, "_crt_idempotent", counted("crt"))
-    monkeypatch.setattr(modcat, "_newton_lift_idempotent", counted("lift"))
+    monkeypatch.setattr(modcat, "_fitting_idempotent", counted("fitting"))
+    monkeypatch.setattr(modcat, "split_idempotent", counted("split"))
     d = exk(F2)
     certify(d)
     assert len(brute_force_indecomposables(d, 3)) > 0
-    assert counts["factor"] == counts["crt"] == counts["lift"] == 0
+    assert counts["factor"] == counts["fitting"] == counts["split"] == 0
     assert 0 < counts["radical"] < counts["valid"]
 
 
