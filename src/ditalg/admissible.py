@@ -15,12 +15,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bigraph import Bigraph, Factor
-from .interlace import CertificationError, Dit, IdealData
+from .interlace import Dit, IdealData, inherit_certificates, recompute_triangular_filtrations
 from .modcat import (
-    DecomposableError, EndAlgebra, IsoClassIndex, MorphismPair, Rep, compose, evaluate_f1,
+    DecomposableError, EndAlgebra, IsoClassIndex, MorphismPair, Rep, compose, direct_sum,
     zero_morphism,
 )
-from .scalars import LocalizedRing, LocElt, Poly
+from .reduce import ReductionFunctor
+from .scalars import LocalizedRing, LocElt, Poly, linalg
 from .scalars.linalg import Mat
 from .tensor import Differential, Elem, Layer, UNIT
 
@@ -179,9 +180,6 @@ def build_admissible(dit: Dit, b_arrows: Sequence[str],
     findim_summands = [s for s in summands if s.kind == "findim"]
     p_basis: List[RadBasisElement] = []
     if findim_summands:
-        Z = None
-        from .modcat import direct_sum
-
         Z = direct_sum([s.rep for s in findim_summands])
         offs: Dict[str, List[int]] = {}
         for p in b.point_order:
@@ -206,8 +204,6 @@ def build_admissible(dit: Dit, b_arrows: Sequence[str],
                     if nonzero:
                         comp_map.setdefault((si, sj), []).append(piece)
         # independent spanning set per component
-        from .scalars import linalg
-
         for (si, sj), pieces in sorted(comp_map.items()):
             vecs = []
             kept = []
@@ -261,8 +257,6 @@ def _fill_structure(adm: AdmissibleModuleData):
                 v.extend(row)
         return v
 
-    from .scalars import linalg
-
     adm.p_products = []
     for pi in adm.p_basis:
         row = []
@@ -296,8 +290,6 @@ def _fill_heights(adm: AdmissibleModuleData):
             x.height = 1
         adm.ell_x = 1
         return
-    from .scalars import linalg
-
     # power filtration in coordinates
     full = [[F.one if i == j else F.zero for i in range(n_p)] for j in range(n_p)]
     powers = [full]
@@ -529,10 +521,8 @@ class SigmaExpander:
 
 
 def reduce_admissible(dit: Dit, adm: AdmissibleModuleData,
-                      name: str = "") -> Tuple[Dit, "ReductionFunctor"]:
+                      name: str = "") -> Tuple[Dit, ReductionFunctor]:
     """Build (A^X, I^X) and the functor F^X."""
-    from .reduce import ReductionFunctor, ReductionError
-
     b = dit.bigraph
     F = b.field
     sel = set(adm.b_arrows)
@@ -654,14 +644,7 @@ def reduce_admissible(dit: Dit, adm: AdmissibleModuleData,
             filtration.append(list(acc))
     new_dit = Dit(layer, delta, IdealData(ideal_gens, filtration),
                   name=name or f"{dit.name}^X")
-    unit_absorbed = False
-    for g in ideal_gens:
-        for w in g.terms:
-            if w.length() == 0:
-                unit_absorbed = True
     recompute_triangular_filtrations(new_dit)
-    from .reduce import inherit_certificates
-
     inherit_certificates(dit, new_dit)
     old_w = getattr(dit, "point_weights", {}) or {}
     for s in adm.summands:
@@ -715,98 +698,7 @@ def reduce_admissible(dit: Dit, adm: AdmissibleModuleData,
             M.arrow_ops[a.name] = _assemble_blocks(N, a.source, a.target, mat)
         return M
 
-    def apply_morphism(f: MorphismPair, Nm: Rep, Nn: Rep) -> MorphismPair:
-        Mm, Mn = apply_rep_real(Nm), apply_rep_real(Nn)
-        out = zero_morphism(Mm, Mn)
-        for p in b.point_order:
-            roffs_n = block_offsets(Nn, p)
-            coffs_m = block_offsets(Nm, p)
-            m0 = Mat(F, roffs_n[-1], coffs_m[-1])
-            for ri, u in enumerate(x_order[p]):
-                for ci, v in enumerate(x_order[p]):
-                    blk = None
-                    if u is v:
-                        blk = f.f0[u.summand.label]
-                    # + sum_j coeff(x_u in x_v p_j) f1(gamma_j)
-                    for pb in adm.p_basis:
-                        c = adm.x_p_action[v.index][pb.index][u.index]
-                        if F.is_zero(c):
-                            continue
-                        extra = f.f1[gamma_names[pb.index]].scale(c)
-                        blk = extra if blk is None else blk + extra
-                    if blk is None or blk.is_zero():
-                        continue
-                    for i in range(blk.rows):
-                        for j in range(blk.cols):
-                            m0.data[roffs_n[ri] + i][coffs_m[ci] + j] = blk.data[i][j]
-            out.f0[p] = m0
-        for a in b.dashed_arrows():
-            roffs_n = block_offsets(Nn, a.target)
-            coffs_m = block_offsets(Nm, a.source)
-            m1 = Mat(F, roffs_n[-1], coffs_m[-1])
-            for ri, u in enumerate(x_order[a.target]):
-                for ci, v in enumerate(x_order[a.source]):
-                    e = maps.arrow_elem(a.name, u.index, v.index, True)
-                    word = next(iter(e.terms))
-                    blk = evaluate_f1(new_dit, Nm, Nn, f.f1,
-                                      Elem.arrow(tgt, word.arrows[0]),
-                                      v.summand.label, u.summand.label)
-                    if blk.is_zero():
-                        continue
-                    for i in range(blk.rows):
-                        for j in range(blk.cols):
-                            m1.data[roffs_n[ri] + i][coffs_m[ci] + j] = blk.data[i][j]
-            out.f1[a.name] = m1
-        return out
-
     functor = ReductionFunctor(kind="admissible", source=dit, target=new_dit,
-                               apply_rep=apply_rep_real, apply_morphism=apply_morphism,
-                               data={"adm": adm, "maps": maps, "sigma": sigma,
-                                     "unit_absorbed": unit_absorbed},
-                               full=True, faithful=True, dim_scale=adm.c_x)
+                               apply_rep=apply_rep_real, dim_scale=adm.c_x)
     return new_dit, functor
 
-
-def recompute_triangular_filtrations(dit: Dit):
-    """Build layer filtrations from the delta-dependency DAGs: an arrow
-    depends on the same-kind arrows occurring in its differential value.
-    Longest-path levels give a valid triangular filtration when acyclic."""
-    b = dit.bigraph
-    solids = [a.name for a in b.solid_arrows()]
-    dasheds = [a.name for a in b.dashed_arrows()]
-
-    def levels(names, same_kind_dashed: bool):
-        deps = {}
-        for n in names:
-            used = set()
-            for w in dit.delta.of_arrow(n).terms:
-                for an in w.arrows:
-                    if b.arrow(an).dashed == same_kind_dashed and an in set(names):
-                        used.add(an)
-            deps[n] = used
-        level: Dict[str, int] = {}
-        remaining = set(names)
-        guard = 0
-        while remaining:
-            progressed = False
-            for n in sorted(remaining):
-                if deps[n] <= set(level):
-                    level[n] = max([level[d] for d in deps[n]], default=0) + 1
-                    remaining.discard(n)
-                    progressed = True
-            if not progressed:
-                raise CertificationError("delta dependencies contain a cycle")
-            guard += 1
-            if guard > len(names) + 2:
-                break
-        if not level:
-            return ()
-        out = []
-        acc = set()
-        for lv in range(1, max(level.values()) + 1):
-            acc |= {n for n, l in level.items() if l == lv}
-            out.append(frozenset(acc))
-        return tuple(out)
-
-    dit.layer.w0_levels = levels(solids, False) or dit.layer.w0_levels
-    dit.layer.w1_levels = levels(dasheds, True) or dit.layer.w1_levels

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bigraph import Bigraph, Factor
 from .interlace import Dit, IdealData
-from .modcat import Rep
+from .modcat import Rep, is_indecomposable, iso_test
 from .scalars import Field, LocElt, LocalizedRing, Poly
 from .scalars.linalg import Mat, block_matrix
 from .tensor import Differential, Layer
@@ -159,8 +159,6 @@ def verify_wild_certificate(dit: Dit, cert: WildCertificate,
     """Necessary-condition checks: nonzero right rank, and on every sample
     pair the tensor functor preserves indecomposability and non-isomorphy.
     A sample (X, Y) is decided as a module over `_free_algebra_kxy`."""
-    from .modcat import is_indecomposable, iso_test
-
     kxy = _free_algebra_kxy(dit.field)
     report = {"rank_ok": sum(cert.ranks.values()) > 0, "violations": []}
     images = []

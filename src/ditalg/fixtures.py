@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .bigraph import Bigraph, Factor
 from .interlace import Dit, IdealData, lift_differential
-from .scalars import Field
+from .scalars import Field, LocElt, Poly
 from .tensor import Differential, Elem, Layer
 
 
@@ -121,15 +121,10 @@ ALL_FIXTURES = {
 def stellar_case1(F: Field) -> Dit:
     """Stellar fixture with the ideal meeting a rational factor: center e0,
     one rational arm point p carrying I = <x^2 e_p>."""
-    from .bigraph import Bigraph
-    from .scalars import Poly
-
     b = Bigraph(F, [("e0", Factor.trivial()), ("p", Factor.rational([]))],
                 solid=[("w", "e0", "p")])
     layer = Layer(b)
     delta = Differential(layer, {})
-    from .scalars import LocalizedRing, LocElt
-
     ring = b.factor_ring("p")
     gen = Elem.decorated(b, "p", LocElt(ring, Poly.x(F) ** 2, 0))
     return Dit(layer, delta, IdealData([gen]), name="STL1")
@@ -138,9 +133,6 @@ def stellar_case1(F: Field) -> Dit:
 def stellar_case2(F: Field) -> Dit:
     """Stellar fixture whose ideal sits inside W0 without being a summand:
     I = <x*w1> over the rational arm, split only after inverting x."""
-    from .bigraph import Bigraph
-    from .scalars import Poly, LocElt
-
     b = Bigraph(F, [("e0", Factor.trivial()), ("p", Factor.rational([]))],
                 solid=[("w1", "e0", "p"), ("w2", "e0", "p")])
     layer = Layer(b)

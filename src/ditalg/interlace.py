@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .bigraph import Bigraph, BigraphError, height_maps
 from .scalars import linalg
 from .tensor import (
-    Differential, Elem, Layer, Word, elem_coordinates, graded_component_basis, in_span,
+    UNIT, Differential, Elem, Layer, Word, elem_coordinates, graded_component_basis, in_span,
 )
 
 
@@ -386,6 +386,66 @@ def is_roiter(dit: Dit) -> bool:
     return bool(dit.certificates.get("roiter"))
 
 
+def recompute_triangular_filtrations(dit: Dit):
+    """Build layer filtrations from the delta-dependency DAGs: an arrow
+    depends on the same-kind arrows occurring in its differential value.
+    Longest-path levels give a valid triangular filtration when acyclic."""
+    b = dit.bigraph
+    solids = [a.name for a in b.solid_arrows()]
+    dasheds = [a.name for a in b.dashed_arrows()]
+
+    def levels(names, same_kind_dashed: bool):
+        deps = {}
+        for n in names:
+            used = set()
+            for w in dit.delta.of_arrow(n).terms:
+                for an in w.arrows:
+                    if b.arrow(an).dashed == same_kind_dashed and an in set(names):
+                        used.add(an)
+            deps[n] = used
+        level: Dict[str, int] = {}
+        remaining = set(names)
+        guard = 0
+        while remaining:
+            progressed = False
+            for n in sorted(remaining):
+                if deps[n] <= set(level):
+                    level[n] = max([level[d] for d in deps[n]], default=0) + 1
+                    remaining.discard(n)
+                    progressed = True
+            if not progressed:
+                raise CertificationError("delta dependencies contain a cycle")
+            guard += 1
+            if guard > len(names) + 2:
+                break
+        if not level:
+            return ()
+        out = []
+        acc = set()
+        for lv in range(1, max(level.values()) + 1):
+            acc |= {n for n, l in level.items() if l == lv}
+            out.append(frozenset(acc))
+        return tuple(out)
+
+    dit.layer.w0_levels = levels(solids, False) or dit.layer.w0_levels
+    dit.layer.w1_levels = levels(dasheds, True) or dit.layer.w1_levels
+
+
+def inherit_certificates(src_dit: Dit, new_dit: Dit):
+    """Reductions of triangular interlaced presentations stay triangular
+    interlaced (context-of-reduction lemma items 2-3 and its relatives), so
+    constructions transfer the certificates instead of re-deriving them."""
+    flags = src_dit.certificates
+    new_dit.certificates["directed"] = new_dit.bigraph.is_directed()
+    for key in ("triangular_layer", "triangular_ideal", "balanced", "interlaced", "roiter"):
+        if flags.get(key):
+            new_dit.certificates[key] = True
+    weights = getattr(src_dit, "point_weights", None) or {}
+    for p in new_dit.bigraph.point_order:
+        if p in weights:
+            new_dit.point_weights[p] = weights[p]
+
+
 # -- generated ideal ------------------------------------------------------
 
 
@@ -619,8 +679,6 @@ def lift_differential(bigraph: Bigraph, ideal_gens: List[Elem],
 
 def _split_degree_one_word(b: Bigraph, w: Word) -> Tuple[Word, Word, Word]:
     """Write a degree-1 word as suffix * (decorated dashed arrow) * prefix."""
-    from .tensor import UNIT
-
     j = next(k for k, nm in enumerate(w.arrows) if b.arrow(nm).dashed)
     prefix = Word(w.start, w.arrows[:j], w.coeffs[:j] + (UNIT,))
     path = w.path(b)

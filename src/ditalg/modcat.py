@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .interlace import Dit, is_roiter
+from .interlace import Dit, is_roiter, quotient
 from .scalars import Field, Poly, PrimeField, factor as poly_factor, linalg
 from .scalars.linalg import Mat, block_matrix
 from .tensor import Elem, Word
@@ -1093,21 +1093,22 @@ def _fitting_idempotent(E: EndAlgebra, f: MorphismPair) -> MorphismPair:
     return e
 
 
-def _decompose(dit: Dit, M: Rep) -> List[EndAlgebra]:
-    """The End algebras of M's indecomposable summands (with multiplicity)."""
-    if M.is_zero():
-        return []
-    E = EndAlgebra(dit, M)
+def _decompose(E: EndAlgebra) -> List[EndAlgebra]:
+    """The End algebras of the indecomposable summands (with multiplicity)
+    of the nonzero module E.M, starting from its End algebra E."""
     local, f = _locality(E, witness=True)
     if local:
         return [E]
-    M1, M2, _ = split_idempotent(dit, M, _fitting_idempotent(E, f))
-    return _decompose(dit, M1) + _decompose(dit, M2)
+    dit = E.dit
+    M1, M2, _ = split_idempotent(dit, E.M, _fitting_idempotent(E, f))
+    return _decompose(EndAlgebra(dit, M1)) + _decompose(EndAlgebra(dit, M2))
 
 
 def decompose(dit: Dit, M: Rep) -> List[Rep]:
     """Krull-Schmidt list of indecomposable summands (with multiplicity)."""
-    return [E.M for E in _decompose(dit, M)]
+    if M.is_zero():
+        return []
+    return [E.M for E in _decompose(EndAlgebra(dit, M))]
 
 
 def _indec_iso(E: EndAlgebra, N: Rep) -> Optional[MorphismPair]:
@@ -1133,17 +1134,21 @@ def _indec_iso(E: EndAlgebra, N: Rep) -> Optional[MorphismPair]:
 
 def iso_test(dit: Dit, M: Rep, N: Rep) -> bool:
     """Exact isomorphism decision.  Isomorphic M and N have equal dim
-    Hom(M,N), dim Hom(N,M), dim End M and dim End N, so unequal ones reject
-    at the cost of four ranks.  An indecomposable M is then decided by
+    Hom(M,N), dim Hom(N,M), dim End M and dim End N, so unequal ones reject:
+    dim End M by the End algebra that the decomposition of M starts from, the
+    other three by ranks.  An indecomposable M is then decided by
     `_indec_iso`, any other M by Krull-Schmidt matching of the summands."""
     if M.dim_vector() != N.dim_vector():
         return False
     if M.is_zero():
         return True
     d = hom_dim(dit, M, N)
-    if any(hom_dim(dit, X, Y) != d for X, Y in ((N, M), (M, M), (N, N))):
+    if any(hom_dim(dit, X, Y) != d for X, Y in ((N, M), (N, N))):
         return False
-    parts_m = _decompose(dit, M)
+    E = EndAlgebra(dit, M)
+    if E.dim != d:
+        return False
+    parts_m = _decompose(E)
     if len(parts_m) == 1:
         return _indec_iso(parts_m[0], N) is not None
     parts_n = decompose(dit, N)
@@ -1216,8 +1221,6 @@ def hom_via_quotient(dit: Dit, M: Rep, N: Rep, qp=None) -> List[MorphismPair]:
     generated ideal imposes the V-bar identifications.  Independent of the
     plain interlaced presentation that `hom` solves.  Pass a precomputed
     QuotientPresentation to amortize the normal-form setup."""
-    from .interlace import quotient
-
     if qp is None:
         qp = quotient(dit)
     rows, total = _u_condition_rows(dit, M, N, qp.reduced_delta.__getitem__,

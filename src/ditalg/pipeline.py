@@ -8,9 +8,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .admissible import build_admissible, reduce_admissible, recompute_triangular_filtrations
+from .admissible import _sub_bigraph_dit, build_admissible, reduce_admissible
 from .bimodule import generic_regular, push_generic
-from .interlace import Dit, certify
+from .interlace import Dit, certify, recompute_triangular_filtrations
 from .modcat import DecomposableError, IsoClassIndex, ModcatError, Rep, jordan_at, simple_at
 from .reduce import (
     ReductionError, ReductionFunctor, StepSpec, absorb, change_solid_basis,
@@ -21,7 +21,7 @@ from .scalars import (
     localize_to_free, strip_h_factors,
 )
 from .scalars.linalg import Mat
-from .tensor import Elem, UNIT
+from .tensor import Elem, UNIT, key_to_locelt
 
 
 class PipelineError(ValueError):
@@ -83,9 +83,6 @@ def point_in_ideal(dit: Dit, p: str) -> bool:
     b = dit.bigraph
     F = b.field
     ring = b.factor_ring(p)
-    from .tensor import key_to_locelt
-    from .scalars import LocalizedRing
-
     use_ring = ring if ring is not None else LocalizedRing(F, ())
     acc = Poly.zero(F)
     for g in dit.ideal.generators:
@@ -114,8 +111,6 @@ def ideal_point_polynomial(dit: Dit, p: str) -> Optional[Poly]:
         for w, c in comp.terms.items():
             if w.length() != 0:
                 raise PipelineError("mixed-length ideal component at a point")
-            from .tensor import key_to_locelt
-
             e = key_to_locelt(ring, w.coeffs[0])
             vals.append(LocElt(ring, e.num.scale(c), e.den_exp))
     if not vals:
@@ -267,7 +262,7 @@ def stellar_to_seminested(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], 
                 ring = b.factor_ring(p)
                 for lbl, modulus in torsion_blocks(b.field, h0, ring, 1):
                     findim.append((_fresh(ctx, "z"), companion_rep(
-                        _sub_b(cur, []), p, modulus)))
+                        _sub_bigraph_dit(cur, []), p, modulus)))
             regulars = []
             for p in b.point_order:
                 if p not in case1:
@@ -310,7 +305,8 @@ def stellar_to_seminested(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], 
             for p, h in needs_localization:
                 ring = b.factor_ring(p)
                 for lbl, modulus in torsion_blocks(b.field, h, ring, d):
-                    findim.append((_fresh(ctx, "z"), companion_rep(_sub_b(cur, []), p, modulus)))
+                    findim.append((_fresh(ctx, "z"), companion_rep(
+                        _sub_bigraph_dit(cur, []), p, modulus)))
             regulars = []
             for p in b.point_order:
                 if p == center:
@@ -341,12 +337,6 @@ def stellar_to_seminested(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], 
         # after factoring out, the ideal is zero: loop exits on the next pass
 
 
-def _sub_b(dit: Dit, arrows) -> Dit:
-    from .admissible import _sub_bigraph_dit
-
-    return _sub_bigraph_dit(dit, arrows)
-
-
 def _arm_ideal_columns(dit: Dit, center: str, p: str, arm: List[str]):
     """Ideal generator components along one arm, as coefficient columns over
     the arm ring (None ring for a trivial arm point)."""
@@ -364,8 +354,6 @@ def _arm_ideal_columns(dit: Dit, center: str, p: str, arm: List[str]):
             if w.length() != 1:
                 raise PipelineError("stellar ideal with non-arm component")
             name = w.arrows[0]
-            from .tensor import key_to_locelt
-
             e = key_to_locelt(use_ring, w.coeffs[1])
             if w.coeffs[0] != UNIT:
                 raise PipelineError("decorated center side in a stellar ideal")
@@ -557,8 +545,6 @@ def _localization_for_pivot(dit: Dit, arrow: str, dv: Elem):
             key = w.coeffs[pos]
             ring = b.factor_ring(point)
             if ring is not None and key != UNIT:
-                from .tensor import key_to_locelt
-
                 e = key_to_locelt(ring, key)
                 h = strip_h_factors(e.num, ring.h)
                 if not h.is_constant():
@@ -573,7 +559,8 @@ def _localize_point(dit: Dit, point: str, h: Poly, d: int, ctx) -> Tuple[Dit, Pl
     ring = b.factor_ring(point)
     findim = []
     for lbl, modulus in torsion_blocks(b.field, h, ring, d):
-        findim.append((_fresh(ctx, "z"), companion_rep(_sub_b(dit, []), point, modulus)))
+        findim.append((_fresh(ctx, "z"),
+                       companion_rep(_sub_bigraph_dit(dit, []), point, modulus)))
     regulars = []
     for p in b.point_order:
         extra = (h,) if p == point else ()
@@ -586,27 +573,16 @@ def _localize_point(dit: Dit, point: str, h: Poly, d: int, ctx) -> Tuple[Dit, Pl
 def _edge_reduction(dit: Dit, arrow: str, ctx) -> Tuple[Dit, PlanStep]:
     b = dit.bigraph
     arr = b.arrow(arrow)
-    b_dit = _sub_b(dit, [arrow])
+    b_dit = _sub_bigraph_dit(dit, [arrow])
     s1 = simple_at(b_dit, arr.source)
     s2 = simple_at(b_dit, arr.target)
     p1 = Rep(b_dit, {p: (1 if p in (arr.source, arr.target) else 0)
                      for p in b.point_order})
     p1.arrow_ops[arrow] = Mat(b.field, 1, 1, [[b.field.one]])
     findim = [(_fresh(ctx, "s"), s1), (_fresh(ctx, "s"), s2), (_fresh(ctx, "e"), p1)]
-    regulars = []
-    for p in b.point_order:
-        if p not in (arr.source, arr.target):
-            regulars.append((_fresh(ctx, f"r_{p}_"), p, ()))
-    spec = StepSpec("admissible", {
-        "b_arrows": [arrow],
-        "findim": [(lbl, rep_spec(r)) for lbl, r in findim],
-        "regular": regulars,
-        "check": False,
-    })
-    adm = build_admissible(dit, [arrow], findim=findim, regular=regulars, check=False)
-    nd, f = reduce_admissible(dit, adm, name=_fresh(ctx, f"{dit.name}.X"))
-    _spend(ctx)
-    return nd, PlanStep(spec, f, f"edge reduction at {arrow}")
+    regulars = [(_fresh(ctx, f"r_{p}_"), p, ()) for p in b.point_order
+                if p not in (arr.source, arr.target)]
+    return _admissible_step(dit, [arrow], findim, regulars, ctx, f"edge reduction at {arrow}")
 
 
 # -- the main driver -------------------------------------------------------------------

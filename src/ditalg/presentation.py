@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 
 from .bigraph import Bigraph, Factor
 from .interlace import Dit, IdealData
-from .scalars import Field, LocElt, LocalizedRing, Poly, field_from_name
+from .scalars import Field, LocElt, LocalizedRing, Poly, field_from_name, strip_h_factors
 from .tensor import Differential, Elem, Layer
 
 
@@ -143,8 +143,6 @@ def coefficient_value(F: Field, ring: Optional[LocalizedRing], s: str):
         if den.is_zero() or F.is_zero(den.coeff(0)):
             raise ParseError("zero denominator", s)
         return F.div(num.coeff(0) if num.coeffs else F.zero, den.coeff(0)), None
-    from .scalars import strip_h_factors
-
     stripped = strip_h_factors(den, ring.h)
     if not stripped.is_constant():
         raise ParseError(f"denominator {den} is not invertible in {ring!r}", s)

@@ -1,19 +1,29 @@
-"""The reduction calculus: quotient-type reductions (deletion,
-regularization, factoring out), absorption, source detachment, admissible
-module reductions, and the functor records that map reduced-side modules and
-morphisms back to the source category."""
+"""The reduction calculus.  Each reduction F: Mod(A', I') -> Mod(A, I) comes
+from a morphism phi of tensor algebras given by a point map and generator
+images, and its target presentation is the pushforward of delta and I along
+phi (`_pushforward`): deletion, regularization, factoring out and base change
+of a solid arm through `induced_reduction`, and absorption and source
+detachment with their own object formulas.  Admissible-module reduction lives
+in `admissible`.  Each step returns a ReductionFunctor, which maps
+target-side modules back to the source category."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .bigraph import Bigraph, Factor
-from .interlace import Dit, IdealData, membership_in_ideal_window
-from .modcat import MorphismPair, Rep, evaluate_f1, zero_morphism
-from .scalars import Poly
+from .interlace import (
+    Dit, IdealData, inherit_certificates, membership_in_ideal_window,
+    recompute_triangular_filtrations,
+)
+from .modcat import Rep
+from .scalars import LocalizedRing, LocElt, Poly
 from .scalars.linalg import Mat
-from .tensor import Differential, Elem, Layer, Word, UNIT
+from .tensor import (
+    Differential, Elem, Layer, Word, UNIT, decompose_locelt, in_span, key_to_locelt,
+)
 
 
 class ReductionError(ValueError):
@@ -22,24 +32,21 @@ class ReductionError(ValueError):
 
 @dataclass
 class ReductionFunctor:
-    """A step record: maps target-side modules/morphisms back to the source.
+    """A reduction step F: Mod(target) -> Mod(source); `apply_rep` maps a
+    target-side module to the source category, and dim F(N) <= dim_scale *
+    dim N.  Detachment's `apply_rep` is Res, restriction from the source to
+    the target.
 
     kind: deletion | regularization | factor_out | absorption | admissible |
-    detachment | induced | composite.
+    detachment | basechange | induced | composite.
     """
 
     kind: str
     source: Dit
     target: Dit
-    # object/morphism transports
     apply_rep: Callable[[Rep], Rep] = None
-    apply_morphism: Callable[[MorphismPair, Rep, Rep], MorphismPair] = None
     data: dict = field(default_factory=dict)
-    children: List["ReductionFunctor"] = field(default_factory=list)
-    full: bool = False
-    faithful: bool = False
-    equivalence: bool = False
-    dim_scale: int = 1  # c-constant: dim F(N) <= dim_scale * dim N
+    dim_scale: int = 1
 
     def __call__(self, N: Rep) -> Rep:
         return self.apply_rep(N)
@@ -54,53 +61,16 @@ def compose_functors(steps: Sequence[ReductionFunctor]) -> ReductionFunctor:
         return steps[0]
 
     def apply_rep(N: Rep) -> Rep:
-        cur = N
         for st in reversed(steps):
-            cur = st.apply_rep(cur)
-        return cur
+            N = st.apply_rep(N)
+        return N
 
-    def apply_morphism(f: MorphismPair, M: Rep, N: Rep) -> MorphismPair:
-        curf, curM, curN = f, M, N
-        for st in reversed(steps):
-            newM, newN = st.apply_rep(curM), st.apply_rep(curN)
-            curf = st.apply_morphism(curf, curM, curN)
-            curM, curN = newM, newN
-        return curf
-
-    return ReductionFunctor(
-        kind="composite", source=steps[0].source, target=steps[-1].target,
-        apply_rep=apply_rep, apply_morphism=apply_morphism,
-        children=list(steps),
-        full=all(s.full for s in steps), faithful=all(s.faithful for s in steps),
-        equivalence=all(s.equivalence for s in steps),
-        dim_scale=_prod(s.dim_scale for s in steps))
+    return ReductionFunctor(kind="composite", source=steps[0].source,
+                            target=steps[-1].target, apply_rep=apply_rep,
+                            dim_scale=math.prod(s.dim_scale for s in steps))
 
 
-def _prod(it):
-    out = 1
-    for v in it:
-        out *= v
-    return out
-
-
-
-
-def inherit_certificates(src_dit: Dit, new_dit: Dit):
-    """Reductions of triangular interlaced presentations stay triangular
-    interlaced (context-of-reduction lemma items 2-3 and its relatives), so
-    constructions transfer the certificates instead of re-deriving them."""
-    flags = src_dit.certificates
-    new_dit.certificates["directed"] = new_dit.bigraph.is_directed()
-    for key in ("triangular_layer", "triangular_ideal", "balanced", "interlaced", "roiter"):
-        if flags.get(key):
-            new_dit.certificates[key] = True
-    weights = getattr(src_dit, "point_weights", None) or {}
-    for p in new_dit.bigraph.point_order:
-        if p in weights:
-            new_dit.point_weights[p] = weights[p]
-
-
-# -- the generic quotient-type reduction -------------------------------------
+# -- the pushforward along phi -------------------------------------------------
 
 
 def _map_elem(src: Bigraph, tgt: Bigraph, point_map: Dict[str, Optional[str]],
@@ -135,53 +105,73 @@ def _map_elem(src: Bigraph, tgt: Bigraph, point_map: Dict[str, Optional[str]],
     return out
 
 
+def _plain_arrows(tgt: Bigraph, images: Dict[str, Elem]) -> Dict[str, str]:
+    """Source generator -> target arrow, for the generators whose image is a
+    plain target arrow (one undecorated word of length one, coefficient 1)."""
+    out = {}
+    for s, img in images.items():
+        if img is None or len(img.terms) != 1:
+            continue
+        (w, c), = img.terms.items()
+        if w.length() == 1 and c == tgt.field.one and w.coeffs == (UNIT, UNIT):
+            out[s] = w.arrows[0]
+    return out
+
+
+def _pushforward(dit: Dit, point_map: Dict[str, Optional[str]], tgt: Bigraph,
+                 images: Dict[str, Elem], name: str,
+                 lifts: Optional[Dict[str, Elem]] = None) -> Dit:
+    """The target presentation of the reduction along phi: T(dit) -> T(tgt)
+    given by `point_map` and the generator `images`.  delta'(t) = phi(delta(s))
+    for s = lifts[t] when given, else for t's plain preimage (the first
+    generator whose image is t); I' is generated by phi(I).  Raises
+    ReductionError unless delta' phi = phi delta on every generator."""
+    b = dit.bigraph
+    lifts = lifts or {}
+
+    def push(e: Elem) -> Elem:
+        return _map_elem(b, tgt, point_map, images, e)
+
+    plain = _plain_arrows(tgt, images)
+    preimage: Dict[str, str] = {}
+    for s, t in plain.items():
+        preimage.setdefault(t, s)
+    values: Dict[str, Elem] = {}
+    for t in tgt.arrows:
+        if t in lifts:
+            values[t] = push(dit.delta.apply(lifts[t]))
+        elif t in preimage:
+            values[t] = push(dit.delta.of_arrow(preimage[t]))
+        else:
+            raise ReductionError(f"target arrow {t} has no plain preimage")
+    layer = Layer(tgt)
+    delta = Differential(layer, values)
+    for s, img in images.items():
+        t = plain.get(s)
+        if t is not None and t not in lifts and preimage[t] == s:
+            continue  # delta'(t) is phi(delta(s)) by definition
+        if push(dit.delta.of_arrow(s)) != delta.apply(img):
+            raise ReductionError(f"commuting square fails at generator {s}")
+    ideal = [g2 for g2 in (push(g) for g in dit.ideal.generators) if not g2.is_zero()]
+    new_dit = Dit(layer, delta, IdealData(ideal), name=name)
+    recompute_triangular_filtrations(new_dit)
+    inherit_certificates(dit, new_dit)
+    return new_dit
+
+
 def induced_reduction(dit: Dit, point_map: Dict[str, Optional[str]],
                       target_bigraph: Bigraph,
                       arrow_images: Dict[str, Elem],
                       name: str = "induced",
                       kind: str = "induced",
-                      check_squares: bool = True) -> Tuple[Dit, ReductionFunctor]:
-    """Reduction along a surjection phi determined by a point map and
-    generator images; the target differential is phi . delta on surviving
-    generators, and the two commuting squares are checked on generators."""
+                      lifts: Optional[Dict[str, Elem]] = None
+                      ) -> Tuple[Dit, ReductionFunctor]:
+    """Reduction along phi given by a point map and generator images (see
+    `_pushforward`); a module N over the target goes to phi^* N, which reads
+    a solid arrow's matrix off N directly when its image is a plain arrow."""
     b = dit.bigraph
-    tgt = target_bigraph
-
-    def push(e: Elem) -> Elem:
-        return _map_elem(b, tgt, point_map, arrow_images, e)
-
-    # target differential on the surviving generators: delta'(phi(w)) := phi(delta w).
-    # For the quotient-type reductions every target arrow is the image of a
-    # unique source arrow.
-    preimage: Dict[str, str] = {}
-    for src_arrow, img in arrow_images.items():
-        if img is None or img.is_zero():
-            continue
-        if len(img.terms) == 1:
-            w = next(iter(img.terms))
-            if w.length() == 1 and img.terms[w] == tgt.field.one and w.coeffs == (UNIT, UNIT):
-                tgt_name = w.arrows[0]
-                if tgt_name not in preimage:
-                    preimage[tgt_name] = src_arrow
-    delta_values: Dict[str, Elem] = {}
-    for tname in tgt.arrows:
-        if tname not in preimage:
-            raise ReductionError(f"target arrow {tname} has no plain preimage")
-        delta_values[tname] = push(dit.delta.of_arrow(preimage[tname]))
-    tgt_layer = Layer(tgt)
-    tgt_delta = Differential(tgt_layer, delta_values)
-    if check_squares:
-        for sname, img in arrow_images.items():
-            lhs = push(dit.delta.of_arrow(sname))
-            rhs = tgt_delta.apply(img)
-            if lhs != rhs:
-                raise ReductionError(f"commuting square fails at generator {sname}")
-    ideal_gens = [g2 for g2 in (push(g) for g in dit.ideal.generators) if not g2.is_zero()]
-    new_dit = Dit(tgt_layer, tgt_delta, IdealData(ideal_gens), name=name)
-    from .admissible import recompute_triangular_filtrations
-
-    recompute_triangular_filtrations(new_dit)
-    inherit_certificates(dit, new_dit)
+    new_dit = _pushforward(dit, point_map, target_bigraph, arrow_images, name, lifts)
+    plain = _plain_arrows(target_bigraph, arrow_images)
 
     def apply_rep(N: Rep) -> Rep:
         dims = {}
@@ -191,7 +181,9 @@ def induced_reduction(dit: Dit, point_map: Dict[str, Optional[str]],
         M = Rep(dit, dims, ring=N.ring)
         for arr in b.solid_arrows():
             img = arrow_images.get(arr.name)
-            if img is not None and not img.is_zero():
+            if arr.name in plain:
+                M.arrow_ops[arr.name] = N.arrow_ops[plain[arr.name]]
+            elif img is not None and not img.is_zero():
                 M.arrow_ops[arr.name] = N.elem_action(
                     img, point_map[arr.source], point_map[arr.target])
         for p in b.point_order:
@@ -200,27 +192,8 @@ def induced_reduction(dit: Dit, point_map: Dict[str, Optional[str]],
                 M.point_ops[p] = N.point_ops[ip]
         return M
 
-    def apply_morphism(f: MorphismPair, Nm: Rep, Nn: Rep) -> MorphismPair:
-        Mm, Mn = apply_rep(Nm), apply_rep(Nn)
-        out = zero_morphism(Mm, Mn)
-        for p in b.point_order:
-            ip = point_map.get(p)
-            if ip is not None:
-                out.f0[p] = f.f0[ip]
-        for arr in b.dashed_arrows():
-            img = arrow_images.get(arr.name)
-            if img is None or img.is_zero():
-                continue
-            ip, jp = point_map.get(arr.source), point_map.get(arr.target)
-            if ip is None or jp is None:
-                continue
-            out.f1[arr.name] = evaluate_f1(new_dit, Nm, Nn, f.f1, img, ip, jp)
-        return out
-
-    functor = ReductionFunctor(kind=kind, source=dit, target=new_dit,
-                               apply_rep=apply_rep, apply_morphism=apply_morphism,
-                               data={"point_map": point_map, "arrow_images": arrow_images},
-                               faithful=True)
+    functor = ReductionFunctor(kind=kind, source=dit, target=new_dit, apply_rep=apply_rep,
+                               data={"point_map": point_map, "arrow_images": arrow_images})
     return new_dit, functor
 
 
@@ -245,11 +218,8 @@ def delete_idempotents(dit: Dit, kept_points: Sequence[str],
             images[a.name] = Elem.arrow(tgt, a.name)
         else:
             images[a.name] = Elem.zero(tgt)
-    new_dit, functor = induced_reduction(dit, point_map, tgt, images,
-                                         name=name or f"{dit.name}^d", kind="deletion")
-    functor.full = True
-    functor.faithful = True
-    return new_dit, functor
+    return induced_reduction(dit, point_map, tgt, images,
+                             name=name or f"{dit.name}^d", kind="deletion")
 
 
 def deletion_image_characterization(functor: ReductionFunctor, M: Rep) -> bool:
@@ -357,15 +327,8 @@ def regularize(dit: Dit, solid_selection: Sequence[str],
         arrow_images[n] = Elem.zero(tgt)
     arrow_images.update(images_dashed)
 
-    new_dit, functor = induced_reduction(dit, point_map, tgt, arrow_images,
-                                         name=name or f"{dit.name}^r",
-                                         kind="regularization")
-    functor.full = True
-    functor.faithful = True
-    # ker(delta) cap W0' = 0 certifies the equivalence (delta injective here by
-    # the pivot construction)
-    functor.equivalence = True
-    return new_dit, functor
+    return induced_reduction(dit, point_map, tgt, arrow_images,
+                             name=name or f"{dit.name}^r", kind="regularization")
 
 
 # -- factoring out a direct summand of W0 ---------------------------------------
@@ -396,12 +359,8 @@ def factor_out(dit: Dit, solid_selection: Sequence[str],
     arrow_images.update({a.name: Elem.arrow(tgt, a.name) for a in b.dashed_arrows()})
     for s in sel:
         arrow_images[s] = Elem.zero(tgt)
-    new_dit, functor = induced_reduction(dit, point_map, tgt, arrow_images,
-                                         name=name or f"{dit.name}^q", kind="factor_out")
-    functor.full = True
-    functor.faithful = True
-    functor.equivalence = True
-    return new_dit, functor
+    return induced_reduction(dit, point_map, tgt, arrow_images,
+                             name=name or f"{dit.name}^q", kind="factor_out")
 
 
 # -- absorption ------------------------------------------------------------------
@@ -437,19 +396,10 @@ def absorb(dit: Dit, loop_arrow: str, name: str = "") -> Tuple[Dit, ReductionFun
         if a.name != loop_arrow:
             arrow_images[a.name] = Elem.arrow(tgt, a.name)
 
-    delta_values = {}
-    for a in tgt.arrows:
-        delta_values[a] = _map_elem(b, tgt, point_map, arrow_images, dit.delta.of_arrow(a))
-    tgt_layer = Layer(tgt)
-    tgt_delta = Differential(tgt_layer, delta_values)
-    ideal_gens = [_map_elem(b, tgt, point_map, arrow_images, g) for g in dit.ideal.generators]
-    new_dit = Dit(tgt_layer, tgt_delta, IdealData([g for g in ideal_gens if not g.is_zero()]),
-                  name=name or f"{dit.name}^a")
-    from .admissible import recompute_triangular_filtrations
+    new_dit = _pushforward(dit, point_map, tgt, arrow_images, name or f"{dit.name}^a")
 
-    recompute_triangular_filtrations(new_dit)
-    inherit_certificates(dit, new_dit)
-
+    # N's matrices are reinterpreted as they are, which is cheaper than the
+    # generic phi^* of `induced_reduction`
     def apply_rep(N: Rep) -> Rep:
         M = Rep(dit, dict(N.dims), ring=N.ring)
         for a in b.solid_arrows():
@@ -462,19 +412,8 @@ def absorb(dit: Dit, loop_arrow: str, name: str = "") -> Tuple[Dit, ReductionFun
                 M.point_ops[p] = N.point_ops[p]
         return M
 
-    def apply_morphism(f: MorphismPair, Nm: Rep, Nn: Rep) -> MorphismPair:
-        Mm, Mn = apply_rep(Nm), apply_rep(Nn)
-        out = zero_morphism(Mm, Mn)
-        for p in b.point_order:
-            out.f0[p] = f.f0[p]
-        for a in b.dashed_arrows():
-            out.f1[a.name] = f.f1[a.name]
-        return out
-
     functor = ReductionFunctor(kind="absorption", source=dit, target=new_dit,
-                               apply_rep=apply_rep, apply_morphism=apply_morphism,
-                               data={"point": point, "loop": loop_arrow},
-                               full=True, faithful=True, equivalence=True)
+                               apply_rep=apply_rep, data={"point": point, "loop": loop_arrow})
     return new_dit, functor
 
 
@@ -497,7 +436,9 @@ def is_source_point(dit: Dit, point: str) -> bool:
 def detach_source(dit: Dit, point: str, name: str = "") -> Tuple[Dit, ReductionFunctor]:
     """Detachment of the source e0: the target is ke0 x (f T f) with the
     restricted differential and ideal; Res is restriction (f M plus the e0
-    component as the one-point factor)."""
+    component as the one-point factor).  No ideal term survives at e0: it
+    would be a multiple of e0, putting e0 in I, which `is_source_point`
+    excludes."""
     b = dit.bigraph
     if not is_source_point(dit, point):
         raise ReductionError(f"{point} is not a source of (A, I)")
@@ -513,24 +454,7 @@ def detach_source(dit: Dit, point: str, name: str = "") -> Tuple[Dit, ReductionF
             arrow_images[a.name] = Elem.arrow(tgt, a.name)
         else:
             arrow_images[a.name] = Elem.zero(tgt)
-    delta_values = {}
-    for a in tgt.arrows:
-        delta_values[a] = _map_elem(b, tgt, point_map, arrow_images, dit.delta.of_arrow(a))
-    tgt_layer = Layer(tgt)
-    tgt_delta = Differential(tgt_layer, delta_values)
-    ideal_gens = []
-    for g in dit.ideal.generators:
-        img = _map_elem(b, tgt, point_map, arrow_images, g)
-        img = Elem(tgt, {w: c for w, c in img.terms.items()
-                         if point not in w.path(tgt)})
-        if not img.is_zero():
-            ideal_gens.append(img)
-    new_dit = Dit(tgt_layer, tgt_delta, IdealData(ideal_gens),
-                  name=name or f"{dit.name}^o")
-    from .admissible import recompute_triangular_filtrations
-
-    recompute_triangular_filtrations(new_dit)
-    inherit_certificates(dit, new_dit)
+    new_dit = _pushforward(dit, point_map, tgt, arrow_images, name or f"{dit.name}^o")
 
     def res_rep(M: Rep) -> Rep:
         out = Rep(new_dit, dict(M.dims), ring=M.ring)
@@ -541,18 +465,8 @@ def detach_source(dit: Dit, point: str, name: str = "") -> Tuple[Dit, ReductionF
                 out.point_ops[p] = M.point_ops[p]
         return out
 
-    def res_morphism(f: MorphismPair, Mm: Rep, Mn: Rep) -> MorphismPair:
-        rm, rn = res_rep(Mm), res_rep(Mn)
-        out = zero_morphism(rm, rn)
-        for p in tgt.point_order:
-            out.f0[p] = f.f0[p]
-        for a in tgt.dashed_arrows():
-            out.f1[a.name] = f.f1[a.name]
-        return out
-
     functor = ReductionFunctor(kind="detachment", source=dit, target=new_dit,
-                               apply_rep=res_rep, apply_morphism=res_morphism,
-                               data={"point": point})
+                               apply_rep=res_rep, data={"point": point})
     return new_dit, functor
 
 
@@ -574,8 +488,6 @@ def detached_is_product(dit: Dit, detached: Dit, point: str) -> bool:
         if deleted.delta.of_arrow(a) != _relabel(detached.delta.of_arrow(a), db):
             return False
     src_span = [_relabel(g, db) for g in detached.ideal.generators]
-    from .tensor import in_span
-
     for g in deleted.ideal.generators:
         if not in_span(src_span, g):
             return False
@@ -613,8 +525,6 @@ def structural_equal(d1: Dit, d2: Dit) -> bool:
     for n in b1.arrows:
         if _relabel(d1.delta.of_arrow(n), b2) != d2.delta.of_arrow(n):
             return False
-    from .tensor import in_span
-
     g1 = [_relabel(g, b2) for g in d1.ideal.generators]
     g2 = d2.ideal.generators
     for g in g1:
@@ -697,6 +607,7 @@ def rep_spec(rep: Rep):
     """Portable data of a B-representation for StepSpec."""
     return (dict(rep.dims), dict(rep.arrow_ops), dict(rep.point_ops))
 
+
 # -- base change of a solid arm ---------------------------------------------------
 
 
@@ -708,9 +619,6 @@ def change_solid_basis(dit: Dit, source_point: str, target_point: str,
     differential values and ideal generators are rewritten.  This is an
     isomorphism of presentations (a unimodular change of the generator basis
     of one arm of W0)."""
-    from .scalars import LocalizedRing, LocElt, Poly
-    from .tensor import decompose_locelt, key_to_locelt
-
     b = dit.bigraph
     F = b.field
     old = [a.name for a in b.solid_arrows()
@@ -773,53 +681,6 @@ def change_solid_basis(dit: Dit, source_point: str, target_point: str,
                 acc = acc + decorated_arrow(nm, v)
         arrow_images[oname] = acc
 
-    # target differential: delta'(new_i) = phi(delta(sum_j C[i][j] old_j))
-    delta_values: Dict[str, Elem] = {}
-    for a in tgt.arrows.values():
-        if a.name in b.arrows and a.name not in set(old):
-            delta_values[a.name] = _map_elem(b, tgt, point_map, arrow_images,
-                                             dit.delta.of_arrow(a.name))
-    for nm, comb in new_arrows:
-        delta_values[nm] = _map_elem(b, tgt, point_map, arrow_images,
-                                     dit.delta.apply(comb))
-    tgt_layer = Layer(tgt)
-    tgt_delta = Differential(tgt_layer, delta_values)
-    ideal_gens = [g2 for g2 in (_map_elem(b, tgt, point_map, arrow_images, g)
-                                for g in dit.ideal.generators) if not g2.is_zero()]
-    new_dit = Dit(tgt_layer, tgt_delta, IdealData(ideal_gens),
-                  name=name or f"{dit.name}~")
-    from .admissible import recompute_triangular_filtrations
-
-    recompute_triangular_filtrations(new_dit)
-    inherit_certificates(dit, new_dit)
-
-    comb_by_new = {nm: comb for nm, comb in new_arrows}
-
-    def apply_rep(N: Rep) -> Rep:
-        M = Rep(dit, dict(N.dims), ring=N.ring)
-        for a in b.solid_arrows():
-            if a.name in set(old):
-                M.arrow_ops[a.name] = N.elem_action(arrow_images[a.name],
-                                                    a.source, a.target)
-            else:
-                M.arrow_ops[a.name] = N.arrow_ops[a.name]
-        for p in b.point_order:
-            if not b.factor(p).is_trivial:
-                M.point_ops[p] = N.point_ops[p]
-        return M
-
-    def apply_morphism(f: MorphismPair, Nm: Rep, Nn: Rep) -> MorphismPair:
-        Mm, Mn = apply_rep(Nm), apply_rep(Nn)
-        out = zero_morphism(Mm, Mn)
-        for p in b.point_order:
-            out.f0[p] = f.f0[p]
-        for a in b.dashed_arrows():
-            out.f1[a.name] = f.f1[a.name]
-        return out
-
-    functor = ReductionFunctor(kind="basechange", source=dit, target=new_dit,
-                               apply_rep=apply_rep, apply_morphism=apply_morphism,
-                               data={"point_map": point_map, "arrow_images": arrow_images,
-                                     "new_arrows": comb_by_new},
-                               full=True, faithful=True, equivalence=True)
-    return new_dit, functor
+    # delta'(new_i) = phi(delta(sum_j C[i][j] old_j))
+    return induced_reduction(dit, point_map, tgt, arrow_images, name=name or f"{dit.name}~",
+                             kind="basechange", lifts=dict(new_arrows))

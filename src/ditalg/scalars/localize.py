@@ -13,7 +13,7 @@ from typing import List, Sequence, Tuple
 
 from .fields import Field
 from .poly import Poly
-from .smith import PolyMatrix, smith_normal_form
+from .smith import PolyMatrix, poly_det, poly_kernel_basis, smith_normal_form
 
 
 class LocalizedRing:
@@ -237,8 +237,6 @@ def _proj_syzygies(F: Field, gen_cols: List[List[Poly]], mod_cols: List[List[Pol
                    rank: int) -> List[List[Poly]]:
     """Columns c with gen*c in the span of mod_cols, i.e. relations of the
     classes of gen_cols in the cokernel presented by mod_cols."""
-    from .smith import poly_kernel_basis
-
     t = len(gen_cols)
     if t == 0:
         return []
@@ -338,8 +336,6 @@ def _unimodular_inverse(F: Field, P: PolyMatrix) -> PolyMatrix:
     if n == 0:
         return []
     adj = [[Poly.zero(F)] * n for _ in range(n)]
-    from .smith import poly_det
-
     d = poly_det(F, P)
     if d.is_zero() or not d.is_constant():
         raise ValueError("matrix is not unimodular")

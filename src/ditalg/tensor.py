@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bigraph import Bigraph, BigraphError
-from .scalars import LocElt, LocalizedRing, Poly
+from .scalars import LocElt, LocalizedRing, Poly, linalg
 
 # decoration basis key: (a, j) represents x^a / h^j; j = 0 is the monomial x^a,
 # and for j >= 1 the numerator satisfies a < deg h.
@@ -419,8 +419,6 @@ def in_span(cands: Sequence[Elem], target: Elem) -> bool:
         return False
     F = target.bigraph.field
     support, rows = elem_coordinates(list(cands) + [target])
-    from .scalars import linalg
-
     span_rows = rows[:-1]
     vec = rows[-1]
     return linalg.row_space_contains(F, span_rows, vec)

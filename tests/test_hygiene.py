@@ -1,7 +1,8 @@
 """Source hygiene of the package, checked with the standard-library `ast`:
-no unused top-level imports, no module draws on `random` (every decision
-the library makes is deterministic), and no handler swallows every error.
-Every source file is plain ASCII."""
+no unused top-level imports, no function-local import from a module the
+file already imports at top level, no module draws on `random` (every
+decision the library makes is deterministic), and no handler swallows every
+error.  Every source file is plain ASCII."""
 
 import ast
 import functools
@@ -48,6 +49,27 @@ def _unused_top_level_imports(tree):
 def test_no_unused_top_level_imports():
     offenders = {str(p.relative_to(SRC)): _unused_top_level_imports(_tree(p))
                  for p in MODULES}
+    assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def _local_imports_of_top_level_modules(tree):
+    """Line numbers of imports below the top level that draw on a module the
+    file already imports at top level."""
+    def modules(node):
+        if isinstance(node, ast.ImportFrom):
+            return {(node.level, node.module)}
+        if isinstance(node, ast.Import):
+            return {(0, a.name) for a in node.names}
+        return set()
+
+    top = set().union(*(modules(n) for n in tree.body))
+    return sorted(node.lineno for stmt in tree.body if not modules(stmt)
+                  for node in ast.walk(stmt) if modules(node) & top)
+
+
+def test_no_local_import_from_a_top_level_module():
+    offenders = {str(p.relative_to(SRC)): _local_imports_of_top_level_modules(_tree(p))
+                 for p in sorted(SRC.rglob("*.py"))}
     assert {k: v for k, v in offenders.items() if v} == {}
 
 

@@ -2,10 +2,7 @@ import itertools
 
 import pytest
 
-from ditalg.admissible import (
-    AdmissibleError, build_admissible, recompute_triangular_filtrations,
-    reduce_admissible,
-)
+from ditalg.admissible import AdmissibleError, build_admissible, reduce_admissible
 from ditalg.bigraph import Bigraph, Factor
 from ditalg.fixtures import ex1, ex2, exi, exk, exa, exq, exr, exx
 from ditalg.interlace import certify
@@ -14,7 +11,7 @@ from ditalg.modcat import (
     in_hom, iso_test, simple_at, zero_morphism,
 )
 from ditalg.reduce import (
-    ReductionError, absorb, compose_functors, delete_idempotents,
+    ReductionError, absorb, change_solid_basis, compose_functors, delete_idempotents,
     deletion_image_characterization, detach_source, detached_is_product,
     factor_out, is_source_point, regularize,
 )
@@ -195,6 +192,42 @@ def test_absorb_guard_nonzero_delta():
     certify(d)
     with pytest.raises(ReductionError):
         absorb(d, "a")  # not a loop
+
+
+# -- base change of a solid arm ------------------------------------------------------
+
+def _kronecker_arm(d, coeffs):
+    """new arrows u_i = c_i0 a + c_i1 b on the Kronecker arm 1 -> 2."""
+    from ditalg.tensor import Elem
+
+    b = d.bigraph
+    return [(nm, Elem.arrow(b, "a", F3.from_int(ca)) + Elem.arrow(b, "b", F3.from_int(cb)))
+            for nm, (ca, cb) in zip(("u", "v"), coeffs)]
+
+
+def test_change_solid_basis_hom_dims():
+    d = exk(F3)
+    certify(d)
+    nd, f = change_solid_basis(d, "1", "2", _kronecker_arm(d, [(1, 2), (1, 1)]))
+    assert f.kind == "basechange"
+    assert sorted(a.name for a in nd.bigraph.solid_arrows()) == ["u", "v"]
+    reps = classes_up_to_iso(nd, all_reps_small(nd, 1, F3))
+    assert len(reps) > 4
+    for N in reps:
+        # u acts as a + 2b and v as a + b on the source module
+        M = f(N)
+        assert M.arrow_ops["a"] + M.arrow_ops["b"].scale(F3.from_int(2)) == N.arrow_ops["u"]
+        assert M.arrow_ops["a"] + M.arrow_ops["b"] == N.arrow_ops["v"]
+    for N1 in reps:
+        for N2 in reps:
+            assert hom_dim(nd, N1, N2) == hom_dim(d, f(N1), f(N2))
+
+
+def test_change_solid_basis_rejects_singular_matrix():
+    d = exk(F3)
+    certify(d)
+    with pytest.raises(ReductionError):
+        change_solid_basis(d, "1", "2", _kronecker_arm(d, [(1, 1), (2, 2)]))
 
 
 # -- admissible reduction ------------------------------------------------------------
