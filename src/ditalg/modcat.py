@@ -1111,8 +1111,9 @@ def decompose(dit: Dit, M: Rep) -> List[Rep]:
     return [E.M for E in _decompose(EndAlgebra(dit, M))]
 
 
-def _indec_iso(E: EndAlgebra, N: Rep) -> Optional[MorphismPair]:
-    """An isomorphism M -> N for M = E.M indecomposable (E local), or None.
+def _indec_iso(E: EndAlgebra, N: Rep, homMN=None) -> Optional[MorphismPair]:
+    """An isomorphism M -> N for M = E.M indecomposable (E local), or None;
+    `homMN` is a basis of Hom(M,N) when the caller has one.
 
     Isomorphic M and N have dim Hom(M,N) = dim End(M), which is tested
     first.  Then a basis scan is exact: if phi: M -> N is an isomorphism,
@@ -1123,7 +1124,8 @@ def _indec_iso(E: EndAlgebra, N: Rep) -> Optional[MorphismPair]:
     dit, M = E.dit, E.M
     if M.dim_vector() != N.dim_vector():
         return None
-    homMN = hom(dit, M, N)
+    if homMN is None:
+        homMN = hom(dit, M, N)
     if len(homMN) != E.dim:
         return None
     for f in homMN:
@@ -1136,13 +1138,15 @@ def iso_test(dit: Dit, M: Rep, N: Rep) -> bool:
     """Exact isomorphism decision.  Isomorphic M and N have equal dim
     Hom(M,N), dim Hom(N,M), dim End M and dim End N, so unequal ones reject:
     dim End M by the End algebra that the decomposition of M starts from, the
-    other three by ranks.  An indecomposable M is then decided by
-    `_indec_iso`, any other M by Krull-Schmidt matching of the summands."""
+    other two by ranks and dim Hom(M,N) by the kernel whose basis
+    `_indec_iso` scans when M is indecomposable.  Any other M is decided by
+    Krull-Schmidt matching of the summands."""
     if M.dim_vector() != N.dim_vector():
         return False
     if M.is_zero():
         return True
-    d = hom_dim(dit, M, N)
+    hom_vecs, _ = _hom_space(dit, M, N)
+    d = len(hom_vecs)
     if any(hom_dim(dit, X, Y) != d for X, Y in ((N, M), (N, N))):
         return False
     E = EndAlgebra(dit, M)
@@ -1150,7 +1154,8 @@ def iso_test(dit: Dit, M: Rep, N: Rep) -> bool:
         return False
     parts_m = _decompose(E)
     if len(parts_m) == 1:
-        return _indec_iso(parts_m[0], N) is not None
+        homMN = [_vector_to_pair(dit, M, N, v) for v in hom_vecs]
+        return _indec_iso(parts_m[0], N, homMN) is not None
     parts_n = decompose(dit, N)
     if len(parts_m) != len(parts_n):
         return False

@@ -1,20 +1,26 @@
 """Bounded-dimension reduction driver: source recursion with detachment
 lifting, the stellar phase, the generic seminested loop, classification of
 indecomposables up to a dimension bound, and emission of the parametrizing
-bimodules."""
+bimodules.
+
+Every plan step except an arm base change is applied through its
+`StepSpec` (`_step`), the same path as the source lift and
+`ditalg reduce --plan`; an arm base change has no spec and is recorded as
+`PlanStep(None, ...)`."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .admissible import _sub_bigraph_dit, build_admissible, reduce_admissible
+from .admissible import _sub_bigraph_dit
 from .bimodule import generic_regular, push_generic
 from .interlace import Dit, certify, recompute_triangular_filtrations
 from .modcat import DecomposableError, IsoClassIndex, ModcatError, Rep, jordan_at, simple_at
 from .reduce import (
-    ReductionError, ReductionFunctor, StepSpec, absorb, change_solid_basis,
-    compose_functors, delete_idempotents, factor_out, regularize, rep_spec,
+    ReductionError, ReductionFunctor, StepSpec, change_solid_basis, compose_functors,
+    delete_idempotents, rep_spec,
 )
 from .scalars import (
     LocalizedRing, LocElt, ModulePresentation, Poly, factor as poly_factor,
@@ -61,10 +67,6 @@ class ReductionPlan:
             return None
         return compose_functors([s.functor for s in self.steps])
 
-    def apply(self, N: Rep) -> Rep:
-        comp = self.composite()
-        return N if comp is None else comp.apply_rep(N)
-
     def log(self) -> List[str]:
         return [f"{i}: {s.functor.kind} ({s.note})" for i, s in enumerate(self.steps)]
 
@@ -76,63 +78,53 @@ def is_minimal(dit: Dit) -> bool:
 # -- ideal shape helpers ---------------------------------------------------------
 
 
+def _point_ideal_gcd(dit: Dit, p: str, ring: LocalizedRing) -> Tuple[Poly, bool]:
+    """The gcd of the numerators of the length-zero (p, p) parts of the ideal
+    generators over `ring`, and whether a longer (p, p) word occurs."""
+    acc, longer = Poly.zero(dit.field), False
+    for g in dit.ideal.generators:
+        for w, c in g.component(p, p).terms.items():
+            if w.length() != 0:
+                longer = True
+            else:
+                acc = acc.gcd(key_to_locelt(ring, w.coeffs[0]).num.scale(c))
+    return acc, longer
+
+
 def point_in_ideal(dit: Dit, p: str) -> bool:
     """e_p lies in I iff the length-zero (p, p) part of the generators spans a
     unit ideal of the point factor (word lengths add, so only length-zero
     generator parts can witness an idempotent)."""
-    b = dit.bigraph
-    F = b.field
-    ring = b.factor_ring(p)
-    use_ring = ring if ring is not None else LocalizedRing(F, ())
-    acc = Poly.zero(F)
-    for g in dit.ideal.generators:
-        comp = g.component(p, p)
-        for w, c in comp.terms.items():
-            if w.length() != 0:
-                continue
-            e = key_to_locelt(use_ring, w.coeffs[0])
-            acc = acc.gcd(e.num.scale(c))
-    if acc.is_zero():
-        return False
-    return strip_h_factors(acc, use_ring.h).is_constant()
+    ring = dit.bigraph.factor_ring(p) or LocalizedRing(dit.field, ())
+    acc, _ = _point_ideal_gcd(dit, p, ring)
+    return not acc.is_zero() and strip_h_factors(acc, ring.h).is_constant()
 
 
 def ideal_point_polynomial(dit: Dit, p: str) -> Optional[Poly]:
     """Generator of the (p, p) ring part of I at a rational point: the gcd of
     the length-zero components of the ideal generators, inverted factors
     stripped; None when that part vanishes."""
-    b = dit.bigraph
-    ring = b.factor_ring(p)
+    ring = dit.bigraph.factor_ring(p)
     if ring is None:
         return None
-    vals = []
-    for g in dit.ideal.generators:
-        comp = g.component(p, p)
-        for w, c in comp.terms.items():
-            if w.length() != 0:
-                raise PipelineError("mixed-length ideal component at a point")
-            e = key_to_locelt(ring, w.coeffs[0])
-            vals.append(LocElt(ring, e.num.scale(c), e.den_exp))
-    if not vals:
+    acc, longer = _point_ideal_gcd(dit, p, ring)
+    if longer:
+        raise PipelineError("mixed-length ideal component at a point")
+    if acc.is_zero():
         return None
-    acc = Poly.zero(b.field)
-    for v in vals:
-        acc = acc.gcd(v.num)
     acc = strip_h_factors(acc, ring.h)
-    if acc.is_constant():
-        # a unit: the whole point dies; treat as the idempotent case upstream
-        return Poly.one(b.field)
-    return acc.monic()
+    # a unit: the whole point dies; treat as the idempotent case upstream
+    return Poly.one(dit.field) if acc.is_constant() else acc.monic()
 
 
-def torsion_blocks(F, h: Poly, ring: LocalizedRing, bound: int) -> List[Tuple[str, Poly]]:
+def torsion_blocks(h: Poly, ring: LocalizedRing, bound: int) -> List[Poly]:
     """Indecomposable modules of k[x]_g/(h^bound): companion blocks of
     irreducible powers pi^s with pi | h, s <= bound * multiplicity."""
     out = []
     for pi, mult in poly_factor(h):
         if not strip_h_factors(pi, ring.h).is_constant():
             for s in range(1, bound * mult + 1):
-                out.append((f"{pi}^{s}", pi ** s))
+                out.append(pi ** s)
     return out
 
 
@@ -209,20 +201,43 @@ def _stopped_at(ctx: dict, dit: Dit) -> Tuple[Dit, List[PlanStep]]:
     return (steps[-1].functor.target if steps else start), steps
 
 
-def _admissible_step(dit: Dit, b_arrows, findim_reps, regular_specs, ctx,
-                     note: str) -> Tuple[Dit, PlanStep]:
-    spec = StepSpec("admissible", {
-        "b_arrows": list(b_arrows),
-        "findim": [(lbl, rep_spec(r)) for lbl, r in findim_reps],
-        "regular": list(regular_specs),
-        "check": False,
-    })
-    adm = build_admissible(dit, list(b_arrows),
-                           findim=list(findim_reps), regular=list(regular_specs),
-                           check=False)
-    nd, f = reduce_admissible(dit, adm, name=_fresh(ctx, f"{dit.name}.X"))
+def _step(ctx: dict, steps: List[PlanStep], cur: Dit, spec: StepSpec, suffix: str,
+          note: str) -> Dit:
+    """Apply `spec` to `cur` as the next plan step, named `cur.name + suffix`
+    and a fresh number; raises what `StepSpec.apply` raises before spending."""
+    nd, f = spec.apply(cur, name=_fresh(ctx, cur.name + suffix))
     _spend(ctx)
-    return nd, PlanStep(spec, f, note)
+    steps.append(PlanStep(spec, f, note))
+    return nd
+
+
+def _delete_dead_points(ctx: dict, steps: List[PlanStep], cur: Dit) -> Dit:
+    """Delete the points whose idempotent lies in I until none does."""
+    while True:
+        dead = [p for p in cur.bigraph.point_order if point_in_ideal(cur, p)]
+        if not dead:
+            return cur
+        kept = [p for p in cur.bigraph.point_order if p not in dead]
+        cur = _step(ctx, steps, cur, StepSpec("deletion", {"kept": kept}), ".d",
+                    f"delete ideal idempotents {dead}")
+
+
+def _torsion_step(ctx: dict, steps: List[PlanStep], cur: Dit, blocks, regular,
+                  note: str, center: Optional[str] = None) -> Dit:
+    """One admissible step with no B-arrows: the companion blocks of the
+    torsion modules of h^bound at each (point, h, bound) of `blocks`, a
+    regular summand at each (point, inverted) of `regular` with the extra
+    inverted polynomials, and the untouched `center`."""
+    sub = _sub_bigraph_dit(cur, [])
+    findim = [(_fresh(ctx, "z"), rep_spec(companion_rep(sub, p, modulus)))
+              for p, h, bound in blocks
+              for modulus in torsion_blocks(h, cur.bigraph.factor_ring(p), bound)]
+    regulars = [(_fresh(ctx, f"r_{p}_"), p, inverted) for p, inverted in regular]
+    if center is not None:
+        regulars.append((center, center, ()))
+    spec = StepSpec("admissible", {"b_arrows": [], "findim": findim, "regular": regulars,
+                                   "check": False})
+    return _step(ctx, steps, cur, spec, ".X", note)
 
 
 def stellar_to_seminested(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], Dit]:
@@ -237,19 +252,11 @@ def stellar_to_seminested(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], 
         guard += 1
         if guard > 60:
             raise PipelineError("stellar phase failed to make progress")
-        b = cur.bigraph
+        # idempotents inside I die first
+        cur = _delete_dead_points(ctx, steps, cur)
         if cur.ideal.is_zero():
             return _close_steps(ctx, steps), cur
-        # idempotents inside I die first
-        dead = [p for p in b.point_order if point_in_ideal(cur, p)]
-        if dead:
-            kept = [p for p in b.point_order if p not in set(dead)]
-            nd, f = delete_idempotents(cur, kept, name=_fresh(ctx, f"{cur.name}.d"))
-            _spend(ctx)
-            steps.append(PlanStep(StepSpec("deletion", {"kept": kept}), f,
-                                  f"delete ideal idempotents {dead}"))
-            cur = nd
-            continue
+        b = cur.bigraph
         # case 1: I meets a rational factor (no star structure required)
         case1 = {}
         for p in b.point_order:
@@ -257,19 +264,9 @@ def stellar_to_seminested(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], 
             if h0 is not None and not h0.is_one():
                 case1[p] = h0
         if case1:
-            findim = []
-            for p, h0 in case1.items():
-                ring = b.factor_ring(p)
-                for lbl, modulus in torsion_blocks(b.field, h0, ring, 1):
-                    findim.append((_fresh(ctx, "z"), companion_rep(
-                        _sub_bigraph_dit(cur, []), p, modulus)))
-            regulars = []
-            for p in b.point_order:
-                if p not in case1:
-                    regulars.append((_fresh(ctx, f"r_{p}_"), p, ()))
-            cur, step = _admissible_step(cur, [], findim, regulars, ctx,
-                                         f"case-1 torsion split at {sorted(case1)}")
-            steps.append(step)
+            cur = _torsion_step(ctx, steps, cur, [(p, h0, 1) for p, h0 in case1.items()],
+                                [(p, ()) for p in b.point_order if p not in case1],
+                                f"case-1 torsion split at {sorted(case1)}")
             continue
 
         center = stellar_center(cur)
@@ -291,49 +288,29 @@ def stellar_to_seminested(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], 
             gen_cols, ring = _arm_ideal_columns(cur, center, p, arm)
             if not gen_cols:
                 continue
-            if ring is not None:
-                pres = ModulePresentation.make(ring, len(arm), [])
-                res = localize_to_free(pres, [gen_cols])
-                if not res.h.is_one():
-                    needs_localization.append((p, res.h))
-                    continue
-                arm_data[p] = (arm, res.layer_bases[0], res.layer_bases[1], ring)
+            pres = ModulePresentation.make(ring or LocalizedRing(b.field, ()), len(arm), [])
+            res = localize_to_free(pres, [gen_cols])
+            if not res.h.is_one():
+                needs_localization.append((p, res.h))
             else:
-                arm_data[p] = (arm, None, None, None)
+                arm_data[p] = (arm, ring, res.layer_bases)
         if needs_localization:
-            findim = []
-            for p, h in needs_localization:
-                ring = b.factor_ring(p)
-                for lbl, modulus in torsion_blocks(b.field, h, ring, d):
-                    findim.append((_fresh(ctx, "z"), companion_rep(
-                        _sub_bigraph_dit(cur, []), p, modulus)))
-            regulars = []
-            for p in b.point_order:
-                if p == center:
-                    continue
-                extra = [h for q, h in needs_localization if q == p]
-                regulars.append((_fresh(ctx, f"r_{p}_"), p, tuple(extra)))
-            regulars.append((center, center, ()))
-            cur, step = _admissible_step(cur, [], findim, regulars, ctx,
-                                         "case-2 localization "
-                                         f"h = {[str(h) for _, h in needs_localization]}")
-            steps.append(step)
+            cur = _torsion_step(
+                ctx, steps, cur, [(p, h, d) for p, h in needs_localization],
+                [(p, tuple(h for q, h in needs_localization if q == p))
+                 for p in b.point_order if p != center],
+                f"case-2 localization h = {[str(h) for _, h in needs_localization]}",
+                center=center)
             continue
         # base-change every arm so the ideal part is an arrow subset, then factor out
         ideal_arrows: List[str] = []
-        for p, (arm, bi, bfull, ring) in arm_data.items():
-            sel, nd, step = _arm_base_change(cur, center, p, arm, ring, ctx)
-            if step is not None:
-                steps.append(step)
-                cur = nd
+        for p, (arm, ring, bases) in arm_data.items():
+            sel, cur = _arm_base_change(ctx, steps, cur, center, p, arm, ring, bases)
             ideal_arrows.extend(sel)
         if not ideal_arrows:
             return _close_steps(ctx, steps), cur
-        nd, f = factor_out(cur, ideal_arrows, name=_fresh(ctx, f"{cur.name}.q"))
-        _spend(ctx)
-        steps.append(PlanStep(StepSpec("factor_out", {"solid": ideal_arrows}), f,
-                              f"factor out the ideal arrows {ideal_arrows}"))
-        cur = nd
+        cur = _step(ctx, steps, cur, StepSpec("factor_out", {"solid": ideal_arrows}), ".q",
+                    f"factor out the ideal arrows {ideal_arrows}")
         # after factoring out, the ideal is zero: loop exits on the next pass
 
 
@@ -372,21 +349,14 @@ def _arm_ideal_columns(dit: Dit, center: str, p: str, arm: List[str]):
     return cols, ring
 
 
-def _arm_base_change(dit: Dit, center: str, p: str, arm: List[str], ring, ctx):
-    """Base-change one arm so the ideal part becomes a leading arrow subset.
-    Returns (ideal_arrow_names, new_dit, PlanStep-or-None)."""
+def _arm_base_change(ctx: dict, steps: List[PlanStep], dit: Dit, center: str, p: str,
+                     arm: List[str], ring, bases) -> Tuple[List[str], Dit]:
+    """Base-change one arm so the ideal part becomes a leading arrow subset,
+    given the localized bases (ideal part, whole arm) of the arm's ideal
+    columns.  Returns (ideal_arrow_names, new_dit); a base change is recorded
+    with no spec."""
     b = dit.bigraph
-    F = b.field
-    gen_cols, ring2 = _arm_ideal_columns(dit, center, p, arm)
-    if not gen_cols:
-        return [], dit, None
-    use_ring = ring2 if ring2 is not None else LocalizedRing(F, ())
-    pres = ModulePresentation.make(use_ring, len(arm), [])
-    res = localize_to_free(pres, [gen_cols])
-    if not res.h.is_one():
-        raise PipelineError("arm still needs localization")
-    basis_i = res.layer_bases[0]
-    basis_full = res.layer_bases[1]
+    basis_i, basis_full = bases
     # if the ideal part is already spanned by plain arrows, skip the base change
     plain = []
     for vec in basis_i:
@@ -397,7 +367,7 @@ def _arm_base_change(dit: Dit, center: str, p: str, arm: List[str], ring, ctx):
             plain = None
             break
     if plain is not None and len(plain) == len(basis_i):
-        return plain, dit, None
+        return plain, dit
 
     new_arrows = []
     sel_names = []
@@ -407,10 +377,10 @@ def _arm_base_change(dit: Dit, center: str, p: str, arm: List[str], ring, ctx):
         for i, c in enumerate(vec):
             if c.is_zero():
                 continue
-            if ring2 is None:
+            if ring is None:
                 comb = comb + Elem.arrow(b, arm[i], c.coeff(0))
             else:
-                dec = Elem.decorated(b, p, LocElt(ring2, c, 0))
+                dec = Elem.decorated(b, p, LocElt(ring, c, 0))
                 comb = comb + dec * Elem.arrow(b, arm[i])
         new_arrows.append((nm, comb))
         if k < len(basis_i):
@@ -418,8 +388,8 @@ def _arm_base_change(dit: Dit, center: str, p: str, arm: List[str], ring, ctx):
     nd, f = change_solid_basis(dit, center, p, new_arrows,
                                name=_fresh(ctx, f"{dit.name}.b"))
     _spend(ctx)
-    step = PlanStep(None, f, f"arm base change at {p}")
-    return sel_names, nd, step
+    steps.append(PlanStep(None, f, f"arm base change at {p}"))
+    return sel_names, nd
 
 
 # -- the generic seminested loop ------------------------------------------------------
@@ -433,12 +403,9 @@ def _prune_heavy_points(cur: Dit, d: int, ctx: dict, steps: List[PlanStep]) -> D
              if cur.point_weights.get(p, 1) > d]
     if not heavy:
         return cur
-    kept = [p for p in cur.bigraph.point_order if p not in set(heavy)]
-    nd, f = delete_idempotents(cur, kept, name=_fresh(ctx, f"{cur.name}.w"))
-    _spend(ctx)
-    steps.append(PlanStep(StepSpec("deletion", {"kept": kept}), f,
-                          f"prune points beyond the dimension bound: {heavy}"))
-    return nd
+    kept = [p for p in cur.bigraph.point_order if p not in heavy]
+    return _step(ctx, steps, cur, StepSpec("deletion", {"kept": kept}), ".w",
+                 f"prune points beyond the dimension bound: {heavy}")
 
 
 def seminested_loop(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], Dit]:
@@ -467,11 +434,9 @@ def seminested_loop(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], Dit]:
             if dv.is_zero() or any(w.length() != 1 for w in dv.terms):
                 continue
             try:
-                nd, f = regularize(cur, [arr.name], name=_fresh(ctx, f"{cur.name}.r"))
-                _spend(ctx)
-                steps.append(PlanStep(StepSpec("regularization", {"solid": [arr.name]}),
-                                      f, f"regularize {arr.name}"))
-                cur = nd
+                cur = _step(ctx, steps, cur,
+                            StepSpec("regularization", {"solid": [arr.name]}), ".r",
+                            f"regularize {arr.name}")
                 did = True
                 break
             except ReductionError:
@@ -479,8 +444,11 @@ def seminested_loop(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], Dit]:
                 if loc is None:
                     continue
                 point, h = loc
-                cur, step = _localize_point(cur, point, h, d, ctx)
-                steps.append(step)
+                # invert h, keeping bounded-dimension coverage by adjoining
+                # the torsion blocks of h^d
+                cur = _torsion_step(ctx, steps, cur, [(point, h, d)],
+                                    [(p, (h,) if p == point else ()) for p in b.point_order],
+                                    f"localize {point} at {h}")
                 did = True
                 break
         if did:
@@ -490,11 +458,8 @@ def seminested_loop(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], Dit]:
         for arr in ordered:
             if arr.source == arr.target and cur.delta.of_arrow(arr.name).is_zero() \
                     and b.factor(arr.source).is_trivial:
-                nd, f = absorb(cur, arr.name, name=_fresh(ctx, f"{cur.name}.a"))
-                _spend(ctx)
-                steps.append(PlanStep(StepSpec("absorption", {"loop": arr.name}), f,
-                                      f"absorb loop {arr.name}"))
-                cur = nd
+                cur = _step(ctx, steps, cur, StepSpec("absorption", {"loop": arr.name}),
+                            ".a", f"absorb loop {arr.name}")
                 did = True
                 break
         if did:
@@ -518,8 +483,7 @@ def seminested_loop(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], Dit]:
                     "over rational factors is outside the implemented calculus")
             raise PipelineError(
                 "stuck: no regularizable, absorbable, or reducible solid arrow")
-        cur, step = _edge_reduction(cur, pick.name, ctx)
-        steps.append(step)
+        cur = _edge_reduction(ctx, steps, cur, pick.name)
 
 
 def _localization_for_pivot(dit: Dit, arrow: str, dv: Elem):
@@ -552,25 +516,7 @@ def _localization_for_pivot(dit: Dit, arrow: str, dv: Elem):
     return None
 
 
-def _localize_point(dit: Dit, point: str, h: Poly, d: int, ctx) -> Tuple[Dit, PlanStep]:
-    """Invert h at a rational point, keeping bounded-dimension coverage by
-    adjoining the torsion blocks of h^d."""
-    b = dit.bigraph
-    ring = b.factor_ring(point)
-    findim = []
-    for lbl, modulus in torsion_blocks(b.field, h, ring, d):
-        findim.append((_fresh(ctx, "z"),
-                       companion_rep(_sub_bigraph_dit(dit, []), point, modulus)))
-    regulars = []
-    for p in b.point_order:
-        extra = (h,) if p == point else ()
-        regulars.append((_fresh(ctx, f"r_{p}_"), p, extra))
-    nd, step = _admissible_step(dit, [], findim, regulars, ctx,
-                                f"localize {point} at {h}")
-    return nd, step
-
-
-def _edge_reduction(dit: Dit, arrow: str, ctx) -> Tuple[Dit, PlanStep]:
+def _edge_reduction(ctx: dict, steps: List[PlanStep], dit: Dit, arrow: str) -> Dit:
     b = dit.bigraph
     arr = b.arrow(arrow)
     b_dit = _sub_bigraph_dit(dit, [arrow])
@@ -579,10 +525,13 @@ def _edge_reduction(dit: Dit, arrow: str, ctx) -> Tuple[Dit, PlanStep]:
     p1 = Rep(b_dit, {p: (1 if p in (arr.source, arr.target) else 0)
                      for p in b.point_order})
     p1.arrow_ops[arrow] = Mat(b.field, 1, 1, [[b.field.one]])
-    findim = [(_fresh(ctx, "s"), s1), (_fresh(ctx, "s"), s2), (_fresh(ctx, "e"), p1)]
+    findim = [(_fresh(ctx, "s"), rep_spec(s1)), (_fresh(ctx, "s"), rep_spec(s2)),
+              (_fresh(ctx, "e"), rep_spec(p1))]
     regulars = [(_fresh(ctx, f"r_{p}_"), p, ()) for p in b.point_order
                 if p not in (arr.source, arr.target)]
-    return _admissible_step(dit, [arrow], findim, regulars, ctx, f"edge reduction at {arrow}")
+    spec = StepSpec("admissible", {"b_arrows": [arrow], "findim": findim,
+                                   "regular": regulars, "check": False})
+    return _step(ctx, steps, dit, spec, ".X", f"edge reduction at {arrow}")
 
 
 # -- the main driver -------------------------------------------------------------------
@@ -605,20 +554,9 @@ def reduce_to_minimal(dit: Dit, d: int, budget: int = 200):
 
 def _reduce_rec(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], Dit]:
     steps = _open_steps(ctx, start=dit)
-    cur = dit
-    certify(cur)
-
+    certify(dit)
     # ideal idempotents die first
-    while True:
-        dead = [p for p in cur.bigraph.point_order if point_in_ideal(cur, p)]
-        if not dead:
-            break
-        kept = [p for p in cur.bigraph.point_order if p not in set(dead)]
-        nd, f = delete_idempotents(cur, kept, name=_fresh(ctx, f"{cur.name}.d"))
-        _spend(ctx)
-        steps.append(PlanStep(StepSpec("deletion", {"kept": kept}), f,
-                              f"delete ideal idempotents {dead}"))
-        cur = nd
+    cur = _delete_dead_points(ctx, steps, dit)
 
     if is_minimal(cur):
         return _close_steps(ctx, steps), cur
@@ -650,11 +588,8 @@ def _reduce_rec(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], Dit]:
         for sub in sub_steps:
             if sub.spec is None:
                 raise PipelineError("unliftable step in recursion")
-            lifted = sub.spec.lifted_over_source(source)
-            nd, f = lifted.apply(cur, name=_fresh(ctx, f"{cur.name}.l"))
-            _spend(ctx)
-            steps.append(PlanStep(lifted, f, f"lifted {sub.note}"))
-            cur = nd
+            cur = _step(ctx, steps, cur, sub.spec.lifted_over_source(source), ".l",
+                        f"lifted {sub.note}")
 
     # now every solid arrow starts at the source: the stellar phase
     if cur.bigraph.solid_arrows():
@@ -774,57 +709,44 @@ def classify(dit: Dit, d: int, budget: int = 200,
     return report
 
 
-
-
-def _brute_feasible(dit: Dit, d: int) -> bool:
-    import itertools
-
+def _shapes(dit: Dit, d: int):
+    """Each dimension vector of total dimension 1..d, with one
+    (at_point, name, rows, cols) slot per solid arrow's matrix and per
+    rational point's operator."""
     b = dit.bigraph
     pts = b.point_order
-    worst = 0
+    arrows = b.solid_arrows()
+    rational = [p for p in pts if not b.factor(p).is_trivial]
     for dims in itertools.product(range(d + 1), repeat=len(pts)):
         if not 0 < sum(dims) <= d:
             continue
         dimmap = dict(zip(pts, dims))
-        total = sum(dimmap[a.target] * dimmap[a.source] for a in b.solid_arrows())
-        total += sum(dimmap[p] ** 2 for p in pts if not b.factor(p).is_trivial)
-        worst = max(worst, total)
+        yield dimmap, ([(False, a.name, dimmap[a.target], dimmap[a.source]) for a in arrows]
+                       + [(True, p, dimmap[p], dimmap[p]) for p in rational])
+
+
+def _brute_feasible(dit: Dit, d: int) -> bool:
+    worst = max((sum(r * c for _, _, r, c in slots) for _, slots in _shapes(dit, d)),
+                default=0)
     return dit.field.char ** worst <= 10 ** 6
 
 
 def brute_force_indecomposables(dit: Dit, d: int) -> List[Rep]:
     """Exhaustive enumeration of indecomposables with total dimension <= d
     over a finite field, up to isomorphism."""
-    import itertools
-
-    b = dit.bigraph
     F = dit.field
-    pts = b.point_order
     index = IsoClassIndex(dit)
-    for dims in itertools.product(range(d + 1), repeat=len(pts)):
-        if not 0 < sum(dims) <= d:
-            continue
-        dimmap = dict(zip(pts, dims))
-        arrows = [a for a in b.solid_arrows()]
-        shapes = [(dimmap[a.target], dimmap[a.source]) for a in arrows]
-        rational = [p for p in pts if not b.factor(p).is_trivial]
-        rshapes = [(dimmap[p], dimmap[p]) for p in rational]
-        counts = [r * c for r, c in shapes] + [r * c for r, c in rshapes]
-        total = sum(counts)
+    for dimmap, slots in _shapes(dit, d):
+        total = sum(r * c for _, _, r, c in slots)
         if F.char ** total > 10 ** 6:
             raise PipelineError("brute force space too large")
         for vals in itertools.product(range(F.char), repeat=total):
             rep = Rep(dit, dict(dimmap))
             off = 0
-            for a, (r, c) in zip(arrows, shapes):
-                rep.arrow_ops[a.name] = Mat(F, r, c,
-                                            [[F.from_int(vals[off + i * c + j])
-                                              for j in range(c)] for i in range(r)])
-                off += r * c
-            for p, (r, c) in zip(rational, rshapes):
-                rep.point_ops[p] = Mat(F, r, c,
-                                       [[F.from_int(vals[off + i * c + j])
-                                         for j in range(c)] for i in range(r)])
+            for at_point, name, r, c in slots:
+                (rep.point_ops if at_point else rep.arrow_ops)[name] = Mat(
+                    F, r, c, [[F.from_int(vals[off + i * c + j]) for j in range(c)]
+                              for i in range(r)])
                 off += r * c
             if rep.validate() is not None:
                 continue

@@ -1,15 +1,13 @@
 """Exact field, polynomial, and linear-algebra kernel."""
 
 from .fields import Field, FieldError, PrimeField, RationalField, QQ, field_from_name, is_prime
-from .poly import Poly, factor, is_irreducible, squarefree_decomposition
+from .poly import Poly, factor, squarefree_decomposition
 from . import linalg
 from .smith import (
-    invariant_factors,
     poly_identity,
     poly_mat_mul,
     poly_det,
     poly_kernel_basis,
-    poly_mat_rank,
     smith_normal_form,
 )
 from .localize import (
@@ -26,10 +24,10 @@ from .localize import (
 __all__ = [
     "Field", "FieldError", "PrimeField", "RationalField", "QQ",
     "field_from_name", "is_prime",
-    "Poly", "factor", "is_irreducible", "squarefree_decomposition",
+    "Poly", "factor", "squarefree_decomposition",
     "linalg",
-    "invariant_factors", "poly_identity", "poly_mat_mul", "poly_det",
-    "poly_kernel_basis", "poly_mat_rank", "smith_normal_form",
+    "poly_identity", "poly_mat_mul", "poly_det", "poly_kernel_basis",
+    "smith_normal_form",
     "LocalizedRing", "LocElt", "LocalizationResult", "ModulePresentation",
     "in_localized_span", "independent_over_localization", "localize_to_free",
     "strip_h_factors",

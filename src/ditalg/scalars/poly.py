@@ -585,10 +585,3 @@ def factor(f: Poly) -> List[Tuple[Poly, int]]:
     if isinstance(f.field, RationalField):
         return _factor_rationals(f)
     raise TypeError(f"unsupported field {f.field!r}")
-
-
-def is_irreducible(f: Poly) -> bool:
-    if f.degree < 1:
-        return False
-    fs = factor(f)
-    return len(fs) == 1 and fs[0][1] == 1 and fs[0][0].degree == f.degree

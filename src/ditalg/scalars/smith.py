@@ -163,19 +163,6 @@ def smith_normal_form(F: Field, m: PolyMatrix) -> Tuple[PolyMatrix, PolyMatrix, 
     return P, a, Q
 
 
-def invariant_factors(F: Field, m: PolyMatrix) -> List[Poly]:
-    _, d, _ = smith_normal_form(F, m)
-    out = []
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        if not d[i][i].is_zero():
-            out.append(d[i][i])
-    return out
-
-
-def poly_mat_rank(F: Field, m: PolyMatrix) -> int:
-    return len(invariant_factors(F, m))
-
-
 def poly_kernel_basis(F: Field, m: PolyMatrix) -> List[List[Poly]]:
     """Basis of the k[x]-module of column vectors v with m*v = 0."""
     rows = len(m)

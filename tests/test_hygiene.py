@@ -2,7 +2,8 @@
 no unused top-level imports, no function-local import from a module the
 file already imports at top level, no module draws on `random` (every
 decision the library makes is deterministic), and no handler swallows every
-error.  Every source file is plain ASCII."""
+error.  Every source file is plain ASCII.  The reduction driver names none
+of the reductions that a `StepSpec` dispatches to."""
 
 import ast
 import functools
@@ -117,3 +118,17 @@ def test_sources_are_ascii():
             if bad:
                 offenders[str(p.relative_to(SRC))] = bad
     assert offenders == {}
+
+
+def test_pipeline_applies_steps_through_specs():
+    tree = _tree(SRC / "pipeline.py")
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update({node.name, node.asname})
+    assert names & {"regularize", "absorb", "factor_out", "build_admissible",
+                    "reduce_admissible"} == set()

@@ -381,6 +381,24 @@ def test_iso_invariant_under_conjugation():
     assert iso_test(d, M, N)
 
 
+def test_iso_test_solves_hom_m_n_once(monkeypatch):
+    # the basis of Hom(M, N) that sizes the hom-dimension reject is the one
+    # `_indec_iso` scans, so the (M, N) system is built and solved once
+    d = exk(F5)
+    certify(d)
+    M, N = kron_rep(d, 1, 2), kron_rep(d, 3, 1)              # N = 3 M
+    assert is_indecomposable(d, M)
+    real, calls = modcat._u_condition_rows, []
+
+    def counting(dit, A, B, *args):
+        calls.append((A, B))
+        return real(dit, A, B, *args)
+
+    monkeypatch.setattr(modcat, "_u_condition_rows", counting)
+    assert iso_test(d, M, N)
+    assert sum(A is M and B is N for A, B in calls) == 1
+
+
 # -- rational points -----------------------------------------------------------
 
 def test_jordan_blocks_at_rational_point():

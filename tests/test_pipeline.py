@@ -5,13 +5,14 @@ from ditalg.bimodule import (
     NCPoly, WildCertificate, generic_regular, push_generic, specialize_jordan,
     verify_wild_certificate,
 )
-from ditalg.fixtures import ex1, ex2, exi, exk, stellar_case1, stellar_case2
+from ditalg.fixtures import ex1, ex2, exi, exk, exl, stellar_case1, stellar_case2
 from ditalg.interlace import certify
 from ditalg.modcat import Rep, hom_dim, is_indecomposable, iso_test, jordan_at, simple_at
 from ditalg.pipeline import (
     Obstruction, brute_force_indecomposables, classify, is_minimal,
     reduce_to_minimal, stellar_to_seminested,
 )
+from ditalg.reduce import structural_equal
 from ditalg.scalars import PrimeField, Poly
 from ditalg.scalars.linalg import Mat
 
@@ -139,6 +140,22 @@ def test_stellar_case1_full_flow():
     assert sorted(r.dim_vector() for r in rep.indecomposables) == \
         sorted(o.dim_vector() for o in oracle)
     assert rep.brute_residue == []
+
+
+def test_plan_steps_replay_through_their_specs():
+    # each recorded spec rebuilds its step's target from the step's source
+    replays = 0
+    for fixture, F, d in ((exk, F3, 4), (exl, F2, 4), (stellar_case1, F3, 3),
+                          (stellar_case2, F3, 2)):
+        out = reduce_to_minimal(fixture(F), d)
+        assert isinstance(out, Obstruction) == (fixture is stellar_case2)
+        steps = out.steps if isinstance(out, Obstruction) else out[0].steps
+        for step in steps:
+            if step.spec is not None:
+                target, _ = step.spec.apply(step.functor.source)
+                assert structural_equal(target, step.functor.target), step.note
+                replays += 1
+    assert replays > 60
 
 
 def test_stellar_case2_produces_summand_witness():
