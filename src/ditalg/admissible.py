@@ -5,22 +5,26 @@ and an admissible B-module X with End(X)^op = S (+) P, S a product of trivial
 and rational factors and P the radical part.  The reduced presentation has
 solid arrows nu (x) w (x) x, dashed arrows nu (x) w (x) x and P*-duals, and
 the differential is assembled from the comultiplication mu and the maps
-lambda and rho induced by the P-action, with the sigma expansion carrying
-products across.
+lambda and rho induced by the P-action.  The sigma expansion carries products
+across: sigma(delta(w)) is expanded once per source arrow w and read at every
+pair of dual basis vectors, and the functor F^X is built from the sigma
+matrix of each letter.  The x-heights that weight the reduced ideal are
+bounded by dim P + 1, which holds exactly when P is nilpotent.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .bigraph import Bigraph, Factor
 from .interlace import Dit, IdealData, inherit_certificates, recompute_triangular_filtrations
 from .modcat import (
-    DecomposableError, EndAlgebra, IsoClassIndex, MorphismPair, Rep, compose, direct_sum,
-    zero_morphism,
+    DecomposableError, EndAlgebra, IsoClassIndex, MorphismPair, Rep, _convolve, compose,
+    direct_sum, pair_to_vector, zero_morphism,
 )
-from .reduce import ReductionFunctor
+from .reduce import ReductionFunctor, RepData
 from .scalars import LocalizedRing, LocElt, Poly, linalg
 from .scalars.linalg import Mat
 from .tensor import Differential, Elem, Layer, UNIT
@@ -74,11 +78,6 @@ class RadBasisElement:
     pair: MorphismPair
     dom: Summand
     cod: Summand
-    depth: int = 1
-
-    @property
-    def label(self) -> str:
-        return f"g{self.index}"
 
 
 @dataclass
@@ -92,19 +91,11 @@ class AdmissibleModuleData:
     # multiplication data
     p_products: List[List[List]]     # coords of p_i . p_j over the p-basis
     x_p_action: List[List[List]]     # coords of x_i . p_j over the x-basis
-    ell_x: int = 1
-    ell_p: int = 1
+    ell_x: int = 1                   # the largest x-height
 
     @property
     def c_x(self) -> int:
         return len(self.x_basis)
-
-    def s_points(self) -> List[Tuple[str, Factor]]:
-        src = self.dit.bigraph
-        return [(s.label, s.s_factor(src)) for s in self.summands]
-
-    def x_basis_at(self, point: str) -> List[DualBasisElement]:
-        return [x for x in self.x_basis if x.point == point]
 
 
 def _sub_bigraph_dit(dit: Dit, b_arrows: Sequence[str]) -> Dit:
@@ -118,16 +109,28 @@ def _sub_bigraph_dit(dit: Dit, b_arrows: Sequence[str]) -> Dit:
     return Dit(layer, Differential(layer, {}), IdealData(), name=f"{dit.name}|B")
 
 
+def _host(b_dit: Dit, rep: Union[Rep, RepData]) -> Rep:
+    """A B-representation (a Rep over any presentation of B, or the RepData
+    of one) as a Rep over b_dit."""
+    if isinstance(rep, Rep) and rep.dit is b_dit:
+        return rep
+    b = b_dit.bigraph
+    return Rep(b_dit, {p: rep.dims.get(p, 0) for p in b.point_order},
+               {a.name: rep.arrow_ops[a.name] for a in b.solid_arrows()
+                if a.name in rep.arrow_ops},
+               dict(rep.point_ops))
+
+
 def build_admissible(dit: Dit, b_arrows: Sequence[str],
-                     findim: Sequence[Tuple[str, Rep]] = (),
+                     findim: Sequence[Tuple[str, Union[Rep, RepData]]] = (),
                      regular: Sequence[Tuple[str, str, Sequence[Poly]]] = (),
                      check: bool = True) -> AdmissibleModuleData:
     """Assemble admissible data.
 
     findim: (label, B-representation) pairs, pairwise non-isomorphic
-    indecomposables.  regular: (label, point, extra_inverted) case-2 summands;
-    the B-arrows must act as zero there, so regular summands may not sit at an
-    arrow endpoint.
+    indecomposables, each hosted on B's own presentation.  regular: (label,
+    point, extra_inverted) case-2 summands; the B-arrows must act as zero
+    there, so regular summands may not sit at an arrow endpoint.
     """
     b = dit.bigraph
     F = b.field
@@ -137,28 +140,18 @@ def build_admissible(dit: Dit, b_arrows: Sequence[str],
         if not dit.delta.of_arrow(name).is_zero():
             raise AdmissibleError(f"delta({name}) must vanish for the subalgebra")
     b_dit = _sub_bigraph_dit(dit, b_arrows)
-    endpoint_pts = set()
-    for name in b_arrows:
-        endpoint_pts.add(b.arrow(name).source)
-        endpoint_pts.add(b.arrow(name).target)
+    endpoint_pts = {p for name in b_arrows for p in (b.arrow(name).source, b.arrow(name).target)}
 
-    summands: List[Summand] = []
-    for label, rep in findim:
-        if rep.dit is not b_dit:
-            rep = Rep(b_dit, dict(rep.dims),
-                      {a: m for a, m in rep.arrow_ops.items() if a in set(b_arrows)},
-                      dict(rep.point_ops))
-        summands.append(Summand("findim", label, rep=rep))
+    summands = [Summand("findim", label, rep=_host(b_dit, rep)) for label, rep in findim]
     for label, point, extra in regular:
         if point in endpoint_pts:
             raise AdmissibleError("regular summands may not sit at a B-arrow endpoint")
         summands.append(Summand("regular", label, point=point,
                                 extra_inverted=tuple(p.monic() for p in extra)))
+    findim_summands = [s for s in summands if s.kind == "findim"]
     if check:
         index = IsoClassIndex(b_dit)
-        for s in summands:
-            if s.kind != "findim":
-                continue
+        for s in findim_summands:
             try:
                 new = index.add(s.rep)
             except DecomposableError:
@@ -175,231 +168,120 @@ def build_admissible(dit: Dit, b_arrows: Sequence[str],
                     x_basis.append(DualBasisElement(len(x_basis), s, p, c))
         else:
             x_basis.append(DualBasisElement(len(x_basis), s, s.point, 0))
+    x_at = {p: [x for x in x_basis if x.point == p] for p in b.point_order}
 
-    # radical of End_B(Z), Z = findim part, with hom-component basis
-    findim_summands = [s for s in summands if s.kind == "findim"]
-    p_basis: List[RadBasisElement] = []
-    if findim_summands:
-        Z = direct_sum([s.rep for s in findim_summands])
-        offs: Dict[str, List[int]] = {}
-        for p in b.point_order:
-            offs[p] = [0]
-            for s in findim_summands:
-                offs[p].append(offs[p][-1] + s.rep.dims[p])
-        E = EndAlgebra(b_dit, Z)
-        # split each radical element into (dom, cod)-summand components
-        comp_map: Dict[Tuple[int, int], List[MorphismPair]] = {}
-        for vec in E.rad:
-            f = E.from_coordinates(vec)
-            for si, s_dom in enumerate(findim_summands):
-                for sj, s_cod in enumerate(findim_summands):
-                    piece = zero_morphism(s_dom.rep, s_cod.rep)
-                    nonzero = False
-                    for p in b.point_order:
-                        blk = f.f0[p].submatrix(offs[p][sj], offs[p][sj + 1],
-                                                offs[p][si], offs[p][si + 1])
-                        piece.f0[p] = blk
-                        if not blk.is_zero():
-                            nonzero = True
-                    if nonzero:
-                        comp_map.setdefault((si, sj), []).append(piece)
-        # independent spanning set per component
-        for (si, sj), pieces in sorted(comp_map.items()):
-            vecs = []
-            kept = []
-            for piece in pieces:
-                flat = []
-                for p in b.point_order:
-                    for row in piece.f0[p].data:
-                        flat.extend(row)
-                if not vecs or not linalg.row_space_contains(F, vecs, flat):
-                    vecs.append(flat)
-                    kept.append(piece)
-            for piece in kept:
-                p_basis.append(RadBasisElement(len(p_basis), piece,
-                                               findim_summands[si], findim_summands[sj]))
+    p_basis = _radical_basis(b_dit, findim_summands)
 
-    adm = AdmissibleModuleData(dit=dit, b_arrows=tuple(b_arrows), b_dit=b_dit,
-                               summands=summands, x_basis=x_basis, p_basis=p_basis,
-                               p_products=[], x_p_action=[])
-    _fill_structure(adm)
-    _fill_heights(adm)
+    def action(x: DualBasisElement, pj: RadBasisElement) -> List:
+        """x . p_j = p_j(x) over the x-basis."""
+        out = [F.zero] * len(x_basis)
+        if x.summand is pj.dom:
+            col = pj.pair.f0[x.point].data
+            for y in x_at[x.point]:
+                if y.summand is pj.cod:
+                    out[y.index] = col[y.coordinate][x.coordinate]
+        return out
+
+    adm = AdmissibleModuleData(
+        dit=dit, b_arrows=tuple(b_arrows), b_dit=b_dit, summands=summands, x_basis=x_basis,
+        p_basis=p_basis, p_products=_products(b_dit, p_basis),
+        x_p_action=[[action(x, pj) for pj in p_basis] for x in x_basis])
+    adm.ell_x = _fill_heights(adm)
     if check:
-        _verify_identities(adm)
+        _verify_associative(F, adm.p_products)
     return adm
 
 
-def _fill_structure(adm: AdmissibleModuleData):
-    """Structure constants: p_i p_j over the p-basis (op-composition
-    p_j after p_i as functions x -> p_j(p_i(x))) and x_i p_j = p_j(x_i)."""
-    F = adm.dit.field
-    b = adm.dit.bigraph
-    n_p = len(adm.p_basis)
-    n_x = len(adm.x_basis)
+def _radical_basis(b_dit: Dit, summands: List[Summand]) -> List[RadBasisElement]:
+    """A basis of P, the radical of End_B(Z) for Z the sum of the findim
+    summands, made of the (dom, cod)-summand components of its elements."""
+    if not summands:
+        return []
+    F, pts = b_dit.field, b_dit.bigraph.point_order
+    E = EndAlgebra(b_dit, direct_sum([s.rep for s in summands]))
+    offs = {p: list(itertools.accumulate([0] + [s.rep.dims[p] for s in summands]))
+            for p in pts}
+    pieces: Dict[Tuple[int, int], List[MorphismPair]] = {}
+    for vec in E.rad:
+        f = E.from_coordinates(vec)
+        for (si, dom), (sj, cod) in itertools.product(enumerate(summands), repeat=2):
+            piece = zero_morphism(dom.rep, cod.rep)
+            for p in pts:
+                piece.f0[p] = f.f0[p].submatrix(offs[p][sj], offs[p][sj + 1],
+                                                offs[p][si], offs[p][si + 1])
+            if not piece.is_zero():
+                pieces.setdefault((si, sj), []).append(piece)
+    basis: List[RadBasisElement] = []
+    for (si, sj), group in sorted(pieces.items()):
+        dom, cod = summands[si], summands[sj]
+        rows: List[List] = []
+        for piece in group:
+            vec = pair_to_vector(b_dit, dom.rep, cod.rep, piece)
+            if not linalg.row_space_contains(F, rows, vec):
+                rows.append(vec)
+                basis.append(RadBasisElement(len(basis), piece, dom, cod))
+    return basis
 
-    def apply_p(pj: RadBasisElement, x: DualBasisElement) -> List:
-        out = [F.zero] * n_x
-        if x.summand is not pj.dom:
-            return out
-        col = pj.pair.f0[x.point].data
-        # image vector of the x-th basis vector of dom at x.point
-        for x2 in adm.x_basis:
-            if x2.summand is pj.cod and x2.point == x.point:
-                out[x2.index] = col[x2.coordinate][x.coordinate]
-        return out
 
-    adm.x_p_action = [[apply_p(pj, xi) for pj in adm.p_basis] for xi in adm.x_basis]
-
-    def flat(mp: MorphismPair, dom: Summand, cod: Summand) -> List:
-        v = []
-        for p in b.point_order:
-            for row in mp.f0[p].data:
-                v.extend(row)
-        return v
-
-    adm.p_products = []
-    for pi in adm.p_basis:
+def _products(b_dit: Dit, p_basis: List[RadBasisElement]) -> List[List[List]]:
+    """Coordinates of p_i p_j over the p-basis: the op-composition p_j after
+    p_i, as functions x -> p_j(p_i(x))."""
+    F = b_dit.field
+    table = []
+    for pi in p_basis:
         row = []
-        for pj in adm.p_basis:
-            coords = [F.zero] * n_p
+        for pj in p_basis:
+            coords = [F.zero] * len(p_basis)
             if pi.cod is pj.dom:
-                comp = compose(adm.b_dit, pj.pair, pi.pair, pi.dom.rep,
-                               pi.cod.rep, pj.cod.rep)
-                cands = [pk for pk in adm.p_basis
-                         if pk.dom is pi.dom and pk.cod is pj.cod]
-                if cands and not all(m.is_zero() for m in comp.f0.values()):
-                    mat_rows = [flat(pk.pair, pk.dom, pk.cod) for pk in cands]
-                    target = flat(comp, pi.dom, pj.cod)
-                    sol = linalg.solve(F, linalg.transpose(mat_rows), target)
+                comp = compose(b_dit, pj.pair, pi.pair, pi.dom.rep, pi.cod.rep, pj.cod.rep)
+                if not comp.is_zero():
+                    cands = [pk for pk in p_basis if pk.dom is pi.dom and pk.cod is pj.cod]
+                    cols = [pair_to_vector(b_dit, pk.dom.rep, pk.cod.rep, pk.pair)
+                            for pk in cands]
+                    sol = linalg.solve(F, linalg.transpose(cols),
+                                       pair_to_vector(b_dit, pi.dom.rep, pj.cod.rep, comp))
                     if sol is None:
                         raise AdmissibleError("radical products escape the radical basis")
                     for pk, c in zip(cands, sol):
                         coords[pk.index] = c
             row.append(coords)
-        adm.p_products.append(row)
+        table.append(row)
+    return table
 
 
-def _fill_heights(adm: AdmissibleModuleData):
-    """Depths from the P-power filtration: depth(p) = largest m with
-    p in P^(m); x-heights = minimal m with x . P^(m) = 0."""
+def _fill_heights(adm: AdmissibleModuleData) -> int:
+    """Set each x-height, the least m >= 1 with x . P^m = 0, and return the
+    largest.  P acts faithfully on X, so every height is at most dim P + 1
+    exactly when P is nilpotent."""
     F = adm.dit.field
-    n_p = len(adm.p_basis)
-    if n_p == 0:
-        adm.ell_p = 1
-        for x in adm.x_basis:
-            x.height = 1
-        adm.ell_x = 1
-        return
-    # power filtration in coordinates
-    full = [[F.one if i == j else F.zero for i in range(n_p)] for j in range(n_p)]
-    powers = [full]
-    cur = full
-    while cur:
-        nxt = []
-        for a in cur:
-            for jj in range(n_p):
-                prod = [F.zero] * n_p
-                for ii in range(n_p):
-                    if F.is_zero(a[ii]):
-                        continue
-                    coords = adm.p_products[ii][jj]
-                    for k in range(n_p):
-                        prod[k] = F.add(prod[k], F.mul(a[ii], coords[k]))
-                nxt.append(prod)
-        red, piv = linalg.rref(F, nxt) if nxt else ([], [])
-        cur = [red[i] for i in range(len(piv))]
-        if cur:
-            powers.append(cur)
-        if len(powers) > n_p + 1:
-            raise AdmissibleError("P is not nilpotent")
-    adm.ell_p = len(powers)
-    for pb in adm.p_basis:
-        vec = [F.one if i == pb.index else F.zero for i in range(n_p)]
-        depth = 1
-        for m in range(1, len(powers)):
-            if linalg.row_space_contains(F, powers[m], vec):
-                depth = m + 1
-        pb.depth = depth
-
-    # x-heights: minimal m with x annihilated by all products of m p's
-    def x_killed_by(x: DualBasisElement, m: int) -> bool:
-        frontier = {x.index: F.one}
-        for _ in range(m):
-            nxt: Dict[int, object] = {}
-            for xi, c in frontier.items():
-                for pj in range(n_p):
-                    vec = adm.x_p_action[xi][pj]
-                    for k, v in enumerate(vec):
-                        if not F.is_zero(v):
-                            nxt[k] = F.add(nxt.get(k, F.zero), F.mul(c, v))
-            frontier = {k: v for k, v in nxt.items() if not F.is_zero(v)}
-            if not frontier:
-                return True
-        return not frontier
-
-    maxh = 1
+    n_x, n_p = len(adm.x_basis), len(adm.p_basis)
+    acts = [[adm.x_p_action[i][j] for i in range(n_x)] for j in range(n_p)]
     for x in adm.x_basis:
-        m = 1
-        while not x_killed_by(x, m):
+        span = [[F.one if i == x.index else F.zero for i in range(n_x)]]
+        m = 0
+        while span:
+            if m > n_p:
+                raise AdmissibleError("P is not nilpotent")
+            rows = [r for a in acts for r in linalg.mul(F, span, a)]
+            red, piv = linalg.rref(F, rows) if rows else ([], [])
+            span = red[:len(piv)]
             m += 1
         x.height = m
-        maxh = max(maxh, m)
-    adm.ell_x = maxh
+    return max((x.height for x in adm.x_basis), default=1)
 
 
-def _verify_identities(adm: AdmissibleModuleData):
-    """Dual-basis identities and coassociativity of mu, checked exactly."""
-    F = adm.dit.field
-    n_p = len(adm.p_basis)
-    # dual basis for X is coordinate-dual by construction; the P identity
-    # sum_j p_j gamma_j(p) = p translates to coordinates being coordinates.
-    # mu coassociativity: (mu (x) 1) mu = (1 (x) mu) mu on every gamma;
-    # in coordinates this is associativity of the p-multiplication.
-    for i in range(n_p):
-        for j in range(n_p):
-            for k in range(n_p):
-                left = [F.zero] * n_p
-                mid = adm.p_products[i][j]
-                for t in range(n_p):
-                    if F.is_zero(mid[t]):
-                        continue
-                    more = adm.p_products[t][k]
-                    for s in range(n_p):
-                        left[s] = F.add(left[s], F.mul(mid[t], more[s]))
-                right = [F.zero] * n_p
-                mid2 = adm.p_products[j][k]
-                for t in range(n_p):
-                    if F.is_zero(mid2[t]):
-                        continue
-                    more = adm.p_products[i][t]
-                    for s in range(n_p):
-                        right[s] = F.add(right[s], F.mul(mid2[t], more[s]))
-                if left != right:
-                    raise AdmissibleError("P multiplication is not associative")
+def _verify_associative(F, table: List[List[List]]):
+    """(p_i p_j) p_k = p_i (p_j p_k) for the P multiplication table, checked
+    exactly: the coassociativity of mu, in coordinates."""
+    n = len(table)
+    unit = [[F.one if i == j else F.zero for j in range(n)] for i in range(n)]
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if (_convolve(F, table, table[i][j], unit[k], n)
+                != _convolve(F, table, unit[i], table[j][k], n)):
+            raise AdmissibleError("P multiplication is not associative")
 
 
 # -- the reduced presentation ---------------------------------------------------
-
-
-def _arrow_name(kind: str, w: str, u: DualBasisElement, v: DualBasisElement) -> str:
-    return f"{w}[{u.label};{v.label}]"
-
-
-@dataclass
-class AdmissibleMaps:
-    adm: AdmissibleModuleData
-    target: Bigraph
-    solid_names: Dict[Tuple[str, int, int], str]
-    dashed_names: Dict[Tuple[str, int, int], str]
-    gamma_names: Dict[int, str]
-
-    def arrow_elem(self, w_name: str, u: int, v: int, dashed: bool) -> Elem:
-        key = (w_name, u, v)
-        name = self.dashed_names[key] if dashed else self.solid_names[key]
-        return Elem.arrow(self.target, name)
-
-    def gamma_elem(self, j: int) -> Elem:
-        return Elem.arrow(self.target, self.gamma_names[j])
 
 
 def _convert_decoration(tgt_ring: LocalizedRing, src_ring: LocalizedRing,
@@ -418,27 +300,31 @@ def _convert_decoration(tgt_ring: LocalizedRing, src_ring: LocalizedRing,
 
 class SigmaExpander:
     """sigma_{nu,x}: T -> T^X computed letter-by-letter as a matrix over the
-    reduced algebra, indexed by the dual basis of X."""
+    reduced algebra, indexed by the dual basis of X.  `names` maps
+    (w, u, v) to the target arrow nu_u (x) w (x) x_v; `x_at` lists the dual
+    basis vectors at each source point."""
 
-    def __init__(self, adm: AdmissibleModuleData, maps: AdmissibleMaps):
+    def __init__(self, adm: AdmissibleModuleData, target: Bigraph,
+                 names: Dict[Tuple[str, int, int], str],
+                 x_at: Dict[str, List[DualBasisElement]]):
         self.adm = adm
-        self.maps = maps
+        self.target = target
+        self.names = names
+        self.x_at = x_at
         self.F = adm.dit.field
         self.n = len(adm.x_basis)
 
-    def _scalar_entry(self, value, u: DualBasisElement) -> Elem:
-        """A scalar in the u-summand's S-factor as a decorated idempotent."""
-        tgt = self.maps.target
-        return Elem.idempotent(tgt, u.summand.label, value)
+    def _zero(self) -> List[List[Optional[Elem]]]:
+        return [[None] * self.n for _ in range(self.n)]
+
+    def arrow_elem(self, w: str, u: DualBasisElement, v: DualBasisElement) -> Elem:
+        return Elem.arrow(self.target, self.names[w, u.index, v.index])
 
     def letter_decoration(self, point: str, key) -> List[List[Optional[Elem]]]:
         """Matrix of sigma on a decoration c e_point."""
-        adm, F = self.adm, self.F
-        tgt = self.maps.target
-        out: List[List[Optional[Elem]]] = [[None] * self.n for _ in range(self.n)]
-        for v in adm.x_basis:
-            if v.point != point:
-                continue
+        adm, F, tgt = self.adm, self.F, self.target
+        out = self._zero()
+        for v in self.x_at[point]:
             s = v.summand
             if s.kind == "regular":
                 tgt_ring = tgt.factor_ring(s.label)
@@ -452,42 +338,32 @@ class SigmaExpander:
                 out[v.index][v.index] = Elem.decorated(tgt, s.label, val)
             else:
                 act = s.rep.decoration_action(point, key)
-                for u in adm.x_basis:
-                    if u.summand is s and u.point == point:
+                for u in self.x_at[point]:
+                    if u.summand is s:
                         c = act.data[u.coordinate][v.coordinate]
                         if not F.is_zero(c):
-                            out[u.index][v.index] = self._scalar_entry(c, u)
+                            out[u.index][v.index] = Elem.idempotent(tgt, s.label, c)
         return out
 
     def letter_arrow(self, name: str) -> List[List[Optional[Elem]]]:
-        adm, F = self.adm, self.F
-        b = adm.dit.bigraph
-        arr = b.arrow(name)
-        out: List[List[Optional[Elem]]] = [[None] * self.n for _ in range(self.n)]
-        if name in adm.b_arrows:
-            # B acts on X: scalar entries
-            for v in adm.x_basis:
-                if v.point != arr.source or v.summand.kind != "findim":
-                    continue
-                act = v.summand.rep.arrow_ops[name]
-                for u in adm.x_basis:
-                    if u.summand is v.summand and u.point == arr.target:
-                        c = act.data[u.coordinate][v.coordinate]
-                        if not F.is_zero(c):
-                            out[u.index][v.index] = self._scalar_entry(c, u)
-            return out
-        for v in adm.x_basis:
-            if v.point != arr.source:
-                continue
-            for u in adm.x_basis:
-                if u.point == arr.target:
-                    out[u.index][v.index] = self.maps.arrow_elem(
-                        name, u.index, v.index, arr.dashed)
+        """Matrix of sigma on an arrow: scalar entries where B acts on X,
+        the arrows nu_u (x) w (x) x_v otherwise."""
+        arr = self.adm.dit.bigraph.arrow(name)
+        in_b = name in self.adm.b_arrows
+        out = self._zero()
+        for v in self.x_at[arr.source]:
+            for u in self.x_at[arr.target]:
+                if not in_b:
+                    out[u.index][v.index] = self.arrow_elem(name, u, v)
+                elif u.summand is v.summand and v.summand.kind == "findim":
+                    c = v.summand.rep.arrow_ops[name].data[u.coordinate][v.coordinate]
+                    if not self.F.is_zero(c):
+                        out[u.index][v.index] = Elem.idempotent(self.target, u.summand.label, c)
         return out
 
     def expand(self, elem: Elem) -> List[List[Optional[Elem]]]:
         """Full sigma matrix of an element of the source algebra."""
-        total: List[List[Optional[Elem]]] = [[None] * self.n for _ in range(self.n)]
+        total = self._zero()
         b = self.adm.dit.bigraph
         for w, coeff in elem.terms.items():
             pts = w.path(b)
@@ -505,7 +381,7 @@ class SigmaExpander:
         return total
 
     def _mat_mul(self, a, c):
-        out: List[List[Optional[Elem]]] = [[None] * self.n for _ in range(self.n)]
+        out = self._zero()
         for i in range(self.n):
             for k in range(self.n):
                 if a[i][k] is None:
@@ -525,99 +401,57 @@ def reduce_admissible(dit: Dit, adm: AdmissibleModuleData,
     """Build (A^X, I^X) and the functor F^X."""
     b = dit.bigraph
     F = b.field
-    sel = set(adm.b_arrows)
-    w0_rest = [a for a in b.solid_arrows() if a.name not in sel]
-    w1_src = list(b.dashed_arrows())
+    x_at = {p: [x for x in adm.x_basis if x.point == p] for p in b.point_order}
+    arrows = ([a for a in b.solid_arrows() if a.name not in adm.b_arrows]
+              + list(b.dashed_arrows()))
 
-    tgt_points = adm.s_points()
-    solid_names: Dict[Tuple[str, int, int], str] = {}
-    dashed_names: Dict[Tuple[str, int, int], str] = {}
-    gamma_names: Dict[int, str] = {}
-    solid_decl = []
-    dashed_decl = []
-    for a in w0_rest:
-        for v in adm.x_basis:
-            if v.point != a.source:
-                continue
-            for u in adm.x_basis:
-                if u.point != a.target:
-                    continue
-                nm = _arrow_name("s", a.name, u, v)
-                solid_names[(a.name, u.index, v.index)] = nm
-                solid_decl.append((nm, v.summand.label, u.summand.label))
-    for a in w1_src:
-        for v in adm.x_basis:
-            if v.point != a.source:
-                continue
-            for u in adm.x_basis:
-                if u.point != a.target:
-                    continue
-                nm = _arrow_name("d", a.name, u, v)
-                dashed_names[(a.name, u.index, v.index)] = nm
-                dashed_decl.append((nm, v.summand.label, u.summand.label))
-    for pb in adm.p_basis:
-        nm = f"g[{pb.index}]"
-        gamma_names[pb.index] = nm
-        dashed_decl.append((nm, pb.dom.label, pb.cod.label))
-
-    tgt = Bigraph(F, tgt_points, solid=solid_decl, dashed=dashed_decl)
-    maps = AdmissibleMaps(adm, tgt, solid_names, dashed_names, gamma_names)
-    sigma = SigmaExpander(adm, maps)
+    names: Dict[Tuple[str, int, int], str] = {}
+    decl: Dict[bool, List[Tuple[str, str, str]]] = {False: [], True: []}
+    for a in arrows:
+        for v in x_at[a.source]:
+            for u in x_at[a.target]:
+                nm = names[a.name, u.index, v.index] = f"{a.name}[{u.label};{v.label}]"
+                decl[a.dashed].append((nm, v.summand.label, u.summand.label))
+    gamma_names = [f"g[{pb.index}]" for pb in adm.p_basis]
+    decl[True] += [(nm, pb.dom.label, pb.cod.label) for nm, pb in zip(gamma_names, adm.p_basis)]
+    tgt = Bigraph(F, [(s.label, s.s_factor(b)) for s in adm.summands],
+                  solid=decl[False], dashed=decl[True])
+    sigma = SigmaExpander(adm, tgt, names, x_at)
+    gamma = [Elem.arrow(tgt, nm) for nm in gamma_names]
 
     delta_values: Dict[str, Elem] = {}
     # gamma differentials: mu
-    for pk in adm.p_basis:
+    for k, nm in enumerate(gamma_names):
         acc = Elem.zero(tgt)
-        for pi in adm.p_basis:
-            for pj in adm.p_basis:
-                c = adm.p_products[pi.index][pj.index][pk.index]
-                if not F.is_zero(c):
-                    acc = acc + (maps.gamma_elem(pj.index) * maps.gamma_elem(pi.index)).scale(c)
-        delta_values[gamma_names[pk.index]] = acc
+        for i, j in itertools.product(range(len(gamma)), repeat=2):
+            c = adm.p_products[i][j][k]
+            if not F.is_zero(c):
+                acc = acc + (gamma[j] * gamma[i]).scale(c)
+        delta_values[nm] = acc
 
-    def arrow_delta(a, u: DualBasisElement, v: DualBasisElement, dashed: bool) -> Elem:
-        deg = 1 if dashed else 0
-        acc = Elem.zero(tgt)
-        # lambda(nu_u) (x) w (x) x_v
-        for pb in adm.p_basis:
-            for xi in adm.x_basis:
-                c = adm.x_p_action[xi.index][pb.index][u.index]
-                if F.is_zero(c):
-                    continue
-                if xi.point != a.target:
-                    continue
-                inner = maps.arrow_elem(a.name, xi.index, v.index, dashed)
-                acc = acc + (maps.gamma_elem(pb.index) * inner).scale(c)
-        # sigma_{nu_u, x_v}(delta(w))
-        dvals = dit.delta.of_arrow(a.name)
-        if not dvals.is_zero():
-            mat = sigma.expand(dvals)
-            if mat[u.index][v.index] is not None:
-                acc = acc + mat[u.index][v.index]
-        # (-1)^{deg w + 1} nu_u (x) w (x) rho(x_v)
-        sign = F.one if (deg + 1) % 2 == 0 else F.neg(F.one)
-        for pb in adm.p_basis:
-            vec = adm.x_p_action[v.index][pb.index]
-            for xi in adm.x_basis:
-                c = vec[xi.index]
-                if F.is_zero(c):
-                    continue
-                if xi.point != a.source:
-                    continue
-                inner = maps.arrow_elem(a.name, u.index, xi.index, dashed)
-                acc = acc + (inner * maps.gamma_elem(pb.index)).scale(F.mul(sign, c))
-        return acc
-
-    for a in w0_rest:
-        for (an, ui, vi), nm in solid_names.items():
-            if an != a.name:
-                continue
-            delta_values[nm] = arrow_delta(a, adm.x_basis[ui], adm.x_basis[vi], False)
-    for a in w1_src:
-        for (an, ui, vi), nm in dashed_names.items():
-            if an != a.name:
-                continue
-            delta_values[nm] = arrow_delta(a, adm.x_basis[ui], adm.x_basis[vi], True)
+    for a in arrows:
+        dw = dit.delta.of_arrow(a.name)
+        sig = None if dw.is_zero() else sigma.expand(dw)
+        sign = F.one if a.dashed else F.neg(F.one)        # (-1)^(deg w + 1)
+        for v in x_at[a.source]:
+            for u in x_at[a.target]:
+                acc = Elem.zero(tgt)
+                # lambda(nu_u) (x) w (x) x_v
+                for j, g in enumerate(gamma):
+                    for y in x_at[a.target]:
+                        c = adm.x_p_action[y.index][j][u.index]
+                        if not F.is_zero(c):
+                            acc = acc + (g * sigma.arrow_elem(a.name, y, v)).scale(c)
+                # sigma_{nu_u, x_v}(delta(w))
+                if sig is not None and sig[u.index][v.index] is not None:
+                    acc = acc + sig[u.index][v.index]
+                # (-1)^(deg w + 1) nu_u (x) w (x) rho(x_v)
+                for j, g in enumerate(gamma):
+                    for y in x_at[a.source]:
+                        c = adm.x_p_action[v.index][j][y.index]
+                        if not F.is_zero(c):
+                            acc = acc + (sigma.arrow_elem(a.name, u, y) * g).scale(F.mul(sign, c))
+                delta_values[names[a.name, u.index, v.index]] = acc
 
     # triangular filtrations from dependency order (checked afterwards)
     layer = Layer(tgt)
@@ -629,76 +463,54 @@ def reduce_admissible(dit: Dit, adm: AdmissibleModuleData,
     weighted: List[Tuple[int, Elem]] = []
     for g in dit.ideal.generators:
         mat = sigma.expand(g)
-        for uu in range(len(adm.x_basis)):
-            for vv in range(len(adm.x_basis)):
-                if mat[uu][vv] is not None and not mat[uu][vv].is_zero():
-                    ideal_gens.append(mat[uu][vv])
-                    m = adm.x_basis[uu].height + 2 * adm.ell_x + adm.x_basis[vv].height
-                    weighted.append((m, mat[uu][vv]))
-    filtration = None
-    if weighted:
-        filtration = []
-        acc: List[Elem] = []
-        for m in sorted({m for m, _ in weighted}):
-            acc = acc + [e for mm, e in weighted if mm == m]
-            filtration.append(list(acc))
+        for u, v in itertools.product(adm.x_basis, repeat=2):
+            e = mat[u.index][v.index]
+            if e is not None and not e.is_zero():
+                ideal_gens.append(e)
+                weighted.append((u.height + 2 * adm.ell_x + v.height, e))
+    weighted.sort(key=lambda t: t[0])
+    filtration = [[e for m, e in weighted if m <= top]
+                  for top in sorted({m for m, _ in weighted})] or None
     new_dit = Dit(layer, delta, IdealData(ideal_gens, filtration),
                   name=name or f"{dit.name}^X")
     recompute_triangular_filtrations(new_dit)
     inherit_certificates(dit, new_dit)
     old_w = getattr(dit, "point_weights", {}) or {}
     for s in adm.summands:
-        w = 0
-        for x in adm.x_basis:
-            if x.summand is s:
-                w += old_w.get(x.point, 1)
-        new_dit.point_weights[s.label] = w
+        new_dit.point_weights[s.label] = sum(old_w.get(x.point, 1)
+                                             for x in adm.x_basis if x.summand is s)
 
-    # ---- functor data ----
-    x_order: Dict[str, List[DualBasisElement]] = {p: adm.x_basis_at(p) for p in b.point_order}
+    # ---- functor data: the nonzero entries of sigma of each letter ----
+    def entries(mat, src: str, dst: str) -> List[Tuple[int, int, Elem]]:
+        """(row, column, entry) with the positions in x_at[dst] and x_at[src]."""
+        return [(ri, ci, e) for ri, u in enumerate(x_at[dst]) for ci, v in enumerate(x_at[src])
+                if (e := mat[u.index][v.index]) is not None and not e.is_zero()]
 
-    def block_offsets(N: Rep, p: str):
-        offs = [0]
-        for x in x_order[p]:
-            offs.append(offs[-1] + N.dims[x.summand.label])
-        return offs
+    point_sigma = {p: entries(sigma.letter_decoration(p, (1, 0)), p, p)
+                   for p in b.point_order if not b.factor(p).is_trivial}
+    arrow_sigma = {a.name: entries(sigma.letter_arrow(a.name), a.source, a.target)
+                   for a in b.solid_arrows()}
 
-    sigma_x_cache: Dict[str, list] = {}
+    def offsets(N: Rep, p: str) -> List[int]:
+        return list(itertools.accumulate([0] + [N.dims[x.summand.label] for x in x_at[p]]))
 
-    def sigma_x_action(p: str):
-        if p not in sigma_x_cache:
-            sigma_x_cache[p] = sigma.letter_decoration(p, (1, 0))
-        return sigma_x_cache[p]
-
-    def _assemble_blocks(N: Rep, src_p: str, tgt_p: str, mat) -> Mat:
-        rows_x = x_order[tgt_p]
-        cols_x = x_order[src_p]
-        roffs = block_offsets(N, tgt_p)
-        coffs = block_offsets(N, src_p)
+    def assemble(N: Rep, src: str, dst: str, ents) -> Mat:
+        roffs, coffs = offsets(N, dst), offsets(N, src)
         out = Mat(N.ring, roffs[-1], coffs[-1])
-        for ri, u in enumerate(rows_x):
-            for ci, v in enumerate(cols_x):
-                e = mat[u.index][v.index]
-                if e is None or e.is_zero():
-                    continue
-                blk = N.elem_action(e, v.summand.label, u.summand.label)
-                for i in range(blk.rows):
-                    for j in range(blk.cols):
-                        out.data[roffs[ri] + i][coffs[ci] + j] = blk.data[i][j]
+        for ri, ci, e in ents:
+            blk = N.elem_action(e, x_at[src][ci].summand.label, x_at[dst][ri].summand.label)
+            for i, row in enumerate(blk.data):
+                out.data[roffs[ri] + i][coffs[ci]:coffs[ci + 1]] = row
         return out
 
-    def apply_rep_real(N: Rep) -> Rep:
-        dims = {p: block_offsets(N, p)[-1] for p in b.point_order}
-        M = Rep(dit, dims, ring=N.ring)
-        for p in b.point_order:
-            if not b.factor(p).is_trivial:
-                M.point_ops[p] = _assemble_blocks(N, p, p, sigma_x_action(p))
+    def apply_rep(N: Rep) -> Rep:
+        M = Rep(dit, {p: offsets(N, p)[-1] for p in b.point_order}, ring=N.ring)
+        for p, ents in point_sigma.items():
+            M.point_ops[p] = assemble(N, p, p, ents)
         for a in b.solid_arrows():
-            mat = sigma.letter_arrow(a.name)
-            M.arrow_ops[a.name] = _assemble_blocks(N, a.source, a.target, mat)
+            M.arrow_ops[a.name] = assemble(N, a.source, a.target, arrow_sigma[a.name])
         return M
 
     functor = ReductionFunctor(kind="admissible", source=dit, target=new_dit,
-                               apply_rep=apply_rep_real, dim_scale=adm.c_x)
+                               apply_rep=apply_rep, dim_scale=adm.c_x)
     return new_dit, functor
-

@@ -80,14 +80,18 @@ def is_minimal(dit: Dit) -> bool:
 
 def _point_ideal_gcd(dit: Dit, p: str, ring: LocalizedRing) -> Tuple[Poly, bool]:
     """The gcd of the numerators of the length-zero (p, p) parts of the ideal
-    generators over `ring`, and whether a longer (p, p) word occurs."""
+    generators, each part summed in `ring` first, and whether a longer (p, p)
+    word occurs."""
     acc, longer = Poly.zero(dit.field), False
     for g in dit.ideal.generators:
+        part = ring.zero
         for w, c in g.component(p, p).terms.items():
             if w.length() != 0:
                 longer = True
             else:
-                acc = acc.gcd(key_to_locelt(ring, w.coeffs[0]).num.scale(c))
+                part = ring.add(part, ring.mul(ring.embed(c), key_to_locelt(ring, w.coeffs[0])))
+        if not ring.is_zero(part):
+            acc = acc.gcd(part.num)
     return acc, longer
 
 

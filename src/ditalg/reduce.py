@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .bigraph import Bigraph, Factor
 from .interlace import (
@@ -566,12 +566,10 @@ class StepSpec:
         if self.kind == "admissible":
             from .admissible import build_admissible, reduce_admissible
 
-            adm = build_admissible(
-                dit, self.data["b_arrows"],
-                findim=[(lbl, _rehost_rep(dit, self.data["b_arrows"], spec))
-                        for lbl, spec in self.data.get("findim", ())],
-                regular=self.data.get("regular", ()),
-                check=self.data.get("check", True))
+            adm = build_admissible(dit, self.data["b_arrows"],
+                                   findim=self.data.get("findim", ()),
+                                   regular=self.data.get("regular", ()),
+                                   check=self.data.get("check", True))
             return reduce_admissible(dit, adm, name=name)
         raise ReductionError(f"unknown step kind {self.kind}")
 
@@ -588,24 +586,16 @@ class StepSpec:
         return StepSpec(self.kind, dict(self.data))
 
 
-def _rehost_rep(dit: Dit, b_arrows, spec):
-    """Rebuild a B-representation over this dit's subalgebra presentation."""
-    from .admissible import _sub_bigraph_dit
-
-    dims, arrow_mats, point_mats = spec
-    b_dit = _sub_bigraph_dit(dit, b_arrows)
-    full_dims = {p: dims.get(p, 0) for p in b_dit.bigraph.point_order}
-    r = Rep(b_dit, full_dims)
-    for a, m in arrow_mats.items():
-        r.arrow_ops[a] = m
-    for p, m in point_mats.items():
-        r.point_ops[p] = m
-    return r
+class RepData(NamedTuple):
+    """Portable data of a B-representation for StepSpec: `build_admissible`
+    hosts it on the B presentation of the dit the step is applied to."""
+    dims: Dict[str, int]
+    arrow_ops: Dict[str, Mat]
+    point_ops: Dict[str, Mat]
 
 
-def rep_spec(rep: Rep):
-    """Portable data of a B-representation for StepSpec."""
-    return (dict(rep.dims), dict(rep.arrow_ops), dict(rep.point_ops))
+def rep_spec(rep: Rep) -> RepData:
+    return RepData(dict(rep.dims), dict(rep.arrow_ops), dict(rep.point_ops))
 
 
 # -- base change of a solid arm ---------------------------------------------------

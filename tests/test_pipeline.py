@@ -142,6 +142,24 @@ def test_stellar_case1_full_flow():
     assert rep.brute_residue == []
 
 
+def test_point_ideal_sums_each_generator_before_the_gcd():
+    # <(x+1) e_p> is a proper ideal of k[x] e_p: the gcd runs over the
+    # generators' (p, p) parts, not over their separate terms x and 1
+    from ditalg.interlace import Dit, IdealData
+    from ditalg.pipeline import ideal_point_polynomial, point_in_ideal
+    from ditalg.scalars import LocElt
+    from ditalg.tensor import Differential, Elem, Layer
+
+    b = Bigraph(F3, [("c", Factor.trivial()), ("p", Factor.rational([]))],
+                solid=[("w", "c", "p")])
+    layer = Layer(b)
+    x_plus_1 = Poly.x(F3) + Poly.one(F3)
+    gen = Elem.decorated(b, "p", LocElt(b.factor_ring("p"), x_plus_1, 0))
+    d = Dit(layer, Differential(layer, {}), IdealData([gen]), name="arm")
+    assert not point_in_ideal(d, "p")
+    assert ideal_point_polynomial(d, "p") == x_plus_1
+
+
 def test_plan_steps_replay_through_their_specs():
     # each recorded spec rebuilds its step's target from the step's source
     replays = 0

@@ -500,28 +500,70 @@ def test_regular_only_admissible_is_identity_like():
     assert img.dim_vector() == (1, 1)
 
 
+def exi_step_summands(F):
+    """exi over F with B = <b> and X = S2 + S3 + P(b) + the regular factor
+    at 1: the admissible step of the ideal-filtration tests."""
+    from ditalg.admissible import _sub_bigraph_dit
+
+    d = exi(F)
+    certify(d)
+    b_dit = _sub_bigraph_dit(d, ["b"])
+    certify(b_dit)
+    pb = Rep(b_dit, {"1": 0, "2": 1, "3": 1})
+    pb.arrow_ops["b"] = Mat(F, 1, 1, [[F.one]])
+    return d, [("s2", simple_at(b_dit, "2")), ("s3", simple_at(b_dit, "3")), ("pb", pb)]
+
+
+def exi_step_spec(F):
+    from ditalg.reduce import StepSpec, rep_spec
+
+    d, findim = exi_step_summands(F)
+    return d, StepSpec("admissible", {
+        "b_arrows": ["b"], "findim": [(lbl, rep_spec(r)) for lbl, r in findim],
+        "regular": [("1", "1", ())], "check": False})
+
+
 def test_admissible_ideal_filtration_certifies():
     # the height-weighted ideal filtration of the reduced presentation passes
     # the explicit triangularity check (no directedness assumption needed)
-    from ditalg.fixtures import exi as _exi
     from ditalg.interlace import check_triangular_ideal
-    from ditalg.reduce import StepSpec, rep_spec
-    from ditalg.modcat import simple_at as sat
 
-    d = _exi(F2)
-    certify(d)
-    from ditalg.admissible import _sub_bigraph_dit
-
-    b_dit = _sub_bigraph_dit(d, ["b"])
-    certify(b_dit)
-    s2, s3 = sat(b_dit, "2"), sat(b_dit, "3")
-    pb = Rep(b_dit, {"1": 0, "2": 1, "3": 1})
-    pb.arrow_ops["b"] = Mat(F2, 1, 1, [[F2.one]])
-    spec = StepSpec("admissible", {
-        "b_arrows": ["b"],
-        "findim": [("s2", rep_spec(s2)), ("s3", rep_spec(s3)), ("pb", rep_spec(pb))],
-        "regular": [("1", "1", ())], "check": False})
+    d, spec = exi_step_spec(F2)
     nd, f = spec.apply(d)
     assert nd.ideal.generators
     assert nd.ideal.filtration
     assert check_triangular_ideal(nd)
+
+
+def test_admissible_step_hosts_its_summands_once(monkeypatch):
+    # every findim summand of a replayed admissible step is hosted on the one
+    # B presentation that build_admissible makes
+    import ditalg.admissible as admissible
+
+    d, spec = exi_step_spec(F2)
+    calls = []
+    real = admissible._sub_bigraph_dit
+    monkeypatch.setattr(admissible, "_sub_bigraph_dit",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    spec.apply(d)
+    assert len(calls) == 1
+
+
+def test_admissible_x_heights_and_ideal_filtration():
+    # x-height = least m with x . P^m = 0; ell_x is the largest
+    from ditalg.admissible import _sub_bigraph_dit
+
+    d = ex1(F3)
+    certify(d)
+    b_dit = _sub_bigraph_dit(d, ["a"])
+    s1, s2, p1 = a2_indecomposables(b_dit, F3)
+    adm = build_admissible(d, ["a"], findim=[("s1", s1), ("s2", s2), ("p1", p1)])
+    assert [x.height for x in adm.x_basis] == [1, 2, 2, 1]
+    assert adm.ell_x == 2
+
+    d, findim = exi_step_summands(F2)
+    adm = build_admissible(d, ["b"], findim=findim, regular=[("1", "1", ())], check=False)
+    assert [x.height for x in adm.x_basis] == [1, 2, 2, 1, 1]
+    assert adm.ell_x == 2
+    nd, _ = reduce_admissible(d, adm)
+    assert [[str(e) for e in level] for level in nd.ideal.filtration] == [["a[pb.2.0;1]"]]
