@@ -6,7 +6,11 @@ For each case (fixture, field, dimension bound) one file OUTDIR/<case>.json
 holds the plan log, every plan step's kind, note, spec data and target
 presentation, the final presentation (or the obstruction reason and the
 presentation where the run stopped), and the classification report with its
-summary.  Run it on two checkouts and compare the directories with `diff -r`
+summary.  Under "interlace" it also holds, for a fresh copy of the fixture,
+the certificate flags, the presentation after certification (with its layer
+filtrations), the quotient's reduced differential and dashed kernel (or the
+error raised), and the kernel-lemma check for every pair of points at
+length cap 3.  Run it on two checkouts and compare the directories with `diff -r`
 to show that a refactor leaves every output unchanged.
 """
 
@@ -15,8 +19,9 @@ import os
 import sys
 
 from ditalg import fixtures
+from ditalg.interlace import certify, kernel_lemma_dimension_check, quotient
 from ditalg.pipeline import Obstruction, classify
-from ditalg.presentation import emit_presentation, emit_report
+from ditalg.presentation import emit_elem, emit_presentation, emit_report
 from ditalg.scalars import field_from_name
 from ditalg.scalars.linalg import Mat
 
@@ -51,8 +56,34 @@ def plain(value):
     return str(value)
 
 
+def outcome(thunk):
+    """thunk() as plain JSON data, or the type and message of its error."""
+    try:
+        return thunk()
+    except ValueError as exc:
+        return {"error": type(exc).__name__, "message": str(exc)}
+
+
+def interlace_snapshot(dit) -> dict:
+    """Certificates, quotient and kernel-lemma answers of one presentation."""
+    b = dit.bigraph
+
+    def quotient_data():
+        q = quotient(dit)
+        return {"reduced_delta": {n: emit_elem(b, v) for n, v in sorted(q.reduced_delta.items())},
+                "dashed_kernel": [emit_elem(b, e) for e in q.dashed_kernel]}
+
+    out = {"certify": certify(dit), "certified": emit_presentation(dit),
+           "quotient": outcome(quotient_data)}
+    out["kernel_lemma"] = {
+        f"{i}->{j}": outcome(lambda: kernel_lemma_dimension_check(dit, i, j, length_cap=3))
+        for i in b.point_order for j in b.point_order}
+    return out
+
+
 def snapshot(fixture: str, field: str, d: int) -> dict:
-    dit = getattr(fixtures, fixture)(field_from_name(field))
+    build = getattr(fixtures, fixture)
+    dit = build(field_from_name(field))
     result = classify(dit, d)
     if isinstance(result, Obstruction):
         steps = result.steps
@@ -65,6 +96,7 @@ def snapshot(fixture: str, field: str, d: int) -> dict:
                      "spec": None if s.spec is None else
                      {"kind": s.spec.kind, "data": plain(s.spec.data)},
                      "target": emit_presentation(s.functor.target)} for s in steps]
+    out["interlace"] = interlace_snapshot(build(field_from_name(field)))
     return out
 
 

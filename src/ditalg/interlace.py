@@ -1,11 +1,18 @@
 """Interlaced weak ditalgebras: the pair (A, I) with certification of the
 balanced / triangular / interlaced conditions, graded ideal generation,
-quotient presentations, and lifting of a differential given on a quotient."""
+quotient presentations, and lifting of a differential given on a quotient.
+
+Every graded-window question is asked component by component: `_by_pair`
+splits an element by (source, target) and `_window_residue` reduces each
+component against a window span with `linalg.residue`, so ideal membership
+is "the residue is zero" and the quotient normal form is the residue itself.
+The triangular layer filtrations come from one builder, `_dependency_levels`,
+the longest-path levels of the same-kind delta-dependency graph."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .bigraph import Bigraph, BigraphError, height_maps
 from .scalars import linalg
@@ -64,15 +71,7 @@ class Dit:
 
     def ideal_components(self) -> List[Elem]:
         """Ideal generators split by (source, target); components stay in I."""
-        out = []
-        b = self.bigraph
-        for g in self.ideal.generators:
-            for i in b.point_order:
-                for j in b.point_order:
-                    c = g.component(i, j)
-                    if not c.is_zero():
-                        out.append(c)
-        return out
+        return [c for g in self.ideal.generators for c in _by_pair(self.bigraph, g).values()]
 
     def max_word_length(self) -> int:
         n = max((v.max_length() for v in self.delta.values.values()), default=0)
@@ -84,6 +83,35 @@ class Dit:
 
 
 # -- graded windows -------------------------------------------------------
+
+
+def _by_pair(b: Bigraph, elem: Elem) -> Dict[Tuple[str, str], Elem]:
+    """The nonzero (source, target) components of elem, in point order."""
+    parts: Dict[Tuple[str, str], Dict[Word, object]] = {}
+    for w, c in elem.terms.items():
+        parts.setdefault((w.start, w.end(b)), {})[w] = c
+    pos = {p: k for k, p in enumerate(b.point_order)}
+    return {key: Elem(b, parts[key])
+            for key in sorted(parts, key=lambda k: (pos[k[0]], pos[k[1]]))}
+
+
+def _window_residue(dit: Dit, elem: Elem,
+                    span_of: Callable[[str, str, Elem], List[Elem]]) -> Elem:
+    """elem reduced, component by component, against span_of(i, j, piece):
+    the row-reduction normal form, so zero exactly when every component lies
+    in its span and canonical modulo the spans."""
+    b = dit.bigraph
+    F = b.field
+    out = Elem.zero(b)
+    for (i, j), piece in _by_pair(b, elem).items():
+        span = span_of(i, j, piece)
+        if not span:
+            out = out + piece
+            continue
+        support, rows = elem_coordinates(span + [piece])
+        v = linalg.residue(F, *linalg.rref(F, rows[:-1]), rows[-1])
+        out = out + Elem(b, dict(zip(support, v)))
+    return out
 
 
 def _shape_guard(dit: Dit):
@@ -123,14 +151,7 @@ def ideal_window_span(dit: Dit, degree: int, source: str, target: str,
         splits = [(dl, degree - dl) for dl in range(degree + 1)]
     out: List[Elem] = []
     for gc in gens:
-        if gc.is_zero():
-            continue
-        groups: Dict[Tuple[str, str], Elem] = {}
-        for w, c in gc.terms.items():
-            key = (w.start, w.end(b))
-            groups.setdefault(key, Elem.zero(b))
-            groups[key] = groups[key] + Elem(b, {w: c})
-        for (gi, gj), piece in groups.items():
+        for (gi, gj), piece in _by_pair(b, gc).items():
             glen = piece.max_length()
             for dl, dr in splits:
                 for lu in range(0, max(0, length_cap - glen) + 1):
@@ -158,20 +179,10 @@ def membership_in_ideal_window(dit: Dit, target_elem: Elem, degree: int,
     if target_elem.is_zero():
         return True
     _shape_guard(dit)
-    b = dit.bigraph
     length_cap = target_elem.max_length()
     exp_cap = _exp_cap(target_elem, *dit.ideal.generators, *dit.delta.values.values())
-    comps: Dict[Tuple[str, str], Elem] = {}
-    for w, c in target_elem.terms.items():
-        key = (w.start, w.end(b))
-        comps.setdefault(key, Elem.zero(b))
-        comps[key] = comps[key] + Elem(b, {w: c})
-    for (i, j), piece in comps.items():
-        span = ideal_window_span(dit, degree, i, j, length_cap, exp_cap,
-                                 middle=middle, splits=splits)
-        if not in_span(span, piece):
-            return False
-    return True
+    return _window_residue(dit, target_elem, lambda i, j, piece: ideal_window_span(
+        dit, degree, i, j, length_cap, exp_cap, middle=middle, splits=splits)).is_zero()
 
 
 # -- certification ops ----------------------------------------------------
@@ -257,70 +268,54 @@ def check_triangular_ideal(dit: Dit) -> bool:
     return True
 
 
-def check_triangular_layer(dit: Dit) -> bool:
-    """Layer triangularity; term-by-term, exact because normal-form words are
-    a basis.  Builds height filtrations for directed bigraphs when the stored
-    filtration does not certify."""
+def _same_kind_deps(dit: Dit, dashed: bool) -> Dict[str, Set[str]]:
+    """For each arrow of one kind, the arrows of that kind in its delta."""
     b = dit.bigraph
+    return {a.name: {nm for w in dit.delta.of_arrow(a.name).terms for nm in w.arrows
+                     if b.arrow(nm).dashed == dashed}
+            for a in (b.dashed_arrows() if dashed else b.solid_arrows())}
+
+
+def _dependency_levels(dit: Dit, dashed: bool) -> Optional[Tuple[FrozenSet[str], ...]]:
+    """The least triangular filtration of the arrows of one kind: an arrow
+    sits one level above the highest same-kind arrow in its delta (the
+    longest-path levels of the delta-dependency graph), returned as the
+    ascending unions of levels; None when the dependencies contain a cycle,
+    that is when no triangular filtration exists."""
+    deps = _same_kind_deps(dit, dashed)
+    level: Dict[str, int] = {}
+    while len(level) < len(deps):
+        ready = [n for n in deps if n not in level and deps[n].issubset(level)]
+        if not ready:
+            return None
+        for n in ready:
+            level[n] = 1 + max((level[d] for d in deps[n]), default=0)
+    return tuple(frozenset(n for n, lv in level.items() if lv <= t)
+                 for t in range(1, max(level.values(), default=0) + 1))
+
+
+def check_triangular_layer(dit: Dit) -> bool:
+    """Layer triangularity: delta of each arrow uses only same-kind arrows of
+    strictly lower level; term-by-term, exact because normal-form words are a
+    basis.  A stored filtration that fails is replaced by the least one, which
+    exists exactly when any triangular filtration does."""
     layer = dit.layer
 
-    def verify(w0_levels, w1_levels) -> bool:
-        def w0_level(a):
-            for idx, s in enumerate(w0_levels):
-                if a in s:
-                    return idx + 1
-            return len(w0_levels) + 1
+    def stored_or_least(levels, dashed: bool):
+        def level(name):
+            return next((k for k, s in enumerate(levels) if name in s), len(levels))
+        deps = _same_kind_deps(dit, dashed)
+        if all(level(d) < level(n) for n, ds in deps.items() for d in ds):
+            return levels
+        return _dependency_levels(dit, dashed)
 
-        def w1_level(a):
-            for idx, s in enumerate(w1_levels):
-                if a in s:
-                    return idx + 1
-            return len(w1_levels) + 1
-
-        for arr in b.solid_arrows():
-            lvl = w0_level(arr.name)
-            for w in dit.delta.of_arrow(arr.name).terms:
-                for nm in w.arrows:
-                    a2 = b.arrow(nm)
-                    if not a2.dashed and w0_level(nm) > lvl - 1:
-                        return False
-        for arr in b.dashed_arrows():
-            lvl = w1_level(arr.name)
-            for w in dit.delta.of_arrow(arr.name).terms:
-                for nm in w.arrows:
-                    a2 = b.arrow(nm)
-                    if a2.dashed and w1_level(nm) > lvl - 1:
-                        return False
-        return True
-
-    if verify(layer.w0_levels, layer.w1_levels):
-        dit.certificates["triangular_layer"] = True
-        return True
-    if b.is_directed():
-        hm = height_maps(b)
-        solids = sorted(b.solid_arrows(), key=lambda a: hm.arrow_drop(b, a.name))
-        dasheds = sorted(b.dashed_arrows(), key=lambda a: hm.arrow_drop(b, a.name))
-
-        def levels(arrows):
-            by_drop: Dict[int, set] = {}
-            for a in arrows:
-                by_drop.setdefault(hm.arrow_drop(b, a.name), set()).add(a.name)
-            acc = set()
-            out = []
-            for d in sorted(by_drop):
-                acc |= by_drop[d]
-                out.append(frozenset(acc))
-            return tuple(out)
-
-        w0 = levels(solids)
-        w1 = levels(dasheds)
-        if verify(w0, w1):
-            layer.w0_levels = w0 if w0 else layer.w0_levels
-            layer.w1_levels = w1 if w1 else layer.w1_levels
-            dit.certificates["triangular_layer"] = True
-            return True
-    dit.certificates["triangular_layer"] = False
-    return False
+    w0 = stored_or_least(layer.w0_levels, False)
+    w1 = stored_or_least(layer.w1_levels, True)
+    ok = w0 is not None and w1 is not None
+    if ok:
+        layer.w0_levels, layer.w1_levels = w0, w1
+    dit.certificates["triangular_layer"] = ok
+    return ok
 
 
 def check_interlaced(dit: Dit) -> bool:
@@ -387,48 +382,13 @@ def is_roiter(dit: Dit) -> bool:
 
 
 def recompute_triangular_filtrations(dit: Dit):
-    """Build layer filtrations from the delta-dependency DAGs: an arrow
-    depends on the same-kind arrows occurring in its differential value.
-    Longest-path levels give a valid triangular filtration when acyclic."""
-    b = dit.bigraph
-    solids = [a.name for a in b.solid_arrows()]
-    dasheds = [a.name for a in b.dashed_arrows()]
-
-    def levels(names, same_kind_dashed: bool):
-        deps = {}
-        for n in names:
-            used = set()
-            for w in dit.delta.of_arrow(n).terms:
-                for an in w.arrows:
-                    if b.arrow(an).dashed == same_kind_dashed and an in set(names):
-                        used.add(an)
-            deps[n] = used
-        level: Dict[str, int] = {}
-        remaining = set(names)
-        guard = 0
-        while remaining:
-            progressed = False
-            for n in sorted(remaining):
-                if deps[n] <= set(level):
-                    level[n] = max([level[d] for d in deps[n]], default=0) + 1
-                    remaining.discard(n)
-                    progressed = True
-            if not progressed:
-                raise CertificationError("delta dependencies contain a cycle")
-            guard += 1
-            if guard > len(names) + 2:
-                break
-        if not level:
-            return ()
-        out = []
-        acc = set()
-        for lv in range(1, max(level.values()) + 1):
-            acc |= {n for n, l in level.items() if l == lv}
-            out.append(frozenset(acc))
-        return tuple(out)
-
-    dit.layer.w0_levels = levels(solids, False) or dit.layer.w0_levels
-    dit.layer.w1_levels = levels(dasheds, True) or dit.layer.w1_levels
+    """Replace the layer filtrations by the least ones (`_dependency_levels`);
+    raises when the delta dependencies contain a cycle."""
+    w0, w1 = _dependency_levels(dit, False), _dependency_levels(dit, True)
+    if w0 is None or w1 is None:
+        raise CertificationError("delta dependencies contain a cycle")
+    dit.layer.w0_levels = w0 or dit.layer.w0_levels
+    dit.layer.w1_levels = w1 or dit.layer.w1_levels
 
 
 def inherit_certificates(src_dit: Dit, new_dit: Dit):
@@ -485,16 +445,14 @@ def generated_ideal(dit: Dit) -> GradedIdeal:
     exp_cap = _exp_cap(*dit.ideal.generators, *dit.delta.values.values())
     deg0: Dict[Tuple[str, str], List[Elem]] = {}
     deg1: Dict[Tuple[str, str], List[Elem]] = {}
+    dgs = [_by_pair(b, dit.delta.apply(g)) for g in dit.ideal.generators]
     for i in b.point_order:
         for j in b.point_order:
             s0 = ideal_window_span(dit, 0, i, j, length_cap, exp_cap)
             if s0:
                 deg0[(i, j)] = s0
             s1 = ideal_window_span(dit, 1, i, j, length_cap, exp_cap)
-            for g in dit.ideal.generators:
-                dg = dit.delta.apply(g).component(i, j)
-                if not dg.is_zero():
-                    s1.append(dg)
+            s1 += [dg[(i, j)] for dg in dgs if (i, j) in dg]
             if s1:
                 deg1[(i, j)] = s1
     return GradedIdeal(dit, deg0, deg1)
@@ -507,16 +465,28 @@ def generated_ideal(dit: Dit) -> GradedIdeal:
 class QuotientPresentation:
     """A/I with word normal forms plus the induced differential data.
 
-    `reduce0` rewrites degree-0 elements to their residue modulo I;
+    `reduce0` rewrites degree-0 elements to their residue modulo I, read off
+    the generated ideal `ideal` built once with the quotient;
     `dashed_kernel` lists W1-supported elements of IV + delta(I) + VI (the
     identifications defining V-bar)."""
 
     dit: Dit
     reduced_delta: Dict[str, Elem]
     dashed_kernel: List[Elem]
+    ideal: GradedIdeal
 
     def reduce0(self, elem: Elem) -> Elem:
-        return reduce_mod_ideal_window(self.dit, elem, 0)
+        return _reduce_mod_J(self.ideal, elem, 0)
+
+
+def _reduce_mod_J(gi: GradedIdeal, elem: Elem, degree: int) -> Elem:
+    """`reduce_mod_ideal_window` against a generated ideal J built once by
+    the caller."""
+    dit = gi.dit
+    length_cap = max(elem.max_length(), dit.max_word_length())
+    exp_cap = _exp_cap(elem, *dit.ideal.generators, *dit.delta.values.values())
+    return _window_residue(dit, elem, lambda i, j, piece: gi.degree_span(
+        degree, i, j, length_cap, exp_cap))
 
 
 def reduce_mod_ideal_window(dit: Dit, elem: Elem, degree: int) -> Elem:
@@ -524,34 +494,7 @@ def reduce_mod_ideal_window(dit: Dit, elem: Elem, degree: int) -> Elem:
     degree (row-reduction normal form, hence canonical)."""
     if elem.is_zero():
         return elem
-    b = dit.bigraph
-    F = b.field
-    gi = generated_ideal(dit)
-    length_cap = max(elem.max_length(), dit.max_word_length())
-    exp_cap = _exp_cap(elem, *dit.ideal.generators, *dit.delta.values.values())
-    out = Elem.zero(b)
-    comps: Dict[Tuple[str, str], Elem] = {}
-    for w, c in elem.terms.items():
-        key = (w.start, w.end(b))
-        comps.setdefault(key, Elem.zero(b))
-        comps[key] = comps[key] + Elem(b, {w: c})
-    for (i, j), piece in comps.items():
-        span = gi.degree_span(degree, i, j, length_cap, exp_cap)
-        if not span:
-            out = out + piece
-            continue
-        support, rows = elem_coordinates(span + [piece])
-        span_rows = rows[:-1]
-        vec = rows[-1]
-        red, pivots = linalg.rref(F, span_rows)
-        v = list(vec)
-        for r, c in enumerate(pivots):
-            if not F.is_zero(v[c]):
-                f = v[c]
-                v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, red[r])]
-        residue = Elem(b, {w: cv for w, cv in zip(support, v) if not F.is_zero(cv)})
-        out = out + residue
-    return out
+    return _reduce_mod_J(generated_ideal(dit), elem, degree)
 
 
 def quotient(dit: Dit) -> QuotientPresentation:
@@ -562,21 +505,21 @@ def quotient(dit: Dit) -> QuotientPresentation:
     if not dit.certificates.get("interlaced"):
         raise CertificationError("quotient requires the interlaced certificate")
     b = dit.bigraph
+    gi = generated_ideal(dit)
     reduced_delta = {}
     for name in b.arrows:
         val = dit.delta.of_arrow(name)
         deg = 2 if b.arrow(name).dashed else 1
-        reduced_delta[name] = reduce_mod_ideal_window(dit, val, deg)
+        reduced_delta[name] = _reduce_mod_J(gi, val, deg)
     # delta-bar squared must vanish on generators
     for name in b.arrows:
         sq = dit.delta.square(Elem.arrow(b, name))
         deg = (2 if b.arrow(name).dashed else 1) + 1
-        if not reduce_mod_ideal_window(dit, sq, deg).is_zero():
+        if not _reduce_mod_J(gi, sq, deg).is_zero():
             raise CertificationError(f"induced differential does not square to zero on {name}")
     # W1-supported part of IV + delta(I) + VI
     F = b.field
     dashed_kernel: List[Elem] = []
-    gi = generated_ideal(dit)
     for (i, j), span in gi.degree1_span.items():
         if not span:
             continue
@@ -592,7 +535,7 @@ def quotient(dit: Dit) -> QuotientPresentation:
                     e = e + sp.scale(c)
             if not e.is_zero():
                 dashed_kernel.append(e)
-    return QuotientPresentation(dit, reduced_delta, dashed_kernel)
+    return QuotientPresentation(dit, reduced_delta, dashed_kernel, gi)
 
 
 # -- lifting a differential -------------------------------------------------
@@ -619,30 +562,8 @@ def lift_differential(bigraph: Bigraph, ideal_gens: List[Elem],
 
     def reduce_mod_IVVI(elem: Elem, degree: int) -> Elem:
         """Normal form modulo the pre-lift kernel window I*[T] + [T]*I."""
-        if elem.is_zero():
-            return elem
-        F = b.field
-        comps: Dict[Tuple[str, str], Elem] = {}
-        for w, c in elem.terms.items():
-            key = (w.start, w.end(b))
-            comps.setdefault(key, Elem.zero(b))
-            comps[key] = comps[key] + Elem(b, {w: c})
-        out = Elem.zero(b)
-        for (i, j), piece in comps.items():
-            span = ideal_window_span(probe, degree, i, j, piece.max_length(),
-                                     _exp_cap(piece, *ideal_gens))
-            if not span:
-                out = out + piece
-                continue
-            support, rows = elem_coordinates(span + [piece])
-            red, pivots = linalg.rref(F, rows[:-1])
-            v = list(rows[-1])
-            for r, c in enumerate(pivots):
-                if not F.is_zero(v[c]):
-                    f = v[c]
-                    v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, red[r])]
-            out = out + Elem(b, {w: cv for w, cv in zip(support, v) if not F.is_zero(cv)})
-        return out
+        return _window_residue(probe, elem, lambda i, j, piece: ideal_window_span(
+            probe, degree, i, j, piece.max_length(), _exp_cap(piece, *ideal_gens)))
 
     lifted_values = {}
     for name, arr in b.arrows.items():
@@ -697,11 +618,12 @@ def kernel_lemma_dimension_check(dit: Dit, source: str, target: str,
     words = [w for w in graded_component_basis(b, source, target, 1, length_cap, exp_cap)]
     if not words:
         return True
+    gi = generated_ideal(dit)
     images = []
     for w in words:
         suffix, mid, prefix = _split_degree_one_word(b, w)
-        red_s = reduce_mod_ideal_window(dit, Elem.from_word(b, suffix), 0)
-        red_p = reduce_mod_ideal_window(dit, Elem.from_word(b, prefix), 0)
+        red_s = _reduce_mod_J(gi, Elem.from_word(b, suffix), 0)
+        red_p = _reduce_mod_J(gi, Elem.from_word(b, prefix), 0)
         images.append(red_s * Elem.from_word(b, mid) * red_p)
     support, rows = elem_coordinates(images)
     image_rank = linalg.rank(F, rows)

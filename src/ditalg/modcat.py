@@ -605,13 +605,7 @@ class EndAlgebra:
 
     def mod_rad(self, coords) -> List:
         """coords reduced modulo the radical: zero iff coords lie in it."""
-        F = self.F
-        v = list(coords)
-        for row, c in zip(*self._rad_rref):
-            if not F.is_zero(v[c]):
-                f = v[c]
-                v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, row)]
-        return v
+        return linalg.residue(self.F, *self._rad_rref, coords)
 
 
 def charpoly(F: Field, m: Mat) -> Poly:
@@ -736,18 +730,13 @@ def algebra_radical(F: Field, table: List[List[List]], dim: int) -> List[List]:
 
     # verification: rad is an ideal and nilpotent
     if rad:
-        span_rows = rad
-
-        def in_span(vec):
-            return linalg.row_space_contains(F, span_rows, vec)
-
+        rad_red, rad_piv = linalg.rref(F, rad)
         for x in rad:
             for j in range(dim):
                 ej = [F.one if t == j else F.zero for t in range(dim)]
-                if not in_span(_convolve(F, table, x, ej, dim)):
-                    raise ModcatError("radical computation produced a non-ideal")
-                if not in_span(_convolve(F, table, ej, x, dim)):
-                    raise ModcatError("radical computation produced a non-ideal")
+                for prod in (_convolve(F, table, x, ej, dim), _convolve(F, table, ej, x, dim)):
+                    if not all(F.is_zero(c) for c in linalg.residue(F, rad_red, rad_piv, prod)):
+                        raise ModcatError("radical computation produced a non-ideal")
         layer = [list(v) for v in rad]
         for _ in range(dim + 1):
             nxt = []

@@ -2,9 +2,11 @@
 
 Matrices are lists of row lists holding raw field values; every routine takes
 the field context explicitly.  Everything here is plain Gaussian elimination,
-which is all the artifact needs at desk scale.  `Mat` also holds entries in a
-ring such as k[x]_h (any context with the field's add/mul/neg/is_zero); over a
-ring, where a pivot may be a non-unit, `det` and `inverse` use cofactors.
+which is all the artifact needs at desk scale.  Every "is v in this span" and
+"v modulo this span" question is one `rref` of the span and `residue` of v
+against it.  `Mat` also holds entries in a ring such as k[x]_h (any context
+with the field's add/mul/neg/is_zero); over a ring, where a pivot may be a
+non-unit, `det` and `inverse` use cofactors.
 """
 
 from __future__ import annotations
@@ -222,27 +224,25 @@ def adjugate_inverse(R, m: Matrix) -> Optional[Matrix]:
     return out
 
 
+def residue(F: Field, red: Matrix, pivots: Sequence[int], vec: Sequence) -> List:
+    """vec reduced by the rows of a reduced row echelon form (red, pivots =
+    `rref(F, span)`): zero exactly when vec lies in the span, and equal for
+    two vectors exactly when their difference does."""
+    v = list(vec)
+    for row, c in zip(red, pivots):
+        if not F.is_zero(v[c]):
+            f = v[c]
+            v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, row)]
+    return v
+
+
 def row_space_contains(F: Field, span_rows: Matrix, vec: Sequence) -> bool:
     """Is vec in the row space of span_rows?"""
     if all(F.is_zero(v) for v in vec):
         return True
     if not span_rows:
         return False
-    base = rank(F, span_rows)
-    return rank(F, span_rows + [list(vec)]) == base
-
-
-def solve_linear(F: Field, system: Matrix, rhs: Sequence):
-    """Exact affine solution space of system*x = rhs.
-
-    Returns (particular, kernel_basis) or None when inconsistent; the
-    distinguished no-solution value is None rather than an exception.
-    """
-    part = solve(F, system, rhs)
-    if part is None:
-        return None
-    cols = len(system[0]) if system else len(part)
-    return part, kernel_basis(F, system, cols)
+    return all(F.is_zero(x) for x in residue(F, *rref(F, span_rows), vec))
 
 
 class Mat:

@@ -1,12 +1,14 @@
 import pytest
 
+from ditalg import interlace
 from ditalg.bigraph import Bigraph, Factor
 from ditalg.fixtures import ex1, ex2, exi, exk, exl, exl2
 from ditalg.interlace import (
     CertificationError, Dit, IdealData, certify, check_balanced,
     check_interlaced, check_triangular_ideal, check_triangular_layer,
     generated_ideal, kernel_lemma_dimension_check, lift_differential,
-    pair_height_filtration, quotient, reduce_mod_ideal_window,
+    pair_height_filtration, quotient, recompute_triangular_filtrations,
+    reduce_mod_ideal_window,
 )
 from ditalg.scalars import PrimeField
 from ditalg.tensor import Differential, Elem, Layer
@@ -175,3 +177,44 @@ def test_triangular_ideal_implies_balanced():
         d = fix(F5)
         assert check_triangular_ideal(d)
         assert check_balanced(d)
+
+
+def _cyclic_bigraph_dit(first_letter: str) -> Dit:
+    # solid a, b: 1 -> 2 and c: 2 -> 1 (not directed), dashed v: 1 -> 2,
+    # delta(a) = x c v with x = first_letter, one-level default layer
+    b = Bigraph(F5, [("1", Factor.trivial()), ("2", Factor.trivial())],
+                solid=[("a", "1", "2"), ("b", "1", "2"), ("c", "2", "1")],
+                dashed=[("v", "1", "2")])
+    layer = Layer(b)
+    da = Elem.arrow(b, first_letter) * Elem.arrow(b, "c") * Elem.arrow(b, "v")
+    return Dit(layer, Differential(layer, {"a": da}), IdealData())
+
+
+def test_triangular_layer_is_exact_on_acyclic_dependencies():
+    d = _cyclic_bigraph_dit("b")
+    assert not d.bigraph.is_directed()
+    assert check_triangular_layer(d)
+    assert d.layer.w0_levels == (frozenset({"b", "c"}), frozenset({"a", "b", "c"}))
+
+
+def test_triangular_layer_rejects_cyclic_dependencies():
+    d = _cyclic_bigraph_dit("a")
+    assert not check_triangular_layer(d)
+    assert not d.certificates["triangular_layer"]
+    with pytest.raises(CertificationError):
+        recompute_triangular_filtrations(d)
+
+
+def test_quotient_builds_generated_ideal_once(monkeypatch):
+    built = []
+
+    def counting(dit):
+        built.append(dit)
+        return generated_ideal(dit)
+
+    monkeypatch.setattr(interlace, "generated_ideal", counting)
+    q = quotient(exl2(F5))
+    assert len(built) == 1
+    b = q.dit.bigraph
+    assert q.reduce0(Elem.arrow(b, "b") * Elem.arrow(b, "a")).is_zero()
+    assert len(built) == 1

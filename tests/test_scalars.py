@@ -75,21 +75,44 @@ def test_factor_f2_and_q():
 
 def test_solve_identity_trivial():
     a = linalg.identity(F5, 3)
-    out = linalg.solve_linear(F5, a, [0, 0, 0])
-    assert out is not None
-    part, ker = out
+    part = linalg.solve(F5, a, [0, 0, 0])
+    assert part is not None
+    ker = linalg.kernel_basis(F5, a, 3)
     assert part == [0, 0, 0] and ker == []
 
 
 def test_zero_map_kernel():
     a = [[0, 0]]
-    out = linalg.solve_linear(F5, a, [0])
-    part, ker = out
+    part = linalg.solve(F5, a, [0])
+    assert part is not None
+    ker = linalg.kernel_basis(F5, a, 2)
     assert len(ker) == 2
 
 
 def test_inconsistent_returns_none():
-    assert linalg.solve_linear(F5, [[0, 0]], [1]) is None
+    assert linalg.solve(F5, [[0, 0]], [1]) is None
+
+
+@pytest.mark.parametrize("F", [F5, QQ], ids=["F5", "Q"])
+def test_residue_decides_span_membership(F):
+    rng = random.Random(11)
+
+    def combo(rows):
+        out = [F.zero] * 5
+        for r in rows:
+            c = F.random(rng)
+            out = [F.add(x, F.mul(c, y)) for x, y in zip(out, r)]
+        return out
+
+    for trial in range(40):
+        span = [[F.random(rng) for _ in range(5)] for _ in range(rng.randrange(1, 5))]
+        v = combo(span) if trial % 2 else [F.random(rng) for _ in range(5)]
+        red, pivots = linalg.rref(F, span)
+        res = linalg.residue(F, red, pivots, v)
+        in_span = linalg.rank(F, span + [v]) == linalg.rank(F, span)
+        assert all(F.is_zero(x) for x in res) == in_span
+        assert linalg.row_space_contains(F, span, v) == in_span
+        assert linalg.residue(F, red, pivots, [F.add(x, y) for x, y in zip(v, combo(span))]) == res
 
 
 def test_rank_nullity_random():
