@@ -6,7 +6,10 @@ For each case (fixture, field, dimension bound) one file OUTDIR/<case>.json
 holds the plan log, every plan step's kind, note, spec data and target
 presentation, the final presentation (or the obstruction reason and the
 presentation where the run stopped), and the classification report with its
-summary.  Under "interlace" it also holds, for a fresh copy of the fixture,
+summary.  When the report lists at least two indecomposables, it also holds
+the `decompose` of the direct sum of the first two (the summands' dimensions,
+arrow matrices and x-actions), which runs `split_idempotent` on the dashed
+layer levels.  Under "interlace" it also holds, for a fresh copy of the fixture,
 the certificate flags, the presentation after certification (with its layer
 filtrations), the quotient's reduced differential and dashed kernel (or the
 error raised), and the kernel-lemma check for every pair of points at
@@ -20,6 +23,7 @@ import sys
 
 from ditalg import fixtures
 from ditalg.interlace import certify, kernel_lemma_dimension_check, quotient
+from ditalg.modcat import decompose, direct_sum
 from ditalg.pipeline import Obstruction, classify
 from ditalg.presentation import emit_elem, emit_presentation, emit_report
 from ditalg.scalars import field_from_name
@@ -64,6 +68,12 @@ def outcome(thunk):
         return {"error": type(exc).__name__, "message": str(exc)}
 
 
+def rep_data(M) -> dict:
+    """A module as plain JSON: dimensions, arrow matrices and x-actions."""
+    return {"dims": plain(M.dims), "arrow_ops": plain(M.arrow_ops),
+            "point_ops": plain(M.point_ops)}
+
+
 def interlace_snapshot(dit) -> dict:
     """Certificates, quotient and kernel-lemma answers of one presentation."""
     b = dit.bigraph
@@ -92,6 +102,10 @@ def snapshot(fixture: str, field: str, d: int) -> dict:
         steps = result.plan.steps
         out = {"log": result.plan.log(), "final": emit_presentation(result.minimal),
                "report": emit_report(result), "summary": result.summary()}
+        listed = result.indecomposables
+        if len(listed) >= 2:
+            out["decompose_first_two"] = outcome(lambda: [
+                rep_data(M) for M in decompose(listed[0].dit, direct_sum(listed[:2]))])
     out["steps"] = [{"kind": s.functor.kind, "note": s.note,
                      "spec": None if s.spec is None else
                      {"kind": s.spec.kind, "data": plain(s.spec.data)},

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .bigraph import Bigraph, Factor
-from .interlace import Dit, IdealData, inherit_certificates, recompute_triangular_filtrations
+from .interlace import Dit, IdealData, inherit_certificates
 from .modcat import (
     DecomposableError, EndAlgebra, IsoClassIndex, MorphismPair, Rep, _convolve, compose,
     direct_sum, pair_to_vector, zero_morphism,
@@ -453,7 +453,6 @@ def reduce_admissible(dit: Dit, adm: AdmissibleModuleData,
                             acc = acc + (sigma.arrow_elem(a.name, u, y) * g).scale(F.mul(sign, c))
                 delta_values[names[a.name, u.index, v.index]] = acc
 
-    # triangular filtrations from dependency order (checked afterwards)
     layer = Layer(tgt)
     delta = Differential(layer, delta_values)
 
@@ -473,7 +472,6 @@ def reduce_admissible(dit: Dit, adm: AdmissibleModuleData,
                   for top in sorted({m for m, _ in weighted})] or None
     new_dit = Dit(layer, delta, IdealData(ideal_gens, filtration),
                   name=name or f"{dit.name}^X")
-    recompute_triangular_filtrations(new_dit)
     inherit_certificates(dit, new_dit)
     old_w = getattr(dit, "point_weights", {}) or {}
     for s in adm.summands:

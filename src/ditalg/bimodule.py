@@ -150,7 +150,7 @@ def _free_algebra_kxy(F: Field) -> Dit:
     """k<x,y> as a ditalgebra: one point, solid loops x and y, zero
     differential and no ideal.  Its modules are the pairs (k^n, X, Y)."""
     b = Bigraph(F, [("0", Factor.trivial())], solid=[("x", "0", "0"), ("y", "0", "0")])
-    layer = Layer(b, w0_levels=(frozenset({"x", "y"}),))
+    layer = Layer(b)
     return Dit(layer, Differential(layer, {}), IdealData(), name="KXY")
 
 

@@ -96,10 +96,10 @@ def exq(F: Field) -> Dit:
 
 def exa(F: Field) -> Dit:
     """Source-equipped absorption fixture: a loop ell at point 1 with zero
-    differential (non-directed, certified through explicit filtrations)."""
+    differential (non-directed; its layer levels still exist, since delta = 0)."""
     b = Bigraph(F, [("z0", Factor.trivial()), ("1", Factor.trivial())],
                 solid=[("c", "z0", "1"), ("ell", "1", "1")])
-    layer = Layer(b, w0_levels=(frozenset({"c", "ell"}),))
+    layer = Layer(b)
     delta = Differential(layer, {})
     return Dit(layer, delta, IdealData(), name="EXA")
 

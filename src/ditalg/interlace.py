@@ -6,11 +6,15 @@ Every graded-window question is asked component by component: `_by_pair`
 splits an element by (source, target) and `_window_residue` reduces each
 component against a window span with `linalg.residue`, so ideal membership
 is "the residue is zero" and the quotient normal form is the residue itself.
-The triangular layer filtrations come from one builder, `_dependency_levels`,
-the longest-path levels of the same-kind delta-dependency graph."""
+The triangular layer filtrations are derived from delta, not stored: `Dit.levels`
+is the least one, the longest-path levels of the same-kind delta-dependency
+graph (`_dependency_levels`), computed once per presentation.  Filtration keys
+in an input file are accepted but not read, and emitted ones are these least
+levels."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -72,6 +76,17 @@ class Dit:
     def ideal_components(self) -> List[Elem]:
         """Ideal generators split by (source, target); components stay in I."""
         return [c for g in self.ideal.generators for c in _by_pair(self.bigraph, g).values()]
+
+    @functools.cached_property
+    def levels(self) -> Tuple[Tuple[FrozenSet[str], ...], Tuple[FrozenSet[str], ...]]:
+        """The least triangular filtrations (W0 levels, W1 levels) of the
+        layer, as ascending unions (`_dependency_levels`); raises
+        CertificationError when the delta-dependencies contain a cycle, that
+        is when no triangular filtration exists."""
+        w0, w1 = _dependency_levels(self, False), _dependency_levels(self, True)
+        if w0 is None or w1 is None:
+            raise CertificationError("delta dependencies contain a cycle")
+        return w0, w1
 
     def max_word_length(self) -> int:
         n = max((v.max_length() for v in self.delta.values.values()), default=0)
@@ -144,31 +159,39 @@ def ideal_window_span(dit: Dit, degree: int, source: str, target: str,
                       middle: Optional[Sequence[Elem]] = None,
                       splits: Optional[Sequence[Tuple[int, int]]] = None) -> List[Elem]:
     """Spanning elements of sum_{(dl,dr)} [T]_dl * g * [T]_dr between the
-    given points, with g running over `middle` (default: ideal components)."""
+    given points, with g running over `middle` (default: ideal components).
+
+    Each window e_j [T]_deg e_i is enumerated once per call, at the largest
+    word length any generator leaves room for, and grouped by word length;
+    the enumeration keeps words of one length in the order a shorter cap
+    would give, so the products come out in the same order."""
     b = dit.bigraph
     gens = list(middle) if middle is not None else dit.ideal_components()
     if splits is None:
         splits = [(dl, degree - dl) for dl in range(degree + 1)]
+    pieces = [(gi, gj, piece, piece.max_length())
+              for gc in gens for (gi, gj), piece in _by_pair(b, gc).items()]
+    cap = max([0] + [length_cap - glen for *_, glen in pieces])
+    windows: Dict[Tuple[str, str, int], Dict[int, List[Elem]]] = {}
+
+    def window(i: str, j: str, deg: int) -> Dict[int, List[Elem]]:
+        if (i, j, deg) not in windows:
+            by_length = windows[i, j, deg] = {}
+            for wd in graded_component_basis(b, i, j, deg, cap, exp_cap, allow_cycles=True):
+                by_length.setdefault(wd.length(), []).append(Elem.from_word(b, wd))
+        return windows[i, j, deg]
+
     out: List[Elem] = []
-    for gc in gens:
-        for (gi, gj), piece in _by_pair(b, gc).items():
-            glen = piece.max_length()
-            for dl, dr in splits:
-                for lu in range(0, max(0, length_cap - glen) + 1):
-                    for lv in range(0, max(0, length_cap - glen - lu) + 1):
-                        us = [wd for wd in graded_component_basis(b, gj, target, dl, lu,
-                                                                   exp_cap, allow_cycles=True)
-                              if wd.length() == lu]
-                        vs = [wd for wd in graded_component_basis(b, source, gi, dr, lv,
-                                                                  exp_cap, allow_cycles=True)
-                              if wd.length() == lv]
-                        for uw in us:
-                            ue = Elem.from_word(b, uw)
-                            for vw in vs:
-                                ve = Elem.from_word(b, vw)
-                                prod = ue * piece * ve
-                                if not prod.is_zero():
-                                    out.append(prod)
+    for gi, gj, piece, glen in pieces:
+        for dl, dr in splits:
+            us, vs = window(gj, target, dl), window(source, gi, dr)
+            for lu in range(0, max(0, length_cap - glen) + 1):
+                for lv in range(0, max(0, length_cap - glen - lu) + 1):
+                    for ue in us.get(lu, ()):
+                        for ve in vs.get(lv, ()):
+                            prod = ue * piece * ve
+                            if not prod.is_zero():
+                                out.append(prod)
     return out
 
 
@@ -294,26 +317,20 @@ def _dependency_levels(dit: Dit, dashed: bool) -> Optional[Tuple[FrozenSet[str],
                  for t in range(1, max(level.values(), default=0) + 1))
 
 
+def level_order(levels: Sequence[FrozenSet[str]]) -> List[List[str]]:
+    """The names each ascending level adds, sorted: the order in which the
+    triangular constructions visit the arrows of one kind."""
+    return [sorted(lv - prev) for prev, lv in zip((frozenset(),) + tuple(levels), levels)]
+
+
 def check_triangular_layer(dit: Dit) -> bool:
-    """Layer triangularity: delta of each arrow uses only same-kind arrows of
-    strictly lower level; term-by-term, exact because normal-form words are a
-    basis.  A stored filtration that fails is replaced by the least one, which
-    exists exactly when any triangular filtration does."""
-    layer = dit.layer
-
-    def stored_or_least(levels, dashed: bool):
-        def level(name):
-            return next((k for k, s in enumerate(levels) if name in s), len(levels))
-        deps = _same_kind_deps(dit, dashed)
-        if all(level(d) < level(n) for n, ds in deps.items() for d in ds):
-            return levels
-        return _dependency_levels(dit, dashed)
-
-    w0 = stored_or_least(layer.w0_levels, False)
-    w1 = stored_or_least(layer.w1_levels, True)
-    ok = w0 is not None and w1 is not None
-    if ok:
-        layer.w0_levels, layer.w1_levels = w0, w1
+    """Layer triangularity: the levels `Dit.levels` exist, so delta of each
+    arrow uses only same-kind arrows of strictly lower level; term-by-term,
+    exact because normal-form words are a basis."""
+    try:
+        ok = dit.levels is not None
+    except CertificationError:
+        ok = False
     dit.certificates["triangular_layer"] = ok
     return ok
 
@@ -381,20 +398,13 @@ def is_roiter(dit: Dit) -> bool:
     return bool(dit.certificates.get("roiter"))
 
 
-def recompute_triangular_filtrations(dit: Dit):
-    """Replace the layer filtrations by the least ones (`_dependency_levels`);
-    raises when the delta dependencies contain a cycle."""
-    w0, w1 = _dependency_levels(dit, False), _dependency_levels(dit, True)
-    if w0 is None or w1 is None:
-        raise CertificationError("delta dependencies contain a cycle")
-    dit.layer.w0_levels = w0 or dit.layer.w0_levels
-    dit.layer.w1_levels = w1 or dit.layer.w1_levels
-
-
 def inherit_certificates(src_dit: Dit, new_dit: Dit):
     """Reductions of triangular interlaced presentations stay triangular
     interlaced (context-of-reduction lemma items 2-3 and its relatives), so
-    constructions transfer the certificates instead of re-deriving them."""
+    constructions transfer the certificates instead of re-deriving them.
+    Reading the new presentation's levels raises CertificationError when its
+    delta-dependencies contain a cycle."""
+    new_dit.levels
     flags = src_dit.certificates
     new_dit.certificates["directed"] = new_dit.bigraph.is_directed()
     for key in ("triangular_layer", "triangular_ideal", "balanced", "interlaced", "roiter"):
@@ -542,8 +552,7 @@ def quotient(dit: Dit) -> QuotientPresentation:
 
 
 def lift_differential(bigraph: Bigraph, ideal_gens: List[Elem],
-                      dotted_delta: Dict[str, Elem],
-                      w0_levels=(), w1_levels=()) -> Dit:
+                      dotted_delta: Dict[str, Elem]) -> Dit:
     """Lift a ditalgebra-with-relations differential to an interlaced weak
     ditalgebra (A, I); requires trivial point factors and a directed bigraph.
 
@@ -557,8 +566,8 @@ def lift_differential(bigraph: Bigraph, ideal_gens: List[Elem],
             raise CertificationError("lifting requires a semisimple base (trivial factors)")
     if not b.is_directed():
         raise BigraphError("lifting requires a directed bigraph")
-    probe = Dit(Layer(b, w0_levels, w1_levels), Differential(Layer(b), {}),
-                IdealData(list(ideal_gens)))
+    layer = Layer(b)
+    probe = Dit(layer, Differential(layer, {}), IdealData(list(ideal_gens)))
 
     def reduce_mod_IVVI(elem: Elem, degree: int) -> Elem:
         """Normal form modulo the pre-lift kernel window I*[T] + [T]*I."""
@@ -570,7 +579,6 @@ def lift_differential(bigraph: Bigraph, ideal_gens: List[Elem],
         val = dotted_delta.get(name, Elem.zero(b))
         deg = 2 if arr.dashed else 1
         lifted_values[name] = reduce_mod_IVVI(val, deg)
-    layer = Layer(b, w0_levels, w1_levels)
     delta = Differential(layer, lifted_values)
     dit = Dit(layer, delta, IdealData(list(ideal_gens)), name="lifted")
 
@@ -611,7 +619,9 @@ def _split_degree_one_word(b: Bigraph, w: Word) -> Tuple[Word, Word, Word]:
 def kernel_lemma_dimension_check(dit: Dit, source: str, target: str,
                                  length_cap: int = 4) -> bool:
     """Exact dimension count on a graded window of V = A (x) W1 (x) A:
-    the kernel of pi (x) 1 (x) pi equals I*W1*A + A*W1*I."""
+    the kernel of pi (x) 1 (x) pi equals I*W1*A + A*W1*I.  Needs a directed
+    bigraph: the window is enumerated exactly (`graded_component_basis`), which
+    raises BigraphError on a bigraph with oriented cycles."""
     b = dit.bigraph
     F = b.field
     exp_cap = _exp_cap(*dit.ideal.generators, *dit.delta.values.values())

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .interlace import Dit, is_roiter, quotient
+from .interlace import Dit, is_roiter, level_order, quotient
 from .scalars import Field, Poly, PrimeField, factor as poly_factor, linalg
 from .scalars.linalg import Mat, block_matrix
 from .tensor import Elem, Word
@@ -411,8 +411,9 @@ def transport_structure(dit: Dit, N: Rep, f0: Dict[str, Mat], f1: Dict[str, Mat]
     """Given bijective R-linear f0: M -> N (M's spaces implied by shapes) and
     any f1, build the A-structure on M making (f0, f1) a morphism into N.
 
-    The construction follows the triangular filtration of the solid arrows, so
-    prefixes of delta-values only use already-transported actions.
+    The construction follows the least triangular filtration of the solid
+    arrows (`Dit.levels`, which raises CertificationError when none exists),
+    so prefixes of delta-values only use already-transported actions.
     """
     b = dit.bigraph
     dims = {p: f0[p].cols for p in b.point_order}
@@ -428,13 +429,7 @@ def transport_structure(dit: Dit, N: Rep, f0: Dict[str, Mat], f1: Dict[str, Mat]
     for p in b.point_order:
         if not b.factor(p).is_trivial:
             M.point_ops[p] = f0_inv[p] * N.point_ops[p] * f0[p]
-    # solid arrows in filtration order
-    order: List[str] = []
-    for level in dit.layer.w0_levels:
-        for name in sorted(level):
-            if name not in order:
-                order.append(name)
-    for name in order:
+    for name in (n for new in level_order(dit.levels[0]) for n in new):
         arr = b.arrow(name)
         corr = evaluate_f1(dit, M, N, f1, dit.delta.of_arrow(name), arr.source, arr.target)
         M.arrow_ops[name] = f0_inv[arr.target] * (
@@ -462,18 +457,13 @@ def is_isomorphism(dit: Dit, f: MorphismPair, M: Rep, N: Rep):
     g.f0 = g0
     # solve (g f)^1(v) = g0 f1(v) + g1(v) f0 + (g1*f1)(delta v) = 0 along the
     # dashed filtration: delta(v) only involves lower-level dashed arrows
-    done = set()
-    for level in dit.layer.w1_levels:
-        for name in sorted(level):
-            if name in done:
-                continue
-            done.add(name)
-            arr = b.arrow(name)
-            acc = g.f0[arr.target] * f.f1[name]
-            dv = dit.delta.of_arrow(name)
-            for w, coeff in dv.terms.items():
-                acc = acc + _mixed_word_action(w, [M, N, M], [f.f1, g.f1]).scale(coeff)
-            g.f1[name] = acc.scale(F.neg(F.one)) * g0[arr.source]
+    for name in (n for new in level_order(dit.levels[1]) for n in new):
+        arr = b.arrow(name)
+        acc = g.f0[arr.target] * f.f1[name]
+        dv = dit.delta.of_arrow(name)
+        for w, coeff in dv.terms.items():
+            acc = acc + _mixed_word_action(w, [M, N, M], [f.f1, g.f1]).scale(coeff)
+        g.f1[name] = acc.scale(F.neg(F.one)) * g0[arr.source]
     gf = compose(dit, g, f, M, N, M)
     fg = compose(dit, f, g, N, M, N)
     if gf == identity_morphism(M) and fg == identity_morphism(N):
@@ -829,10 +819,7 @@ def split_idempotent(dit: Dit, M: Rep, e: MorphismPair):
     # Step 2: kill e1 along the dashed filtration; each conjugator (1, u1) is
     # a morphism from the transported structure, so the module changes too.
     iso_chain: List[Tuple[MorphismPair, Rep, Rep]] = [(H, Mt, M)]
-    done_levels = set()
-    for level in dit.layer.w1_levels:
-        new_names = sorted(n for n in level if n not in done_levels)
-        done_levels |= set(level)
+    for new_names in level_order(dit.levels[1]):
         u1map: Dict[str, Mat] = {}
         nontrivial = False
         for name in new_names:

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .admissible import _sub_bigraph_dit
 from .bimodule import generic_regular, push_generic
-from .interlace import Dit, certify, recompute_triangular_filtrations
+from .interlace import Dit, certify, level_order
 from .modcat import DecomposableError, IsoClassIndex, ModcatError, Rep, jordan_at, simple_at
 from .reduce import (
     ReductionError, ReductionFunctor, StepSpec, change_solid_basis, compose_functors,
@@ -421,15 +421,9 @@ def seminested_loop(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], Dit]:
     while True:
         cur = _prune_heavy_points(cur, d, ctx, steps)
         b = cur.bigraph
-        solids = b.solid_arrows()
-        if not solids:
+        if not b.solid_arrows():
             return _close_steps(ctx, steps), cur
-        recompute_triangular_filtrations(cur)
-        level_of = {}
-        for i, lv in enumerate(cur.layer.w0_levels):
-            for n in lv:
-                level_of.setdefault(n, i)
-        ordered = sorted(solids, key=lambda a: (level_of.get(a.name, 0), a.name))
+        ordered = [b.arrow(n) for new in level_order(cur.levels[0]) for n in new]
 
         # 1. regularization pass
         did = False

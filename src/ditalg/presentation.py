@@ -2,7 +2,10 @@
 
 A presentation file is restricted JSON: field spec, points with factors and
 inverted polynomials, solid/dashed arrows, differential values, ideal
-generators, and optional filtrations.  Decorated words are arrays that
+generators, and an optional ideal filtration.  The layer filtration keys
+`w0_filtration`/`w1_filtration` are accepted but not read: the levels are
+derived from the differential (`Dit.levels`), and emitted files carry the least
+ones when they have more than one level.  Decorated words are arrays that
 alternate coefficient strings and arrow names, read right to left from the
 source (paths from i to j act like b*a).  Polynomials are strings such as
 "x^2-3*x+1"; all numbers are exact.
@@ -14,7 +17,7 @@ import json
 from typing import List, Optional, Tuple
 
 from .bigraph import Bigraph, Factor
-from .interlace import Dit, IdealData
+from .interlace import CertificationError, Dit, IdealData
 from .scalars import Field, LocElt, LocalizedRing, Poly, field_from_name, strip_h_factors
 from .tensor import Differential, Elem, Layer
 
@@ -281,9 +284,7 @@ def parse_presentation(data: dict, name: str = "") -> Dit:
         if aname not in b.arrows:
             raise ParseError(f"differential on unknown arrow {aname!r}", "differential")
         delta_vals[aname] = parse_elem(b, arrs, f"differential[{aname}]")
-    w0 = tuple(frozenset(level) for level in data.get("w0_filtration", []))
-    w1 = tuple(frozenset(level) for level in data.get("w1_filtration", []))
-    layer = Layer(b, w0, w1)
+    layer = Layer(b)
     try:
         delta = Differential(layer, delta_vals)
     except ValueError as exc:
@@ -331,10 +332,14 @@ def emit_presentation(dit: Dit) -> dict:
             data["differential"][name] = emit_elem(b, val)
     for g in dit.ideal.generators:
         data["ideal"].append(emit_elem(b, g))
-    if dit.layer.w0_levels and len(dit.layer.w0_levels) > 1:
-        data["w0_filtration"] = [sorted(s) for s in dit.layer.w0_levels]
-    if dit.layer.w1_levels and len(dit.layer.w1_levels) > 1:
-        data["w1_filtration"] = [sorted(s) for s in dit.layer.w1_levels]
+    try:
+        w0, w1 = dit.levels
+    except CertificationError:
+        w0 = w1 = ()
+    if len(w0) > 1:
+        data["w0_filtration"] = [sorted(s) for s in w0]
+    if len(w1) > 1:
+        data["w1_filtration"] = [sorted(s) for s in w1]
     return data
 
 

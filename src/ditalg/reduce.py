@@ -16,7 +16,6 @@ from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 from .bigraph import Bigraph, Factor
 from .interlace import (
     Dit, IdealData, inherit_certificates, membership_in_ideal_window,
-    recompute_triangular_filtrations,
 )
 from .modcat import Rep
 from .scalars import LocalizedRing, LocElt, Poly
@@ -154,7 +153,6 @@ def _pushforward(dit: Dit, point_map: Dict[str, Optional[str]], tgt: Bigraph,
             raise ReductionError(f"commuting square fails at generator {s}")
     ideal = [g2 for g2 in (push(g) for g in dit.ideal.generators) if not g2.is_zero()]
     new_dit = Dit(layer, delta, IdealData(ideal), name=name)
-    recompute_triangular_filtrations(new_dit)
     inherit_certificates(dit, new_dit)
     return new_dit
 

@@ -259,26 +259,14 @@ class Elem:
 # -- layers and differentials ---------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Layer:
-    """Free generation data: the bigraph plus ascending generator filtrations
-    of the solid and dashed arrow bimodules (by arrow-name sets)."""
+    """Free generation data: the bigraph whose solid and dashed arrows freely
+    generate the layer.  Its triangular filtrations are not stored here: the
+    least ones are derived from the differential (`interlace.Dit.levels`), so
+    the filtration keys of a presentation file are accepted but not read."""
 
     bigraph: Bigraph
-    w0_levels: Tuple[frozenset, ...] = ()
-    w1_levels: Tuple[frozenset, ...] = ()
-
-    def __post_init__(self):
-        solid = {a.name for a in self.bigraph.solid_arrows()}
-        dashed = {a.name for a in self.bigraph.dashed_arrows()}
-        if not self.w0_levels:
-            self.w0_levels = (frozenset(solid),) if solid else ()
-        if not self.w1_levels:
-            self.w1_levels = (frozenset(dashed),) if dashed else ()
-        if self.w0_levels and self.w0_levels[-1] != solid:
-            raise ValueError("solid filtration must exhaust the solid arrows")
-        if self.w1_levels and self.w1_levels[-1] != dashed:
-            raise ValueError("dashed filtration must exhaust the dashed arrows")
 
 
 class Differential:

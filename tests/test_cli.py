@@ -38,6 +38,25 @@ def test_roundtrip_canonical(files):
         assert json.dumps(once, sort_keys=True) == json.dumps(twice, sort_keys=True)
 
 
+def test_layer_levels_are_derived_not_read():
+    # a valid but non-least filtration in the file is not read: the emitted
+    # levels are the least ones, and a cyclic delta emits none
+    data = {"field": "F5",
+            "points": [{"name": "1", "factor": "trivial"},
+                       {"name": "2", "factor": "trivial"}],
+            "solid_arrows": [{"name": "a", "source": "1", "target": "2"},
+                             {"name": "b", "source": "1", "target": "2"},
+                             {"name": "c", "source": "2", "target": "1"}],
+            "dashed_arrows": [{"name": "v", "source": "1", "target": "2"}],
+            "differential": {"a": [["1", "v", "1", "c", "1", "b", "1"]]},
+            "w0_filtration": [["b"], ["b", "c"], ["a", "b", "c"]]}
+    out = emit_presentation(parse_presentation(data))
+    assert out["w0_filtration"] == [["b", "c"], ["a", "b", "c"]]
+    assert "w1_filtration" not in out
+    data["differential"]["a"] = [["1", "v", "1", "c", "1", "a", "1"]]
+    assert "w0_filtration" not in emit_presentation(parse_presentation(data))
+
+
 def test_cmd_check_passes(files, capsys):
     paths, _ = files
     assert main(["check", paths["exi"]]) == 0

@@ -1,18 +1,19 @@
 import pytest
 
 from ditalg import interlace
-from ditalg.bigraph import Bigraph, Factor
-from ditalg.fixtures import ex1, ex2, exi, exk, exl, exl2
+from ditalg.bigraph import Bigraph, BigraphError, Factor
+from ditalg.fixtures import ex1, ex2, exa, exi, exk, exl, exl2
 from ditalg.interlace import (
     CertificationError, Dit, IdealData, certify, check_balanced,
     check_interlaced, check_triangular_ideal, check_triangular_layer,
     generated_ideal, kernel_lemma_dimension_check, lift_differential,
-    pair_height_filtration, quotient, recompute_triangular_filtrations,
+    pair_height_filtration, quotient,
     reduce_mod_ideal_window,
 )
 from ditalg.scalars import PrimeField
 from ditalg.tensor import Differential, Elem, Layer
 
+F3 = PrimeField(3)
 F5 = PrimeField(5)
 F7 = PrimeField(7)
 
@@ -123,6 +124,14 @@ def test_kernel_lemma_on_fixtures():
                 assert kernel_lemma_dimension_check(d, i, j, length_cap=4)
 
 
+def test_kernel_lemma_needs_a_directed_bigraph():
+    # exa certifies (its loop has delta = 0), but its window is not finite
+    d = exa(F3)
+    assert certify(d)["roiter"]
+    with pytest.raises(BigraphError):
+        kernel_lemma_dimension_check(d, "1", "1", length_cap=3)
+
+
 def test_lift_trivial_differential():
     d = exl(F5)
     flags = certify(d)
@@ -168,7 +177,7 @@ def test_triangular_ideal_rejects_unbalanced_without_filtration():
 def test_triangular_layer_from_heights():
     d = ex2(F5)
     assert check_triangular_layer(d)
-    assert d.layer.w0_levels and d.layer.w1_levels
+    assert all(d.levels)
 
 
 def test_triangular_ideal_implies_balanced():
@@ -194,7 +203,7 @@ def test_triangular_layer_is_exact_on_acyclic_dependencies():
     d = _cyclic_bigraph_dit("b")
     assert not d.bigraph.is_directed()
     assert check_triangular_layer(d)
-    assert d.layer.w0_levels == (frozenset({"b", "c"}), frozenset({"a", "b", "c"}))
+    assert d.levels[0] == (frozenset({"b", "c"}), frozenset({"a", "b", "c"}))
 
 
 def test_triangular_layer_rejects_cyclic_dependencies():
@@ -202,7 +211,7 @@ def test_triangular_layer_rejects_cyclic_dependencies():
     assert not check_triangular_layer(d)
     assert not d.certificates["triangular_layer"]
     with pytest.raises(CertificationError):
-        recompute_triangular_filtrations(d)
+        d.levels
 
 
 def test_quotient_builds_generated_ideal_once(monkeypatch):
@@ -218,3 +227,27 @@ def test_quotient_builds_generated_ideal_once(monkeypatch):
     b = q.dit.bigraph
     assert q.reduce0(Elem.arrow(b, "b") * Elem.arrow(b, "a")).is_zero()
     assert len(built) == 1
+
+
+def test_ideal_window_span_enumerates_each_window_once(monkeypatch):
+    # inside one ideal_window_span call, each window e_j [T]_deg e_i is
+    # enumerated once, whatever the generators, splits and word lengths
+    d = exl(F5)
+    calls = []
+    span, basis = interlace.ideal_window_span, interlace.graded_component_basis
+
+    def counting_span(*args, **kwargs):
+        calls.append([])
+        return span(*args, **kwargs)
+
+    def counting_basis(b, source, target, degree, *args, **kwargs):
+        calls[-1].append((source, target, degree))
+        return basis(b, source, target, degree, *args, **kwargs)
+
+    monkeypatch.setattr(interlace, "ideal_window_span", counting_span)
+    monkeypatch.setattr(interlace, "graded_component_basis", counting_basis)
+    gi = generated_ideal(d)
+    assert gi.degree0_span and gi.degree1_span
+    assert all(len(windows) == len(set(windows)) for windows in calls)
+    # 93 enumerations in 32 calls; one per word length made 1,440
+    assert sum(map(len, calls)) <= 93

@@ -196,6 +196,25 @@ def test_transport_annihilates_ideal():
     assert M.validate() is None
 
 
+def test_transport_follows_delta_levels_without_certify():
+    # solid a, b: 1 -> 2 and c: 2 -> 1, dashed v: 1 -> 2, delta(a) = v c b:
+    # a must be transported after b and c, although no certificate was run
+    from ditalg.tensor import Differential, Elem, Layer
+    from ditalg.interlace import Dit, IdealData
+
+    bg = Bigraph(F5, [("1", Factor.trivial()), ("2", Factor.trivial())],
+                 solid=[("a", "1", "2"), ("b", "1", "2"), ("c", "2", "1")],
+                 dashed=[("v", "1", "2")])
+    layer = Layer(bg)
+    da = Elem.arrow(bg, "v") * Elem.arrow(bg, "c") * Elem.arrow(bg, "b")
+    d = Dit(layer, Differential(layer, {"a": da}), IdealData())
+    one = Mat(F5, 1, 1, [[F5.one]])
+    N = Rep(d, {"1": 1, "2": 1}, {name: one for name in "abc"})
+    f = MorphismPair({"1": one, "2": one}, {"v": one})
+    M = transport_structure(d, N, f.f0, f.f1)
+    assert in_hom(d, M, N, f)
+
+
 # -- idempotent splitting and decomposition ------------------------------------
 
 def test_split_identity_idempotent():

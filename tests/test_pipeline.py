@@ -345,3 +345,31 @@ def test_residue_note_names_the_sampling_cause():
         "3 indecomposable class(es) outside the functor image (not exceptional: "
         "the families are specialized only at Jordan blocks of the sampled "
         "eigenvalues)"]
+
+
+def test_layer_levels_derived_once_per_presentation(monkeypatch):
+    # each presentation derives its levels once, one builder call per arrow
+    # kind, however often the driver, the reductions and modcat read them
+    from collections import Counter
+
+    from ditalg import interlace
+
+    built, derived = [], Counter()
+    dit_init, levels = interlace.Dit.__init__, interlace._dependency_levels
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        dit_init(self, *args, **kwargs)
+
+    def counting_levels(dit, dashed):
+        derived[id(dit), dashed] += 1
+        return levels(dit, dashed)
+
+    monkeypatch.setattr(interlace.Dit, "__init__", counting_init)
+    monkeypatch.setattr(interlace, "_dependency_levels", counting_levels)
+    d = exk(F3)
+    certify(d)
+    plan, final = reduce_to_minimal(d, 4)
+    assert plan.steps
+    assert max(derived.values()) == 1
+    assert len(derived) <= 2 * len(built)
