@@ -4,9 +4,11 @@ Usage: PYTHONPATH=src python scripts/snapshot_outputs.py OUTDIR
 
 For each case (fixture, field, dimension bound) one file OUTDIR/<case>.json
 holds the plan log, every plan step's kind, note, spec data and target
-presentation, the final presentation (or the obstruction reason and the
-presentation where the run stopped), and the classification report with its
-summary.  When the report lists at least two indecomposables, it also holds
+presentation, the step functor's image of the simple module at each trivial
+point and of the generic module at each rational point of the step's target
+(which reaches every reduction's `apply_rep`), the final presentation (or
+the obstruction reason and the presentation where the run stopped), and the
+classification report with its summary.  When the report lists at least two indecomposables, it also holds
 the `decompose` of the direct sum of the first two (the summands' dimensions,
 arrow matrices and x-actions), which runs `split_idempotent` on the dashed
 layer levels.  Under "interlace" it also holds, for a fresh copy of the fixture,
@@ -22,8 +24,9 @@ import os
 import sys
 
 from ditalg import fixtures
+from ditalg.bimodule import generic_regular
 from ditalg.interlace import certify, kernel_lemma_dimension_check, quotient
-from ditalg.modcat import decompose, direct_sum
+from ditalg.modcat import decompose, direct_sum, simple_at
 from ditalg.pipeline import Obstruction, classify
 from ditalg.presentation import emit_elem, emit_presentation, emit_report
 from ditalg.scalars import field_from_name
@@ -74,6 +77,19 @@ def rep_data(M) -> dict:
             "point_ops": plain(M.point_ops)}
 
 
+def step_images(functor) -> dict:
+    """The step functor applied to the simple module at each trivial point
+    and to the generic module at each rational point of its target."""
+    tgt = functor.target
+    b = tgt.bigraph
+
+    def image(p):
+        N = simple_at(tgt, p) if b.factor(p).is_trivial else generic_regular(tgt, p)
+        return rep_data(functor.apply_rep(N))
+
+    return {p: outcome(lambda: image(p)) for p in b.point_order}
+
+
 def interlace_snapshot(dit) -> dict:
     """Certificates, quotient and kernel-lemma answers of one presentation."""
     b = dit.bigraph
@@ -109,7 +125,8 @@ def snapshot(fixture: str, field: str, d: int) -> dict:
     out["steps"] = [{"kind": s.functor.kind, "note": s.note,
                      "spec": None if s.spec is None else
                      {"kind": s.spec.kind, "data": plain(s.spec.data)},
-                     "target": emit_presentation(s.functor.target)} for s in steps]
+                     "target": emit_presentation(s.functor.target),
+                     "images": step_images(s.functor)} for s in steps]
     out["interlace"] = interlace_snapshot(build(field_from_name(field)))
     return out
 

@@ -473,9 +473,8 @@ def reduce_admissible(dit: Dit, adm: AdmissibleModuleData,
     new_dit = Dit(layer, delta, IdealData(ideal_gens, filtration),
                   name=name or f"{dit.name}^X")
     inherit_certificates(dit, new_dit)
-    old_w = getattr(dit, "point_weights", {}) or {}
     for s in adm.summands:
-        new_dit.point_weights[s.label] = sum(old_w.get(x.point, 1)
+        new_dit.point_weights[s.label] = sum(dit.point_weights.get(x.point, 1)
                                              for x in adm.x_basis if x.summand is s)
 
     # ---- functor data: the nonzero entries of sigma of each letter ----

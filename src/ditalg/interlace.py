@@ -410,10 +410,9 @@ def inherit_certificates(src_dit: Dit, new_dit: Dit):
     for key in ("triangular_layer", "triangular_ideal", "balanced", "interlaced", "roiter"):
         if flags.get(key):
             new_dit.certificates[key] = True
-    weights = getattr(src_dit, "point_weights", None) or {}
     for p in new_dit.bigraph.point_order:
-        if p in weights:
-            new_dit.point_weights[p] = weights[p]
+        if p in src_dit.point_weights:
+            new_dit.point_weights[p] = src_dit.point_weights[p]
 
 
 # -- generated ideal ------------------------------------------------------

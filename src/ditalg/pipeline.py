@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .admissible import _sub_bigraph_dit
-from .bimodule import generic_regular, push_generic
+from .bimodule import generic_regular, push_generic, specialize_jordan
 from .interlace import Dit, certify, level_order
-from .modcat import DecomposableError, IsoClassIndex, ModcatError, Rep, jordan_at, simple_at
+from .modcat import DecomposableError, IsoClassIndex, Rep, simple_at
 from .reduce import (
     ReductionError, ReductionFunctor, StepSpec, change_solid_basis, compose_functors,
     delete_idempotents, rep_spec,
@@ -486,7 +486,7 @@ def seminested_loop(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], Dit]:
 
 def _localization_for_pivot(dit: Dit, arrow: str, dv: Elem):
     """Find (point, h) whose inversion turns some delta-term coefficient into
-    a unit."""
+    a unit, where the ring at the point does not invert h yet."""
     b = dit.bigraph
     for w, c in dv.terms.items():
         if w.length() != 1:
@@ -499,8 +499,9 @@ def _localization_for_pivot(dit: Dit, arrow: str, dv: Elem):
             if ring is None:
                 continue
             a, j = key
-            if j == 0 and a > 0:
-                return point, Poly.x(b.field)
+            x = Poly.x(b.field)
+            if j == 0 and a > 0 and not x.divides(ring.h):
+                return point, x
     # fall back: invert the full numerator of some coefficient
     for w, c in dv.terms.items():
         for pos, point in ((0, w.start), (1, w.end(b))):
@@ -669,10 +670,7 @@ def classify(dit: Dit, d: int, budget: int = 200,
                 if F.is_zero(ring.h.eval(lam)):
                     continue
                 for t in range(1, d + 1):
-                    try:
-                        img = push(jordan_at(minimal, p, lam, t))
-                    except ModcatError:
-                        continue
+                    img = specialize_jordan(Z, lam, t)
                     if 0 < img.total_dim() <= d:
                         fam.sample_images.append(((lam, t), img))
             families.append(fam)

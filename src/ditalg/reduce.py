@@ -1,16 +1,18 @@
 """The reduction calculus.  Each reduction F: Mod(A', I') -> Mod(A, I) comes
-from a morphism phi of tensor algebras given by a point map and generator
-images, and its target presentation is the pushforward of delta and I along
-phi (`_pushforward`): deletion, regularization, factoring out and base change
-of a solid arm through `induced_reduction`, and absorption and source
-detachment with their own object formulas.  Admissible-module reduction lives
-in `admissible`.  Each step returns a ReductionFunctor, which maps
+from a morphism phi of tensor algebras, and its target presentation is the
+pushforward of delta and I along phi (`_pushforward`).  phi keeps the points of
+the target bigraph and kills the others; a reduction names only the generators
+it changes, and every other generator goes to the target arrow of the same
+name (a fixed letter) or to zero.  Deletion, regularization, factoring out and
+base change of a solid arm go through `induced_reduction`, and absorption and
+source detachment have their own object formulas.  Admissible-module reduction
+lives in `admissible`.  Each step returns a ReductionFunctor, which maps
 target-side modules back to the source category."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .bigraph import Bigraph, Factor
@@ -44,7 +46,6 @@ class ReductionFunctor:
     source: Dit
     target: Dit
     apply_rep: Callable[[Rep], Rep] = None
-    data: dict = field(default_factory=dict)
     dim_scale: int = 1
 
     def __call__(self, N: Rep) -> Rep:
@@ -72,83 +73,69 @@ def compose_functors(steps: Sequence[ReductionFunctor]) -> ReductionFunctor:
 # -- the pushforward along phi -------------------------------------------------
 
 
-def _map_elem(src: Bigraph, tgt: Bigraph, point_map: Dict[str, Optional[str]],
-              arrow_images: Dict[str, Elem], elem: Elem) -> Elem:
-    """Push an element of T(src) through the graded algebra morphism given by
-    a point map and generator images."""
+def _map_elem(src: Bigraph, tgt: Bigraph, images: Dict[str, Elem], elem: Elem) -> Elem:
+    """Push an element of T(src) through the graded algebra morphism that
+    keeps the points of `tgt`, kills the others and sends each generator to
+    its image in `images` (zero when it has none)."""
     out = Elem.zero(tgt)
     F = tgt.field
     for w, c in elem.terms.items():
         pts = w.path(src)
-        img_pt = point_map.get(pts[0])
-        if img_pt is None:
+        if pts[0] not in tgt.points:
             continue
-        if tgt.factor(img_pt).is_trivial and w.coeffs[0] != UNIT:
+        if tgt.factor(pts[0]).is_trivial and w.coeffs[0] != UNIT:
             continue
-        cur = Elem(tgt, {Word(img_pt, (), (w.coeffs[0],)): F.one})
+        cur = Elem(tgt, {Word(pts[0], (), (w.coeffs[0],)): F.one})
         dead = False
         for i, name in enumerate(w.arrows):
-            img = arrow_images.get(name)
-            if img is None or img.is_zero():
+            img = images.get(name)
+            nxt = pts[i + 1]
+            if img is None or img.is_zero() or nxt not in tgt.points:
                 dead = True
                 break
-            cur = img * cur
-            nxt = point_map.get(pts[i + 1])
-            if nxt is None:
-                dead = True
-                break
-            dec = Elem(tgt, {Word(nxt, (), (w.coeffs[i + 1],)): F.one})
-            cur = dec * cur
+            cur = Elem(tgt, {Word(nxt, (), (w.coeffs[i + 1],)): F.one}) * (img * cur)
         if not dead and not cur.is_zero():
             out = out + cur.scale(c)
     return out
 
 
-def _plain_arrows(tgt: Bigraph, images: Dict[str, Elem]) -> Dict[str, str]:
-    """Source generator -> target arrow, for the generators whose image is a
-    plain target arrow (one undecorated word of length one, coefficient 1)."""
-    out = {}
-    for s, img in images.items():
-        if img is None or len(img.terms) != 1:
-            continue
-        (w, c), = img.terms.items()
-        if w.length() == 1 and c == tgt.field.one and w.coeffs == (UNIT, UNIT):
-            out[s] = w.arrows[0]
-    return out
+def _generator_images(src: Bigraph, tgt: Bigraph, changed: Dict[str, Elem]) -> Dict[str, Elem]:
+    """phi on every generator of `src`: its image in `changed`, else the
+    target arrow of the same name (a fixed letter), else zero."""
+    zero = Elem.zero(tgt)
+    return {s: changed[s] if s in changed else
+            Elem.arrow(tgt, s) if s in tgt.arrows else zero for s in src.arrows}
 
 
-def _pushforward(dit: Dit, point_map: Dict[str, Optional[str]], tgt: Bigraph,
-                 images: Dict[str, Elem], name: str,
+def _pushforward(dit: Dit, tgt: Bigraph, changed: Dict[str, Elem], name: str,
                  lifts: Optional[Dict[str, Elem]] = None) -> Dit:
-    """The target presentation of the reduction along phi: T(dit) -> T(tgt)
-    given by `point_map` and the generator `images`.  delta'(t) = phi(delta(s))
-    for s = lifts[t] when given, else for t's plain preimage (the first
-    generator whose image is t); I' is generated by phi(I).  Raises
-    ReductionError unless delta' phi = phi delta on every generator."""
+    """The target presentation of the reduction along phi: T(dit) -> T(tgt),
+    which keeps the points of `tgt`, kills the others and sends the
+    generators as `_generator_images` says.  delta'(t) = phi(delta(lifts[t]))
+    for a lifted t and phi(delta(t)) otherwise; I' is generated by phi(I).
+    Raises ReductionError on a target arrow that is neither lifted nor a
+    source generator, and unless delta' phi = phi delta on every generator
+    other than a fixed letter, where it holds by definition."""
     b = dit.bigraph
     lifts = lifts or {}
+    images = _generator_images(b, tgt, changed)
 
     def push(e: Elem) -> Elem:
-        return _map_elem(b, tgt, point_map, images, e)
+        return _map_elem(b, tgt, images, e)
 
-    plain = _plain_arrows(tgt, images)
-    preimage: Dict[str, str] = {}
-    for s, t in plain.items():
-        preimage.setdefault(t, s)
     values: Dict[str, Elem] = {}
     for t in tgt.arrows:
         if t in lifts:
             values[t] = push(dit.delta.apply(lifts[t]))
-        elif t in preimage:
-            values[t] = push(dit.delta.of_arrow(preimage[t]))
+        elif t in b.arrows:
+            values[t] = push(dit.delta.of_arrow(t))
         else:
-            raise ReductionError(f"target arrow {t} has no plain preimage")
+            raise ReductionError(f"target arrow {t} is neither lifted nor a source generator")
     layer = Layer(tgt)
     delta = Differential(layer, values)
     for s, img in images.items():
-        t = plain.get(s)
-        if t is not None and t not in lifts and preimage[t] == s:
-            continue  # delta'(t) is phi(delta(s)) by definition
+        if s in tgt.arrows and s not in changed and s not in lifts:
+            continue  # a fixed letter: delta'(s) is phi(delta(s)) by definition
         if push(dit.delta.of_arrow(s)) != delta.apply(img):
             raise ReductionError(f"commuting square fails at generator {s}")
     ideal = [g2 for g2 in (push(g) for g in dit.ideal.generators) if not g2.is_zero()]
@@ -157,41 +144,35 @@ def _pushforward(dit: Dit, point_map: Dict[str, Optional[str]], tgt: Bigraph,
     return new_dit
 
 
-def induced_reduction(dit: Dit, point_map: Dict[str, Optional[str]],
-                      target_bigraph: Bigraph,
-                      arrow_images: Dict[str, Elem],
+def induced_reduction(dit: Dit, target_bigraph: Bigraph, changed: Dict[str, Elem],
                       name: str = "induced",
                       kind: str = "induced",
                       lifts: Optional[Dict[str, Elem]] = None
                       ) -> Tuple[Dit, ReductionFunctor]:
-    """Reduction along phi given by a point map and generator images (see
-    `_pushforward`); a module N over the target goes to phi^* N, which reads
-    a solid arrow's matrix off N directly when its image is a plain arrow."""
+    """Reduction along phi, which sends the generators named in `changed` to
+    their given images and fixes the rest (see `_pushforward`); a module N
+    over the target goes to phi^* N, which reads a fixed letter's matrix off
+    N directly."""
     b = dit.bigraph
-    new_dit = _pushforward(dit, point_map, target_bigraph, arrow_images, name, lifts)
-    plain = _plain_arrows(target_bigraph, arrow_images)
+    tgt = target_bigraph
+    new_dit = _pushforward(dit, tgt, changed, name, lifts)
 
     def apply_rep(N: Rep) -> Rep:
-        dims = {}
-        for p in b.point_order:
-            ip = point_map.get(p)
-            dims[p] = N.dims[ip] if ip is not None else 0
-        M = Rep(dit, dims, ring=N.ring)
+        M = Rep(dit, {p: N.dims[p] if p in tgt.points else 0 for p in b.point_order},
+                ring=N.ring)
         for arr in b.solid_arrows():
-            img = arrow_images.get(arr.name)
-            if arr.name in plain:
-                M.arrow_ops[arr.name] = N.arrow_ops[plain[arr.name]]
-            elif img is not None and not img.is_zero():
-                M.arrow_ops[arr.name] = N.elem_action(
-                    img, point_map[arr.source], point_map[arr.target])
+            img = changed.get(arr.name)
+            if img is None:
+                if arr.name in tgt.arrows:
+                    M.arrow_ops[arr.name] = N.arrow_ops[arr.name]
+            elif not img.is_zero():
+                M.arrow_ops[arr.name] = N.elem_action(img, arr.source, arr.target)
         for p in b.point_order:
-            ip = point_map.get(p)
-            if ip is not None and not b.factor(p).is_trivial:
-                M.point_ops[p] = N.point_ops[ip]
+            if p in tgt.points and not b.factor(p).is_trivial:
+                M.point_ops[p] = N.point_ops[p]
         return M
 
-    functor = ReductionFunctor(kind=kind, source=dit, target=new_dit, apply_rep=apply_rep,
-                               data={"point_map": point_map, "arrow_images": arrow_images})
+    functor = ReductionFunctor(kind=kind, source=dit, target=new_dit, apply_rep=apply_rep)
     return new_dit, functor
 
 
@@ -209,21 +190,13 @@ def delete_idempotents(dit: Dit, kept_points: Sequence[str],
                          if a.source in kept and a.target in kept],
                   dashed=[(a.name, a.source, a.target) for a in b.dashed_arrows()
                           if a.source in kept and a.target in kept])
-    point_map = {p: (p if p in kept else None) for p in b.point_order}
-    images = {}
-    for a in b.arrows.values():
-        if a.source in kept and a.target in kept:
-            images[a.name] = Elem.arrow(tgt, a.name)
-        else:
-            images[a.name] = Elem.zero(tgt)
-    return induced_reduction(dit, point_map, tgt, images,
-                             name=name or f"{dit.name}^d", kind="deletion")
+    return induced_reduction(dit, tgt, {}, name=name or f"{dit.name}^d", kind="deletion")
 
 
 def deletion_image_characterization(functor: ReductionFunctor, M: Rep) -> bool:
     """(1-e) M = 0: M lies in the image iff every deleted point has dim 0."""
-    point_map = functor.data["point_map"]
-    return all(M.dims[p] == 0 for p, ip in point_map.items() if ip is None)
+    kept = functor.target.bigraph.points
+    return all(M.dims[p] == 0 for p in functor.source.bigraph.point_order if p not in kept)
 
 
 # -- regularization -------------------------------------------------------------
@@ -280,52 +253,29 @@ def regularize(dit: Dit, solid_selection: Sequence[str],
     tgt = Bigraph(F, [(p, b.factor(p)) for p in b.point_order],
                   solid=[(n, b.arrow(n).source, b.arrow(n).target) for n in kept_solid],
                   dashed=[(n, b.arrow(n).source, b.arrow(n).target) for n in kept_dashed])
-    point_map = {p: p for p in b.point_order}
 
-    # phi on dashed arrows: the pivot arrows are rewritten via
-    # v_pivot = c^-1 (delta(a) - other terms) |-> -c^-1 (other terms image);
-    # solve the triangular system iteratively.
-    images_dashed: Dict[str, Elem] = {n: Elem.arrow(tgt, n) for n in kept_dashed}
-    pending = {pivots[a]: (a, images[a]) for a in pivots}
-    for _ in range(len(pending) + 1):
-        ready = {}
-        for vp, (a, img) in list(pending.items()):
-            c_piv = None
+    # phi on the pivot arrows: v_pivot = c^-1 (delta(a) - other terms) |->
+    # -c^-1 phi(other terms), so that delta(a) maps to zero; the triangular
+    # system is solved pass by pass, each pass solving at least one pivot.
+    phi = _generator_images(b, tgt, {})
+    pending = {pivots[a]: images[a] for a in pivots}
+    for _ in range(len(pending)):
+        for vp, img in list(pending.items()):
             rest = Elem.zero(tgt)
-            ok = True
             for w, c in img.terms.items():
                 vn = w.arrows[0]
                 if vn == vp and w.coeffs == (UNIT, UNIT):
                     c_piv = c
-                    continue
-                if vn in images_dashed:
-                    piece = _map_elem(b, tgt, point_map, images_dashed, Elem(b, {w: c}))
-                    rest = rest + piece
-                elif vn in pending and vn != vp:
-                    ok = False
+                elif vn in pending:
                     break
                 else:
-                    ok = False
-                    break
-            if ok and c_piv is not None:
-                # phi(v_pivot) = -c^-1 * phi(rest): delta(a) maps to zero
-                images_dashed[vp] = rest.scale(F.neg(F.inv(c_piv)))
-                ready[vp] = True
-        for vp in ready:
-            pending.pop(vp)
-        if not pending:
-            break
+                    rest = rest + _map_elem(b, tgt, phi, Elem(b, {w: c}))
+            else:
+                phi[vp] = rest.scale(F.neg(F.inv(c_piv)))
+                del pending[vp]
     if pending:
         raise ReductionError("could not triangularize the dashed base change")
-
-    arrow_images: Dict[str, Elem] = {}
-    for n in kept_solid:
-        arrow_images[n] = Elem.arrow(tgt, n)
-    for n in sel:
-        arrow_images[n] = Elem.zero(tgt)
-    arrow_images.update(images_dashed)
-
-    return induced_reduction(dit, point_map, tgt, arrow_images,
+    return induced_reduction(dit, tgt, {vp: phi[vp] for vp in pivots.values()},
                              name=name or f"{dit.name}^r", kind="regularization")
 
 
@@ -352,13 +302,7 @@ def factor_out(dit: Dit, solid_selection: Sequence[str],
     tgt = Bigraph(b.field, [(p, b.factor(p)) for p in b.point_order],
                   solid=[(n, b.arrow(n).source, b.arrow(n).target) for n in kept_solid],
                   dashed=[(a.name, a.source, a.target) for a in b.dashed_arrows()])
-    point_map = {p: p for p in b.point_order}
-    arrow_images = {n: Elem.arrow(tgt, n) for n in kept_solid}
-    arrow_images.update({a.name: Elem.arrow(tgt, a.name) for a in b.dashed_arrows()})
-    for s in sel:
-        arrow_images[s] = Elem.zero(tgt)
-    return induced_reduction(dit, point_map, tgt, arrow_images,
-                             name=name or f"{dit.name}^q", kind="factor_out")
+    return induced_reduction(dit, tgt, {}, name=name or f"{dit.name}^q", kind="factor_out")
 
 
 # -- absorption ------------------------------------------------------------------
@@ -386,15 +330,8 @@ def absorb(dit: Dit, loop_arrow: str, name: str = "") -> Tuple[Dit, ReductionFun
                   solid=[(a.name, a.source, a.target) for a in b.solid_arrows()
                          if a.name != loop_arrow],
                   dashed=[(a.name, a.source, a.target) for a in b.dashed_arrows()])
-    point_map = {p: p for p in b.point_order}
-
     x_elem = Elem.decorated(tgt, point, tgt.factor_ring(point).from_poly(Poly.x(b.field)))
-    arrow_images: Dict[str, Elem] = {loop_arrow: x_elem}
-    for a in b.arrows.values():
-        if a.name != loop_arrow:
-            arrow_images[a.name] = Elem.arrow(tgt, a.name)
-
-    new_dit = _pushforward(dit, point_map, tgt, arrow_images, name or f"{dit.name}^a")
+    new_dit = _pushforward(dit, tgt, {loop_arrow: x_elem}, name or f"{dit.name}^a")
 
     # N's matrices are reinterpreted as they are, which is cheaper than the
     # generic phi^* of `induced_reduction`
@@ -411,7 +348,7 @@ def absorb(dit: Dit, loop_arrow: str, name: str = "") -> Tuple[Dit, ReductionFun
         return M
 
     functor = ReductionFunctor(kind="absorption", source=dit, target=new_dit,
-                               apply_rep=apply_rep, data={"point": point, "loop": loop_arrow})
+                               apply_rep=apply_rep)
     return new_dit, functor
 
 
@@ -445,14 +382,7 @@ def detach_source(dit: Dit, point: str, name: str = "") -> Tuple[Dit, ReductionF
                          if a.source != point and a.target != point],
                   dashed=[(a.name, a.source, a.target) for a in b.dashed_arrows()
                           if a.source != point and a.target != point])
-    point_map = {p: p for p in b.point_order}
-    arrow_images = {}
-    for a in b.arrows.values():
-        if a.source != point and a.target != point:
-            arrow_images[a.name] = Elem.arrow(tgt, a.name)
-        else:
-            arrow_images[a.name] = Elem.zero(tgt)
-    new_dit = _pushforward(dit, point_map, tgt, arrow_images, name or f"{dit.name}^o")
+    new_dit = _pushforward(dit, tgt, {}, name or f"{dit.name}^o")
 
     def res_rep(M: Rep) -> Rep:
         out = Rep(new_dit, dict(M.dims), ring=M.ring)
@@ -464,7 +394,7 @@ def detach_source(dit: Dit, point: str, name: str = "") -> Tuple[Dit, ReductionF
         return out
 
     functor = ReductionFunctor(kind="detachment", source=dit, target=new_dit,
-                               apply_rep=res_rep, data={"point": point})
+                               apply_rep=res_rep)
     return new_dit, functor
 
 
@@ -656,11 +586,7 @@ def change_solid_basis(dit: Dit, source_point: str, target_point: str,
             out = out + Elem(tgt, {w: c})
         return out
 
-    point_map = {p: p for p in b.point_order}
     arrow_images: Dict[str, Elem] = {}
-    for a in b.arrows.values():
-        if a.name not in set(old):
-            arrow_images[a.name] = Elem.arrow(tgt, a.name)
     for j, oname in enumerate(old):
         acc = Elem.zero(tgt)
         for i, (nm, _) in enumerate(new_arrows):
@@ -670,5 +596,5 @@ def change_solid_basis(dit: Dit, source_point: str, target_point: str,
         arrow_images[oname] = acc
 
     # delta'(new_i) = phi(delta(sum_j C[i][j] old_j))
-    return induced_reduction(dit, point_map, tgt, arrow_images, name=name or f"{dit.name}~",
+    return induced_reduction(dit, tgt, arrow_images, name=name or f"{dit.name}~",
                              kind="basechange", lifts=dict(new_arrows))

@@ -12,7 +12,7 @@ from ditalg.pipeline import (
     Obstruction, brute_force_indecomposables, classify, is_minimal,
     reduce_to_minimal, stellar_to_seminested,
 )
-from ditalg.reduce import structural_equal
+from ditalg.reduce import rep_equal, structural_equal
 from ditalg.scalars import PrimeField, Poly
 from ditalg.scalars.linalg import Mat
 
@@ -92,7 +92,8 @@ def test_exk_classification_full():
 
 
 def test_exk_parametrization_square():
-    # F(L(Gamma/(x-l)^t)) ~ L(Z (x) Gamma/(x-l)^t) for sample l and t <= 2
+    # F(L(Gamma/(x-l)^t)) = L(Z (x) Gamma/(x-l)^t) for sample l and t <= 2:
+    # classify lists the family samples as specializations of Z
     d = exk(F3)
     certify(d)
     plan, minimal = reduce_to_minimal(d, 2, 150)
@@ -108,7 +109,29 @@ def test_exk_parametrization_square():
             via_bimodule = specialize_jordan(Z, lam, t)
             via_functor = comp.apply_rep(jordan_at(minimal, p, lam, t))
             assert via_bimodule.dim_vector() == via_functor.dim_vector()
-            assert iso_test(d, via_bimodule, via_functor), (lam_int, t)
+            assert rep_equal(via_bimodule, via_functor), (lam_int, t)
+
+
+def _x_decorated_dit(inverted):
+    # a: 1 -> 2 solid, v: 1 -> 2 dashed, delta(a) = x v at the rational point 2
+    from ditalg.interlace import Dit, IdealData
+    from ditalg.tensor import Differential, Elem, Layer
+
+    b = Bigraph(F3, [("1", Factor.trivial()), ("2", Factor.rational(inverted))],
+                solid=[("a", "1", "2")], dashed=[("v", "1", "2")])
+    x = Elem.decorated(b, "2", b.factor_ring("2").from_poly(Poly.x(F3)))
+    layer = Layer(b)
+    return Dit(layer, Differential(layer, {"a": x * Elem.arrow(b, "v")}), IdealData())
+
+
+def test_localization_never_inverts_x_twice():
+    from ditalg.pipeline import _localization_for_pivot
+
+    d = _x_decorated_dit([])
+    assert _localization_for_pivot(d, "a", d.delta.of_arrow("a")) == ("2", Poly.x(F3))
+    # where the ring at 2 already inverts x, localizing at x would change nothing
+    d = _x_decorated_dit([Poly.x(F3)])
+    assert _localization_for_pivot(d, "a", d.delta.of_arrow("a")) is None
 
 
 def test_dimension_bookkeeping():

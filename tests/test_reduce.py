@@ -369,9 +369,8 @@ def test_induced_reduction_ex2_regularization_quotient():
     d = ex2(F3)
     certify(d)
     tgt = Bigraph(F3, [("1", Factor.trivial()), ("2", Factor.trivial())])
-    point_map = {"1": "1", "2": "2"}
     images = {"a": Elem.zero(tgt), "v": Elem.zero(tgt)}
-    nd, f = induced_reduction(d, point_map, tgt, images, name="EX2-quot")
+    nd, f = induced_reduction(d, tgt, images, name="EX2-quot")
     assert not nd.bigraph.arrows
     via_reg, freg = regularize(d, ["a"])
     from ditalg.reduce import structural_equal
@@ -388,9 +387,7 @@ def test_induced_reduction_identity():
 
     d = ex2(F3)
     certify(d)
-    b = d.bigraph
-    images = {n: Elem.arrow(b, n) for n in b.arrows}
-    nd, f = induced_reduction(d, {p: p for p in b.point_order}, b, images)
+    nd, f = induced_reduction(d, d.bigraph, {})
     from ditalg.reduce import structural_equal
 
     assert structural_equal(nd, d)
@@ -398,25 +395,43 @@ def test_induced_reduction_identity():
     assert f(s1).dim_vector() == (1, 0)
 
 
-def test_induced_reduction_rejects_broken_square():
-    # two preimages of the same target arrow with inconsistent differentials
+def _two_solid_arrows_dit():
+    # a, b: 1 -> 2 solid with delta(a) = v and delta(b) = 0
     from ditalg.bigraph import Bigraph, Factor
-    from ditalg.reduce import induced_reduction, ReductionError
     from ditalg.tensor import Differential, Elem, Layer
     from ditalg.interlace import Dit, IdealData
 
-    F = F3
-    b = Bigraph(F, [("1", Factor.trivial()), ("2", Factor.trivial())],
+    b = Bigraph(F3, [("1", Factor.trivial()), ("2", Factor.trivial())],
                 solid=[("a", "1", "2"), ("b", "1", "2")], dashed=[("v", "1", "2")])
     layer = Layer(b)
     d = Dit(layer, Differential(layer, {"a": Elem.arrow(b, "v")}), IdealData())
     certify(d)
-    tgt = Bigraph(F, [("1", Factor.trivial()), ("2", Factor.trivial())],
-                  solid=[("c", "1", "2")], dashed=[("v", "1", "2")])
-    images = {"a": Elem.arrow(tgt, "c"), "b": Elem.arrow(tgt, "c"),
-              "v": Elem.arrow(tgt, "v")}
-    with pytest.raises(ReductionError):
-        induced_reduction(d, {"1": "1", "2": "2"}, tgt, images)
+    return d
+
+
+def test_induced_reduction_rejects_broken_square():
+    # b goes to the fixed letter a, but delta(b) = 0 while delta'(a) = v
+    from ditalg.bigraph import Bigraph, Factor
+    from ditalg.reduce import induced_reduction, ReductionError
+    from ditalg.tensor import Elem
+
+    d = _two_solid_arrows_dit()
+    tgt = Bigraph(F3, [("1", Factor.trivial()), ("2", Factor.trivial())],
+                  solid=[("a", "1", "2")], dashed=[("v", "1", "2")])
+    with pytest.raises(ReductionError, match="commuting square fails at generator b"):
+        induced_reduction(d, tgt, {"b": Elem.arrow(tgt, "a")})
+
+
+def test_induced_reduction_rejects_an_unlifted_new_arrow():
+    # c is neither a source generator nor lifted: delta'(c) is undefined
+    from ditalg.bigraph import Bigraph, Factor
+    from ditalg.reduce import induced_reduction, ReductionError
+
+    d = _two_solid_arrows_dit()
+    tgt = Bigraph(F3, [("1", Factor.trivial()), ("2", Factor.trivial())],
+                  solid=[("a", "1", "2"), ("c", "1", "2")], dashed=[("v", "1", "2")])
+    with pytest.raises(ReductionError, match="target arrow c is neither lifted"):
+        induced_reduction(d, tgt, {})
 
 
 def test_evaluate_functor_on_bimodule_identityish():
