@@ -15,8 +15,11 @@ layer levels.  Under "interlace" it also holds, for a fresh copy of the fixture,
 the certificate flags, the presentation after certification (with its layer
 filtrations), the quotient's reduced differential and dashed kernel (or the
 error raised), and the kernel-lemma check for every pair of points at
-length cap 3.  Run it on two checkouts and compare the directories with `diff -r`
-to show that a refactor leaves every output unchanged.
+length cap 3.  For a case where `classify` ran the brute-force referee,
+"referee" holds the referee's number of classes per dimension vector, which
+does not depend on the representatives it picks.  Run it on two checkouts and
+compare the directories with `diff -r` to show that a refactor leaves every
+output unchanged.
 """
 
 import json
@@ -27,7 +30,7 @@ from ditalg import fixtures
 from ditalg.bimodule import generic_regular
 from ditalg.interlace import certify, kernel_lemma_dimension_check, quotient
 from ditalg.modcat import decompose, direct_sum, simple_at
-from ditalg.pipeline import Obstruction, classify
+from ditalg.pipeline import Obstruction, brute_force_indecomposables, classify
 from ditalg.presentation import emit_elem, emit_presentation, emit_report
 from ditalg.scalars import field_from_name
 from ditalg.scalars.linalg import Mat
@@ -107,6 +110,15 @@ def interlace_snapshot(dit) -> dict:
     return out
 
 
+def referee_counts(dit, d: int) -> dict:
+    """The referee's number of classes per dimension vector."""
+    counts = {}
+    for M in brute_force_indecomposables(dit, d):
+        key = " ".join(f"{p}={n}" for p, n in sorted(M.dims.items()))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def snapshot(fixture: str, field: str, d: int) -> dict:
     build = getattr(fixtures, fixture)
     dit = build(field_from_name(field))
@@ -118,6 +130,8 @@ def snapshot(fixture: str, field: str, d: int) -> dict:
         steps = result.plan.steps
         out = {"log": result.plan.log(), "final": emit_presentation(result.minimal),
                "report": emit_report(result), "summary": result.summary()}
+        if result.brute_residue is not None:
+            out["referee"] = referee_counts(build(field_from_name(field)), d)
         listed = result.indecomposables
         if len(listed) >= 2:
             out["decompose_first_two"] = outcome(lambda: [

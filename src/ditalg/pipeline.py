@@ -666,13 +666,13 @@ def classify(dit: Dit, d: int, budget: int = 200,
             gen = generic_regular(minimal, p)
             Z = gen if comp is None else push_generic(comp, gen)
             fam = Family(point=p, inverted=tuple(fac.inverted or ()), bimodule=Z)
+            rank = Z.total_dim()
             for lam in lambda_sample:
-                if F.is_zero(ring.h.eval(lam)):
+                if not rank or F.is_zero(ring.h.eval(lam)):
                     continue
-                for t in range(1, d + 1):
-                    img = specialize_jordan(Z, lam, t)
-                    if 0 < img.total_dim() <= d:
-                        fam.sample_images.append(((lam, t), img))
+                # a Jordan block of size t has total dimension t * rank
+                for t in range(1, d // rank + 1):
+                    fam.sample_images.append(((lam, t), specialize_jordan(Z, lam, t)))
             families.append(fam)
 
     # dedup everything shown
@@ -729,25 +729,48 @@ def _brute_feasible(dit: Dit, d: int) -> bool:
 
 def brute_force_indecomposables(dit: Dit, d: int) -> List[Rep]:
     """Exhaustive enumeration of indecomposables with total dimension <= d
-    over a finite field, up to isomorphism."""
+    over a finite field, up to isomorphism.
+
+    In each dimension vector the matrix of the pivot, the first solid arrow
+    whose source differs from its target, runs only over the rank normal
+    forms [I_r 0; 0 0], r = 0..min(rows, cols); every other slot runs over
+    all of F_p.  This loses no class.  For g_t, g_s invertible at the
+    pivot's target and source, transport along (f0, 0) with f0 = (g_t, g_s)
+    and the identity elsewhere conjugates every matrix of M; with f1 = 0
+    there is no delta correction, so the transported module is isomorphic
+    to M, and it puts g_t M(pivot) g_s^-1 = E_r at the pivot.  The ideal
+    generators act through solid arrows and x-actions, so the conjugated
+    module is still annihilated by them, and an inverted polynomial stays
+    invertible under conjugation.  Every candidate still passes
+    `Rep.validate` and `IsoClassIndex.add`; the size guard counts every
+    slot, the pivot's too."""
     F = dit.field
     index = IsoClassIndex(dit)
+    pivot = next((a.name for a in dit.bigraph.solid_arrows() if a.source != a.target), None)
     for dimmap, slots in _shapes(dit, d):
         total = sum(r * c for _, _, r, c in slots)
         if F.char ** total > 10 ** 6:
             raise PipelineError("brute force space too large")
-        for vals in itertools.product(range(F.char), repeat=total):
-            rep = Rep(dit, dict(dimmap))
-            off = 0
-            for at_point, name, r, c in slots:
-                (rep.point_ops if at_point else rep.arrow_ops)[name] = Mat(
-                    F, r, c, [[F.from_int(vals[off + i * c + j]) for j in range(c)]
-                              for i in range(r)])
-                off += r * c
-            if rep.validate() is not None:
-                continue
-            try:
-                index.add(rep)
-            except DecomposableError:
-                pass          # not a class: classes are indecomposable
+        free = [s for s in slots if s[0] or s[1] != pivot]
+        rows, cols = next(((r, c) for at_point, name, r, c in slots
+                           if not at_point and name == pivot), (0, 0))
+        for rank in range(min(rows, cols) + 1):
+            normal = [[F.one if i == j < rank else F.zero for j in range(cols)]
+                      for i in range(rows)]
+            for vals in itertools.product(range(F.char), repeat=total - rows * cols):
+                rep = Rep(dit, dict(dimmap))
+                if pivot is not None:
+                    rep.arrow_ops[pivot] = Mat(F, rows, cols, normal)
+                off = 0
+                for at_point, name, r, c in free:
+                    (rep.point_ops if at_point else rep.arrow_ops)[name] = Mat(
+                        F, r, c, [[F.from_int(vals[off + i * c + j]) for j in range(c)]
+                                  for i in range(r)])
+                    off += r * c
+                if rep.validate() is not None:
+                    continue
+                try:
+                    index.add(rep)
+                except DecomposableError:
+                    pass          # not a class: classes are indecomposable
     return index.classes

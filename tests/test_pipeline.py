@@ -5,7 +5,7 @@ from ditalg.bimodule import (
     NCPoly, WildCertificate, generic_regular, push_generic, specialize_jordan,
     verify_wild_certificate,
 )
-from ditalg.fixtures import ex1, ex2, exi, exk, exl, stellar_case1, stellar_case2
+from ditalg.fixtures import ex1, ex2, exi, exk, exl, exr, stellar_case1, stellar_case2
 from ditalg.interlace import certify
 from ditalg.modcat import Rep, hom_dim, is_indecomposable, iso_test, jordan_at, simple_at
 from ditalg.pipeline import (
@@ -396,3 +396,139 @@ def test_layer_levels_derived_once_per_presentation(monkeypatch):
     assert plan.steps
     assert max(derived.values()) == 1
     assert len(derived) <= 2 * len(built)
+
+
+def _kronecker_counts(q: int, d: int):
+    """Indecomposable classes of the Kronecker quiver over F_q per dimension
+    vector of total dimension <= d, in closed form (Kac, Invent. Math. 1980):
+    one class in each dimension (n, n+1) and (n+1, n), and sum_{e | n} N_e
+    in dimension (n, n), with N_1 = q + 1 and N_e (e >= 2) the number of
+    monic irreducible polynomials of degree e over F_q."""
+    def mobius(n):
+        out, p = 1, 2
+        while p * p <= n:
+            if n % p == 0:
+                n //= p
+                if n % p == 0:
+                    return 0
+                out = -out
+            p += 1
+        return -out if n > 1 else out
+
+    def closed_points(e):
+        if e == 1:
+            return q + 1
+        return sum(mobius(e // k) * q ** k for k in range(1, e + 1) if e % k == 0) // e
+
+    counts = {}
+    for n in range(d + 1):
+        if 0 < 2 * n <= d:
+            counts[n, n] = sum(closed_points(e) for e in range(1, n + 1) if n % e == 0)
+        if 2 * n + 1 <= d:
+            counts[n, n + 1] = counts[n + 1, n] = 1
+    return counts
+
+
+@pytest.mark.parametrize("q, d, total", [(3, 4, 15), (5, 4, 26), (2, 6, 18)])
+def test_referee_matches_closed_form_kronecker_counts(q, d, total):
+    from collections import Counter
+
+    oracle = _kronecker_counts(q, d)
+    assert sum(oracle.values()) == total
+    classes = brute_force_indecomposables(exk(PrimeField(q)), d)
+    assert len(classes) == total
+    assert Counter((M.dims["1"], M.dims["2"]) for M in classes) == oracle
+
+
+def _full_enumeration(dit, d):
+    """Every module of total dimension 1..d with every solid arrow's matrix
+    and every x-action running over all of F_p, through one IsoClassIndex."""
+    import itertools
+
+    from ditalg.modcat import DecomposableError, IsoClassIndex
+
+    F, b = dit.field, dit.bigraph
+    pts = b.point_order
+    index = IsoClassIndex(dit)
+    for dims in itertools.product(range(d + 1), repeat=len(pts)):
+        if not 0 < sum(dims) <= d:
+            continue
+        dm = dict(zip(pts, dims))
+        slots = ([(False, a.name, dm[a.target], dm[a.source]) for a in b.solid_arrows()]
+                 + [(True, p, dm[p], dm[p]) for p in pts if not b.factor(p).is_trivial])
+        total = sum(r * c for _, _, r, c in slots)
+        for vals in itertools.product(range(F.char), repeat=total):
+            it = iter(vals)
+            M = Rep(dit, dict(dm))
+            for at_point, name, r, c in slots:
+                (M.point_ops if at_point else M.arrow_ops)[name] = Mat(
+                    F, r, c, [[F.from_int(next(it)) for _ in range(c)] for _ in range(r)])
+            if M.validate() is None:
+                try:
+                    index.add(M)
+                except DecomposableError:
+                    pass
+    return index
+
+
+def _loop_first(F):
+    """A loop ell at 1 listed before a: 1 -> 2, so the referee's pivot is a,
+    with a dashed v: 1 -> 2 and delta(a) = v ell."""
+    from ditalg.interlace import Dit, IdealData
+    from ditalg.tensor import Differential, Elem, Layer
+
+    b = Bigraph(F, [("1", Factor.trivial()), ("2", Factor.trivial())],
+                solid=[("ell", "1", "1"), ("a", "1", "2")], dashed=[("v", "1", "2")])
+    layer = Layer(b)
+    delta = Differential(layer, {"a": Elem.arrow(b, "v") * Elem.arrow(b, "ell")})
+    return Dit(layer, delta, IdealData(), name="LOOP")
+
+
+@pytest.mark.parametrize("build, F, d", [
+    (exk, F2, 3), (exl, F2, 3), (exr, F2, 3),
+    (stellar_case2, F3, 2),     # the pivot w1 ends at the rational point p
+    (_loop_first, F2, 3),       # the first solid arrow is a loop
+], ids=["exk-F2-3", "exl-F2-3", "exr-F2-3", "stellar_case2-F3-2", "loop-first-F2-3"])
+def test_rank_normal_form_loses_no_class(build, F, d):
+    dit = build(F)
+    certify(dit)
+    classes = brute_force_indecomposables(dit, d)
+    oracle = _full_enumeration(dit, d)
+    assert len(classes) == len(oracle.classes)
+    assert all(oracle.find(M) is not None for M in classes)
+
+
+def test_referee_tries_one_candidate_per_pivot_rank(monkeypatch):
+    # the pivot runs over rank normal forms only: 401 candidates on
+    # exk/F3/4, where the full product has 8,198
+    from ditalg import modcat
+
+    calls = [0]
+    validate = modcat.Rep.validate
+
+    def counting_validate(self):
+        calls[0] += 1
+        return validate(self)
+
+    monkeypatch.setattr(modcat.Rep, "validate", counting_validate)
+    assert len(brute_force_indecomposables(exk(F3), 4)) == 15
+    assert calls[0] <= 500
+
+
+def test_jordan_sizes_stop_at_the_bound(monkeypatch):
+    # a family of rank z is specialized at t = 1..d // z only: every
+    # specialization is kept
+    from ditalg import pipeline
+
+    built = []
+
+    def counting_specialize(Z, lam, t):
+        built.append(specialize_jordan(Z, lam, t))
+        return built[-1]
+
+    monkeypatch.setattr(pipeline, "specialize_jordan", counting_specialize)
+    d = exk(F3)
+    certify(d)
+    rep = classify(d, 4, brute_force_residue=False)
+    assert built and all(M.total_dim() <= 4 for M in built)
+    assert len(built) == sum(len(fam.sample_images) for fam in rep.families) == 6
