@@ -25,7 +25,9 @@ class Factor:
 
     @staticmethod
     def rational(inverted: Sequence[Poly] = ()) -> "Factor":
-        return Factor(tuple(p.monic() for p in inverted))
+        """k[x] localized at the monic forms of `inverted`, each once, in
+        first-seen order."""
+        return Factor(tuple(dict.fromkeys(p.monic() for p in inverted)))
 
     def ring(self, base_field: Field) -> Optional[LocalizedRing]:
         if self.is_trivial:

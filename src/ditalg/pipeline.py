@@ -14,13 +14,13 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .admissible import _sub_bigraph_dit
+from .bigraph import Bigraph
 from .bimodule import generic_regular, push_generic, specialize_jordan
 from .interlace import Dit, certify, level_order
 from .modcat import DecomposableError, IsoClassIndex, Rep, simple_at
 from .reduce import (
-    ReductionError, ReductionFunctor, StepSpec, change_solid_basis, compose_functors,
-    delete_idempotents, rep_spec,
+    ReductionError, ReductionFunctor, RepData, StepSpec, change_solid_basis,
+    compose_functors, delete_idempotents,
 )
 from .scalars import (
     LocalizedRing, LocElt, ModulePresentation, Poly, factor as poly_factor,
@@ -132,22 +132,33 @@ def torsion_blocks(h: Poly, ring: LocalizedRing, bound: int) -> List[Poly]:
     return out
 
 
-def companion_rep(dit: Dit, point: str, modulus: Poly) -> Rep:
-    """k[x]/(modulus) as a representation concentrated at a rational point."""
-    F = dit.field
+def companion_block(modulus: Poly) -> Mat:
+    """The x-action on k[x]/(modulus) in the basis 1, x, ..., x^(n-1)."""
+    F = modulus.field
     n = modulus.degree
-    dims = {p: (n if p == point else 0) for p in dit.bigraph.point_order}
-    r = Rep(dit, dims)
     X = Mat(F, n, n)
     for i in range(1, n):
         X.data[i][i - 1] = F.one
     for i in range(n):
         X.data[i][n - 1] = F.neg(modulus.coeff(i))
-    r.point_ops[point] = X
-    err = r.validate()
-    if err:
-        raise PipelineError(f"companion block invalid: {err}")
-    return r
+    return X
+
+
+def _b_module(b: Bigraph, b_arrows: Sequence[str], dims: Dict[str, int],
+              arrow_ops: Optional[Dict[str, Mat]] = None,
+              point_ops: Optional[Dict[str, Mat]] = None) -> RepData:
+    """A module over B = T_R(span b_arrows) on the points of `b`, as the
+    RepData that `build_admissible` hosts on B's own presentation: the given
+    matrices, and zero on every other B-arrow and rational point."""
+    F = b.field
+    dims = {p: dims.get(p, 0) for p in b.point_order}
+    arrow_ops, point_ops = arrow_ops or {}, point_ops or {}
+    return RepData(
+        dims,
+        {n: arrow_ops[n] if n in arrow_ops else
+         Mat(F, dims[b.arrow(n).target], dims[b.arrow(n).source]) for n in b_arrows},
+        {p: point_ops[p] if p in point_ops else Mat(F, dims[p], dims[p])
+         for p in b.point_order if not b.factor(p).is_trivial})
 
 
 # -- the stellar phase -------------------------------------------------------------
@@ -232,10 +243,11 @@ def _torsion_step(ctx: dict, steps: List[PlanStep], cur: Dit, blocks, regular,
     torsion modules of h^bound at each (point, h, bound) of `blocks`, a
     regular summand at each (point, inverted) of `regular` with the extra
     inverted polynomials, and the untouched `center`."""
-    sub = _sub_bigraph_dit(cur, [])
-    findim = [(_fresh(ctx, "z"), rep_spec(companion_rep(sub, p, modulus)))
+    b = cur.bigraph
+    findim = [(_fresh(ctx, "z"), _b_module(b, [], {p: modulus.degree},
+                                           point_ops={p: companion_block(modulus)}))
               for p, h, bound in blocks
-              for modulus in torsion_blocks(h, cur.bigraph.factor_ring(p), bound)]
+              for modulus in torsion_blocks(h, b.factor_ring(p), bound)]
     regulars = [(_fresh(ctx, f"r_{p}_"), p, inverted) for p, inverted in regular]
     if center is not None:
         regulars.append((center, center, ()))
@@ -518,14 +530,11 @@ def _localization_for_pivot(dit: Dit, arrow: str, dv: Elem):
 def _edge_reduction(ctx: dict, steps: List[PlanStep], dit: Dit, arrow: str) -> Dit:
     b = dit.bigraph
     arr = b.arrow(arrow)
-    b_dit = _sub_bigraph_dit(dit, [arrow])
-    s1 = simple_at(b_dit, arr.source)
-    s2 = simple_at(b_dit, arr.target)
-    p1 = Rep(b_dit, {p: (1 if p in (arr.source, arr.target) else 0)
-                     for p in b.point_order})
-    p1.arrow_ops[arrow] = Mat(b.field, 1, 1, [[b.field.one]])
-    findim = [(_fresh(ctx, "s"), rep_spec(s1)), (_fresh(ctx, "s"), rep_spec(s2)),
-              (_fresh(ctx, "e"), rep_spec(p1))]
+    s1 = _b_module(b, [arrow], {arr.source: 1})
+    s2 = _b_module(b, [arrow], {arr.target: 1})
+    p1 = _b_module(b, [arrow], {arr.source: 1, arr.target: 1},
+                   arrow_ops={arrow: Mat(b.field, 1, 1, [[b.field.one]])})
+    findim = [(_fresh(ctx, "s"), s1), (_fresh(ctx, "s"), s2), (_fresh(ctx, "e"), p1)]
     regulars = [(_fresh(ctx, f"r_{p}_"), p, ()) for p in b.point_order
                 if p not in (arr.source, arr.target)]
     spec = StepSpec("admissible", {"b_arrows": [arrow], "findim": findim,

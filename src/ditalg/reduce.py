@@ -3,17 +3,22 @@ from a morphism phi of tensor algebras, and its target presentation is the
 pushforward of delta and I along phi (`_pushforward`).  phi keeps the points of
 the target bigraph and kills the others; a reduction names only the generators
 it changes, and every other generator goes to the target arrow of the same
-name (a fixed letter) or to zero.  Deletion, regularization, factoring out and
-base change of a solid arm go through `induced_reduction`, and absorption and
-source detachment have their own object formulas.  Admissible-module reduction
-lives in `admissible`.  Each step returns a ReductionFunctor, which maps
-target-side modules back to the source category."""
+name or to zero.  A fixed letter keeps its name, endpoints and kind between
+points whose factor is unchanged.  The pushforward copies a word made of
+fixed letters verbatim, which is exact because its decorations are already
+canonical basis keys of the same factor rings; only the words through a
+changed letter or point are multiplied out again.  Deletion,
+regularization, factoring out and base change of a solid arm go through
+`induced_reduction`, and absorption and source detachment have their own
+object formulas.  Admissible-module reduction lives in `admissible`.  Each
+step returns a ReductionFunctor, which maps target-side modules back to the
+source category."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, NamedTuple, Optional, Sequence, Tuple
 
 from .bigraph import Bigraph, Factor
 from .interlace import (
@@ -73,55 +78,94 @@ def compose_functors(steps: Sequence[ReductionFunctor]) -> ReductionFunctor:
 # -- the pushforward along phi -------------------------------------------------
 
 
-def _map_elem(src: Bigraph, tgt: Bigraph, images: Dict[str, Elem], elem: Elem) -> Elem:
+def _fixed_letters(src: Bigraph, tgt: Bigraph, changed: Dict[str, Elem],
+                   lifts: Dict[str, Elem]) -> Tuple[FrozenSet[str], FrozenSet[str]]:
+    """(same, fixed): the points of `tgt` whose factor is unchanged, and the
+    generators that phi sends to the target arrow of the same name, with the
+    same endpoints and kind, between two such points (the fixed letters)."""
+    same = frozenset(p for p, fac in tgt.points.items() if src.points.get(p) == fac)
+    fixed = frozenset(s for s, a in src.arrows.items()
+                      if s not in changed and s not in lifts and tgt.arrows.get(s) == a
+                      and a.source in same and a.target in same)
+    return same, fixed
+
+
+def _map_elem(src: Bigraph, tgt: Bigraph, images: Dict[str, Elem], elem: Elem,
+              same: FrozenSet[str] = frozenset(),
+              fixed: FrozenSet[str] = frozenset()) -> Elem:
     """Push an element of T(src) through the graded algebra morphism that
-    keeps the points of `tgt`, kills the others and sends each generator to
-    its image in `images` (zero when it has none)."""
-    out = Elem.zero(tgt)
+    keeps the points of `tgt`, kills the others, sends each fixed letter to
+    itself and every other generator to its image in `images` (zero when it
+    has none).  A word whose letters are all fixed, or a word with no arrows
+    at a point of `same`, is copied verbatim: each letter goes to the plain
+    arrow of the same name, and a decoration is a canonical basis key of an
+    unchanged factor ring, so multiplying the images back together returns
+    the word itself.  The terms accumulate in one dictionary."""
     F = tgt.field
+    out: Dict[Word, object] = {}
+
+    def add(w: Word, c) -> None:
+        acc = F.add(out.get(w, F.zero), c)
+        if F.is_zero(acc):
+            out.pop(w, None)
+        else:
+            out[w] = acc
+
     for w, c in elem.terms.items():
+        if all(a in fixed for a in w.arrows) if w.arrows else w.start in same:
+            add(w, c)
+            continue
         pts = w.path(src)
         if pts[0] not in tgt.points:
             continue
         if tgt.factor(pts[0]).is_trivial and w.coeffs[0] != UNIT:
             continue
         cur = Elem(tgt, {Word(pts[0], (), (w.coeffs[0],)): F.one})
-        dead = False
         for i, name in enumerate(w.arrows):
-            img = images.get(name)
             nxt = pts[i + 1]
+            if name in fixed:  # appending it multiplies nothing out
+                key = w.coeffs[i + 1]
+                cur = Elem(tgt, {Word(u.start, u.arrows + (name,), u.coeffs + (key,)): v
+                                 for u, v in cur.terms.items()})
+                continue
+            img = images.get(name)
             if img is None or img.is_zero() or nxt not in tgt.points:
-                dead = True
                 break
             cur = Elem(tgt, {Word(nxt, (), (w.coeffs[i + 1],)): F.one}) * (img * cur)
-        if not dead and not cur.is_zero():
-            out = out + cur.scale(c)
-    return out
+        else:
+            for u, v in cur.terms.items():
+                add(u, F.mul(c, v))
+    return Elem(tgt, out)
 
 
-def _generator_images(src: Bigraph, tgt: Bigraph, changed: Dict[str, Elem]) -> Dict[str, Elem]:
-    """phi on every generator of `src`: its image in `changed`, else the
-    target arrow of the same name (a fixed letter), else zero."""
+def _generator_images(src: Bigraph, tgt: Bigraph, changed: Dict[str, Elem],
+                      fixed: FrozenSet[str] = frozenset()) -> Dict[str, Elem]:
+    """phi on every generator of `src` but the fixed letters: its image in
+    `changed`, else the target arrow of the same name, else zero."""
     zero = Elem.zero(tgt)
     return {s: changed[s] if s in changed else
-            Elem.arrow(tgt, s) if s in tgt.arrows else zero for s in src.arrows}
+            Elem.arrow(tgt, s) if s in tgt.arrows else zero
+            for s in src.arrows if s not in fixed}
 
 
 def _pushforward(dit: Dit, tgt: Bigraph, changed: Dict[str, Elem], name: str,
                  lifts: Optional[Dict[str, Elem]] = None) -> Dit:
     """The target presentation of the reduction along phi: T(dit) -> T(tgt),
-    which keeps the points of `tgt`, kills the others and sends the
-    generators as `_generator_images` says.  delta'(t) = phi(delta(lifts[t]))
-    for a lifted t and phi(delta(t)) otherwise; I' is generated by phi(I).
+    which keeps the points of `tgt`, kills the others, fixes the letters that
+    `_fixed_letters` names and sends the other generators as
+    `_generator_images` says.  delta'(t) = phi(delta(lifts[t])) for a lifted
+    t and phi(delta(t)) otherwise; I' is generated by phi(I).  The fixed set
+    is derived once, so each push copies the all-fixed words verbatim.
     Raises ReductionError on a target arrow that is neither lifted nor a
     source generator, and unless delta' phi = phi delta on every generator
     other than a fixed letter, where it holds by definition."""
     b = dit.bigraph
     lifts = lifts or {}
-    images = _generator_images(b, tgt, changed)
+    same, fixed = _fixed_letters(b, tgt, changed, lifts)
+    images = _generator_images(b, tgt, changed, fixed)
 
     def push(e: Elem) -> Elem:
-        return _map_elem(b, tgt, images, e)
+        return _map_elem(b, tgt, images, e, same, fixed)
 
     values: Dict[str, Elem] = {}
     for t in tgt.arrows:
@@ -133,9 +177,7 @@ def _pushforward(dit: Dit, tgt: Bigraph, changed: Dict[str, Elem], name: str,
             raise ReductionError(f"target arrow {t} is neither lifted nor a source generator")
     layer = Layer(tgt)
     delta = Differential(layer, values)
-    for s, img in images.items():
-        if s in tgt.arrows and s not in changed and s not in lifts:
-            continue  # a fixed letter: delta'(s) is phi(delta(s)) by definition
+    for s, img in images.items():  # a fixed letter s has delta'(s) = phi(delta(s))
         if push(dit.delta.of_arrow(s)) != delta.apply(img):
             raise ReductionError(f"commuting square fails at generator {s}")
     ideal = [g2 for g2 in (push(g) for g in dit.ideal.generators) if not g2.is_zero()]
@@ -257,22 +299,18 @@ def regularize(dit: Dit, solid_selection: Sequence[str],
     # phi on the pivot arrows: v_pivot = c^-1 (delta(a) - other terms) |->
     # -c^-1 phi(other terms), so that delta(a) maps to zero; the triangular
     # system is solved pass by pass, each pass solving at least one pivot.
-    phi = _generator_images(b, tgt, {})
+    same, fixed = _fixed_letters(b, tgt, {}, {})
+    phi = _generator_images(b, tgt, {}, fixed)
     pending = {pivots[a]: images[a] for a in pivots}
     for _ in range(len(pending)):
         for vp, img in list(pending.items()):
-            rest = Elem.zero(tgt)
-            for w, c in img.terms.items():
-                vn = w.arrows[0]
-                if vn == vp and w.coeffs == (UNIT, UNIT):
-                    c_piv = c
-                elif vn in pending:
-                    break
-                else:
-                    rest = rest + _map_elem(b, tgt, phi, Elem(b, {w: c}))
-            else:
-                phi[vp] = rest.scale(F.neg(F.inv(c_piv)))
-                del pending[vp]
+            piv = Word(b.arrow(vp).source, (vp,), (UNIT, UNIT))
+            rest = {w: c for w, c in img.terms.items() if w != piv}
+            if any(w.arrows[0] in pending for w in rest):
+                continue
+            phi[vp] = _map_elem(b, tgt, phi, Elem(b, rest), same, fixed).scale(
+                F.neg(F.inv(img.terms[piv])))
+            del pending[vp]
     if pending:
         raise ReductionError("could not triangularize the dashed base change")
     return induced_reduction(dit, tgt, {vp: phi[vp] for vp in pivots.values()},

@@ -13,7 +13,7 @@ from ditalg.pipeline import (
     reduce_to_minimal, stellar_to_seminested,
 )
 from ditalg.reduce import rep_equal, structural_equal
-from ditalg.scalars import PrimeField, Poly
+from ditalg.scalars import PrimeField, Poly, QQ
 from ditalg.scalars.linalg import Mat
 
 F2 = PrimeField(2)
@@ -532,3 +532,48 @@ def test_jordan_sizes_stop_at_the_bound(monkeypatch):
     rep = classify(d, 4, brute_force_residue=False)
     assert built and all(M.total_dim() <= 4 for M in built)
     assert len(built) == sum(len(fam.sample_images) for fam in rep.families) == 6
+
+
+@pytest.mark.parametrize("F, d, admissible_steps", [(F3, 4, 7), (QQ, 6, 10)],
+                         ids=["F3-4", "Q-6"])
+def test_admissible_summands_need_no_throwaway_presentation(monkeypatch, F, d,
+                                                            admissible_steps):
+    # the driver hands its summands to build_admissible as RepData, so each
+    # admissible step makes B's presentation exactly once (counted in the
+    # driver's namespace too, should it ever import the builder again)
+    from ditalg import admissible, pipeline
+
+    made, built = [0], [0]
+    sub_bigraph_dit, build_admissible = admissible._sub_bigraph_dit, admissible.build_admissible
+
+    def counting_sub(*args):
+        made[0] += 1
+        return sub_bigraph_dit(*args)
+
+    def counting_build(*args, **kwargs):
+        built[0] += 1
+        return build_admissible(*args, **kwargs)
+
+    monkeypatch.setattr(admissible, "_sub_bigraph_dit", counting_sub)
+    monkeypatch.setattr(pipeline, "_sub_bigraph_dit", counting_sub, raising=False)
+    monkeypatch.setattr(admissible, "build_admissible", counting_build)
+    plan, _ = reduce_to_minimal(exk(F), d)
+    assert built[0] == admissible_steps
+    assert made[0] == admissible_steps
+
+
+def test_classify_exk_q6_product_count(monkeypatch):
+    # the pushforward copies the all-fixed words verbatim: 123,452 products
+    # of tensor elements when every word was multiplied out, about 15,000 now
+    from ditalg.tensor import Elem
+
+    calls = [0]
+    mul = Elem.__mul__
+
+    def counting_mul(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Elem, "__mul__", counting_mul)
+    classify(exk(QQ), 6)
+    assert calls[0] <= 20_000

@@ -422,6 +422,18 @@ def test_induced_reduction_rejects_broken_square():
         induced_reduction(d, tgt, {"b": Elem.arrow(tgt, "a")})
 
 
+def test_induced_reduction_checks_a_changed_letter_the_target_keeps():
+    # b stays a target arrow but is sent to a + b, so it is no fixed letter:
+    # delta(b) = 0 while delta'(a + b) = v
+    from ditalg.reduce import induced_reduction, ReductionError
+    from ditalg.tensor import Elem
+
+    d = _two_solid_arrows_dit()
+    tgt = d.bigraph
+    with pytest.raises(ReductionError, match="commuting square fails at generator b"):
+        induced_reduction(d, tgt, {"b": Elem.arrow(tgt, "a") + Elem.arrow(tgt, "b")})
+
+
 def test_induced_reduction_rejects_an_unlifted_new_arrow():
     # c is neither a source generator nor lifted: delta'(c) is undefined
     from ditalg.bigraph import Bigraph, Factor
@@ -582,3 +594,93 @@ def test_admissible_x_heights_and_ideal_filtration():
     assert adm.ell_x == 2
     nd, _ = reduce_admissible(d, adm)
     assert [[str(e) for e in level] for level in nd.ideal.filtration] == [["a[pb.2.0;1]"]]
+
+
+# -- the incremental pushforward ----------------------------------------------------
+
+def _count_products(monkeypatch):
+    """A counter of Elem.__mul__ calls from here on."""
+    from ditalg.tensor import Elem
+
+    calls = [0]
+    mul = Elem.__mul__
+
+    def counting_mul(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Elem, "__mul__", counting_mul)
+    return calls
+
+
+def test_verbatim_copy_equals_the_full_push(monkeypatch):
+    # on every pushforward of these plans (and of stellar_case2's steps before
+    # its obstruction), copying the all-fixed words verbatim gives the same
+    # terms in the same order as pushing every word through phi; between them
+    # the plans reach every kind of step that goes through the pushforward
+    from ditalg import reduce
+    from ditalg.fixtures import exl, stellar_case1, stellar_case2
+    from ditalg.pipeline import Obstruction, reduce_to_minimal
+    from ditalg.scalars import QQ
+
+    calls, kinds = [], set()
+    real = reduce._pushforward
+
+    def recording(dit, tgt, changed, name, lifts=None):
+        calls.append((dit, tgt, changed, lifts or {}))
+        return real(dit, tgt, changed, name, lifts)
+
+    monkeypatch.setattr(reduce, "_pushforward", recording)
+    for dit, d in ((exk(QQ), 6), (exk(F3), 4), (exl(F2), 4), (stellar_case1(F3), 3),
+                   (stellar_case2(F3), 2)):
+        result = reduce_to_minimal(dit, d)
+        steps = result.steps if isinstance(result, Obstruction) else result[0].steps
+        kinds |= {s.functor.kind for s in steps}
+    assert {"deletion", "regularization", "factor_out", "absorption", "basechange"} <= kinds
+    copied = 0
+    for dit, tgt, changed, lifts in calls:
+        b = dit.bigraph
+        same, fixed = reduce._fixed_letters(b, tgt, changed, lifts)
+        fast = reduce._generator_images(b, tgt, changed, fixed)
+        full = reduce._generator_images(b, tgt, changed)
+        copied += len(fixed)
+        for e in [*dit.delta.values.values(), *dit.ideal.generators]:
+            pushed = reduce._map_elem(b, tgt, fast, e, same, fixed)
+            assert list(pushed.terms.items()) == \
+                list(reduce._map_elem(b, tgt, full, e).terms.items())
+    assert copied
+
+
+def test_absorb_copies_no_word_through_the_absorbed_point(monkeypatch):
+    # the absorbed point changes its factor, so the letter c into it is not
+    # fixed, and a word through it is multiplied out through phi
+    from ditalg import reduce
+    from ditalg.tensor import Elem
+
+    derived = []
+    fixed_letters = reduce._fixed_letters
+    monkeypatch.setattr(reduce, "_fixed_letters",
+                        lambda *a: derived.append(fixed_letters(*a)) or derived[-1])
+    d = exa(F5)
+    certify(d)
+    nd, _ = absorb(d, "ell")
+    [(same, fixed)] = derived
+    assert same == {"z0"} and not fixed
+    products = _count_products(monkeypatch)
+    b, tgt = d.bigraph, nd.bigraph
+    images = reduce._generator_images(b, tgt, {"ell": Elem.zero(tgt)}, fixed)
+    assert reduce._map_elem(b, tgt, images, Elem.arrow(b, "c"), same, fixed) \
+        == Elem.arrow(tgt, "c")
+    assert products[0] > 0
+
+
+def test_deletion_keeping_every_point_multiplies_nothing(monkeypatch):
+    d = exi(F3)
+    certify(d)
+    assert d.ideal.generators
+    products = _count_products(monkeypatch)
+    nd, _ = delete_idempotents(d, d.bigraph.point_order)
+    assert products[0] == 0
+    assert all(nd.delta.of_arrow(a).terms == d.delta.of_arrow(a).terms
+               for a in d.bigraph.arrows)
+    assert [g.terms for g in nd.ideal.generators] == [g.terms for g in d.ideal.generators]

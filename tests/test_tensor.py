@@ -35,6 +35,14 @@ def test_ex1_directed_and_heights():
     assert hm.point_height == {"1": 0, "2": 1}
 
 
+def test_rational_factor_inverts_each_polynomial_once():
+    x = Poly.x(F5)
+    assert Factor.rational([x, x, x + Poly.const(F5, 1)]) == \
+        Factor.rational([x, x + Poly.const(F5, 1)])
+    assert Factor.rational([x + Poly.const(F5, 1), x.scale(2), x]).inverted == \
+        (x + Poly.const(F5, 1), x)
+
+
 def test_chain_heights():
     b = Bigraph(F5, [("1", Factor.trivial()), ("2", Factor.trivial()), ("3", Factor.trivial())],
                 solid=[("a", "1", "2"), ("b", "2", "3")])
