@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .interlace import Dit, is_roiter, level_order, quotient
@@ -571,14 +572,9 @@ class EndAlgebra:
         return linalg.rref(self.F, self.rad) if self.rad else ([], [])
 
     def coordinates(self, f: MorphismPair) -> List:
-        F = self.F
         vec = pair_to_vector(self.dit, self.M, self.M, f)
         coords = [vec[c] for c in self._free]
-        back = [F.zero] * len(vec)
-        for c, v in zip(coords, self._vecs):
-            if not F.is_zero(c):
-                back = [F.add(x, F.mul(c, y)) for x, y in zip(back, v)]
-        if back != vec:
+        if linalg.mul(self.F, [coords], self._vecs) != [vec]:
             raise ModcatError("morphism not in End(M)")
         return coords
 
@@ -656,19 +652,7 @@ def algebra_radical(F: Field, table: List[List[List]], dim: int) -> List[List]:
     """
     if dim == 0:
         return []
-
-    def left_mult_matrix(coords) -> Mat:
-        cols = []
-        for j in range(dim):
-            col = [F.zero] * dim
-            for i in range(dim):
-                if F.is_zero(coords[i]):
-                    continue
-                prod = table[i][j]
-                for k in range(dim):
-                    col[k] = F.add(col[k], F.mul(coords[i], prod[k]))
-            cols.append(col)
-        return Mat(F, dim, dim, [[cols[j][i] for j in range(dim)] for i in range(dim)])
+    unit = linalg.identity(F, dim)
 
     tau = [F.zero] * dim
     for i in range(dim):
@@ -682,9 +666,9 @@ def algebra_radical(F: Field, table: List[List[List]], dim: int) -> List[List]:
             for zi, ti in zip(z, tau):
                 tr = F.add(tr, F.mul(zi, ti))
             return F.neg(tr)
-        return charpoly(F, left_mult_matrix(z)).coeff(dim - k)
-
-    current: List[List] = [[F.one if i == j else F.zero for i in range(dim)] for j in range(dim)]
+        # L_z has the column z e_j at j
+        lz = linalg.transpose([_convolve(F, table, z, ej, dim) for ej in unit])
+        return charpoly(F, Mat(F, dim, dim, lz)).coeff(dim - k)
 
     def step(space: List[List], k: int) -> List[List]:
         if not space:
@@ -696,22 +680,14 @@ def algebra_radical(F: Field, table: List[List[List]], dim: int) -> List[List]:
                 prod = _convolve(F, table, x, y, dim)
                 row.append(cp_coefficient(prod, k))
             rows.append(row)
-        ker = linalg.kernel_basis(F, rows, len(space))
-        out = []
-        for combo in ker:
-            vec = [F.zero] * dim
-            for c, base in zip(combo, space):
-                for t in range(dim):
-                    vec[t] = F.add(vec[t], F.mul(c, base[t]))
-            out.append(vec)
-        return out
+        return linalg.mul(F, linalg.kernel_basis(F, rows, len(space)), space)
 
     if F.char == 0:
-        rad = step(current, 1)
+        rad = step(unit, 1)
     else:
         p = F.char
         power = 1
-        rad = current
+        rad = unit
         while power <= dim:
             rad = step(rad, power)
             if not rad:
@@ -722,8 +698,7 @@ def algebra_radical(F: Field, table: List[List[List]], dim: int) -> List[List]:
     if rad:
         rad_red, rad_piv = linalg.rref(F, rad)
         for x in rad:
-            for j in range(dim):
-                ej = [F.one if t == j else F.zero for t in range(dim)]
+            for ej in unit:
                 for prod in (_convolve(F, table, x, ej, dim), _convolve(F, table, ej, x, dim)):
                     if not all(F.is_zero(c) for c in linalg.residue(F, rad_red, rad_piv, prod)):
                         raise ModcatError("radical computation produced a non-ideal")
@@ -1026,10 +1001,9 @@ def _locality(E: EndAlgebra, witness: bool = False
         facs = poly_factor(mp)
         if len(facs) > 1:
             g, m = facs[0]
-            w = [F.zero] * qdim
-            for c, zk in zip((g ** m).coeffs, _powers(F, qtable, qdim, z, qident)):
-                w = [F.add(a, F.mul(c, b)) for a, b in zip(w, zk)]
-            return False, E.from_coordinates(lift(w))
+            cs = (g ** m).coeffs
+            zks = list(islice(_powers(F, qtable, qdim, z, qident), len(cs)))
+            return False, E.from_coordinates(lift(linalg.mul(F, [cs], zks)[0]))
         if commutative and mp.degree == qdim:
             return True, None
     raise ModcatError("no candidate splits End(M)/rad")

@@ -3,13 +3,7 @@
 from .fields import Field, FieldError, PrimeField, RationalField, QQ, field_from_name, is_prime
 from .poly import Poly, factor, squarefree_decomposition
 from . import linalg
-from .smith import (
-    poly_identity,
-    poly_mat_mul,
-    poly_det,
-    poly_kernel_basis,
-    smith_normal_form,
-)
+from .smith import PolyRing, poly_kernel_basis, smith_normal_form
 from .localize import (
     LocalizedRing,
     LocElt,
@@ -26,8 +20,7 @@ __all__ = [
     "field_from_name", "is_prime",
     "Poly", "factor", "squarefree_decomposition",
     "linalg",
-    "poly_identity", "poly_mat_mul", "poly_det", "poly_kernel_basis",
-    "smith_normal_form",
+    "PolyRing", "poly_kernel_basis", "smith_normal_form",
     "LocalizedRing", "LocElt", "LocalizationResult", "ModulePresentation",
     "in_localized_span", "independent_over_localization", "localize_to_free",
     "strip_h_factors",

@@ -67,7 +67,8 @@ class Field:
         return not self.is_zero(a)
 
     def is_zero(self, a) -> bool:
-        return a == self.zero
+        # values are ints in [0, p) or Fractions: zero is the only falsy one
+        return not a
 
     def elements(self) -> Optional[Iterator[Any]]:
         """Iterate all field elements, or None for an infinite field."""

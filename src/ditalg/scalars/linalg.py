@@ -1,12 +1,16 @@
-"""Exact dense linear algebra over a ground field.
+"""Exact dense linear algebra: the one matrix kernel for every coefficient ring.
 
-Matrices are lists of row lists holding raw field values; every routine takes
-the field context explicitly.  Everything here is plain Gaussian elimination,
-which is all the artifact needs at desk scale.  Every "is v in this span" and
+Matrices are lists of row lists holding raw ring values; every routine takes
+the ring context explicitly.  A ring context has `zero`, `one`, `add`, `sub`,
+`mul`, `neg`, `is_zero`, `is_unit` and `inv`; there are three: a ground
+`Field` (F_p or Q), `LocalizedRing` (k[x]_h, entries `LocElt`) and
+`PolyRing` (k[x], entries `Poly`).  `zeros`, `identity`, `add`, `sub`,
+`mul`, `transpose`, `cofactor_det` and `adjugate_inverse` work over any of
+them.  The eliminations (`rref`, `kernel_basis`, `solve`, `det`, `inverse`)
+divide by pivots and need a field.  Every "is v in this span" and
 "v modulo this span" question is one `rref` of the span and `residue` of v
-against it.  `Mat` also holds entries in a ring such as k[x]_h (any context
-with the field's add/mul/neg/is_zero); over a ring, where a pivot may be a
-non-unit, `det` and `inverse` use cofactors.
+against it.  `Mat.det` and `Mat.inverse` use elimination over a field and
+cofactors over a ring, where a pivot may be a non-unit.
 """
 
 from __future__ import annotations

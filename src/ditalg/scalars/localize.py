@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+from . import linalg
 from .fields import Field
 from .poly import Poly
-from .smith import PolyMatrix, poly_det, poly_kernel_basis, smith_normal_form
+from .smith import PolyRing, poly_kernel_basis, smith_normal_form
 
 
 class LocalizedRing:
@@ -236,15 +237,14 @@ class LocalizationResult:
 def _proj_syzygies(F: Field, gen_cols: List[List[Poly]], mod_cols: List[List[Poly]],
                    rank: int) -> List[List[Poly]]:
     """Columns c with gen*c in the span of mod_cols, i.e. relations of the
-    classes of gen_cols in the cokernel presented by mod_cols."""
+    classes of gen_cols in the cokernel presented by mod_cols.  In the zero
+    module (rank 0) every column is a syzygy."""
     t = len(gen_cols)
     if t == 0:
         return []
-    stacked = []
-    for i in range(rank):
-        row = [col[i] for col in gen_cols] + [col[i] for col in mod_cols]
-        stacked.append(row)
-    kb = poly_kernel_basis(F, stacked) if stacked else []
+    if rank == 0:
+        return linalg.identity(PolyRing(F), t)
+    kb = poly_kernel_basis(F, linalg.transpose(gen_cols + mod_cols))
     out = []
     for vec in kb:
         head = vec[:t]
@@ -259,9 +259,9 @@ def localize_to_free(pres: ModulePresentation,
     nested bases; layers are given as lists of generator columns (ambient
     vectors), taken cumulatively."""
     F = pres.ring.field
+    R = PolyRing(F)
     rank = pres.rank
-    rel_cols = [[pres.relations[i][j] for i in range(rank)]
-                for j in range(len(pres.relations[0]) if pres.relations and pres.relations[0] else 0)]
+    rel_cols = linalg.transpose(pres.relations)
 
     # cumulative generator sets; final layer = whole module (ambient basis)
     layers: List[List[List[Poly]]] = []
@@ -269,11 +269,9 @@ def localize_to_free(pres: ModulePresentation,
     for gens in filtration:
         acc = acc + [list(col) for col in gens]
         layers.append(list(acc))
-    ambient = [[Poly.one(F) if i == j else Poly.zero(F) for i in range(rank)] for j in range(rank)]
-    layers.append(list(acc) + ambient)
+    layers.append(list(acc) + linalg.identity(R, rank))
 
     h = Poly.one(F)
-    chosen: List[List[List[Poly]]] = []
     prev_gens: List[List[Poly]] = []
     prev_basis: List[List[Poly]] = []
     layer_bases: List[List[List[Poly]]] = []
@@ -288,31 +286,21 @@ def localize_to_free(pres: ModulePresentation,
             prev_gens = gens
             prev_basis = list(prev_basis)
             continue
-        relmat = [[rel[j][i] for j in range(len(rel))] for i in range(t)]
-        if not rel:
-            relmat = [[] for _ in range(t)]
-        P, D, Q = smith_normal_form(F, relmat) if rel else (None, None, None)
         if rel:
-            Pinv = _unimodular_inverse(F, P)
+            P, D, Q = smith_normal_form(F, linalg.transpose(rel))
+            Pinv = linalg.adjugate_inverse(R, P)
+            if Pinv is None:
+                raise ValueError("matrix is not unimodular")
             nfac = 0
             for i in range(min(t, len(rel))):
                 if not D[i][i].is_zero():
-                    d = D[i][i]
-                    h = h * strip_constant(d)
+                    h = h * strip_constant(D[i][i])
                     nfac += 1
-            free_idx = list(range(nfac, t))
-            combos = [[Pinv[v][u] for v in range(t)] for u in free_idx]
+            # the columns of Pinv past the torsion ones span the free part
+            combos = linalg.transpose(Pinv)[nfac:]
         else:
-            combos = [[Poly.one(F) if v == u else Poly.zero(F) for v in range(t)] for u in range(t)]
-        new_basis = []
-        for combo in combos:
-            vec = [Poly.zero(F)] * rank
-            for v, c in enumerate(combo):
-                if not c.is_zero():
-                    for i in range(rank):
-                        vec[i] = vec[i] + c * new_gens[v][i]
-            new_basis.append(vec)
-        basis = list(prev_basis) + new_basis
+            combos = linalg.identity(R, t)
+        basis = list(prev_basis) + linalg.mul(R, combos, new_gens)
         layer_bases.append(basis)
         prev_gens = gens
         prev_basis = basis
@@ -328,25 +316,6 @@ def localize_to_free(pres: ModulePresentation,
 
 def strip_constant(p: Poly) -> Poly:
     return p.monic() if not p.is_constant() else Poly.one(p.field)
-
-
-def _unimodular_inverse(F: Field, P: PolyMatrix) -> PolyMatrix:
-    """Inverse of a square polynomial matrix with constant nonzero determinant."""
-    n = len(P)
-    if n == 0:
-        return []
-    adj = [[Poly.zero(F)] * n for _ in range(n)]
-    d = poly_det(F, P)
-    if d.is_zero() or not d.is_constant():
-        raise ValueError("matrix is not unimodular")
-    dinv = F.inv(d.coeff(0))
-    for i in range(n):
-        for j in range(n):
-            minor = [[P[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-            cof = poly_det(F, minor)
-            sign = F.one if (i + j) % 2 == 0 else F.neg(F.one)
-            adj[j][i] = cof.scale(F.mul(sign, dinv))
-    return adj
 
 
 def independent_over_localization(F: Field, cols: List[List[Poly]],
@@ -366,14 +335,8 @@ def in_localized_span(F: Field, cols: List[List[Poly]], rank: int,
         return True
     if not cols:
         return False
-    mat = [[col[i] for col in cols] for i in range(rank)]
-    P, D, Q = smith_normal_form(F, mat)
-    pt = []
-    for row in P:
-        acc = Poly.zero(F)
-        for c, t in zip(row, target):
-            acc = acc + c * t
-        pt.append(acc)
+    P, D, Q = smith_normal_form(F, linalg.transpose(cols))
+    pt = linalg.mul(PolyRing(F), [target], linalg.transpose(P))[0]
     nfac = 0
     for i in range(min(rank, len(cols))):
         if not D[i][i].is_zero():

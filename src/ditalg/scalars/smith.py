@@ -1,72 +1,56 @@
-"""Smith normal form of matrices over k[x].
+"""Smith normal form of matrices over k[x], and k[x] as a `linalg` ring.
 
 P*M*Q = D with D diagonal, d_i | d_{i+1}, and P, Q products of elementary
 row/column operations (so det(P), det(Q) are nonzero field constants).
 Pivoting picks a minimal-degree nonzero entry, ties broken row-major, which
-makes the output deterministic.
+makes the output deterministic.  Products, determinants and inverses of
+polynomial matrices are `linalg`'s, over the ring context `PolyRing(F)`.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
 
+from . import linalg
 from .fields import Field
 from .poly import Poly
 
 PolyMatrix = List[List[Poly]]
 
 
-def poly_zeros(F: Field, rows: int, cols: int) -> PolyMatrix:
-    z = Poly.zero(F)
-    return [[z] * cols for _ in range(rows)]
+class PolyRing:
+    """k[x] as a ring context for `linalg`: entries are plain `Poly`s, and
+    the units are the nonzero constants."""
 
+    __slots__ = ("field", "zero", "one")
 
-def poly_identity(F: Field, n: int) -> PolyMatrix:
-    out = poly_zeros(F, n, n)
-    one = Poly.one(F)
-    for i in range(n):
-        out[i][i] = one
-    return out
+    def __init__(self, field: Field):
+        self.field = field
+        self.zero = Poly.zero(field)
+        self.one = Poly.one(field)
 
+    def add(self, a: Poly, b: Poly) -> Poly:
+        return a + b
 
-def poly_mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    if not a or not b:
-        return []
-    F = None
-    for row in a:
-        for e in row:
-            F = e.field
-            break
-        if F:
-            break
-    n, k, m = len(a), len(b), len(b[0])
-    out = poly_zeros(F, n, m)
-    for i in range(n):
-        for t in range(k):
-            c = a[i][t]
-            if c.is_zero():
-                continue
-            for j in range(m):
-                if not b[t][j].is_zero():
-                    out[i][j] = out[i][j] + c * b[t][j]
-    return out
+    def sub(self, a: Poly, b: Poly) -> Poly:
+        return a - b
 
+    def mul(self, a: Poly, b: Poly) -> Poly:
+        return a * b
 
-def poly_det(F: Field, m: PolyMatrix) -> Poly:
-    """Determinant by fraction-free expansion (small matrices only)."""
-    n = len(m)
-    if n == 0:
-        return Poly.one(F)
-    if n == 1:
-        return m[0][0]
-    acc = Poly.zero(F)
-    sign = F.one
-    for j in range(n):
-        if not m[0][j].is_zero():
-            minor = [[m[i][c] for c in range(n) if c != j] for i in range(1, n)]
-            acc = acc + (m[0][j] * poly_det(F, minor)).scale(sign)
-        sign = F.neg(sign)
-    return acc
+    def neg(self, a: Poly) -> Poly:
+        return -a
+
+    def is_zero(self, a: Poly) -> bool:
+        return a.is_zero()
+
+    def is_unit(self, a: Poly) -> bool:
+        return a.is_constant() and not a.is_zero()
+
+    def inv(self, a: Poly) -> Poly:
+        if not self.is_unit(a):
+            raise ZeroDivisionError(f"{a} is not a unit of k[x]")
+        return Poly.const(self.field, self.field.inv(a.coeff(0)))
 
 
 def smith_normal_form(F: Field, m: PolyMatrix) -> Tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
@@ -74,8 +58,9 @@ def smith_normal_form(F: Field, m: PolyMatrix) -> Tuple[PolyMatrix, PolyMatrix, 
     rows = len(m)
     cols = len(m[0]) if rows else 0
     a = [[e for e in row] for row in m]
-    P = poly_identity(F, rows)
-    Q = poly_identity(F, cols)
+    R = PolyRing(F)
+    P = linalg.identity(R, rows)
+    Q = linalg.identity(R, cols)
 
     def row_op_sub(i, j, q):
         # row_i -= q * row_j   (on a and P)

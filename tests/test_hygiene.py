@@ -3,7 +3,9 @@ no unused top-level imports, no function-local import from a module the
 file already imports at top level, no module draws on `random` (every
 decision the library makes is deterministic), and no handler swallows every
 error.  Every source file is plain ASCII.  The reduction driver names none
-of the reductions that a `StepSpec` dispatches to."""
+of the reductions that a `StepSpec` dispatches to.  `scalars/linalg.py` is the
+one matrix kernel: no other module defines a module-level function whose
+name ends in `_det`, `_inverse` or `mat_mul` (methods are exempt)."""
 
 import ast
 import functools
@@ -132,3 +134,14 @@ def test_pipeline_applies_steps_through_specs():
             names.update({node.name, node.asname})
     assert names & {"regularize", "absorb", "factor_out", "build_admissible",
                     "reduce_admissible"} == set()
+
+
+def _matrix_kernel_functions(tree):
+    return [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+            and node.name.endswith(("_det", "_inverse", "mat_mul"))]
+
+
+def test_one_matrix_kernel():
+    offenders = {str(p.relative_to(SRC)): _matrix_kernel_functions(_tree(p))
+                 for p in MODULES if p != SRC / "scalars" / "linalg.py"}
+    assert {k: v for k, v in offenders.items() if v} == {}

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from ditalg.scalars import (
     PrimeField, QQ, FieldError, Poly, factor, linalg,
-    smith_normal_form, poly_mat_mul, poly_det, poly_identity,
+    smith_normal_form, PolyRing,
     LocalizedRing, LocElt, ModulePresentation, localize_to_free,
     independent_over_localization, in_localized_span,
 )
@@ -141,11 +141,11 @@ def x_poly(F, *ints):
 
 
 def check_snf(F, m):
+    R = PolyRing(F)
     P, D, Q = smith_normal_form(F, m)
-    assert poly_det(F, P).is_constant() and not poly_det(F, P).is_zero()
-    assert poly_det(F, Q).is_constant() and not poly_det(F, Q).is_zero()
-    lhs = poly_mat_mul(poly_mat_mul(P, m), Q)
-    assert lhs == D
+    assert R.is_unit(linalg.cofactor_det(R, P))
+    assert R.is_unit(linalg.cofactor_det(R, Q))
+    assert linalg.mul(R, linalg.mul(R, P, m), Q) == D
     n = min(len(D), len(D[0]) if D else 0)
     for i in range(n):
         for j in range(n):
@@ -211,6 +211,24 @@ def test_det_and_inverse_over_localized_ring():
     assert (M * M.inverse()).is_identity()
     assert linalg.Mat(R, 1, 1, [[x_minus_1]]).inverse() is None
 
+    # k[x] itself goes through the same kernel
+    K = PolyRing(F3)
+    x, one, zero = Poly.x(F3), K.one, K.zero
+    lower = [[one, zero, zero], [x + one, one, zero], [x * x, x, one]]
+    upper = [[one.scale(2), x, x * x], [zero, one, x], [zero, zero, one]]
+    P = linalg.mul(K, lower, upper)
+    Pinv = linalg.adjugate_inverse(K, P)
+    assert linalg.mul(K, P, Pinv) == linalg.identity(K, 3)
+    assert linalg.mul(K, Pinv, P) == linalg.identity(K, 3)
+    assert linalg.adjugate_inverse(K, [[x, zero], [zero, one]]) is None
+    # det m is a unit times the product of the Smith invariants of m
+    m = [[x, x + one, zero], [x * x, one.scale(2), x], [one, x, x * x + one]]
+    _, D, _ = smith_normal_form(F3, m)
+    d, prod = linalg.cofactor_det(K, m), D[0][0] * D[1][1] * D[2][2]
+    assert not d.is_zero()
+    q, r = d.divmod(prod)
+    assert r.is_zero() and K.is_unit(q)
+
 
 def test_localize_free_trivial():
     R = LocalizedRing(F5)
@@ -218,6 +236,10 @@ def test_localize_free_trivial():
     res = localize_to_free(pres, [])
     assert res.h.is_one()
     assert res.layer_ranks == [2]
+    # in the zero module every column is a syzygy, with or without entries
+    F3 = PrimeField(3)
+    assert not independent_over_localization(F3, [[]], [], 0)
+    assert not independent_over_localization(F3, [[Poly.zero(F3)]], [], 1)
 
 
 def test_localize_torsion_dies():
