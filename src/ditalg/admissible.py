@@ -7,9 +7,11 @@ solid arrows nu (x) w (x) x, dashed arrows nu (x) w (x) x and P*-duals, and
 the differential is assembled from the comultiplication mu and the maps
 lambda and rho induced by the P-action.  The sigma expansion carries products
 across: sigma(delta(w)) is expanded once per source arrow w and read at every
-pair of dual basis vectors, and the functor F^X is built from the sigma
-matrix of each letter.  The x-heights that weight the reduced ideal are
-bounded by dim P + 1, which holds exactly when P is nilpotent.
+pair of dual basis vectors, each word prefix that delta values and ideal
+generators share is multiplied out once (`SigmaExpander`), and the functor
+F^X is built from the sigma matrix of each letter.  The x-heights that
+weight the reduced ideal are bounded by dim P + 1, which holds exactly when
+P is nilpotent.
 """
 
 from __future__ import annotations
@@ -298,11 +300,26 @@ def _convert_decoration(tgt_ring: LocalizedRing, src_ring: LocalizedRing,
     return LocElt(tgt_ring, num * quot ** j, j)
 
 
+# a sigma matrix: row -> column -> nonzero entry
+Sparse = Dict[int, Dict[int, Elem]]
+
+
 class SigmaExpander:
     """sigma_{nu,x}: T -> T^X computed letter-by-letter as a matrix over the
     reduced algebra, indexed by the dual basis of X.  `names` maps
     (w, u, v) to the target arrow nu_u (x) w (x) x_v; `x_at` lists the dual
-    basis vectors at each source point."""
+    basis vectors at each source point.
+
+    A sigma matrix is held sparse, as {row: {column: Elem}} with only the
+    nonzero entries.  sigma of each letter (an arrow, or a decoration key at
+    a point) and sigma of each word prefix, keyed by (start, arrows[:k],
+    coeffs[:k+1]), are computed once per expander and kept for its lifetime:
+    the delta values and ideal generators of one reduction share prefixes.
+    A UNIT decoration is never multiplied: sigma(e_p) is the diagonal of the
+    idempotents at the summands of x_at[p], every entry in row u of sigma of
+    a word ending at p ends at u's summand, and every entry in column v of
+    sigma of an arrow leaving p starts at v's summand, so multiplying by
+    sigma(e_p) on either side returns each entry word for word."""
 
     def __init__(self, adm: AdmissibleModuleData, target: Bigraph,
                  names: Dict[Tuple[str, int, int], str],
@@ -312,18 +329,19 @@ class SigmaExpander:
         self.names = names
         self.x_at = x_at
         self.F = adm.dit.field
-        self.n = len(adm.x_basis)
-
-    def _zero(self) -> List[List[Optional[Elem]]]:
-        return [[None] * self.n for _ in range(self.n)]
+        # sigma of each letter, keyed by arrow name or (point, key), and of
+        # each word prefix, keyed by (start, arrows, coeffs)
+        self._memo: Dict[object, Sparse] = {}
 
     def arrow_elem(self, w: str, u: DualBasisElement, v: DualBasisElement) -> Elem:
         return Elem.arrow(self.target, self.names[w, u.index, v.index])
 
-    def letter_decoration(self, point: str, key) -> List[List[Optional[Elem]]]:
+    def letter_decoration(self, point: str, key) -> Sparse:
         """Matrix of sigma on a decoration c e_point."""
+        if (point, key) in self._memo:
+            return self._memo[point, key]
         adm, F, tgt = self.adm, self.F, self.target
-        out = self._zero()
+        out: Sparse = {}
         for v in self.x_at[point]:
             s = v.summand
             if s.kind == "regular":
@@ -331,69 +349,89 @@ class SigmaExpander:
                 if tgt_ring is None:
                     if key != UNIT:
                         raise AdmissibleError("decorated trivial regular summand")
-                    out[v.index][v.index] = Elem.idempotent(tgt, s.label)
+                    out[v.index] = {v.index: Elem.idempotent(tgt, s.label)}
                     continue
                 src_ring = adm.dit.bigraph.factor_ring(point)
                 val = _convert_decoration(tgt_ring, src_ring, key)
-                out[v.index][v.index] = Elem.decorated(tgt, s.label, val)
+                out[v.index] = {v.index: Elem.decorated(tgt, s.label, val)}
             else:
                 act = s.rep.decoration_action(point, key)
                 for u in self.x_at[point]:
                     if u.summand is s:
                         c = act.data[u.coordinate][v.coordinate]
                         if not F.is_zero(c):
-                            out[u.index][v.index] = Elem.idempotent(tgt, s.label, c)
+                            out.setdefault(u.index, {})[v.index] = Elem.idempotent(tgt, s.label, c)
+        self._memo[point, key] = out
         return out
 
-    def letter_arrow(self, name: str) -> List[List[Optional[Elem]]]:
+    def letter_arrow(self, name: str) -> Sparse:
         """Matrix of sigma on an arrow: scalar entries where B acts on X,
         the arrows nu_u (x) w (x) x_v otherwise."""
+        if name in self._memo:
+            return self._memo[name]
         arr = self.adm.dit.bigraph.arrow(name)
         in_b = name in self.adm.b_arrows
-        out = self._zero()
+        out: Sparse = {}
         for v in self.x_at[arr.source]:
             for u in self.x_at[arr.target]:
                 if not in_b:
-                    out[u.index][v.index] = self.arrow_elem(name, u, v)
+                    out.setdefault(u.index, {})[v.index] = self.arrow_elem(name, u, v)
                 elif u.summand is v.summand and v.summand.kind == "findim":
                     c = v.summand.rep.arrow_ops[name].data[u.coordinate][v.coordinate]
                     if not self.F.is_zero(c):
-                        out[u.index][v.index] = Elem.idempotent(self.target, u.summand.label, c)
+                        out.setdefault(u.index, {})[v.index] = Elem.idempotent(
+                            self.target, u.summand.label, c)
+        self._memo[name] = out
         return out
 
-    def expand(self, elem: Elem) -> List[List[Optional[Elem]]]:
+    def _word(self, start: str, arrows: Tuple[str, ...], coeffs: Tuple) -> Sparse:
+        """sigma of the decorated word (start, arrows, coeffs): the last
+        decoration times the last arrow times sigma of the shorter prefix."""
+        key = (start, arrows, coeffs)
+        if key in self._memo:
+            return self._memo[key]
+        if not arrows:
+            return self.letter_decoration(start, coeffs[0])
+        step = self.letter_arrow(arrows[-1])
+        if len(arrows) > 1 or coeffs[0] != UNIT:
+            step = self._mat_mul(step, self._word(start, arrows[:-1], coeffs[:-1]))
+        if coeffs[-1] != UNIT:
+            end = self.adm.dit.bigraph.arrow(arrows[-1]).target
+            step = self._mat_mul(self.letter_decoration(end, coeffs[-1]), step)
+        self._memo[key] = step
+        return step
+
+    def expand(self, elem: Elem) -> Sparse:
         """Full sigma matrix of an element of the source algebra."""
-        total = self._zero()
-        b = self.adm.dit.bigraph
+        total: Sparse = {}
         for w, coeff in elem.terms.items():
-            pts = w.path(b)
-            cur = self.letter_decoration(pts[0], w.coeffs[0])
-            for i, name in enumerate(w.arrows):
-                step = self.letter_arrow(name)
-                cur = self._mat_mul(step, cur)
-                dec = self.letter_decoration(pts[i + 1], w.coeffs[i + 1])
-                cur = self._mat_mul(dec, cur)
-            for uu in range(self.n):
-                for vv in range(self.n):
-                    if cur[uu][vv] is not None:
-                        piece = cur[uu][vv].scale(coeff)
-                        total[uu][vv] = piece if total[uu][vv] is None else total[uu][vv] + piece
-        return total
+            for u, row in self._word(w.start, w.arrows, w.coeffs).items():
+                acc = total.setdefault(u, {})
+                for v, e in row.items():
+                    piece = e.scale(coeff)
+                    acc[v] = acc[v] + piece if v in acc else piece
+        return _drop_zeros(total)
 
-    def _mat_mul(self, a, c):
-        out = self._zero()
-        for i in range(self.n):
-            for k in range(self.n):
-                if a[i][k] is None:
-                    continue
-                for j in range(self.n):
-                    if c[k][j] is None:
-                        continue
-                    prod = a[i][k] * c[k][j]
-                    if prod.is_zero():
-                        continue
-                    out[i][j] = prod if out[i][j] is None else out[i][j] + prod
-        return out
+    def _mat_mul(self, a: Sparse, c: Sparse) -> Sparse:
+        """a * c over the nonzero entries, each sum taken in ascending k."""
+        out: Sparse = {}
+        for i, row in a.items():
+            acc = out[i] = {}
+            for k in sorted(row):
+                for j, e in c.get(k, {}).items():
+                    prod = row[k] * e
+                    if not prod.is_zero():
+                        acc[j] = acc[j] + prod if j in acc else prod
+        return _drop_zeros(out)
+
+
+def _drop_zeros(m: Sparse) -> Sparse:
+    return {i: kept for i, row in m.items()
+            if (kept := {j: e for j, e in row.items() if not e.is_zero()})}
+
+
+def _at(m: Sparse, u: DualBasisElement, v: DualBasisElement) -> Optional[Elem]:
+    return m.get(u.index, {}).get(v.index)
 
 
 def reduce_admissible(dit: Dit, adm: AdmissibleModuleData,
@@ -431,7 +469,7 @@ def reduce_admissible(dit: Dit, adm: AdmissibleModuleData,
 
     for a in arrows:
         dw = dit.delta.of_arrow(a.name)
-        sig = None if dw.is_zero() else sigma.expand(dw)
+        sig = sigma.expand(dw)
         sign = F.one if a.dashed else F.neg(F.one)        # (-1)^(deg w + 1)
         for v in x_at[a.source]:
             for u in x_at[a.target]:
@@ -443,8 +481,8 @@ def reduce_admissible(dit: Dit, adm: AdmissibleModuleData,
                         if not F.is_zero(c):
                             acc = acc + (g * sigma.arrow_elem(a.name, y, v)).scale(c)
                 # sigma_{nu_u, x_v}(delta(w))
-                if sig is not None and sig[u.index][v.index] is not None:
-                    acc = acc + sig[u.index][v.index]
+                if (e := _at(sig, u, v)) is not None:
+                    acc = acc + e
                 # (-1)^(deg w + 1) nu_u (x) w (x) rho(x_v)
                 for j, g in enumerate(gamma):
                     for y in x_at[a.source]:
@@ -463,8 +501,7 @@ def reduce_admissible(dit: Dit, adm: AdmissibleModuleData,
     for g in dit.ideal.generators:
         mat = sigma.expand(g)
         for u, v in itertools.product(adm.x_basis, repeat=2):
-            e = mat[u.index][v.index]
-            if e is not None and not e.is_zero():
+            if (e := _at(mat, u, v)) is not None:
                 ideal_gens.append(e)
                 weighted.append((u.height + 2 * adm.ell_x + v.height, e))
     weighted.sort(key=lambda t: t[0])
@@ -481,7 +518,7 @@ def reduce_admissible(dit: Dit, adm: AdmissibleModuleData,
     def entries(mat, src: str, dst: str) -> List[Tuple[int, int, Elem]]:
         """(row, column, entry) with the positions in x_at[dst] and x_at[src]."""
         return [(ri, ci, e) for ri, u in enumerate(x_at[dst]) for ci, v in enumerate(x_at[src])
-                if (e := mat[u.index][v.index]) is not None and not e.is_zero()]
+                if (e := _at(mat, u, v)) is not None]
 
     point_sigma = {p: entries(sigma.letter_decoration(p, (1, 0)), p, p)
                    for p in b.point_order if not b.factor(p).is_trivial}

@@ -72,6 +72,8 @@ class Bigraph:
                 raise BigraphError(f"duplicate point {name!r}")
             self.points[name] = fac
             self.point_order.append(name)
+        # points never change after construction, so each ring is built once
+        self._rings = {name: fac.ring(field) for name, fac in self.points.items()}
         self.arrows: Dict[str, Arrow] = {}
         for name, s, t in solid:
             self._add_arrow(name, s, t, dashed=False)
@@ -101,7 +103,7 @@ class Bigraph:
         return self.points[point]
 
     def factor_ring(self, point: str) -> Optional[LocalizedRing]:
-        return self.points[point].ring(self.field)
+        return self._rings[point]
 
     def arrows_from(self, point: str) -> List[Arrow]:
         return [a for a in self.arrows.values() if a.source == point]

@@ -157,14 +157,18 @@ def _exp_cap(*elems: Elem) -> int:
 def ideal_window_span(dit: Dit, degree: int, source: str, target: str,
                       length_cap: int, exp_cap: int,
                       middle: Optional[Sequence[Elem]] = None,
-                      splits: Optional[Sequence[Tuple[int, int]]] = None) -> List[Elem]:
+                      splits: Optional[Sequence[Tuple[int, int]]] = None,
+                      windows: Optional[Dict[tuple, Dict[int, List[Elem]]]] = None
+                      ) -> List[Elem]:
     """Spanning elements of sum_{(dl,dr)} [T]_dl * g * [T]_dr between the
     given points, with g running over `middle` (default: ideal components).
 
-    Each window e_j [T]_deg e_i is enumerated once per call, at the largest
-    word length any generator leaves room for, and grouped by word length;
-    the enumeration keeps words of one length in the order a shorter cap
-    would give, so the products come out in the same order."""
+    Each window e_j [T]_deg e_i is enumerated once, at the largest word
+    length any generator leaves room for, and grouped by word length; the
+    enumeration keeps words of one length in the order a shorter cap would
+    give, so the products come out in the same order.  `windows` keeps the
+    enumerated windows, keyed by (i, j, deg, cap, exp_cap), for a caller
+    that spans many point pairs of one dit; by default they last one call."""
     b = dit.bigraph
     gens = list(middle) if middle is not None else dit.ideal_components()
     if splits is None:
@@ -172,14 +176,16 @@ def ideal_window_span(dit: Dit, degree: int, source: str, target: str,
     pieces = [(gi, gj, piece, piece.max_length())
               for gc in gens for (gi, gj), piece in _by_pair(b, gc).items()]
     cap = max([0] + [length_cap - glen for *_, glen in pieces])
-    windows: Dict[Tuple[str, str, int], Dict[int, List[Elem]]] = {}
+    if windows is None:
+        windows = {}
 
     def window(i: str, j: str, deg: int) -> Dict[int, List[Elem]]:
-        if (i, j, deg) not in windows:
-            by_length = windows[i, j, deg] = {}
+        key = (i, j, deg, cap, exp_cap)
+        if key not in windows:
+            by_length = windows[key] = {}
             for wd in graded_component_basis(b, i, j, deg, cap, exp_cap, allow_cycles=True):
                 by_length.setdefault(wd.length(), []).append(Elem.from_word(b, wd))
-        return windows[i, j, deg]
+        return windows[key]
 
     out: List[Elem] = []
     for gi, gj, piece, glen in pieces:
@@ -236,9 +242,10 @@ def pair_height_filtration(dit: Dit) -> List[List[Elem]]:
     length_cap = len(b.point_order) + dit.max_word_length()
     exp_cap = _exp_cap(*dit.ideal.generators, *dit.delta.values.values())
     piece_span: Dict[Tuple[str, str], List[Elem]] = {}
+    windows: Dict[tuple, Dict[int, List[Elem]]] = {}
     for i in b.point_order:
         for j in b.point_order:
-            span = ideal_window_span(dit, 0, i, j, length_cap, exp_cap)
+            span = ideal_window_span(dit, 0, i, j, length_cap, exp_cap, windows=windows)
             if span:
                 piece_span[(i, j)] = span
     if not piece_span:
@@ -455,12 +462,13 @@ def generated_ideal(dit: Dit) -> GradedIdeal:
     deg0: Dict[Tuple[str, str], List[Elem]] = {}
     deg1: Dict[Tuple[str, str], List[Elem]] = {}
     dgs = [_by_pair(b, dit.delta.apply(g)) for g in dit.ideal.generators]
+    windows: Dict[tuple, Dict[int, List[Elem]]] = {}
     for i in b.point_order:
         for j in b.point_order:
-            s0 = ideal_window_span(dit, 0, i, j, length_cap, exp_cap)
+            s0 = ideal_window_span(dit, 0, i, j, length_cap, exp_cap, windows=windows)
             if s0:
                 deg0[(i, j)] = s0
-            s1 = ideal_window_span(dit, 1, i, j, length_cap, exp_cap)
+            s1 = ideal_window_span(dit, 1, i, j, length_cap, exp_cap, windows=windows)
             s1 += [dg[(i, j)] for dg in dgs if (i, j) in dg]
             if s1:
                 deg1[(i, j)] = s1

@@ -14,9 +14,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .admissible import AdmissibleError
 from .bigraph import Bigraph
 from .bimodule import generic_regular, push_generic, specialize_jordan
-from .interlace import Dit, certify, level_order
+from .interlace import CertificationError, Dit, certify, level_order
 from .modcat import DecomposableError, IsoClassIndex, Rep, simple_at
 from .reduce import (
     ReductionError, ReductionFunctor, RepData, StepSpec, change_solid_basis,
@@ -219,8 +220,14 @@ def _stopped_at(ctx: dict, dit: Dit) -> Tuple[Dit, List[PlanStep]]:
 def _step(ctx: dict, steps: List[PlanStep], cur: Dit, spec: StepSpec, suffix: str,
           note: str) -> Dit:
     """Apply `spec` to `cur` as the next plan step, named `cur.name + suffix`
-    and a fresh number; raises what `StepSpec.apply` raises before spending."""
-    nd, f = spec.apply(cur, name=_fresh(ctx, cur.name + suffix))
+    and a fresh number; raises what `StepSpec.apply` raises before spending,
+    except that a certification or admissible-data failure becomes a
+    PipelineError naming the step, so the run ends in an Obstruction."""
+    try:
+        nd, f = spec.apply(cur, name=_fresh(ctx, cur.name + suffix))
+    except (CertificationError, AdmissibleError) as exc:
+        raise PipelineError(f"{spec.kind} step ({note}) failed on {cur.name}: "
+                            f"{type(exc).__name__}: {exc}") from exc
     _spend(ctx)
     steps.append(PlanStep(spec, f, note))
     return nd

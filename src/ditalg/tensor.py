@@ -213,10 +213,10 @@ class Elem:
         out: Dict[Word, object] = {}
         for w2, c2 in other.terms.items():  # w2 acts first
             end2 = w2.end(b)
+            ring = b.factor_ring(end2)
             for w1, c1 in self.terms.items():
                 if w1.start != end2:
                     continue
-                ring = b.factor_ring(end2)
                 scalar = F.mul(c1, c2)
                 for key, kc in mul_keys(ring, w1.coeffs[0], w2.coeffs[-1]):
                     word = Word(w2.start, w2.arrows + w1.arrows,

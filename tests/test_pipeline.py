@@ -564,7 +564,8 @@ def test_admissible_summands_need_no_throwaway_presentation(monkeypatch, F, d,
 
 def test_classify_exk_q6_product_count(monkeypatch):
     # the pushforward copies the all-fixed words verbatim: 123,452 products
-    # of tensor elements when every word was multiplied out, about 15,000 now
+    # of tensor elements when every word was multiplied out, 14,606 with the
+    # verbatim copy, 4,998 now that the sigma expansion makes each product once
     from ditalg.tensor import Elem
 
     calls = [0]
@@ -577,3 +578,30 @@ def test_classify_exk_q6_product_count(monkeypatch):
     monkeypatch.setattr(Elem, "__mul__", counting_mul)
     classify(exk(QQ), 6)
     assert calls[0] <= 20_000
+
+
+@pytest.mark.parametrize("error", ["CertificationError", "AdmissibleError"])
+def test_a_failed_step_ends_in_a_named_obstruction(monkeypatch, error):
+    from ditalg import admissible, interlace
+    from ditalg.reduce import StepSpec
+
+    def failing(self, dit, name=""):
+        raise getattr(admissible if error == "AdmissibleError" else interlace, error)("boom")
+
+    monkeypatch.setattr(StepSpec, "apply", failing)
+    out = classify(exk(F3), 4)
+    assert isinstance(out, Obstruction) and not out.steps
+    assert out.reason == (f"admissible step (edge reduction at a) failed on "
+                          f"{out.dit.name}: {error}: boom")
+
+
+def test_a_reduction_error_in_a_step_is_not_renamed(monkeypatch):
+    # seminested_loop falls back to a localization on a ReductionError
+    from ditalg.reduce import ReductionError, StepSpec
+
+    def failing(self, dit, name=""):
+        raise ReductionError("boom")
+
+    monkeypatch.setattr(StepSpec, "apply", failing)
+    with pytest.raises(ReductionError):
+        classify(exk(F3), 4)
