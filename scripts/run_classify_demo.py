@@ -3,7 +3,7 @@ modules of total dimension <= 2, cross-checking the emitted one-parameter
 family against the functor images."""
 
 from ditalg import certify, classify, iso_test, jordan_at, reduce_to_minimal
-from ditalg.bimodule import generic_regular, push_generic, specialize_jordan
+from ditalg.bimodule import generic_regular, specialize_jordan
 from ditalg.fixtures import exk
 from ditalg.pipeline import Obstruction, brute_force_indecomposables
 from ditalg.scalars import PrimeField
@@ -35,7 +35,7 @@ def main():
 
     comp = plan.composite()
     for fam in report.families:
-        Z = push_generic(comp, generic_regular(minimal, fam.point))
+        Z = comp.apply_rep(generic_regular(minimal, fam.point))
         print(f"\nfamily check at {fam.point}: Z has rank {Z.total_dim()}")
         for lam_int in range(3):
             lam = F.from_int(lam_int)

@@ -33,12 +33,10 @@ from .reduce import (
 )
 from .admissible import AdmissibleModuleData, build_admissible, reduce_admissible
 from .bimodule import (
-    WildCertificate, evaluate_functor_on_bimodule, generic_regular,
-    push_generic, specialize_jordan, verify_wild_certificate,
+    WildCertificate, generic_regular, specialize_jordan, verify_wild_certificate,
 )
 from .pipeline import (
-    ClassificationReport, Obstruction, ReductionPlan, classify,
-    reduce_to_minimal, stellar_to_seminested,
+    ClassificationReport, Obstruction, ReductionPlan, classify, reduce_to_minimal,
 )
 from .presentation import (
     ParseError, emit_presentation, load_module, load_presentation,

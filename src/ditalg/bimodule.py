@@ -56,22 +56,18 @@ def specialize_jordan(Z: Rep, eigen, size: int = 1) -> Rep:
     return out
 
 
-def generic_regular(dit: Dit, point: str, extra_inverted: Sequence[Poly] = ()) -> Rep:
+def generic_regular(dit: Dit, point: str) -> Rep:
     """The rank-one generic module at a rational point: Gamma itself with x
-    acting as multiplication by x."""
+    acting as multiplication by x.  A reduction functor's `apply_rep` carries
+    it to the parametrizing bimodule Z = F(Gamma)."""
     b = dit.bigraph
     fac = b.factor(point)
     if fac.is_trivial:
         raise BimoduleError("generic module needs a rational point")
-    gamma = LocalizedRing(b.field, tuple(fac.inverted or ()) + tuple(extra_inverted))
+    gamma = LocalizedRing(b.field, tuple(fac.inverted or ()))
     dims = {p: (1 if p == point else 0) for p in b.point_order}
     x = Mat(gamma, 1, 1, [[LocElt(gamma, Poly.x(b.field), 0)]])
     return Rep(dit, dims, point_ops={point: x}, ring=gamma)
-
-
-def push_generic(functor, Z: Rep) -> Rep:
-    """F(Z) for a family Z over Gamma: the functor's own object formula."""
-    return functor.apply_rep(Z)
 
 
 # -- wild certificates -------------------------------------------------------
@@ -181,10 +177,3 @@ def verify_wild_certificate(dit: Dit, cert: WildCertificate,
     report["ok"] = report["rank_ok"] and not report["violations"]
     return report
 
-
-def evaluate_functor_on_bimodule(functor, point: str,
-                                 extra_inverted: Sequence[Poly] = ()) -> Rep:
-    """Z = F(Gamma): the parametrizing bimodule carried by a composite
-    reduction functor at a rational point of its target."""
-    gen = generic_regular(functor.target, point, extra_inverted)
-    return push_generic(functor, gen)

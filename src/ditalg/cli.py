@@ -11,12 +11,12 @@ import json
 import sys
 
 from . import modcat
-from .interlace import UnsupportedShapeError, certify
+from .interlace import CertificationError, UnsupportedShapeError, certify
 from .pipeline import Obstruction, classify, reduce_to_minimal
 from .presentation import (
     ParseError, load_module, load_presentation, save_presentation, save_report,
 )
-from .reduce import StepSpec
+from .reduce import ReductionError, StepSpec
 
 
 EXIT_OK = 0
@@ -78,14 +78,21 @@ def cmd_hom(args) -> int:
     return EXIT_OK
 
 
+# the plan step kinds a plan file may name, each with the key its data needs
+PLAN_KINDS = {"deletion": "kept", "regularization": "solid", "factor_out": "solid",
+              "absorption": "loop"}
+
+
 def _load_plan(dit, path):
     with open(path, "r", encoding="utf8") as fh:
         data = json.load(fh)
     steps = []
     for i, entry in enumerate(data.get("steps", [])):
         kind = entry.get("kind")
-        if kind not in ("deletion", "regularization", "factor_out", "absorption"):
+        if kind not in PLAN_KINDS:
             raise ParseError(f"unsupported plan step kind {kind!r}", f"steps[{i}]")
+        if PLAN_KINDS[kind] not in entry:
+            raise ParseError(f"{kind} step needs {PLAN_KINDS[kind]!r}", f"steps[{i}]")
         steps.append(StepSpec(kind, {k: v for k, v in entry.items() if k != "kind"}))
     return steps
 
@@ -105,7 +112,14 @@ def cmd_reduce(args) -> int:
             return EXIT_PARSE
         cur = dit
         for i, spec in enumerate(specs):
-            cur, functor = spec.apply(cur)
+            try:
+                cur, _ = spec.apply(cur)
+            except (ReductionError, CertificationError) as exc:
+                print(f"step {i} ({spec.kind}) failed: {exc}")
+                return EXIT_OBSTRUCTION
+            except KeyError as exc:
+                print(f"step {i} ({spec.kind}) failed: no point or arrow {exc}")
+                return EXIT_OBSTRUCTION
             flags = " ".join(k for k, v in cur.certificates.items() if v)
             print(f"step {i}: {spec.kind} -> {len(cur.bigraph.points)} points [{flags}]")
         final = cur

@@ -3,10 +3,10 @@ lifting, the stellar phase, the generic seminested loop, classification of
 indecomposables up to a dimension bound, and emission of the parametrizing
 bimodules.
 
-Every plan step except an arm base change is applied through its
-`StepSpec` (`_step`), the same path as the source lift and
-`ditalg reduce --plan`; an arm base change has no spec and is recorded as
-`PlanStep(None, ...)`."""
+Every plan step is a `StepSpec`, applied in one place (`_Run.step`), the
+same path as the source lift and `ditalg reduce --plan`.  One `_Run` holds
+the step budget, the counter behind fresh names and the step list of each
+open recursion level; every phase appends to its level's list."""
 
 from __future__ import annotations
 
@@ -16,12 +16,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .admissible import AdmissibleError
 from .bigraph import Bigraph
-from .bimodule import generic_regular, push_generic, specialize_jordan
+from .bimodule import generic_regular, specialize_jordan
 from .interlace import CertificationError, Dit, certify, level_order
 from .modcat import DecomposableError, IsoClassIndex, Rep, simple_at
 from .reduce import (
-    ReductionError, ReductionFunctor, RepData, StepSpec, change_solid_basis,
-    compose_functors, delete_idempotents,
+    ReductionError, ReductionFunctor, RepData, StepSpec, compose_functors,
+    delete_idempotents,
 )
 from .scalars import (
     LocalizedRing, LocElt, ModulePresentation, Poly, factor as poly_factor,
@@ -50,7 +50,7 @@ class Obstruction:
 
 @dataclass
 class PlanStep:
-    spec: Optional[StepSpec]
+    spec: StepSpec
     functor: ReductionFunctor
     note: str = ""
 
@@ -162,6 +162,76 @@ def _b_module(b: Bigraph, b_arrows: Sequence[str], dims: Dict[str, int],
          for p in b.point_order if not b.factor(p).is_trivial})
 
 
+# -- one reduction run -----------------------------------------------------------
+
+
+class _Run:
+    """One reduction run: the step budget, the counter behind fresh names, and
+    one (input, steps) entry per open level of the source recursion.  A level
+    that raises stays open, so the innermost one says where the run stopped."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.counter = 0
+        self.levels: List[Tuple[Dit, List[PlanStep]]] = []
+
+    def fresh(self, base: str) -> str:
+        self.counter += 1
+        return f"{base}{self.counter}"
+
+    def step(self, cur: Dit, spec: StepSpec, suffix: str, note: str) -> Dit:
+        """Apply `spec` to `cur` as the next step of the innermost level,
+        named `cur.name + suffix` and a fresh number; raises what
+        `StepSpec.apply` raises before spending, except that a certification
+        or admissible-data failure becomes a PipelineError naming the step, so
+        the run ends in an Obstruction."""
+        try:
+            nd, f = spec.apply(cur, name=self.fresh(cur.name + suffix))
+        except (CertificationError, AdmissibleError) as exc:
+            raise PipelineError(f"{spec.kind} step ({note}) failed on {cur.name}: "
+                                f"{type(exc).__name__}: {exc}") from exc
+        self.budget -= 1
+        if self.budget < 0:
+            raise PipelineError("budget exhausted")
+        self.levels[-1][1].append(PlanStep(spec, f, note))
+        return nd
+
+    def stopped_at(self) -> Tuple[Dit, List[PlanStep]]:
+        """The presentation the innermost open level stopped at and its steps."""
+        start, steps = self.levels[-1]
+        return (steps[-1].functor.target if steps else start), steps
+
+
+def _delete_dead_points(run: _Run, cur: Dit) -> Dit:
+    """Delete the points whose idempotent lies in I until none does."""
+    while True:
+        dead = [p for p in cur.bigraph.point_order if point_in_ideal(cur, p)]
+        if not dead:
+            return cur
+        kept = [p for p in cur.bigraph.point_order if p not in dead]
+        cur = run.step(cur, StepSpec("deletion", {"kept": kept}), ".d",
+                       f"delete ideal idempotents {dead}")
+
+
+def _torsion_step(run: _Run, cur: Dit, blocks, regular, note: str,
+                  center: Optional[str] = None) -> Dit:
+    """One admissible step with no B-arrows: the companion blocks of the
+    torsion modules of h^bound at each (point, h, bound) of `blocks`, a
+    regular summand at each (point, inverted) of `regular` with the extra
+    inverted polynomials, and the untouched `center`."""
+    b = cur.bigraph
+    findim = [(run.fresh("z"), _b_module(b, [], {p: modulus.degree},
+                                         point_ops={p: companion_block(modulus)}))
+              for p, h, bound in blocks
+              for modulus in torsion_blocks(h, b.factor_ring(p), bound)]
+    regulars = [(run.fresh(f"r_{p}_"), p, inverted) for p, inverted in regular]
+    if center is not None:
+        regulars.append((center, center, ()))
+    spec = StepSpec("admissible", {"b_arrows": [], "findim": findim, "regular": regulars,
+                                   "check": False})
+    return run.step(cur, spec, ".X", note)
+
+
 # -- the stellar phase -------------------------------------------------------------
 
 
@@ -175,110 +245,16 @@ def stellar_center(dit: Dit) -> Optional[str]:
     return next(iter(sources))
 
 
-def _fresh(ctx: dict, base: str) -> str:
-    ctx.setdefault("counter", 0)
-    ctx["counter"] += 1
-    return f"{base}{ctx['counter']}"
-
-
-def _spend(ctx: dict, n: int = 1):
-    ctx["budget"] -= n
-    if ctx["budget"] < 0:
-        raise _BudgetExhausted()
-
-
-class _BudgetExhausted(Exception):
-    pass
-
-
-def _open_steps(ctx: dict, start: Optional[Dit] = None) -> List[PlanStep]:
-    """A fresh step list for one phase, kept on ctx's stack of open phases
-    until `_close_steps`.  A phase that raises leaves it there for
-    `_stopped_at`.  `start` marks a recursion level with that input: its
-    steps begin a new chain instead of continuing the caller's."""
-    steps: List[PlanStep] = []
-    ctx.setdefault("open", []).append((start, steps))
-    return steps
-
-
-def _close_steps(ctx: dict, steps: List[PlanStep]) -> List[PlanStep]:
-    assert ctx["open"].pop()[1] is steps
-    return steps
-
-
-def _stopped_at(ctx: dict, dit: Dit) -> Tuple[Dit, List[PlanStep]]:
-    """The presentation a failed reduction stopped at and the steps leading
-    to it from the input of the innermost open recursion level."""
-    start, steps = dit, []
-    for level, phase_steps in ctx.get("open", []):
-        if level is not None:
-            start, steps = level, []
-        steps = steps + phase_steps
-    return (steps[-1].functor.target if steps else start), steps
-
-
-def _step(ctx: dict, steps: List[PlanStep], cur: Dit, spec: StepSpec, suffix: str,
-          note: str) -> Dit:
-    """Apply `spec` to `cur` as the next plan step, named `cur.name + suffix`
-    and a fresh number; raises what `StepSpec.apply` raises before spending,
-    except that a certification or admissible-data failure becomes a
-    PipelineError naming the step, so the run ends in an Obstruction."""
-    try:
-        nd, f = spec.apply(cur, name=_fresh(ctx, cur.name + suffix))
-    except (CertificationError, AdmissibleError) as exc:
-        raise PipelineError(f"{spec.kind} step ({note}) failed on {cur.name}: "
-                            f"{type(exc).__name__}: {exc}") from exc
-    _spend(ctx)
-    steps.append(PlanStep(spec, f, note))
-    return nd
-
-
-def _delete_dead_points(ctx: dict, steps: List[PlanStep], cur: Dit) -> Dit:
-    """Delete the points whose idempotent lies in I until none does."""
-    while True:
-        dead = [p for p in cur.bigraph.point_order if point_in_ideal(cur, p)]
-        if not dead:
-            return cur
-        kept = [p for p in cur.bigraph.point_order if p not in dead]
-        cur = _step(ctx, steps, cur, StepSpec("deletion", {"kept": kept}), ".d",
-                    f"delete ideal idempotents {dead}")
-
-
-def _torsion_step(ctx: dict, steps: List[PlanStep], cur: Dit, blocks, regular,
-                  note: str, center: Optional[str] = None) -> Dit:
-    """One admissible step with no B-arrows: the companion blocks of the
-    torsion modules of h^bound at each (point, h, bound) of `blocks`, a
-    regular summand at each (point, inverted) of `regular` with the extra
-    inverted polynomials, and the untouched `center`."""
-    b = cur.bigraph
-    findim = [(_fresh(ctx, "z"), _b_module(b, [], {p: modulus.degree},
-                                           point_ops={p: companion_block(modulus)}))
-              for p, h, bound in blocks
-              for modulus in torsion_blocks(h, b.factor_ring(p), bound)]
-    regulars = [(_fresh(ctx, f"r_{p}_"), p, inverted) for p, inverted in regular]
-    if center is not None:
-        regulars.append((center, center, ()))
-    spec = StepSpec("admissible", {"b_arrows": [], "findim": findim, "regular": regulars,
-                                   "check": False})
-    return _step(ctx, steps, cur, spec, ".X", note)
-
-
-def stellar_to_seminested(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], Dit]:
+def _stellar_phase(run: _Run, cur: Dit, d: int) -> Dit:
     """The stellar induction: delete ideal idempotents; case 1 reduces the
     rational points meeting the ideal with the finite-representation-type
     module; case 2 localizes the arms, base-changes the ideal into a direct
-    summand of W0, and factors it out."""
-    steps = _open_steps(ctx)
-    cur = dit
-    guard = 0
+    summand of W0, and factors it out.  Every pass takes a step or returns."""
     while True:
-        guard += 1
-        if guard > 60:
-            raise PipelineError("stellar phase failed to make progress")
         # idempotents inside I die first
-        cur = _delete_dead_points(ctx, steps, cur)
+        cur = _delete_dead_points(run, cur)
         if cur.ideal.is_zero():
-            return _close_steps(ctx, steps), cur
+            return cur
         b = cur.bigraph
         # case 1: I meets a rational factor (no star structure required)
         case1 = {}
@@ -287,7 +263,7 @@ def stellar_to_seminested(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], 
             if h0 is not None and not h0.is_one():
                 case1[p] = h0
         if case1:
-            cur = _torsion_step(ctx, steps, cur, [(p, h0, 1) for p, h0 in case1.items()],
+            cur = _torsion_step(run, cur, [(p, h0, 1) for p, h0 in case1.items()],
                                 [(p, ()) for p in b.point_order if p not in case1],
                                 f"case-1 torsion split at {sorted(case1)}")
             continue
@@ -295,7 +271,7 @@ def stellar_to_seminested(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], 
         center = stellar_center(cur)
         if center is None:
             if not cur.bigraph.solid_arrows():
-                return _close_steps(ctx, steps), cur
+                return cur
             raise PipelineError("stellar phase requires a stellar presentation")
 
         # case 2: I cap R = 0, so I sits inside W0; make it a summand
@@ -316,10 +292,10 @@ def stellar_to_seminested(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], 
             if not res.h.is_one():
                 needs_localization.append((p, res.h))
             else:
-                arm_data[p] = (arm, ring, res.layer_bases)
+                arm_data[p] = (arm, res.layer_bases)
         if needs_localization:
             cur = _torsion_step(
-                ctx, steps, cur, [(p, h, d) for p, h in needs_localization],
+                run, cur, [(p, h, d) for p, h in needs_localization],
                 [(p, tuple(h for q, h in needs_localization if q == p))
                  for p in b.point_order if p != center],
                 f"case-2 localization h = {[str(h) for _, h in needs_localization]}",
@@ -327,13 +303,13 @@ def stellar_to_seminested(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], 
             continue
         # base-change every arm so the ideal part is an arrow subset, then factor out
         ideal_arrows: List[str] = []
-        for p, (arm, ring, bases) in arm_data.items():
-            sel, cur = _arm_base_change(ctx, steps, cur, center, p, arm, ring, bases)
+        for p, (arm, bases) in arm_data.items():
+            sel, cur = _arm_base_change(run, cur, center, p, arm, bases)
             ideal_arrows.extend(sel)
         if not ideal_arrows:
-            return _close_steps(ctx, steps), cur
-        cur = _step(ctx, steps, cur, StepSpec("factor_out", {"solid": ideal_arrows}), ".q",
-                    f"factor out the ideal arrows {ideal_arrows}")
+            return cur
+        cur = run.step(cur, StepSpec("factor_out", {"solid": ideal_arrows}), ".q",
+                       f"factor out the ideal arrows {ideal_arrows}")
         # after factoring out, the ideal is zero: loop exits on the next pass
 
 
@@ -372,53 +348,26 @@ def _arm_ideal_columns(dit: Dit, center: str, p: str, arm: List[str]):
     return cols, ring
 
 
-def _arm_base_change(ctx: dict, steps: List[PlanStep], dit: Dit, center: str, p: str,
-                     arm: List[str], ring, bases) -> Tuple[List[str], Dit]:
+def _arm_base_change(run: _Run, cur: Dit, center: str, p: str, arm: List[str],
+                     bases) -> Tuple[List[str], Dit]:
     """Base-change one arm so the ideal part becomes a leading arrow subset,
     given the localized bases (ideal part, whole arm) of the arm's ideal
-    columns.  Returns (ideal_arrow_names, new_dit); a base change is recorded
-    with no spec."""
-    b = dit.bigraph
+    columns.  Returns (ideal_arrow_names, new_dit)."""
     basis_i, basis_full = bases
     # if the ideal part is already spanned by plain arrows, skip the base change
-    plain = []
-    for vec in basis_i:
-        nz = [(i, c) for i, c in enumerate(vec) if not c.is_zero()]
-        if len(nz) == 1 and nz[0][1].is_constant():
-            plain.append(arm[nz[0][0]])
-        else:
-            plain = None
-            break
-    if plain is not None and len(plain) == len(basis_i):
-        return plain, dit
-
-    new_arrows = []
-    sel_names = []
-    for k, vec in enumerate(basis_full):
-        nm = _fresh(ctx, f"{p}w")
-        comb = Elem.zero(b)
-        for i, c in enumerate(vec):
-            if c.is_zero():
-                continue
-            if ring is None:
-                comb = comb + Elem.arrow(b, arm[i], c.coeff(0))
-            else:
-                dec = Elem.decorated(b, p, LocElt(ring, c, 0))
-                comb = comb + dec * Elem.arrow(b, arm[i])
-        new_arrows.append((nm, comb))
-        if k < len(basis_i):
-            sel_names.append(nm)
-    nd, f = change_solid_basis(dit, center, p, new_arrows,
-                               name=_fresh(ctx, f"{dit.name}.b"))
-    _spend(ctx)
-    steps.append(PlanStep(None, f, f"arm base change at {p}"))
-    return sel_names, nd
+    support = [[i for i, c in enumerate(vec) if not c.is_zero()] for vec in basis_i]
+    if all(len(nz) == 1 and vec[nz[0]].is_constant() for nz, vec in zip(support, basis_i)):
+        return [arm[nz[0]] for nz in support], cur
+    names = [run.fresh(f"{p}w") for _ in basis_full]
+    spec = StepSpec("basechange", {"source": center, "target": p,
+                                   "arrows": list(zip(names, basis_full))})
+    return names[:len(basis_i)], run.step(cur, spec, ".b", f"arm base change at {p}")
 
 
 # -- the generic seminested loop ------------------------------------------------------
 
 
-def _prune_heavy_points(cur: Dit, d: int, ctx: dict, steps: List[PlanStep]) -> Dit:
+def _prune_heavy_points(run: _Run, cur: Dit, d: int) -> Dit:
     """Points whose simple already pulls back to dimension > d cannot support
     any module of bounded dimension: delete them.  This is what makes the
     bounded-dimension loop terminate."""
@@ -427,21 +376,19 @@ def _prune_heavy_points(cur: Dit, d: int, ctx: dict, steps: List[PlanStep]) -> D
     if not heavy:
         return cur
     kept = [p for p in cur.bigraph.point_order if p not in heavy]
-    return _step(ctx, steps, cur, StepSpec("deletion", {"kept": kept}), ".w",
-                 f"prune points beyond the dimension bound: {heavy}")
+    return run.step(cur, StepSpec("deletion", {"kept": kept}), ".w",
+                    f"prune points beyond the dimension bound: {heavy}")
 
 
-def seminested_loop(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], Dit]:
+def _seminested_loop(run: _Run, cur: Dit, d: int) -> Dit:
     """Priority order: regularize whatever regularizes (shrinks the layer),
     absorb delta-closed loops, and only then edge-reduce the minimal solid
     arrow (which grows the quiver before later steps shrink it again)."""
-    steps = _open_steps(ctx)
-    cur = dit
     while True:
-        cur = _prune_heavy_points(cur, d, ctx, steps)
+        cur = _prune_heavy_points(run, cur, d)
         b = cur.bigraph
         if not b.solid_arrows():
-            return _close_steps(ctx, steps), cur
+            return cur
         ordered = [b.arrow(n) for new in level_order(cur.levels[0]) for n in new]
 
         # 1. regularization pass
@@ -451,9 +398,8 @@ def seminested_loop(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], Dit]:
             if dv.is_zero() or any(w.length() != 1 for w in dv.terms):
                 continue
             try:
-                cur = _step(ctx, steps, cur,
-                            StepSpec("regularization", {"solid": [arr.name]}), ".r",
-                            f"regularize {arr.name}")
+                cur = run.step(cur, StepSpec("regularization", {"solid": [arr.name]}), ".r",
+                               f"regularize {arr.name}")
                 did = True
                 break
             except ReductionError:
@@ -463,7 +409,7 @@ def seminested_loop(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], Dit]:
                 point, h = loc
                 # invert h, keeping bounded-dimension coverage by adjoining
                 # the torsion blocks of h^d
-                cur = _torsion_step(ctx, steps, cur, [(point, h, d)],
+                cur = _torsion_step(run, cur, [(point, h, d)],
                                     [(p, (h,) if p == point else ()) for p in b.point_order],
                                     f"localize {point} at {h}")
                 did = True
@@ -475,8 +421,8 @@ def seminested_loop(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], Dit]:
         for arr in ordered:
             if arr.source == arr.target and cur.delta.of_arrow(arr.name).is_zero() \
                     and b.factor(arr.source).is_trivial:
-                cur = _step(ctx, steps, cur, StepSpec("absorption", {"loop": arr.name}),
-                            ".a", f"absorb loop {arr.name}")
+                cur = run.step(cur, StepSpec("absorption", {"loop": arr.name}), ".a",
+                               f"absorb loop {arr.name}")
                 did = True
                 break
         if did:
@@ -500,7 +446,7 @@ def seminested_loop(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], Dit]:
                     "over rational factors is outside the implemented calculus")
             raise PipelineError(
                 "stuck: no regularizable, absorbable, or reducible solid arrow")
-        cur = _edge_reduction(ctx, steps, cur, pick.name)
+        cur = _edge_reduction(run, cur, pick.name)
 
 
 def _localization_for_pivot(dit: Dit, arrow: str, dv: Elem):
@@ -534,19 +480,19 @@ def _localization_for_pivot(dit: Dit, arrow: str, dv: Elem):
     return None
 
 
-def _edge_reduction(ctx: dict, steps: List[PlanStep], dit: Dit, arrow: str) -> Dit:
+def _edge_reduction(run: _Run, dit: Dit, arrow: str) -> Dit:
     b = dit.bigraph
     arr = b.arrow(arrow)
     s1 = _b_module(b, [arrow], {arr.source: 1})
     s2 = _b_module(b, [arrow], {arr.target: 1})
     p1 = _b_module(b, [arrow], {arr.source: 1, arr.target: 1},
                    arrow_ops={arrow: Mat(b.field, 1, 1, [[b.field.one]])})
-    findim = [(_fresh(ctx, "s"), s1), (_fresh(ctx, "s"), s2), (_fresh(ctx, "e"), p1)]
-    regulars = [(_fresh(ctx, f"r_{p}_"), p, ()) for p in b.point_order
+    findim = [(run.fresh("s"), s1), (run.fresh("s"), s2), (run.fresh("e"), p1)]
+    regulars = [(run.fresh(f"r_{p}_"), p, ()) for p in b.point_order
                 if p not in (arr.source, arr.target)]
     spec = StepSpec("admissible", {"b_arrows": [arrow], "findim": findim,
                                    "regular": regulars, "check": False})
-    return _step(ctx, steps, dit, spec, ".X", f"edge reduction at {arrow}")
+    return run.step(dit, spec, ".X", f"edge reduction at {arrow}")
 
 
 # -- the main driver -------------------------------------------------------------------
@@ -555,67 +501,54 @@ def _edge_reduction(ctx: dict, steps: List[PlanStep], dit: Dit, arrow: str) -> D
 def reduce_to_minimal(dit: Dit, d: int, budget: int = 200):
     """Theorem-driver: source detachment recursion, stellar phase, seminested
     loop.  Returns (ReductionPlan, minimal Dit) or an Obstruction."""
-    ctx = {"budget": budget, "counter": 0}
+    run = _Run(budget)
     try:
-        steps, final = _reduce_rec(dit, d, ctx)
-    except _BudgetExhausted:
-        return Obstruction("budget exhausted", *_stopped_at(ctx, dit))
+        steps, final = _reduce_rec(run, dit, d)
     except PipelineError as exc:
-        return Obstruction(str(exc), *_stopped_at(ctx, dit))
+        return Obstruction(str(exc), *run.stopped_at())
     plan = ReductionPlan(source=dit, steps=steps, final=final, dimension_bound=d,
-                         budget_used=budget - ctx["budget"])
+                         budget_used=budget - run.budget)
     return plan, final
 
 
-def _reduce_rec(dit: Dit, d: int, ctx: dict) -> Tuple[List[PlanStep], Dit]:
-    steps = _open_steps(ctx, start=dit)
+def _reduce_rec(run: _Run, dit: Dit, d: int) -> Tuple[List[PlanStep], Dit]:
+    """One recursion level: delete ideal idempotents, reduce the presentation
+    without a source point and lift that plan over it, then run the stellar
+    phase and the seminested loop.  Returns the level's steps and result."""
+    steps: List[PlanStep] = []
+    run.levels.append((dit, steps))
     certify(dit)
-    # ideal idempotents die first
-    cur = _delete_dead_points(ctx, steps, dit)
+    cur = _delete_dead_points(run, dit)
+    if not is_minimal(cur):
+        if cur.bigraph.solid_arrows():
+            cur = _lift_source_plan(run, cur, d)
+        cur = _seminested_loop(run, _stellar_phase(run, cur, d), d)
+    run.levels.pop()
+    return steps, cur
 
-    if is_minimal(cur):
-        return _close_steps(ctx, steps), cur
-    if not cur.bigraph.solid_arrows():
-        # armless presentation with an ideal: case 1 of the stellar phase
-        st_steps, cur = stellar_to_seminested(cur, d, ctx)
-        steps.extend(st_steps)
-        loop_steps, cur = seminested_loop(cur, d, ctx)
-        steps.extend(loop_steps)
-        return _close_steps(ctx, steps), cur
 
+def _lift_source_plan(run: _Run, cur: Dit, d: int) -> Dit:
+    """Reduce `cur` with a source point deleted and lift that plan back over
+    the source (section 8 commutations); after it every solid arrow starts
+    at the source."""
     order = cur.bigraph.topological_order()
     if order is None:
         raise PipelineError("driver requires a directed presentation")
-    source = None
-    for p in order:
-        if cur.bigraph.factor(p).is_trivial and not cur.bigraph.arrows_into(p):
-            source = p
-            break
+    source = next((p for p in order if cur.bigraph.factor(p).is_trivial
+                   and not cur.bigraph.arrows_into(p)), None)
     if source is None:
         raise PipelineError("no source point available")
-
     if len(cur.bigraph.point_order) > 1:
         deleted, _ = delete_idempotents(
             cur, [p for p in cur.bigraph.point_order if p != source],
-            name=_fresh(ctx, f"{cur.name}.rec"))
-        sub_steps, _sub_final = _reduce_rec(deleted, d, ctx)
-        # lift the deleted-side plan over the source (section 8 commutations)
+            name=run.fresh(f"{cur.name}.rec"))
+        sub_steps, _ = _reduce_rec(run, deleted, d)
         for sub in sub_steps:
-            if sub.spec is None:
-                raise PipelineError("unliftable step in recursion")
-            cur = _step(ctx, steps, cur, sub.spec.lifted_over_source(source), ".l",
-                        f"lifted {sub.note}")
-
-    # now every solid arrow starts at the source: the stellar phase
-    if cur.bigraph.solid_arrows():
-        center = stellar_center(cur)
-        if center != source:
-            raise PipelineError("reassembled presentation is not stellar at the source")
-    st_steps, cur = stellar_to_seminested(cur, d, ctx)
-    steps.extend(st_steps)
-    loop_steps, cur = seminested_loop(cur, d, ctx)
-    steps.extend(loop_steps)
-    return _close_steps(ctx, steps), cur
+            cur = run.step(cur, sub.spec.lifted_over_source(source), ".l",
+                           f"lifted {sub.note}")
+    if cur.bigraph.solid_arrows() and stellar_center(cur) != source:
+        raise PipelineError("reassembled presentation is not stellar at the source")
+    return cur
 
 
 # -- classification ----------------------------------------------------------------------
@@ -653,8 +586,7 @@ class ClassificationReport:
         return out
 
 
-def classify(dit: Dit, d: int, budget: int = 200,
-             lambda_sample: Sequence = (), brute_force_residue: bool = True):
+def classify(dit: Dit, d: int, budget: int = 200, lambda_sample: Sequence = ()):
     """Classify indecomposables of total dimension <= d."""
     result = reduce_to_minimal(dit, d, budget)
     if isinstance(result, Obstruction):
@@ -679,8 +611,7 @@ def classify(dit: Dit, d: int, budget: int = 200,
                 images.append(img)
         else:
             ring = mb.factor_ring(p)
-            gen = generic_regular(minimal, p)
-            Z = gen if comp is None else push_generic(comp, gen)
+            Z = push(generic_regular(minimal, p))
             fam = Family(point=p, inverted=tuple(fac.inverted or ()), bimodule=Z)
             rank = Z.total_dim()
             for lam in lambda_sample:
@@ -709,7 +640,7 @@ def classify(dit: Dit, d: int, budget: int = 200,
                                   indecomposables=shown + family_members,
                                   families=families, exceptional=exceptional)
 
-    if brute_force_residue and F.char and _brute_feasible(dit, d):
+    if F.char and _brute_feasible(dit, d):
         residue = [cls for cls in brute_force_indecomposables(dit, d)
                    if index.find(cls) is None]
         report.brute_residue = residue

@@ -28,7 +28,7 @@ from .modcat import Rep
 from .scalars import LocalizedRing, LocElt, Poly
 from .scalars.linalg import Mat
 from .tensor import (
-    Differential, Elem, Layer, Word, UNIT, decompose_locelt, in_span, key_to_locelt,
+    Differential, Elem, Layer, Word, UNIT, decompose_locelt, in_span,
 )
 
 
@@ -43,8 +43,9 @@ class ReductionFunctor:
     dim N.  Detachment's `apply_rep` is Res, restriction from the source to
     the target.
 
-    kind: deletion | regularization | factor_out | absorption | admissible |
-    detachment | basechange | induced | composite.
+    kind: the `StepSpec` kind that builds it (deletion | regularization |
+    factor_out | absorption | admissible | basechange), or detachment |
+    induced | composite for the functors no plan step records.
     """
 
     kind: str
@@ -514,9 +515,16 @@ def rep_equal(M: Rep, N: Rep) -> bool:
 class StepSpec:
     """Construction data of a single reduction step, replayable on any dit
     that carries the referenced generators (used for the source-detachment
-    commutation and for lifting a deleted-side plan to the full dit)."""
+    commutation and for lifting a deleted-side plan to the full dit).  The
+    data names generators and holds field elements, polynomials and RepData
+    only, never an element of a particular dit:
 
-    kind: str       # deletion | regularization | factor_out | absorption | admissible
+    deletion {"kept"}, regularization {"solid"}, factor_out {"solid"},
+    absorption {"loop"}, admissible {"b_arrows", "findim", "regular",
+    "check"}, basechange {"source", "target", "arrows": [(name, [Poly per
+    old arm arrow])]} (see `change_solid_basis`)."""
+
+    kind: str
     data: dict
 
     def apply(self, dit: Dit, name: str = ""):
@@ -537,11 +545,15 @@ class StepSpec:
                                    regular=self.data.get("regular", ()),
                                    check=self.data.get("check", True))
             return reduce_admissible(dit, adm, name=name)
+        if self.kind == "basechange":
+            return change_solid_basis(dit, self.data["source"], self.data["target"],
+                                      self.data["arrows"], name=name)
         raise ReductionError(f"unknown step kind {self.kind}")
 
     def lifted_over_source(self, source_point: str) -> "StepSpec":
         """The corresponding step on a dit that still carries the source
-        point: deletions keep it; admissible steps gain the k e0 summand."""
+        point: deletions keep it; admissible steps gain the k e0 summand;
+        every other kind is unchanged."""
         if self.kind == "deletion":
             return StepSpec("deletion", {"kept": list(self.data["kept"]) + [source_point]})
         if self.kind == "admissible":
@@ -568,71 +580,46 @@ def rep_spec(rep: Rep) -> RepData:
 
 
 def change_solid_basis(dit: Dit, source_point: str, target_point: str,
-                       new_arrows: Sequence[Tuple[str, Elem]],
+                       arrows: Sequence[Tuple[str, Sequence[Poly]]],
                        name: str = "") -> Tuple[Dit, ReductionFunctor]:
-    """Replace the solid arrows from source_point to target_point by an
-    invertible combination (coefficients in the endpoint factor rings); all
-    differential values and ideal generators are rewritten.  This is an
-    isomorphism of presentations (a unimodular change of the generator basis
-    of one arm of W0)."""
+    """Replace the solid arrows from source_point to target_point, in arm
+    order, by the named arrows new_i = sum_j C[i][j] old_j, where `arrows`
+    gives each new name with its row of C: one polynomial of the arm ring
+    (the factor ring of the arm's rational end) per old arrow.  C must be
+    invertible over that ring.  All differential values and ideal generators
+    are rewritten.  This is an isomorphism of presentations (a unimodular
+    change of the generator basis of one arm of W0)."""
     b = dit.bigraph
     F = b.field
     old = [a.name for a in b.solid_arrows()
            if a.source == source_point and a.target == target_point]
-    if len(new_arrows) != len(old):
+    if len(arrows) != len(old) or any(len(row) != len(old) for _, row in arrows):
         raise ReductionError("base change must preserve the arm rank")
-    trivial_target = b.factor(target_point).is_trivial
-    trivial_source = b.factor(source_point).is_trivial
-    if not trivial_target and not trivial_source:
+    rational = [p for p in (source_point, target_point) if not b.factor(p).is_trivial]
+    if len(rational) > 1:
         raise ReductionError("bivariate arm base change is unsupported")
-    ring = (b.factor_ring(target_point) if not trivial_target
-            else b.factor_ring(source_point)) or LocalizedRing(F, ())
-
-    # coefficient matrix C: new_i = sum_j C[i][j] old_j (coefficients in ring)
-    def coeff_of(elem: Elem, arrow: str) -> LocElt:
-        acc = ring.zero
-        for w, c in elem.terms.items():
-            if w.arrows != (arrow,):
-                continue
-            key = w.coeffs[1] if not trivial_target else w.coeffs[0]
-            other = w.coeffs[0] if not trivial_target else w.coeffs[1]
-            if other != (0, 0):
-                raise ReductionError("decoration on the trivial side of the arm")
-            scalar = LocElt(ring, Poly.const(F, c), 0)
-            acc = ring.add(acc, ring.mul(scalar, key_to_locelt(ring, key)))
-        return acc
-
-    n = len(old)
-    C = Mat(ring, n, n, [[coeff_of(e, old[j]) for j in range(n)] for _, e in new_arrows])
+    if not rational and any(not c.is_constant() for _, row in arrows for c in row):
+        raise ReductionError("a trivial arm takes only constant coefficients")
+    ring = b.factor_ring(rational[0]) if rational else LocalizedRing(F, ())
+    at_source = rational == [source_point]
+    C = Mat(ring, len(old), len(old), [[ring.from_poly(c) for c in row] for _, row in arrows])
     Cinv = C.inverse()
     if Cinv is None:
         raise ReductionError("base change matrix is not invertible over the arm ring")
-
     tgt = Bigraph(F, [(p, b.factor(p)) for p in b.point_order],
                   solid=[(a.name, a.source, a.target) for a in b.solid_arrows()
                          if a.name not in set(old)]
-                        + [(nm, source_point, target_point) for nm, _ in new_arrows],
+                        + [(nm, source_point, target_point) for nm, _ in arrows],
                   dashed=[(a.name, a.source, a.target) for a in b.dashed_arrows()])
 
-    def decorated_arrow(nm: str, value: LocElt) -> Elem:
-        out = Elem.zero(tgt)
-        for key, c in decompose_locelt(ring, value):
-            if trivial_target:
-                w = Word(source_point, (nm,), (key, (0, 0)))
-            else:
-                w = Word(source_point, (nm,), ((0, 0), key))
-            out = out + Elem(tgt, {w: c})
-        return out
+    def combination(bg: Bigraph, names: Sequence[str], coeffs: Sequence[LocElt]) -> Elem:
+        """sum_j coeffs[j] names[j], each coefficient at the rational end."""
+        return Elem(bg, {Word(source_point, (nm,), (key, UNIT) if at_source else (UNIT, key)): c
+                         for nm, v in zip(names, coeffs) for key, c in decompose_locelt(ring, v)})
 
-    arrow_images: Dict[str, Elem] = {}
-    for j, oname in enumerate(old):
-        acc = Elem.zero(tgt)
-        for i, (nm, _) in enumerate(new_arrows):
-            v = Cinv.data[j][i]
-            if not ring.is_zero(v):
-                acc = acc + decorated_arrow(nm, v)
-        arrow_images[oname] = acc
-
+    new = [nm for nm, _ in arrows]
+    lifts = {nm: combination(b, old, C.data[i]) for i, nm in enumerate(new)}
+    phi = {o: combination(tgt, new, Cinv.data[j]) for j, o in enumerate(old)}
     # delta'(new_i) = phi(delta(sum_j C[i][j] old_j))
-    return induced_reduction(dit, tgt, arrow_images, name=name or f"{dit.name}~",
-                             kind="basechange", lifts=dict(new_arrows))
+    return induced_reduction(dit, tgt, phi, name=name or f"{dit.name}~",
+                             kind="basechange", lifts=lifts)

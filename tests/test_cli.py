@@ -136,6 +136,28 @@ def test_cmd_reduce_plan(files, tmp_path, capsys):
     assert "regularization" in capsys.readouterr().out
 
 
+def test_cmd_reduce_plan_step_that_fails(files, tmp_path, capsys):
+    # exk has delta = 0, so regularizing a cannot be applied: exit 4 with the
+    # step named, not a traceback
+    paths, tp = files
+    plan = tp / "plan.json"
+    plan.write_text(json.dumps({"steps": [{"kind": "regularization", "solid": ["a"]}]}))
+    assert main(["reduce", paths["exk"], "--plan", str(plan)]) == 4
+    assert "step 0 (regularization) failed: " in capsys.readouterr().out
+    plan.write_text(json.dumps({"steps": [{"kind": "factor_out", "solid": ["zz"]}]}))
+    assert main(["reduce", paths["exk"], "--plan", str(plan)]) == 4
+    assert "step 0 (factor_out) failed: no point or arrow 'zz'" in capsys.readouterr().out
+
+
+def test_cmd_reduce_plan_step_without_its_data(files, tmp_path, capsys):
+    paths, tp = files
+    plan = tp / "plan.json"
+    plan.write_text(json.dumps({"steps": [{"kind": "deletion"}]}))
+    assert main(["reduce", paths["exk"], "--plan", str(plan)]) == 2
+    err = capsys.readouterr().err
+    assert "parse error" in err and "'kept'" in err and "steps[0]" in err
+
+
 def test_cmd_classify_ex1(files, tmp_path, capsys):
     paths, tp = files
     out_path = tp / "report.json"

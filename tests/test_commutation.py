@@ -12,7 +12,7 @@ from ditalg.reduce import (
     StepSpec, detach_source, detached_is_product, rep_equal, rep_spec,
     structural_equal,
 )
-from ditalg.scalars import PrimeField
+from ditalg.scalars import Poly, PrimeField
 from ditalg.scalars.linalg import Mat
 
 F2 = PrimeField(2)
@@ -94,6 +94,15 @@ def test_commutation_regularization():
 def test_commutation_factor_out():
     d = exq(F3)
     run_commutation(d, "z0", StepSpec("factor_out", {"solid": ["p"]}))
+
+
+def test_commutation_basechange():
+    # u = p + 2q, w = p + q on the arm 1 -> 2, away from the source z0
+    d = exq(F3)
+    run_commutation(d, "z0", StepSpec("basechange", {
+        "source": "1", "target": "2",
+        "arrows": [("u", [Poly.const(F3, 1), Poly.const(F3, 2)]),
+                   ("w", [Poly.const(F3, 1), Poly.const(F3, 1)])]}))
 
 
 def test_commutation_absorption():

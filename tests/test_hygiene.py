@@ -133,7 +133,7 @@ def test_pipeline_applies_steps_through_specs():
         elif isinstance(node, ast.alias):
             names.update({node.name, node.asname})
     assert names & {"regularize", "absorb", "factor_out", "build_admissible",
-                    "reduce_admissible"} == set()
+                    "reduce_admissible", "change_solid_basis"} == set()
 
 
 def _matrix_kernel_functions(tree):

@@ -2,15 +2,13 @@ import pytest
 
 from ditalg.bigraph import Bigraph, Factor
 from ditalg.bimodule import (
-    NCPoly, WildCertificate, generic_regular, push_generic, specialize_jordan,
-    verify_wild_certificate,
+    NCPoly, WildCertificate, generic_regular, specialize_jordan, verify_wild_certificate,
 )
 from ditalg.fixtures import ex1, ex2, exi, exk, exl, exr, stellar_case1, stellar_case2
 from ditalg.interlace import certify
 from ditalg.modcat import Rep, hom_dim, is_indecomposable, iso_test, jordan_at, simple_at
 from ditalg.pipeline import (
-    Obstruction, brute_force_indecomposables, classify, is_minimal,
-    reduce_to_minimal, stellar_to_seminested,
+    Obstruction, brute_force_indecomposables, classify, is_minimal, reduce_to_minimal,
 )
 from ditalg.reduce import rep_equal, structural_equal
 from ditalg.scalars import PrimeField, Poly, QQ
@@ -63,7 +61,7 @@ def test_ex2_classification():
 def test_exi_classification_matches_oracle():
     d = exi(F2)
     certify(d)
-    rep = classify(d, 3, 150, brute_force_residue=False)
+    rep = classify(d, 3, 150)
     got = sorted(r.dim_vector() for r in rep.indecomposables)
     oracle = brute_force_indecomposables(d, 3)
     assert got == sorted(o.dim_vector() for o in oracle)
@@ -102,7 +100,7 @@ def test_exk_parametrization_square():
                 if not minimal.bigraph.factor(p).is_trivial]
     assert rational
     p = rational[0]
-    Z = push_generic(comp, generic_regular(minimal, p))
+    Z = comp.apply_rep(generic_regular(minimal, p))
     for lam_int in (0, 1, 2):
         lam = F3.from_int(lam_int)
         for t in (1, 2):
@@ -192,30 +190,29 @@ def test_plan_steps_replay_through_their_specs():
         assert isinstance(out, Obstruction) == (fixture is stellar_case2)
         steps = out.steps if isinstance(out, Obstruction) else out[0].steps
         for step in steps:
-            if step.spec is not None:
-                target, _ = step.spec.apply(step.functor.source)
-                assert structural_equal(target, step.functor.target), step.note
-                replays += 1
+            target, _ = step.spec.apply(step.functor.source)
+            assert structural_equal(target, step.functor.target), step.note
+            replays += 1
     assert replays > 60
 
 
 def test_stellar_case2_produces_summand_witness():
+    # the stellar phase localizes at h = x, base-changes the arm so the ideal
+    # is a direct summand of W0 and factors it out; the seminested loop then
+    # stalls on a rational-endpoint arrow: documented gap
     d = stellar_case2(F3)
     flags = certify(d)
     assert flags["roiter"]
-    ctx = {"budget": 100, "counter": 0}
-    steps, final = stellar_to_seminested(d, 2, ctx)
-    kinds = [s.functor.kind for s in steps]
-    assert "admissible" in kinds      # the localization at h = x
-    assert "basechange" in kinds      # the summand witness
-    assert "factor_out" in kinds
-    assert final.ideal.is_zero()
-    loc_step = steps[kinds.index("admissible")]
-    assert "h = ['x']" in loc_step.note
-    # the full driver then stalls on a rational-endpoint arrow: documented gap
     out = reduce_to_minimal(d, 2, 150)
     assert isinstance(out, Obstruction)
     assert "rational endpoint" in out.reason
+    kinds = [s.functor.kind for s in out.steps]
+    loc, base, fac = (kinds.index(k) for k in ("admissible", "basechange", "factor_out"))
+    assert loc < base < fac
+    assert "h = ['x']" in out.steps[loc].note
+    assert out.steps[base].spec.kind == "basechange"   # the summand witness
+    assert not out.steps[base].functor.target.ideal.is_zero()
+    assert out.steps[fac].functor.target.ideal.is_zero()
     # the obstruction names where the reduction stopped and the steps there
     assert out.dit is not d and out.steps
     assert out.steps[0].functor.source is d
@@ -529,7 +526,7 @@ def test_jordan_sizes_stop_at_the_bound(monkeypatch):
     monkeypatch.setattr(pipeline, "specialize_jordan", counting_specialize)
     d = exk(F3)
     certify(d)
-    rep = classify(d, 4, brute_force_residue=False)
+    rep = classify(d, 4)
     assert built and all(M.total_dim() <= 4 for M in built)
     assert len(built) == sum(len(fam.sample_images) for fam in rep.families) == 6
 
@@ -596,7 +593,7 @@ def test_a_failed_step_ends_in_a_named_obstruction(monkeypatch, error):
 
 
 def test_a_reduction_error_in_a_step_is_not_renamed(monkeypatch):
-    # seminested_loop falls back to a localization on a ReductionError
+    # the seminested loop falls back to a localization on a ReductionError
     from ditalg.reduce import ReductionError, StepSpec
 
     def failing(self, dit, name=""):

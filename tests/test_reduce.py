@@ -15,7 +15,7 @@ from ditalg.reduce import (
     deletion_image_characterization, detach_source, detached_is_product,
     factor_out, is_source_point, regularize,
 )
-from ditalg.scalars import PrimeField
+from ditalg.scalars import Poly, PrimeField
 from ditalg.scalars.linalg import Mat
 
 F2 = PrimeField(2)
@@ -196,19 +196,16 @@ def test_absorb_guard_nonzero_delta():
 
 # -- base change of a solid arm ------------------------------------------------------
 
-def _kronecker_arm(d, coeffs):
+def _kronecker_arm(coeffs):
     """new arrows u_i = c_i0 a + c_i1 b on the Kronecker arm 1 -> 2."""
-    from ditalg.tensor import Elem
-
-    b = d.bigraph
-    return [(nm, Elem.arrow(b, "a", F3.from_int(ca)) + Elem.arrow(b, "b", F3.from_int(cb)))
-            for nm, (ca, cb) in zip(("u", "v"), coeffs)]
+    return [(nm, [Poly.const(F3, F3.from_int(c)) for c in row])
+            for nm, row in zip(("u", "v"), coeffs)]
 
 
 def test_change_solid_basis_hom_dims():
     d = exk(F3)
     certify(d)
-    nd, f = change_solid_basis(d, "1", "2", _kronecker_arm(d, [(1, 2), (1, 1)]))
+    nd, f = change_solid_basis(d, "1", "2", _kronecker_arm([(1, 2), (1, 1)]))
     assert f.kind == "basechange"
     assert sorted(a.name for a in nd.bigraph.solid_arrows()) == ["u", "v"]
     reps = classes_up_to_iso(nd, all_reps_small(nd, 1, F3))
@@ -227,7 +224,11 @@ def test_change_solid_basis_rejects_singular_matrix():
     d = exk(F3)
     certify(d)
     with pytest.raises(ReductionError):
-        change_solid_basis(d, "1", "2", _kronecker_arm(d, [(1, 1), (2, 2)]))
+        change_solid_basis(d, "1", "2", _kronecker_arm([(1, 1), (2, 2)]))
+    # both ends of the arm are trivial points: no decoration can carry an x
+    x, zero, one = Poly.x(F3), Poly.zero(F3), Poly.one(F3)
+    with pytest.raises(ReductionError, match="constant"):
+        change_solid_basis(d, "1", "2", [("u", [x, zero]), ("v", [zero, one])])
 
 
 # -- admissible reduction ------------------------------------------------------------
@@ -446,11 +447,11 @@ def test_induced_reduction_rejects_an_unlifted_new_arrow():
         induced_reduction(d, tgt, {})
 
 
-def test_evaluate_functor_on_bimodule_identityish():
-    # F = deletion composite: Z = Gamma placed at the surviving points, with
+def test_generic_module_through_a_deletion():
+    # F = deletion: Z = F(Gamma) is Gamma placed at the surviving points, with
     # specializations matching the functor applied to Jordan blocks
     from ditalg.bigraph import Bigraph, Factor
-    from ditalg.bimodule import evaluate_functor_on_bimodule, specialize_jordan
+    from ditalg.bimodule import generic_regular, specialize_jordan
     from ditalg.tensor import Differential, Layer
     from ditalg.interlace import Dit, IdealData
     from ditalg.scalars import Poly
@@ -462,7 +463,7 @@ def test_evaluate_functor_on_bimodule_identityish():
     d = Dit(layer, Differential(layer, {}), IdealData(), name="mini")
     certify(d)
     nd, f = delete_idempotents(d, ["g"])
-    Z = evaluate_functor_on_bimodule(f, "g")
+    Z = f.apply_rep(generic_regular(nd, "g"))
     assert Z.total_dim() == 1
     for lam in (1, 2):
         spec = specialize_jordan(Z, F.from_int(lam))
