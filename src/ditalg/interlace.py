@@ -83,10 +83,10 @@ class Dit:
         layer, as ascending unions (`_dependency_levels`); raises
         CertificationError when the delta-dependencies contain a cycle, that
         is when no triangular filtration exists."""
-        w0, w1 = _dependency_levels(self, False), _dependency_levels(self, True)
-        if w0 is None or w1 is None:
+        levels = _dependency_levels(self)
+        if levels is None:
             raise CertificationError("delta dependencies contain a cycle")
-        return w0, w1
+        return levels
 
     def max_word_length(self) -> int:
         n = max((v.max_length() for v in self.delta.values.values()), default=0)
@@ -298,30 +298,41 @@ def check_triangular_ideal(dit: Dit) -> bool:
     return True
 
 
-def _same_kind_deps(dit: Dit, dashed: bool) -> Dict[str, Set[str]]:
-    """For each arrow of one kind, the arrows of that kind in its delta."""
-    b = dit.bigraph
-    return {a.name: {nm for w in dit.delta.of_arrow(a.name).terms for nm in w.arrows
-                     if b.arrow(nm).dashed == dashed}
-            for a in (b.dashed_arrows() if dashed else b.solid_arrows())}
-
-
-def _dependency_levels(dit: Dit, dashed: bool) -> Optional[Tuple[FrozenSet[str], ...]]:
-    """The least triangular filtration of the arrows of one kind: an arrow
-    sits one level above the highest same-kind arrow in its delta (the
-    longest-path levels of the delta-dependency graph), returned as the
+def _dependency_levels(dit: Dit) -> Optional[Tuple[Tuple[FrozenSet[str], ...], ...]]:
+    """The least triangular filtrations (solid, dashed) of the layer: an
+    arrow sits one level above the highest same-kind arrow in its delta (the
+    longest-path levels of the delta-dependency graph), each returned as the
     ascending unions of levels; None when the dependencies contain a cycle,
-    that is when no triangular filtration exists."""
-    deps = _same_kind_deps(dit, dashed)
+    that is when no triangular filtration exists.  One scan of delta builds
+    the graph of both kinds, and one worklist pass (Kahn) levels an arrow as
+    soon as its last dependency is levelled."""
+    dashed = {n: a.dashed for n, a in dit.bigraph.arrows.items()}
+    deps: Dict[str, Set[str]] = {}
+    users: Dict[str, List[str]] = {n: [] for n in dashed}
+    for n, kind in dashed.items():
+        deps[n] = {m for w in dit.delta.of_arrow(n).terms for m in w.arrows
+                   if dashed[m] == kind}
+        for m in deps[n]:
+            users[m].append(n)
+    waiting = {n: len(ds) for n, ds in deps.items()}
+    ready = [n for n, k in waiting.items() if not k]
     level: Dict[str, int] = {}
-    while len(level) < len(deps):
-        ready = [n for n in deps if n not in level and deps[n].issubset(level)]
-        if not ready:
-            return None
-        for n in ready:
-            level[n] = 1 + max((level[d] for d in deps[n]), default=0)
-    return tuple(frozenset(n for n, lv in level.items() if lv <= t)
-                 for t in range(1, max(level.values(), default=0) + 1))
+    while ready:
+        n = ready.pop()
+        level[n] = 1 + max((level[m] for m in deps[n]), default=0)
+        for u in users[n]:
+            waiting[u] -= 1
+            if not waiting[u]:
+                ready.append(u)
+    if len(level) < len(deps):
+        return None
+
+    def ascending(kind: bool) -> Tuple[FrozenSet[str], ...]:
+        of_kind = {n: lv for n, lv in level.items() if dashed[n] == kind}
+        return tuple(frozenset(n for n, lv in of_kind.items() if lv <= t)
+                     for t in range(1, max(of_kind.values(), default=0) + 1))
+
+    return ascending(False), ascending(True)
 
 
 def level_order(levels: Sequence[FrozenSet[str]]) -> List[List[str]]:

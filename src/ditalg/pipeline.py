@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .admissible import AdmissibleError
-from .bigraph import Bigraph
+from .bigraph import Bigraph, BigraphError
 from .bimodule import generic_regular, specialize_jordan
 from .interlace import CertificationError, Dit, certify, level_order
-from .modcat import DecomposableError, IsoClassIndex, Rep, simple_at
+from .modcat import DecomposableError, IsoClassIndex, ModcatError, Rep, simple_at
 from .reduce import (
     ReductionError, ReductionFunctor, RepData, StepSpec, compose_functors,
     delete_idempotents,
@@ -182,12 +182,12 @@ class _Run:
     def step(self, cur: Dit, spec: StepSpec, suffix: str, note: str) -> Dit:
         """Apply `spec` to `cur` as the next step of the innermost level,
         named `cur.name + suffix` and a fresh number; raises what
-        `StepSpec.apply` raises before spending, except that a certification
-        or admissible-data failure becomes a PipelineError naming the step, so
-        the run ends in an Obstruction."""
+        `StepSpec.apply` raises before spending, except that a certification,
+        admissible-data, module-category or bigraph failure becomes a
+        PipelineError naming the step, so the run ends in an Obstruction."""
         try:
             nd, f = spec.apply(cur, name=self.fresh(cur.name + suffix))
-        except (CertificationError, AdmissibleError) as exc:
+        except (CertificationError, AdmissibleError, ModcatError, BigraphError) as exc:
             raise PipelineError(f"{spec.kind} step ({note}) failed on {cur.name}: "
                                 f"{type(exc).__name__}: {exc}") from exc
         self.budget -= 1
@@ -382,7 +382,7 @@ def _prune_heavy_points(run: _Run, cur: Dit, d: int) -> Dit:
 
 def _seminested_loop(run: _Run, cur: Dit, d: int) -> Dit:
     """Priority order: regularize whatever regularizes (shrinks the layer),
-    absorb delta-closed loops, and only then edge-reduce the minimal solid
+    in one step when the whole batch does, absorb delta-closed loops, and only then edge-reduce the minimal solid
     arrow (which grows the quiver before later steps shrink it again)."""
     while True:
         cur = _prune_heavy_points(run, cur, d)
@@ -391,19 +391,28 @@ def _seminested_loop(run: _Run, cur: Dit, d: int) -> Dit:
             return cur
         ordered = [b.arrow(n) for new in level_order(cur.levels[0]) for n in new]
 
-        # 1. regularization pass
-        did = False
-        for arr in ordered:
-            dv = cur.delta.of_arrow(arr.name)
-            if dv.is_zero() or any(w.length() != 1 for w in dv.terms):
-                continue
+        # 1. regularization: every arrow whose delta lies in W1 as one batch
+        # first, then one arrow at a time when the batch has no triangular
+        # pivot system
+        regular = [arr.name for arr in ordered
+                   if not (dv := cur.delta.of_arrow(arr.name)).is_zero()
+                   and all(w.length() == 1 for w in dv.terms)]
+        if len(regular) > 1:
             try:
-                cur = run.step(cur, StepSpec("regularization", {"solid": [arr.name]}), ".r",
-                               f"regularize {arr.name}")
+                cur = run.step(cur, StepSpec("regularization", {"solid": regular}), ".r",
+                               f"regularize {regular}")
+                continue
+            except ReductionError:
+                pass
+        did = False
+        for name in regular:
+            try:
+                cur = run.step(cur, StepSpec("regularization", {"solid": [name]}), ".r",
+                               f"regularize {name}")
                 did = True
                 break
             except ReductionError:
-                loc = _localization_for_pivot(cur, arr.name, dv)
+                loc = _localization_for_pivot(cur, name, cur.delta.of_arrow(name))
                 if loc is None:
                     continue
                 point, h = loc

@@ -101,19 +101,28 @@ def _map_elem(src: Bigraph, tgt: Bigraph, images: Dict[str, Elem], elem: Elem,
     at a point of `same`, is copied verbatim: each letter goes to the plain
     arrow of the same name, and a decoration is a canonical basis key of an
     unchanged factor ring, so multiplying the images back together returns
-    the word itself.  The terms accumulate in one dictionary."""
+    the word itself.  An element made only of such words is copied whole;
+    otherwise the terms accumulate in one dictionary, where a word seen for
+    the first time is stored as it comes (a product of nonzero scalars)."""
     F = tgt.field
+
+    def verbatim(w: Word) -> bool:
+        return all(a in fixed for a in w.arrows) if w.arrows else w.start in same
+
+    if all(verbatim(w) for w in elem.terms):
+        return Elem.nonzero(tgt, dict(elem.terms))
     out: Dict[Word, object] = {}
 
     def add(w: Word, c) -> None:
-        acc = F.add(out.get(w, F.zero), c)
-        if F.is_zero(acc):
-            out.pop(w, None)
-        else:
-            out[w] = acc
+        if w in out:
+            c = F.add(out[w], c)
+            if F.is_zero(c):
+                del out[w]
+                return
+        out[w] = c
 
     for w, c in elem.terms.items():
-        if all(a in fixed for a in w.arrows) if w.arrows else w.start in same:
+        if verbatim(w):
             add(w, c)
             continue
         pts = w.path(src)
@@ -136,7 +145,7 @@ def _map_elem(src: Bigraph, tgt: Bigraph, images: Dict[str, Elem], elem: Elem,
         else:
             for u, v in cur.terms.items():
                 add(u, F.mul(c, v))
-    return Elem(tgt, out)
+    return Elem.nonzero(tgt, out)
 
 
 def _generator_images(src: Bigraph, tgt: Bigraph, changed: Dict[str, Elem],

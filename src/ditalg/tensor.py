@@ -139,6 +139,14 @@ class Elem:
         return Elem(b)
 
     @staticmethod
+    def nonzero(b: Bigraph, terms: Dict[Word, object]) -> "Elem":
+        """The element with `terms`, whose scalars the caller knows to be
+        nonzero: the dictionary is kept as it is, with no zero test."""
+        out = Elem(b)
+        out.terms = terms
+        return out
+
+    @staticmethod
     def idempotent(b: Bigraph, point: str, scalar=None) -> "Elem":
         c = b.field.one if scalar is None else scalar
         return Elem(b, {idempotent_word(point): c})

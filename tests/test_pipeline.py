@@ -368,8 +368,8 @@ def test_residue_note_names_the_sampling_cause():
 
 
 def test_layer_levels_derived_once_per_presentation(monkeypatch):
-    # each presentation derives its levels once, one builder call per arrow
-    # kind, however often the driver, the reductions and modcat read them
+    # each presentation derives its levels once, one builder call for both
+    # arrow kinds, however often the driver, the reductions and modcat read them
     from collections import Counter
 
     from ditalg import interlace
@@ -381,9 +381,9 @@ def test_layer_levels_derived_once_per_presentation(monkeypatch):
         built.append(self)
         dit_init(self, *args, **kwargs)
 
-    def counting_levels(dit, dashed):
-        derived[id(dit), dashed] += 1
-        return levels(dit, dashed)
+    def counting_levels(dit):
+        derived[id(dit)] += 1
+        return levels(dit)
 
     monkeypatch.setattr(interlace.Dit, "__init__", counting_init)
     monkeypatch.setattr(interlace, "_dependency_levels", counting_levels)
@@ -392,7 +392,48 @@ def test_layer_levels_derived_once_per_presentation(monkeypatch):
     plan, final = reduce_to_minimal(d, 4)
     assert plan.steps
     assert max(derived.values()) == 1
-    assert len(derived) <= 2 * len(built)
+    assert len(derived) <= len(built)
+
+
+def _fixpoint_levels(dit, dashed):
+    """The least levels of one arrow kind by rescanning the same-kind
+    delta-dependencies until every arrow is levelled: the reference for the
+    worklist pass in `interlace._dependency_levels`."""
+    b = dit.bigraph
+    deps = {a.name: {n for w in dit.delta.of_arrow(a.name).terms for n in w.arrows
+                     if b.arrow(n).dashed == dashed}
+            for a in (b.dashed_arrows() if dashed else b.solid_arrows())}
+    level = {}
+    while len(level) < len(deps):
+        ready = [n for n in deps if n not in level and deps[n].issubset(level)]
+        if not ready:
+            return None
+        for n in ready:
+            level[n] = 1 + max((level[m] for m in deps[n]), default=0)
+    return tuple(frozenset(n for n, lv in level.items() if lv <= t)
+                 for t in range(1, max(level.values(), default=0) + 1))
+
+
+def test_worklist_levels_equal_the_fixpoint_on_the_exk_q6_plan():
+    from ditalg import interlace
+    from ditalg.interlace import CertificationError, Dit, IdealData
+    from ditalg.tensor import Differential, Elem, Layer
+
+    d = exk(QQ)
+    plan, _ = reduce_to_minimal(d, 6)
+    for dit in [d] + [s.functor.target for s in plan.steps]:
+        assert interlace._dependency_levels(dit) == \
+            (_fixpoint_levels(dit, False), _fixpoint_levels(dit, True))
+    # a cycle a -> b -> a among the solid loops has no levels
+    b = Bigraph(F3, [("1", Factor.trivial())], solid=[("a", "1", "1"), ("b", "1", "1")],
+                dashed=[("v", "1", "1")])
+    layer = Layer(b)
+    v = Elem.arrow(b, "v")
+    cyc = Dit(layer, Differential(layer, {"a": v * Elem.arrow(b, "b"),
+                                          "b": v * Elem.arrow(b, "a")}), IdealData())
+    assert interlace._dependency_levels(cyc) is None is _fixpoint_levels(cyc, False)
+    with pytest.raises(CertificationError, match="cycle"):
+        cyc.levels
 
 
 def _kronecker_counts(q: int, d: int):
@@ -577,13 +618,17 @@ def test_classify_exk_q6_product_count(monkeypatch):
     assert calls[0] <= 20_000
 
 
-@pytest.mark.parametrize("error", ["CertificationError", "AdmissibleError"])
+@pytest.mark.parametrize("error", ["CertificationError", "AdmissibleError", "ModcatError",
+                                   "BigraphError"])
 def test_a_failed_step_ends_in_a_named_obstruction(monkeypatch, error):
-    from ditalg import admissible, interlace
+    from ditalg import admissible, bigraph, interlace, modcat
     from ditalg.reduce import StepSpec
 
+    home = {"CertificationError": interlace, "AdmissibleError": admissible,
+            "ModcatError": modcat, "BigraphError": bigraph}[error]
+
     def failing(self, dit, name=""):
-        raise getattr(admissible if error == "AdmissibleError" else interlace, error)("boom")
+        raise getattr(home, error)("boom")
 
     monkeypatch.setattr(StepSpec, "apply", failing)
     out = classify(exk(F3), 4)
@@ -602,3 +647,34 @@ def test_a_reduction_error_in_a_step_is_not_renamed(monkeypatch):
     monkeypatch.setattr(StepSpec, "apply", failing)
     with pytest.raises(ReductionError):
         classify(exk(F3), 4)
+
+
+def test_a_batch_without_triangular_pivots_falls_back_to_one_arrow():
+    # delta(a) = delta(b) = v1 + v2: the batch {a, b} has no triangular pivot
+    # system, so the loop regularizes a alone, which kills delta(b)
+    from ditalg.interlace import Dit, IdealData
+    from ditalg.reduce import ReductionError, regularize
+    from ditalg.tensor import Differential, Elem, Layer
+
+    b = Bigraph(F3, [("1", Factor.trivial()), ("2", Factor.trivial())],
+                solid=[("a", "1", "2"), ("b", "1", "2")],
+                dashed=[("v1", "1", "2"), ("v2", "1", "2")])
+    layer = Layer(b)
+    v = Elem.arrow(b, "v1") + Elem.arrow(b, "v2")
+    d = Dit(layer, Differential(layer, {"a": v, "b": v}), IdealData(), name="V")
+    certify(d)
+    with pytest.raises(ReductionError):
+        regularize(d, ["a", "b"])
+    plan, final = reduce_to_minimal(d, 2)
+    assert is_minimal(final)
+    regs = [s.spec.data["solid"] for s in plan.steps if s.spec.kind == "regularization"]
+    assert regs == [["a"]]
+
+
+def test_exk_q6_regularizes_in_batches():
+    # every arrow whose delta lies in W1 is regularized in one step: 85 steps
+    # when the loop took one arrow per step, 48 with batches
+    plan, _ = reduce_to_minimal(exk(QQ), 6)
+    assert len(plan.steps) <= 48
+    assert any(len(s.spec.data["solid"]) > 1 for s in plan.steps
+               if s.spec.kind == "regularization")

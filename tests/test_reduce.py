@@ -139,6 +139,34 @@ def test_regularize_guard_without_delta():
         regularize(d, ["a"])
 
 
+def _one_image_dit():
+    # a, b: 1 -> 2 solid, v1, v2: 1 -> 2 dashed, delta(a) = delta(b) = v1 + v2
+    from ditalg.interlace import Dit, IdealData
+    from ditalg.tensor import Differential, Elem, Layer
+
+    b = Bigraph(F3, [("1", Factor.trivial()), ("2", Factor.trivial())],
+                solid=[("a", "1", "2"), ("b", "1", "2")],
+                dashed=[("v1", "1", "2"), ("v2", "1", "2")])
+    layer = Layer(b)
+    v = Elem.arrow(b, "v1") + Elem.arrow(b, "v2")
+    d = Dit(layer, Differential(layer, {"a": v, "b": v}), IdealData())
+    certify(d)
+    return d
+
+
+def test_regularize_rejects_a_cyclic_pivot_system():
+    # a takes the pivot v1 and b the pivot v2, but each image holds the other
+    # pivot: the dashed base change is not triangular (delta(a) = delta(b), so
+    # delta does not embed span(a, b) at all); a alone regularizes and kills
+    # delta(b)
+    d = _one_image_dit()
+    with pytest.raises(ReductionError, match="could not triangularize"):
+        regularize(d, ["a", "b"])
+    nd, _ = regularize(d, ["a"])
+    assert set(nd.bigraph.arrows) == {"b", "v2"}
+    assert nd.delta.of_arrow("b").is_zero()
+
+
 def test_regularize_hom_equality_exr():
     d = exr(F3)
     certify(d)
