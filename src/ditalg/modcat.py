@@ -270,25 +270,28 @@ class _RowBuilder:
         self.rows.extend(out)
         return out
 
-    def add_left_right(self, rows: List[List], left: Mat, off: int, u_rows: int,
-                       u_cols: int, right: Mat, sign=None):
-        """Add  left * U * right  to the (u_rows-of-left, cols-of-right)
-        constraint block, with U the unknown at the given offset."""
+    def add_left_right(self, rows: List[List], left: Mat, off: int, right: Mat,
+                       sign=None):
+        """Add  left * U * right  to the (rows-of-left, cols-of-right)
+        constraint block, with U the left.cols x right.rows unknown at the
+        given offset.  Only pairs of a nonzero left entry and a nonzero right
+        entry are visited: most calls pass an identity as one factor."""
         F = self.F
+        is_zero, add, mul = F.is_zero, F.add, F.mul
         s = F.one if sign is None else sign
-        for r in range(left.rows):
-            for c in range(right.cols):
-                row = rows[r * right.cols + c]
-                for p in range(u_rows):
-                    lv = left.data[r][p] if left.cols else F.zero
-                    if F.is_zero(lv):
-                        continue
-                    for q in range(u_cols):
-                        rv = right.data[q][c]
-                        if F.is_zero(rv):
-                            continue
-                        row[off + p * u_cols + q] = F.add(
-                            row[off + p * u_cols + q], F.mul(s, F.mul(lv, rv)))
+        width, u_cols = right.cols, right.rows
+        right_nz = [[(q, rv) for q, rv in enumerate(col) if not is_zero(rv)]
+                    for col in zip(*right.data)]
+        for r, lrow in enumerate(left.data):
+            for p, lv in enumerate(lrow):
+                if is_zero(lv):
+                    continue
+                base = off + p * u_cols
+                slv = mul(s, lv)
+                for c, rnz in enumerate(right_nz):
+                    row = rows[r * width + c]
+                    for q, rv in rnz:
+                        row[base + q] = add(row[base + q], mul(slv, rv))
 
 
 def _u_condition_rows(dit: Dit, M: Rep, N: Rep, delta, dashed_kernel=()):
@@ -299,37 +302,35 @@ def _u_condition_rows(dit: Dit, M: Rep, N: Rep, delta, dashed_kernel=()):
     b = dit.bigraph
     F = M.field
     blocks, total = _unknown_layout(dit, M, N)
-    offs = {(kind, name): (off, r, c) for kind, name, r, c, off in blocks}
+    offs = {(kind, name): off for kind, name, _, _, off in blocks}
     builder = _RowBuilder(F, total)
 
     # R-linearity at rational points: X_N f0 - f0 X_M = 0
     for p in b.point_order:
         if b.factor(p).is_trivial:
             continue
-        off, r, c = offs[("f0", p)]
+        off = offs[("f0", p)]
         rows = builder.new_rows(N.dims[p] * M.dims[p])
         XN, XM = N.point_ops[p], M.point_ops[p]
-        builder.add_left_right(rows, XN, off, r, c, Mat.identity_of(F, M.dims[p]))
-        builder.add_left_right(rows, Mat.identity_of(F, N.dims[p]), off, r, c, XM,
+        builder.add_left_right(rows, XN, off, Mat.identity_of(F, M.dims[p]))
+        builder.add_left_right(rows, Mat.identity_of(F, N.dims[p]), off, XM,
                                sign=F.neg(F.one))
 
     # U-condition per solid arrow: N(a) f0_s - f0_t M(a) - f1(delta(a)) = 0
     for arr in b.solid_arrows():
         rows = builder.new_rows(N.dims[arr.target] * M.dims[arr.source])
-        off_s, rs, cs = offs[("f0", arr.source)]
-        off_t, rt, ct = offs[("f0", arr.target)]
-        builder.add_left_right(rows, N.arrow_ops[arr.name], off_s, rs, cs,
+        builder.add_left_right(rows, N.arrow_ops[arr.name], offs[("f0", arr.source)],
                                Mat.identity_of(F, M.dims[arr.source]))
         builder.add_left_right(rows, Mat.identity_of(F, N.dims[arr.target]),
-                               off_t, rt, ct, M.arrow_ops[arr.name], sign=F.neg(F.one))
+                               offs[("f0", arr.target)], M.arrow_ops[arr.name],
+                               sign=F.neg(F.one))
         for w, coeff in delta(arr.name).terms.items():
             # split at the dashed arrow: suffix acts on N, prefix on M
             j = next(k for k, nm in enumerate(w.arrows) if b.arrow(nm).dashed)
             pts = w.path(b)
-            off_v, rv, cv = offs[("f1", w.arrows[j])]
             prefix = Word(w.start, w.arrows[:j], w.coeffs[:j + 1])
             suffix = Word(pts[j + 1], w.arrows[j + 1:], w.coeffs[j + 1:])
-            builder.add_left_right(rows, N.word_action(suffix), off_v, rv, cv,
+            builder.add_left_right(rows, N.word_action(suffix), offs[("f1", w.arrows[j])],
                                    M.word_action(prefix), sign=F.neg(coeff))
 
     # V-bar identifications: f1 kills each element of dashed_kernel
@@ -340,10 +341,10 @@ def _u_condition_rows(dit: Dit, M: Rep, N: Rep, delta, dashed_kernel=()):
         for (i, jp), terms in groups.items():
             rows = builder.new_rows(N.dims[jp] * M.dims[i])
             for w, c in terms:
-                off_v, rv, cv = offs[("f1", w.arrows[0])]
                 left = N.decoration_action(jp, w.coeffs[1])
                 right = M.decoration_action(i, w.coeffs[0])
-                builder.add_left_right(rows, left, off_v, rv, cv, right, sign=c)
+                builder.add_left_right(rows, left, offs[("f1", w.arrows[0])], right,
+                                       sign=c)
     return builder.rows, total
 
 
@@ -617,7 +618,9 @@ def charpoly(F: Field, m: Mat) -> Poly:
         for r in range(c + 2, n):
             if not F.is_zero(a[r][c]):
                 f = F.mul(a[r][c], inv)
-                a[r] = [F.sub(v, F.mul(f, w)) for v, w in zip(a[r], a[c + 1])]
+                # row c+1 changes with every column update below: collect anew
+                F.sub_scaled(a[r], f, [(j, w) for j, w in enumerate(a[c + 1])
+                                       if not F.is_zero(w)])
                 for rr in range(n):
                     a[rr][c + 1] = F.add(a[rr][c + 1], F.mul(f, a[rr][r]))
     # recurrence: p_0 = 1, p_k = (t - a_kk) p_{k-1} - sum over subdiagonal runs

@@ -1,8 +1,12 @@
 """Exact ground fields: prime fields F_p and the rationals Q.
 
 Field elements are kept as raw values (ints for F_p, Fraction for Q) and all
-arithmetic goes through a field context object.  This keeps the dense linear
-algebra cheap while staying exact everywhere.
+arithmetic goes through a field context object.  This keeps the linear
+algebra cheap while staying exact everywhere.  The one row update of every
+elimination, `sub_scaled` (row[j] -= f*w over the nonzero entries (j, w) of a
+pivot row), is a context method too: `Field` spells it with `sub` and `mul`,
+and `PrimeField` inlines the reduction mod p, so `linalg` never asks which
+field it has.
 """
 
 from __future__ import annotations
@@ -52,6 +56,12 @@ class Field:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
+
+    def sub_scaled(self, row, f, nz):
+        """row[j] -= f*w for each (j, w) in nz, in place."""
+        sub, mul = self.sub, self.mul
+        for j, w in nz:
+            row[j] = sub(row[j], mul(f, w))
 
     def from_int(self, n: int):
         raise NotImplementedError
@@ -108,6 +118,11 @@ class PrimeField(Field):
 
     def neg(self, a):
         return (-a) % self.p
+
+    def sub_scaled(self, row, f, nz):
+        p = self.p
+        for j, w in nz:
+            row[j] = (row[j] - f * w) % p
 
     def inv(self, a):
         if a % self.p == 0:

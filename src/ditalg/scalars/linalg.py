@@ -1,4 +1,4 @@
-"""Exact dense linear algebra: the one matrix kernel for every coefficient ring.
+"""Exact linear algebra: the one matrix kernel for every coefficient ring.
 
 Matrices are lists of row lists holding raw ring values; every routine takes
 the ring context explicitly.  A ring context has `zero`, `one`, `add`, `sub`,
@@ -11,6 +11,14 @@ divide by pivots and need a field.  Every "is v in this span" and
 "v modulo this span" question is one `rref` of the span and `residue` of v
 against it.  `Mat.det` and `Mat.inverse` use elimination over a field and
 cofactors over a ring, where a pivot may be a non-unit.
+
+Rows are stored dense but eliminated sparse: a pivot row's nonzero entries
+are collected once as nz = [(j, w), ...], and every row it clears is
+updated at those positions only, by the field context's
+`sub_scaled(row, f, nz)` (row[j] -= f*w in place).  A field context must
+provide it; `Field` spells it with `sub` and `mul`, and a subclass may
+inline its arithmetic.  Skipping w = 0 only skips v - f*0 = v, so every
+result equals the dense elimination's, value for value.
 """
 
 from __future__ import annotations
@@ -58,20 +66,20 @@ def scale(F: Field, c, a: Matrix) -> Matrix:
 
 
 def mul(F: Field, a: Matrix, b: Matrix) -> Matrix:
-    n, k = len(a), len(b)
+    # b's zeros are skipped as met: collecting each row's nonzero entries
+    # once per call, as the eliminations do for a pivot row, measured slower,
+    # since most products here have so few rows that a row of b is used once
     m = len(b[0]) if b else 0
-    out = zeros(F, n, m)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if F.is_zero(c):
-                continue
-            bt = b[t]
-            for j in range(m):
-                if not F.is_zero(bt[j]):
-                    oi[j] = F.add(oi[j], F.mul(c, bt[j]))
+    is_zero, add, fmul = F.is_zero, F.add, F.mul
+    out = []
+    for ai in a:
+        oi = [F.zero] * m
+        for c, bt in zip(ai, b):
+            if not is_zero(c):
+                for j, w in enumerate(bt):
+                    if not is_zero(w):
+                        oi[j] = add(oi[j], fmul(c, w))
+        out.append(oi)
     return out
 
 
@@ -90,23 +98,30 @@ def rref(F: Field, m: Matrix) -> Tuple[Matrix, List[int]]:
     a = copy(m)
     rows = len(a)
     cols = len(a[0]) if a else 0
+    is_zero, mul, sub_scaled = F.is_zero, F.mul, F.sub_scaled
     pivots: List[int] = []
     r = 0
     for c in range(cols):
         piv = None
         for i in range(r, rows):
-            if not F.is_zero(a[i][c]):
+            if not is_zero(a[i][c]):
                 piv = i
                 break
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = F.inv(a[r][c])
-        a[r] = [F.mul(inv, v) for v in a[r]]
+        row = a[r]
+        inv = F.inv(row[c])
+        # the pivot row is zero left of c: scale and collect the rest once
+        nz = []
+        for j in range(c, cols):
+            if not is_zero(row[j]):
+                row[j] = w = mul(inv, row[j])
+                nz.append((j, w))
         for i in range(rows):
-            if i != r and not F.is_zero(a[i][c]):
-                f = a[i][c]
-                a[i] = [F.sub(v, F.mul(f, w)) for v, w in zip(a[i], a[r])]
+            f = a[i][c]
+            if i != r and not is_zero(f):
+                sub_scaled(a[i], f, nz)
         pivots.append(c)
         r += 1
         if r == rows:
@@ -166,11 +181,12 @@ def solve(F: Field, a: Matrix, b: Sequence) -> Optional[List]:
 def det(F: Field, m: Matrix):
     n = len(m)
     a = copy(m)
+    is_zero = F.is_zero
     d = F.one
     for c in range(n):
         piv = None
         for i in range(c, n):
-            if not F.is_zero(a[i][c]):
+            if not is_zero(a[i][c]):
                 piv = i
                 break
         if piv is None:
@@ -178,12 +194,13 @@ def det(F: Field, m: Matrix):
         if piv != c:
             a[c], a[piv] = a[piv], a[c]
             d = F.neg(d)
-        d = F.mul(d, a[c][c])
-        inv = F.inv(a[c][c])
+        row = a[c]
+        d = F.mul(d, row[c])
+        inv = F.inv(row[c])
+        nz = [(j, row[j]) for j in range(c, n) if not is_zero(row[j])]
         for i in range(c + 1, n):
-            if not F.is_zero(a[i][c]):
-                f = F.mul(inv, a[i][c])
-                a[i] = [F.sub(v, F.mul(f, w)) for v, w in zip(a[i], a[c])]
+            if not is_zero(a[i][c]):
+                F.sub_scaled(a[i], F.mul(inv, a[i][c]), nz)
     return d
 
 
@@ -232,11 +249,13 @@ def residue(F: Field, red: Matrix, pivots: Sequence[int], vec: Sequence) -> List
     """vec reduced by the rows of a reduced row echelon form (red, pivots =
     `rref(F, span)`): zero exactly when vec lies in the span, and equal for
     two vectors exactly when their difference does."""
+    is_zero = F.is_zero
     v = list(vec)
     for row, c in zip(red, pivots):
-        if not F.is_zero(v[c]):
-            f = v[c]
-            v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, row)]
+        f = v[c]
+        if not is_zero(f):
+            F.sub_scaled(v, f, [(j, row[j]) for j in range(c, len(row))
+                                if not is_zero(row[j])])
     return v
 
 

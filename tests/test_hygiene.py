@@ -5,7 +5,9 @@ decision the library makes is deterministic), and no handler swallows every
 error.  Every source file is plain ASCII.  The reduction driver names none
 of the reductions that a `StepSpec` dispatches to.  `scalars/linalg.py` is the
 one matrix kernel: no other module defines a module-level function whose
-name ends in `_det`, `_inverse` or `mat_mul` (methods are exempt)."""
+name ends in `_det`, `_inverse` or `mat_mul` (methods are exempt), and the
+kernel itself names no particular field and reads no modulus `.p`: per-field
+arithmetic lives in the ring contexts (`Field.sub_scaled`)."""
 
 import ast
 import functools
@@ -145,3 +147,19 @@ def test_one_matrix_kernel():
     offenders = {str(p.relative_to(SRC)): _matrix_kernel_functions(_tree(p))
                  for p in MODULES if p != SRC / "scalars" / "linalg.py"}
     assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def _field_dispatch(tree):
+    """Line numbers that name a particular field class or read a `.p`."""
+    lines = []
+    for node in ast.walk(tree):
+        named = (node.id if isinstance(node, ast.Name)
+                 else node.name if isinstance(node, ast.alias) else None)
+        if named in ("PrimeField", "RationalField") or (
+                isinstance(node, ast.Attribute) and node.attr == "p"):
+            lines.append(getattr(node, "lineno", None))
+    return lines
+
+
+def test_matrix_kernel_has_no_per_field_dispatch():
+    assert _field_dispatch(_tree(SRC / "scalars" / "linalg.py")) == []

@@ -320,17 +320,21 @@ def _p1_plus_p1_plus_r1(d):
     return direct_sum([p1, p1, r1])
 
 
-def _twisted_p1_p1_r1(seed):
-    d = exk(F101)
-    certify(d)
-    S = _p1_plus_p1_plus_r1(d)
+def _twisted(d, S, seed):
+    """S carried along random invertible f0 at the two Kronecker points."""
     rng = random.Random(seed)
     f0 = {}
     for p in ("1", "2"):
         n = S.dims[p]
         while p not in f0 or f0[p].inverse() is None:
             f0[p] = Mat(F101, n, n, [[F101.random(rng) for _ in range(n)] for _ in range(n)])
-    return d, transport_structure(d, S, f0, {})
+    return transport_structure(d, S, f0, {})
+
+
+def _twisted_p1_p1_r1(seed):
+    d = exk(F101)
+    certify(d)
+    return d, _twisted(d, _p1_plus_p1_plus_r1(d), seed)
 
 
 def _kronecker_qi():
@@ -742,3 +746,31 @@ def test_indec_iso_scan_agrees_with_composite_criterion():
             pairs += 1
             isos += f is not None
     assert pairs > isos > len(indecs)
+
+
+def test_elimination_updates_only_pivot_row_nonzeros(monkeypatch):
+    # hom_dim and End of a twist of P1 + I1 + R2 over F_101 eliminate 2,074
+    # rows; updating each along its whole pivot row took 67,460 entry updates
+    d = exk(F101)
+    certify(d)
+    p1 = Rep(d, {"1": 1, "2": 2}, {"a": Mat(F101, 2, 1, [[1], [0]]),
+                                   "b": Mat(F101, 2, 1, [[0], [1]])})
+    i1 = Rep(d, {"1": 2, "2": 1}, {"a": Mat(F101, 1, 2, [[1, 0]]),
+                                   "b": Mat(F101, 1, 2, [[0, 1]])})
+    r2 = Rep(d, {"1": 2, "2": 2}, {"a": Mat(F101, 2, 2, [[1, 0], [0, 1]]),
+                                   "b": Mat(F101, 2, 2, [[3, 1], [0, 3]])})
+    S = direct_sum([p1, i1, r2])
+    T = _twisted(d, S, 19)
+
+    updated = []
+    sub_scaled = PrimeField.sub_scaled
+
+    def recording(self, row, f, nz):
+        updated.append(len(nz))
+        return sub_scaled(self, row, f, nz)
+
+    monkeypatch.setattr(PrimeField, "sub_scaled", recording)
+    assert hom_dim(d, T, S) == 10
+    E = EndAlgebra(d, T)
+    assert (E.dim, len(E.rad)) == (10, 7)
+    assert sum(updated) <= 20_189

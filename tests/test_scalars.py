@@ -134,6 +134,141 @@ def test_inverse_roundtrip():
     assert linalg.equal(F5, linalg.mul(F5, a, inv), linalg.identity(F5, 4))
 
 
+# -- the sparse elimination against the dense one ------------------------
+# The dense kernel as it was before elimination went over the nonzero
+# entries of the pivot row only: every row update runs over the whole row.
+
+def _dense_rref(F, m):
+    a = [list(r) for r in m]
+    rows = len(a)
+    cols = len(a[0]) if a else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if not F.is_zero(a[i][c])), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = F.inv(a[r][c])
+        a[r] = [F.mul(inv, v) for v in a[r]]
+        for i in range(rows):
+            if i != r and not F.is_zero(a[i][c]):
+                f = a[i][c]
+                a[i] = [F.sub(v, F.mul(f, w)) for v, w in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a, pivots
+
+
+def _dense_det(F, m):
+    n = len(m)
+    a = [list(r) for r in m]
+    d = F.one
+    for c in range(n):
+        piv = next((i for i in range(c, n) if not F.is_zero(a[i][c])), None)
+        if piv is None:
+            return F.zero
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            d = F.neg(d)
+        d = F.mul(d, a[c][c])
+        inv = F.inv(a[c][c])
+        for i in range(c + 1, n):
+            if not F.is_zero(a[i][c]):
+                f = F.mul(inv, a[i][c])
+                a[i] = [F.sub(v, F.mul(f, w)) for v, w in zip(a[i], a[c])]
+    return d
+
+
+def _dense_residue(F, red, pivots, vec):
+    v = list(vec)
+    for row, c in zip(red, pivots):
+        if not F.is_zero(v[c]):
+            f = v[c]
+            v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, row)]
+    return v
+
+
+def _dense_mul(R, a, b):
+    m = len(b[0]) if b else 0
+    out = [[R.zero] * m for _ in a]
+    for ai, oi in zip(a, out):
+        for t, c in enumerate(ai):
+            if R.is_zero(c):
+                continue
+            for j in range(m):
+                if not R.is_zero(b[t][j]):
+                    oi[j] = R.add(oi[j], R.mul(c, b[t][j]))
+    return out
+
+
+def _same(x, y):
+    # equal values of the same types: Fraction(0) and 0 would compare equal
+    assert x == y and repr(x) == repr(y)
+
+
+def _sparse_matrix(F, rng, rows, cols, density):
+    m = [[F.random(rng) if rng.random() < density else F.zero for _ in range(cols)]
+         for _ in range(rows)]
+    for i in range(rows):
+        if rng.random() < 0.15:
+            m[i] = [F.zero] * cols
+    return m
+
+
+def _shapes(rng):
+    yield from [(0, 4), (4, 0), (0, 0), (1, 1)]
+    for _ in range(12):
+        yield rng.randrange(1, 9), rng.randrange(1, 9)
+
+
+@pytest.mark.parametrize("F", [PrimeField(2), PrimeField(3), F101, QQ],
+                         ids=["F2", "F3", "F101", "Q"])
+@pytest.mark.parametrize("density", [0.1, 0.5, 1.0])
+def test_sparse_elimination_equals_the_dense_one(F, density, monkeypatch):
+    rng = random.Random(int(density * 10) + F.char)
+    for rows, cols in _shapes(rng):
+        m = _sparse_matrix(F, rng, rows, cols, density)
+        red, pivots = linalg.rref(F, m)
+        _same((red, pivots), _dense_rref(F, m))
+        for _ in range(3):
+            v = [F.random(rng) if rng.random() < density else F.zero for _ in range(cols)]
+            _same(linalg.residue(F, red, pivots, v), _dense_residue(F, red, pivots, v))
+        b = [F.random(rng) for _ in range(rows)]
+        square = _sparse_matrix(F, rng, rows, rows, density)
+        other = _sparse_matrix(F, rng, cols, rng.randrange(0, 6), density)
+        _same(linalg.det(F, square), _dense_det(F, square))
+        _same(linalg.mul(F, m, other), _dense_mul(F, m, other))
+        got = (linalg.kernel_with_free(F, m, cols), linalg.solve(F, m, b),
+               linalg.inverse(F, square))
+        with monkeypatch.context() as mp:
+            mp.setattr(linalg, "rref", _dense_rref)
+            want = (linalg.kernel_with_free(F, m, cols), linalg.solve(F, m, b),
+                    linalg.inverse(F, square))
+        _same(got, want)
+
+
+@pytest.mark.parametrize("kind", ["poly", "localized"])
+def test_mul_over_rings_equals_the_dense_one(kind):
+    F3 = PrimeField(3)
+    rng = random.Random(5)
+    x = Poly.x(F3)
+    R = PolyRing(F3) if kind == "poly" else LocalizedRing(F3, [x])
+
+    def entry():
+        if rng.random() < 0.5:
+            return R.zero
+        p = Poly.from_ints(F3, [rng.randrange(3) for _ in range(rng.randrange(4))])
+        return p if kind == "poly" else LocElt(R, p, rng.randrange(3))
+
+    for rows, inner, cols in [(0, 3, 2), (3, 0, 2), (2, 3, 0), (1, 1, 1), (4, 5, 3), (5, 2, 6)]:
+        a = [[entry() for _ in range(inner)] for _ in range(rows)]
+        b = [[entry() for _ in range(cols)] for _ in range(inner)]
+        assert linalg.mul(R, a, b) == _dense_mul(R, a, b)
+
+
 # -- Smith normal form ---------------------------------------------------
 
 def x_poly(F, *ints):
