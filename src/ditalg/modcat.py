@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .interlace import Dit, is_roiter, level_order, quotient
 from .scalars import Field, Poly, PrimeField, factor as poly_factor, linalg
 from .scalars.linalg import Mat, block_matrix
-from .tensor import Elem, Word
+from .tensor import UNIT, Elem, Word
 
 
 class ModcatError(ValueError):
@@ -109,25 +109,35 @@ class Rep:
         return out
 
     def word_action(self, w: Word) -> Mat:
-        """Action of a degree-0 decorated word (a matrix M_source -> M_target)."""
+        """Action of a degree-0 decorated word (a matrix M_source -> M_target):
+        the product of its arrow matrices and decoration actions.  A unit
+        decoration acts as the identity and is not multiplied in; a word of
+        one plain arrow returns a copy of its matrix, never the matrix the
+        Rep holds."""
         b = self.dit.bigraph
         pts = w.path(b)
-        cur = self.decoration_action(pts[0], w.coeffs[0])
-        for i, name in enumerate(w.arrows):
-            arr = b.arrow(name)
-            if arr.dashed:
-                raise ModcatError("word_action needs a degree-0 word")
-            cur = self.arrow_ops[name] * cur
-            cur = self.decoration_action(pts[i + 1], w.coeffs[i + 1]) * cur
-        return cur
+        cur = None  # the identity on M_start until a factor acts
+        for i, key in enumerate(w.coeffs):
+            if i:
+                name = w.arrows[i - 1]
+                if b.arrow(name).dashed:
+                    raise ModcatError("word_action needs a degree-0 word")
+                op = self.arrow_ops[name]
+                cur = op.copy() if cur is None else op * cur
+            if key != UNIT:
+                dec = self.decoration_action(pts[i], key)
+                cur = dec if cur is None else dec * cur
+        return Mat.identity_of(self.ring, self.dims[w.start]) if cur is None else cur
 
     def elem_action(self, elem: Elem, source: str, target: str) -> Mat:
         R = self.ring
+        one = self.field.one
         out = Mat(R, self.dims[target], self.dims[source])
         b = self.dit.bigraph
         for w, c in elem.terms.items():
             if w.start == source and w.end(b) == target:
-                out = out + self.word_action(w).scale(R.embed(c))
+                act = self.word_action(w)
+                out = out + (act if c == one else act.scale(R.embed(c)))
         return out
 
     def validate(self) -> Optional[str]:
@@ -728,10 +738,10 @@ def _convolve(F, table, x, y, dim):
         for j in range(dim):
             if F.is_zero(y[j]):
                 continue
-            prod = table[i][j]
             c = F.mul(x[i], y[j])
-            for k in range(dim):
-                out[k] = F.add(out[k], F.mul(c, prod[k]))
+            for k, t in enumerate(table[i][j]):
+                if not F.is_zero(t):  # a zero structure constant adds c*0
+                    out[k] = F.add(out[k], F.mul(c, t))
     return out
 
 

@@ -28,7 +28,7 @@ from .modcat import Rep
 from .scalars import LocalizedRing, LocElt, Poly
 from .scalars.linalg import Mat
 from .tensor import (
-    Differential, Elem, Layer, Word, UNIT, decompose_locelt, in_span,
+    Differential, Elem, Layer, Word, UNIT, add_term, decompose_locelt, in_span,
 )
 
 
@@ -40,8 +40,8 @@ class ReductionError(ValueError):
 class ReductionFunctor:
     """A reduction step F: Mod(target) -> Mod(source); `apply_rep` maps a
     target-side module to the source category, and dim F(N) <= dim_scale *
-    dim N.  Detachment's `apply_rep` is Res, restriction from the source to
-    the target.
+    dim N.  Detachment is the exception: its `apply_rep` is Res, restriction
+    from the source to the target, so `compose_functors` rejects it.
 
     kind: the `StepSpec` kind that builds it (deletion | regularization |
     factor_out | absorption | admissible | basechange), or detachment |
@@ -60,9 +60,15 @@ class ReductionFunctor:
 
 def compose_functors(steps: Sequence[ReductionFunctor]) -> ReductionFunctor:
     """steps[0] is the outermost (source-side) reduction; the composite maps
-    modules over steps[-1].target back to steps[0].source."""
+    modules over steps[-1].target back to steps[0].source.  A detachment
+    step maps the other way (Res), so it cannot be composed."""
     if not steps:
         raise ReductionError("empty composition")
+    for i, st in enumerate(steps):
+        if st.kind == "detachment":
+            raise ReductionError(
+                f"cannot compose detachment step {i} ({st.source.name} -> {st.target.name}):"
+                " its apply_rep is Res, from Mod(source) to Mod(target)")
     if len(steps) == 1:
         return steps[0]
 
@@ -112,18 +118,9 @@ def _map_elem(src: Bigraph, tgt: Bigraph, images: Dict[str, Elem], elem: Elem,
     if all(verbatim(w) for w in elem.terms):
         return Elem.nonzero(tgt, dict(elem.terms))
     out: Dict[Word, object] = {}
-
-    def add(w: Word, c) -> None:
-        if w in out:
-            c = F.add(out[w], c)
-            if F.is_zero(c):
-                del out[w]
-                return
-        out[w] = c
-
     for w, c in elem.terms.items():
         if verbatim(w):
-            add(w, c)
+            add_term(F, out, w, c)
             continue
         pts = w.path(src)
         if pts[0] not in tgt.points:
@@ -144,7 +141,7 @@ def _map_elem(src: Bigraph, tgt: Bigraph, images: Dict[str, Elem], elem: Elem,
             cur = Elem(tgt, {Word(nxt, (), (w.coeffs[i + 1],)): F.one}) * (img * cur)
         else:
             for u, v in cur.terms.items():
-                add(u, F.mul(c, v))
+                add_term(F, out, u, F.mul(c, v))
     return Elem.nonzero(tgt, out)
 
 

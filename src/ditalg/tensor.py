@@ -118,8 +118,25 @@ def idempotent_word(point: str) -> Word:
     return Word(point, (), (UNIT,))
 
 
+def add_term(F, terms: Dict[Word, object], w: Word, c) -> None:
+    """terms[w] += c in place, for a nonzero scalar c: a word met for the first
+    time is stored as it comes, and one whose sum cancels is deleted."""
+    if w in terms:
+        c = F.add(terms[w], c)
+        if F.is_zero(c):
+            del terms[w]
+            return
+    terms[w] = c
+
+
 class Elem:
-    """Tensor algebra element in normal form: dict of Word -> field scalar."""
+    """Tensor algebra element in normal form: dict of Word -> field scalar.
+
+    Invariant: every stored scalar is nonzero.  Sums and products rely on it
+    and on the field having no zero divisors: a word met for the first time
+    is stored with its scalar as it comes (a product of nonzero scalars is
+    nonzero), so only a repeated word costs an addition, and a factor equal
+    to one costs no multiplication."""
 
     __slots__ = ("bigraph", "terms")
 
@@ -195,12 +212,8 @@ class Elem:
         F = self.bigraph.field
         out = dict(self.terms)
         for w, c in other.terms.items():
-            acc = F.add(out.get(w, F.zero), c)
-            if F.is_zero(acc):
-                out.pop(w, None)
-            else:
-                out[w] = acc
-        return Elem(self.bigraph, out)
+            add_term(F, out, w, c)
+        return Elem.nonzero(self.bigraph, out)
 
     def __sub__(self, other: "Elem") -> "Elem":
         return self + other.scale(self.bigraph.field.neg(self.bigraph.field.one))
@@ -212,12 +225,17 @@ class Elem:
         F = self.bigraph.field
         if F.is_zero(c):
             return Elem(self.bigraph)
-        return Elem(self.bigraph, {w: F.mul(c, v) for w, v in self.terms.items()})
+        one = F.one
+        if c == one:
+            return Elem.nonzero(self.bigraph, dict(self.terms))
+        return Elem.nonzero(self.bigraph, {w: c if v == one else F.mul(c, v)
+                                           for w, v in self.terms.items()})
 
     def __mul__(self, other: "Elem") -> "Elem":
         """Graded product; non-composable words multiply to zero."""
         b = self.bigraph
         F = b.field
+        one = F.one
         out: Dict[Word, object] = {}
         for w2, c2 in other.terms.items():  # w2 acts first
             end2 = w2.end(b)
@@ -225,17 +243,13 @@ class Elem:
             for w1, c1 in self.terms.items():
                 if w1.start != end2:
                     continue
-                scalar = F.mul(c1, c2)
+                scalar = c2 if c1 == one else c1 if c2 == one else F.mul(c1, c2)
                 for key, kc in mul_keys(ring, w1.coeffs[0], w2.coeffs[-1]):
                     word = Word(w2.start, w2.arrows + w1.arrows,
                                 w2.coeffs[:-1] + (key,) + w1.coeffs[1:])
-                    s = scalar if kc is None else F.mul(scalar, kc)
-                    acc = F.add(out.get(word, F.zero), s)
-                    if F.is_zero(acc):
-                        out.pop(word, None)
-                    else:
-                        out[word] = acc
-        return Elem(b, out)
+                    s = scalar if kc is None or kc == one else F.mul(scalar, kc)
+                    add_term(F, out, word, s)
+        return Elem.nonzero(b, out)
 
     def degrees(self) -> List[int]:
         b = self.bigraph

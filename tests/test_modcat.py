@@ -466,6 +466,76 @@ def test_validate_reports_singular_inverted_polynomial_over_gamma():
     assert generic.validate() is None
 
 
+def _rational_chain_rep():
+    """A module over 1 -> 2 -> 3 -> 4 over Q (with a second arrow 1 -> 2):
+    x is inverted at 1 and x^2 + 1 at 2, so every h-adic decoration acts."""
+    from ditalg.tensor import Differential, Layer
+    from ditalg.interlace import Dit, IdealData
+
+    F = QQ
+    b = Bigraph(F, [("1", Factor.rational([Poly.x(F)])),
+                    ("2", Factor.rational([Poly.from_ints(F, [1, 0, 1])])),
+                    ("3", Factor.trivial()), ("4", Factor.trivial())],
+                solid=[("a", "1", "2"), ("a2", "1", "2"), ("b", "2", "3"), ("c", "3", "4")])
+    layer = Layer(b)
+    d = Dit(layer, Differential(layer, {}), IdealData(), name="rational-chain")
+
+    def q(rows):
+        return Mat(F, len(rows), len(rows[0]), [[F.from_int(v) for v in r] for r in rows])
+
+    M = Rep(d, {"1": 2, "2": 2, "3": 1, "4": 2},
+            arrow_ops={"a": q([[1, 2], [0, 1]]), "a2": q([[0, 1], [3, -1]]),
+                       "b": q([[2, -1]]), "c": q([[1], [4]])},
+            point_ops={"1": q([[1, 1], [0, 2]]), "2": q([[1, 2], [0, 3]])})
+    return d, M
+
+
+def test_word_action_equals_the_product_with_explicit_identities():
+    from ditalg.tensor import Elem, graded_component_basis
+
+    d, M = _rational_chain_rep()
+    b = d.bigraph
+    F = d.field
+    words = [w for s in b.point_order for t in b.point_order
+             for w in graded_component_basis(b, s, t, 0, 3, 2)]
+    assert max(w.length() for w in words) == 3
+    for w in words:
+        pts = w.path(b)
+        # decoration_action is an identity matrix at a unit decoration
+        want = M.decoration_action(pts[0], w.coeffs[0])
+        for i, name in enumerate(w.arrows):
+            want = M.decoration_action(pts[i + 1], w.coeffs[i + 1]) * (M.arrow_ops[name] * want)
+        assert M.word_action(w) == want
+        for c in (F.one, F.from_int(-2)):
+            assert M.elem_action(Elem.from_word(b, w, c), w.start, pts[-1]) == want.scale(c)
+
+
+def test_word_action_never_returns_a_held_matrix():
+    from ditalg.tensor import UNIT, Word
+
+    d, M = _rational_chain_rep()
+    b = d.bigraph
+    held = {name: m.copy() for name, m in M.arrow_ops.items()}
+    for name, m in held.items():
+        got = M.word_action(Word(b.arrow(name).source, (name,), (UNIT, UNIT)))
+        assert got == m and got is not M.arrow_ops[name]
+        got.data[0][0] = d.field.from_int(7)
+    assert M.arrow_ops == held
+    unit = M.word_action(Word("4", (), (UNIT,)))
+    unit.data[0][0] = d.field.zero
+    assert M.word_action(Word("4", (), (UNIT,))).is_identity()
+
+
+def test_word_action_rejects_a_decoration_at_a_trivial_point():
+    from ditalg.tensor import UNIT, Word
+
+    _, M = _rational_chain_rep()
+    for w in (Word("3", (), ((1, 0),)), Word("2", ("b",), (UNIT, (0, 1))),
+              Word("1", ("a", "b"), (UNIT, UNIT, (2, 0)))):
+        with pytest.raises(ModcatError, match="nontrivial decoration at a trivial point"):
+            M.word_action(w)
+
+
 # -- endomorphism algebra radical ------------------------------------------------
 
 def test_algebra_radical_known_cases():

@@ -618,6 +618,30 @@ def test_classify_exk_q6_product_count(monkeypatch):
     assert calls[0] <= 20_000
 
 
+def test_classify_exk_q6_field_operation_count(monkeypatch):
+    # 20,623 additions (20,519 with a zero operand) and 20,403 multiplications
+    # (18,835 with a unit operand) when every tensor sum and product added to
+    # an explicit zero, every word action multiplied by identity matrices and
+    # every structure-constant product added c*0; 4,512 and 7,518 now
+    from ditalg.scalars.fields import RationalField
+
+    calls = {"add": 0, "mul": 0}
+
+    def counted(op):
+        method = getattr(RationalField, op)
+
+        def counting(self, a, b):
+            calls[op] += 1
+            return method(self, a, b)
+        return counting
+
+    for op in calls:
+        monkeypatch.setattr(RationalField, op, counted(op))
+    classify(exk(QQ), 6)
+    assert calls["add"] <= 4_960
+    assert calls["mul"] <= 8_270
+
+
 @pytest.mark.parametrize("error", ["CertificationError", "AdmissibleError", "ModcatError",
                                    "BigraphError"])
 def test_a_failed_step_ends_in_a_named_obstruction(monkeypatch, error):

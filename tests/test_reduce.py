@@ -388,6 +388,19 @@ def test_detach_res_restriction():
     assert "a" not in R.arrow_ops
 
 
+def test_compose_functors_rejects_a_detachment():
+    # Res maps Mod(source) to Mod(target), the opposite of every other step,
+    # so a composite would feed it a module of the wrong ditalgebra
+    d = exi(F5)
+    certify(d)
+    nd, res = detach_source(d, "1")
+    _, deletion = delete_idempotents(nd, ["2", "3"])
+    for steps, index in (([res, deletion], 0), ([deletion, res], 1)):
+        with pytest.raises(ReductionError, match=f"cannot compose detachment step {index}"):
+            compose_functors(steps)
+    assert compose_functors([deletion]) is deletion
+
+
 def test_induced_reduction_ex2_regularization_quotient():
     # killing a and v by hand reproduces the regularization quotient, and the
     # functor is observably full (hom dimensions agree on small pairs)

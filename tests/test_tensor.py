@@ -7,7 +7,7 @@ from ditalg.fixtures import ex1, ex2, exi, exk
 from ditalg.scalars import PrimeField, Poly, QQ, LocalizedRing, LocElt
 from ditalg.tensor import (
     Differential, Elem, Layer, Word, decompose_locelt, graded_component_basis,
-    key_to_locelt,
+    key_to_locelt, mul_keys,
 )
 
 F101 = PrimeField(101)
@@ -301,3 +301,94 @@ def test_leibniz_hypothesis(data):
     v = Elem.from_word(b, w2)
     sign = F101.one if u.degrees()[0] % 2 == 0 else F101.neg(F101.one)
     assert d.delta.apply(u * v) == d.delta.apply(u) * v + (u * d.delta.apply(v)).scale(sign)
+
+
+# -- Elem arithmetic against the naive accumulation ---------------------------------
+
+
+def _naive_add(F, x, y):
+    out = dict(x.terms)
+    for w, c in y.terms.items():
+        acc = F.add(out.get(w, F.zero), c)
+        if F.is_zero(acc):
+            out.pop(w, None)
+        else:
+            out[w] = acc
+    return out
+
+
+def _naive_mul(F, b, x, y):
+    out = {}
+    for w2, c2 in y.terms.items():
+        end2 = w2.end(b)
+        ring = b.factor_ring(end2)
+        for w1, c1 in x.terms.items():
+            if w1.start != end2:
+                continue
+            for key, kc in mul_keys(ring, w1.coeffs[0], w2.coeffs[-1]):
+                word = Word(w2.start, w2.arrows + w1.arrows,
+                            w2.coeffs[:-1] + (key,) + w1.coeffs[1:])
+                s = F.mul(c1, c2) if kc is None else F.mul(F.mul(c1, c2), kc)
+                acc = F.add(out.get(word, F.zero), s)
+                if F.is_zero(acc):
+                    out.pop(word, None)
+                else:
+                    out[word] = acc
+    return out
+
+
+def _hadic_chain(F):
+    """1 -> 2 -> 3 with rational 1 (x inverted) and 2 (x^2 + x + 1 inverted),
+    so decorations at 2 include the h-adic fractions x^b / h^j."""
+    x = Poly.x(F)
+    return Bigraph(F, [("1", Factor.rational([x])),
+                       ("2", Factor.rational([Poly.from_ints(F, [1, 1, 1])])),
+                       ("3", Factor.trivial())],
+                   solid=[("a", "1", "2"), ("b", "2", "3")], dashed=[("v", "1", "3")])
+
+
+_CHAINS = {F.char: (F, _hadic_chain(F)) for F in (PrimeField(2), PrimeField(3), QQ)}
+_CHAIN_WORDS = {
+    char: [w for s in b.point_order for t in b.point_order for deg in (0, 1)
+           for w in graded_component_basis(b, s, t, deg, 2, 2)]
+    for char, (_, b) in _CHAINS.items()
+}
+
+
+def _scalar(F, data):
+    if F.char:
+        return F.from_int(data.draw(st.integers(0, F.char - 1)))
+    return F.from_int(data.draw(st.integers(-3, 3))) / data.draw(st.integers(1, 3))
+
+
+def _drawn_elem(F, b, words, data):
+    terms = {data.draw(st.sampled_from(words)): _scalar(F, data)
+             for _ in range(data.draw(st.integers(0, 4)))}
+    return Elem(b, terms)
+
+
+def _assert_stored(e, want):
+    F = e.bigraph.field
+    assert list(e.terms.items()) == list(want.items())
+    assert not any(F.is_zero(c) for c in e.terms.values())
+
+
+@pytest.mark.parametrize("char", sorted(_CHAINS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_elem_arithmetic_matches_naive_accumulation(char, data):
+    F, b = _CHAINS[char]
+    words = _CHAIN_WORDS[char]
+    u = _drawn_elem(F, b, words, data)
+    v = _drawn_elem(F, b, words, data)
+    # w repeats part of u negated, so u + w cancels those words
+    kept = [k for k in u.terms if data.draw(st.booleans())]
+    w = Elem(b, {k: F.neg(u.terms[k]) for k in kept}) + v
+    minus_one = F.neg(F.one)
+    for x, y in ((u, v), (v, u), (u, w), (w, u), (u, u.scale(minus_one))):
+        _assert_stored(x + y, _naive_add(F, x, y))
+        _assert_stored(x * y, _naive_mul(F, b, x, y))
+    for c in (F.zero, F.one, minus_one, _scalar(F, data)):
+        want = {} if F.is_zero(c) else {k: F.mul(c, s) for k, s in u.terms.items()}
+        _assert_stored(u.scale(c), want)
+    assert (u + u.scale(minus_one)).is_zero()
