@@ -181,10 +181,6 @@ class HeightMap:
     point_height: Dict[str, int]
     pair_height: Dict[Tuple[str, str], int]
 
-    def arrow_drop(self, b: Bigraph, arrow_name: str) -> int:
-        a = b.arrow(arrow_name)
-        return self.point_height[a.target] - self.point_height[a.source]
-
 
 def height_maps(b: Bigraph) -> HeightMap:
     """Point heights from predecessors and pair heights for the product order

@@ -4,10 +4,13 @@ Objects are point-graded spaces with solid-arrow actions (plus an x-action at
 rational points) annihilated by the ideal; morphisms are pairs (f0, f1).
 Everything reduces to exact linear algebra: hom spaces are kernels of the
 U-condition system, and isomorphism testing and idempotent splitting run
-through the Roiter property.  One function, `_locality`, decides whether
-End(M) is local and, for a decomposable M, supplies a witness: an
-endomorphism f that is neither a unit nor nilpotent, read off a basis
-element by its Fitting rank or lifted from End(M)/rad.  Krull-Schmidt
+through the Roiter property.  `splits_in_coordinates` recognizes a module
+that is a direct sum in its own basis, with no End(M) built: the coordinate
+projection onto a class of linked basis vectors is an idempotent
+endomorphism.  One function, `_locality`, decides whether End(M) is local
+and, for a decomposable M, supplies a witness: an endomorphism f that is
+neither a unit nor nilpotent, read off a basis element by its Fitting rank
+or lifted from End(M)/rad.  Krull-Schmidt
 decomposition splits off the Fitting idempotent of f, a polynomial in f
 built from its minimal polynomial x^k q by xgcd(x^k, q).  `iso_test`
 rejects first on the four hom dimensions, which are isomorphism
@@ -280,40 +283,57 @@ class _RowBuilder:
         self.rows.extend(out)
         return out
 
-    def add_left_right(self, rows: List[List], left: Mat, off: int, right: Mat,
-                       sign=None):
-        """Add  left * U * right  to the (rows-of-left, cols-of-right)
-        constraint block, with U the left.cols x right.rows unknown at the
-        given offset.  Only pairs of a nonzero left entry and a nonzero right
-        entry are visited: most calls pass an identity as one factor."""
+    def add_left_right(self, rows: List[List], left, off: int, right, sign=None):
+        """Add  sign * left * U * right  to the (rows-of-left, cols-of-right)
+        constraint block, with U the unknown at the given offset.  An int n
+        for `left` or `right` stands for the n x n identity, which is never
+        built.  Only pairs of a nonzero left entry and a nonzero right entry
+        are visited; a product with a unit factor multiplies nothing, and an
+        entry that is still zero is set, not added to."""
         F = self.F
-        is_zero, add, mul = F.is_zero, F.add, F.mul
-        s = F.one if sign is None else sign
-        width, u_cols = right.cols, right.rows
-        right_nz = [[(q, rv) for q, rv in enumerate(col) if not is_zero(rv)]
-                    for col in zip(*right.data)]
-        for r, lrow in enumerate(left.data):
-            for p, lv in enumerate(lrow):
-                if is_zero(lv):
-                    continue
+        is_zero, add, mul, one = F.is_zero, F.add, F.mul, F.one
+        s = one if sign is None else sign
+        if isinstance(left, int):
+            left_nz = [[(r, s)] for r in range(left)]
+        else:
+            left_nz = [[(p, lv if s == one else mul(s, lv))
+                        for p, lv in enumerate(lrow) if not is_zero(lv)] for lrow in left.data]
+        if isinstance(right, int):
+            width = u_cols = right
+            right_nz = [[(c, one)] for c in range(right)]
+        else:
+            width, u_cols = right.cols, right.rows
+            right_nz = [[(q, rv) for q, rv in enumerate(col) if not is_zero(rv)]
+                        for col in zip(*right.data)]
+        for r, lnz in enumerate(left_nz):
+            for p, lv in lnz:
                 base = off + p * u_cols
-                slv = mul(s, lv)
                 for c, rnz in enumerate(right_nz):
                     row = rows[r * width + c]
                     for q, rv in rnz:
-                        row[base + q] = add(row[base + q], mul(slv, rv))
+                        v = lv if rv == one else rv if lv == one else mul(lv, rv)
+                        k = base + q
+                        row[k] = v if is_zero(row[k]) else add(row[k], v)
 
 
 def _u_condition_rows(dit: Dit, M: Rep, N: Rep, delta, dashed_kernel=()):
     """Rows of the linear system cutting out U(M, N) in a presentation:
     `delta(name)` is the delta-value of the solid arrow `name`, and f1 must
     vanish on each W1-supported element of `dashed_kernel` (the V-bar
-    identifications of a quotient presentation)."""
+    identifications of a quotient presentation).  A factor that acts as an
+    identity is passed to the row builder as its size."""
     b = dit.bigraph
     F = M.field
     blocks, total = _unknown_layout(dit, M, N)
     offs = {(kind, name): off for kind, name, _, _, off in blocks}
     builder = _RowBuilder(F, total)
+    minus_one = F.neg(F.one)
+
+    def decoration(R: Rep, point: str, key):
+        return R.dims[point] if key == UNIT else R.decoration_action(point, key)
+
+    def action(R: Rep, w: Word):
+        return R.word_action(w) if w.arrows else decoration(R, w.start, w.coeffs[0])
 
     # R-linearity at rational points: X_N f0 - f0 X_M = 0
     for p in b.point_order:
@@ -321,27 +341,24 @@ def _u_condition_rows(dit: Dit, M: Rep, N: Rep, delta, dashed_kernel=()):
             continue
         off = offs[("f0", p)]
         rows = builder.new_rows(N.dims[p] * M.dims[p])
-        XN, XM = N.point_ops[p], M.point_ops[p]
-        builder.add_left_right(rows, XN, off, Mat.identity_of(F, M.dims[p]))
-        builder.add_left_right(rows, Mat.identity_of(F, N.dims[p]), off, XM,
-                               sign=F.neg(F.one))
+        builder.add_left_right(rows, N.point_ops[p], off, M.dims[p])
+        builder.add_left_right(rows, N.dims[p], off, M.point_ops[p], sign=minus_one)
 
     # U-condition per solid arrow: N(a) f0_s - f0_t M(a) - f1(delta(a)) = 0
     for arr in b.solid_arrows():
         rows = builder.new_rows(N.dims[arr.target] * M.dims[arr.source])
         builder.add_left_right(rows, N.arrow_ops[arr.name], offs[("f0", arr.source)],
-                               Mat.identity_of(F, M.dims[arr.source]))
-        builder.add_left_right(rows, Mat.identity_of(F, N.dims[arr.target]),
-                               offs[("f0", arr.target)], M.arrow_ops[arr.name],
-                               sign=F.neg(F.one))
+                               M.dims[arr.source])
+        builder.add_left_right(rows, N.dims[arr.target], offs[("f0", arr.target)],
+                               M.arrow_ops[arr.name], sign=minus_one)
         for w, coeff in delta(arr.name).terms.items():
             # split at the dashed arrow: suffix acts on N, prefix on M
             j = next(k for k, nm in enumerate(w.arrows) if b.arrow(nm).dashed)
             pts = w.path(b)
             prefix = Word(w.start, w.arrows[:j], w.coeffs[:j + 1])
             suffix = Word(pts[j + 1], w.arrows[j + 1:], w.coeffs[j + 1:])
-            builder.add_left_right(rows, N.word_action(suffix), offs[("f1", w.arrows[j])],
-                                   M.word_action(prefix), sign=F.neg(coeff))
+            builder.add_left_right(rows, action(N, suffix), offs[("f1", w.arrows[j])],
+                                   action(M, prefix), sign=F.neg(coeff))
 
     # V-bar identifications: f1 kills each element of dashed_kernel
     for e in dashed_kernel:
@@ -351,10 +368,9 @@ def _u_condition_rows(dit: Dit, M: Rep, N: Rep, delta, dashed_kernel=()):
         for (i, jp), terms in groups.items():
             rows = builder.new_rows(N.dims[jp] * M.dims[i])
             for w, c in terms:
-                left = N.decoration_action(jp, w.coeffs[1])
-                right = M.decoration_action(i, w.coeffs[0])
-                builder.add_left_right(rows, left, offs[("f1", w.arrows[0])], right,
-                                       sign=c)
+                builder.add_left_right(rows, decoration(N, jp, w.coeffs[1]),
+                                       offs[("f1", w.arrows[0])],
+                                       decoration(M, i, w.coeffs[0]), sign=c)
     return builder.rows, total
 
 
@@ -667,18 +683,14 @@ def algebra_radical(F: Field, table: List[List[List]], dim: int) -> List[List]:
         return []
     unit = linalg.identity(F, dim)
 
-    tau = [F.zero] * dim
-    for i in range(dim):
-        for j in range(dim):
-            tau[i] = F.add(tau[i], table[i][j][j])
+    tau = [_sum_nonzero(F, (table[i][j][j] for j in range(dim))) for i in range(dim)]
+    tau_nz = [(i, t) for i, t in enumerate(tau) if not F.is_zero(t)]
 
     def cp_coefficient(z, k: int):
         # coefficient of t^{n-k} in the charpoly of L_z (sign folded)
         if k == 1:
-            tr = F.zero
-            for zi, ti in zip(z, tau):
-                tr = F.add(tr, F.mul(zi, ti))
-            return F.neg(tr)
+            return F.neg(_sum_nonzero(F, (F.mul(z[i], t) for i, t in tau_nz
+                                          if not F.is_zero(z[i]))))
         # L_z has the column z e_j at j
         lz = linalg.transpose([_convolve(F, table, z, ej, dim) for ej in unit])
         return charpoly(F, Mat(F, dim, dim, lz)).coeff(dim - k)
@@ -728,6 +740,15 @@ def algebra_radical(F: Field, table: List[List[List]], dim: int) -> List[List]:
         else:
             raise ModcatError("radical computation produced a non-nilpotent ideal")
     return rad
+
+
+def _sum_nonzero(F: Field, terms) -> object:
+    """The sum of `terms`, adding nothing to or from a zero."""
+    out = F.zero
+    for t in terms:
+        if not F.is_zero(t):
+            out = t if F.is_zero(out) else F.add(out, t)
+    return out
 
 
 def _convolve(F, table, x, y, dim):
@@ -1022,6 +1043,47 @@ def _locality(E: EndAlgebra, witness: bool = False
     raise ModcatError("no candidate splits End(M)/rad")
 
 
+def splits_in_coordinates(M: Rep) -> bool:
+    """True when M is a direct sum in its own coordinates, a sufficient test
+    for decomposability that builds no End(M).  A union-find over M's basis
+    vectors (point, i) links the two ends of every nonzero entry of a
+    solid-arrow matrix and of every off-diagonal nonzero entry of an
+    x-action; two or more classes mean M splits.  Each class spans an
+    A-submodule, since no arrow or x-action leaves it, so the coordinate
+    projection e onto it commutes with every arrow and x-action: with
+    f1 = 0 the U-condition has no delta term, (e, 0) lies in End(M), and it
+    is an idempotent other than 0 and 1.  A local End(M) has no such
+    idempotent.  False says nothing: M may still be decomposable."""
+    b = M.dit.bigraph
+    start, n = {}, 0
+    for p in b.point_order:
+        start[p] = n
+        n += M.dims[p]
+    parent = list(range(n))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    blocks = [(M.arrow_ops[a.name], start[a.target], start[a.source]) for a in b.solid_arrows()]
+    blocks += [(X, start[p], start[p]) for p, X in M.point_ops.items()]
+    is_zero = M.ring.is_zero
+    classes = n
+    for m, row0, col0 in blocks:
+        for i, row in enumerate(m.data):
+            for j, v in enumerate(row):
+                if not is_zero(v):
+                    x, y = root(row0 + i), root(col0 + j)
+                    if x != y:
+                        parent[x] = y
+                        classes -= 1
+                        if classes == 1:
+                            return False
+    return classes > 1
+
+
 def is_indecomposable(dit: Dit, M: Rep) -> bool:
     if M.is_zero():
         return False
@@ -1074,24 +1136,28 @@ def decompose(dit: Dit, M: Rep) -> List[Rep]:
     return [E.M for E in _decompose(EndAlgebra(dit, M))]
 
 
-def _indec_iso(E: EndAlgebra, N: Rep, homMN=None) -> Optional[MorphismPair]:
+def _indec_iso(E: EndAlgebra, N: Rep, hom_vecs=None) -> Optional[MorphismPair]:
     """An isomorphism M -> N for M = E.M indecomposable (E local), or None;
-    `homMN` is a basis of Hom(M,N) when the caller has one.
+    `hom_vecs` is the kernel basis of the (M, N) U-condition system when the
+    caller has one.
 
     Isomorphic M and N have dim Hom(M,N) = dim End(M), which is tested
-    first.  Then a basis scan is exact: if phi: M -> N is an isomorphism,
-    Hom(M,N) = phi.End(M), and its non-isomorphisms phi.rad End(M) form a
-    proper subspace, since End(M) is local.  A basis of Hom(M,N) does not lie
-    in a proper subspace, so some basis element is an isomorphism, which the
-    Roiter test `is_isomorphism` recognizes (and verifies by its inverse)."""
+    first, on the kernel vectors.  Then a basis scan is exact: if phi: M -> N
+    is an isomorphism, Hom(M,N) = phi.End(M), and its non-isomorphisms
+    phi.rad End(M) form a proper subspace, since End(M) is local.  A basis of
+    Hom(M,N) does not lie in a proper subspace, so some basis element is an
+    isomorphism, which the Roiter test `is_isomorphism` recognizes (and
+    verifies by its inverse).  Each vector becomes a morphism pair only when
+    the scan reaches it, and the scan stops at the first isomorphism."""
     dit, M = E.dit, E.M
     if M.dim_vector() != N.dim_vector():
         return None
-    if homMN is None:
-        homMN = hom(dit, M, N)
-    if len(homMN) != E.dim:
+    if hom_vecs is None:
+        hom_vecs, _ = _hom_space(dit, M, N)
+    if len(hom_vecs) != E.dim:
         return None
-    for f in homMN:
+    for v in hom_vecs:
+        f = _vector_to_pair(dit, M, N, v)
         if is_isomorphism(dit, f, M, N) is not None:
             return f
     return None
@@ -1117,8 +1183,7 @@ def iso_test(dit: Dit, M: Rep, N: Rep) -> bool:
         return False
     parts_m = _decompose(E)
     if len(parts_m) == 1:
-        homMN = [_vector_to_pair(dit, M, N, v) for v in hom_vecs]
-        return _indec_iso(parts_m[0], N, homMN) is not None
+        return _indec_iso(parts_m[0], N, hom_vecs) is not None
     parts_n = decompose(dit, N)
     if len(parts_m) != len(parts_n):
         return False
@@ -1144,9 +1209,11 @@ class DecomposableError(ModcatError):
 class IsoClassIndex:
     """Indecomposables up to isomorphism, bucketed by dimension vector.
 
-    `find` and `add` build End(M) once.  Its locality (`_locality`) decides
-    that M is indecomposable (DecomposableError otherwise), and the same End
-    data matches M against the classes of its bucket by `_indec_iso`.  `classes`
+    `find` and `add` raise DecomposableError at once for an M that
+    `splits_in_coordinates`, a direct sum visible in M's own matrices.  Any
+    other M gets End(M) built once: its locality (`_locality`) decides that M
+    is indecomposable (DecomposableError otherwise), and the same End data
+    matches M against the classes of its bucket by `_indec_iso`.  `classes`
     lists the stored representatives in the order they were added.
     """
 
@@ -1158,6 +1225,8 @@ class IsoClassIndex:
     def _local_end(self, M: Rep) -> EndAlgebra:
         if M.is_zero():
             raise DecomposableError("the zero module is not indecomposable")
+        if splits_in_coordinates(M):
+            raise DecomposableError("module is a direct sum in its coordinates")
         E = EndAlgebra(self.dit, M)
         if not _locality(E)[0]:
             raise DecomposableError("module is decomposable")

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .admissible import AdmissibleError
 from .bigraph import Bigraph, BigraphError
 from .bimodule import generic_regular, specialize_jordan
 from .interlace import CertificationError, Dit, certify, level_order
-from .modcat import DecomposableError, IsoClassIndex, ModcatError, Rep, simple_at
+from .modcat import (DecomposableError, IsoClassIndex, ModcatError, Rep, simple_at,
+                     splits_in_coordinates)
 from .reduce import (
     ReductionError, ReductionFunctor, RepData, StepSpec, compose_functors,
     delete_idempotents,
@@ -687,6 +688,27 @@ def brute_force_indecomposables(dit: Dit, d: int) -> List[Rep]:
     """Exhaustive enumeration of indecomposables with total dimension <= d
     over a finite field, up to isomorphism.
 
+    The candidates are those of `_referee_candidates`.  One that
+    `splits_in_coordinates` is a direct sum of the classes of basis vectors
+    that its matrices link, so it is skipped before `Rep.validate` and
+    without an End algebra: the coordinate projection onto a class is a
+    nontrivial idempotent of End(M), exactly.  Every other candidate passes
+    `Rep.validate` and `IsoClassIndex.add`."""
+    index = IsoClassIndex(dit)
+    for rep in _referee_candidates(dit, d):
+        if splits_in_coordinates(rep) or rep.validate() is not None:
+            continue
+        try:
+            index.add(rep)
+        except DecomposableError:
+            pass          # not a class: classes are indecomposable
+    return index.classes
+
+
+def _referee_candidates(dit: Dit, d: int) -> Iterator[Rep]:
+    """Every module of total dimension 1..d that the referee tries, valid
+    or not, in a fixed order.
+
     In each dimension vector the matrix of the pivot, the first solid arrow
     whose source differs from its target, runs only over the rank normal
     forms [I_r 0; 0 0], r = 0..min(rows, cols); every other slot runs over
@@ -697,11 +719,9 @@ def brute_force_indecomposables(dit: Dit, d: int) -> List[Rep]:
     to M, and it puts g_t M(pivot) g_s^-1 = E_r at the pivot.  The ideal
     generators act through solid arrows and x-actions, so the conjugated
     module is still annihilated by them, and an inverted polynomial stays
-    invertible under conjugation.  Every candidate still passes
-    `Rep.validate` and `IsoClassIndex.add`; the size guard counts every
-    slot, the pivot's too."""
+    invertible under conjugation.  The size guard counts every slot, the
+    pivot's too."""
     F = dit.field
-    index = IsoClassIndex(dit)
     pivot = next((a.name for a in dit.bigraph.solid_arrows() if a.source != a.target), None)
     for dimmap, slots in _shapes(dit, d):
         total = sum(r * c for _, _, r, c in slots)
@@ -723,10 +743,4 @@ def brute_force_indecomposables(dit: Dit, d: int) -> List[Rep]:
                         F, r, c, [[F.from_int(vals[off + i * c + j]) for j in range(c)]
                                   for i in range(r)])
                     off += r * c
-                if rep.validate() is not None:
-                    continue
-                try:
-                    index.add(rep)
-                except DecomposableError:
-                    pass          # not a class: classes are indecomposable
-    return index.classes
+                yield rep

@@ -111,6 +111,7 @@ def _map_elem(src: Bigraph, tgt: Bigraph, images: Dict[str, Elem], elem: Elem,
     otherwise the terms accumulate in one dictionary, where a word seen for
     the first time is stored as it comes (a product of nonzero scalars)."""
     F = tgt.field
+    one = F.one
 
     def verbatim(w: Word) -> bool:
         return all(a in fixed for a in w.arrows) if w.arrows else w.start in same
@@ -141,7 +142,7 @@ def _map_elem(src: Bigraph, tgt: Bigraph, images: Dict[str, Elem], elem: Elem,
             cur = Elem(tgt, {Word(nxt, (), (w.coeffs[i + 1],)): F.one}) * (img * cur)
         else:
             for u, v in cur.terms.items():
-                add_term(F, out, u, F.mul(c, v))
+                add_term(F, out, u, v if c == one else c if v == one else F.mul(c, v))
     return Elem.nonzero(tgt, out)
 
 

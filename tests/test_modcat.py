@@ -445,6 +445,32 @@ def test_jordan_blocks_at_rational_point():
     assert sorted(p.total_dim() for p in parts) == [1, 2]
 
 
+def test_an_off_diagonal_x_action_entry_alone_links_two_basis_vectors(monkeypatch):
+    # one rational point, no arrows: only the x-action can link (1, 0) and
+    # (1, 1), so the Jordan block stays whole and diag(1, 1) splits
+    from ditalg.interlace import Dit, IdealData
+    from ditalg.modcat import _locality, splits_in_coordinates
+    from ditalg.tensor import Differential, Layer
+
+    F = F5
+    b = Bigraph(F, [("1", Factor.rational([Poly.from_ints(F, [0, 1])]))])
+    layer = Layer(b)
+    d = Dit(layer, Differential(layer, {}), IdealData(), name="loop-point")
+    certify(d)
+    block = jordan_at(d, "1", F.one, 2)
+    assert not splits_in_coordinates(block)
+    assert _locality(EndAlgebra(d, block))[0]
+    diagonal = direct_sum([jordan_at(d, "1", F.one, 1)] * 2)
+    assert splits_in_coordinates(diagonal)
+    assert not _locality(EndAlgebra(d, diagonal))[0]
+    # IsoClassIndex rejects the split module before it builds End(M)
+    built = []
+    monkeypatch.setattr(modcat, "EndAlgebra", lambda *args: built.append(args))
+    with pytest.raises(DecomposableError):
+        IsoClassIndex(d).add(diagonal)
+    assert not built
+
+
 def test_validate_reports_singular_inverted_polynomial_over_gamma():
     # x-action 0 at a point inverting x: singular over F3 and over F3[x]_x
     from ditalg.scalars import LocalizedRing, LocElt
@@ -816,6 +842,32 @@ def test_indec_iso_scan_agrees_with_composite_criterion():
             pairs += 1
             isos += f is not None
     assert pairs > isos > len(indecs)
+
+
+def test_indec_iso_rejects_on_the_hom_dimension_before_any_morphism(monkeypatch):
+    # M is the regular (2, 2) module with End(M) = k[t]/(t^2); dim Hom(M, N)
+    # is 1 for N = kr(1, 0) + kr(0, 1), so no kernel vector becomes a pair
+    d = exk(F5)
+    certify(d)
+    M = Rep(d, {"1": 2, "2": 2}, {"a": Mat(F5, 2, 2, [[1, 0], [0, 1]]),
+                                   "b": Mat(F5, 2, 2, [[0, 1], [0, 0]])})
+    N = direct_sum([kron_rep(d, 1, 0), kron_rep(d, 0, 1)])
+    E = EndAlgebra(d, M)
+    assert E.dim == 2 and hom_dim(d, M, N) == 1
+    first = next(i for i, f in enumerate(hom(d, M, M))
+                 if is_isomorphism(d, f, M, M) is not None)
+    real, pairs = modcat._vector_to_pair, []
+
+    def counting(*args):
+        pairs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(modcat, "_vector_to_pair", counting)
+    assert modcat._indec_iso(E, N) is None
+    assert not pairs
+    # an isomorphic N: the scan converts vectors up to the first isomorphism
+    assert modcat._indec_iso(E, M) is not None
+    assert len(pairs) == first + 1
 
 
 def test_elimination_updates_only_pivot_row_nonzeros(monkeypatch):

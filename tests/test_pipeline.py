@@ -523,6 +523,46 @@ def _loop_first(F):
 
 
 @pytest.mark.parametrize("build, F, d", [
+    (exk, F3, 3), (exl, F2, 3), (exr, F2, 3),
+    (stellar_case2, F3, 2),     # x-actions at the rational point p link too
+    (_loop_first, F2, 3),       # the first solid arrow is a loop
+], ids=["exk-F3-3", "exl-F2-3", "exr-F2-3", "stellar_case2-F3-2", "loop-first-F2-3"])
+def test_a_coordinate_split_candidate_is_never_local(build, F, d):
+    # the referee skips these without End(M): each must be non-local when
+    # `_locality` decides it from the End algebra
+    from ditalg.modcat import EndAlgebra, _locality, splits_in_coordinates
+    from ditalg.pipeline import _referee_candidates
+
+    dit = build(F)
+    certify(dit)
+    valid = [M for M in _referee_candidates(dit, d) if M.validate() is None]
+    split = [M for M in valid if splits_in_coordinates(M)]
+    assert 0 < len(split) < len(valid)
+    assert not any(_locality(EndAlgebra(dit, M))[0] for M in split)
+
+
+@pytest.mark.parametrize("build, F, d, cap", [(exk, F3, 4, 250), (exl, F2, 4, 20)],
+                         ids=["exk-F3-4", "exl-F2-4"])
+def test_referee_builds_no_end_algebra_for_a_coordinate_split(monkeypatch, build, F, d, cap):
+    # one End algebra per valid candidate made 401 on exk/F3/4 and 139 on
+    # exl/F2/4; skipping the candidates that split leaves 247 and 15
+    from ditalg import modcat
+
+    calls = [0]
+    real = modcat.EndAlgebra.__init__
+
+    def counting(self, *args):
+        calls[0] += 1
+        real(self, *args)
+
+    monkeypatch.setattr(modcat.EndAlgebra, "__init__", counting)
+    dit = build(F)
+    certify(dit)
+    brute_force_indecomposables(dit, d)
+    assert 0 < calls[0] <= cap
+
+
+@pytest.mark.parametrize("build, F, d", [
     (exk, F2, 3), (exl, F2, 3), (exr, F2, 3),
     (stellar_case2, F3, 2),     # the pivot w1 ends at the rational point p
     (_loop_first, F2, 3),       # the first solid arrow is a loop
@@ -536,21 +576,13 @@ def test_rank_normal_form_loses_no_class(build, F, d):
     assert all(oracle.find(M) is not None for M in classes)
 
 
-def test_referee_tries_one_candidate_per_pivot_rank(monkeypatch):
+def test_referee_tries_one_candidate_per_pivot_rank():
     # the pivot runs over rank normal forms only: 401 candidates on
     # exk/F3/4, where the full product has 8,198
-    from ditalg import modcat
+    from ditalg.pipeline import _referee_candidates
 
-    calls = [0]
-    validate = modcat.Rep.validate
-
-    def counting_validate(self):
-        calls[0] += 1
-        return validate(self)
-
-    monkeypatch.setattr(modcat.Rep, "validate", counting_validate)
     assert len(brute_force_indecomposables(exk(F3), 4)) == 15
-    assert calls[0] <= 500
+    assert sum(1 for _ in _referee_candidates(exk(F3), 4)) <= 500
 
 
 def test_jordan_sizes_stop_at_the_bound(monkeypatch):
@@ -622,7 +654,9 @@ def test_classify_exk_q6_field_operation_count(monkeypatch):
     # 20,623 additions (20,519 with a zero operand) and 20,403 multiplications
     # (18,835 with a unit operand) when every tensor sum and product added to
     # an explicit zero, every word action multiplied by identity matrices and
-    # every structure-constant product added c*0; 4,512 and 7,518 now
+    # every structure-constant product added c*0; 4,512 and 7,518 when the
+    # radical's trace, the U-condition rows and the image terms of a
+    # reduction still added zeros and multiplied by ones; 2,160 and 4,811 now
     from ditalg.scalars.fields import RationalField
 
     calls = {"add": 0, "mul": 0}
@@ -638,8 +672,8 @@ def test_classify_exk_q6_field_operation_count(monkeypatch):
     for op in calls:
         monkeypatch.setattr(RationalField, op, counted(op))
     classify(exk(QQ), 6)
-    assert calls["add"] <= 4_960
-    assert calls["mul"] <= 8_270
+    assert calls["add"] <= 2_375
+    assert calls["mul"] <= 5_290
 
 
 @pytest.mark.parametrize("error", ["CertificationError", "AdmissibleError", "ModcatError",
