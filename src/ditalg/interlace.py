@@ -262,16 +262,17 @@ def pair_height_filtration(dit: Dit) -> List[List[Elem]]:
 
 
 def check_triangular_ideal(dit: Dit) -> bool:
-    """Certify the ideal filtration; constructs the pair-height filtration
-    when none is supplied (directed + balanced case)."""
+    """Certify the ideal filtration.  When none is supplied it constructs
+    one: the pair-height filtration in the directed, balanced case, and the
+    one level of the ideal components otherwise, which passes exactly when
+    delta kills every component."""
     if dit.ideal.is_zero():
         dit.certificates["triangular_ideal"] = True
         return True
     filtration = dit.ideal.filtration
-    if filtration is None:
-        if not dit.bigraph.is_directed():
-            dit.certificates["triangular_ideal"] = False
-            return False
+    if filtration is None and not dit.bigraph.is_directed():
+        filtration = [dit.ideal_components()]
+    elif filtration is None:
         if not check_balanced(dit):
             dit.certificates["triangular_ideal"] = False
             return False

@@ -247,14 +247,18 @@ def _unknown_layout(dit: Dit, M: Rep, N: Rep):
     return blocks, offset
 
 
+def _block(F: Field, vec, r: int, c: int, off: int) -> Mat:
+    """The r x c block of an unknown vector stored row by row from `off`."""
+    return Mat._owning(F, r, c, [vec[off + i * c:off + (i + 1) * c] for i in range(r)])
+
+
 def _vector_to_pair(dit: Dit, M: Rep, N: Rep, vec) -> MorphismPair:
     F = M.field
     blocks, total = _unknown_layout(dit, M, N)
     f0: Dict[str, Mat] = {}
     f1: Dict[str, Mat] = {}
     for kind, name, r, c, off in blocks:
-        m = Mat(F, r, c, [[vec[off + i * c + j] for j in range(c)] for i in range(r)])
-        (f0 if kind == "f0" else f1)[name] = m
+        (f0 if kind == "f0" else f1)[name] = _block(F, vec, r, c, off)
     return MorphismPair(f0, f1)
 
 
@@ -291,19 +295,19 @@ class _RowBuilder:
         are visited; a product with a unit factor multiplies nothing, and an
         entry that is still zero is set, not added to."""
         F = self.F
-        is_zero, add, mul, one = F.is_zero, F.add, F.mul, F.one
+        add, mul, one = F.add, F.mul, F.one
         s = one if sign is None else sign
         if isinstance(left, int):
             left_nz = [[(r, s)] for r in range(left)]
         else:
             left_nz = [[(p, lv if s == one else mul(s, lv))
-                        for p, lv in enumerate(lrow) if not is_zero(lv)] for lrow in left.data]
+                        for p, lv in enumerate(lrow) if lv] for lrow in left.data]
         if isinstance(right, int):
             width = u_cols = right
             right_nz = [[(c, one)] for c in range(right)]
         else:
             width, u_cols = right.cols, right.rows
-            right_nz = [[(q, rv) for q, rv in enumerate(col) if not is_zero(rv)]
+            right_nz = [[(q, rv) for q, rv in enumerate(col) if rv]
                         for col in zip(*right.data)]
         for r, lnz in enumerate(left_nz):
             for p, lv in lnz:
@@ -313,7 +317,7 @@ class _RowBuilder:
                     for q, rv in rnz:
                         v = lv if rv == one else rv if lv == one else mul(lv, rv)
                         k = base + q
-                        row[k] = v if is_zero(row[k]) else add(row[k], v)
+                        row[k] = add(row[k], v) if row[k] else v
 
 
 def _u_condition_rows(dit: Dit, M: Rep, N: Rep, delta, dashed_kernel=()):
@@ -567,8 +571,9 @@ def jordan_at(dit: Dit, point: str, eigen, size: int) -> Rep:
 class EndAlgebra:
     """End(M) with a fixed basis, its multiplication table `table`
     (table[i][j] = coordinates of basis[i] . basis[j]) and its radical `rad`.
-    The basis is built at once; the table and the radical on first use, so
-    a module that a witness already decides never gets them.
+    The kernel vectors `_vecs` of the basis are found at once; the basis as
+    morphism pairs, the table and the radical on first use, so a module that
+    the Fitting-rank scan of `_locality` decides never gets them.
 
     The basis is the kernel basis of the U-condition system, which is 1 at
     its own free column and 0 at the other free columns, so the coordinates
@@ -581,8 +586,11 @@ class EndAlgebra:
         self.M = M
         self.F = dit.field
         self._vecs, self._free = _hom_space(dit, M, M)
-        self.basis = [_vector_to_pair(dit, M, M, v) for v in self._vecs]
-        self.dim = len(self.basis)
+        self.dim = len(self._vecs)
+
+    @cached_property
+    def basis(self) -> List[MorphismPair]:
+        return [_vector_to_pair(self.dit, self.M, self.M, v) for v in self._vecs]
 
     @cached_property
     def table(self) -> List[List[List]]:
@@ -689,8 +697,8 @@ def algebra_radical(F: Field, table: List[List[List]], dim: int) -> List[List]:
     def cp_coefficient(z, k: int):
         # coefficient of t^{n-k} in the charpoly of L_z (sign folded)
         if k == 1:
-            return F.neg(_sum_nonzero(F, (F.mul(z[i], t) for i, t in tau_nz
-                                          if not F.is_zero(z[i]))))
+            return F.neg(_sum_nonzero(F, (t if z[i] == F.one else F.mul(z[i], t)
+                                          for i, t in tau_nz if z[i])))
         # L_z has the column z e_j at j
         lz = linalg.transpose([_convolve(F, table, z, ej, dim) for ej in unit])
         return charpoly(F, Mat(F, dim, dim, lz)).coeff(dim - k)
@@ -752,17 +760,20 @@ def _sum_nonzero(F: Field, terms) -> object:
 
 
 def _convolve(F, table, x, y, dim):
+    add, mul = F.add, F.mul
     out = [F.zero] * dim
     for i in range(dim):
-        if F.is_zero(x[i]):
+        xi = x[i]
+        if not xi:
             continue
         for j in range(dim):
-            if F.is_zero(y[j]):
+            yj = y[j]
+            if not yj:
                 continue
-            c = F.mul(x[i], y[j])
+            c = mul(xi, yj)
             for k, t in enumerate(table[i][j]):
-                if not F.is_zero(t):  # a zero structure constant adds c*0
-                    out[k] = F.add(out[k], F.mul(c, t))
+                if t:  # a zero structure constant adds c*0
+                    out[k] = add(out[k], mul(c, t))
     return out
 
 
@@ -993,7 +1004,8 @@ def _locality(E: EndAlgebra, witness: bool = False
     * The basis scan first.  A unit f has bijective f0, as g0 f0 = (g f)0 =
       1; a nilpotent f has f0^n = (f^n)0 = 0.  So a basis element whose
       block-diagonal f0 has Fitting rank rank(f0^n) strictly between 0 and
-      dim M is a witness, found before the table or the radical is built.
+      dim M is a witness, found before the table or the radical is built
+      and read off the kernel vectors, with no basis of morphism pairs.
     * Else S = End(M)/rad, semisimple; E is local iff S is a division ring.
       Over F_p a noncommutative S is not (Wedderburn's little theorem), and
       a commutative S is a field iff its Frobenius fixed space has
@@ -1010,13 +1022,15 @@ def _locality(E: EndAlgebra, witness: bool = False
       g(z)^m is (0, unit), neither a unit nor nilpotent in S, so no lift of
       it to End(M) is either.
     """
-    n = E.M.total_dim()
-    for f in E.basis:
-        if 0 < sum(_fitting_rank(m) for m in f.f0.values()) < n:
-            return False, f
+    dit, M, F = E.dit, E.M, E.F
+    n = M.total_dim()
+    blocks = [(d, off) for kind, _, d, _, off in _unknown_layout(dit, M, M)[0] if kind == "f0"]
+    for v in E._vecs:
+        # the basis element's f0 blocks, read off its kernel vector
+        if 0 < sum(_fitting_rank(_block(F, v, d, d, off)) for d, off in blocks) < n:
+            return False, _vector_to_pair(dit, M, M, v)
     if E.dim - len(E.rad) <= 1:
         return True, None
-    F = E.F
     proj, lift, qtable, qdim = _quotient_algebra(E)
     qident = proj(E.identity_coords())
     commutative = _is_commutative(qtable, qdim)

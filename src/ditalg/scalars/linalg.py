@@ -4,7 +4,10 @@ Matrices are lists of row lists holding raw ring values; every routine takes
 the ring context explicitly.  A ring context has `zero`, `one`, `add`, `sub`,
 `mul`, `neg`, `is_zero`, `is_unit` and `inv`; there are three: a ground
 `Field` (F_p or Q), `LocalizedRing` (k[x]_h, entries `LocElt`) and
-`PolyRing` (k[x], entries `Poly`).  `zeros`, `identity`, `add`, `sub`,
+`PolyRing` (k[x], entries `Poly`).  Every ring value is falsy exactly when
+it is zero (F_p ints and `Fraction`s are; `Poly` and `LocElt` define
+`__bool__`), so `bool(a) == (not R.is_zero(a))` and this module tests an
+entry by its truth value, with no call.  `zeros`, `identity`, `add`, `sub`,
 `mul`, `transpose`, `cofactor_det` and `adjugate_inverse` work over any of
 them.  The eliminations (`rref`, `kernel_basis`, `solve`, `det`, `inverse`)
 divide by pivots and need a field.  Every "is v in this span" and
@@ -19,6 +22,12 @@ updated at those positions only, by the field context's
 provide it; `Field` spells it with `sub` and `mul`, and a subclass may
 inline its arithmetic.  Skipping w = 0 only skips v - f*0 = v, so every
 result equals the dense elimination's, value for value.
+
+`Mat(F, rows, cols, data)` and `Mat.copy` copy the rows they are given.
+The results of `+`, `-`, negation, `scale`, `*`, `inverse`, `transpose`,
+`submatrix` and `identity_of` are built from fresh rows, which the new
+`Mat` takes over uncopied (`Mat._owning`, which still checks the shape); no
+result shares a row list with an operand.
 """
 
 from __future__ import annotations
@@ -70,14 +79,14 @@ def mul(F: Field, a: Matrix, b: Matrix) -> Matrix:
     # once per call, as the eliminations do for a pivot row, measured slower,
     # since most products here have so few rows that a row of b is used once
     m = len(b[0]) if b else 0
-    is_zero, add, fmul = F.is_zero, F.add, F.mul
+    add, fmul = F.add, F.mul
     out = []
     for ai in a:
         oi = [F.zero] * m
         for c, bt in zip(ai, b):
-            if not is_zero(c):
+            if c:
                 for j, w in enumerate(bt):
-                    if not is_zero(w):
+                    if w:
                         oi[j] = add(oi[j], fmul(c, w))
         out.append(oi)
     return out
@@ -98,13 +107,13 @@ def rref(F: Field, m: Matrix) -> Tuple[Matrix, List[int]]:
     a = copy(m)
     rows = len(a)
     cols = len(a[0]) if a else 0
-    is_zero, mul, sub_scaled = F.is_zero, F.mul, F.sub_scaled
+    mul, sub_scaled = F.mul, F.sub_scaled
     pivots: List[int] = []
     r = 0
     for c in range(cols):
         piv = None
         for i in range(r, rows):
-            if not is_zero(a[i][c]):
+            if a[i][c]:
                 piv = i
                 break
         if piv is None:
@@ -115,12 +124,12 @@ def rref(F: Field, m: Matrix) -> Tuple[Matrix, List[int]]:
         # the pivot row is zero left of c: scale and collect the rest once
         nz = []
         for j in range(c, cols):
-            if not is_zero(row[j]):
+            if row[j]:
                 row[j] = w = mul(inv, row[j])
                 nz.append((j, w))
         for i in range(rows):
             f = a[i][c]
-            if i != r and not is_zero(f):
+            if f and i != r:
                 sub_scaled(a[i], f, nz)
         pivots.append(c)
         r += 1
@@ -168,7 +177,7 @@ def solve(F: Field, a: Matrix, b: Sequence) -> Optional[List]:
     aug = [list(r) + [bv] for r, bv in zip(a, b)]
     red, pivots = rref(F, aug)
     for r in range(len(pivots), rows):
-        if not F.is_zero(red[r][cols]):
+        if red[r][cols]:
             return None
     if any(p == cols for p in pivots):
         return None
@@ -181,12 +190,11 @@ def solve(F: Field, a: Matrix, b: Sequence) -> Optional[List]:
 def det(F: Field, m: Matrix):
     n = len(m)
     a = copy(m)
-    is_zero = F.is_zero
     d = F.one
     for c in range(n):
         piv = None
         for i in range(c, n):
-            if not is_zero(a[i][c]):
+            if a[i][c]:
                 piv = i
                 break
         if piv is None:
@@ -197,9 +205,9 @@ def det(F: Field, m: Matrix):
         row = a[c]
         d = F.mul(d, row[c])
         inv = F.inv(row[c])
-        nz = [(j, row[j]) for j in range(c, n) if not is_zero(row[j])]
+        nz = [(j, row[j]) for j in range(c, n) if row[j]]
         for i in range(c + 1, n):
-            if not is_zero(a[i][c]):
+            if a[i][c]:
                 F.sub_scaled(a[i], F.mul(inv, a[i][c]), nz)
     return d
 
@@ -222,7 +230,7 @@ def cofactor_det(R, m: Matrix):
         return R.one
     acc = R.zero
     for j in range(n):
-        if not R.is_zero(m[0][j]):
+        if m[0][j]:
             minor = [row[:j] + row[j + 1:] for row in m[1:]]
             term = R.mul(m[0][j], cofactor_det(R, minor))
             acc = R.add(acc, term if j % 2 == 0 else R.neg(term))
@@ -249,28 +257,35 @@ def residue(F: Field, red: Matrix, pivots: Sequence[int], vec: Sequence) -> List
     """vec reduced by the rows of a reduced row echelon form (red, pivots =
     `rref(F, span)`): zero exactly when vec lies in the span, and equal for
     two vectors exactly when their difference does."""
-    is_zero = F.is_zero
     v = list(vec)
     for row, c in zip(red, pivots):
         f = v[c]
-        if not is_zero(f):
-            F.sub_scaled(v, f, [(j, row[j]) for j in range(c, len(row))
-                                if not is_zero(row[j])])
+        if f:
+            F.sub_scaled(v, f, [(j, row[j]) for j in range(c, len(row)) if row[j]])
     return v
 
 
 def row_space_contains(F: Field, span_rows: Matrix, vec: Sequence) -> bool:
     """Is vec in the row space of span_rows?"""
-    if all(F.is_zero(v) for v in vec):
+    if not any(vec):
         return True
     if not span_rows:
         return False
-    return all(F.is_zero(x) for x in residue(F, *rref(F, span_rows), vec))
+    return not any(residue(F, *rref(F, span_rows), vec))
+
+
+def _checked(data: Matrix, rows: int, cols: int) -> Matrix:
+    if len(data) != rows or any(len(r) != cols for r in data):
+        raise ValueError(f"shape mismatch: want {rows}x{cols}")
+    return data
 
 
 class Mat:
     """Shape-aware exact matrix (zero-dimensional shapes are routine for
-    representations, so shapes are explicit rather than inferred)."""
+    representations, so shapes are explicit rather than inferred).
+
+    `Mat(F, rows, cols, data)` copies `data`; `Mat._owning` keeps the row
+    lists it is given, for rows built fresh by the caller."""
 
     __slots__ = ("F", "rows", "cols", "data")
 
@@ -281,35 +296,42 @@ class Mat:
         if data is None:
             self.data = [[F.zero] * cols for _ in range(rows)]
         else:
-            self.data = [list(r) for r in data]
-            if len(self.data) != rows or any(len(r) != cols for r in self.data):
-                raise ValueError(f"shape mismatch: want {rows}x{cols}")
+            self.data = _checked([list(r) for r in data], rows, cols)
+
+    @staticmethod
+    def _owning(F: Field, rows: int, cols: int, data: Matrix) -> "Mat":
+        """The matrix whose rows are the lists of `data` themselves, with
+        no copy: the caller hands over rows that nothing else holds."""
+        out = Mat.__new__(Mat)
+        out.F, out.rows, out.cols = F, rows, cols
+        out.data = _checked(data, rows, cols)
+        return out
 
     @staticmethod
     def identity_of(F: Field, n: int) -> "Mat":
-        return Mat(F, n, n, identity(F, n))
+        return Mat._owning(F, n, n, identity(F, n))
 
     def copy(self) -> "Mat":
         return Mat(self.F, self.rows, self.cols, self.data)
 
     def __add__(self, o: "Mat") -> "Mat":
-        return Mat(self.F, self.rows, self.cols, add(self.F, self.data, o.data))
+        return Mat._owning(self.F, self.rows, self.cols, add(self.F, self.data, o.data))
 
     def __sub__(self, o: "Mat") -> "Mat":
-        return Mat(self.F, self.rows, self.cols, sub(self.F, self.data, o.data))
+        return Mat._owning(self.F, self.rows, self.cols, sub(self.F, self.data, o.data))
 
     def __neg__(self) -> "Mat":
-        return Mat(self.F, self.rows, self.cols, neg(self.F, self.data))
+        return Mat._owning(self.F, self.rows, self.cols, neg(self.F, self.data))
 
     def scale(self, c) -> "Mat":
-        return Mat(self.F, self.rows, self.cols, scale(self.F, c, self.data))
+        return Mat._owning(self.F, self.rows, self.cols, scale(self.F, c, self.data))
 
     def __mul__(self, o: "Mat") -> "Mat":
         if self.cols != o.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {o.rows}x{o.cols}")
         if self.rows == 0 or o.cols == 0 or self.cols == 0:
             return Mat(self.F, self.rows, o.cols)
-        return Mat(self.F, self.rows, o.cols, mul(self.F, self.data, o.data))
+        return Mat._owning(self.F, self.rows, o.cols, mul(self.F, self.data, o.data))
 
     def __eq__(self, o) -> bool:
         return (isinstance(o, Mat) and o.rows == self.rows and o.cols == self.cols
@@ -319,7 +341,7 @@ class Mat:
         return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
 
     def is_zero(self) -> bool:
-        return all(self.F.is_zero(x) for r in self.data for x in r)
+        return not any(map(any, self.data))
 
     def is_identity(self) -> bool:
         if self.rows != self.cols:
@@ -335,7 +357,7 @@ class Mat:
             inv = inverse(self.F, self.data)
         else:
             inv = adjugate_inverse(self.F, self.data)
-        return None if inv is None else Mat(self.F, self.rows, self.cols, inv)
+        return None if inv is None else Mat._owning(self.F, self.rows, self.cols, inv)
 
     def det(self):
         if self.rows == 0:
@@ -350,8 +372,9 @@ class Mat:
         return rank(self.F, self.data)
 
     def transpose(self) -> "Mat":
-        return Mat(self.F, self.cols, self.rows,
-                   transpose(self.data) if self.rows and self.cols else None)
+        if not (self.rows and self.cols):
+            return Mat(self.F, self.cols, self.rows)
+        return Mat._owning(self.F, self.cols, self.rows, transpose(self.data))
 
     def power(self, n: int) -> "Mat":
         out = Mat.identity_of(self.F, self.rows)
@@ -364,8 +387,8 @@ class Mat:
         return out
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "Mat":
-        return Mat(self.F, r1 - r0, c1 - c0,
-                   [row[c0:c1] for row in self.data[r0:r1]])
+        return Mat._owning(self.F, r1 - r0, c1 - c0,
+                          [row[c0:c1] for row in self.data[r0:r1]])
 
     def column_space_basis(self) -> List[List]:
         if self.rows == 0 or self.cols == 0:

@@ -161,6 +161,10 @@ class LocElt:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def __bool__(self) -> bool:
+        # falsy exactly at zero, as a ring context's values must be
+        return bool(self.num.coeffs)
+
     def __add__(self, other):
         return self.ring.add(self, other)
 

@@ -60,6 +60,10 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self) -> bool:
+        # falsy exactly at zero, as a ring context's values must be
+        return bool(self.coeffs)
+
     def is_one(self) -> bool:
         return len(self.coeffs) == 1 and self.coeffs[0] == self.field.one
 

@@ -123,7 +123,7 @@ def add_term(F, terms: Dict[Word, object], w: Word, c) -> None:
     time is stored as it comes, and one whose sum cancels is deleted."""
     if w in terms:
         c = F.add(terms[w], c)
-        if F.is_zero(c):
+        if not c:
             del terms[w]
             return
     terms[w] = c
@@ -142,12 +142,7 @@ class Elem:
 
     def __init__(self, bigraph: Bigraph, terms: Optional[Dict[Word, object]] = None):
         self.bigraph = bigraph
-        self.terms: Dict[Word, object] = {}
-        if terms:
-            F = bigraph.field
-            for w, c in terms.items():
-                if not F.is_zero(c):
-                    self.terms[w] = c
+        self.terms: Dict[Word, object] = {w: c for w, c in terms.items() if c} if terms else {}
 
     # -- constructors ----------------------------------------------------
 

@@ -7,7 +7,9 @@ of the reductions that a `StepSpec` dispatches to.  `scalars/linalg.py` is the
 one matrix kernel: no other module defines a module-level function whose
 name ends in `_det`, `_inverse` or `mat_mul` (methods are exempt), and the
 kernel itself names no particular field and reads no modulus `.p`: per-field
-arithmetic lives in the ring contexts (`Field.sub_scaled`)."""
+arithmetic lives in the ring contexts (`Field.sub_scaled`).  Nor does it read
+a context's `is_zero`: ring values are falsy exactly at zero, so the kernel
+tests an entry by its truth value."""
 
 import ast
 import functools
@@ -163,3 +165,15 @@ def _field_dispatch(tree):
 
 def test_matrix_kernel_has_no_per_field_dispatch():
     assert _field_dispatch(_tree(SRC / "scalars" / "linalg.py")) == []
+
+
+def _is_zero_reads(tree):
+    """Line numbers that read a name or attribute `is_zero` (a definition
+    named `is_zero` is not a read)."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if (isinstance(node, ast.Attribute) and node.attr == "is_zero")
+                  or (isinstance(node, ast.Name) and node.id == "is_zero"))
+
+
+def test_matrix_kernel_makes_no_is_zero_call():
+    assert _is_zero_reads(_tree(SRC / "scalars" / "linalg.py")) == []

@@ -174,6 +174,28 @@ def test_triangular_ideal_rejects_unbalanced_without_filtration():
     assert not check_triangular_ideal(d)
 
 
+def _loop_then_path(delta_b: bool) -> Dit:
+    # a loop ell at 1 listed before a: 1 -> 2 and b: 2 -> 3, I = <b a>; with
+    # delta_b a dashed w: 2 -> 3 and delta(b) = w, else delta = 0
+    b = Bigraph(F3, [("1", Factor.trivial()), ("2", Factor.trivial()), ("3", Factor.trivial())],
+                solid=[("ell", "1", "1"), ("a", "1", "2"), ("b", "2", "3")],
+                dashed=[("w", "2", "3")] if delta_b else [])
+    layer = Layer(b)
+    delta = Differential(layer, {"b": Elem.arrow(b, "w")} if delta_b else {})
+    return Dit(layer, delta, IdealData([Elem.arrow(b, "b") * Elem.arrow(b, "a")]))
+
+
+def test_triangular_ideal_of_a_non_directed_bigraph_is_one_level():
+    # with no filtration supplied, the one level {b a} passes since
+    # delta(b a) = 0, and fails once delta(b a) = w a is not zero
+    d = _loop_then_path(delta_b=False)
+    assert not d.bigraph.is_directed()
+    certs = certify(d)
+    assert certs["triangular_ideal"] and certs["roiter"]
+    assert d.ideal.filtration == [d.ideal_components()]
+    assert not certify(_loop_then_path(delta_b=True))["triangular_ideal"]
+
+
 def test_triangular_layer_from_heights():
     d = ex2(F5)
     assert check_triangular_layer(d)

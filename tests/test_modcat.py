@@ -634,6 +634,24 @@ def test_mult_table_matches_solved_coordinates():
                 assert E.table[i][j] == linalg.solve(E.F, cols, vec)
 
 
+def test_vector_to_pair_blocks_own_their_rows():
+    # blocks are built from fresh rows: two pairs from one vector share no
+    # row list, and writing into every block of one leaves the vector and
+    # the other pair as they were
+    for d, M in _end_cases():
+        for v in EndAlgebra(d, M)._vecs:
+            kept = list(v)
+            f, g = (modcat._vector_to_pair(d, M, M, v) for _ in range(2))
+            rows_f = [row for m in [*f.f0.values(), *f.f1.values()] for row in m.data]
+            rows_g = [row for m in [*g.f0.values(), *g.f1.values()] for row in m.data]
+            assert not {id(r) for r in rows_f} & {id(r) for r in rows_g}
+            assert len({id(r) for r in rows_f}) == len(rows_f)
+            for row in rows_f:
+                if row:
+                    row[0] = d.field.add(row[0], d.field.one)
+            assert v == kept and pair_to_vector(d, M, M, g) == kept
+
+
 def _charpoly_radical(F, table, dim):
     """The radical chain of `algebra_radical` with every coefficient c_k,
     c_1 included, read off a characteristic polynomial."""

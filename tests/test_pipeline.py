@@ -656,7 +656,8 @@ def test_classify_exk_q6_field_operation_count(monkeypatch):
     # an explicit zero, every word action multiplied by identity matrices and
     # every structure-constant product added c*0; 4,512 and 7,518 when the
     # radical's trace, the U-condition rows and the image terms of a
-    # reduction still added zeros and multiplied by ones; 2,160 and 4,811 now
+    # reduction still added zeros and multiplied by ones; 2,160 and 4,811
+    # when the trace still multiplied by a coordinate one; 2,160 and 4,763 now
     from ditalg.scalars.fields import RationalField
 
     calls = {"add": 0, "mul": 0}
@@ -673,7 +674,27 @@ def test_classify_exk_q6_field_operation_count(monkeypatch):
         monkeypatch.setattr(RationalField, op, counted(op))
     classify(exk(QQ), 6)
     assert calls["add"] <= 2_375
-    assert calls["mul"] <= 5_290
+    assert calls["mul"] <= 5_240
+
+
+def test_referee_end_algebras_build_few_morphism_pairs(monkeypatch):
+    # every End algebra turned each of its kernel vectors into a morphism
+    # pair at once: 789 conversions; the Fitting-rank scan reads the f0
+    # blocks off the vectors, which leaves 381
+    from ditalg import modcat
+
+    calls = [0]
+    real = modcat._vector_to_pair
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(modcat, "_vector_to_pair", counting)
+    dit = exk(F3)
+    certify(dit)
+    brute_force_indecomposables(dit, 4)
+    assert 0 < calls[0] <= 420
 
 
 @pytest.mark.parametrize("error", ["CertificationError", "AdmissibleError", "ModcatError",

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,6 +50,30 @@ def test_poly_ring_axioms(a, b, c):
         q, r = pa.divmod(pb)
         assert q * pb + r == pa
         assert r.degree < pb.degree
+
+
+_F3 = PrimeField(3)
+_CONTEXTS = {"F2": PrimeField(2), "F3": _F3, "F101": F101, "Q": QQ,
+             "k[x]": PolyRing(_F3), "k[x]_x": LocalizedRing(_F3, [Poly.x(_F3)])}
+
+
+def _ring_value(R, ints, e):
+    if isinstance(R, PolyRing):
+        return Poly.from_ints(R.field, ints)
+    if isinstance(R, LocalizedRing):
+        return LocElt(R, Poly.from_ints(R.field, ints), e)
+    return R.from_int(ints[0]) if R.char else Fraction(ints[0], e + 1)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(sorted(_CONTEXTS)), st.lists(st.integers(-4, 4), min_size=1, max_size=3),
+       st.integers(0, 2))
+def test_ring_values_are_falsy_exactly_at_zero(name, ints, e):
+    # the kernel tests entries by truth value, so bool must agree with is_zero
+    R = _CONTEXTS[name]
+    a = _ring_value(R, ints, e)
+    for v in (a, R.zero, R.one, R.sub(a, a), R.mul(a, R.zero), R.add(a, R.one), R.neg(a)):
+        assert bool(v) == (not R.is_zero(v))
 
 
 def test_poly_gcd_and_factor():
@@ -132,6 +157,37 @@ def test_inverse_roundtrip():
         if inv is not None:
             break
     assert linalg.equal(F5, linalg.mul(F5, a, inv), linalg.identity(F5, 4))
+
+
+def test_mat_results_own_their_rows():
+    # each result is built from fresh rows: it shares no row list with an
+    # operand, and writing into it leaves the operands as they were
+    Mat = linalg.Mat
+    a = Mat(F5, 2, 3, [[1, 2, 0], [3, 4, 1]])
+    b = Mat(F5, 2, 3, [[0, 1, 4], [1, 1, 2]])
+    sq = Mat(F5, 2, 2, [[1, 2], [3, 4]])
+    R = LocalizedRing(F5, [Poly.x(F5)])
+    ring_sq = Mat(R, 2, 2, [[R.from_poly(Poly.x(F5)), R.one], [R.one, R.zero]])
+    results = {
+        "+": (a + b, [a, b]), "-": (a - b, [a, b]), "neg": (-a, [a]),
+        "scale": (a.scale(2), [a]), "*": (sq * a, [sq, a]),
+        "inverse": (sq.inverse(), [sq]), "ring inverse": (ring_sq.inverse(), [ring_sq]),
+        "transpose": (a.transpose(), [a]), "submatrix": (a.submatrix(0, 2, 1, 3), [a]),
+        "identity_of": (Mat.identity_of(F5, 2), [Mat.identity_of(F5, 2)]),
+        "copy": (a.copy(), [a]),
+    }
+    for name, (out, inputs) in results.items():
+        held = {id(row) for m in inputs for row in m.data}
+        assert not held & {id(row) for row in out.data}, name
+        before = [m.copy() for m in inputs]
+        out.data[0][0] = out.F.add(out.data[0][0], out.F.one)
+        assert inputs == before, name
+    rows = [[1, 2], [3, 4]]
+    m = Mat(F5, 2, 2, rows)
+    m.data[0][0] = 0
+    assert rows == [[1, 2], [3, 4]]
+    with pytest.raises(ValueError):
+        a + Mat(F5, 1, 3)
 
 
 # -- the sparse elimination against the dense one ------------------------
