@@ -23,8 +23,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .bigraph import Bigraph, Factor
 from .interlace import Dit, IdealData, inherit_certificates
 from .modcat import (
-    DecomposableError, EndAlgebra, IsoClassIndex, MorphismPair, Rep, _convolve, compose,
-    direct_sum, pair_to_vector, zero_morphism,
+    DecomposableError, EndAlgebra, IsoClassIndex, MorphismPair, Rep, _convolve, compose, hom,
+    pair_to_vector,
 )
 from .reduce import ReductionFunctor, RepData
 from .scalars import LocalizedRing, LocElt, Poly, linalg
@@ -133,6 +133,14 @@ def build_admissible(dit: Dit, b_arrows: Sequence[str],
     indecomposables, each hosted on B's own presentation.  regular: (label,
     point, extra_inverted) case-2 summands; the B-arrows must act as zero
     there, so regular summands may not sit at an arrow endpoint.
+
+    The findim precondition is what makes each summand's S-factor trivial
+    and what `_radical_basis` builds P from: for pairwise non-isomorphic
+    indecomposables X_i, rad(X_i, X_j) = Hom(X_i, X_j) when i != j, and the
+    diagonal block is rad End(X_i) (Auslander, Reiten & Smalo, ch. V).
+    `check` verifies it through an IsoClassIndex; without it the caller
+    vouches for it, as the pipeline does for its simples, projectives and
+    distinct companion blocks.
     """
     b = dit.bigraph
     F = b.field
@@ -151,6 +159,7 @@ def build_admissible(dit: Dit, b_arrows: Sequence[str],
         summands.append(Summand("regular", label, point=point,
                                 extra_inverted=tuple(p.monic() for p in extra)))
     findim_summands = [s for s in summands if s.kind == "findim"]
+    ends: List[EndAlgebra] = []
     if check:
         index = IsoClassIndex(b_dit)
         for s in findim_summands:
@@ -160,6 +169,7 @@ def build_admissible(dit: Dit, b_arrows: Sequence[str],
                 raise AdmissibleError("findim summands must be indecomposable") from None
             if not new:
                 raise AdmissibleError("findim summands must be pairwise non-isomorphic")
+        ends = index.ends
 
     # dual basis of X over S
     x_basis: List[DualBasisElement] = []
@@ -172,7 +182,7 @@ def build_admissible(dit: Dit, b_arrows: Sequence[str],
             x_basis.append(DualBasisElement(len(x_basis), s, s.point, 0))
     x_at = {p: [x for x in x_basis if x.point == p] for p in b.point_order}
 
-    p_basis = _radical_basis(b_dit, findim_summands)
+    p_basis = _radical_basis(b_dit, findim_summands, ends)
 
     def action(x: DualBasisElement, pj: RadBasisElement) -> List:
         """x . p_j = p_j(x) over the x-basis."""
@@ -194,34 +204,28 @@ def build_admissible(dit: Dit, b_arrows: Sequence[str],
     return adm
 
 
-def _radical_basis(b_dit: Dit, summands: List[Summand]) -> List[RadBasisElement]:
+def _radical_basis(b_dit: Dit, summands: List[Summand],
+                   ends: Sequence[EndAlgebra] = ()) -> List[RadBasisElement]:
     """A basis of P, the radical of End_B(Z) for Z the sum of the findim
-    summands, made of the (dom, cod)-summand components of its elements."""
-    if not summands:
-        return []
-    F, pts = b_dit.field, b_dit.bigraph.point_order
-    E = EndAlgebra(b_dit, direct_sum([s.rep for s in summands]))
-    offs = {p: list(itertools.accumulate([0] + [s.rep.dims[p] for s in summands]))
-            for p in pts}
-    pieces: Dict[Tuple[int, int], List[MorphismPair]] = {}
-    for vec in E.rad:
-        f = E.from_coordinates(vec)
-        for (si, dom), (sj, cod) in itertools.product(enumerate(summands), repeat=2):
-            piece = zero_morphism(dom.rep, cod.rep)
-            for p in pts:
-                piece.f0[p] = f.f0[p].submatrix(offs[p][sj], offs[p][sj + 1],
-                                                offs[p][si], offs[p][si + 1])
-            if not piece.is_zero():
-                pieces.setdefault((si, sj), []).append(piece)
+    summands, built one (dom, cod) block at a time in sorted order.
+
+    The summands are pairwise non-isomorphic indecomposables, the
+    precondition of `build_admissible`.  The radical of End(Z) is then the
+    sum of its blocks rad(X_i, X_j): Hom(X_i, X_j) for i != j, as no map
+    between non-isomorphic indecomposables is an isomorphism, and
+    rad End(X_i) on the diagonal (Auslander, Reiten & Smalo, Representation
+    Theory of Artin Algebras, ch. V).  So no End algebra of Z is built: a
+    Hom basis per pair and the radical of each End(X_i), which is ends[i]
+    when the caller has the End algebras already."""
     basis: List[RadBasisElement] = []
-    for (si, sj), group in sorted(pieces.items()):
-        dom, cod = summands[si], summands[sj]
-        rows: List[List] = []
-        for piece in group:
-            vec = pair_to_vector(b_dit, dom.rep, cod.rep, piece)
-            if not linalg.row_space_contains(F, rows, vec):
-                rows.append(vec)
-                basis.append(RadBasisElement(len(basis), piece, dom, cod))
+    for (i, dom), (j, cod) in itertools.product(enumerate(summands), repeat=2):
+        if i == j:
+            E = ends[i] if ends else EndAlgebra(b_dit, dom.rep)
+            # a one-dimensional End(X_i) is k, with no radical
+            block = [E.from_coordinates(vec) for vec in E.rad] if E.dim > 1 else []
+        else:
+            block = hom(b_dit, dom.rep, cod.rep)
+        basis += [RadBasisElement(len(basis) + k, f, dom, cod) for k, f in enumerate(block)]
     return basis
 
 

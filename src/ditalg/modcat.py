@@ -1227,14 +1227,20 @@ class IsoClassIndex:
     `splits_in_coordinates`, a direct sum visible in M's own matrices.  Any
     other M gets End(M) built once: its locality (`_locality`) decides that M
     is indecomposable (DecomposableError otherwise), and the same End data
-    matches M against the classes of its bucket by `_indec_iso`.  `classes`
-    lists the stored representatives in the order they were added.
+    matches M against the classes of its bucket by `_indec_iso`.  `ends`
+    keeps the End algebra of each stored representative, in the order they
+    were added, so another index can `match` them with no second locality
+    decision; `classes` lists the representatives themselves.
     """
 
     def __init__(self, dit: Dit):
         self.dit = dit
-        self.classes: List[Rep] = []
+        self.ends: List[EndAlgebra] = []
         self._buckets: Dict[Tuple[int, ...], List[Rep]] = {}
+
+    @property
+    def classes(self) -> List[Rep]:
+        return [E.M for E in self.ends]
 
     def _local_end(self, M: Rep) -> EndAlgebra:
         if M.is_zero():
@@ -1246,7 +1252,10 @@ class IsoClassIndex:
             raise DecomposableError("module is decomposable")
         return E
 
-    def _match(self, E: EndAlgebra) -> Optional[Rep]:
+    def match(self, E: EndAlgebra) -> Optional[Rep]:
+        """The stored class isomorphic to M = E.M, or None, for an End
+        algebra E over this index's presentation already known to be local
+        (as the `ends` of any IsoClassIndex are)."""
         for N in self._buckets.get(E.M.dim_vector(), ()):
             if _indec_iso(E, N) is not None:
                 return N
@@ -1254,15 +1263,16 @@ class IsoClassIndex:
 
     def find(self, M: Rep) -> Optional[Rep]:
         """The stored class isomorphic to the indecomposable M, or None."""
-        return self._match(self._local_end(M))
+        return self.match(self._local_end(M))
 
     def add(self, M: Rep) -> bool:
         """Store the indecomposable M unless its class is present; True when
         M is new."""
-        if self._match(self._local_end(M)) is not None:
+        E = self._local_end(M)
+        if self.match(E) is not None:
             return False
         self._buckets.setdefault(M.dim_vector(), []).append(M)
-        self.classes.append(M)
+        self.ends.append(E)
         return True
 
 

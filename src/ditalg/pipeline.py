@@ -651,8 +651,10 @@ def classify(dit: Dit, d: int, budget: int = 200, lambda_sample: Sequence = ()):
                                   families=families, exceptional=exceptional)
 
     if F.char and _brute_feasible(dit, d):
-        residue = [cls for cls in brute_force_indecomposables(dit, d)
-                   if index.find(cls) is None]
+        # the referee has decided each class's End algebra local: match those
+        referee = IsoClassIndex(dit)
+        brute_force_indecomposables(dit, d, referee)
+        residue = [E.M for E in referee.ends if index.match(E) is None]
         report.brute_residue = residue
         if residue:
             report.notes.append(
@@ -684,9 +686,12 @@ def _brute_feasible(dit: Dit, d: int) -> bool:
     return dit.field.char ** worst <= 10 ** 6
 
 
-def brute_force_indecomposables(dit: Dit, d: int) -> List[Rep]:
+def brute_force_indecomposables(dit: Dit, d: int,
+                                index: Optional[IsoClassIndex] = None) -> List[Rep]:
     """Exhaustive enumeration of indecomposables with total dimension <= d
-    over a finite field, up to isomorphism.
+    over a finite field, up to isomorphism.  The classes are collected in
+    `index`, an empty IsoClassIndex over `dit` (a fresh one by default), so
+    a caller that passes one can read their End algebras off `index.ends`.
 
     The candidates are those of `_referee_candidates`.  One that
     `splits_in_coordinates` is a direct sum of the classes of basis vectors
@@ -694,7 +699,8 @@ def brute_force_indecomposables(dit: Dit, d: int) -> List[Rep]:
     without an End algebra: the coordinate projection onto a class is a
     nontrivial idempotent of End(M), exactly.  Every other candidate passes
     `Rep.validate` and `IsoClassIndex.add`."""
-    index = IsoClassIndex(dit)
+    if index is None:
+        index = IsoClassIndex(dit)
     for rep in _referee_candidates(dit, d):
         if splits_in_coordinates(rep) or rep.validate() is not None:
             continue

@@ -69,19 +69,38 @@ def mul_keys(ring: Optional[LocalizedRing], k1: BasisKey, k2: BasisKey):
     return decompose_locelt(ring, prod)
 
 
-@dataclass(frozen=True)
 class Word:
     """Decorated path.  `arrows` are in application order (index 0 acts
     first); `coeffs[i]` is the decoration at the i-th point of the path, so
-    `coeffs[0]` sits at the start point and `coeffs[-1]` at the end."""
+    `coeffs[0]` sits at the start point and `coeffs[-1]` at the end.
 
-    start: str
-    arrows: Tuple[str, ...]
-    coeffs: Tuple[BasisKey, ...]
+    A value: equal and hashed as the tuple (start, arrows, coeffs), whose
+    hash is computed once, as every term dictionary looks words up.  The
+    fields are never reassigned."""
 
-    def __post_init__(self):
-        if len(self.coeffs) != len(self.arrows) + 1:
+    __slots__ = ("start", "arrows", "coeffs", "_hash")
+
+    def __init__(self, start: str, arrows: Tuple[str, ...], coeffs: Tuple[BasisKey, ...]):
+        if len(coeffs) != len(arrows) + 1:
             raise ValueError("decoration count must be arrow count + 1")
+        self.start = start
+        self.arrows = arrows
+        self.coeffs = coeffs
+        self._hash = hash((start, arrows, coeffs))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Word:
+            return NotImplemented
+        return (self._hash == other._hash and self.start == other.start
+                and self.arrows == other.arrows and self.coeffs == other.coeffs)
+
+    def __repr__(self):
+        return f"Word(start={self.start!r}, arrows={self.arrows!r}, coeffs={self.coeffs!r})"
 
     def path(self, b: Bigraph) -> List[str]:
         pts = [self.start]

@@ -697,6 +697,52 @@ def test_referee_end_algebras_build_few_morphism_pairs(monkeypatch):
     assert 0 < calls[0] <= 420
 
 
+def test_exk_f3_plan_composes_little_and_takes_no_charpoly(monkeypatch):
+    # the radical P of each admissible step came from End of the direct sum
+    # of its summands: 182 compositions and 28 characteristic polynomials;
+    # built block by block from Hom spaces and each summand's own End
+    # algebra, with no table for a one-dimensional one, 7 and 0
+    from ditalg import admissible, modcat
+
+    calls = {"compose": 0, "charpoly": 0}
+
+    def counted(name):
+        real = getattr(modcat, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return real(*args)
+        return counting
+
+    for name in calls:
+        wrapper = counted(name)
+        monkeypatch.setattr(modcat, name, wrapper)
+        if hasattr(admissible, name):
+            monkeypatch.setattr(admissible, name, wrapper)
+    dit = exk(F3)
+    certify(dit)
+    reduce_to_minimal(dit, 4)
+    assert 0 < calls["compose"] <= 8
+    assert calls["charpoly"] == 0
+
+
+@pytest.mark.parametrize("F, d, residue", [(F3, 4, 3), (F5, 4, 14), (F2, 6, 3)],
+                         ids=["F3-4", "F5-4", "F2-6"])
+def test_brute_residue_matches_the_referee_classes_found_anew(F, d, residue):
+    # classify matches the End algebras the referee has decided local; a
+    # fresh `find` on each referee class, which rebuilds End(cls), agrees
+    from ditalg.modcat import IsoClassIndex
+
+    dit = exk(F)
+    report = classify(dit, d)
+    index = IsoClassIndex(dit)
+    for img in report.indecomposables:
+        index.add(img)
+    expected = [c for c in brute_force_indecomposables(dit, d) if index.find(c) is None]
+    assert len(report.brute_residue) == len(expected) == residue
+    assert all(rep_equal(a, b) for a, b in zip(report.brute_residue, expected))
+
+
 @pytest.mark.parametrize("error", ["CertificationError", "AdmissibleError", "ModcatError",
                                    "BigraphError"])
 def test_a_failed_step_ends_in_a_named_obstruction(monkeypatch, error):

@@ -726,3 +726,106 @@ def test_deletion_keeping_every_point_multiplies_nothing(monkeypatch):
     assert all(nd.delta.of_arrow(a).terms == d.delta.of_arrow(a).terms
                for a in d.bigraph.arrows)
     assert [g.terms for g in nd.ideal.generators] == [g.terms for g in d.ideal.generators]
+
+
+def _old_radical_blocks(b_dit, summands):
+    """The radical of End(Z), Z the direct sum of the summands, by
+    `algebra_radical` on Z's own End algebra, as coordinate vectors of that
+    algebra; and each radical element's (dom, cod) block, embedded back in Z."""
+    from ditalg.modcat import EndAlgebra, algebra_radical
+
+    F, pts = b_dit.field, b_dit.bigraph.point_order
+    Z = direct_sum([s.rep for s in summands])
+    E = EndAlgebra(b_dit, Z)
+    offs = {p: list(itertools.accumulate([0] + [s.rep.dims[p] for s in summands]))
+            for p in pts}
+
+    def embed(f, si, sj):
+        out = zero_morphism(Z, Z)
+        for p in pts:
+            for r, row in enumerate(f.f0[p].data):
+                for c, v in enumerate(row):
+                    out.f0[p].data[offs[p][sj] + r][offs[p][si] + c] = v
+        return out
+
+    def block(f, si, sj):
+        return {p: f.f0[p].submatrix(offs[p][sj], offs[p][sj + 1],
+                                     offs[p][si], offs[p][si + 1]) for p in pts}
+
+    return E, algebra_radical(F, E.table, E.dim), embed, block
+
+
+def test_radical_blocks_equal_the_radical_of_the_direct_sum(monkeypatch):
+    # P is built one (dom, cod) block at a time from Hom spaces and the
+    # radicals of the summands' own End algebras; on every admissible step
+    # of these plans (stellar_case1's has torsion steps) it spans the
+    # radical of End of the direct sum, with the same dimension per block
+    from ditalg import admissible
+    from ditalg.fixtures import exl, stellar_case1
+    from ditalg.pipeline import reduce_to_minimal
+    from ditalg.scalars import QQ, linalg
+
+    calls = []
+    real = admissible._radical_basis
+
+    def recording(b_dit, summands, ends=()):
+        out = real(b_dit, summands, ends)
+        calls.append((b_dit, summands, out))
+        return out
+
+    monkeypatch.setattr(admissible, "_radical_basis", recording)
+    for dit, d in ((exk(F3), 4), (exk(QQ), 6), (exl(F2), 4), (stellar_case1(F3), 3)):
+        reduce_to_minimal(dit, d)
+    assert any(s.rep.point_ops for _, summands, _ in calls for s in summands)
+    seen = set()
+    for b_dit, summands, p_basis in calls:
+        if not summands:
+            assert not p_basis
+            continue
+        F = b_dit.field
+        E, rad, embed, block = _old_radical_blocks(b_dit, summands)
+        pos = {id(s): i for i, s in enumerate(summands)}
+        new = [E.coordinates(embed(pb.pair, pos[id(pb.dom)], pos[id(pb.cod)]))
+               for pb in p_basis]
+        assert linalg.rank(F, new) == len(new) == len(rad)
+        assert linalg.rank(F, new + rad) == len(rad)
+        rad_maps = [E.from_coordinates(v) for v in rad]
+        for si, sj in itertools.product(range(len(summands)), repeat=2):
+            pieces = [[c for p in b_dit.bigraph.point_order
+                       for row in block(f, si, sj)[p].data for c in row]
+                      for f in rad_maps]
+            count = sum(1 for pb in p_basis
+                        if pos[id(pb.dom)] == si and pos[id(pb.cod)] == sj)
+            assert linalg.rank(F, pieces) == count
+            if count:
+                seen.add(si == sj)
+        assert [(pos[id(pb.dom)], pos[id(pb.cod)]) for pb in p_basis] == sorted(
+            (pos[id(pb.dom)], pos[id(pb.cod)]) for pb in p_basis)
+    assert seen == {False, True}       # off-diagonal and diagonal blocks both met
+
+
+def test_checked_admissible_builds_each_summand_end_once(monkeypatch):
+    # the check decides each summand's End algebra local; the diagonal
+    # blocks of P reuse those, so no End algebra is built twice
+    from ditalg import modcat
+    from ditalg.admissible import _sub_bigraph_dit
+
+    d = ex1(F3)
+    certify(d)
+    b_dit = _sub_bigraph_dit(d, ["a"])
+    certify(b_dit)
+    findim = list(zip(("s1", "s2", "p1"), a2_indecomposables(b_dit, F3)))
+    built = [0]
+    init = modcat.EndAlgebra.__init__
+
+    def counting(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(modcat.EndAlgebra, "__init__", counting)
+    for check in (True, False):
+        built[0] = 0
+        adm = build_admissible(d, ["a"], findim=findim, check=check)
+        assert built[0] == 3
+        assert sorted((pb.dom.label, pb.cod.label) for pb in adm.p_basis) == \
+            [("p1", "s1"), ("s2", "p1")]

@@ -6,7 +6,7 @@ from ditalg.bigraph import Bigraph, Factor, height_maps, BigraphError
 from ditalg.fixtures import ex1, ex2, exi, exk
 from ditalg.scalars import PrimeField, Poly, QQ, LocalizedRing, LocElt
 from ditalg.tensor import (
-    Differential, Elem, Layer, Word, decompose_locelt, graded_component_basis,
+    UNIT, Differential, Elem, Layer, Word, decompose_locelt, graded_component_basis,
     key_to_locelt, mul_keys,
 )
 
@@ -392,3 +392,32 @@ def test_elem_arithmetic_matches_naive_accumulation(char, data):
         want = {} if F.is_zero(c) else {k: F.mul(c, s) for k, s in u.terms.items()}
         _assert_stored(u.scale(c), want)
     assert (u + u.scale(minus_one)).is_zero()
+
+
+_DECORATION = st.sampled_from([UNIT, (1, 0), (0, 1)])
+_WORD_FIELDS = st.tuples(
+    st.sampled_from(["1", "2"]),
+    st.lists(st.sampled_from(["a", "b"]), max_size=2).map(tuple),
+).flatmap(lambda sa: st.tuples(
+    st.just(sa[0]), st.just(sa[1]),
+    st.lists(_DECORATION, min_size=len(sa[1]) + 1, max_size=len(sa[1]) + 1).map(tuple)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_WORD_FIELDS, _WORD_FIELDS)
+def test_word_equality_and_hash_are_those_of_its_fields(s, t):
+    # a Word compares and hashes as its (start, arrows, coeffs) tuple
+    u, v = Word(*s), Word(*t)
+    assert (u.start, u.arrows, u.coeffs) == s
+    assert hash(u) == hash(s)
+    assert (u == v) == (s == t) and (u != v) == (s != t)
+    assert ({u: 1}.get(Word(*t)) == 1) == (s == t)
+    assert u != s and repr(u) == f"Word(start={s[0]!r}, arrows={s[1]!r}, coeffs={s[2]!r})"
+
+
+def test_word_rejects_a_wrong_decoration_count():
+    with pytest.raises(ValueError, match="decoration count"):
+        Word("1", ("a",), (UNIT,))
+    with pytest.raises(ValueError, match="decoration count"):
+        Word("1", (), (UNIT, UNIT))
+    assert str(Word("1", ("a", "b"), (UNIT, (1, 0), UNIT))) == "b*[x^1/h^0]*a"
