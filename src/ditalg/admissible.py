@@ -529,25 +529,31 @@ def reduce_admissible(dit: Dit, adm: AdmissibleModuleData,
     arrow_sigma = {a.name: entries(sigma.letter_arrow(a.name), a.source, a.target)
                    for a in b.solid_arrows()}
 
-    def offsets(N: Rep, p: str) -> List[int]:
-        return list(itertools.accumulate([0] + [N.dims[x.summand.label] for x in x_at[p]]))
-
-    def assemble(N: Rep, src: str, dst: str, ents) -> Mat:
-        roffs, coffs = offsets(N, dst), offsets(N, src)
+    def assemble(N: Rep, roffs: List[int], coffs: List[int], src: str, dst: str, ents) -> Mat:
+        """The matrix of one letter on F^X(N), with N's block at each
+        sigma entry; an entry whose row or column block N leaves empty
+        writes nothing, so it is skipped."""
         out = Mat(N.ring, roffs[-1], coffs[-1])
+        if not out.rows or not out.cols:
+            return out
         for ri, ci, e in ents:
+            r0, c0, c1 = roffs[ri], coffs[ci], coffs[ci + 1]
+            if r0 == roffs[ri + 1] or c0 == c1:
+                continue
             blk = N.elem_action(e, x_at[src][ci].summand.label, x_at[dst][ri].summand.label)
             for i, row in enumerate(blk.data):
-                out.data[roffs[ri] + i][coffs[ci]:coffs[ci + 1]] = row
+                out.data[r0 + i][c0:c1] = row
         return out
 
     def apply_rep(N: Rep) -> Rep:
-        M = Rep(dit, {p: offsets(N, p)[-1] for p in b.point_order}, ring=N.ring)
-        for p, ents in point_sigma.items():
-            M.point_ops[p] = assemble(N, p, p, ents)
-        for a in b.solid_arrows():
-            M.arrow_ops[a.name] = assemble(N, a.source, a.target, arrow_sigma[a.name])
-        return M
+        offs = {p: list(itertools.accumulate([0] + [N.dims[x.summand.label] for x in x_at[p]]))
+                for p in b.point_order}
+        return Rep(dit, {p: offs[p][-1] for p in b.point_order},
+                   {a.name: assemble(N, offs[a.target], offs[a.source], a.source, a.target,
+                                     arrow_sigma[a.name]) for a in b.solid_arrows()},
+                   {p: assemble(N, offs[p], offs[p], p, p, ents)
+                    for p, ents in point_sigma.items()},
+                   ring=N.ring)
 
     functor = ReductionFunctor(kind="admissible", source=dit, target=new_dit,
                                apply_rep=apply_rep, dim_scale=adm.c_x)

@@ -79,6 +79,9 @@ class Bigraph:
             self._add_arrow(name, s, t, dashed=False)
         for name, s, t in dashed:
             self._add_arrow(name, s, t, dashed=True)
+        # arrows never change after construction either
+        self._solid = tuple(a for a in self.arrows.values() if not a.dashed)
+        self._dashed = tuple(a for a in self.arrows.values() if a.dashed)
 
     def _add_arrow(self, name, s, t, dashed):
         if name in self.arrows:
@@ -90,11 +93,11 @@ class Bigraph:
 
     # -- views -----------------------------------------------------------
 
-    def solid_arrows(self) -> List[Arrow]:
-        return [a for a in self.arrows.values() if not a.dashed]
+    def solid_arrows(self) -> Tuple[Arrow, ...]:
+        return self._solid
 
-    def dashed_arrows(self) -> List[Arrow]:
-        return [a for a in self.arrows.values() if a.dashed]
+    def dashed_arrows(self) -> Tuple[Arrow, ...]:
+        return self._dashed
 
     def arrow(self, name: str) -> Arrow:
         return self.arrows[name]

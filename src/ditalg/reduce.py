@@ -163,7 +163,11 @@ def _pushforward(dit: Dit, tgt: Bigraph, changed: Dict[str, Elem], name: str,
     `_fixed_letters` names and sends the other generators as
     `_generator_images` says.  delta'(t) = phi(delta(lifts[t])) for a lifted
     t and phi(delta(t)) otherwise; I' is generated by phi(I).  The fixed set
-    is derived once, so each push copies the all-fixed words verbatim.
+    is derived once, so each push copies the all-fixed words verbatim.  A
+    value of a target arrow with the name, endpoints and kind it has in the
+    source, made only of fixed letters, is copied whole and not validated
+    again: the source presentation validated it, and fixed letters keep
+    their kind and endpoints.  Every other value is validated.
     Raises ReductionError on a target arrow that is neither lifted nor a
     source generator, and unless delta' phi = phi delta on every generator
     other than a fixed letter, where it holds by definition."""
@@ -176,15 +180,21 @@ def _pushforward(dit: Dit, tgt: Bigraph, changed: Dict[str, Elem], name: str,
         return _map_elem(b, tgt, images, e, same, fixed)
 
     values: Dict[str, Elem] = {}
-    for t in tgt.arrows:
+    copied = set()
+    for t, arr in tgt.arrows.items():
         if t in lifts:
             values[t] = push(dit.delta.apply(lifts[t]))
         elif t in b.arrows:
-            values[t] = push(dit.delta.of_arrow(t))
+            v = dit.delta.of_arrow(t)
+            if b.arrows[t] == arr and all(a in fixed for w in v.terms for a in w.arrows):
+                values[t] = Elem.nonzero(tgt, dict(v.terms))  # what push(v) returns
+                copied.add(t)
+            else:
+                values[t] = push(v)
         else:
             raise ReductionError(f"target arrow {t} is neither lifted nor a source generator")
     layer = Layer(tgt)
-    delta = Differential(layer, values)
+    delta = Differential(layer, values, _copied=copied)
     for s, img in images.items():  # a fixed letter s has delta'(s) = phi(delta(s))
         if push(dit.delta.of_arrow(s)) != delta.apply(img):
             raise ReductionError(f"commuting square fails at generator {s}")
@@ -202,25 +212,27 @@ def induced_reduction(dit: Dit, target_bigraph: Bigraph, changed: Dict[str, Elem
     """Reduction along phi, which sends the generators named in `changed` to
     their given images and fixes the rest (see `_pushforward`); a module N
     over the target goes to phi^* N, which reads a fixed letter's matrix off
-    N directly."""
+    N directly and builds every other matrix once, acting by an image only
+    where N has support at both of its ends."""
     b = dit.bigraph
     tgt = target_bigraph
     new_dit = _pushforward(dit, tgt, changed, name, lifts)
 
     def apply_rep(N: Rep) -> Rep:
-        M = Rep(dit, {p: N.dims[p] if p in tgt.points else 0 for p in b.point_order},
-                ring=N.ring)
+        dims = {p: N.dims[p] if p in tgt.points else 0 for p in b.point_order}
+        arrow_ops = {}
         for arr in b.solid_arrows():
             img = changed.get(arr.name)
-            if img is None:
-                if arr.name in tgt.arrows:
-                    M.arrow_ops[arr.name] = N.arrow_ops[arr.name]
-            elif not img.is_zero():
-                M.arrow_ops[arr.name] = N.elem_action(img, arr.source, arr.target)
-        for p in b.point_order:
-            if p in tgt.points and not b.factor(p).is_trivial:
-                M.point_ops[p] = N.point_ops[p]
-        return M
+            rows, cols = dims[arr.target], dims[arr.source]
+            if img is None and arr.name in tgt.arrows:
+                arrow_ops[arr.name] = N.arrow_ops[arr.name]
+            elif img is not None and rows and cols and not img.is_zero():
+                arrow_ops[arr.name] = N.elem_action(img, arr.source, arr.target)
+            else:
+                arrow_ops[arr.name] = Mat(N.ring, rows, cols)
+        point_ops = {p: N.point_ops[p] if p in tgt.points else Mat(N.ring, 0, 0)
+                     for p in b.point_order if not b.factor(p).is_trivial}
+        return Rep(dit, dims, arrow_ops, point_ops, ring=N.ring)
 
     functor = ReductionFunctor(kind=kind, source=dit, target=new_dit, apply_rep=apply_rep)
     return new_dit, functor
@@ -382,16 +394,10 @@ def absorb(dit: Dit, loop_arrow: str, name: str = "") -> Tuple[Dit, ReductionFun
     # N's matrices are reinterpreted as they are, which is cheaper than the
     # generic phi^* of `induced_reduction`
     def apply_rep(N: Rep) -> Rep:
-        M = Rep(dit, dict(N.dims), ring=N.ring)
-        for a in b.solid_arrows():
-            if a.name == loop_arrow:
-                M.arrow_ops[a.name] = N.point_ops[point]
-            else:
-                M.arrow_ops[a.name] = N.arrow_ops[a.name]
-        for p in b.point_order:
-            if not b.factor(p).is_trivial:
-                M.point_ops[p] = N.point_ops[p]
-        return M
+        arrow_ops = {a.name: N.point_ops[point] if a.name == loop_arrow else
+                     N.arrow_ops[a.name] for a in b.solid_arrows()}
+        point_ops = {p: N.point_ops[p] for p in b.point_order if not b.factor(p).is_trivial}
+        return Rep(dit, dict(N.dims), arrow_ops, point_ops, ring=N.ring)
 
     functor = ReductionFunctor(kind="absorption", source=dit, target=new_dit,
                                apply_rep=apply_rep)
@@ -431,13 +437,10 @@ def detach_source(dit: Dit, point: str, name: str = "") -> Tuple[Dit, ReductionF
     new_dit = _pushforward(dit, tgt, {}, name or f"{dit.name}^o")
 
     def res_rep(M: Rep) -> Rep:
-        out = Rep(new_dit, dict(M.dims), ring=M.ring)
-        for a in tgt.solid_arrows():
-            out.arrow_ops[a.name] = M.arrow_ops[a.name]
-        for p in tgt.point_order:
-            if not tgt.factor(p).is_trivial:
-                out.point_ops[p] = M.point_ops[p]
-        return out
+        return Rep(new_dit, dict(M.dims),
+                   {a.name: M.arrow_ops[a.name] for a in tgt.solid_arrows()},
+                   {p: M.point_ops[p] for p in tgt.point_order if not tgt.factor(p).is_trivial},
+                   ring=M.ring)
 
     functor = ReductionFunctor(kind="detachment", source=dit, target=new_dit,
                                apply_rep=res_rep)

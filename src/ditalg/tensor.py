@@ -14,7 +14,7 @@ carry the unit decoration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from .bigraph import Bigraph, BigraphError
 from .scalars import LocElt, LocalizedRing, Poly, linalg
@@ -309,7 +309,13 @@ class Differential:
     """Generator values delta0 (solid -> degree 1) and delta1 (dashed ->
     degree 2), extended to the whole algebra by the graded Leibniz rule."""
 
-    def __init__(self, layer: Layer, values: Dict[str, Elem]):
+    def __init__(self, layer: Layer, values: Dict[str, Elem],
+                 _copied: AbstractSet[str] = frozenset()):
+        """Each value is checked to be homogeneous of the arrow's degree and
+        to run between its endpoints.  `_copied` is internal to the
+        pushforward: it names values copied whole from a validated
+        presentation through letters that keep their kind and endpoints,
+        which are stored unchecked."""
         self.layer = layer
         b = layer.bigraph
         self.values: Dict[str, Elem] = {}
@@ -317,12 +323,13 @@ class Differential:
             v = values.get(name)
             if v is None:
                 v = Elem.zero(b)
-            expected = 2 if arr.dashed else 1
-            for w, _ in v.terms.items():
-                if w.degree(b) != expected:
-                    raise ValueError(f"delta({name}) must be homogeneous of degree {expected}")
-                if w.start != arr.source or w.end(b) != arr.target:
-                    raise ValueError(f"delta({name}) violates the bimodule constraint")
+            elif name not in _copied:
+                expected = 2 if arr.dashed else 1
+                for w in v.terms:
+                    if w.degree(b) != expected:
+                        raise ValueError(f"delta({name}) must be homogeneous of degree {expected}")
+                    if w.start != arr.source or w.end(b) != arr.target:
+                        raise ValueError(f"delta({name}) violates the bimodule constraint")
             self.values[name] = v
 
     @property

@@ -677,6 +677,31 @@ def test_classify_exk_q6_field_operation_count(monkeypatch):
     assert calls["mul"] <= 5_240
 
 
+def test_classify_exk_q6_step_functor_and_validation_count(monkeypatch):
+    # 2,630 module actions by tensor elements when every step functor acted
+    # on every sigma entry and image, most of them on zero-dimensional
+    # blocks, 132 now; 17,398 word degrees when every pushforward validated
+    # every delta value, 8,761 now that a value copied whole is not validated
+    # again
+    from ditalg.tensor import Word
+
+    calls = {"elem_action": 0, "degree": 0}
+
+    def counted(cls, name):
+        method = getattr(cls, name)
+
+        def counting(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return counting
+
+    monkeypatch.setattr(Rep, "elem_action", counted(Rep, "elem_action"))
+    monkeypatch.setattr(Word, "degree", counted(Word, "degree"))
+    classify(exk(QQ), 6)
+    assert calls["elem_action"] <= 150
+    assert calls["degree"] <= 9_640
+
+
 def test_referee_end_algebras_build_few_morphism_pairs(monkeypatch):
     # every End algebra turned each of its kernel vectors into a morphism
     # pair at once: 789 conversions; the Fitting-rank scan reads the f0

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -691,6 +692,247 @@ def test_verbatim_copy_equals_the_full_push(monkeypatch):
             assert list(pushed.terms.items()) == \
                 list(reduce._map_elem(b, tgt, full, e).terms.items())
     assert copied
+
+
+def _plan_steps():
+    """The steps of the exk Q/6, exk F3/4, exl F2/4 and stellar_case1 F3/3
+    plans, and those of stellar_case2 F3/2 before its obstruction, which
+    include base changes."""
+    from ditalg.fixtures import exl, stellar_case1, stellar_case2
+    from ditalg.pipeline import Obstruction, reduce_to_minimal
+    from ditalg.scalars import QQ
+
+    out = []
+    for dit, d in ((exk(QQ), 6), (exk(F3), 4), (exl(F2), 4), (stellar_case1(F3), 3),
+                   (stellar_case2(F3), 2)):
+        result = reduce_to_minimal(dit, d)
+        out += result.steps if isinstance(result, Obstruction) else result[0].steps
+    return out
+
+
+def _zero_then_overwrite(dit, N, arrow_ops, point_ops, dims=None):
+    """The source-side module built the way the step functors once built it:
+    every matrix zero first, then overwritten by the given ones."""
+    M = Rep(dit, dict(N.dims) if dims is None else dims, ring=N.ring)
+    M.arrow_ops.update(arrow_ops)
+    M.point_ops.update(point_ops)
+    return M
+
+
+def _full_induced(dit, tgt, changed, N):
+    """phi^* N with every image sent through `elem_action`, zero or not."""
+    b = dit.bigraph
+    dims = {p: N.dims[p] if p in tgt.points else 0 for p in b.point_order}
+    arrow_ops = {}
+    for a in b.solid_arrows():
+        if a.name in changed:
+            arrow_ops[a.name] = N.elem_action(changed[a.name], a.source, a.target)
+        elif a.name in tgt.arrows:
+            arrow_ops[a.name] = N.arrow_ops[a.name]
+    point_ops = {p: N.point_ops[p] for p in b.point_order
+                 if p in tgt.points and not b.factor(p).is_trivial}
+    return _zero_then_overwrite(dit, N, arrow_ops, point_ops, dims)
+
+
+def _full_absorption(dit, loop, N):
+    """N's matrices reinterpreted, the loop's as the x-action at its point."""
+    b = dit.bigraph
+    point = b.arrow(loop).source
+    return _zero_then_overwrite(
+        dit, N, {a.name: N.point_ops[point] if a.name == loop else N.arrow_ops[a.name]
+                 for a in b.solid_arrows()},
+        {p: N.point_ops[p] for p in b.point_order if not b.factor(p).is_trivial})
+
+
+def _full_admissible(dit, adm, tgt, N):
+    """F^X(N) with every sigma entry of every letter sent through
+    `elem_action`, whatever N's dimensions at its row and column blocks."""
+    from ditalg.admissible import SigmaExpander
+
+    b = dit.bigraph
+    x_at = {p: [x for x in adm.x_basis if x.point == p] for p in b.point_order}
+    names = {(a.name, u.index, v.index): f"{a.name}[{u.label};{v.label}]"
+             for a in b.arrows.values() if a.name not in adm.b_arrows
+             for v in x_at[a.source] for u in x_at[a.target]}
+    sigma = SigmaExpander(adm, tgt, names, x_at)
+    offs = {p: list(itertools.accumulate([0] + [N.dims[x.summand.label] for x in x_at[p]]))
+            for p in b.point_order}
+
+    def full(mat, src, dst):
+        out = Mat(N.ring, offs[dst][-1], offs[src][-1])
+        for ri, u in enumerate(x_at[dst]):
+            for ci, v in enumerate(x_at[src]):
+                e = mat.get(u.index, {}).get(v.index)
+                if e is not None:
+                    blk = N.elem_action(e, v.summand.label, u.summand.label)
+                    for i, row in enumerate(blk.data):
+                        out.data[offs[dst][ri] + i][offs[src][ci]:offs[src][ci + 1]] = row
+        return out
+
+    return _zero_then_overwrite(
+        dit, N, {a.name: full(sigma.letter_arrow(a.name), a.source, a.target)
+                 for a in b.solid_arrows()},
+        {p: full(sigma.letter_decoration(p, (1, 0)), p, p)
+         for p in b.point_order if not b.factor(p).is_trivial},
+        {p: offs[p][-1] for p in b.point_order})
+
+
+def _step_inputs(tgt):
+    """The simple at each trivial point and the generic module at each
+    rational point of `tgt`, and one module that is zero-dimensional at the
+    first point and one-dimensional at every other, with every arrow matrix
+    [1] and x acting by a scalar at which no inverted polynomial vanishes
+    (dimension zero at a rational point with no such scalar).  `apply_rep`
+    never checks the ideal, so this last module need not be valid."""
+    from ditalg.bimodule import generic_regular
+
+    b, F = tgt.bigraph, tgt.field
+    out = [simple_at(tgt, p) if b.factor(p).is_trivial else generic_regular(tgt, p)
+           for p in b.point_order]
+    dims, point_ops = {}, {}
+    for p in b.point_order[1:]:
+        inverted = b.factor(p).inverted
+        if inverted is None:
+            dims[p] = 1
+            continue
+        lam = next((c for c in map(F.from_int, range(8))
+                    if all(h.eval(c) for h in inverted)), None)
+        if lam is not None:
+            dims[p] = 1
+            point_ops[p] = Mat(F, 1, 1, [[lam]])
+    ones = {a.name: Mat(F, dims.get(a.target, 0), dims.get(a.source, 0),
+                        [[F.one]] if dims.get(a.target) and dims.get(a.source) else None)
+            for a in b.solid_arrows()}
+    out.append(Rep(tgt, dims, ones, point_ops))
+    return out
+
+
+def test_step_functors_equal_the_full_assembly(monkeypatch):
+    # each step functor builds its matrices once, and F^X acts only at the
+    # sigma entries whose row and column blocks N occupies; on every step of
+    # these plans the images equal those of the full zero-then-overwrite
+    # assembly, which sends every sigma entry and every image through
+    # elem_action, with the same matrices under the same keys in the same order
+    from ditalg import admissible, reduce
+
+    made = {}
+    real_induced, real_admissible = reduce.induced_reduction, admissible.reduce_admissible
+
+    def induced(dit, tgt, changed, *args, **kwargs):
+        new_dit, functor = real_induced(dit, tgt, changed, *args, **kwargs)
+        made[id(functor)] = functor, lambda N: _full_induced(dit, tgt, changed, N)
+        return new_dit, functor
+
+    def reduce_adm(dit, adm, name=""):
+        new_dit, functor = real_admissible(dit, adm, name)
+        made[id(functor)] = functor, lambda N: _full_admissible(
+            dit, adm, new_dit.bigraph, N)
+        return new_dit, functor
+
+    monkeypatch.setattr(reduce, "induced_reduction", induced)
+    monkeypatch.setattr(admissible, "reduce_admissible", reduce_adm)
+    steps = _plan_steps()
+    calls = {True: 0, False: 0}    # elem_action calls by the functors, by the reference
+    side = [True]
+    real_action = Rep.elem_action
+
+    def counting(self, *args):
+        calls[side[0]] += 1
+        return real_action(self, *args)
+
+    monkeypatch.setattr(Rep, "elem_action", counting)
+    kinds = set()
+    for step in steps:
+        f = step.functor
+        if f.kind == "absorption":
+            full = functools.partial(_full_absorption, f.source, step.spec.data["loop"])
+        else:
+            assert made[id(f)][0] is f
+            full = made[id(f)][1]
+        kinds.add(f.kind)
+        for N in _step_inputs(f.target):
+            side[0] = True
+            M = f.apply_rep(N)
+            side[0] = False
+            R = full(N)
+            assert M.dims == R.dims
+            assert list(M.arrow_ops.items()) == list(R.arrow_ops.items())
+            assert list(M.point_ops.items()) == list(R.point_ops.items())
+    assert {"deletion", "regularization", "factor_out", "absorption", "admissible",
+            "basechange"} <= kinds
+    assert 0 < calls[True] < calls[False]   # the functors skip empty blocks
+
+
+def test_copied_delta_values_are_the_pushed_values(monkeypatch):
+    # a pushforward copies a delta value whole, with no validation, when the
+    # target arrow keeps its name, endpoints and kind and the value's words
+    # use only fixed letters; on every pushforward of these plans such a
+    # value is the push of the source value, and validating every value
+    # anew accepts them all and gives the same values
+    from ditalg import reduce
+    from ditalg.tensor import Differential, Layer
+
+    calls = []
+    real_push, real_diff = reduce._pushforward, reduce.Differential
+
+    def recording_diff(layer, values, _copied=frozenset()):
+        calls[-1].append(frozenset(_copied))
+        return real_diff(layer, values, _copied=_copied)
+
+    def recording_push(dit, tgt, changed, name, lifts=None):
+        calls.append([dit, tgt, changed, lifts or {}])
+        calls[-1].append(real_push(dit, tgt, changed, name, lifts))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(reduce, "Differential", recording_diff)
+    monkeypatch.setattr(reduce, "_pushforward", recording_push)
+    _plan_steps()
+    copied_total = checked_total = 0
+    for dit, tgt, changed, lifts, copied, new_dit in calls:
+        b = dit.bigraph
+        same, fixed = reduce._fixed_letters(b, tgt, changed, lifts)
+        images = reduce._generator_images(b, tgt, changed, fixed)
+        for t in copied:
+            assert t not in lifts and b.arrows[t] == tgt.arrows[t]
+            pushed = reduce._map_elem(b, tgt, images, dit.delta.of_arrow(t), same, fixed)
+            assert list(new_dit.delta.of_arrow(t).terms.items()) == list(pushed.terms.items())
+        full = Differential(Layer(tgt), new_dit.delta.values)
+        assert full.values == new_dit.delta.values
+        copied_total += len(copied)
+        checked_total += len(tgt.arrows) - len(copied)
+    assert copied_total and checked_total
+
+
+@pytest.mark.parametrize("moved, message", [
+    (("a", "1", "3", False), "bimodule constraint"),
+    (("a", "1", "2", True), "homogeneous"),
+])
+def test_a_moved_arrow_keeps_its_delta_validated(monkeypatch, moved, message):
+    # the target arrow a keeps its name but changes an endpoint or its kind,
+    # while delta(a) = v uses only the fixed letter v: the value is not
+    # copied, and validating its push rejects it
+    from ditalg import reduce
+    from ditalg.interlace import Dit, IdealData
+    from ditalg.tensor import Differential, Elem, Layer
+
+    pts = [(p, Factor.trivial()) for p in ("1", "2", "3")]
+    b = Bigraph(F3, pts, solid=[("a", "1", "2")], dashed=[("v", "1", "2")])
+    layer = Layer(b)
+    d = Dit(layer, Differential(layer, {"a": Elem.arrow(b, "v")}), IdealData())
+    name, s, t, dashed = moved
+    tgt = Bigraph(F3, pts, solid=[] if dashed else [(name, s, t)],
+                  dashed=[("v", "1", "2")] + ([(name, s, t)] if dashed else []))
+    copied = []
+    real = reduce.Differential
+
+    def recording(layer, values, _copied=frozenset()):
+        copied.append(set(_copied))
+        return real(layer, values, _copied=_copied)
+
+    monkeypatch.setattr(reduce, "Differential", recording)
+    with pytest.raises(ValueError, match=message):
+        reduce._pushforward(d, tgt, {}, "moved")
+    assert copied == [{"v"}]
 
 
 def test_absorb_copies_no_word_through_the_absorbed_point(monkeypatch):
