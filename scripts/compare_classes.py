@@ -8,10 +8,12 @@ again and the modules of the report's `indecomposables` and
 `exhaustive_residue` are parsed on both sides with
 `presentation.parse_module`.  The two lists are matched one to one with
 `modcat.iso_test`; each list holds pairwise non-isomorphic classes, so a
-greedy match is exact.  One line per case: MATCH when every class has a
-partner and the numbers of families agree, MISMATCH (with the reason)
-otherwise, and NO REPORT when neither side has a report (the run stopped
-at an obstruction).  Exits 1 when any case mismatches.
+greedy match is exact.  A case where neither side has a report (the run
+stopped at an obstruction) compares the two obstruction reasons instead.
+One line per case, ending with the plan length (number of steps) of each
+side: MATCH when every class has a partner and the numbers of families
+agree, or when both runs stopped for the same reason; MISMATCH (with the
+reason) otherwise.  Exits 1 when any case mismatches.
 """
 
 import json
@@ -59,15 +61,18 @@ def main(argv=None) -> int:
             continue
         fixture, field, bound = fname[:-len(".json")].rsplit("-", 2)
         with open(os.path.join(a_dir, fname), encoding="utf8") as fh:
-            ra = json.load(fh).get("report")
+            sa = json.load(fh)
         path_b = os.path.join(b_dir, fname)
         if not os.path.exists(path_b):
-            verdict = "MISMATCH missing in B"
+            verdict, steps = "MISMATCH missing in B", f"{len(sa['steps'])} / -"
         else:
             with open(path_b, encoding="utf8") as fh:
-                rb = json.load(fh).get("report")
+                sb = json.load(fh)
+            steps = f"{len(sa['steps'])} / {len(sb['steps'])}"
+            ra, rb = sa.get("report"), sb.get("report")
             if ra is None and rb is None:
-                verdict = "NO REPORT"
+                verdict = ("MATCH obstruction" if sa["obstruction"] == sb["obstruction"]
+                           else "MISMATCH obstruction reasons differ")
             elif ra is None or rb is None:
                 verdict = "MISMATCH report on one side only"
             else:
@@ -75,7 +80,7 @@ def main(argv=None) -> int:
                 certify(dit)
                 verdict = compare(dit, ra, rb)
         failed |= verdict.startswith("MISMATCH")
-        print(f"{fixture} {field} d={bound}: {verdict}")
+        print(f"{fixture} {field} d={bound}: {verdict}; plan steps {steps}")
     return 1 if failed else 0
 
 

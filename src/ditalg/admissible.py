@@ -100,6 +100,13 @@ class AdmissibleModuleData:
         return len(self.x_basis)
 
 
+def summand_weight(dit: Dit, dims: Dict[str, int]) -> int:
+    """The dimension that a summand with dimension vector `dims` pulls back
+    to through the functor chain that produced `dit`: the sum over its
+    points of dim_p times the weight of p (`Dit.point_weights`)."""
+    return sum(n * dit.point_weights.get(p, 1) for p, n in dims.items())
+
+
 def _sub_bigraph_dit(dit: Dit, b_arrows: Sequence[str]) -> Dit:
     """B = T_R(W0') as its own presentation (same points, selected arrows)."""
     b = dit.bigraph
@@ -515,8 +522,8 @@ def reduce_admissible(dit: Dit, adm: AdmissibleModuleData,
                   name=name or f"{dit.name}^X")
     inherit_certificates(dit, new_dit)
     for s in adm.summands:
-        new_dit.point_weights[s.label] = sum(dit.point_weights.get(x.point, 1)
-                                             for x in adm.x_basis if x.summand is s)
+        new_dit.point_weights[s.label] = summand_weight(
+            dit, s.rep.dims if s.kind == "findim" else {s.point: 1})
 
     # ---- functor data: the nonzero entries of sigma of each letter ----
     def entries(mat, src: str, dst: str) -> List[Tuple[int, int, Elem]]:

@@ -8,9 +8,10 @@ component against a window span with `linalg.residue`, so ideal membership
 is "the residue is zero" and the quotient normal form is the residue itself.
 The triangular layer filtrations are derived from delta, not stored: `Dit.levels`
 is the least one, the longest-path levels of the same-kind delta-dependency
-graph (`_dependency_levels`), computed once per presentation.  Filtration keys
-in an input file are accepted but not read, and emitted ones are these least
-levels."""
+graph (`_dependency_levels`), computed once per presentation and kept as the
+names each level adds.  Filtration keys in an input file are accepted but not
+read, and emitted ones are these least levels as ascending unions
+(`ascending_levels`)."""
 
 from __future__ import annotations
 
@@ -23,6 +24,9 @@ from .scalars import linalg
 from .tensor import (
     UNIT, Differential, Elem, Layer, Word, elem_coordinates, graded_component_basis, in_span,
 )
+
+# the levels of one arrow kind, lowest first, each as the sorted names it adds
+Levels = Tuple[Tuple[str, ...], ...]
 
 
 class UnsupportedShapeError(ValueError):
@@ -78,11 +82,12 @@ class Dit:
         return [c for g in self.ideal.generators for c in _by_pair(self.bigraph, g).values()]
 
     @functools.cached_property
-    def levels(self) -> Tuple[Tuple[FrozenSet[str], ...], Tuple[FrozenSet[str], ...]]:
+    def levels(self) -> Tuple[Levels, Levels]:
         """The least triangular filtrations (W0 levels, W1 levels) of the
-        layer, as ascending unions (`_dependency_levels`); raises
-        CertificationError when the delta-dependencies contain a cycle, that
-        is when no triangular filtration exists."""
+        layer, each level as the sorted names it adds
+        (`_dependency_levels`); raises CertificationError when the
+        delta-dependencies contain a cycle, that is when no triangular
+        filtration exists."""
         levels = _dependency_levels(self)
         if levels is None:
             raise CertificationError("delta dependencies contain a cycle")
@@ -299,14 +304,14 @@ def check_triangular_ideal(dit: Dit) -> bool:
     return True
 
 
-def _dependency_levels(dit: Dit) -> Optional[Tuple[Tuple[FrozenSet[str], ...], ...]]:
+def _dependency_levels(dit: Dit) -> Optional[Tuple[Levels, Levels]]:
     """The least triangular filtrations (solid, dashed) of the layer: an
     arrow sits one level above the highest same-kind arrow in its delta (the
     longest-path levels of the delta-dependency graph), each returned as the
-    ascending unions of levels; None when the dependencies contain a cycle,
-    that is when no triangular filtration exists.  One scan of delta builds
-    the graph of both kinds, and one worklist pass (Kahn) levels an arrow as
-    soon as its last dependency is levelled."""
+    sorted names of each level, lowest first; None when the dependencies
+    contain a cycle, that is when no triangular filtration exists.  One scan
+    of delta builds the graph of both kinds, and one worklist pass (Kahn)
+    levels an arrow as soon as its last dependency is levelled."""
     dashed = {n: a.dashed for n, a in dit.bigraph.arrows.items()}
     deps: Dict[str, Set[str]] = {}
     users: Dict[str, List[str]] = {n: [] for n in dashed}
@@ -328,18 +333,23 @@ def _dependency_levels(dit: Dit) -> Optional[Tuple[Tuple[FrozenSet[str], ...], .
     if len(level) < len(deps):
         return None
 
-    def ascending(kind: bool) -> Tuple[FrozenSet[str], ...]:
-        of_kind = {n: lv for n, lv in level.items() if dashed[n] == kind}
-        return tuple(frozenset(n for n, lv in of_kind.items() if lv <= t)
-                     for t in range(1, max(of_kind.values(), default=0) + 1))
+    def by_level(kind: bool) -> Levels:
+        of_kind: Dict[int, List[str]] = {}
+        for n, lv in level.items():
+            if dashed[n] == kind:
+                of_kind.setdefault(lv, []).append(n)
+        return tuple(tuple(sorted(of_kind[t])) for t in range(1, len(of_kind) + 1))
 
-    return ascending(False), ascending(True)
+    return by_level(False), by_level(True)
 
 
-def level_order(levels: Sequence[FrozenSet[str]]) -> List[List[str]]:
-    """The names each ascending level adds, sorted: the order in which the
-    triangular constructions visit the arrows of one kind."""
-    return [sorted(lv - prev) for prev, lv in zip((frozenset(),) + tuple(levels), levels)]
+def ascending_levels(levels: Levels) -> Tuple[FrozenSet[str], ...]:
+    """The ascending unions of the levels of one kind: the filtration
+    W_1 <= W_2 <= ... that a presentation file records."""
+    out: List[FrozenSet[str]] = []
+    for names in levels:
+        out.append((out[-1] if out else frozenset()) | frozenset(names))
+    return tuple(out)
 
 
 def check_triangular_layer(dit: Dit) -> bool:

@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .interlace import Dit, is_roiter, level_order, quotient
+from .interlace import Dit, is_roiter, quotient
 from .scalars import Field, Poly, PrimeField, factor as poly_factor, linalg
 from .scalars.linalg import Mat, block_matrix
 from .tensor import UNIT, Elem, Word
@@ -461,7 +461,7 @@ def transport_structure(dit: Dit, N: Rep, f0: Dict[str, Mat], f1: Dict[str, Mat]
     for p in b.point_order:
         if not b.factor(p).is_trivial:
             M.point_ops[p] = f0_inv[p] * N.point_ops[p] * f0[p]
-    for name in (n for new in level_order(dit.levels[0]) for n in new):
+    for name in (n for new in dit.levels[0] for n in new):
         arr = b.arrow(name)
         corr = evaluate_f1(dit, M, N, f1, dit.delta.of_arrow(name), arr.source, arr.target)
         M.arrow_ops[name] = f0_inv[arr.target] * (
@@ -489,7 +489,7 @@ def is_isomorphism(dit: Dit, f: MorphismPair, M: Rep, N: Rep):
     g.f0 = g0
     # solve (g f)^1(v) = g0 f1(v) + g1(v) f0 + (g1*f1)(delta v) = 0 along the
     # dashed filtration: delta(v) only involves lower-level dashed arrows
-    for name in (n for new in level_order(dit.levels[1]) for n in new):
+    for name in (n for new in dit.levels[1] for n in new):
         arr = b.arrow(name)
         acc = g.f0[arr.target] * f.f1[name]
         dv = dit.delta.of_arrow(name)
@@ -839,7 +839,7 @@ def split_idempotent(dit: Dit, M: Rep, e: MorphismPair):
     # Step 2: kill e1 along the dashed filtration; each conjugator (1, u1) is
     # a morphism from the transported structure, so the module changes too.
     iso_chain: List[Tuple[MorphismPair, Rep, Rep]] = [(H, Mt, M)]
-    for new_names in level_order(dit.levels[1]):
+    for new_names in dit.levels[1]:
         u1map: Dict[str, Mat] = {}
         nontrivial = False
         for name in new_names:
@@ -1180,17 +1180,20 @@ def _indec_iso(E: EndAlgebra, N: Rep, hom_vecs=None) -> Optional[MorphismPair]:
 def iso_test(dit: Dit, M: Rep, N: Rep) -> bool:
     """Exact isomorphism decision.  Isomorphic M and N have equal dim
     Hom(M,N), dim Hom(N,M), dim End M and dim End N, so unequal ones reject:
-    dim End M by the End algebra that the decomposition of M starts from, the
-    other two by ranks and dim Hom(M,N) by the kernel whose basis
-    `_indec_iso` scans when M is indecomposable.  Any other M is decided by
-    Krull-Schmidt matching of the summands."""
+    dim End M and dim End N by the End algebras that the decompositions of
+    M and N start from, dim Hom(N,M) by a rank and dim Hom(M,N) by the
+    kernel whose basis `_indec_iso` scans when M is indecomposable.  Any
+    other M is decided by Krull-Schmidt matching of the summands."""
     if M.dim_vector() != N.dim_vector():
         return False
     if M.is_zero():
         return True
     hom_vecs, _ = _hom_space(dit, M, N)
     d = len(hom_vecs)
-    if any(hom_dim(dit, X, Y) != d for X, Y in ((N, M), (N, N))):
+    if hom_dim(dit, N, M) != d:
+        return False
+    E_n = EndAlgebra(dit, N)
+    if E_n.dim != d:
         return False
     E = EndAlgebra(dit, M)
     if E.dim != d:
@@ -1198,7 +1201,7 @@ def iso_test(dit: Dit, M: Rep, N: Rep) -> bool:
     parts_m = _decompose(E)
     if len(parts_m) == 1:
         return _indec_iso(parts_m[0], N, hom_vecs) is not None
-    parts_n = decompose(dit, N)
+    parts_n = [En.M for En in _decompose(E_n)]
     if len(parts_m) != len(parts_n):
         return False
     used = [False] * len(parts_n)

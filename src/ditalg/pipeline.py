@@ -14,10 +14,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .admissible import AdmissibleError
+from .admissible import AdmissibleError, summand_weight
 from .bigraph import Bigraph, BigraphError
 from .bimodule import generic_regular, specialize_jordan
-from .interlace import CertificationError, Dit, certify, level_order
+from .interlace import CertificationError, Dit, certify
 from .modcat import (DecomposableError, IsoClassIndex, ModcatError, Rep, simple_at,
                      splits_in_coordinates)
 from .reduce import (
@@ -214,17 +214,26 @@ def _delete_dead_points(run: _Run, cur: Dit) -> Dit:
                        f"delete ideal idempotents {dead}")
 
 
-def _torsion_step(run: _Run, cur: Dit, blocks, regular, note: str,
+def _within_bound(cur: Dit, d: int, findim):
+    """The (label, module) summands of `findim` whose weight over `cur`
+    (`summand_weight`) is at most d.  A heavier summand becomes a point whose
+    simple pulls back to dimension > d, which carries no module of the bound:
+    leaving it out of X gives A^X with its idempotent deleted."""
+    return [(label, rep) for label, rep in findim if summand_weight(cur, rep.dims) <= d]
+
+
+def _torsion_step(run: _Run, cur: Dit, d: int, blocks, regular, note: str,
                   center: Optional[str] = None) -> Dit:
     """One admissible step with no B-arrows: the companion blocks of the
-    torsion modules of h^bound at each (point, h, bound) of `blocks`, a
-    regular summand at each (point, inverted) of `regular` with the extra
-    inverted polynomials, and the untouched `center`."""
+    torsion modules of h^bound at each (point, h, bound) of `blocks` that
+    are within the dimension bound d, a regular summand at each (point,
+    inverted) of `regular` with the extra inverted polynomials, and the
+    untouched `center`.  A block beyond the bound still takes its label."""
     b = cur.bigraph
-    findim = [(run.fresh("z"), _b_module(b, [], {p: modulus.degree},
-                                         point_ops={p: companion_block(modulus)}))
-              for p, h, bound in blocks
-              for modulus in torsion_blocks(h, b.factor_ring(p), bound)]
+    findim = _within_bound(cur, d, [
+        (run.fresh("z"), _b_module(b, [], {p: modulus.degree},
+                                   point_ops={p: companion_block(modulus)}))
+        for p, h, bound in blocks for modulus in torsion_blocks(h, b.factor_ring(p), bound)])
     regulars = [(run.fresh(f"r_{p}_"), p, inverted) for p, inverted in regular]
     if center is not None:
         regulars.append((center, center, ()))
@@ -264,7 +273,7 @@ def _stellar_phase(run: _Run, cur: Dit, d: int) -> Dit:
             if h0 is not None and not h0.is_one():
                 case1[p] = h0
         if case1:
-            cur = _torsion_step(run, cur, [(p, h0, 1) for p, h0 in case1.items()],
+            cur = _torsion_step(run, cur, d, [(p, h0, 1) for p, h0 in case1.items()],
                                 [(p, ()) for p in b.point_order if p not in case1],
                                 f"case-1 torsion split at {sorted(case1)}")
             continue
@@ -296,7 +305,7 @@ def _stellar_phase(run: _Run, cur: Dit, d: int) -> Dit:
                 arm_data[p] = (arm, res.layer_bases)
         if needs_localization:
             cur = _torsion_step(
-                run, cur, [(p, h, d) for p, h in needs_localization],
+                run, cur, d, [(p, h, d) for p, h in needs_localization],
                 [(p, tuple(h for q, h in needs_localization if q == p))
                  for p in b.point_order if p != center],
                 f"case-2 localization h = {[str(h) for _, h in needs_localization]}",
@@ -370,8 +379,8 @@ def _arm_base_change(run: _Run, cur: Dit, center: str, p: str, arm: List[str],
 
 def _prune_heavy_points(run: _Run, cur: Dit, d: int) -> Dit:
     """Points whose simple already pulls back to dimension > d cannot support
-    any module of bounded dimension: delete them.  This is what makes the
-    bounded-dimension loop terminate."""
+    any module of bounded dimension: delete them.  No step builds such a
+    point (`_within_bound`), so for d >= 1 only an input point can be one."""
     heavy = [p for p in cur.bigraph.point_order
              if cur.point_weights.get(p, 1) > d]
     if not heavy:
@@ -390,7 +399,7 @@ def _seminested_loop(run: _Run, cur: Dit, d: int) -> Dit:
         b = cur.bigraph
         if not b.solid_arrows():
             return cur
-        ordered = [b.arrow(n) for new in level_order(cur.levels[0]) for n in new]
+        ordered = [b.arrow(n) for new in cur.levels[0] for n in new]
 
         # 1. regularization: every arrow whose delta lies in W1 as one batch
         # first, then one arrow at a time when the batch has no triangular
@@ -419,7 +428,7 @@ def _seminested_loop(run: _Run, cur: Dit, d: int) -> Dit:
                 point, h = loc
                 # invert h, keeping bounded-dimension coverage by adjoining
                 # the torsion blocks of h^d
-                cur = _torsion_step(run, cur, [(point, h, d)],
+                cur = _torsion_step(run, cur, d, [(point, h, d)],
                                     [(p, (h,) if p == point else ()) for p in b.point_order],
                                     f"localize {point} at {h}")
                 did = True
@@ -456,7 +465,7 @@ def _seminested_loop(run: _Run, cur: Dit, d: int) -> Dit:
                     "over rational factors is outside the implemented calculus")
             raise PipelineError(
                 "stuck: no regularizable, absorbable, or reducible solid arrow")
-        cur = _edge_reduction(run, cur, pick.name)
+        cur = _edge_reduction(run, cur, pick.name, d)
 
 
 def _localization_for_pivot(dit: Dit, arrow: str, dv: Elem):
@@ -490,14 +499,33 @@ def _localization_for_pivot(dit: Dit, arrow: str, dv: Elem):
     return None
 
 
-def _edge_reduction(run: _Run, dit: Dit, arrow: str) -> Dit:
+def _edge_reduction(run: _Run, dit: Dit, arrow: str, d: int) -> Dit:
+    """Reduce by X = S1 (+) S2 (+) P (+) the other points, with S1 and S2 the
+    simples at the ends of `arrow` and P = (k -> k) the projective, leaving
+    out P when its weight exceeds the dimension bound d (`_within_bound`).
+
+    Leaving P out is exact: A^(X minus P) is A^X with the idempotent of P
+    deleted, term for term and in the same order (the reduction by the
+    smaller admissible module; Bautista, Salmeron & Zuazua, Differential
+    Tensor Algebras and their Module Categories, LMS LN 362).
+    - Every arrow nu_u (x) w (x) x_v and every gamma of A^X lies over the
+      pair of summands of u and v, so the arrows of A^(X minus P) are those
+      of A^X away from P, in the same order.
+    - A sigma product passes through the summand of its middle basis
+      vector, so a delta term or ideal generator through P lies over P and
+      deletion drops it, while the other terms are summed in the same order.
+    - `_radical_basis` builds the radical block by block in sorted order,
+      and every block touches P (Hom(S1, S2) = Hom(S2, S1) = 0 and each
+      End(S_i) = k), so no gamma index is renumbered.  In a torsion step the
+      same argument holds up to a renumbering of the gammas."""
     b = dit.bigraph
     arr = b.arrow(arrow)
     s1 = _b_module(b, [arrow], {arr.source: 1})
     s2 = _b_module(b, [arrow], {arr.target: 1})
     p1 = _b_module(b, [arrow], {arr.source: 1, arr.target: 1},
                    arrow_ops={arrow: Mat(b.field, 1, 1, [[b.field.one]])})
-    findim = [(run.fresh("s"), s1), (run.fresh("s"), s2), (run.fresh("e"), p1)]
+    findim = _within_bound(dit, d, [(run.fresh("s"), s1), (run.fresh("s"), s2),
+                                    (run.fresh("e"), p1)])
     regulars = [(run.fresh(f"r_{p}_"), p, ()) for p in b.point_order
                 if p not in (arr.source, arr.target)]
     spec = StepSpec("admissible", {"b_arrows": [arrow], "findim": findim,

@@ -17,7 +17,7 @@ import json
 from typing import List, Optional, Tuple
 
 from .bigraph import Bigraph, Factor
-from .interlace import CertificationError, Dit, IdealData
+from .interlace import CertificationError, Dit, IdealData, ascending_levels
 from .scalars import Field, LocElt, LocalizedRing, Poly, field_from_name, strip_h_factors
 from .tensor import Differential, Elem, Layer
 
@@ -333,7 +333,7 @@ def emit_presentation(dit: Dit) -> dict:
     for g in dit.ideal.generators:
         data["ideal"].append(emit_elem(b, g))
     try:
-        w0, w1 = dit.levels
+        w0, w1 = (ascending_levels(levels) for levels in dit.levels)
     except CertificationError:
         w0 = w1 = ()
     if len(w0) > 1:

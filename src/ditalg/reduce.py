@@ -195,8 +195,11 @@ def _pushforward(dit: Dit, tgt: Bigraph, changed: Dict[str, Elem], name: str,
             raise ReductionError(f"target arrow {t} is neither lifted nor a source generator")
     layer = Layer(tgt)
     delta = Differential(layer, values, _copied=copied)
-    for s, img in images.items():  # a fixed letter s has delta'(s) = phi(delta(s))
-        if push(dit.delta.of_arrow(s)) != delta.apply(img):
+    # a fixed letter s has delta'(s) = phi(delta(s)); a generator that keeps
+    # its name has that value in values[s] already, built above
+    for s, img in images.items():
+        kept = s not in changed and s not in lifts and s in tgt.arrows
+        if (values[s] if kept else push(dit.delta.of_arrow(s))) != delta.apply(img):
             raise ReductionError(f"commuting square fails at generator {s}")
     ideal = [g2 for g2 in (push(g) for g in dit.ideal.generators) if not g2.is_zero()]
     new_dit = Dit(layer, delta, IdealData(ideal), name=name)

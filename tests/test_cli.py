@@ -217,3 +217,25 @@ def test_classify_demo_script(capsys):
     assert "family check at" in out
     assert "MISMATCH" not in out
     assert "0 missing" in out
+
+
+def test_compare_classes_compares_obstruction_reasons(tmp_path, capsys):
+    # two runs that stopped at an obstruction match only when the reasons
+    # agree, and every line carries each side's plan length
+    import importlib.util
+    import pathlib
+
+    script = pathlib.Path(__file__).parent.parent / "scripts" / "compare_classes.py"
+    spec = importlib.util.spec_from_file_location("compare_classes", script)
+    compare_classes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare_classes)
+    a, b, c = (tmp_path / n for n in "abc")
+    for side, reason, steps in ((a, "stalled", 3), (b, "stalled", 2), (c, "budget", 3)):
+        side.mkdir()
+        (side / "exa-F3-3.json").write_text(json.dumps(
+            {"obstruction": reason, "steps": [{}] * steps}))
+    assert compare_classes.main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out == "exa F3 d=3: MATCH obstruction; plan steps 3 / 2\n"
+    assert compare_classes.main([str(a), str(c)]) == 1
+    assert capsys.readouterr().out == \
+        "exa F3 d=3: MISMATCH obstruction reasons differ; plan steps 3 / 3\n"

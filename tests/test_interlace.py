@@ -225,7 +225,7 @@ def test_triangular_layer_is_exact_on_acyclic_dependencies():
     d = _cyclic_bigraph_dit("b")
     assert not d.bigraph.is_directed()
     assert check_triangular_layer(d)
-    assert d.levels[0] == (frozenset({"b", "c"}), frozenset({"a", "b", "c"}))
+    assert d.levels[0] == (("b", "c"), ("a",))
 
 
 def test_triangular_layer_rejects_cyclic_dependencies():

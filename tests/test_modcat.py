@@ -422,6 +422,26 @@ def test_iso_test_solves_hom_m_n_once(monkeypatch):
     assert sum(A is M and B is N for A, B in calls) == 1
 
 
+def test_iso_test_solves_end_n_once_when_m_splits(monkeypatch):
+    # the End(N) algebra that sizes the End-dimension reject is the one the
+    # decomposition of N starts from, so the (N, N) system is built once
+    d = exk(F5)
+    certify(d)
+    M = direct_sum([kron_rep(d, 1, 2), kron_rep(d, 1, 3)])
+    N = direct_sum([kron_rep(d, 1, 3), kron_rep(d, 1, 2)])
+    assert len(decompose(d, M)) == 2
+    real, calls = modcat._u_condition_rows, []
+
+    def counting(dit, A, B, *args):
+        calls.append((A, B))
+        return real(dit, A, B, *args)
+
+    monkeypatch.setattr(modcat, "_u_condition_rows", counting)
+    assert iso_test(d, M, N)
+    assert sum(A is N and B is N for A, B in calls) == 1
+    assert not iso_test(d, M, direct_sum([kron_rep(d, 1, 3), kron_rep(d, 1, 4)]))
+
+
 # -- rational points -----------------------------------------------------------
 
 def test_jordan_blocks_at_rational_point():

@@ -4,7 +4,9 @@ from ditalg.bigraph import Bigraph, Factor
 from ditalg.bimodule import (
     NCPoly, WildCertificate, generic_regular, specialize_jordan, verify_wild_certificate,
 )
-from ditalg.fixtures import ex1, ex2, exi, exk, exl, exr, stellar_case1, stellar_case2
+from ditalg.fixtures import (
+    ex1, ex2, exa, exi, exk, exl, exl2, exq, exr, exx, stellar_case1, stellar_case2,
+)
 from ditalg.interlace import certify
 from ditalg.modcat import Rep, hom_dim, is_indecomposable, iso_test, jordan_at, simple_at
 from ditalg.pipeline import (
@@ -184,7 +186,7 @@ def test_point_ideal_sums_each_generator_before_the_gcd():
 def test_plan_steps_replay_through_their_specs():
     # each recorded spec rebuilds its step's target from the step's source
     replays = 0
-    for fixture, F, d in ((exk, F3, 4), (exl, F2, 4), (stellar_case1, F3, 3),
+    for fixture, F, d in ((exk, F3, 4), (exk, QQ, 6), (exl, F2, 4), (stellar_case1, F3, 3),
                           (stellar_case2, F3, 2)):
         out = reduce_to_minimal(fixture(F), d)
         assert isinstance(out, Obstruction) == (fixture is stellar_case2)
@@ -422,7 +424,9 @@ def test_worklist_levels_equal_the_fixpoint_on_the_exk_q6_plan():
     d = exk(QQ)
     plan, _ = reduce_to_minimal(d, 6)
     for dit in [d] + [s.functor.target for s in plan.steps]:
-        assert interlace._dependency_levels(dit) == \
+        levels = interlace._dependency_levels(dit)
+        assert all(list(names) == sorted(names) for kind in levels for names in kind)
+        assert tuple(interlace.ascending_levels(kind) for kind in levels) == \
             (_fixpoint_levels(dit, False), _fixpoint_levels(dit, True))
     # a cycle a -> b -> a among the solid loops has no levels
     b = Bigraph(F3, [("1", Factor.trivial())], solid=[("a", "1", "1"), ("b", "1", "1")],
@@ -823,8 +827,151 @@ def test_a_batch_without_triangular_pivots_falls_back_to_one_arrow():
 
 def test_exk_q6_regularizes_in_batches():
     # every arrow whose delta lies in W1 is regularized in one step: 85 steps
-    # when the loop took one arrow per step, 48 with batches
+    # when the loop took one arrow per step, 48 with batches, 46 once no
+    # edge reduction builds a summand beyond the bound (and none is pruned)
     plan, _ = reduce_to_minimal(exk(QQ), 6)
-    assert len(plan.steps) <= 48
+    assert len(plan.steps) <= 46
     assert any(len(s.spec.data["solid"]) > 1 for s in plan.steps
                if s.spec.kind == "regularization")
+
+
+def _steps_of(result):
+    return result.steps if isinstance(result, Obstruction) else result[0].steps
+
+
+def _gamma_renaming(full, bounded):
+    """The gammas g[k] of one admissible step that survive in `full`, in
+    arrow order, paired with those of `bounded`: the radical basis of the
+    smaller X is the larger one's with the blocks of the left-out summands
+    removed, in the same order."""
+    import re
+
+    def gammas(dit):
+        return [a for a in dit.bigraph.dashed_arrows() if re.fullmatch(r"g\[\d+\]", a.name)]
+
+    pairs = list(zip(gammas(full), gammas(bounded)))
+    assert len(pairs) == len(gammas(full)) == len(gammas(bounded))
+    assert all((a.source, a.target) == (c.source, c.target) for a, c in pairs)
+    return {a.name: c.name for a, c in pairs}
+
+
+def _renamed(elem, bigraph, renaming):
+    from ditalg.tensor import Elem, Word
+
+    return Elem(bigraph, {Word(w.start, tuple(renaming.get(a, a) for a in w.arrows), w.coeffs): c
+                          for w, c in elem.terms.items()})
+
+
+def _arm(*h):
+    """One arm w: c -> p over F3 with p rational and I = <h e_p>, for h the
+    product of the coefficient lists `h` (lowest degree first)."""
+    from ditalg.interlace import Dit, IdealData
+    from ditalg.scalars import LocElt
+    from ditalg.tensor import Differential, Elem, Layer
+
+    b = Bigraph(F3, [("c", Factor.trivial()), ("p", Factor.rational([]))],
+                solid=[("w", "c", "p")])
+    layer = Layer(b)
+    poly = Poly.one(F3)
+    for coeffs in h:
+        poly = poly * Poly.from_ints(F3, coeffs)
+    gen = Elem.decorated(b, "p", LocElt(b.factor_ring("p"), poly, 0))
+    return Dit(layer, Differential(layer, {}), IdealData([gen]), name="arm")
+
+
+@pytest.mark.parametrize("h", [[[1, 1], [1, 0, 1]], [[1, 1]] * 3], ids=["two-primes", "cube"])
+def test_torsion_split_leaves_out_the_blocks_beyond_the_bound(h):
+    # at d = 1 only the block k[x]/(x+1) is kept; for (x+1)^3 the blocks
+    # k[x]/(x+1)^2 and k[x]/(x+1)^3 it leaves out would make the reduced
+    # layer cyclic, so building them stopped the run at an obstruction
+    report = classify(_arm(*h), 1)
+    assert [s.functor.kind for s in report.plan.steps] == ["admissible", "admissible"]
+    assert sorted(r.dim_vector() for r in report.indecomposables) == [(0, 1), (1, 0)]
+    assert report.brute_residue == []
+
+
+def test_bounded_admissible_steps_equal_the_full_step_then_deletion(monkeypatch):
+    # the plans that keep every summand in X and prune the heavy points
+    # afterwards, as plans were built before they left them out: on each
+    # admissible step that builds a heavy point (edge reductions, and the
+    # torsion split of I = <(x+1)(x^2+1) e_p> with its degree-2 block at
+    # d = 1), the step with the heavy summands left out equals the full step
+    # followed by deleting those points, term by term and in order, up to
+    # renumbering the gammas, and so do the composite functors on the simple
+    # or generic module at each point
+    from ditalg import pipeline
+    from ditalg.admissible import summand_weight
+    from ditalg.bimodule import generic_regular
+    from ditalg.reduce import StepSpec, delete_idempotents
+
+    full_plans = []
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "summand_weight", lambda dit, dims: 0)
+        for dit, d in ((exk(QQ), 6), (exk(F3), 4), (stellar_case1(F3), 3),
+                       (stellar_case2(F3), 2), (_arm([1, 1], [1, 0, 1]), 1)):
+            steps = _steps_of(reduce_to_minimal(dit, d))
+            assert any("beyond the dimension bound" in s.note for s in steps)
+            full_plans.append((steps, d))
+    compared, edges, renumbered = 0, 0, 0
+    for steps, d in full_plans:
+        for step in steps:
+            src, full = step.functor.source, step.functor.target
+            heavy = [p for p in full.bigraph.point_order if full.point_weights[p] > d]
+            if step.spec.kind != "admissible" or not heavy:
+                continue
+            data = dict(step.spec.data)
+            data["findim"] = [(label, rep) for label, rep in data["findim"]
+                              if summand_weight(src, rep.dims) <= d]
+            bounded, f_bounded = StepSpec("admissible", data).apply(src)
+            deleted, f_deleted = delete_idempotents(
+                full, [p for p in full.bigraph.point_order if p not in heavy])
+            b, bd = bounded.bigraph, deleted.bigraph
+            assert bd.point_order == b.point_order
+            assert all(bd.factor(p) == b.factor(p) for p in b.point_order)
+            ren = _gamma_renaming(deleted, bounded)
+            renumbered += any(k != v for k, v in ren.items())
+            for arrows_of in (type(b).solid_arrows, type(b).dashed_arrows):
+                assert [(ren.get(a.name, a.name), a.source, a.target) for a in arrows_of(bd)] \
+                    == [(a.name, a.source, a.target) for a in arrows_of(b)]
+            for name in bd.arrows:
+                assert list(_renamed(deleted.delta.of_arrow(name), b, ren).terms.items()) \
+                    == list(bounded.delta.of_arrow(ren.get(name, name)).terms.items())
+            assert [list(_renamed(g, b, ren).terms.items()) for g in deleted.ideal.generators] \
+                == [list(g.terms.items()) for g in bounded.ideal.generators]
+            assert deleted.point_weights == bounded.point_weights
+            for p in b.point_order:
+                make = simple_at if b.factor(p).is_trivial else generic_regular
+                M = f_bounded.apply_rep(make(bounded, p))
+                R = step.functor.apply_rep(f_deleted.apply_rep(make(deleted, p)))
+                assert M.dims == R.dims
+                assert list(M.arrow_ops.items()) == list(R.arrow_ops.items())
+                assert list(M.point_ops.items()) == list(R.point_ops.items())
+            compared += 1
+            edges += bool(data["b_arrows"])
+    assert compared > edges > 0
+
+
+_SNAPSHOT_CASES = [
+    (exk, F2, 4), (exk, F3, 4), (exk, F5, 3), (exk, QQ, 6), (exl, F2, 4), (exl, QQ, 4),
+    (exi, F3, 3), (exi, QQ, 4), (ex1, F2, 3), (ex2, F3, 3), (ex2, QQ, 4), (exr, F2, 3),
+    (exr, QQ, 4), (exq, F3, 3), (exl2, F2, 3), (exl2, QQ, 4), (stellar_case1, F3, 3),
+    (stellar_case2, F3, 2), (exa, F3, 3), (exx, F3, 3),
+]
+
+
+@pytest.mark.parametrize("fixture, F, d", _SNAPSHOT_CASES, ids=[
+    f"{fixture.__name__}-{f'F{F.char}' if F.char else 'Q'}-{d}" for fixture, F, d in _SNAPSHOT_CASES])
+def test_no_step_builds_a_point_beyond_the_bound(fixture, F, d):
+    # every step target keeps each point weight within the bound, so no plan
+    # prunes a point (exa stops at an obstruction before its first step)
+    for step in _steps_of(reduce_to_minimal(fixture(F), d)):
+        assert max(step.functor.target.point_weights.values(), default=0) <= d, step.note
+        assert "beyond the dimension bound" not in step.note
+
+
+def test_bound_zero_prunes_every_point_once():
+    for F in (F3, QQ):
+        report = classify(exk(F), 0)
+        assert report.plan.log() == [
+            "0: deletion (prune points beyond the dimension bound: ['1', '2'])"]
+        assert report.indecomposables == [] and not report.brute_residue

@@ -656,6 +656,21 @@ def _count_products(monkeypatch):
     return calls
 
 
+def _deletion_step(steps):
+    """An explicit deletion step, as a plan step: the target with the most
+    points among `steps` loses its heaviest point (the first on a tie).  A
+    plan at d >= 1 takes no deletion step of its own, since no step builds a
+    point beyond the bound."""
+    from ditalg.pipeline import PlanStep
+    from ditalg.reduce import StepSpec
+
+    src = max((s.functor.target for s in steps), key=lambda t: len(t.bigraph.point_order))
+    heavy = max(src.bigraph.point_order, key=lambda p: src.point_weights[p])
+    spec = StepSpec("deletion", {"kept": [p for p in src.bigraph.point_order if p != heavy]})
+    _, functor = spec.apply(src)
+    return PlanStep(spec, functor, f"delete {heavy}")
+
+
 def test_verbatim_copy_equals_the_full_push(monkeypatch):
     # on every pushforward of these plans (and of stellar_case2's steps before
     # its obstruction), copying the all-fixed words verbatim gives the same
@@ -666,7 +681,7 @@ def test_verbatim_copy_equals_the_full_push(monkeypatch):
     from ditalg.pipeline import Obstruction, reduce_to_minimal
     from ditalg.scalars import QQ
 
-    calls, kinds = [], set()
+    calls = []
     real = reduce._pushforward
 
     def recording(dit, tgt, changed, name, lifts=None):
@@ -674,11 +689,13 @@ def test_verbatim_copy_equals_the_full_push(monkeypatch):
         return real(dit, tgt, changed, name, lifts)
 
     monkeypatch.setattr(reduce, "_pushforward", recording)
+    steps = []
     for dit, d in ((exk(QQ), 6), (exk(F3), 4), (exl(F2), 4), (stellar_case1(F3), 3),
                    (stellar_case2(F3), 2)):
         result = reduce_to_minimal(dit, d)
-        steps = result.steps if isinstance(result, Obstruction) else result[0].steps
-        kinds |= {s.functor.kind for s in steps}
+        steps += result.steps if isinstance(result, Obstruction) else result[0].steps
+    steps.append(_deletion_step(steps))
+    kinds = {s.functor.kind for s in steps}
     assert {"deletion", "regularization", "factor_out", "absorption", "basechange"} <= kinds
     copied = 0
     for dit, tgt, changed, lifts in calls:
@@ -697,7 +714,7 @@ def test_verbatim_copy_equals_the_full_push(monkeypatch):
 def _plan_steps():
     """The steps of the exk Q/6, exk F3/4, exl F2/4 and stellar_case1 F3/3
     plans, and those of stellar_case2 F3/2 before its obstruction, which
-    include base changes."""
+    include base changes, followed by one `_deletion_step`."""
     from ditalg.fixtures import exl, stellar_case1, stellar_case2
     from ditalg.pipeline import Obstruction, reduce_to_minimal
     from ditalg.scalars import QQ
@@ -707,7 +724,7 @@ def _plan_steps():
                    (stellar_case2(F3), 2)):
         result = reduce_to_minimal(dit, d)
         out += result.steps if isinstance(result, Obstruction) else result[0].steps
-    return out
+    return out + [_deletion_step(out)]
 
 
 def _zero_then_overwrite(dit, N, arrow_ops, point_ops, dims=None):
