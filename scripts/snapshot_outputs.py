@@ -8,10 +8,15 @@ presentation, the step functor's image of the simple module at each trivial
 point and of the generic module at each rational point of the step's target
 (which reaches every reduction's `apply_rep`), the final presentation (or
 the obstruction reason and the presentation where the run stopped), and the
-classification report with its summary.  When the report lists at least two indecomposables, it also holds
-the `decompose` of the direct sum of the first two (the summands' dimensions,
-arrow matrices and x-actions), which runs `split_idempotent` on the dashed
-layer levels.  Under "interlace" it also holds, for a fresh copy of the fixture,
+classification report with its summary.  When the report lists at least
+two indecomposables, it also holds the `decompose` of the direct sum S of the
+first two (the summands' dimensions, arrow matrices and x-actions), which
+cuts S into the summands its coordinates show, and under
+"decompose_twisted_first_two" the `decompose` of S transported by `twisted`.
+Where the twist mixes the summands' coordinates, that runs the Fitting
+idempotents and `split_idempotent` on the dashed layer levels; it cannot
+for two simples at points that no arrow or delta-value joins.  Under
+"interlace" it also holds, for a fresh copy of the fixture,
 the certificate flags, the presentation after certification (with its layer
 filtrations), the quotient's reduced differential and dashed kernel (or the
 error raised), and the kernel-lemma check for every pair of points at
@@ -29,7 +34,7 @@ import sys
 from ditalg import fixtures
 from ditalg.bimodule import generic_regular
 from ditalg.interlace import certify, kernel_lemma_dimension_check, quotient
-from ditalg.modcat import decompose, direct_sum, simple_at
+from ditalg.modcat import decompose, direct_sum, simple_at, transport_structure
 from ditalg.pipeline import Obstruction, brute_force_indecomposables, classify
 from ditalg.presentation import emit_elem, emit_presentation, emit_report
 from ditalg.scalars import field_from_name
@@ -78,6 +83,22 @@ def rep_data(M) -> dict:
     """A module as plain JSON: dimensions, arrow matrices and x-actions."""
     return {"dims": plain(M.dims), "arrow_ops": plain(M.arrow_ops),
             "point_ops": plain(M.point_ops)}
+
+
+def twisted(dit, S):
+    """S transported along f0 with entries min(i, j) + 1 at each point (the
+    product of the lower and the upper unipotent all-ones matrices, so of
+    determinant 1 over every field) and f1 with every entry 1 at each
+    dashed arrow."""
+    F, b = dit.field, dit.bigraph
+    f0 = {p: Mat(F, S.dims[p], S.dims[p], [[F.from_int(min(i, j) + 1)
+                                            for j in range(S.dims[p])]
+                                           for i in range(S.dims[p])])
+          for p in b.point_order}
+    f1 = {a.name: Mat(F, S.dims[a.target], S.dims[a.source],
+                      [[F.one] * S.dims[a.source]] * S.dims[a.target])
+          for a in b.dashed_arrows()}
+    return transport_structure(dit, S, f0, f1)
 
 
 def step_images(functor) -> dict:
@@ -134,8 +155,11 @@ def snapshot(fixture: str, field: str, d: int) -> dict:
             out["referee"] = referee_counts(build(field_from_name(field)), d)
         listed = result.indecomposables
         if len(listed) >= 2:
+            dit, S = listed[0].dit, direct_sum(listed[:2])
             out["decompose_first_two"] = outcome(lambda: [
-                rep_data(M) for M in decompose(listed[0].dit, direct_sum(listed[:2]))])
+                rep_data(M) for M in decompose(dit, S)])
+            out["decompose_twisted_first_two"] = outcome(lambda: [
+                rep_data(M) for M in decompose(dit, twisted(dit, S))])
     out["steps"] = [{"kind": s.functor.kind, "note": s.note,
                      "spec": None if s.spec is None else
                      {"kind": s.spec.kind, "data": plain(s.spec.data)},

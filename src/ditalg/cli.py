@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import modcat
-from .interlace import CertificationError, UnsupportedShapeError, certify
+from .interlace import CertificationError, UnsupportedShapeError, certify, dependency_cycle
 from .pipeline import Obstruction, classify, reduce_to_minimal
 from .presentation import (
     ParseError, load_module, load_presentation, save_presentation, save_report,
@@ -48,6 +48,10 @@ def cmd_check(args) -> int:
                 cyc = dit.bigraph.find_cycle()
                 if cyc:
                     line += f" (cycle through {' -> '.join(cyc)})"
+            elif key == "triangular_layer":
+                cyc = dependency_cycle(dit)
+                if cyc:
+                    line += f" (delta-dependency cycle {' -> '.join(cyc + cyc[:1])})"
             print(line)
             failed = True
     return EXIT_CERT if failed else EXIT_OK

@@ -9,7 +9,8 @@ is "the residue is zero" and the quotient normal form is the residue itself.
 The triangular layer filtrations are derived from delta, not stored: `Dit.levels`
 is the least one, the longest-path levels of the same-kind delta-dependency
 graph (`_dependency_levels`), computed once per presentation and kept as the
-names each level adds.  Filtration keys in an input file are accepted but not
+names each level adds; when there is none, `dependency_cycle` names one
+cycle of that graph.  Filtration keys in an input file are accepted but not
 read, and emitted ones are these least levels as ascending unions
 (`ascending_levels`)."""
 
@@ -304,14 +305,13 @@ def check_triangular_ideal(dit: Dit) -> bool:
     return True
 
 
-def _dependency_levels(dit: Dit) -> Optional[Tuple[Levels, Levels]]:
-    """The least triangular filtrations (solid, dashed) of the layer: an
-    arrow sits one level above the highest same-kind arrow in its delta (the
-    longest-path levels of the delta-dependency graph), each returned as the
-    sorted names of each level, lowest first; None when the dependencies
-    contain a cycle, that is when no triangular filtration exists.  One scan
+def _dependency_graph(dit: Dit):
+    """(dashed, deps, level): each arrow's kind, the same-kind arrows in its
+    delta, and the level of every arrow that the worklist reaches.  One scan
     of delta builds the graph of both kinds, and one worklist pass (Kahn)
-    levels an arrow as soon as its last dependency is levelled."""
+    levels an arrow as soon as its last dependency is levelled, one level
+    above the highest of them.  The arrows it never reaches are those on or
+    above a cycle of the graph."""
     dashed = {n: a.dashed for n, a in dit.bigraph.arrows.items()}
     deps: Dict[str, Set[str]] = {}
     users: Dict[str, List[str]] = {n: [] for n in dashed}
@@ -330,6 +330,16 @@ def _dependency_levels(dit: Dit) -> Optional[Tuple[Levels, Levels]]:
             waiting[u] -= 1
             if not waiting[u]:
                 ready.append(u)
+    return dashed, deps, level
+
+
+def _dependency_levels(dit: Dit) -> Optional[Tuple[Levels, Levels]]:
+    """The least triangular filtrations (solid, dashed) of the layer: an
+    arrow sits one level above the highest same-kind arrow in its delta (the
+    longest-path levels of the delta-dependency graph), each returned as the
+    sorted names of each level, lowest first; None when the dependencies
+    contain a cycle, that is when no triangular filtration exists."""
+    dashed, deps, level = _dependency_graph(dit)
     if len(level) < len(deps):
         return None
 
@@ -341,6 +351,24 @@ def _dependency_levels(dit: Dit) -> Optional[Tuple[Levels, Levels]]:
         return tuple(tuple(sorted(of_kind[t])) for t in range(1, len(of_kind) + 1))
 
     return by_level(False), by_level(True)
+
+
+def dependency_cycle(dit: Dit) -> Optional[List[str]]:
+    """One cycle of the delta-dependency graph as arrow names [n1, ..., nk],
+    where the delta of each uses the next and that of nk uses n1; None when
+    `_dependency_levels` levels every arrow.  An arrow that the worklist
+    leaves unlevelled has an unlevelled dependency, so following the least
+    such dependency from the first unlevelled arrow must come back to an
+    arrow already on the path."""
+    _, deps, level = _dependency_graph(dit)
+    n = next((n for n in deps if n not in level), None)
+    if n is None:
+        return None
+    path: List[str] = []
+    while n not in path:
+        path.append(n)
+        n = min(m for m in deps[n] if m not in level)
+    return path[path.index(n):]
 
 
 def ascending_levels(levels: Levels) -> Tuple[FrozenSet[str], ...]:

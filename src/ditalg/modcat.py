@@ -7,10 +7,11 @@ U-condition system, and isomorphism testing and idempotent splitting run
 through the Roiter property.  `splits_in_coordinates` recognizes a module
 that is a direct sum in its own basis, with no End(M) built: the coordinate
 projection onto a class of linked basis vectors is an idempotent
-endomorphism.  One function, `_locality`, decides whether End(M) is local
-and, for a decomposable M, supplies a witness: an endomorphism f that is
-neither a unit nor nilpotent, read off a basis element by its Fitting rank
-or lifted from End(M)/rad.  Krull-Schmidt
+endomorphism; `decompose` and `iso_test` cut a module into these summands
+before they decompose it further.  One function, `_locality`, decides
+whether End(M) is local and, for a decomposable M, supplies a witness: an
+endomorphism f that is neither a unit nor nilpotent, read off a basis
+element by its Fitting rank or lifted from End(M)/rad.  Krull-Schmidt
 decomposition splits off the Fitting idempotent of f, a polynomial in f
 built from its minimal polynomial x^k q by xgcd(x^k, q).  `iso_test`
 rejects first on the four hom dimensions, which are isomorphism
@@ -27,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .interlace import Dit, is_roiter, quotient
 from .scalars import Field, Poly, PrimeField, factor as poly_factor, linalg
 from .scalars.linalg import Mat, block_matrix
+from .scalars.poly import min_poly
 from .tensor import UNIT, Elem, Word
 
 
@@ -785,19 +787,6 @@ def _powers(F, table, dim, x, one):
         cur = _convolve(F, table, cur, x, dim)
 
 
-def _min_poly(F: Field, powers) -> Poly:
-    """Minimal polynomial of an algebra element x from the coordinates of
-    1, x, x^2, ... (an endless iterator, read up to the first linear
-    dependence)."""
-    found: List[List] = []
-    for cur in powers:
-        if found:
-            sol = linalg.solve(F, linalg.transpose(found), cur)
-            if sol is not None:
-                return Poly.make(F, [F.neg(c) for c in sol] + [F.one])
-        found.append(cur)
-
-
 def split_idempotent(dit: Dit, M: Rep, e: MorphismPair):
     """Split an idempotent endomorphism: returns (M1, M2, h) with h an
     isomorphism M1 (+) M2 -> M satisfying h^-1 e h = [[1,0],[0,0]] exactly."""
@@ -1045,7 +1034,7 @@ def _locality(E: EndAlgebra, witness: bool = False
         if not witness:
             return False, None
     for z in candidates:
-        mp = _min_poly(F, _powers(F, qtable, qdim, z, qident))
+        mp = min_poly(F, _powers(F, qtable, qdim, z, qident))
         facs = poly_factor(mp)
         if len(facs) > 1:
             g, m = facs[0]
@@ -1057,17 +1046,12 @@ def _locality(E: EndAlgebra, witness: bool = False
     raise ModcatError("no candidate splits End(M)/rad")
 
 
-def splits_in_coordinates(M: Rep) -> bool:
-    """True when M is a direct sum in its own coordinates, a sufficient test
-    for decomposability that builds no End(M).  A union-find over M's basis
-    vectors (point, i) links the two ends of every nonzero entry of a
-    solid-arrow matrix and of every off-diagonal nonzero entry of an
-    x-action; two or more classes mean M splits.  Each class spans an
-    A-submodule, since no arrow or x-action leaves it, so the coordinate
-    projection e onto it commutes with every arrow and x-action: with
-    f1 = 0 the U-condition has no delta term, (e, 0) lies in End(M), and it
-    is an idempotent other than 0 and 1.  A local End(M) has no such
-    idempotent.  False says nothing: M may still be decomposable."""
+def _coordinate_classes(M: Rep) -> Optional[List[Dict[str, List[int]]]]:
+    """The classes of M's basis vectors (point, i) under a union-find that
+    links the two ends of every nonzero entry of a solid-arrow matrix and of
+    every off-diagonal nonzero entry of an x-action, each as the indices it
+    holds at each point, in the order of their first basis vectors; None,
+    as soon as the links join everything, when there are not two classes."""
     b = M.dit.bigraph
     start, n = {}, 0
     for p in b.point_order:
@@ -1094,8 +1078,26 @@ def splits_in_coordinates(M: Rep) -> bool:
                         parent[x] = y
                         classes -= 1
                         if classes == 1:
-                            return False
-    return classes > 1
+                            return None
+    if classes < 2:
+        return None
+    out: Dict[int, Dict[str, List[int]]] = {}
+    for p in b.point_order:
+        for i in range(M.dims[p]):
+            out.setdefault(root(start[p] + i), {}).setdefault(p, []).append(i)
+    return list(out.values())
+
+
+def splits_in_coordinates(M: Rep) -> bool:
+    """True when M is a direct sum in its own coordinates, a sufficient test
+    for decomposability that builds no End(M) and no summand: the union-find
+    of `_coordinate_classes` finds two or more classes.  Each class spans an
+    A-submodule, since no arrow or x-action leaves it, so the coordinate
+    projection e onto it commutes with every arrow and x-action: with
+    f1 = 0 the U-condition has no delta term, (e, 0) lies in End(M), and it
+    is an idempotent other than 0 and 1.  A local End(M) has no such
+    idempotent.  False says nothing: M may still be decomposable."""
+    return _coordinate_classes(M) is not None
 
 
 def is_indecomposable(dit: Dit, M: Rep) -> bool:
@@ -1118,7 +1120,7 @@ def _fitting_idempotent(E: EndAlgebra, f: MorphismPair) -> MorphismPair:
             yield E.coordinates(powers[-1])
             powers.append(compose(dit, powers[-1], f, M, M, M))
 
-    mp = _min_poly(F, coords())
+    mp = min_poly(F, coords())
     k = next(i for i, c in enumerate(mp.coeffs) if not F.is_zero(c))
     xk = Poly.make(F, [F.zero] * k + [F.one])
     q = mp // xk
@@ -1143,11 +1145,41 @@ def _decompose(E: EndAlgebra) -> List[EndAlgebra]:
     return _decompose(EndAlgebra(dit, M1)) + _decompose(EndAlgebra(dit, M2))
 
 
+def _summand_ends(dit: Dit, M: Rep, E: Optional[EndAlgebra] = None) -> List[EndAlgebra]:
+    """The End algebras of the indecomposable summands of the nonzero M.
+    M is first cut into its restrictions to the classes of
+    `_coordinate_classes`, read off its matrices: with f1 = 0 the inclusion
+    of each and the projection onto it are morphisms, so M is their direct
+    sum.  Each goes through `_decompose`; E, when given, is End(M), which
+    serves when M has one class."""
+    classes = _coordinate_classes(M)
+    if classes is None:
+        return _decompose(EndAlgebra(dit, M) if E is None else E)
+    b, R = dit.bigraph, M.ring
+
+    def restrict(m: Mat, rows, cols) -> Mat:
+        return Mat._owning(R, len(rows), len(cols), [[m.data[i][j] for j in cols] for i in rows])
+
+    out = []
+    for cls in classes:
+        ix = {p: cls.get(p, ()) for p in b.point_order}
+        P = Rep(dit, {p: len(v) for p, v in ix.items()},
+                {a.name: restrict(M.arrow_ops[a.name], ix[a.target], ix[a.source])
+                 for a in b.solid_arrows()},
+                {p: restrict(X, ix[p], ix[p]) for p, X in M.point_ops.items()}, R)
+        out += _decompose(EndAlgebra(dit, P))
+    return out
+
+
 def decompose(dit: Dit, M: Rep) -> List[Rep]:
-    """Krull-Schmidt list of indecomposable summands (with multiplicity)."""
+    """Krull-Schmidt list of indecomposable summands (with multiplicity).
+    M is first cut into the direct summands that its own coordinates show,
+    with no End algebra of M built (so a direct sum comes back as its
+    summands, in the order of their first basis vectors); a piece that is
+    not indecomposable is split by Fitting idempotents of its End algebra."""
     if M.is_zero():
         return []
-    return [E.M for E in _decompose(EndAlgebra(dit, M))]
+    return [E.M for E in _summand_ends(dit, M)]
 
 
 def _indec_iso(E: EndAlgebra, N: Rep, hom_vecs=None) -> Optional[MorphismPair]:
@@ -1180,10 +1212,12 @@ def _indec_iso(E: EndAlgebra, N: Rep, hom_vecs=None) -> Optional[MorphismPair]:
 def iso_test(dit: Dit, M: Rep, N: Rep) -> bool:
     """Exact isomorphism decision.  Isomorphic M and N have equal dim
     Hom(M,N), dim Hom(N,M), dim End M and dim End N, so unequal ones reject:
-    dim End M and dim End N by the End algebras that the decompositions of
-    M and N start from, dim Hom(N,M) by a rank and dim Hom(M,N) by the
-    kernel whose basis `_indec_iso` scans when M is indecomposable.  Any
-    other M is decided by Krull-Schmidt matching of the summands."""
+    dim End M and dim End N by End algebras, which the decompositions of M
+    and N start from when the module is not a direct sum in its own
+    coordinates, dim Hom(N,M) by a rank and dim Hom(M,N) by the kernel whose
+    basis `_indec_iso` scans when M is indecomposable.  Any other M is
+    decided by Krull-Schmidt matching of the summands, each side cut into
+    its coordinate pieces first, as in `decompose`."""
     if M.dim_vector() != N.dim_vector():
         return False
     if M.is_zero():
@@ -1198,10 +1232,10 @@ def iso_test(dit: Dit, M: Rep, N: Rep) -> bool:
     E = EndAlgebra(dit, M)
     if E.dim != d:
         return False
-    parts_m = _decompose(E)
+    parts_m = _summand_ends(dit, M, E)
     if len(parts_m) == 1:
         return _indec_iso(parts_m[0], N, hom_vecs) is not None
-    parts_n = [En.M for En in _decompose(E_n)]
+    parts_n = [En.M for En in _summand_ends(dit, N, E_n)]
     if len(parts_m) != len(parts_n):
         return False
     used = [False] * len(parts_n)

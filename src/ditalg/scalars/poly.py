@@ -281,8 +281,50 @@ def squarefree_decomposition(f: Poly) -> List[Tuple[Poly, int]]:
     return out
 
 
+def min_poly(F: Field, powers) -> Poly:
+    """Minimal polynomial of an algebra element x from the coordinates of
+    1, x, x^2, ... (an endless iterator, read up to the first linear
+    dependence)."""
+    found: List[List] = []
+    for cur in powers:
+        if found:
+            sol = linalg.solve(F, linalg.transpose(found), cur)
+            if sol is not None:
+                return Poly.make(F, [F.neg(c) for c in sol] + [F.one])
+        found.append(cur)
+
+
+def _split_values(v: Poly, g: Poly) -> List[int]:
+    """The c in F_p, ascending, with gcd(g, v - c) nontrivial, for g
+    squarefree and v^p = v mod g: the roots of the minimal polynomial of v
+    in F_p[x]/(g), found by evaluating it at every c."""
+    F = g.field
+    n = g.degree
+    vg = v % g
+
+    def powers():
+        cur = Poly.one(F)
+        while True:
+            yield [cur.coeff(j) for j in range(n)]
+            cur = (cur * vg) % g
+
+    mp = min_poly(F, powers())
+    return [c for c in range(F.p) if F.is_zero(mp.eval(c))]
+
+
 def _berlekamp_splitting(f: Poly) -> List[Poly]:
-    """Split a monic squarefree f over a prime field into irreducibles."""
+    """Split a monic squarefree f over a prime field into irreducibles
+    (Berlekamp, Factoring polynomials over large finite fields, Math. Comp.
+    24, 1970).  Each kernel vector v of the Berlekamp matrix, v^p = v mod f,
+    splits every factor g found so far by gcd(g, v - c).  By the Chinese
+    remainder theorem F_p[x]/(g) is the product of the fields
+    F_p[x]/(g_i) over g's irreducible factors g_i, in which v is fixed by
+    Frobenius, so v = s_i mod g_i with s_i in F_p.  gcd(g, v - c) is then
+    the product of the g_i with s_i = c: nontrivial exactly when c is a root
+    of v's minimal polynomial prod (x - s_i) in F_p[x]/(g), of degree at
+    most the number of g_i, and g is the product of these gcds.  So the gcds
+    run only at the roots, in increasing order, and give the factors that
+    trying every c in F_p in turn gives, in the same order."""
     F = f.field
     assert isinstance(F, PrimeField)
     p = F.p
@@ -312,21 +354,9 @@ def _berlekamp_splitting(f: Poly) -> List[Poly]:
             if g.degree <= 1:
                 next_factors.append(g)
                 continue
-            pieces = []
-            rest = g
-            for c in range(p):
-                if rest.degree < 1:
-                    break
-                d = rest.gcd(v - Poly.const(F, F.from_int(c)))
-                if 0 < d.degree < rest.degree:
-                    pieces.append(d)
-                    rest = rest // d
-                elif d.degree == rest.degree:
-                    pieces.append(rest)
-                    rest = Poly.one(F)
-            if rest.degree >= 1:
-                pieces.append(rest)
-            next_factors.extend(pieces if pieces else [g])
+            roots = _split_values(v, g)
+            next_factors.extend([g.gcd(v - Poly.const(F, c)) for c in roots]
+                                if len(roots) > 1 else [g])
         factors = next_factors
         if len(factors) == r:
             break

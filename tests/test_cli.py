@@ -79,6 +79,28 @@ def test_cmd_check_cycle(tmp_path, capsys):
     assert "directed: FAIL" in out and "cycle" in out
 
 
+def test_cmd_check_names_a_delta_dependency_cycle(tmp_path, capsys):
+    # delta(a) = a c v: the solid a depends on itself, so no triangular
+    # layer filtration exists, and check names the cycle a -> a
+    data = {"field": "F5",
+            "points": [{"name": "1", "factor": "trivial"},
+                       {"name": "2", "factor": "trivial"}],
+            "solid_arrows": [{"name": "a", "source": "1", "target": "2"},
+                             {"name": "b", "source": "1", "target": "2"},
+                             {"name": "c", "source": "2", "target": "1"}],
+            "dashed_arrows": [{"name": "v", "source": "1", "target": "2"}],
+            "differential": {"a": [["1", "v", "1", "c", "1", "a", "1"]]}}
+    p = tmp_path / "cyclic_delta.json"
+    p.write_text(json.dumps(data))
+    assert main(["check", str(p)]) == 3
+    out = capsys.readouterr().out
+    assert "triangular_layer: FAIL (delta-dependency cycle a -> a)" in out
+    data["differential"]["a"] = [["1", "v", "1", "c", "1", "b", "1"]]
+    p.write_text(json.dumps(data))
+    main(["check", str(p)])
+    assert "triangular_layer: pass" in capsys.readouterr().out
+
+
 def test_cmd_check_parse_error(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{not json")

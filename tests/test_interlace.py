@@ -234,6 +234,22 @@ def test_triangular_layer_rejects_cyclic_dependencies():
     assert not d.certificates["triangular_layer"]
     with pytest.raises(CertificationError):
         d.levels
+    assert interlace.dependency_cycle(d) == ["a"]
+    assert interlace.dependency_cycle(_cyclic_bigraph_dit("b")) is None
+
+
+def test_dependency_cycle_follows_unlevelled_dependencies():
+    # delta(a) = b c v and delta(b) = a c v: c is levelled, a and b wait on
+    # each other
+    b = Bigraph(F5, [("1", Factor.trivial()), ("2", Factor.trivial())],
+                solid=[("a", "1", "2"), ("b", "1", "2"), ("c", "2", "1")],
+                dashed=[("v", "1", "2")])
+    layer = Layer(b)
+    cv = Elem.arrow(b, "c") * Elem.arrow(b, "v")
+    d = Dit(layer, Differential(layer, {"a": Elem.arrow(b, "b") * cv,
+                                        "b": Elem.arrow(b, "a") * cv}), IdealData())
+    assert not check_triangular_layer(d)
+    assert interlace.dependency_cycle(d) == ["a", "b"]
 
 
 def test_quotient_builds_generated_ideal_once(monkeypatch):

@@ -14,6 +14,7 @@ from ditalg.modcat import (
     pair_to_vector, simple_at, split_idempotent, transport_structure, zero_morphism,
     morphism_sum, morphism_scale,
 )
+from ditalg.reduce import rep_equal
 from ditalg.scalars import PrimeField, Poly, QQ, linalg
 from ditalg.scalars.linalg import Mat
 
@@ -312,12 +313,17 @@ def test_decompose_seed_stability():
     assert sorted(p.dim_vector() for p in parts1) == [(1, 0), (1, 1), (1, 1)]
 
 
-def _p1_plus_p1_plus_r1(d):
+def _p1_p1_r(d, lam=5):
+    """The summands P1, P1 and R = (a, b) = (1, lam) on the Kronecker quiver."""
     F = d.field
     p1 = Rep(d, {"1": 1, "2": 2}, {"a": Mat(F, 2, 1, [[1], [0]]),
                                    "b": Mat(F, 2, 1, [[0], [1]])})
-    r1 = Rep(d, {"1": 1, "2": 1}, {"a": Mat(F, 1, 1, [[1]]), "b": Mat(F, 1, 1, [[5]])})
-    return direct_sum([p1, p1, r1])
+    r = Rep(d, {"1": 1, "2": 1}, {"a": Mat(F, 1, 1, [[1]]), "b": Mat(F, 1, 1, [[lam]])})
+    return [p1, p1, r]
+
+
+def _p1_plus_p1_plus_r1(d):
+    return direct_sum(_p1_p1_r(d))
 
 
 def _twisted(d, S, seed):
@@ -351,7 +357,14 @@ def test_decompose_twisted_repeated_summand(seed):
     d, T = _twisted_p1_p1_r1(seed)
     parts = decompose(d, T)
     assert sorted(p.dim_vector() for p in parts) == [(1, 1), (1, 2), (1, 2)]
-    assert iso_test(d, T, _p1_plus_p1_plus_r1(d))
+    # against sums in coordinates, on either side: R1 = (1, 5) is not
+    # R6 = (1, 6), and the order of the summands does not matter
+    S = _p1_plus_p1_plus_r1(d)
+    p1, _, r1 = _p1_p1_r(d)
+    assert iso_test(d, T, S) and iso_test(d, S, T)
+    assert iso_test(d, T, direct_sum([r1, p1, p1]))
+    assert not iso_test(d, T, direct_sum(_p1_p1_r(d, 6)))
+    assert not iso_test(d, direct_sum(_p1_p1_r(d, 6)), T)
 
 
 def test_kronecker_over_q_with_field_endomorphisms():
@@ -423,8 +436,9 @@ def test_iso_test_solves_hom_m_n_once(monkeypatch):
 
 
 def test_iso_test_solves_end_n_once_when_m_splits(monkeypatch):
-    # the End(N) algebra that sizes the End-dimension reject is the one the
-    # decomposition of N starts from, so the (N, N) system is built once
+    # the End(N) algebra sizes the End-dimension reject alone: N is a sum in
+    # its coordinates, so its summands come from its coordinate pieces, and
+    # the (N, N) system is built once
     d = exk(F5)
     certify(d)
     M = direct_sum([kron_rep(d, 1, 2), kron_rep(d, 1, 3)])
@@ -440,6 +454,51 @@ def test_iso_test_solves_end_n_once_when_m_splits(monkeypatch):
     assert iso_test(d, M, N)
     assert sum(A is N and B is N for A, B in calls) == 1
     assert not iso_test(d, M, direct_sum([kron_rep(d, 1, 3), kron_rep(d, 1, 4)]))
+
+
+def _coordinate_sums():
+    """(dit, parts): indecomposables in the order of their first basis
+    vectors in their direct sum, on ex1, exk, exl and ex2 (dashed arrows;
+    delta(a) = v, so its indecomposables are the simples)."""
+    d1 = ex1(F2)
+    certify(d1)
+    yield d1, [p1_rep(d1), simple_at(d1, "1"), p1_rep(d1), simple_at(d1, "2")]
+    dk = exk(F5)
+    certify(dk)
+    p1, _, r = _p1_p1_r(dk, 3)
+    yield dk, [kron_rep(dk, 1, 2), p1, r, kron_rep(dk, 0, 1), simple_at(dk, "2")]
+    dl = exl(F3)
+    certify(dl)
+    g = Rep(dl, {"1": 1, "2": 1}, {"g": Mat(F3, 1, 1, [[1]])})
+    h = Rep(dl, {"2": 1, "3": 1}, {"h": Mat(F3, 1, 1, [[2]])})
+    yield dl, [g, g, h, simple_at(dl, "3"), simple_at(dl, "4")]
+    d2 = ex2(F5)
+    certify(d2)
+    yield d2, [simple_at(d2, "1"), simple_at(d2, "2"), simple_at(d2, "2")]
+
+
+def test_decompose_returns_the_summands_of_a_coordinate_sum(monkeypatch):
+    # a sum in coordinates is cut into its summands, in order, with no End
+    # algebra of the sum and no idempotent split
+    cases = list(_coordinate_sums())
+    for d, parts in cases:
+        assert all(is_indecomposable(d, P) for P in parts)
+    real, calls, splits = modcat._u_condition_rows, [], []
+
+    def counting(dit, A, B, *args):
+        calls.append((A, B))
+        return real(dit, A, B, *args)
+
+    monkeypatch.setattr(modcat, "_u_condition_rows", counting)
+    monkeypatch.setattr(modcat, "split_idempotent", lambda *args: splits.append(args))
+    for d, parts in cases:
+        S = direct_sum(parts)
+        got = decompose(d, S)
+        assert len(got) == len(parts) and all(map(rep_equal, got, parts))
+        assert sum(A is S or B is S for A, B in calls) == 0
+        assert len(calls) == len(parts)
+        calls.clear()
+    assert not splits
 
 
 # -- rational points -----------------------------------------------------------
@@ -483,6 +542,12 @@ def test_an_off_diagonal_x_action_entry_alone_links_two_basis_vectors(monkeypatc
     diagonal = direct_sum([jordan_at(d, "1", F.one, 1)] * 2)
     assert splits_in_coordinates(diagonal)
     assert not _locality(EndAlgebra(d, diagonal))[0]
+    # decompose keeps the Jordan block whole and cuts a block-diagonal
+    # x-action into its blocks
+    assert [P is block for P in decompose(d, block)] == [True]
+    blocks = [jordan_at(d, "1", F.one, 2), jordan_at(d, "1", F.from_int(2), 1)]
+    parts = decompose(d, direct_sum(blocks))
+    assert len(parts) == 2 and all(map(rep_equal, parts, blocks))
     # IsoClassIndex rejects the split module before it builds End(M)
     built = []
     monkeypatch.setattr(modcat, "EndAlgebra", lambda *args: built.append(args))

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,8 +9,9 @@ from ditalg.scalars import (
     PrimeField, QQ, FieldError, Poly, factor, linalg,
     smith_normal_form, PolyRing,
     LocalizedRing, LocElt, ModulePresentation, localize_to_free,
-    independent_over_localization, in_localized_span,
+    independent_over_localization, in_localized_span, squarefree_decomposition,
 )
+from ditalg.scalars import poly as poly_module
 
 F5 = PrimeField(5)
 F101 = PrimeField(101)
@@ -94,6 +96,133 @@ def test_factor_f2_and_q():
     for h, m in factor(g):
         rebuilt = rebuilt * h ** m
     assert rebuilt == g.monic()
+
+
+def _p_gcd_splitting(f):
+    """Berlekamp's splitting as it tries gcd(g, v - c) at every c in F_p:
+    the oracle for the splitting that takes gcds only at the roots of v's
+    minimal polynomial modulo g."""
+    F = f.field
+    p, n = F.p, f.degree
+    if n <= 1:
+        return [f]
+    rows, xp, cur = [], Poly.x(F).pow_mod(p, f), Poly.one(F)
+    for _ in range(n):
+        rows.append([cur.coeff(j) for j in range(n)])
+        cur = (cur * xp) % f
+    mat = [[F.sub(rows[i][j], F.one if i == j else F.zero) for i in range(n)]
+           for j in range(n)]
+    kernel = linalg.kernel_basis(F, mat, n)
+    if len(kernel) == 1:
+        return [f]
+    factors = [f]
+    for vec in kernel:
+        v = Poly.make(F, vec)
+        if v.is_constant():
+            continue
+        next_factors = []
+        for g in factors:
+            if g.degree <= 1:
+                next_factors.append(g)
+                continue
+            pieces, rest = [], g
+            for c in range(p):
+                if rest.degree < 1:
+                    break
+                d = rest.gcd(v - Poly.const(F, c))
+                if 0 < d.degree < rest.degree:
+                    pieces.append(d)
+                    rest = rest // d
+                elif d.degree == rest.degree:
+                    pieces.append(rest)
+                    rest = Poly.one(F)
+            if rest.degree >= 1:
+                pieces.append(rest)
+            next_factors.extend(pieces if pieces else [g])
+        factors = next_factors
+        if len(factors) == len(kernel):
+            break
+    return [g.monic() for g in factors]
+
+
+def _monic_polys(F, degree):
+    for cs in itertools.product(range(F.p), repeat=degree):
+        yield Poly.make(F, list(cs) + [1])
+
+
+def _is_irreducible(g):
+    """Trial division by every monic polynomial of degree <= deg g / 2 over
+    a small field; over F101, where that list is too long past degree 3,
+    Rabin's test: x^(p^n) = x mod g and gcd(x^(p^(n/q)) - x, g) = 1 for
+    every prime q dividing n = deg g."""
+    F, n = g.field, g.degree
+    if F.p < 101:
+        return all(not h.divides(g) for d in range(1, n // 2 + 1)
+                   for h in _monic_polys(F, d))
+    x = Poly.x(F)
+
+    def frobenius(k):
+        return x.pow_mod(F.p ** k, g)
+
+    if frobenius(n) != x % g:
+        return False
+    return all((frobenius(n // q) - x).gcd(g).is_one()
+               for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q)))
+
+
+def _factor_cases():
+    """Every monic polynomial over F2 up to degree 8, over F3 up to degree 5
+    and over F5 up to degree 4, then seeded random ones over F101, half of
+    them products of linear factors so that they split far."""
+    for p, top in ((2, 8), (3, 5), (5, 4)):
+        for degree in range(1, top + 1):
+            yield from _monic_polys(PrimeField(p), degree)
+    rng = random.Random(101)
+    for k in range(200):
+        degree = rng.randint(1, 8)
+        if k % 2:
+            f = Poly.one(F101)
+            for _ in range(degree):
+                f = f * Poly.from_ints(F101, [rng.randrange(101), 1])
+            yield f
+        else:
+            yield Poly.make(F101, [rng.randrange(101) for _ in range(degree)] + [1])
+
+
+def test_factor_equals_the_p_gcd_oracle():
+    count = 0
+    for f in _factor_cases():
+        got = factor(f)
+        want = [(irr, m) for g, m in squarefree_decomposition(f)
+                for irr in _p_gcd_splitting(g) if irr.degree >= 1]
+        assert got == want, f
+        rebuilt = Poly.one(f.field)
+        for g, m in got:
+            assert g.leading() == f.field.one and _is_irreducible(g), (f, g)
+            rebuilt = rebuilt * g ** m
+        assert rebuilt == f
+        count += 1
+    assert count == 510 + 363 + 780 + 200
+
+
+def test_berlekamp_takes_gcds_only_at_the_roots(monkeypatch):
+    # four distinct linear factors over F101: a kernel of dimension 4, and
+    # at most one gcd per distinct root of each kernel vector's values
+    f = Poly.one(F101)
+    for c in (3, 17, 40, 99):
+        f = f * Poly.from_ints(F101, [c, 1])
+    calls = []
+    real = Poly.gcd
+
+    def counting(self, other):
+        calls.append(self)
+        return real(self, other)
+
+    monkeypatch.setattr(Poly, "gcd", counting)
+    got = poly_module._berlekamp_splitting(f)
+    assert sorted(g.coeffs for g in got) == sorted(
+        Poly.from_ints(F101, [c, 1]).coeffs for c in (3, 17, 40, 99))
+    assert len(calls) <= 4 * 4
 
 
 # -- linear algebra ------------------------------------------------------
