@@ -111,10 +111,8 @@ def _sub_bigraph_dit(dit: Dit, b_arrows: Sequence[str]) -> Dit:
     """B = T_R(W0') as its own presentation (same points, selected arrows)."""
     b = dit.bigraph
     sel = set(b_arrows)
-    tgt = Bigraph(b.field, [(p, b.factor(p)) for p in b.point_order],
-                  solid=[(a.name, a.source, a.target) for a in b.solid_arrows()
-                         if a.name in sel])
-    layer = Layer(tgt)
+    layer = Layer(b.without(arrows=[n for n, a in b.arrows.items()
+                                    if a.dashed or n not in sel]))
     return Dit(layer, Differential(layer, {}), IdealData(), name=f"{dit.name}|B")
 
 

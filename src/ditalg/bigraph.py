@@ -91,6 +91,21 @@ class Bigraph:
                 raise BigraphError(f"arrow {name!r} uses unknown point {p!r}")
         self.arrows[name] = Arrow(name, s, t, dashed)
 
+    def without(self, points: Sequence[str] = (), arrows: Sequence[str] = ()) -> "Bigraph":
+        """The sub-bigraph with the given points, every arrow that touches
+        one of them, and the given arrows left out.  The remaining points,
+        solid arrows and dashed arrows keep their order and their `Factor`
+        objects."""
+        gone_p, gone_a = set(points), set(arrows)
+
+        def kept(arrs):
+            return [(a.name, a.source, a.target) for a in arrs if a.name not in gone_a
+                    and a.source not in gone_p and a.target not in gone_p]
+
+        return Bigraph(self.field, [(p, self.points[p]) for p in self.point_order
+                                    if p not in gone_p],
+                       solid=kept(self._solid), dashed=kept(self._dashed))
+
     # -- views -----------------------------------------------------------
 
     def solid_arrows(self) -> Tuple[Arrow, ...]:

@@ -7,14 +7,13 @@ Every command is deterministic: the same input gives the same output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import modcat
 from .interlace import CertificationError, UnsupportedShapeError, certify, dependency_cycle
 from .pipeline import Obstruction, classify, reduce_to_minimal
 from .presentation import (
-    ParseError, load_module, load_presentation, save_presentation, save_report,
+    ParseError, _read_json, load_module, load_presentation, save_presentation, save_report,
 )
 from .reduce import ReductionError, StepSpec
 
@@ -26,11 +25,7 @@ EXIT_OBSTRUCTION = 4
 
 
 def cmd_check(args) -> int:
-    try:
-        dit = load_presentation(args.path)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    dit = load_presentation(args.path)
     flags = certify(dit)
     order = ["directed", "triangular_layer", "triangular_ideal", "balanced",
              "interlaced", "roiter"]
@@ -58,14 +53,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_hom(args) -> int:
-    try:
-        dit = load_presentation(args.path)
-        certify(dit)
-        M = load_module(dit, args.module_m)
-        N = load_module(dit, args.module_n)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    dit = load_presentation(args.path)
+    certify(dit)
+    M = load_module(dit, args.module_m)
+    N = load_module(dit, args.module_n)
     basis = modcat.hom(dit, M, N)
     print(f"dim hom = {len(basis)}")
     F = dit.field
@@ -82,40 +73,41 @@ def cmd_hom(args) -> int:
     return EXIT_OK
 
 
-# the plan step kinds a plan file may name, each with the key its data needs
+# the plan step kinds a plan file may name, each with the key its data needs:
+# one arrow name for "loop", a list of names for the others
 PLAN_KINDS = {"deletion": "kept", "regularization": "solid", "factor_out": "solid",
               "absorption": "loop"}
 
 
-def _load_plan(dit, path):
-    with open(path, "r", encoding="utf8") as fh:
-        data = json.load(fh)
+def _load_plan(path):
+    entries = _read_json(path).get("steps", [])
+    if not isinstance(entries, list):
+        raise ParseError("'steps' must be a list", path)
     steps = []
-    for i, entry in enumerate(data.get("steps", [])):
+    for i, entry in enumerate(entries):
+        where = f"steps[{i}]"
+        if not isinstance(entry, dict):
+            raise ParseError("a step must be an object", where)
         kind = entry.get("kind")
         if kind not in PLAN_KINDS:
-            raise ParseError(f"unsupported plan step kind {kind!r}", f"steps[{i}]")
-        if PLAN_KINDS[kind] not in entry:
-            raise ParseError(f"{kind} step needs {PLAN_KINDS[kind]!r}", f"steps[{i}]")
+            raise ParseError(f"unsupported plan step kind {kind!r}", where)
+        key = PLAN_KINDS[kind]
+        if key not in entry:
+            raise ParseError(f"{kind} step needs {key!r}", where)
+        names = [entry[key]] if key == "loop" else entry[key]
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise ParseError(f"{key!r} must be {'a name' if key == 'loop' else 'a list of names'}",
+                             f"{where}.{key}")
         steps.append(StepSpec(kind, {k: v for k, v in entry.items() if k != "kind"}))
     return steps
 
 
 def cmd_reduce(args) -> int:
-    try:
-        dit = load_presentation(args.path)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    dit = load_presentation(args.path)
     certify(dit)
     if args.plan:
-        try:
-            specs = _load_plan(dit, args.plan)
-        except ParseError as exc:
-            print(f"parse error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
         cur = dit
-        for i, spec in enumerate(specs):
+        for i, spec in enumerate(_load_plan(args.plan)):
             try:
                 cur, _ = spec.apply(cur)
             except (ReductionError, CertificationError) as exc:
@@ -145,11 +137,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        dit = load_presentation(args.path)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    dit = load_presentation(args.path)
     certify(dit)
     sample = []
     if args.lambda_sample:
@@ -212,6 +200,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     try:
         return args.func(args)
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except UnsupportedShapeError as exc:
         print(f"unsupported shape: {exc}", file=sys.stderr)
         return EXIT_CERT

@@ -547,21 +547,16 @@ class QuotientPresentation:
 
 
 def _reduce_mod_J(gi: GradedIdeal, elem: Elem, degree: int) -> Elem:
-    """`reduce_mod_ideal_window` against a generated ideal J built once by
-    the caller."""
+    """Residue of a homogeneous element of the given degree modulo the span
+    of the generated ideal J = `gi` in that degree, within the word window
+    that covers the element, the ideal generators and the differential: a
+    row-reduction normal form, hence canonical.  The caller builds J once
+    (`generated_ideal`) and reduces any number of elements against it."""
     dit = gi.dit
     length_cap = max(elem.max_length(), dit.max_word_length())
     exp_cap = _exp_cap(elem, *dit.ideal.generators, *dit.delta.values.values())
     return _window_residue(dit, elem, lambda i, j, piece: gi.degree_span(
         degree, i, j, length_cap, exp_cap))
-
-
-def reduce_mod_ideal_window(dit: Dit, elem: Elem, degree: int) -> Elem:
-    """Residue of a homogeneous element modulo the window span of J in its
-    degree (row-reduction normal form, hence canonical)."""
-    if elem.is_zero():
-        return elem
-    return _reduce_mod_J(generated_ideal(dit), elem, degree)
 
 
 def quotient(dit: Dit) -> QuotientPresentation:

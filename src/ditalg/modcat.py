@@ -787,6 +787,25 @@ def _powers(F, table, dim, x, one):
         cur = _convolve(F, table, cur, x, dim)
 
 
+def _restricted(M: Rep, ix: Dict[str, Sequence[int]]) -> Rep:
+    """M restricted to the basis vectors ix[p] at each point p, in that
+    order (none at a point that ix leaves out): each arrow and x-action
+    matrix keeps the rows and columns so named, in fresh rows.  It is a
+    module, and a direct summand of M, when the other basis vectors span a
+    complement that no arrow or x-action links to these."""
+    R = M.ring
+
+    def restrict(m: Mat, rows, cols) -> Mat:
+        return Mat._owning(R, len(rows), len(cols), [[m.data[i][j] for j in cols] for i in rows])
+
+    b = M.dit.bigraph
+    ix = {p: ix.get(p, ()) for p in b.point_order}
+    return Rep(M.dit, {p: len(v) for p, v in ix.items()},
+               {a.name: restrict(M.arrow_ops[a.name], ix[a.target], ix[a.source])
+                for a in b.solid_arrows()},
+               {p: restrict(X, ix[p], ix[p]) for p, X in M.point_ops.items()}, R)
+
+
 def split_idempotent(dit: Dit, M: Rep, e: MorphismPair):
     """Split an idempotent endomorphism: returns (M1, M2, h) with h an
     isomorphism M1 (+) M2 -> M satisfying h^-1 e h = [[1,0],[0,0]] exactly."""
@@ -868,26 +887,11 @@ def split_idempotent(dit: Dit, M: Rep, e: MorphismPair):
     if not cur.f1_is_zero():
         raise ModcatError("idempotent normalization failed to kill f1")
 
-    # Step 3: block restrictions
-    def restrict(which: int) -> Rep:
-        dims = {p: (rank1[p] if which == 0 else curM.dims[p] - rank1[p]) for p in b.point_order}
-        out = Rep(dit, dims)
-        for a in b.solid_arrows():
-            m = curM.arrow_ops[a.name]
-            rt, rs = rank1[a.target], rank1[a.source]
-            if which == 0:
-                out.arrow_ops[a.name] = m.submatrix(0, rt, 0, rs)
-            else:
-                out.arrow_ops[a.name] = m.submatrix(rt, m.rows, rs, m.cols)
-        for p in b.point_order:
-            if not b.factor(p).is_trivial:
-                X = curM.point_ops[p]
-                r = rank1[p]
-                out.point_ops[p] = X.submatrix(0, r, 0, r) if which == 0 else \
-                    X.submatrix(r, X.rows, r, X.cols)
-        return out
-
-    M1, M2 = restrict(0), restrict(1)
+    # Step 3: now e = (diag(1, 0), 0), so the first rank1[p] basis vectors at
+    # each point span im e and the rest span ker e; M1 and M2 are curM
+    # restricted to each, and the check below makes them direct summands
+    M1 = _restricted(curM, {p: range(rank1[p]) for p in b.point_order})
+    M2 = _restricted(curM, {p: range(rank1[p], curM.dims[p]) for p in b.point_order})
     # verify block structure is exact (e1 = 0 makes arrows commute with eps0)
     for a in b.solid_arrows():
         m = curM.arrow_ops[a.name]
@@ -1100,10 +1104,18 @@ def splits_in_coordinates(M: Rep) -> bool:
     return _coordinate_classes(M) is not None
 
 
+def _local_end(dit: Dit, M: Rep) -> Optional[EndAlgebra]:
+    """End(M) when it is local, which decides that M is indecomposable; None
+    when M is zero, splits in its coordinates (then no End(M) is built) or
+    has a non-local End(M)."""
+    if M.is_zero() or splits_in_coordinates(M):
+        return None
+    E = EndAlgebra(dit, M)
+    return E if _locality(E)[0] else None
+
+
 def is_indecomposable(dit: Dit, M: Rep) -> bool:
-    if M.is_zero():
-        return False
-    return _locality(EndAlgebra(dit, M))[0]
+    return _local_end(dit, M) is not None
 
 
 def _fitting_idempotent(E: EndAlgebra, f: MorphismPair) -> MorphismPair:
@@ -1155,20 +1167,8 @@ def _summand_ends(dit: Dit, M: Rep, E: Optional[EndAlgebra] = None) -> List[EndA
     classes = _coordinate_classes(M)
     if classes is None:
         return _decompose(EndAlgebra(dit, M) if E is None else E)
-    b, R = dit.bigraph, M.ring
-
-    def restrict(m: Mat, rows, cols) -> Mat:
-        return Mat._owning(R, len(rows), len(cols), [[m.data[i][j] for j in cols] for i in rows])
-
-    out = []
-    for cls in classes:
-        ix = {p: cls.get(p, ()) for p in b.point_order}
-        P = Rep(dit, {p: len(v) for p, v in ix.items()},
-                {a.name: restrict(M.arrow_ops[a.name], ix[a.target], ix[a.source])
-                 for a in b.solid_arrows()},
-                {p: restrict(X, ix[p], ix[p]) for p, X in M.point_ops.items()}, R)
-        out += _decompose(EndAlgebra(dit, P))
-    return out
+    return [part for cls in classes
+            for part in _decompose(EndAlgebra(dit, _restricted(M, cls)))]
 
 
 def decompose(dit: Dit, M: Rep) -> List[Rep]:
@@ -1260,14 +1260,13 @@ class DecomposableError(ModcatError):
 class IsoClassIndex:
     """Indecomposables up to isomorphism, bucketed by dimension vector.
 
-    `find` and `add` raise DecomposableError at once for an M that
-    `splits_in_coordinates`, a direct sum visible in M's own matrices.  Any
-    other M gets End(M) built once: its locality (`_locality`) decides that M
-    is indecomposable (DecomposableError otherwise), and the same End data
-    matches M against the classes of its bucket by `_indec_iso`.  `ends`
-    keeps the End algebra of each stored representative, in the order they
-    were added, so another index can `match` them with no second locality
-    decision; `classes` lists the representatives themselves.
+    `find` and `add` raise DecomposableError for an M that `_local_end`
+    rejects: at once, with no End(M), for a direct sum visible in M's own
+    matrices, and otherwise when End(M), built once, is not local.  The same
+    End data matches M against the classes of its bucket by `_indec_iso`.
+    `ends` keeps the End algebra of each stored representative, in the order
+    they were added, so another index can `match` them with no second
+    locality decision; `classes` lists the representatives themselves.
     """
 
     def __init__(self, dit: Dit):
@@ -1279,14 +1278,10 @@ class IsoClassIndex:
     def classes(self) -> List[Rep]:
         return [E.M for E in self.ends]
 
-    def _local_end(self, M: Rep) -> EndAlgebra:
-        if M.is_zero():
-            raise DecomposableError("the zero module is not indecomposable")
-        if splits_in_coordinates(M):
-            raise DecomposableError("module is a direct sum in its coordinates")
-        E = EndAlgebra(self.dit, M)
-        if not _locality(E)[0]:
-            raise DecomposableError("module is decomposable")
+    def _end(self, M: Rep) -> EndAlgebra:
+        E = _local_end(self.dit, M)
+        if E is None:
+            raise DecomposableError("module is zero or decomposable")
         return E
 
     def match(self, E: EndAlgebra) -> Optional[Rep]:
@@ -1300,12 +1295,12 @@ class IsoClassIndex:
 
     def find(self, M: Rep) -> Optional[Rep]:
         """The stored class isomorphic to the indecomposable M, or None."""
-        return self.match(self._local_end(M))
+        return self.match(self._end(M))
 
     def add(self, M: Rep) -> bool:
         """Store the indecomposable M unless its class is present; True when
         M is new."""
-        E = self._local_end(M)
+        E = self._end(M)
         if self.match(E) is not None:
             return False
         self._buckets.setdefault(M.dim_vector(), []).append(M)

@@ -298,14 +298,23 @@ def parse_presentation(data: dict, name: str = "") -> Dit:
                name=name or data.get("name", ""))
 
 
-def load_presentation(path: str) -> Dit:
+def _read_json(path: str) -> dict:
+    """The JSON object held in the file at `path`; ParseError when the file
+    cannot be read, is not JSON, or holds anything but an object."""
     try:
         with open(path, "r", encoding="utf8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", f"{path}:{exc.lineno}:{exc.colno}")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(str(exc), path)
+    if not isinstance(data, dict):
+        raise ParseError("the top level must be a JSON object", path)
+    return data
+
+
+def load_presentation(path: str) -> Dit:
+    data = _read_json(path)
     return parse_presentation(data, name=data.get("name", path))
 
 
@@ -358,14 +367,25 @@ def parse_module(dit: Dit, data: dict, where: str = "module"):
 
     b = dit.bigraph
     F = b.field
-    dims = {p: int(v) for p, v in data.get("dims", {}).items()}
-    for p in dims:
+
+    def entries(key):
+        value = data.get(key, {})
+        if not isinstance(value, dict):
+            raise ParseError(f"{key!r} must be an object", where)
+        return value.items()
+
+    dims = {}
+    for p, v in entries("dims"):
         if p not in b.points:
-            raise ParseError(f"unknown point {p!r}", where)
+            raise ParseError(f"unknown point {p!r}", f"{where}.dims[{p}]")
+        if type(v) is not int or v < 0:
+            raise ParseError(f"dimension {v!r} is not a non-negative integer", f"{where}.dims[{p}]")
+        dims[p] = v
     rep = Rep(dit, {p: dims.get(p, 0) for p in b.point_order})
 
     def parse_matrix(rows, r, c, wh):
-        if len(rows) != r or any(len(row) != c for row in rows):
+        if (not isinstance(rows, list) or len(rows) != r
+                or any(not isinstance(row, list) or len(row) != c for row in rows)):
             raise ParseError(f"matrix must be {r}x{c}", wh)
         out = Mat(F, r, c)
         for i, row in enumerate(rows):
@@ -376,13 +396,17 @@ def parse_module(dit: Dit, data: dict, where: str = "module"):
                 out.data[i][j] = F.div(num.coeff(0) if num.coeffs else F.zero, den.coeff(0))
         return out
 
-    for aname, rows in data.get("arrows", {}).items():
-        a = b.arrow(aname)
-        rep.arrow_ops[aname] = parse_matrix(rows, rep.dims[a.target], rep.dims[a.source],
-                                            f"{where}.arrows[{aname}]")
-    for pname, rows in data.get("points", {}).items():
-        rep.point_ops[pname] = parse_matrix(rows, rep.dims[pname], rep.dims[pname],
-                                            f"{where}.points[{pname}]")
+    for aname, rows in entries("arrows"):
+        wh = f"{where}.arrows[{aname}]"
+        a = b.arrows.get(aname)
+        if a is None or a.dashed:
+            raise ParseError(f"unknown solid arrow {aname!r}", wh)
+        rep.arrow_ops[aname] = parse_matrix(rows, rep.dims[a.target], rep.dims[a.source], wh)
+    for pname, rows in entries("points"):
+        wh = f"{where}.points[{pname}]"
+        if pname not in b.points or b.factor(pname).is_trivial:
+            raise ParseError(f"x-action at {pname!r}, which is not a rational point", wh)
+        rep.point_ops[pname] = parse_matrix(rows, rep.dims[pname], rep.dims[pname], wh)
     err = rep.validate()
     if err:
         raise ParseError(err, where)
@@ -390,12 +414,7 @@ def parse_module(dit: Dit, data: dict, where: str = "module"):
 
 
 def load_module(dit: Dit, path: str):
-    try:
-        with open(path, "r", encoding="utf8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", f"{path}:{exc.lineno}:{exc.colno}")
-    return parse_module(dit, data, where=path)
+    return parse_module(dit, _read_json(path), where=path)
 
 
 def emit_module(rep) -> dict:
@@ -440,14 +459,6 @@ def emit_report(report) -> dict:
         data["families"].append(fd)
     if report.brute_residue is not None:
         data["exhaustive_residue"] = [emit_module(r) for r in report.brute_residue]
-    return data
-
-
-def parse_report(data: dict) -> dict:
-    """Validate a report file; returns the canonical structure."""
-    for key in ("steps", "minimal", "indecomposables", "families"):
-        if key not in data:
-            raise ParseError(f"report is missing {key!r}", "report")
     return data
 
 

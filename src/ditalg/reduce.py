@@ -249,12 +249,8 @@ def delete_idempotents(dit: Dit, kept_points: Sequence[str],
     """Deletion of the idempotent complementary to the kept points; image =
     modules annihilated by the deleted points."""
     b = dit.bigraph
-    kept = [p for p in b.point_order if p in set(kept_points)]
-    tgt = Bigraph(b.field, [(p, b.factor(p)) for p in kept],
-                  solid=[(a.name, a.source, a.target) for a in b.solid_arrows()
-                         if a.source in kept and a.target in kept],
-                  dashed=[(a.name, a.source, a.target) for a in b.dashed_arrows()
-                          if a.source in kept and a.target in kept])
+    kept = set(kept_points)
+    tgt = b.without(points=[p for p in b.point_order if p not in kept])
     return induced_reduction(dit, tgt, {}, name=name or f"{dit.name}^d", kind="deletion")
 
 
@@ -313,11 +309,7 @@ def regularize(dit: Dit, solid_selection: Sequence[str],
             "delta(W0') is not a direct summand of W1 over this base "
             "(no unit pivot); localize first")
 
-    kept_solid = [a.name for a in b.solid_arrows() if a.name not in set(sel)]
-    kept_dashed = [a.name for a in b.dashed_arrows() if a.name not in used]
-    tgt = Bigraph(F, [(p, b.factor(p)) for p in b.point_order],
-                  solid=[(n, b.arrow(n).source, b.arrow(n).target) for n in kept_solid],
-                  dashed=[(n, b.arrow(n).source, b.arrow(n).target) for n in kept_dashed])
+    tgt = b.without(arrows=[*sel, *used])
 
     # phi on the pivot arrows: v_pivot = c^-1 (delta(a) - other terms) |->
     # -c^-1 phi(other terms), so that delta(a) maps to zero; the triangular
@@ -359,11 +351,8 @@ def factor_out(dit: Dit, solid_selection: Sequence[str],
             if not membership_in_ideal_window(dit, dg, 1, middle=sel_elems,
                                               splits=[(1, 0), (0, 1)]):
                 raise ReductionError(f"delta({s}) is not inside A W0' V + V W0' A")
-    kept_solid = [a.name for a in b.solid_arrows() if a.name not in set(sel)]
-    tgt = Bigraph(b.field, [(p, b.factor(p)) for p in b.point_order],
-                  solid=[(n, b.arrow(n).source, b.arrow(n).target) for n in kept_solid],
-                  dashed=[(a.name, a.source, a.target) for a in b.dashed_arrows()])
-    return induced_reduction(dit, tgt, {}, name=name or f"{dit.name}^q", kind="factor_out")
+    return induced_reduction(dit, b.without(arrows=sel), {}, name=name or f"{dit.name}^q",
+                             kind="factor_out")
 
 
 # -- absorption ------------------------------------------------------------------
@@ -432,11 +421,8 @@ def detach_source(dit: Dit, point: str, name: str = "") -> Tuple[Dit, ReductionF
     b = dit.bigraph
     if not is_source_point(dit, point):
         raise ReductionError(f"{point} is not a source of (A, I)")
-    tgt = Bigraph(b.field, [(p, b.factor(p)) for p in b.point_order],
-                  solid=[(a.name, a.source, a.target) for a in b.solid_arrows()
-                         if a.source != point and a.target != point],
-                  dashed=[(a.name, a.source, a.target) for a in b.dashed_arrows()
-                          if a.source != point and a.target != point])
+    # a source has no arrow into it
+    tgt = b.without(arrows=[a.name for a in b.arrows_from(point)])
     new_dit = _pushforward(dit, tgt, {}, name or f"{dit.name}^o")
 
     def res_rep(M: Rep) -> Rep:
@@ -450,38 +436,11 @@ def detach_source(dit: Dit, point: str, name: str = "") -> Tuple[Dit, ReductionF
     return new_dit, functor
 
 
-def detached_is_product(dit: Dit, detached: Dit, point: str) -> bool:
-    """Structural check of the product decomposition: the detached dit equals
-    the one-point ditalgebra at e0 times the idempotent-deleted dit."""
-    b = detached.bigraph
-    if point not in b.points:
-        return False
-    if b.arrows_from(point) or b.arrows_into(point):
-        return False
-    deleted, _ = delete_idempotents(dit, [p for p in dit.bigraph.point_order if p != point])
-    db = deleted.bigraph
-    if set(db.points) != set(b.points) - {point}:
-        return False
-    if set(db.arrows) != set(b.arrows):
-        return False
-    for a in db.arrows:
-        if deleted.delta.of_arrow(a) != _relabel(detached.delta.of_arrow(a), db):
-            return False
-    src_span = [_relabel(g, db) for g in detached.ideal.generators]
-    for g in deleted.ideal.generators:
-        if not in_span(src_span, g):
-            return False
-    for g in src_span:
-        if not in_span(deleted.ideal.generators, g) and not g.is_zero():
-            return False
-    return True
+# -- structural equality and source commutation ---------------------------------
 
 
 def _relabel(elem: Elem, tgt: Bigraph) -> Elem:
     return Elem(tgt, {Word(w.start, w.arrows, w.coeffs): c for w, c in elem.terms.items()})
-
-
-# -- structural equality and source commutation ---------------------------------
 
 
 def structural_equal(d1: Dit, d2: Dit) -> bool:
@@ -514,14 +473,6 @@ def structural_equal(d1: Dit, d2: Dit) -> bool:
         if not in_span(g1, g) and not g.is_zero():
             return False
     return True
-
-
-def rep_equal(M: Rep, N: Rep) -> bool:
-    """Exact equality of representation data."""
-    if M.dims != N.dims:
-        return False
-    return (all(M.arrow_ops[a] == N.arrow_ops[a] for a in M.arrow_ops)
-            and all(M.point_ops[p] == N.point_ops[p] for p in M.point_ops))
 
 
 @dataclass

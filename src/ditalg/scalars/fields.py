@@ -12,7 +12,6 @@ field it has.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Iterator, Optional
 
 
 def is_prime(n: int) -> bool:
@@ -80,10 +79,6 @@ class Field:
         # values are ints in [0, p) or Fractions: zero is the only falsy one
         return not a
 
-    def elements(self) -> Optional[Iterator[Any]]:
-        """Iterate all field elements, or None for an infinite field."""
-        return None
-
     def random(self, rng):
         raise NotImplementedError
 
@@ -131,9 +126,6 @@ class PrimeField(Field):
 
     def from_int(self, n: int):
         return n % self.p
-
-    def elements(self):
-        return iter(range(self.p))
 
     def random(self, rng):
         return rng.randrange(self.p)

@@ -54,9 +54,6 @@ def identity(F: Field, n: int) -> Matrix:
 def copy(m: Matrix) -> Matrix:
     return [list(r) for r in m]
 
-def shape(m: Matrix) -> Tuple[int, int]:
-    return len(m), len(m[0]) if m else 0
-
 
 def add(F: Field, a: Matrix, b: Matrix) -> Matrix:
     return [[F.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
@@ -94,12 +91,6 @@ def mul(F: Field, a: Matrix, b: Matrix) -> Matrix:
 
 def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)] if a else []
-
-
-def equal(F: Field, a: Matrix, b: Matrix) -> bool:
-    if shape(a) != shape(b):
-        return False
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def rref(F: Field, m: Matrix) -> Tuple[Matrix, List[int]]:
@@ -342,11 +333,6 @@ class Mat:
 
     def is_zero(self) -> bool:
         return not any(map(any, self.data))
-
-    def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return self == Mat.identity_of(self.F, self.rows)
 
     def inverse(self) -> Optional["Mat"]:
         if self.rows != self.cols:

@@ -23,7 +23,7 @@ from ditalg.pipeline import Obstruction, brute_force_indecomposables, classify
 from ditalg.presentation import save_presentation
 from ditalg.reduce import (
     StepSpec, absorb, delete_idempotents, deletion_image_characterization,
-    detach_source, factor_out, regularize, rep_equal, rep_spec, structural_equal,
+    detach_source, factor_out, regularize, rep_spec, structural_equal,
 )
 from ditalg.scalars import (
     LocalizedRing, ModulePresentation, Poly, PrimeField,
@@ -262,7 +262,7 @@ def test_criterion_5_reduction_functors():
             N = Rep(nd, {p: M.dims[p] for p in nd.bigraph.point_order})
             for a in nd.bigraph.solid_arrows():
                 N.arrow_ops[a.name] = M.arrow_ops[a.name]
-            assert rep_equal(fd(N), M)
+            assert fd(N) == M
         else:
             assert not deletion_image_characterization(fd, M)
     # F^r on EXR
@@ -346,7 +346,7 @@ def _commutation(dit, source_point, spec, lift_spec):
     for N in _all_modules_up_to_iso(dz, 3, dit.field):
         lhs = Res_src.apply_rep(Fz.apply_rep(N))
         rhs = Fdetz.apply_rep(_rebind(Res_z.apply_rep(N), ddetz))
-        assert rep_equal(lhs, rhs)
+        assert lhs == rhs
         count += 1
     return count
 
@@ -382,7 +382,7 @@ def test_criterion_6_commutation():
                     continue
                 lhs = Res_src.apply_rep(Fz.apply_rep(N))
                 rhs = Fdetz.apply_rep(_rebind(Res_z.apply_rep(N), ddetz))
-                assert rep_equal(lhs, rhs)
+                assert lhs == rhs
                 checked += 1
     # X-kind
     d = exx(F2)

@@ -9,7 +9,7 @@ from ditalg.fixtures import ex1, ex2, exi, exk, exl
 from ditalg.modcat import simple_at
 from ditalg.presentation import (
     emit_module, emit_presentation, load_presentation, parse_presentation,
-    parse_report, save_presentation,
+    save_presentation,
 )
 from ditalg.scalars import PrimeField, QQ
 
@@ -180,12 +180,66 @@ def test_cmd_reduce_plan_step_without_its_data(files, tmp_path, capsys):
     assert "parse error" in err and "'kept'" in err and "steps[0]" in err
 
 
+# module files that ex1 (solid a: 1 -> 2, both points trivial) rejects, each
+# with the key that the parse error names
+BAD_MODULES = {
+    "unknown_arrow": ({"dims": {"1": 1, "2": 1}, "arrows": {"zz": [["1"]]}}, "arrows[zz]"),
+    "unknown_point": ({"dims": {"1": 1}, "points": {"9": [["1"]]}}, "points[9]"),
+    "non_integer_dims": ({"dims": {"1": "x"}}, "dims[1]"),
+    "x_action_at_a_trivial_point": ({"dims": {"1": 1}, "points": {"1": [["0"]]}}, "points[1]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MODULES))
+def test_cmd_hom_rejects_a_bad_module_file(files, capsys, case):
+    paths, tp = files
+    data, key = BAD_MODULES[case]
+    good, bad = tp / "good.json", tp / "bad.json"
+    good.write_text(json.dumps(emit_module(simple_at(ex1(F2), "1"))))
+    bad.write_text(json.dumps(data))
+    assert main(["hom", paths["ex1"], str(good), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "parse error" in err and key in err
+
+
+def test_cmd_hom_rejects_a_missing_module_file(files, capsys):
+    paths, tp = files
+    missing = str(tp / "missing.json")
+    assert main(["hom", paths["ex1"], missing, missing]) == 2
+    err = capsys.readouterr().err
+    assert "parse error" in err and "missing.json" in err
+
+
+# plan file contents that are parse errors (None: no file), each with the
+# key or place that the parse error names
+BAD_PLANS = {
+    "missing_file": (None, "plan.json"),
+    "invalid_json": ("{not json", "plan.json"),
+    "kept_as_a_string": (json.dumps({"steps": [{"kind": "deletion", "kept": "12"}]}),
+                         "steps[0].kept"),
+    "loop_as_a_number": (json.dumps({"steps": [{"kind": "absorption", "loop": 3}]}),
+                         "steps[0].loop"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PLANS))
+def test_cmd_reduce_rejects_a_bad_plan_file(files, capsys, case):
+    paths, tp = files
+    text, key = BAD_PLANS[case]
+    plan = tp / "plan.json"
+    if text is not None:
+        plan.write_text(text)
+    assert main(["reduce", paths["exk"], "--plan", str(plan)]) == 2
+    err = capsys.readouterr().err
+    assert "parse error" in err and key in err
+
+
 def test_cmd_classify_ex1(files, tmp_path, capsys):
     paths, tp = files
     out_path = tp / "report.json"
     assert main(["classify", paths["ex1"], "--dim", "3", "--out", str(out_path)]) == 0
     report = json.loads(out_path.read_text())
-    parse_report(report)
+    assert {"steps", "minimal", "indecomposables", "families"} <= report.keys()
     assert len(report["indecomposables"]) == 3
     assert report["families"] == []
 

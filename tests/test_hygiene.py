@@ -9,9 +9,11 @@ name ends in `_det`, `_inverse` or `mat_mul` (methods are exempt), and the
 kernel itself names no particular field and reads no modulus `.p`: per-field
 arithmetic lives in the ring contexts (`Field.sub_scaled`).  Nor does it read
 a context's `is_zero`: ring values are falsy exactly at zero, so the kernel
-tests an entry by its truth value."""
+tests an entry by its truth value.  Every module-level function is used by
+package or script code, not by the tests alone."""
 
 import ast
+import collections
 import functools
 import pathlib
 
@@ -177,3 +179,43 @@ def _is_zero_reads(tree):
 
 def test_matrix_kernel_makes_no_is_zero_call():
     assert _is_zero_reads(_tree(SRC / "scalars" / "linalg.py")) == []
+
+
+SCRIPTS = SRC.parent.parent / "scripts"
+
+# module-level functions that only tests call, kept on purpose, each with
+# the reason it stays in the package
+TEST_ONLY_ALLOWED = {
+    "rep_spec": "the portable StepSpec data of a Rep, which a replayable "
+                "admissible step holds; tests would otherwise copy its fields",
+    "deletion_image_characterization": "names the image of a deletion functor, "
+                                       "the modules that vanish at every deleted point",
+}
+
+
+def _exported_names():
+    return {alias.asname or alias.name
+            for init in (SRC / "__init__.py", SRC / "scalars" / "__init__.py")
+            for node in _tree(init).body if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+
+
+def _referenced_names(node):
+    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))]
+
+
+def test_every_module_function_is_used_outside_the_tests():
+    """Each module-level function of the package is referenced, as a name or
+    an attribute, by package or script code outside its own definition, so
+    no helper lives in the package for the tests alone.  The public exports,
+    the fixtures catalogue and `TEST_ONLY_ALLOWED` are exempt."""
+    files = sorted(SRC.rglob("*.py")) + sorted(SCRIPTS.glob("*.py"))
+    refs = collections.Counter(n for p in files for n in _referenced_names(_tree(p)))
+    exempt = _exported_names() | set(TEST_ONLY_ALLOWED)
+    unused = sorted(f"{p.relative_to(SRC)}:{node.name}"
+                    for p in MODULES if p.name != "fixtures.py"
+                    for node in _tree(p).body if isinstance(node, ast.FunctionDef)
+                    and node.name not in exempt
+                    and refs[node.name] == _referenced_names(node).count(node.name))
+    assert unused == []

@@ -7,8 +7,7 @@ from ditalg.interlace import (
     CertificationError, Dit, IdealData, certify, check_balanced,
     check_interlaced, check_triangular_ideal, check_triangular_layer,
     generated_ideal, kernel_lemma_dimension_check, lift_differential,
-    pair_height_filtration, quotient,
-    reduce_mod_ideal_window,
+    _reduce_mod_J, pair_height_filtration, quotient,
 )
 from ditalg.scalars import PrimeField
 from ditalg.tensor import Differential, Elem, Layer
@@ -92,10 +91,11 @@ def test_generated_ideal_balanced_value():
 def test_reduce_mod_ideal_window():
     d = exi(F5)
     b = d.bigraph
+    gi = generated_ideal(d)
     ba = Elem.arrow(b, "b") * Elem.arrow(b, "a")
-    assert reduce_mod_ideal_window(d, ba, 0).is_zero()
+    assert _reduce_mod_J(gi, ba, 0).is_zero()
     a = Elem.arrow(b, "a")
-    assert reduce_mod_ideal_window(d, a, 0) == a
+    assert _reduce_mod_J(gi, a, 0) == a
 
 
 def test_quotient_identity_when_ideal_zero():
@@ -149,10 +149,11 @@ def test_lift_with_degree2_value():
     assert dv == Elem.arrow(b, "u2") * Elem.arrow(b, "u")
     assert certify(d)["interlaced"]
     # delta^2(T) lands in J on every generator
+    gi = generated_ideal(d)
     for name in b.arrows:
         sq = d.delta.square(Elem.arrow(b, name))
         deg = (2 if b.arrow(name).dashed else 1) + 1
-        assert reduce_mod_ideal_window(d, sq, deg).is_zero()
+        assert _reduce_mod_J(gi, sq, deg).is_zero()
 
 
 def test_lift_rejects_bad_input():
@@ -291,3 +292,27 @@ def test_ideal_window_span_enumerates_each_window_once(monkeypatch):
     # length 1,440
     every = [w for windows in calls for w in windows]
     assert len(every) == len(set(every)) == 14
+
+
+def test_without_leaves_out_points_their_arrows_and_named_arrows():
+    rat = Factor.rational([])
+    b = Bigraph(F3, [("1", Factor.trivial()), ("2", rat), ("3", Factor.trivial())],
+                solid=[("c", "1", "3"), ("a", "1", "2"), ("l", "2", "2"), ("b", "2", "3")],
+                dashed=[("w", "3", "1"), ("u", "1", "3"), ("v", "2", "1")])
+
+    def names(arrows):
+        return [a.name for a in arrows]
+
+    sub = b.without(points=["2"], arrows=["w"])
+    assert sub.point_order == ["1", "3"] and sub.field is b.field
+    assert sub.factor("1") is b.factor("1") and sub.factor("3") is b.factor("3")
+    assert names(sub.solid_arrows()) == ["c"] and names(sub.dashed_arrows()) == ["u"]
+    arrows_only = b.without(arrows=["a", "v"])
+    assert arrows_only.point_order == b.point_order and arrows_only.factor("2") is rat
+    assert names(arrows_only.solid_arrows()) == ["c", "l", "b"]
+    assert names(arrows_only.dashed_arrows()) == ["w", "u"]
+    same = b.without()
+    assert same.point_order == b.point_order and same.points == b.points
+    assert all(same.factor(p) is b.factor(p) for p in b.point_order)
+    assert same.arrows == b.arrows
+    assert same.solid_arrows() == b.solid_arrows() and same.dashed_arrows() == b.dashed_arrows()

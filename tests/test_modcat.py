@@ -14,7 +14,6 @@ from ditalg.modcat import (
     pair_to_vector, simple_at, split_idempotent, transport_structure, zero_morphism,
     morphism_sum, morphism_scale,
 )
-from ditalg.reduce import rep_equal
 from ditalg.scalars import PrimeField, Poly, QQ, linalg
 from ditalg.scalars.linalg import Mat
 
@@ -494,7 +493,7 @@ def test_decompose_returns_the_summands_of_a_coordinate_sum(monkeypatch):
     for d, parts in cases:
         S = direct_sum(parts)
         got = decompose(d, S)
-        assert len(got) == len(parts) and all(map(rep_equal, got, parts))
+        assert got == parts
         assert sum(A is S or B is S for A, B in calls) == 0
         assert len(calls) == len(parts)
         calls.clear()
@@ -547,13 +546,44 @@ def test_an_off_diagonal_x_action_entry_alone_links_two_basis_vectors(monkeypatc
     assert [P is block for P in decompose(d, block)] == [True]
     blocks = [jordan_at(d, "1", F.one, 2), jordan_at(d, "1", F.from_int(2), 1)]
     parts = decompose(d, direct_sum(blocks))
-    assert len(parts) == 2 and all(map(rep_equal, parts, blocks))
-    # IsoClassIndex rejects the split module before it builds End(M)
+    assert parts == blocks
+    # IsoClassIndex and is_indecomposable reject the split module before
+    # they build End(M)
     built = []
     monkeypatch.setattr(modcat, "EndAlgebra", lambda *args: built.append(args))
     with pytest.raises(DecomposableError):
         IsoClassIndex(d).add(diagonal)
+    assert not is_indecomposable(d, diagonal)
     assert not built
+
+
+def test_restricted_takes_the_named_basis_vectors_in_order():
+    from ditalg.interlace import Dit, IdealData
+    from ditalg.modcat import _restricted
+    from ditalg.tensor import Differential, Layer
+
+    F = F5
+    b = Bigraph(F, [("1", Factor.trivial()), ("2", Factor.rational([]))],
+                solid=[("a", "1", "2")])
+    layer = Layer(b)
+    d = Dit(layer, Differential(layer, {}), IdealData(), name="arrow-to-rational")
+
+    def mat(rows):
+        return Mat(F, len(rows), len(rows[0]), [[F.from_int(v) for v in r] for r in rows])
+
+    A = mat([[1, 2], [3, 4], [0, 1]])
+    X = mat([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    M = Rep(d, {"1": 2, "2": 3}, {"a": A}, {"2": X})
+    P = _restricted(M, {"1": [1, 0], "2": [1, 0]})
+    assert P.dit is d and P.dims == {"1": 2, "2": 2}
+    assert P.arrow_ops["a"] == mat([[4, 3], [2, 1]])
+    assert P.point_ops["2"] == mat([[1, 0], [1, 1]])
+    # a permutation of the whole basis is an isomorphic module
+    assert iso_test(d, _restricted(M, {"1": [1, 0], "2": [2, 1, 0]}), M)
+    Z = _restricted(M, {"1": [], "2": []})
+    assert Z.is_zero() and Z.validate() is None
+    assert (Z.arrow_ops["a"].rows, Z.arrow_ops["a"].cols, Z.point_ops["2"].rows) == (0, 0, 0)
+    assert _restricted(M, {}) == Z
 
 
 def test_validate_reports_singular_inverted_polynomial_over_gamma():
@@ -634,7 +664,7 @@ def test_word_action_never_returns_a_held_matrix():
     assert M.arrow_ops == held
     unit = M.word_action(Word("4", (), (UNIT,)))
     unit.data[0][0] = d.field.zero
-    assert M.word_action(Word("4", (), (UNIT,))).is_identity()
+    assert M.word_action(Word("4", (), (UNIT,))) == Mat.identity_of(M.ring, M.dims["4"])
 
 
 def test_word_action_rejects_a_decoration_at_a_trivial_point():

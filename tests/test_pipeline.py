@@ -12,7 +12,7 @@ from ditalg.modcat import Rep, hom_dim, is_indecomposable, iso_test, jordan_at, 
 from ditalg.pipeline import (
     Obstruction, brute_force_indecomposables, classify, is_minimal, reduce_to_minimal,
 )
-from ditalg.reduce import rep_equal, structural_equal
+from ditalg.reduce import structural_equal
 from ditalg.scalars import PrimeField, Poly, QQ
 from ditalg.scalars.linalg import Mat
 
@@ -109,7 +109,7 @@ def test_exk_parametrization_square():
             via_bimodule = specialize_jordan(Z, lam, t)
             via_functor = comp.apply_rep(jordan_at(minimal, p, lam, t))
             assert via_bimodule.dim_vector() == via_functor.dim_vector()
-            assert rep_equal(via_bimodule, via_functor), (lam_int, t)
+            assert via_bimodule == via_functor, (lam_int, t)
 
 
 def _x_decorated_dit(inverted):
@@ -769,7 +769,7 @@ def test_brute_residue_matches_the_referee_classes_found_anew(F, d, residue):
         index.add(img)
     expected = [c for c in brute_force_indecomposables(dit, d) if index.find(c) is None]
     assert len(report.brute_residue) == len(expected) == residue
-    assert all(rep_equal(a, b) for a, b in zip(report.brute_residue, expected))
+    assert report.brute_residue == expected
 
 
 @pytest.mark.parametrize("error", ["CertificationError", "AdmissibleError", "ModcatError",

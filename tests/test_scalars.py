@@ -285,7 +285,7 @@ def test_inverse_roundtrip():
         inv = linalg.inverse(F5, a)
         if inv is not None:
             break
-    assert linalg.equal(F5, linalg.mul(F5, a, inv), linalg.identity(F5, 4))
+    assert linalg.mul(F5, a, inv) == linalg.identity(F5, 4)
 
 
 def test_mat_results_own_their_rows():
@@ -528,7 +528,7 @@ def test_det_and_inverse_over_localized_ring():
     x_minus_1 = LocElt(R, Poly.from_ints(F3, [-1, 1]), 0)
     M = linalg.Mat(R, 2, 2, [[x_minus_1, R.one], [R.one, R.zero]])
     assert M.det() == R.from_int(-1)
-    assert (M * M.inverse()).is_identity()
+    assert M * M.inverse() == linalg.Mat.identity_of(R, 2)
     assert linalg.Mat(R, 1, 1, [[x_minus_1]]).inverse() is None
 
     # k[x] itself goes through the same kernel
