@@ -134,8 +134,9 @@ class Bigraph:
     def topological_order(self) -> Optional[List[str]]:
         """Kahn topological sort over all arrows; None when a cycle exists.
 
-        Ties are broken by declaration order so the enumeration is canonical;
-        sources always come first.
+        Of the points ready at each step the first declared comes next, so
+        the order is canonical.  A source may follow a point that is not
+        one: points s1, x, s2 with s1 -> x give [s1, x, s2].
         """
         indeg = {p: 0 for p in self.point_order}
         for a in self.arrows.values():
@@ -162,7 +163,9 @@ class Bigraph:
         return self.topological_order() is not None
 
     def find_cycle(self) -> Optional[List[str]]:
-        """A witness oriented cycle (arrow names), or None."""
+        """A witness oriented cycle (arrow names, each arrow's target the
+        next one's source and the last one's target the first one's
+        source), or None."""
         color = {p: 0 for p in self.points}
         stack: List[str] = []
 
@@ -172,7 +175,11 @@ class Bigraph:
                 if a.source != p:
                     continue
                 if color[a.target] == 1:
-                    return stack + [a.name]
+                    # the cycle starts after the arrow that entered a.target
+                    # on the DFS path, or at the root
+                    start = next((k + 1 for k, name in enumerate(stack)
+                                  if self.arrows[name].target == a.target), 0)
+                    return stack[start:] + [a.name]
                 if color[a.target] == 0:
                     stack.append(a.name)
                     found = dfs(a.target)
@@ -201,47 +208,21 @@ class HeightMap:
 
 
 def height_maps(b: Bigraph) -> HeightMap:
-    """Point heights from predecessors and pair heights for the product order
-    (i, j) <= (i', j') iff i' <= i and j <= j'; rejects non-directed input."""
+    """Point heights (the longest path into a point) and pair heights for
+    the product order (i, j) <= (i', j') iff i' <= i and j <= j', with
+    i <= j iff there is a path i ~> j; rejects non-directed input.  A height
+    in a product order is the sum of the factors' heights, and the height of
+    i in the reversed path order is the longest path out of i, so the pair
+    height of (i, j) is that plus the point height of j."""
     order = b.topological_order()
     if order is None:
         raise BigraphError("bigraph is not directed")
-    preds: Dict[str, set] = {p: set() for p in b.points}
-    for a in b.arrows.values():
-        preds[a.target].add(a.source)
     h: Dict[str, int] = {}
     for p in order:
-        if not preds[p]:
-            h[p] = 0
-        else:
-            h[p] = max(h[q] for q in preds[p]) + 1
-
-    # reachability order: i <= j iff path i ~> j
-    reach: Dict[str, set] = {p: {p} for p in b.points}
+        h[p] = max((h[a.source] + 1 for a in b.arrows_into(p)), default=0)
+    out: Dict[str, int] = {}
     for p in reversed(order):
-        for a in b.arrows_from(p):
-            reach[p] |= reach[a.target]
-
-    def le(i, j):
-        return j in reach[i]
-
-    pairs = [(i, j) for i in b.point_order for j in b.point_order]
-
-    def pair_le(u, v):
-        # (i,j) <= (i',j') iff i' <= i and j <= j'
-        (i, j), (ip, jp) = u, v
-        return le(ip, i) and le(j, jp)
-
-    hp: Dict[Tuple[str, str], int] = {}
-    remaining = list(pairs)
-    while remaining:
-        progressed = False
-        for u in list(remaining):
-            below = [v for v in pairs if v != u and pair_le(v, u)]
-            if all(v in hp for v in below):
-                hp[u] = max([hp[v] for v in below], default=-1) + 1
-                remaining.remove(u)
-                progressed = True
-        if not progressed:
-            raise BigraphError("pair order is not well founded (cycle)")
-    return HeightMap(point_height=h, pair_height=hp)
+        out[p] = max((out[a.target] + 1 for a in b.arrows_from(p)), default=0)
+    return HeightMap(point_height=h,
+                     pair_height={(i, j): out[i] + h[j]
+                                  for i in b.point_order for j in b.point_order})

@@ -142,7 +142,11 @@ def cmd_classify(args) -> int:
     sample = []
     if args.lambda_sample:
         for tok in args.lambda_sample.split(","):
-            sample.append(dit.field.parse(tok.strip()))
+            try:
+                sample.append(dit.field.parse(tok.strip()))
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"cannot read {tok.strip()!r} as an element of {dit.field!r}",
+                                 "--lambda-sample")
     report = classify(dit, args.dim, args.budget, lambda_sample=sample)
     if isinstance(report, Obstruction):
         print(f"obstruction: {report.reason}")

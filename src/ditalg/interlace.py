@@ -163,10 +163,9 @@ def _exp_cap(*elems: Elem) -> int:
 def ideal_window_span(dit: Dit, degree: int, source: str, target: str,
                       length_cap: int, exp_cap: int,
                       middle: Optional[Sequence[Elem]] = None,
-                      splits: Optional[Sequence[Tuple[int, int]]] = None,
                       windows: Optional[Dict[tuple, Dict[int, List[Elem]]]] = None
                       ) -> List[Elem]:
-    """Spanning elements of sum_{(dl,dr)} [T]_dl * g * [T]_dr between the
+    """Spanning elements of sum_{dl + dr = degree} [T]_dl * g * [T]_dr between the
     given points, with g running over `middle` (default: ideal components).
 
     Each window e_j [T]_deg e_i is enumerated once, at the largest word
@@ -177,8 +176,6 @@ def ideal_window_span(dit: Dit, degree: int, source: str, target: str,
     that spans many point pairs of one dit; by default they last one call."""
     b = dit.bigraph
     gens = list(middle) if middle is not None else dit.ideal_components()
-    if splits is None:
-        splits = [(dl, degree - dl) for dl in range(degree + 1)]
     pieces = [(gi, gj, piece, piece.max_length())
               for gc in gens for (gi, gj), piece in _by_pair(b, gc).items()]
     cap = max([0] + [length_cap - glen for *_, glen in pieces])
@@ -195,8 +192,8 @@ def ideal_window_span(dit: Dit, degree: int, source: str, target: str,
 
     out: List[Elem] = []
     for gi, gj, piece, glen in pieces:
-        for dl, dr in splits:
-            us, vs = window(gj, target, dl), window(source, gi, dr)
+        for dl in range(degree + 1):
+            us, vs = window(gj, target, dl), window(source, gi, degree - dl)
             for lu in range(0, max(0, length_cap - glen) + 1):
                 for lv in range(0, max(0, length_cap - glen - lu) + 1):
                     for ue in us.get(lu, ()):
@@ -208,8 +205,7 @@ def ideal_window_span(dit: Dit, degree: int, source: str, target: str,
 
 
 def membership_in_ideal_window(dit: Dit, target_elem: Elem, degree: int,
-                               middle: Optional[Sequence[Elem]] = None,
-                               splits: Optional[Sequence[Tuple[int, int]]] = None) -> bool:
+                               middle: Optional[Sequence[Elem]] = None) -> bool:
     """Is target_elem (homogeneous of the given degree) in the window span?"""
     if target_elem.is_zero():
         return True
@@ -217,7 +213,7 @@ def membership_in_ideal_window(dit: Dit, target_elem: Elem, degree: int,
     length_cap = target_elem.max_length()
     exp_cap = _exp_cap(target_elem, *dit.ideal.generators, *dit.delta.values.values())
     return _window_residue(dit, target_elem, lambda i, j, piece: ideal_window_span(
-        dit, degree, i, j, length_cap, exp_cap, middle=middle, splits=splits)).is_zero()
+        dit, degree, i, j, length_cap, exp_cap, middle=middle)).is_zero()
 
 
 # -- certification ops ----------------------------------------------------
@@ -229,7 +225,7 @@ def check_balanced(dit: Dit) -> bool:
         dg = dit.delta.apply(g)
         if dg.is_zero():
             continue
-        if not membership_in_ideal_window(dit, dg, 1, splits=[(1, 0), (0, 1)]):
+        if not membership_in_ideal_window(dit, dg, 1):
             dit.certificates["balanced"] = False
             return False
     dit.certificates["balanced"] = True
@@ -289,8 +285,7 @@ def check_triangular_ideal(dit: Dit) -> bool:
             ds = dit.delta.apply(s)
             if ds.is_zero():
                 continue
-            ok = membership_in_ideal_window(dit, ds, 1, middle=prev,
-                                            splits=[(1, 0), (0, 1)]) if prev else False
+            ok = membership_in_ideal_window(dit, ds, 1, middle=prev) if prev else False
             if not ok:
                 dit.certificates["triangular_ideal"] = False
                 return False
@@ -404,15 +399,14 @@ def check_interlaced(dit: Dit) -> bool:
         sq = squares[arr.name]
         if sq.is_zero():
             continue
-        if not membership_in_ideal_window(dit, sq, 2, splits=[(2, 0), (1, 1), (0, 2)]):
+        if not membership_in_ideal_window(dit, sq, 2):
             dit.certificates["interlaced"] = False
             return False
     for arr in b.dashed_arrows():
         sq = squares[arr.name]
         if sq.is_zero():
             continue
-        if not membership_in_ideal_window(dit, sq, 3,
-                                          splits=[(3, 0), (2, 1), (1, 2), (0, 3)]):
+        if not membership_in_ideal_window(dit, sq, 3):
             dit.certificates["interlaced"] = False
             return False
     dit.certificates["interlaced"] = True
@@ -638,7 +632,7 @@ def lift_differential(bigraph: Bigraph, ideal_gens: List[Elem],
     for g in ideal_gens:
         dg = delta.apply(g)
         if not dg.is_zero():
-            if not membership_in_ideal_window(dit, dg, 1, splits=[(1, 0), (0, 1)]):
+            if not membership_in_ideal_window(dit, dg, 1):
                 raise CertificationError(
                     "input differential does not vanish on the ideal (not liftable)")
     # the input had to be a ditalgebra: delta^2 lands in J
@@ -690,8 +684,7 @@ def kernel_lemma_dimension_check(dit: Dit, source: str, target: str,
     support, rows = elem_coordinates(images)
     image_rank = linalg.rank(F, rows)
     kernel_dim = len(words) - image_rank
-    direct = ideal_window_span(dit, 1, source, target, length_cap, exp_cap,
-                               splits=[(1, 0), (0, 1)])
+    direct = ideal_window_span(dit, 1, source, target, length_cap, exp_cap)
     direct_in = [e for e in direct
                  if not e.is_zero() and all(w in words for w in e.terms)]
     direct_rank = 0

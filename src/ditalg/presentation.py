@@ -206,7 +206,9 @@ def parse_word_array(b: Bigraph, arr: List[str], where: str) -> Elem:
 
 def parse_elem(b: Bigraph, arrs: List[List[str]], where: str) -> Elem:
     out = Elem.zero(b)
-    for i, arr in enumerate(arrs):
+    for i, arr in enumerate(_shaped(arrs, list, where)):
+        if not isinstance(arr, list) or not all(isinstance(t, str) for t in arr):
+            raise ParseError("a word must be a list of strings", f"{where}[{i}]")
         out = out + parse_word_array(b, arr, f"{where}[{i}]")
     return out
 
@@ -252,35 +254,58 @@ def emit_elem(b: Bigraph, elem: Elem) -> List[List[str]]:
 # -- presentation files --------------------------------------------------------------
 
 
+_SHAPE_NAMES = {list: "a list", dict: "an object", str: "a string"}
+
+
+def _shaped(value, kind, where: str):
+    """`value`, when it is a `kind` (list, dict or str); else a ParseError
+    that names `where`."""
+    if not isinstance(value, kind):
+        raise ParseError(f"expected {_SHAPE_NAMES[kind]}, got {type(value).__name__}", where)
+    return value
+
+
+def _required(entry: dict, key: str, where: str) -> str:
+    """The string `entry[key]` of a presentation-file object at `where`."""
+    if key not in entry:
+        raise ParseError(f"missing {key!r}", where)
+    return _shaped(entry[key], str, f"{where}.{key}")
+
+
 def parse_presentation(data: dict, name: str = "") -> Dit:
     try:
         field = field_from_name(data["field"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad field spec: {exc}", "field")
     points = []
-    for i, p in enumerate(data.get("points", [])):
-        pname = p["name"]
+    for i, p in enumerate(_shaped(data.get("points", []), list, "points")):
+        where = f"points[{i}]"
+        pname = _required(_shaped(p, dict, where), "name", where)
         kind = p.get("factor", "trivial")
         if kind == "trivial":
             points.append((pname, Factor.trivial()))
         elif kind == "rational":
             inv = []
-            for s in p.get("inverted", []):
-                num, den = parse_poly_fraction(field, s)
+            for s in _shaped(p.get("inverted", []), list, f"{where}.inverted"):
+                num, den = parse_poly_fraction(field, _shaped(s, str, f"{where}.inverted"))
                 if not den.is_constant():
-                    raise ParseError("inverted entries must be polynomials", f"points[{i}]")
+                    raise ParseError("inverted entries must be polynomials", where)
                 inv.append(num.monic())
             points.append((pname, Factor.rational(inv)))
         else:
-            raise ParseError(f"unknown factor kind {kind!r}", f"points[{i}]")
-    solid = [(a["name"], a["source"], a["target"]) for a in data.get("solid_arrows", [])]
-    dashed = [(a["name"], a["source"], a["target"]) for a in data.get("dashed_arrows", [])]
+            raise ParseError(f"unknown factor kind {kind!r}", where)
+
+    def arrows(key):
+        return [tuple(_required(_shaped(a, dict, f"{key}[{i}]"), k, f"{key}[{i}]")
+                      for k in ("name", "source", "target"))
+                for i, a in enumerate(_shaped(data.get(key, []), list, key))]
+
     try:
-        b = Bigraph(field, points, solid=solid, dashed=dashed)
+        b = Bigraph(field, points, solid=arrows("solid_arrows"), dashed=arrows("dashed_arrows"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(str(exc), "arrows")
     delta_vals = {}
-    for aname, arrs in data.get("differential", {}).items():
+    for aname, arrs in _shaped(data.get("differential", {}), dict, "differential").items():
         if aname not in b.arrows:
             raise ParseError(f"differential on unknown arrow {aname!r}", "differential")
         delta_vals[aname] = parse_elem(b, arrs, f"differential[{aname}]")
@@ -289,11 +314,13 @@ def parse_presentation(data: dict, name: str = "") -> Dit:
         delta = Differential(layer, delta_vals)
     except ValueError as exc:
         raise ParseError(str(exc), "differential")
-    gens = [parse_elem(b, arrs, f"ideal[{i}]") for i, arrs in enumerate(data.get("ideal", []))]
+    gens = [parse_elem(b, arrs, f"ideal[{i}]")
+            for i, arrs in enumerate(_shaped(data.get("ideal", []), list, "ideal"))]
     filtration = None
     if "ideal_filtration" in data:
-        filtration = [[parse_elem(b, arrs, "ideal_filtration") for arrs in level]
-                      for level in data["ideal_filtration"]]
+        filtration = [[parse_elem(b, arrs, "ideal_filtration")
+                       for arrs in _shaped(level, list, "ideal_filtration")]
+                      for level in _shaped(data["ideal_filtration"], list, "ideal_filtration")]
     return Dit(layer, delta, IdealData([g for g in gens if not g.is_zero()], filtration),
                name=name or data.get("name", ""))
 

@@ -348,8 +348,7 @@ def factor_out(dit: Dit, solid_selection: Sequence[str],
             raise ReductionError(f"{s} is not inside the ideal")
         dg = dit.delta.apply(g)
         if not dg.is_zero():
-            if not membership_in_ideal_window(dit, dg, 1, middle=sel_elems,
-                                              splits=[(1, 0), (0, 1)]):
+            if not membership_in_ideal_window(dit, dg, 1, middle=sel_elems):
                 raise ReductionError(f"delta({s}) is not inside A W0' V + V W0' A")
     return induced_reduction(dit, b.without(arrows=sel), {}, name=name or f"{dit.name}^q",
                              kind="factor_out")

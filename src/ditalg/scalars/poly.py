@@ -2,14 +2,22 @@
 
 Coefficients ascend by degree and the leading coefficient is nonzero unless
 the polynomial is zero (empty coefficient tuple).  Factorization is Berlekamp
-for prime fields and Zassenhaus (Hensel lifting plus subset recombination)
-over Q; both are exact and deterministic.
+for prime fields and Zassenhaus over Q; both are exact and deterministic.
+Over Q each squarefree part is made a primitive f in Z[x] of degree n and
+factored by Berlekamp modulo the first odd prime p that keeps it squarefree
+of degree n.  Those factors are lifted by linear Hensel lifting
+(`_hensel_lift`) to the least power q of p above 2B, with
+B = |lc(f)| 2^n (floor(sqrt(sum of the squared coefficients)) + 1), which
+by Mignotte's bound bounds the coefficients of lc(f) times any factor of f.
+Subsets of the lifted factors are then tried by trial division in Q[x].
+All of this arithmetic is `Poly`'s, over F_p or over Q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import combinations
+from math import gcd, isqrt, lcm
 from typing import List, Tuple
 
 from . import linalg
@@ -375,239 +383,112 @@ def _factor_prime_field(f: Poly) -> List[Tuple[Poly, int]]:
 # -- Zassenhaus over Q ---------------------------------------------------
 
 
-def _to_int_primitive(f: Poly) -> List[int]:
-    """Clear denominators, divide by content; positive leading coefficient."""
-    from math import gcd, lcm
-
-    den = 1
-    for c in f.coeffs:
-        den = lcm(den, Fraction(c).denominator)
-    ints = [int(Fraction(c) * den) for c in f.coeffs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    g = g or 1
-    ints = [v // g for v in ints]
-    if ints[-1] < 0:
-        ints = [-v for v in ints]
-    return ints
+def _primitive_int(f: Poly) -> Poly:
+    """The primitive integer polynomial with f's roots: denominators
+    cleared, content divided out and the leading coefficient positive."""
+    den = lcm(*(c.denominator for c in f.coeffs))
+    ints = [int(c * den) for c in f.coeffs]
+    content = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
+    return Poly.from_ints(f.field, [c // content for c in ints])
 
 
-def _int_poly_mul(a: List[int], b: List[int]) -> List[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return out
-
-
-def _hensel_lift_pair(g: List[int], h: List[int], s: List[int], t: List[int],
-                      f: List[int], p: int, target: int):
-    """Lift f = g*h (mod p) with s*g + t*h = 1 (mod p) to modulus >= target."""
-
-    def trunc(poly, m):
-        return [c % m for c in poly]
-
-    def pm_mul(a, b, m):
-        return [c % m for c in _int_poly_mul(a, b)] if a and b else [0]
-
-    def pm_sub(a, b, m):
-        n = max(len(a), len(b))
-        return [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m for i in range(n)]
-
-    def pm_add(a, b, m):
-        n = max(len(a), len(b))
-        return [((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % m for i in range(n)]
-
-    def pm_divmod(a, b, m):
-        # b monic required
-        a = list(a)
-        db = len(b) - 1
-        while len(b) > 1 and b[-1] % m == 0:
-            b = b[:-1]
-            db -= 1
-        q = [0] * max(1, len(a) - db)
-        while len(a) - 1 >= db and any(c % m for c in a):
-            if a[-1] % m == 0:
-                a.pop()
-                continue
-            k = len(a) - 1 - db
-            c = a[-1] % m
-            q[k] = (q[k] + c) % m
-            for i in range(len(b)):
-                a[k + i] = (a[k + i] - c * b[i]) % m
-            a.pop()
-        return q, a
-
-    q = p
-    while q < target:
-        q2 = q * q
-        # e = f - g*h  (mod q2)
-        e = pm_sub(f, _int_poly_mul(g, h), q2)
-        # correction: g' = g + t*e mod g-ish  (standard: q_, r_ = divmod(s*e, h))
-        se = pm_mul(s, e, q2)
-        qq, rr = pm_divmod(se, h, q2)
-        g_new = pm_add(g, pm_add(pm_mul(t, e, q2), pm_mul(qq, g, q2), q2), q2)
-        h_new = pm_add(h, rr, q2)
-        # lift Bezout: b = s*g_new + t*h_new - 1
-        b = pm_sub(pm_add(pm_mul(s, g_new, q2), pm_mul(t, h_new, q2), q2), [1], q2)
-        sb = pm_mul(s, b, q2)
-        qq2, rr2 = pm_divmod(sb, h_new, q2)
-        s_new = pm_sub(s, rr2, q2)
-        t_new = pm_sub(pm_sub(t, pm_mul(t, b, q2), q2), pm_mul(qq2, g_new, q2), q2)
-        g, h, s, t = g_new, h_new, s_new, t_new
-        q = q2
-    return trunc(g, q), trunc(h, q), q
-
-
-def _lift_factorization(f: List[int], facs: List[List[int]], p: int, target: int):
-    """Hensel-lift a list of pairwise coprime monic factors of f mod p.
-
-    `f` arrives already reduced modulo the working modulus, so a singleton
-    branch just returns it.
-    """
-    if len(facs) == 1:
-        q = p
-        while q < target:
-            q *= q
-        return [[c % q for c in f]], q
-    k = len(facs) // 2
-    Fp = PrimeField(p)
-    g = facs[0]
-    for extra in facs[1:k]:
-        g = _int_poly_mul(g, extra)
-    h = facs[k]
-    for extra in facs[k + 1:]:
-        h = _int_poly_mul(h, extra)
-    gp = Poly.from_ints(Fp, g)
-    hp = Poly.from_ints(Fp, h)
-    one, s, t = gp.xgcd(hp)
-    assert one.is_one()
-    g2, h2, q = _hensel_lift_pair(
-        [c % p for c in g], [c % p for c in h],
-        [int(c) for c in s.coeffs] or [0], [int(c) for c in t.coeffs] or [0],
-        f, p, target)
-    left, ql = _lift_factorization(g2, facs[:k], p, target)
-    right, qr = _lift_factorization(h2, facs[k:], p, target)
-    # All the same modulus by construction of target
-    return left + right, q
-
-
-def _centered(c: int, q: int) -> int:
-    c %= q
-    if c > q // 2:
-        c -= q
-    return c
+def _hensel_lift(ints: Poly, factors: List[Poly], q: int) -> List[Poly]:
+    """Lift monic pairwise coprime factors g_i in F_p[x] of ints mod p, a
+    primitive polynomial in Z[x] with p not dividing its leading coefficient
+    lc, to monic integer polynomials with coefficients in [0, q) whose
+    product is f = ints/lc mod q, for q a power of p (linear multifactor
+    Hensel lifting).  sigma_i is the inverse of prod_{j != i} g_j modulo
+    g_i.  When the g_i multiply to f mod p^k, e = (f - prod g_i)/p^k mod p,
+    and g_i += p^k (sigma_i e mod g_i): the sum over i of
+    (sigma_i e mod g_i) prod_{j != i} g_j agrees with e modulo every g_i, and
+    both have degree < deg f, so they are equal, and the lifted g_i multiply
+    to f mod p^(k+1) and stay monic."""
+    Fp, QF = factors[0].field, ints.field
+    p = Fp.p
+    inv_lc = pow(int(ints.leading()), -1, q)
+    f = Poly.from_ints(QF, [int(c) * inv_lc % q for c in ints.coeffs])
+    sigmas = []
+    for i, g in enumerate(factors):
+        rest = Poly.one(Fp)
+        for h in factors[:i] + factors[i + 1:]:
+            rest = rest * h
+        sigmas.append((rest % g).xgcd(g)[1])
+    lifted = [Poly.from_ints(QF, g.coeffs) for g in factors]
+    pk = p
+    while pk < q:
+        prod = Poly.one(QF)
+        for g in lifted:
+            prod = prod * g
+        e = Poly.from_ints(Fp, [int(c) // pk for c in (f - prod).coeffs])
+        lifted = [g + Poly.from_ints(QF, ((s * e) % gp).coeffs).scale(pk)
+                  for g, s, gp in zip(lifted, sigmas, factors)]
+        pk *= p
+    return lifted
 
 
 def _factor_rationals(f: Poly) -> List[Tuple[Poly, int]]:
     QF = f.field
     out: List[Tuple[Poly, int]] = []
     for g, mult in squarefree_decomposition(f):
-        ints = _to_int_primitive(g)
-        n = len(ints) - 1
+        ints = _primitive_int(g)
+        n = ints.degree
         if n <= 0:
             continue
         if n == 1:
             out.append((g.monic(), mult))
             continue
+        lc = int(ints.leading())
         # choose a prime where g stays squarefree with same degree
         p = 3
         while True:
-            while ints[-1] % p == 0 or not is_prime(p):
+            while lc % p == 0 or not is_prime(p):
                 p += 2 if p > 2 else 1
             Fp = PrimeField(p)
-            gp = Poly.from_ints(Fp, ints)
+            gp = Poly.from_ints(Fp, [int(c) for c in ints.coeffs])
             if gp.degree == n and gp.gcd(gp.derivative()).is_one():
                 break
             p += 2
-        modp = [irr for irr in _berlekamp_splitting(Poly.from_ints(Fp, ints).monic())]
+        modp = _berlekamp_splitting(gp.monic())
         if len(modp) == 1:
             out.append((g.monic(), mult))
             continue
-        # Mignotte-style bound on factor coefficients
-        height = max(abs(c) for c in ints)
-        bound = 2 ** n * height * abs(ints[-1]) * 2 + 1
-        fac_ints = [[int(c) for c in irr.coeffs] for irr in modp]
-        lc = ints[-1]
-        # lift the factorization of the monic image of lc*appropriate scaling:
-        # work with monic f mod p^k; recombine with primitive-part test.
-        lifted, q = _lift_factorization([c % _target(p, bound) for c in _monic_int(ints, _target(p, bound))],
-                                        fac_ints, p, _target(p, bound))
+        # Mignotte: lc times any factor of ints in Z[x] has coefficients of
+        # absolute value at most B, so the least power of p above 2B tells
+        # them apart from their residues centered at 0
+        bound = 2 * lc * 2 ** n * (isqrt(sum(int(c) ** 2 for c in ints.coeffs)) + 1)
+        q = p
+        while q <= bound:
+            q *= p
+        lifted = _hensel_lift(ints, modp, q)
+        # recombination: subsets in combinations order, smallest first, the
+        # size restarting after each hit; a primitive candidate divides
+        # current in Q[x] exactly when it does in Z[x] (Gauss's lemma)
         remaining = list(range(len(lifted)))
         current = ints
-        found: List[List[int]] = []
+        found: List[Poly] = []
         size = 1
         while 2 * size <= len(remaining):
             hit = True
             while hit:
                 hit = False
-                from itertools import combinations
                 for combo in combinations(remaining, size):
-                    cand = [lc % q]
+                    cand = Poly.const(QF, current.leading())
                     for idx in combo:
-                        cand = [c % q for c in _int_poly_mul(cand, lifted[idx])]
-                    cand = [_centered(c, q) for c in cand]
-                    while len(cand) > 1 and cand[-1] == 0:
-                        cand.pop()
-                    cand = _primitive_int(cand)
-                    quo = _int_poly_exact_div(current, cand)
-                    if quo is not None:
+                        cand = cand * lifted[idx]
+                    cand = _primitive_int(Poly.from_ints(
+                        QF, [(int(c) + q // 2) % q - q // 2 for c in cand.coeffs]))
+                    quo, rem = current.divmod(cand)
+                    if rem.is_zero():
                         found.append(cand)
                         remaining = [i for i in remaining if i not in combo]
                         current = quo
-                        lc = current[-1]
                         hit = True
                         break
             size += 1
-        if len(current) > 1:
-            found.append(_primitive_int(current))
-        for cand in found:
-            out.append((Poly.make(QF, [Fraction(c) for c in cand]).monic(), mult))
+        if current.degree >= 1:
+            found.append(current)
+        out.extend((cand.monic(), mult) for cand in found)
     return out
-
-
-def _target(p: int, bound: int) -> int:
-    q = p
-    while q < bound:
-        q *= q
-    return q
-
-
-def _monic_int(ints: List[int], q: int) -> List[int]:
-    inv = pow(ints[-1], -1, q)
-    return [(c * inv) % q for c in ints]
-
-
-def _primitive_int(ints: List[int]) -> List[int]:
-    from math import gcd
-
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    g = g or 1
-    ints = [v // g for v in ints]
-    if ints[-1] < 0:
-        ints = [-v for v in ints]
-    return ints
-
-
-def _int_poly_exact_div(a: List[int], b: List[int]):
-    """Exact division of integer polynomials, or None."""
-    if len(b) > len(a):
-        return None
-    a = list(a)
-    q = [0] * (len(a) - len(b) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        if a[k + len(b) - 1] % b[-1] != 0:
-            return None
-        c = a[k + len(b) - 1] // b[-1]
-        q[k] = c
-        for i in range(len(b)):
-            a[k + i] -= c * b[i]
-    if any(a):
-        return None
-    return q
 
 
 def factor(f: Poly) -> List[Tuple[Poly, int]]:

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from ditalg.cli import main
-from ditalg.fixtures import ex1, ex2, exi, exk, exl
+from ditalg.fixtures import ex1, ex2, exa, exi, exk, exl
 from ditalg.modcat import simple_at
 from ditalg.presentation import (
     emit_module, emit_presentation, load_presentation, parse_presentation,
@@ -105,6 +105,51 @@ def test_cmd_check_parse_error(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
     assert main(["check", str(p)]) == 2
+
+
+def test_cmd_check_names_a_cycle_that_closes(tmp_path, capsys):
+    # the arrow c: z0 -> 1 leads into the loop ell but lies on no cycle
+    p = tmp_path / "exa.json"
+    save_presentation(exa(F5), str(p))
+    assert main(["check", str(p)]) == 3
+    assert "directed: FAIL (cycle through ell)" in capsys.readouterr().out
+
+
+# presentation files that are parse errors, each with the key that the parse
+# error names
+_POINTS = [{"name": "1", "factor": "trivial"}, {"name": "2", "factor": "trivial"}]
+BAD_PRESENTATIONS = {
+    "points_as_a_string": {"field": "F5", "points": "x"},
+    "point_without_a_name": {"field": "F5", "points": [{"factor": "trivial"}]},
+    "solid_arrow_without_a_target": {"field": "F5", "points": _POINTS,
+                                     "solid_arrows": [{"name": "a", "source": "1"}]},
+    "inverted_as_a_number": {"field": "F5", "points": [
+        {"name": "1", "factor": "rational", "inverted": [3]}]},
+    "differential_as_a_list": {"field": "F5", "points": _POINTS, "differential": [1]},
+}
+BAD_PRESENTATION_KEYS = {
+    "points_as_a_string": "points", "point_without_a_name": "points[0]",
+    "solid_arrow_without_a_target": "solid_arrows[0]",
+    "inverted_as_a_number": "points[0].inverted", "differential_as_a_list": "differential",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PRESENTATIONS))
+def test_cmd_check_rejects_a_bad_presentation_file(tmp_path, capsys, case):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(BAD_PRESENTATIONS[case]))
+    assert main(["check", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "parse error" in err and f"(at {BAD_PRESENTATION_KEYS[case]})" in err
+
+
+@pytest.mark.parametrize("field", [F3, QQ])
+def test_cmd_classify_rejects_a_bad_lambda_sample(tmp_path, capsys, field):
+    p = tmp_path / "exk.json"
+    save_presentation(exk(field), str(p))
+    assert main(["classify", str(p), "--dim", "2", "--lambda-sample", "0,x"]) == 2
+    err = capsys.readouterr().err
+    assert "parse error" in err and "--lambda-sample" in err
 
 
 def test_cmd_hom(files, tmp_path, capsys):

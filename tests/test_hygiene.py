@@ -9,7 +9,9 @@ name ends in `_det`, `_inverse` or `mat_mul` (methods are exempt), and the
 kernel itself names no particular field and reads no modulus `.p`: per-field
 arithmetic lives in the ring contexts (`Field.sub_scaled`).  Nor does it read
 a context's `is_zero`: ring values are falsy exactly at zero, so the kernel
-tests an entry by its truth value.  Every module-level function is used by
+tests an entry by its truth value.  `Poly` is the one polynomial arithmetic:
+outside its methods no function, module-level or nested, has a name that
+ends in `poly_mul`, `exact_div` or `divmod` or starts with `pm_`.  Every module-level function is used by
 package or script code, not by the tests alone."""
 
 import ast
@@ -150,6 +152,23 @@ def _matrix_kernel_functions(tree):
 def test_one_matrix_kernel():
     offenders = {str(p.relative_to(SRC)): _matrix_kernel_functions(_tree(p))
                  for p in MODULES if p != SRC / "scalars" / "linalg.py"}
+    assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def _polynomial_arithmetic_functions(tree):
+    """Functions, module-level or nested, that are not methods of `Poly` and
+    whose names mark a second polynomial arithmetic."""
+    poly_methods = {id(node) for cls in ast.walk(tree)
+                    if isinstance(cls, ast.ClassDef) and cls.name == "Poly" for node in cls.body}
+    return [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            and id(node) not in poly_methods
+            and (node.name.endswith(("poly_mul", "exact_div", "divmod"))
+                 or node.name.startswith("pm_"))]
+
+
+def test_one_polynomial_arithmetic():
+    offenders = {str(p.relative_to(SRC)): _polynomial_arithmetic_functions(_tree(p))
+                 for p in MODULES}
     assert {k: v for k, v in offenders.items() if v} == {}
 
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -203,6 +204,99 @@ def test_factor_equals_the_p_gcd_oracle():
         assert rebuilt == f
         count += 1
     assert count == 510 + 363 + 780 + 200
+
+
+def _divisors(n):
+    return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+
+def _has_rational_root(g):
+    """The rational-root test on g in Z[x]: a root r/s in lowest terms has
+    r dividing the constant term and s dividing the leading coefficient."""
+    a0, an = int(g.coeff(0)), int(g.leading())
+    return a0 == 0 or any(g.eval(Fraction(sign * r, s)) == 0 for r in _divisors(a0)
+                          for s in _divisors(an) for sign in (1, -1))
+
+
+def _rational_corpus(count=132, seed=28):
+    """Seeded (f, pieces) with f the product of the pieces, each of degree
+    <= 3 with small integer coefficients and no rational root, so
+    irreducible over Q.  One to five pieces, total degree up to 14, leading
+    coefficients in +-1, +-2, +-3, a piece repeated in about a quarter of
+    the draws, and every third f scaled by a rational such as -5/9."""
+    rng = random.Random(seed)
+    for k in range(count):
+        pieces = []
+        for _ in range(rng.randint(1, 5)):
+            if pieces and rng.random() < 0.25:
+                piece = rng.choice(pieces)
+            else:
+                while True:
+                    d = rng.randint(1, 3)
+                    piece = Poly.from_ints(QQ, [rng.randint(-5, 5) for _ in range(d)]
+                                           + [rng.choice([-3, -2, -1, 1, 2, 3])])
+                    if d == 1 or not _has_rational_root(piece):
+                        break
+            if sum(p.degree for p in pieces) + piece.degree > 14:
+                break
+            pieces.append(piece)
+        f = Poly.one(QQ)
+        for piece in pieces:
+            f = f * piece
+        if k % 3 == 0:
+            f = f.scale(Fraction(rng.choice([-5, -2, 1, 3, 7]), rng.choice([2, 3, 9])))
+        yield f, pieces
+
+
+def test_factor_over_q_recovers_the_pieces():
+    cases = list(_rational_corpus())
+    assert max(f.degree for f, _ in cases) >= 10
+    for f, pieces in cases:
+        got = factor(f)
+        rebuilt = Poly.one(QQ)
+        for g, m in got:
+            assert g.leading() == 1
+            rebuilt = rebuilt * g ** m
+        assert rebuilt == f.monic()
+        assert (collections.Counter(g.coeffs for g, m in got for _ in range(m))
+                == collections.Counter(p.monic().coeffs for p in pieces)), f
+
+
+def _q(*cs):
+    return Poly.make(QQ, [Fraction(c) for c in cs])
+
+
+# factor's output lists over Q, order included, as the earlier Zassenhaus
+# code on integer coefficient lists returned them: each factor's
+# coefficients, ascending, and its multiplicity
+PINNED_RATIONAL_FACTORS = {
+    "x^6-1": (_q(-1, 0, 0, 0, 0, 0, 1), [
+        (("-1", "1"), 1), (("1", "1", "1"), 1), (("1", "1"), 1), (("1", "-1", "1"), 1)]),
+    "x^4+1": (_q(1, 0, 0, 0, 1), [(("1", "0", "0", "0", "1"), 1)]),
+    "x^4-10x^2+1": (_q(1, 0, -10, 0, 1), [(("1", "0", "-10", "0", "1"), 1)]),
+    "x^8-1": (_q(-1, 0, 0, 0, 0, 0, 0, 0, 1), [
+        (("1", "0", "1"), 1), (("1", "1"), 1), (("-1", "1"), 1),
+        (("1", "0", "0", "0", "1"), 1)]),
+    "(2x^2-1)(3x+5)": (_q(-1, 0, 2) * _q(5, 3), [
+        (("5/3", "1"), 1), (("-1/2", "0", "1"), 1)]),
+    "(x^3-x^2-4x+3)(2x+5)": (_q(3, -4, -1, 1) * _q(5, 2), [
+        (("5/2", "1"), 1), (("3", "-4", "-1", "1"), 1)]),
+    "(x^2+x+1)^2(x-2)/3": ((_q(1, 1, 1) ** 2 * _q(-2, 1)).scale(Fraction(1, 3)), [
+        (("-2", "1"), 1), (("1", "1", "1"), 2)]),
+    "(x^2+1)(x^2-2)(x^2+3)": (_q(1, 0, 1) * _q(-2, 0, 1) * _q(3, 0, 1), [
+        (("1", "0", "1"), 1), (("-2", "0", "1"), 1), (("3", "0", "1"), 1)]),
+    "(3x^3+x+1)(2x^2-3)(x+1)": (_q(1, 1, 0, 3) * _q(-3, 0, 2) * _q(1, 1), [
+        (("-3/2", "0", "1"), 1), (("1", "1"), 1), (("1/3", "1/3", "0", "1"), 1)]),
+    "5/4(x^4+1)(x^2-x-1)": ((_q(1, 0, 0, 0, 1) * _q(-1, -1, 1)).scale(Fraction(5, 4)), [
+        (("-1", "-1", "1"), 1), (("1", "0", "0", "0", "1"), 1)]),
+    "(x^2-3)^3": (_q(-3, 0, 1) ** 3, [(("-3", "0", "1"), 3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RATIONAL_FACTORS))
+def test_factor_over_q_keeps_its_order(name):
+    f, want = PINNED_RATIONAL_FACTORS[name]
+    assert [(tuple(str(c) for c in g.coeffs), m) for g, m in factor(f)] == want
 
 
 def test_berlekamp_takes_gcds_only_at_the_roots(monkeypatch):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ditalg.bigraph import Bigraph, Factor, height_maps, BigraphError
-from ditalg.fixtures import ex1, ex2, exi, exk
+from ditalg.fixtures import ex1, ex2, exa, exi, exk
 from ditalg.scalars import PrimeField, Poly, QQ, LocalizedRing, LocElt
 from ditalg.tensor import (
     UNIT, Differential, Elem, Layer, Word, decompose_locelt, graded_component_basis,
@@ -26,6 +26,68 @@ def test_two_cycle_not_directed():
                 solid=[("a", "1", "2")], dashed=[("v", "2", "1")])
     assert not b.is_directed()
     assert b.find_cycle()
+
+
+def test_find_cycle_leaves_out_the_path_into_the_cycle():
+    # c: z0 -> 1 leads into the loop ell at 1 but lies on no cycle
+    assert exa(F5).bigraph.find_cycle() == ["ell"]
+
+
+def _random_bigraph(rng, n, m):
+    pts = [(str(i), Factor.trivial()) for i in range(n)]
+    arrows = [(f"a{k}", str(rng.randrange(n)), str(rng.randrange(n))) for k in range(m)]
+    cut = rng.randint(0, m)
+    return Bigraph(F5, pts, solid=arrows[:cut], dashed=arrows[cut:])
+
+
+def test_find_cycle_witness_is_a_cycle():
+    rng = random.Random(7)
+    witnesses = 0
+    for _ in range(500):
+        b = _random_bigraph(rng, rng.randint(1, 7), rng.randint(0, 9))
+        cyc = b.find_cycle()
+        assert (cyc is None) == b.is_directed()
+        if cyc is None:
+            continue
+        witnesses += 1
+        arrows = [b.arrow(name) for name in cyc]
+        assert all(x.target == y.source for x, y in zip(arrows, arrows[1:] + arrows[:1]))
+        assert len({a.source for a in arrows}) == len(arrows)
+    assert witnesses > 100
+
+
+def _pair_heights_by_fixpoint(b):
+    """Pair heights from their definition: the longest chain below (i, j)
+    in the product order (i, j) <= (i', j') iff i' <= i and j <= j', with
+    i <= j iff there is a path i ~> j."""
+    order = b.topological_order()
+    reach = {p: {p} for p in b.points}
+    for p in reversed(order):
+        for a in b.arrows_from(p):
+            reach[p] |= reach[a.target]
+    pairs = [(i, j) for i in b.point_order for j in b.point_order]
+    hp = {}
+    while len(hp) < len(pairs):
+        for u in pairs:
+            if u in hp:
+                continue
+            below = [v for v in pairs if v != u and v[0] in reach[u[0]] and u[1] in reach[v[1]]]
+            if all(v in hp for v in below):
+                hp[u] = max((hp[v] for v in below), default=-1) + 1
+    return hp
+
+
+def test_pair_heights_equal_the_fixpoint():
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        # arrows go up in a shuffled order of the points, so b is directed
+        rank = rng.sample(range(n), n)
+        edges = [(i, j) for i in range(n) for j in range(n) if rank[i] < rank[j]
+                 and rng.random() < 0.4]
+        b = Bigraph(F5, [(str(i), Factor.trivial()) for i in range(n)],
+                    solid=[(f"a{k}", str(i), str(j)) for k, (i, j) in enumerate(edges)])
+        assert height_maps(b).pair_height == _pair_heights_by_fixpoint(b)
 
 
 def test_ex1_directed_and_heights():
