@@ -626,10 +626,6 @@ class EndAlgebra:
     def identity_coords(self) -> List:
         return self.coordinates(identity_morphism(self.M))
 
-    def mod_rad(self, coords) -> List:
-        """coords reduced modulo the radical: zero iff coords lie in it."""
-        return linalg.residue(self.F, *self._rad_rref, coords)
-
 
 def charpoly(F: Field, m: Mat) -> Poly:
     """Characteristic polynomial det(tI - m) via the Hessenberg recurrence."""
@@ -920,7 +916,7 @@ def _quotient_algebra(E: EndAlgebra):
     free = [j for j in range(dim) if j not in pivot_set]
 
     def proj(vec):
-        v = E.mod_rad(vec)
+        v = linalg.residue(F, *E._rad_rref, vec)
         return [v[j] for j in free]
 
     def lift(q):
@@ -929,16 +925,11 @@ def _quotient_algebra(E: EndAlgebra):
             v[j] = val
         return v
 
-    qdim = len(free)
-    qtable = []
-    for i in range(qdim):
-        row = []
-        for j in range(qdim):
-            prod = _convolve(F, E.table, lift([F.one if t == i else F.zero for t in range(qdim)]),
-                             lift([F.one if t == j else F.zero for t in range(qdim)]), dim)
-            row.append(proj(prod))
-        qtable.append(row)
-    return proj, lift, qtable, qdim
+    def unit(j):
+        return [F.one if t == j else F.zero for t in range(dim)]
+
+    qtable = [[proj(_convolve(F, E.table, unit(i), unit(j), dim)) for j in free] for i in free]
+    return proj, lift, qtable, len(free)
 
 
 def _split_candidates(F: Field, qdim: int):
@@ -1258,12 +1249,14 @@ class DecomposableError(ModcatError):
 
 
 class IsoClassIndex:
-    """Indecomposables up to isomorphism, bucketed by dimension vector.
+    """Indecomposables up to isomorphism, bucketed by (dimension vector,
+    dim End M, dim rad End M), three isomorphism invariants.
 
     `find` and `add` raise DecomposableError for an M that `_local_end`
     rejects: at once, with no End(M), for a direct sum visible in M's own
     matrices, and otherwise when End(M), built once, is not local.  The same
-    End data matches M against the classes of its bucket by `_indec_iso`.
+    End data, whose radical `_locality` has built, picks M's bucket and
+    matches M against its classes by `_indec_iso`.
     `ends` keeps the End algebra of each stored representative, in the order
     they were added, so another index can `match` them with no second
     locality decision; `classes` lists the representatives themselves.
@@ -1272,7 +1265,7 @@ class IsoClassIndex:
     def __init__(self, dit: Dit):
         self.dit = dit
         self.ends: List[EndAlgebra] = []
-        self._buckets: Dict[Tuple[int, ...], List[Rep]] = {}
+        self._buckets: Dict[Tuple, List[Rep]] = {}
 
     @property
     def classes(self) -> List[Rep]:
@@ -1288,10 +1281,14 @@ class IsoClassIndex:
         """The stored class isomorphic to M = E.M, or None, for an End
         algebra E over this index's presentation already known to be local
         (as the `ends` of any IsoClassIndex are)."""
-        for N in self._buckets.get(E.M.dim_vector(), ()):
+        for N in self._buckets.get(self._key(E), ()):
             if _indec_iso(E, N) is not None:
                 return N
         return None
+
+    @staticmethod
+    def _key(E: EndAlgebra) -> Tuple:
+        return E.M.dim_vector(), E.dim, len(E.rad)
 
     def find(self, M: Rep) -> Optional[Rep]:
         """The stored class isomorphic to the indecomposable M, or None."""
@@ -1303,7 +1300,7 @@ class IsoClassIndex:
         E = self._end(M)
         if self.match(E) is not None:
             return False
-        self._buckets.setdefault(M.dim_vector(), []).append(M)
+        self._buckets.setdefault(self._key(E), []).append(M)
         self.ends.append(E)
         return True
 

@@ -721,12 +721,14 @@ def brute_force_indecomposables(dit: Dit, d: int,
     `index`, an empty IsoClassIndex over `dit` (a fresh one by default), so
     a caller that passes one can read their End algebras off `index.ends`.
 
-    The candidates are those of `_referee_candidates`.  One that
+    The candidates are those of `_referee_candidates`, which puts the
+    non-loop arrows up to the first nonzero one in rank normal form.  One that
     `splits_in_coordinates` is a direct sum of the classes of basis vectors
     that its matrices link, so it is skipped before `Rep.validate` and
     without an End algebra: the coordinate projection onto a class is a
     nontrivial idempotent of End(M), exactly.  Every other candidate passes
-    `Rep.validate` and `IsoClassIndex.add`."""
+    `Rep.validate` and `IsoClassIndex.add`, which compares it only with the
+    classes of equal dimension vector, dim End and dim rad End."""
     if index is None:
         index = IsoClassIndex(dit)
     for rep in _referee_candidates(dit, d):
@@ -743,38 +745,50 @@ def _referee_candidates(dit: Dit, d: int) -> Iterator[Rep]:
     """Every module of total dimension 1..d that the referee tries, valid
     or not, in a fixed order.
 
-    In each dimension vector the matrix of the pivot, the first solid arrow
-    whose source differs from its target, runs only over the rank normal
-    forms [I_r 0; 0 0], r = 0..min(rows, cols); every other slot runs over
-    all of F_p.  This loses no class.  For g_t, g_s invertible at the
-    pivot's target and source, transport along (f0, 0) with f0 = (g_t, g_s)
-    and the identity elsewhere conjugates every matrix of M; with f1 = 0
-    there is no delta correction, so the transported module is isomorphic
-    to M, and it puts g_t M(pivot) g_s^-1 = E_r at the pivot.  The ideal
-    generators act through solid arrows and x-actions, so the conjugated
-    module is still annihilated by them, and an inverted polynomial stays
-    invertible under conjugation.  The size guard counts every slot, the
-    pivot's too."""
+    In each dimension vector the slots are filled depth-first.  Every solid
+    arrow whose source differs from its target, up to and including the
+    first one given a nonzero matrix (the lead), runs only over the rank
+    normal forms E_r = [I_r 0; 0 0], r = 0..min(rows, cols); E_0 = 0 keeps
+    the search for the lead open.  Every other slot, loops and x-actions
+    included, runs over all of F_p.  This loses no class.  Let the lead of
+    M be its first non-loop arrow with a nonzero matrix.  For g_t, g_s
+    invertible at the lead's target and source, transport along (f0, 0)
+    with f0 = (g_t, g_s) and the identity elsewhere conjugates every matrix
+    of M; with f1 = 0 there is no delta correction, so the transported
+    module is isomorphic to M.  It puts g_t M(lead) g_s^-1 = E_r at the
+    lead, keeps the earlier non-loop arrows zero, and only conjugates the
+    loops and x-actions.  The ideal generators act through solid arrows
+    and x-actions, so the conjugated module is still annihilated by them,
+    and an inverted polynomial stays invertible under conjugation.
+
+    The first non-loop arrow, the pivot, is filled first, and E_r <
+    E_{r+1} in row-major order, so the candidates come in the order of
+    (rank at the pivot, the other slots' entries row-major in slot order).
+    The size guard counts every slot, the ranked ones too."""
     F = dit.field
-    pivot = next((a.name for a in dit.bigraph.solid_arrows() if a.source != a.target), None)
+    elements = [F.from_int(k) for k in range(F.char)]
+    loops = {a.name for a in dit.bigraph.solid_arrows() if a.source == a.target}
+
+    def fill(dims, slots, i, ops, lead_open):
+        # ops = (arrow_ops, point_ops), indexed by a slot's at_point
+        if i == len(slots):
+            yield Rep(dit, dict(dims), arrow_ops=dict(ops[0]), point_ops=dict(ops[1]))
+            return
+        at_point, name, r, c = slots[i]
+        if lead_open and not at_point and name not in loops:
+            for rank in range(min(r, c) + 1):
+                ops[at_point][name] = Mat._owning(
+                    F, r, c, [[F.one if x == y < rank else F.zero for y in range(c)]
+                              for x in range(r)])
+                yield from fill(dims, slots, i + 1, ops, rank == 0)
+        else:
+            for vals in itertools.product(elements, repeat=r * c):
+                ops[at_point][name] = Mat._owning(
+                    F, r, c, [list(vals[k * c:(k + 1) * c]) for k in range(r)])
+                yield from fill(dims, slots, i + 1, ops, lead_open)
+
     for dimmap, slots in _shapes(dit, d):
-        total = sum(r * c for _, _, r, c in slots)
-        if F.char ** total > 10 ** 6:
+        if F.char ** sum(r * c for _, _, r, c in slots) > 10 ** 6:
             raise PipelineError("brute force space too large")
-        free = [s for s in slots if s[0] or s[1] != pivot]
-        rows, cols = next(((r, c) for at_point, name, r, c in slots
-                           if not at_point and name == pivot), (0, 0))
-        for rank in range(min(rows, cols) + 1):
-            normal = [[F.one if i == j < rank else F.zero for j in range(cols)]
-                      for i in range(rows)]
-            for vals in itertools.product(range(F.char), repeat=total - rows * cols):
-                rep = Rep(dit, dict(dimmap))
-                if pivot is not None:
-                    rep.arrow_ops[pivot] = Mat(F, rows, cols, normal)
-                off = 0
-                for at_point, name, r, c in free:
-                    (rep.point_ops if at_point else rep.arrow_ops)[name] = Mat(
-                        F, r, c, [[F.from_int(vals[off + i * c + j]) for j in range(c)]
-                                  for i in range(r)])
-                    off += r * c
-                yield rep
+        pivot = [s for s in slots if not s[0] and s[1] not in loops][:1]
+        yield from fill(dimmap, pivot + [s for s in slots if s not in pivot], 0, ({}, {}), True)

@@ -5,10 +5,10 @@ inverted polynomials, solid/dashed arrows, differential values, ideal
 generators, and an optional ideal filtration.  The layer filtration keys
 `w0_filtration`/`w1_filtration` are accepted but not read: the levels are
 derived from the differential (`Dit.levels`), and emitted files carry the least
-ones when they have more than one level.  Decorated words are arrays that
-alternate coefficient strings and arrow names, read right to left from the
-source (paths from i to j act like b*a).  Polynomials are strings such as
-"x^2-3*x+1"; all numbers are exact.
+ones when they have more than one level.  Any other top-level key is a parse
+error.  Decorated words are arrays that alternate coefficient strings and
+arrow names, read right to left from the source (paths from i to j act like
+b*a).  Polynomials are strings such as "x^2-3*x+1"; all numbers are exact.
 """
 
 from __future__ import annotations
@@ -272,7 +272,17 @@ def _required(entry: dict, key: str, where: str) -> str:
     return _shaped(entry[key], str, f"{where}.{key}")
 
 
+# the top-level keys of a presentation file: those `emit_presentation` writes,
+# and an optional ideal filtration
+_PRESENTATION_KEYS = frozenset({"field", "name", "points", "solid_arrows", "dashed_arrows",
+                                "differential", "ideal", "w0_filtration", "w1_filtration",
+                                "ideal_filtration"})
+
+
 def parse_presentation(data: dict, name: str = "") -> Dit:
+    unknown = sorted(set(data) - _PRESENTATION_KEYS)
+    if unknown:
+        raise ParseError(f"unknown key {unknown[0]!r}", unknown[0])
     try:
         field = field_from_name(data["field"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

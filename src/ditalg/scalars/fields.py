@@ -131,7 +131,11 @@ class PrimeField(Field):
         return rng.randrange(self.p)
 
     def parse(self, s: str):
-        return int(s, 10) % self.p
+        """An integer or a quotient a/b of integers, read mod p, as a
+        presentation file's coefficients are; ZeroDivisionError when b is 0
+        mod p."""
+        num, slash, den = s.partition("/")
+        return self.div(int(num, 10) % self.p, int(den, 10) % self.p if slash else self.one)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -5,7 +5,9 @@ import sys
 import pytest
 
 from ditalg.cli import main
-from ditalg.fixtures import ex1, ex2, exa, exi, exk, exl
+from ditalg.fixtures import (
+    ALL_FIXTURES, ex1, ex2, exa, exi, exk, exl, stellar_case1, stellar_case2,
+)
 from ditalg.modcat import simple_at
 from ditalg.presentation import (
     emit_module, emit_presentation, load_presentation, parse_presentation,
@@ -126,11 +128,14 @@ BAD_PRESENTATIONS = {
     "inverted_as_a_number": {"field": "F5", "points": [
         {"name": "1", "factor": "rational", "inverted": [3]}]},
     "differential_as_a_list": {"field": "F5", "points": _POINTS, "differential": [1]},
+    "arrows_under_an_unknown_key": {"field": "F5", "points": _POINTS,
+                                    "solid": [{"name": "a", "source": "1", "target": "2"}]},
 }
 BAD_PRESENTATION_KEYS = {
     "points_as_a_string": "points", "point_without_a_name": "points[0]",
     "solid_arrow_without_a_target": "solid_arrows[0]",
     "inverted_as_a_number": "points[0].inverted", "differential_as_a_list": "differential",
+    "arrows_under_an_unknown_key": "solid",
 }
 
 
@@ -143,6 +148,16 @@ def test_cmd_check_rejects_a_bad_presentation_file(tmp_path, capsys, case):
     assert "parse error" in err and f"(at {BAD_PRESENTATION_KEYS[case]})" in err
 
 
+@pytest.mark.parametrize("build", sorted(ALL_FIXTURES.values(), key=lambda f: f.__name__)
+                         + [stellar_case1, stellar_case2], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("field", [F3, QQ])
+def test_every_emitted_presentation_loads(tmp_path, build, field):
+    p = tmp_path / "dit.json"
+    save_presentation(build(field), str(p))
+    once = json.loads(p.read_text())
+    assert emit_presentation(load_presentation(str(p))) == once
+
+
 @pytest.mark.parametrize("field", [F3, QQ])
 def test_cmd_classify_rejects_a_bad_lambda_sample(tmp_path, capsys, field):
     p = tmp_path / "exk.json"
@@ -150,6 +165,24 @@ def test_cmd_classify_rejects_a_bad_lambda_sample(tmp_path, capsys, field):
     assert main(["classify", str(p), "--dim", "2", "--lambda-sample", "0,x"]) == 2
     err = capsys.readouterr().err
     assert "parse error" in err and "--lambda-sample" in err
+
+
+def test_cmd_classify_rejects_a_lambda_sample_with_denominator_zero(files, capsys):
+    paths, _ = files
+    assert main(["classify", paths["exk"], "--dim", "2", "--lambda-sample", "1/3"]) == 2
+    err = capsys.readouterr().err
+    assert "parse error" in err and "'1/3'" in err and "--lambda-sample" in err
+
+
+def test_cmd_classify_reads_a_fraction_as_a_lambda_sample(files, capsys):
+    # 1/2 = 2 and -1/2 = 1 in F3, as in a presentation file's coefficients
+    paths, tp = files
+    out_path = tp / "report.json"
+    assert main(["classify", paths["exk"], "--dim", "2",
+                 "--lambda-sample", "1/2,-1/2", "--out", str(out_path)]) == 0
+    report = json.loads(out_path.read_text())
+    assert [s["lambda"] for s in report["families"][0]["sample_specializations"]] == \
+        ["2", "1"]
 
 
 def test_cmd_hom(files, tmp_path, capsys):

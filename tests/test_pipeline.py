@@ -351,9 +351,10 @@ def test_referee_decides_locality_without_idempotents(monkeypatch):
     monkeypatch.setattr(modcat, "poly_factor", counted("factor"))
     monkeypatch.setattr(modcat, "_fitting_idempotent", counted("fitting"))
     monkeypatch.setattr(modcat, "split_idempotent", counted("split"))
+    # on exk/F2/3 every candidate the referee validates is local, so d = 4
     d = exk(F2)
     certify(d)
-    assert len(brute_force_indecomposables(d, 3)) > 0
+    assert len(brute_force_indecomposables(d, 4)) > 0
     assert counts["factor"] == counts["fitting"] == counts["split"] == 0
     assert 0 < counts["radical"] < counts["valid"]
 
@@ -545,11 +546,12 @@ def test_a_coordinate_split_candidate_is_never_local(build, F, d):
     assert not any(_locality(EndAlgebra(dit, M))[0] for M in split)
 
 
-@pytest.mark.parametrize("build, F, d, cap", [(exk, F3, 4, 250), (exl, F2, 4, 20)],
+@pytest.mark.parametrize("build, F, d, cap", [(exk, F3, 4, 174), (exl, F2, 4, 6)],
                          ids=["exk-F3-4", "exl-F2-4"])
 def test_referee_builds_no_end_algebra_for_a_coordinate_split(monkeypatch, build, F, d, cap):
     # one End algebra per valid candidate made 401 on exk/F3/4 and 139 on
-    # exl/F2/4; skipping the candidates that split leaves 247 and 15
+    # exl/F2/4; skipping the candidates that split left 247 and 15, and rank
+    # normal forms up to the first nonzero arrow leave 174 and 6
     from ditalg import modcat
 
     calls = [0]
@@ -568,9 +570,12 @@ def test_referee_builds_no_end_algebra_for_a_coordinate_split(monkeypatch, build
 
 @pytest.mark.parametrize("build, F, d", [
     (exk, F2, 3), (exl, F2, 3), (exr, F2, 3),
+    (exk, F3, 3),               # b, parallel to a, is ranked while a is zero
+    (exi, F2, 3),               # b shares the point 2 with a
     (stellar_case2, F3, 2),     # the pivot w1 ends at the rational point p
     (_loop_first, F2, 3),       # the first solid arrow is a loop
-], ids=["exk-F2-3", "exl-F2-3", "exr-F2-3", "stellar_case2-F3-2", "loop-first-F2-3"])
+], ids=["exk-F2-3", "exl-F2-3", "exr-F2-3", "exk-F3-3", "exi-F2-3", "stellar_case2-F3-2",
+        "loop-first-F2-3"])
 def test_rank_normal_form_loses_no_class(build, F, d):
     dit = build(F)
     certify(dit)
@@ -581,12 +586,37 @@ def test_rank_normal_form_loses_no_class(build, F, d):
 
 
 def test_referee_tries_one_candidate_per_pivot_rank():
-    # the pivot runs over rank normal forms only: 401 candidates on
-    # exk/F3/4, where the full product has 8,198
+    # the non-loop arrows up to the first nonzero one run over rank normal
+    # forms only: 258 candidates on exk/F3/4, where the full product has
+    # 8,198 and ranking the first arrow alone gave 401
     from ditalg.pipeline import _referee_candidates
 
     assert len(brute_force_indecomposables(exk(F3), 4)) == 15
-    assert sum(1 for _ in _referee_candidates(exk(F3), 4)) <= 500
+    assert sum(1 for _ in _referee_candidates(exk(F3), 4)) <= 258
+
+
+def test_iso_index_compares_only_modules_with_equal_end_invariants(monkeypatch):
+    # an IsoClassIndex buckets by dimension vector, dim End and dim rad End:
+    # bucketed by dimension vector alone, classify(exk(F3), 4) made 262
+    # isomorphism tests, 96 of them between modules whose dim rad End differ
+    from ditalg import modcat
+
+    pairs = []
+    real = modcat._indec_iso
+
+    def recording(E, N, *args):
+        pairs.append((E, N))
+        return real(E, N, *args)
+
+    monkeypatch.setattr(modcat, "_indec_iso", recording)
+    dit = exk(F3)
+    certify(dit)
+    classify(dit, 4, 150)
+    monkeypatch.undo()
+    assert 0 < len(pairs) <= 165
+    for E, N in pairs:
+        E_n = modcat.EndAlgebra(dit, N)
+        assert (E.dim, len(E.rad)) == (E_n.dim, len(E_n.rad))
 
 
 def test_jordan_sizes_stop_at_the_bound(monkeypatch):
