@@ -13,7 +13,7 @@ over rational algebras.
 __version__ = "0.1.0"
 
 from . import scalars
-from .bigraph import Arrow, Bigraph, Factor, HeightMap, check_directed, height_maps
+from .bigraph import Arrow, Bigraph, Factor, HeightMap, height_maps
 from .tensor import Differential, Elem, Layer, Word, graded_component_basis
 from .interlace import (
     CertificationError, Dit, GradedIdeal, IdealData, QuotientPresentation,

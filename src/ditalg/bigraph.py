@@ -197,10 +197,6 @@ class Bigraph:
         return None
 
 
-def check_directed(b: Bigraph) -> bool:
-    return b.is_directed()
-
-
 @dataclass
 class HeightMap:
     point_height: Dict[str, int]

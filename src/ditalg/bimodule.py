@@ -10,14 +10,14 @@ are only necessary conditions."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .bigraph import Bigraph, Factor
 from .interlace import Dit, IdealData
 from .modcat import Rep, is_indecomposable, iso_test
 from .scalars import Field, LocElt, LocalizedRing, Poly
 from .scalars.linalg import Mat, block_matrix
-from .tensor import Differential, Layer
+from .tensor import Differential, Elem, Layer
 
 
 class BimoduleError(ValueError):
@@ -73,89 +73,54 @@ def generic_regular(dit: Dit, point: str) -> Rep:
 # -- wild certificates -------------------------------------------------------
 
 
-class NCPoly:
-    """Element of the free algebra k<x, y>: dict of words in 'x'/'y'."""
-
-    __slots__ = ("F", "terms")
-
-    def __init__(self, F: Field, terms: Optional[Dict[Tuple[str, ...], object]] = None):
-        self.F = F
-        self.terms = {}
-        if terms:
-            for w, c in terms.items():
-                if not F.is_zero(c):
-                    self.terms[tuple(w)] = c
-
-    @staticmethod
-    def const(F, c):
-        return NCPoly(F, {(): c})
-
-    @staticmethod
-    def gen(F, name):
-        return NCPoly(F, {(name,): F.one})
-
-    def substitute(self, X: Mat, Y: Mat) -> Mat:
-        n = X.rows
-        F = self.F
-        out = Mat(F, n, n)
-        for w, c in self.terms.items():
-            cur = Mat.identity_of(F, n)
-            for g in w:
-                cur = (X if g == "x" else Y) * cur
-            out = out + cur.scale(c)
-        return out
-
-    def is_zero(self):
-        return not self.terms
+def free_algebra_kxy(F: Field) -> Dit:
+    """k<x,y> as a ditalgebra: one point "0", solid loops x and y, zero
+    differential and no ideal.  Its modules are the pairs (k^n, X, Y), and
+    an `Elem` over its bigraph is an element of k<x,y>."""
+    b = Bigraph(F, [("0", Factor.trivial())], solid=[("x", "0", "0"), ("y", "0", "0")])
+    layer = Layer(b)
+    return Dit(layer, Differential(layer, {}), IdealData(), name="KXY")
 
 
 @dataclass
 class WildCertificate:
     """Z: an (A/I)-k<x,y>-bimodule, free of finite rank on the right; per
-    point a rank and left action matrices with free-algebra entries."""
+    point a rank and left action matrices whose entries are elements of
+    k<x,y>: `Elem`s over the bigraph of `free_algebra_kxy`.
+
+    A product acts with its right factor first, as words do:
+    `Elem.arrow(b, "x") * Elem.arrow(b, "y")` acts on N = (k^n, X, Y) as
+    X*Y."""
 
     dit: Dit
     ranks: Dict[str, int]
-    arrow_ops: Dict[str, List[List[NCPoly]]]
+    arrow_ops: Dict[str, List[List[Elem]]]
 
     def tensor(self, X: Mat, Y: Mat) -> Rep:
-        """Z (x) N for the k<x,y>-module N = (k^n, X, Y)."""
+        """Z (x) N for the k<x,y>-module N = (k^n, X, Y): each arrow's
+        matrix is the block matrix of its entries acting on N; an arrow
+        without entries acts as zero."""
         F = self.dit.field
         n = X.rows
+        N = Rep(free_algebra_kxy(F), {"0": n}, {"x": X, "y": Y})
         b = self.dit.bigraph
         dims = {p: self.ranks.get(p, 0) * n for p in b.point_order}
         out = Rep(self.dit, dims)
         for a in b.solid_arrows():
-            rows = self.ranks.get(a.target, 0)
-            cols = self.ranks.get(a.source, 0)
-            m = Mat(F, rows * n, cols * n)
             entries = self.arrow_ops.get(a.name)
-            for i in range(rows):
-                for j in range(cols):
-                    blk = entries[i][j].substitute(X, Y) if entries else None
-                    if blk is None:
-                        continue
-                    for r in range(n):
-                        for c in range(n):
-                            m.data[i * n + r][j * n + c] = blk.data[r][c]
-            out.arrow_ops[a.name] = m
+            if entries:
+                out.arrow_ops[a.name] = block_matrix(
+                    F, [[N.elem_action(e, "0", "0") for e in row] for row in entries],
+                    [n] * self.ranks.get(a.target, 0), [n] * self.ranks.get(a.source, 0))
         return out
-
-
-def _free_algebra_kxy(F: Field) -> Dit:
-    """k<x,y> as a ditalgebra: one point, solid loops x and y, zero
-    differential and no ideal.  Its modules are the pairs (k^n, X, Y)."""
-    b = Bigraph(F, [("0", Factor.trivial())], solid=[("x", "0", "0"), ("y", "0", "0")])
-    layer = Layer(b)
-    return Dit(layer, Differential(layer, {}), IdealData(), name="KXY")
 
 
 def verify_wild_certificate(dit: Dit, cert: WildCertificate,
                             samples: Sequence[Tuple[Mat, Mat]]) -> dict:
     """Necessary-condition checks: nonzero right rank, and on every sample
     pair the tensor functor preserves indecomposability and non-isomorphy.
-    A sample (X, Y) is decided as a module over `_free_algebra_kxy`."""
-    kxy = _free_algebra_kxy(dit.field)
+    A sample (X, Y) is decided as a module over `free_algebra_kxy`."""
+    kxy = free_algebra_kxy(dit.field)
     report = {"rank_ok": sum(cert.ranks.values()) > 0, "violations": []}
     images = []
     for (X, Y) in samples:

@@ -198,7 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    for bound in ("dim", "auto", "budget"):
+        if (getattr(args, bound, None) or 0) < 0:
+            ap.error(f"--{bound} must not be negative")
     if args.command == "reduce" and not args.plan and args.auto is None:
         print("reduce needs --plan or --auto D", file=sys.stderr)
         return EXIT_PARSE

@@ -2,10 +2,13 @@
 balanced / triangular / interlaced conditions, graded ideal generation,
 quotient presentations, and lifting of a differential given on a quotient.
 
-Every graded-window question is asked component by component: `_by_pair`
-splits an element by (source, target) and `_window_residue` reduces each
-component against a window span with `linalg.residue`, so ideal membership
-is "the residue is zero" and the quotient normal form is the residue itself.
+Every graded-window question is asked component by component:
+`Elem.components` splits an element by (source, target) and
+`_window_residue` reduces each component against a window span with
+`linalg.residue`, so ideal membership is "the residue is zero" and the
+quotient normal form is the residue itself.  The check functions return a
+bool and write no flag: `certify` records every flag in `Dit.certificates`,
+and `inherit_certificates` carries them through a construction.
 The triangular layer filtrations are derived from delta, not stored: `Dit.levels`
 is the least one, the longest-path levels of the same-kind delta-dependency
 graph (`_dependency_levels`), computed once per presentation and kept as the
@@ -21,9 +24,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .bigraph import Bigraph, BigraphError, height_maps
-from .scalars import linalg
+from .scalars import LocalizedRing, Poly, linalg, strip_h_factors
 from .tensor import (
     UNIT, Differential, Elem, Layer, Word, elem_coordinates, graded_component_basis, in_span,
+    key_to_locelt,
 )
 
 # the levels of one arrow kind, lowest first, each as the sorted names it adds
@@ -80,7 +84,7 @@ class Dit:
 
     def ideal_components(self) -> List[Elem]:
         """Ideal generators split by (source, target); components stay in I."""
-        return [c for g in self.ideal.generators for c in _by_pair(self.bigraph, g).values()]
+        return [c for g in self.ideal.generators for c in g.components().values()]
 
     @functools.cached_property
     def levels(self) -> Tuple[Levels, Levels]:
@@ -106,16 +110,6 @@ class Dit:
 # -- graded windows -------------------------------------------------------
 
 
-def _by_pair(b: Bigraph, elem: Elem) -> Dict[Tuple[str, str], Elem]:
-    """The nonzero (source, target) components of elem, in point order."""
-    parts: Dict[Tuple[str, str], Dict[Word, object]] = {}
-    for w, c in elem.terms.items():
-        parts.setdefault((w.start, w.end(b)), {})[w] = c
-    pos = {p: k for k, p in enumerate(b.point_order)}
-    return {key: Elem(b, parts[key])
-            for key in sorted(parts, key=lambda k: (pos[k[0]], pos[k[1]]))}
-
-
 def _window_residue(dit: Dit, elem: Elem,
                     span_of: Callable[[str, str, Elem], List[Elem]]) -> Elem:
     """elem reduced, component by component, against span_of(i, j, piece):
@@ -124,7 +118,7 @@ def _window_residue(dit: Dit, elem: Elem,
     b = dit.bigraph
     F = b.field
     out = Elem.zero(b)
-    for (i, j), piece in _by_pair(b, elem).items():
+    for (i, j), piece in elem.components().items():
         span = span_of(i, j, piece)
         if not span:
             out = out + piece
@@ -141,14 +135,11 @@ def _shape_guard(dit: Dit):
     side.  Components concentrated at a single rational point are univariate
     and stay supported."""
     b = dit.bigraph
-    for gc in dit.ideal_components():
-        w = next(iter(gc.terms))
-        i, j = w.start, w.end(b)
-        if i == j:
-            continue
-        if not (b.factor(i).is_trivial or b.factor(j).is_trivial):
-            raise UnsupportedShapeError(
-                f"ideal component {i}->{j} has rational factors on both sides")
+    for g in dit.ideal.generators:
+        for i, j in g.components():
+            if i != j and not (b.factor(i).is_trivial or b.factor(j).is_trivial):
+                raise UnsupportedShapeError(
+                    f"ideal component {i}->{j} has rational factors on both sides")
 
 
 def _exp_cap(*elems: Elem) -> int:
@@ -177,7 +168,7 @@ def ideal_window_span(dit: Dit, degree: int, source: str, target: str,
     b = dit.bigraph
     gens = list(middle) if middle is not None else dit.ideal_components()
     pieces = [(gi, gj, piece, piece.max_length())
-              for gc in gens for (gi, gj), piece in _by_pair(b, gc).items()]
+              for gc in gens for (gi, gj), piece in gc.components().items()]
     cap = max([0] + [length_cap - glen for *_, glen in pieces])
     if windows is None:
         windows = {}
@@ -216,19 +207,50 @@ def membership_in_ideal_window(dit: Dit, target_elem: Elem, degree: int,
         dit, degree, i, j, length_cap, exp_cap, middle=middle)).is_zero()
 
 
+# -- the ideal at one point -------------------------------------------------
+
+
+def ideal_point_polynomial(dit: Dit, p: str) -> Optional[Poly]:
+    """Monic generator of the (p, p) ring part of I, inverted factors
+    stripped; None when that part vanishes.  A trivial point's factor k is
+    read inside k[x], so there the answer is None or 1.  The generator is
+    the gcd of the numerators of the (p, p) parts of the ideal generators,
+    each part summed in the ring first: word lengths add, so when every
+    (p, p) word has length zero these parts generate the ring part of I.  A
+    longer (p, p) word (a loop or a cycle through p) raises
+    UnsupportedShapeError naming p."""
+    ring = dit.bigraph.factor_ring(p) or LocalizedRing(dit.field, ())
+    acc = Poly.zero(dit.field)
+    for g in dit.ideal.generators:
+        part = ring.zero
+        for w, c in g.component(p, p).terms.items():
+            if w.length() != 0:
+                raise UnsupportedShapeError(
+                    f"ideal component at point {p} has a word of positive length")
+            part = ring.add(part, ring.mul(ring.embed(c), key_to_locelt(ring, w.coeffs[0])))
+        if not ring.is_zero(part):
+            acc = acc.gcd(part.num)
+    if acc.is_zero():
+        return None
+    acc = strip_h_factors(acc, ring.h)
+    return Poly.one(dit.field) if acc.is_constant() else acc.monic()
+
+
+def point_in_ideal(dit: Dit, p: str) -> bool:
+    """e_p lies in I iff the (p, p) ring part of I is the unit ideal, that
+    is `ideal_point_polynomial` is 1; exact where that function answers."""
+    h0 = ideal_point_polynomial(dit, p)
+    return h0 is not None and h0.is_one()
+
+
 # -- certification ops ----------------------------------------------------
 
 
 def check_balanced(dit: Dit) -> bool:
     """delta(I) inside I*V + V*I, checked generator by generator."""
     for g in dit.ideal.generators:
-        dg = dit.delta.apply(g)
-        if dg.is_zero():
-            continue
-        if not membership_in_ideal_window(dit, dg, 1):
-            dit.certificates["balanced"] = False
+        if not membership_in_ideal_window(dit, dit.delta.apply(g), 1):
             return False
-    dit.certificates["balanced"] = True
     return True
 
 
@@ -267,16 +289,15 @@ def check_triangular_ideal(dit: Dit) -> bool:
     """Certify the ideal filtration.  When none is supplied it constructs
     one: the pair-height filtration in the directed, balanced case, and the
     one level of the ideal components otherwise, which passes exactly when
-    delta kills every component."""
+    delta kills every component.  A certified filtration is stored in
+    `dit.ideal.filtration`."""
     if dit.ideal.is_zero():
-        dit.certificates["triangular_ideal"] = True
         return True
     filtration = dit.ideal.filtration
     if filtration is None and not dit.bigraph.is_directed():
         filtration = [dit.ideal_components()]
     elif filtration is None:
         if not check_balanced(dit):
-            dit.certificates["triangular_ideal"] = False
             return False
         filtration = pair_height_filtration(dit)
     prev: List[Elem] = []
@@ -285,18 +306,14 @@ def check_triangular_ideal(dit: Dit) -> bool:
             ds = dit.delta.apply(s)
             if ds.is_zero():
                 continue
-            ok = membership_in_ideal_window(dit, ds, 1, middle=prev) if prev else False
-            if not ok:
-                dit.certificates["triangular_ideal"] = False
+            if not prev or not membership_in_ideal_window(dit, ds, 1, middle=prev):
                 return False
         prev = list(level)
     # the top level must span I (generators in span)
     for g in dit.ideal_components():
         if not in_span(prev, g):
-            dit.certificates["triangular_ideal"] = False
             return False
     dit.ideal.filtration = filtration
-    dit.certificates["triangular_ideal"] = True
     return True
 
 
@@ -380,66 +397,46 @@ def check_triangular_layer(dit: Dit) -> bool:
     arrow uses only same-kind arrows of strictly lower level; term-by-term,
     exact because normal-form words are a basis."""
     try:
-        ok = dit.levels is not None
+        dit.levels
     except CertificationError:
-        ok = False
-    dit.certificates["triangular_layer"] = ok
-    return ok
-
-
-def check_interlaced(dit: Dit) -> bool:
-    """Both interlacing inclusions, generator by generator; delta^2 = 0 is an
-    immediate pass."""
-    b = dit.bigraph
-    squares = {name: dit.delta.apply(dit.delta.of_arrow(name)) for name in b.arrows}
-    if all(v.is_zero() for v in squares.values()):
-        dit.certificates["interlaced"] = True
-        return True
-    for arr in b.solid_arrows():
-        sq = squares[arr.name]
-        if sq.is_zero():
-            continue
-        if not membership_in_ideal_window(dit, sq, 2):
-            dit.certificates["interlaced"] = False
-            return False
-    for arr in b.dashed_arrows():
-        sq = squares[arr.name]
-        if sq.is_zero():
-            continue
-        if not membership_in_ideal_window(dit, sq, 3):
-            dit.certificates["interlaced"] = False
-            return False
-    dit.certificates["interlaced"] = True
+        return False
     return True
 
 
-def check_directed(dit: Dit) -> bool:
-    ok = dit.bigraph.is_directed()
-    dit.certificates["directed"] = ok
-    return ok
+def check_interlaced(dit: Dit) -> bool:
+    """Both interlacing inclusions, arrow by arrow: delta^2 of a solid arrow
+    in the degree-2 window of J and of a dashed arrow in the degree-3 window,
+    the solid arrows first; a zero square passes at once."""
+    b = dit.bigraph
+    for arr in b.solid_arrows() + b.dashed_arrows():
+        sq = dit.delta.apply(dit.delta.of_arrow(arr.name))
+        if not membership_in_ideal_window(dit, sq, 3 if arr.dashed else 2):
+            return False
+    return True
 
 
-def certify(dit: Dit) -> Dict[str, bool]:
-    """Run every certificate; Roiter follows from triangular + interlaced for
-    these arrow-presented (hence additive) layers."""
-    directed = check_directed(dit)
-    tl = check_triangular_layer(dit)
+def _unless_unsupported(check: Callable[[Dit], bool], dit: Dit) -> Optional[bool]:
+    """check(dit), or None when the ideal is outside the supported shape."""
     try:
-        bal = check_balanced(dit)
+        return check(dit)
     except UnsupportedShapeError:
-        bal = False
-        dit.certificates["balanced"] = None
-    try:
-        ti = check_triangular_ideal(dit)
-    except UnsupportedShapeError:
-        ti = False
-        dit.certificates["triangular_ideal"] = None
-    try:
-        inter = check_interlaced(dit)
-    except UnsupportedShapeError:
-        inter = False
-        dit.certificates["interlaced"] = None
-    dit.certificates["roiter"] = bool(tl and ti and inter)
+        return None
+
+
+def certify(dit: Dit) -> Dict[str, Optional[bool]]:
+    """Run every certificate and record its flag in `dit.certificates`: the
+    one writer of flags besides `inherit_certificates`.  A flag is None
+    where its check raises UnsupportedShapeError.  Roiter follows from
+    triangular + interlaced for these arrow-presented (hence additive)
+    layers.  Returns a copy of all the dit's flags."""
+    flags = {"directed": dit.bigraph.is_directed(),
+             "triangular_layer": check_triangular_layer(dit),
+             "balanced": _unless_unsupported(check_balanced, dit),
+             "triangular_ideal": _unless_unsupported(check_triangular_ideal, dit),
+             "interlaced": _unless_unsupported(check_interlaced, dit)}
+    flags["roiter"] = bool(flags["triangular_layer"] and flags["triangular_ideal"]
+                           and flags["interlaced"])
+    dit.certificates.update(flags)
     return dict(dit.certificates)
 
 
@@ -493,19 +490,15 @@ class GradedIdeal:
 def generated_ideal(dit: Dit) -> GradedIdeal:
     """Lemma hypothesis: the dit is interlaced with I, or I is balanced;
     otherwise raises naming the failed inclusion."""
-    bal = check_balanced(dit)
-    inter = None
-    if not bal:
-        inter = check_interlaced(dit)
-        if not inter:
-            raise CertificationError(
-                "neither `balanced` (delta(I) in IV+VI) nor `interlaced` certifies")
+    if not (check_balanced(dit) or check_interlaced(dit)):
+        raise CertificationError(
+            "neither `balanced` (delta(I) in IV+VI) nor `interlaced` certifies")
     b = dit.bigraph
     length_cap = dit.max_word_length() + len(b.point_order)
     exp_cap = _exp_cap(*dit.ideal.generators, *dit.delta.values.values())
     deg0: Dict[Tuple[str, str], List[Elem]] = {}
     deg1: Dict[Tuple[str, str], List[Elem]] = {}
-    dgs = [_by_pair(b, dit.delta.apply(g)) for g in dit.ideal.generators]
+    dgs = [dit.delta.apply(g).components() for g in dit.ideal.generators]
     windows: Dict[tuple, Dict[int, List[Elem]]] = {}
     for i in b.point_order:
         for j in b.point_order:
@@ -556,9 +549,10 @@ def _reduce_mod_J(gi: GradedIdeal, elem: Elem, degree: int) -> Elem:
 def quotient(dit: Dit) -> QuotientPresentation:
     """Quotient ditalgebra presentation; requires the interlacing certificate
     and verifies that the induced differential squares to zero."""
-    if dit.certificates.get("interlaced") is None:
-        check_interlaced(dit)
-    if not dit.certificates.get("interlaced"):
+    interlaced = dit.certificates.get("interlaced")
+    if interlaced is None:
+        interlaced = check_interlaced(dit)
+    if not interlaced:
         raise CertificationError("quotient requires the interlaced certificate")
     b = dit.bigraph
     gi = generated_ideal(dit)
@@ -629,12 +623,9 @@ def lift_differential(bigraph: Bigraph, ideal_gens: List[Elem],
     dit = Dit(layer, delta, IdealData(list(ideal_gens)), name="lifted")
 
     # consistency: delta(I) must die under pi, i.e. lie in I*V + V*I
-    for g in ideal_gens:
-        dg = delta.apply(g)
-        if not dg.is_zero():
-            if not membership_in_ideal_window(dit, dg, 1):
-                raise CertificationError(
-                    "input differential does not vanish on the ideal (not liftable)")
+    if not check_balanced(dit):
+        raise CertificationError(
+            "input differential does not vanish on the ideal (not liftable)")
     # the input had to be a ditalgebra: delta^2 lands in J
     if not check_interlaced(dit):
         raise CertificationError("lifted differential does not interlace; "

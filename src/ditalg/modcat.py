@@ -157,12 +157,9 @@ class Rep:
                     if m.rows and not self.ring.is_unit(m.det()):
                         return f"inverted polynomial {h} is singular at point {p}"
         for g in self.dit.ideal.generators:
-            for i in b.point_order:
-                for j in b.point_order:
-                    comp = g.component(i, j)
-                    if not comp.is_zero():
-                        if not self.elem_action(comp, i, j).is_zero():
-                            return f"ideal generator acts nontrivially ({i}->{j})"
+            for (i, j), comp in g.components().items():
+                if not self.elem_action(comp, i, j).is_zero():
+                    return f"ideal generator acts nontrivially ({i}->{j})"
         return None
 
 
@@ -368,12 +365,9 @@ def _u_condition_rows(dit: Dit, M: Rep, N: Rep, delta, dashed_kernel=()):
 
     # V-bar identifications: f1 kills each element of dashed_kernel
     for e in dashed_kernel:
-        groups = {}
-        for w, c in e.terms.items():
-            groups.setdefault((w.start, w.end(b)), []).append((w, c))
-        for (i, jp), terms in groups.items():
+        for (i, jp), comp in e.components().items():
             rows = builder.new_rows(N.dims[jp] * M.dims[i])
-            for w, c in terms:
+            for w, c in comp.terms.items():
                 builder.add_left_right(rows, decoration(N, jp, w.coeffs[1]),
                                        offs[("f1", w.arrows[0])],
                                        decoration(M, i, w.coeffs[0]), sign=c)

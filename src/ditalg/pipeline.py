@@ -17,7 +17,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .admissible import AdmissibleError, summand_weight
 from .bigraph import Bigraph, BigraphError
 from .bimodule import generic_regular, specialize_jordan
-from .interlace import CertificationError, Dit, certify
+from .interlace import (
+    CertificationError, Dit, UnsupportedShapeError, certify, ideal_point_polynomial,
+    point_in_ideal,
+)
 from .modcat import (DecomposableError, IsoClassIndex, ModcatError, Rep, simple_at,
                      splits_in_coordinates)
 from .reduce import (
@@ -75,52 +78,6 @@ class ReductionPlan:
 
 def is_minimal(dit: Dit) -> bool:
     return not dit.bigraph.solid_arrows() and dit.ideal.is_zero()
-
-
-# -- ideal shape helpers ---------------------------------------------------------
-
-
-def _point_ideal_gcd(dit: Dit, p: str, ring: LocalizedRing) -> Tuple[Poly, bool]:
-    """The gcd of the numerators of the length-zero (p, p) parts of the ideal
-    generators, each part summed in `ring` first, and whether a longer (p, p)
-    word occurs."""
-    acc, longer = Poly.zero(dit.field), False
-    for g in dit.ideal.generators:
-        part = ring.zero
-        for w, c in g.component(p, p).terms.items():
-            if w.length() != 0:
-                longer = True
-            else:
-                part = ring.add(part, ring.mul(ring.embed(c), key_to_locelt(ring, w.coeffs[0])))
-        if not ring.is_zero(part):
-            acc = acc.gcd(part.num)
-    return acc, longer
-
-
-def point_in_ideal(dit: Dit, p: str) -> bool:
-    """e_p lies in I iff the length-zero (p, p) part of the generators spans a
-    unit ideal of the point factor (word lengths add, so only length-zero
-    generator parts can witness an idempotent)."""
-    ring = dit.bigraph.factor_ring(p) or LocalizedRing(dit.field, ())
-    acc, _ = _point_ideal_gcd(dit, p, ring)
-    return not acc.is_zero() and strip_h_factors(acc, ring.h).is_constant()
-
-
-def ideal_point_polynomial(dit: Dit, p: str) -> Optional[Poly]:
-    """Generator of the (p, p) ring part of I at a rational point: the gcd of
-    the length-zero components of the ideal generators, inverted factors
-    stripped; None when that part vanishes."""
-    ring = dit.bigraph.factor_ring(p)
-    if ring is None:
-        return None
-    acc, longer = _point_ideal_gcd(dit, p, ring)
-    if longer:
-        raise PipelineError("mixed-length ideal component at a point")
-    if acc.is_zero():
-        return None
-    acc = strip_h_factors(acc, ring.h)
-    # a unit: the whole point dies; treat as the idempotent case upstream
-    return Poly.one(dit.field) if acc.is_constant() else acc.monic()
 
 
 def torsion_blocks(h: Poly, ring: LocalizedRing, bound: int) -> List[Poly]:
@@ -538,11 +495,12 @@ def _edge_reduction(run: _Run, dit: Dit, arrow: str, d: int) -> Dit:
 
 def reduce_to_minimal(dit: Dit, d: int, budget: int = 200):
     """Theorem-driver: source detachment recursion, stellar phase, seminested
-    loop.  Returns (ReductionPlan, minimal Dit) or an Obstruction."""
+    loop.  Returns (ReductionPlan, minimal Dit) or an Obstruction, also when
+    an ideal at a point is outside the shape that `point_in_ideal` decides."""
     run = _Run(budget)
     try:
         steps, final = _reduce_rec(run, dit, d)
-    except PipelineError as exc:
+    except (PipelineError, UnsupportedShapeError) as exc:
         return Obstruction(str(exc), *run.stopped_at())
     plan = ReductionPlan(source=dit, steps=steps, final=final, dimension_bound=d,
                          budget_used=budget - run.budget)

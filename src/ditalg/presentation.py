@@ -14,7 +14,7 @@ b*a).  Polynomials are strings such as "x^2-3*x+1"; all numbers are exact.
 from __future__ import annotations
 
 import json
-from typing import List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from .bigraph import Bigraph, Factor
 from .interlace import CertificationError, Dit, IdealData, ascending_levels
@@ -272,17 +272,28 @@ def _required(entry: dict, key: str, where: str) -> str:
     return _shaped(entry[key], str, f"{where}.{key}")
 
 
-# the top-level keys of a presentation file: those `emit_presentation` writes,
-# and an optional ideal filtration
+def _entry(value, allowed: FrozenSet[str], where: str = "") -> dict:
+    """`value`, when it is an object and `allowed` holds each of its keys;
+    else a ParseError that names `where`, or the first unknown key in sorted
+    order below it."""
+    unknown = sorted(set(_shaped(value, dict, where)) - allowed)
+    if unknown:
+        raise ParseError(f"unknown key {unknown[0]!r}",
+                         f"{where}.{unknown[0]}" if where else unknown[0])
+    return value
+
+
+# the keys of a presentation file, of a point and of an arrow: those
+# `emit_presentation` writes, and at the top an optional ideal filtration
 _PRESENTATION_KEYS = frozenset({"field", "name", "points", "solid_arrows", "dashed_arrows",
                                 "differential", "ideal", "w0_filtration", "w1_filtration",
                                 "ideal_filtration"})
+_POINT_KEYS = frozenset({"name", "factor", "inverted"})
+_ARROW_KEYS = frozenset({"name", "source", "target"})
 
 
 def parse_presentation(data: dict, name: str = "") -> Dit:
-    unknown = sorted(set(data) - _PRESENTATION_KEYS)
-    if unknown:
-        raise ParseError(f"unknown key {unknown[0]!r}", unknown[0])
+    _entry(data, _PRESENTATION_KEYS)
     try:
         field = field_from_name(data["field"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -290,7 +301,7 @@ def parse_presentation(data: dict, name: str = "") -> Dit:
     points = []
     for i, p in enumerate(_shaped(data.get("points", []), list, "points")):
         where = f"points[{i}]"
-        pname = _required(_shaped(p, dict, where), "name", where)
+        pname = _required(_entry(p, _POINT_KEYS, where), "name", where)
         kind = p.get("factor", "trivial")
         if kind == "trivial":
             points.append((pname, Factor.trivial()))
@@ -305,9 +316,12 @@ def parse_presentation(data: dict, name: str = "") -> Dit:
         else:
             raise ParseError(f"unknown factor kind {kind!r}", where)
 
+    def arrow(entry, where):
+        _entry(entry, _ARROW_KEYS, where)
+        return tuple(_required(entry, k, where) for k in ("name", "source", "target"))
+
     def arrows(key):
-        return [tuple(_required(_shaped(a, dict, f"{key}[{i}]"), k, f"{key}[{i}]")
-                      for k in ("name", "source", "target"))
+        return [arrow(a, f"{key}[{i}]")
                 for i, a in enumerate(_shaped(data.get(key, []), list, key))]
 
     try:

@@ -22,7 +22,7 @@ from typing import Callable, Dict, FrozenSet, NamedTuple, Optional, Sequence, Tu
 
 from .bigraph import Bigraph, Factor
 from .interlace import (
-    Dit, IdealData, inherit_certificates, membership_in_ideal_window,
+    Dit, IdealData, inherit_certificates, membership_in_ideal_window, point_in_ideal,
 )
 from .modcat import Rep
 from .scalars import LocalizedRing, LocElt, Poly
@@ -399,16 +399,12 @@ def absorb(dit: Dit, loop_arrow: str, name: str = "") -> Tuple[Dit, ReductionFun
 
 
 def is_source_point(dit: Dit, point: str) -> bool:
-    """Source of (A, I): trivial factor, no incoming arrows, e0 not in I."""
+    """Source of (A, I): trivial factor, no incoming arrows, e0 not in I.
+    With no arrow into the point there is no loop or cycle through it, so
+    `point_in_ideal` decides e0 in I exactly."""
     b = dit.bigraph
-    if not b.factor(point).is_trivial:
-        return False
-    if b.arrows_into(point):
-        return False
-    e0 = Elem.idempotent(b, point)
-    if membership_in_ideal_window(dit, e0, 0):
-        return False
-    return True
+    return (b.factor(point).is_trivial and not b.arrows_into(point)
+            and not point_in_ideal(dit, point))
 
 
 def detach_source(dit: Dit, point: str, name: str = "") -> Tuple[Dit, ReductionFunctor]:

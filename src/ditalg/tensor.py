@@ -277,6 +277,17 @@ class Elem:
         return Elem(b, {w: c for w, c in self.terms.items()
                         if w.start == source and w.end(b) == target})
 
+    def components(self) -> Dict[Tuple[str, str], "Elem"]:
+        """The nonzero (source, target) components, keyed by the pair in
+        point order: one pass over the terms.  They sum to the element."""
+        b = self.bigraph
+        parts: Dict[Tuple[str, str], Dict[Word, object]] = {}
+        for w, c in self.terms.items():
+            parts.setdefault((w.start, w.end(b)), {})[w] = c
+        pos = b.point_order.index
+        return {key: Elem.nonzero(b, parts[key])
+                for key in sorted(parts, key=lambda k: (pos(k[0]), pos(k[1])))}
+
     def __str__(self):
         if not self.terms:
             return "0"

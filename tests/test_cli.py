@@ -130,12 +130,20 @@ BAD_PRESENTATIONS = {
     "differential_as_a_list": {"field": "F5", "points": _POINTS, "differential": [1]},
     "arrows_under_an_unknown_key": {"field": "F5", "points": _POINTS,
                                     "solid": [{"name": "a", "source": "1", "target": "2"}]},
+    "point_with_an_unknown_key": {"field": "F5", "points": [
+        {"name": "1", "factr": "rational"}]},
+    "arrow_with_an_unknown_key": {"field": "F5", "points": _POINTS, "solid_arrows": [
+        {"name": "a", "source": "1", "target": "2", "wieght": 3}]},
+    "dashed_arrow_with_an_unknown_key": {"field": "F5", "points": _POINTS, "dashed_arrows": [
+        {"name": "v", "source": "1", "target": "2", "kind": "dashed"}]},
 }
 BAD_PRESENTATION_KEYS = {
     "points_as_a_string": "points", "point_without_a_name": "points[0]",
     "solid_arrow_without_a_target": "solid_arrows[0]",
     "inverted_as_a_number": "points[0].inverted", "differential_as_a_list": "differential",
-    "arrows_under_an_unknown_key": "solid",
+    "arrows_under_an_unknown_key": "solid", "point_with_an_unknown_key": "points[0].factr",
+    "arrow_with_an_unknown_key": "solid_arrows[0].wieght",
+    "dashed_arrow_with_an_unknown_key": "dashed_arrows[0].kind",
 }
 
 
@@ -393,3 +401,22 @@ def test_compare_classes_compares_obstruction_reasons(tmp_path, capsys):
     assert compare_classes.main([str(a), str(c)]) == 1
     assert capsys.readouterr().out == \
         "exa F3 d=3: MISMATCH obstruction reasons differ; plan steps 3 / 3\n"
+
+
+@pytest.mark.parametrize("argv", [["classify", "--dim", "-2"], ["reduce", "--auto", "-1"],
+                                  ["classify", "--dim", "2", "--budget", "-1"],
+                                  ["reduce", "--auto", "2", "--budget", "-3"]],
+                         ids=["dim", "auto", "classify-budget", "reduce-budget"])
+def test_a_negative_bound_is_a_usage_error(files, capsys, argv):
+    paths, _ = files
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], paths["exk"], *argv[1:]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "must not be negative" in captured.err and captured.out == ""
+
+
+def test_a_zero_bound_is_accepted(files, capsys):
+    paths, _ = files
+    assert main(["classify", paths["exk"], "--dim", "0"]) == 0
+    assert main(["reduce", paths["exk"], "--auto", "0"]) == 0

@@ -12,7 +12,9 @@ a context's `is_zero`: ring values are falsy exactly at zero, so the kernel
 tests an entry by its truth value.  `Poly` is the one polynomial arithmetic:
 outside its methods no function, module-level or nested, has a name that
 ends in `poly_mul`, `exact_div` or `divmod` or starts with `pm_`.  Every module-level function is used by
-package or script code, not by the tests alone."""
+package or script code, not by the tests alone.  `tensor.Elem` is the one
+word algebra: no other class keeps a `terms` attribute or slot.  `certify`
+and `inherit_certificates` are the only writers of certificate flags."""
 
 import ast
 import collections
@@ -238,3 +240,55 @@ def test_every_module_function_is_used_outside_the_tests():
                     and node.name not in exempt
                     and refs[node.name] == _referenced_names(node).count(node.name))
     assert unused == []
+
+
+def _classes_with_terms(tree):
+    """Classes that keep a `terms` attribute: in `__slots__`, as a class-body
+    field, or stored on `self` in a method."""
+    def keeps_terms(cls):
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name) \
+                    and node.target.id == "terms":
+                return True
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets) \
+                    and any(isinstance(c, ast.Constant) and c.value == "terms"
+                            for c in ast.walk(node.value)):
+                return True
+        return any(isinstance(node, ast.Attribute) and node.attr == "terms"
+                   and isinstance(node.ctx, ast.Store) and isinstance(node.value, ast.Name)
+                   and node.value.id == "self" for node in ast.walk(cls))
+
+    return [cls.name for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and keeps_terms(cls)]
+
+
+def test_one_word_algebra():
+    offenders = {str(p.relative_to(SRC)): _classes_with_terms(_tree(p)) for p in MODULES}
+    assert {k: v for k, v in offenders.items() if v} == {"tensor.py": ["Elem"]}
+
+
+_DICT_MUTATORS = ("update", "setdefault", "pop", "popitem", "clear", "__setitem__")
+
+
+def _certificate_writers(tree):
+    """Functions that store into some `.certificates`: a subscript store or
+    delete, or a call of a mutating dict method on it."""
+    def writes(node):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            target = node.value
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in _DICT_MUTATORS:
+            target = node.func.value
+        else:
+            return False
+        return isinstance(target, ast.Attribute) and target.attr == "certificates"
+
+    return sorted({fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                   and any(writes(node) for node in ast.walk(fn))})
+
+
+def test_one_certificate_writer():
+    offenders = {str(p.relative_to(SRC)): _certificate_writers(_tree(p)) for p in MODULES}
+    assert {k: v for k, v in offenders.items() if v} == {
+        "interlace.py": ["certify", "inherit_certificates"]}

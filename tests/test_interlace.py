@@ -232,7 +232,7 @@ def test_triangular_layer_is_exact_on_acyclic_dependencies():
 def test_triangular_layer_rejects_cyclic_dependencies():
     d = _cyclic_bigraph_dit("a")
     assert not check_triangular_layer(d)
-    assert not d.certificates["triangular_layer"]
+    assert certify(d)["triangular_layer"] is False
     with pytest.raises(CertificationError):
         d.levels
     assert interlace.dependency_cycle(d) == ["a"]

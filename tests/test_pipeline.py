@@ -2,19 +2,21 @@ import pytest
 
 from ditalg.bigraph import Bigraph, Factor
 from ditalg.bimodule import (
-    NCPoly, WildCertificate, generic_regular, specialize_jordan, verify_wild_certificate,
+    WildCertificate, free_algebra_kxy, generic_regular, specialize_jordan,
+    verify_wild_certificate,
 )
 from ditalg.fixtures import (
     ex1, ex2, exa, exi, exk, exl, exl2, exq, exr, exx, stellar_case1, stellar_case2,
 )
-from ditalg.interlace import certify
+from ditalg.interlace import UnsupportedShapeError, certify
 from ditalg.modcat import Rep, hom_dim, is_indecomposable, iso_test, jordan_at, simple_at
 from ditalg.pipeline import (
     Obstruction, brute_force_indecomposables, classify, is_minimal, reduce_to_minimal,
 )
 from ditalg.reduce import structural_equal
 from ditalg.scalars import PrimeField, Poly, QQ
-from ditalg.scalars.linalg import Mat
+from ditalg.scalars.linalg import Mat, block_matrix
+from ditalg.tensor import Elem
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -169,7 +171,7 @@ def test_point_ideal_sums_each_generator_before_the_gcd():
     # <(x+1) e_p> is a proper ideal of k[x] e_p: the gcd runs over the
     # generators' (p, p) parts, not over their separate terms x and 1
     from ditalg.interlace import Dit, IdealData
-    from ditalg.pipeline import ideal_point_polynomial, point_in_ideal
+    from ditalg.interlace import ideal_point_polynomial, point_in_ideal
     from ditalg.scalars import LocElt
     from ditalg.tensor import Differential, Elem, Layer
 
@@ -256,10 +258,11 @@ def three_kronecker(F):
 def test_wild_certificate_on_three_kronecker(F):
     d = three_kronecker(F)
     certify(d)
+    kxy = free_algebra_kxy(F).bigraph
     cert = WildCertificate(d, ranks={"1": 1, "2": 1}, arrow_ops={
-        "a": [[NCPoly.const(F, F.one)]],
-        "b": [[NCPoly.gen(F, "x")]],
-        "c": [[NCPoly.gen(F, "y")]],
+        "a": [[Elem.idempotent(kxy, "0")]],
+        "b": [[Elem.arrow(kxy, "x")]],
+        "c": [[Elem.arrow(kxy, "y")]],
     })
     samples = []
     for (x1, y1) in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1)):
@@ -278,15 +281,69 @@ def test_wild_certificate_detects_bad_witness():
     zero = WildCertificate(d, ranks={"1": 0, "2": 0}, arrow_ops={})
     assert not verify_wild_certificate(d, zero, [])["rank_ok"]
     # collapsing witness: ignores x and y entirely
+    kxy = free_algebra_kxy(F).bigraph
     collapse = WildCertificate(d, ranks={"1": 1, "2": 1}, arrow_ops={
-        "a": [[NCPoly.const(F, F.one)]],
-        "b": [[NCPoly.const(F, F.zero)]],
-        "c": [[NCPoly.const(F, F.zero)]],
+        "a": [[Elem.idempotent(kxy, "0")]],
+        "b": [[Elem.zero(kxy)]],
+        "c": [[Elem.zero(kxy)]],
     })
     samples = [(Mat(F, 1, 1, [[F.zero]]), Mat(F, 1, 1, [[F.zero]])),
                (Mat(F, 1, 1, [[F.one]]), Mat(F, 1, 1, [[F.zero]]))]
     report = verify_wild_certificate(d, collapse, samples)
     assert not report["ok"]
+
+
+def test_wild_certificate_tensor_acts_by_products():
+    # entries are elements of k<x,y>; a product acts with its right factor
+    # first, so x*y acts as X*Y
+    F = F5
+    d = three_kronecker(F)
+    kxy = free_algebra_kxy(F).bigraph
+    x, y = Elem.arrow(kxy, "x"), Elem.arrow(kxy, "y")
+    one = Elem.idempotent(kxy, "0")
+    cert = WildCertificate(d, ranks={"1": 1, "2": 2}, arrow_ops={
+        "a": [[x * y - y * x], [x.scale(F.from_int(2)) + one]],
+        "b": [[x * y], [y * x]],
+    })
+    samples = [(Mat(F, 2, 2, [[1, 2], [0, 3]]), Mat(F, 2, 2, [[0, 1], [4, 2]])),
+               (Mat(F, 2, 2, [[0, 1], [0, 0]]), Mat(F, 2, 2, [[0, 0], [1, 0]]))]
+    for X, Y in samples:
+        M = cert.tensor(X, Y)
+        I = Mat.identity_of(F, 2)
+        assert M.dims == {"1": 2, "2": 4}
+        assert M.arrow_ops["a"] == block_matrix(F, [[X * Y - Y * X], [X.scale(2) + I]],
+                                                [2, 2], [2])
+        assert M.arrow_ops["b"] == block_matrix(F, [[X * Y], [Y * X]], [2, 2], [2])
+        assert M.arrow_ops["c"].is_zero() and M.arrow_ops["c"].rows == 4
+        assert not (X * Y - Y * X).is_zero()
+
+
+def _loop_class(d, q_dim):
+    """The module with a = 1 at p and, when q_dim is 1, c = 1."""
+    one = Mat(d.field, 1, 1, [[d.field.one]])
+    return Rep(d, {"p": 1, "q": q_dim}, {"a": one, "c": Mat(d.field, q_dim, 1, [[1]] * q_dim)})
+
+
+def test_loop_in_the_ideal_at_a_point_is_an_obstruction():
+    # I = <e_p - a>, a a loop at p: e_p is not in I (a = 1 is a module), so
+    # deleting p would lose every class supported at p
+    from ditalg.interlace import Dit, IdealData, point_in_ideal
+    from ditalg.tensor import Differential, Layer
+
+    b = Bigraph(F3, [("p", Factor.trivial()), ("q", Factor.trivial())],
+                solid=[("a", "p", "p"), ("c", "p", "q")])
+    layer = Layer(b)
+    gen = Elem.idempotent(b, "p") - Elem.arrow(b, "a")
+    d = Dit(layer, Differential(layer, {}), IdealData([gen]), name="loop")
+    with pytest.raises(UnsupportedShapeError, match="point p"):
+        point_in_ideal(d, "p")
+    assert not point_in_ideal(d, "q")
+    out = classify(d, 2)
+    assert isinstance(out, Obstruction) and "point p" in out.reason
+    # the referee sees the classes that deleting p would have lost
+    assert _loop_class(d, 0).validate() is None and _loop_class(d, 1).validate() is None
+    assert sorted(M.dim_vector() for M in brute_force_indecomposables(d, 2)) == \
+        sorted(M.dim_vector() for M in (simple_at(d, "q"), _loop_class(d, 0), _loop_class(d, 1)))
 
 
 def test_referee_builds_each_end_algebra_once(monkeypatch):

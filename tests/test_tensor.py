@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ditalg.bigraph import Bigraph, Factor, height_maps, BigraphError
-from ditalg.fixtures import ex1, ex2, exa, exi, exk
+from ditalg.fixtures import ALL_FIXTURES, ex1, ex2, exa, exi, exk, stellar_case1, stellar_case2
 from ditalg.scalars import PrimeField, Poly, QQ, LocalizedRing, LocElt
 from ditalg.tensor import (
     UNIT, Differential, Elem, Layer, Word, decompose_locelt, graded_component_basis,
@@ -215,6 +215,45 @@ def test_multiplication_associative_random():
         du, dv = u.degrees(), v.degrees()
         if len(du) == 1 and len(dv) == 1 and not (u * v).is_zero():
             assert (u * v).degrees() == [du[0] + dv[0]]
+
+
+def _generators(b):
+    """Arrows, idempotents and, at each rational point, x and 1/h decorations."""
+    gens = [Elem.arrow(b, n) for n in b.arrows] + [Elem.idempotent(b, p) for p in b.point_order]
+    for p in b.point_order:
+        ring = b.factor_ring(p)
+        if ring is not None:
+            gens.append(Elem.decorated(b, p, LocElt(ring, Poly.x(b.field), 0)))
+            gens.append(Elem.decorated(b, p, LocElt(ring, Poly.one(b.field), 1)))
+    return gens
+
+
+@pytest.mark.parametrize("fixture", sorted(ALL_FIXTURES.values(), key=lambda f: f.__name__)
+                         + [stellar_case1, stellar_case2], ids=lambda f: f.__name__)
+def test_components_split_by_endpoints_in_point_order(fixture):
+    d = fixture(F101)
+    b = d.bigraph
+    elems = list(d.delta.values.values()) + list(d.ideal.generators)
+    gens = _generators(b)
+    rng = random.Random(5)
+    for _ in range(40):
+        e = Elem.zero(b)
+        for _ in range(rng.randrange(1, 6)):
+            prod = Elem.idempotent(b, rng.choice(b.point_order))
+            for _ in range(rng.randrange(1, 4)):
+                prod = rng.choice(gens) * prod
+            e = e + prod.scale(F101.from_int(rng.randrange(1, 101)))
+        elems.append(e)
+    assert any(len(e.components()) > 1 for e in elems)
+    for e in elems:
+        comps = e.components()
+        assert list(comps.items()) == [
+            ((i, j), e.component(i, j)) for i in b.point_order for j in b.point_order
+            if not e.component(i, j).is_zero()]
+        total = Elem.zero(b)
+        for c in comps.values():
+            total = total + c
+        assert total == e
 
 
 def test_normal_form_uniqueness():
