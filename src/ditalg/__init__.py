@@ -13,12 +13,12 @@ over rational algebras.
 __version__ = "0.1.0"
 
 from . import scalars
-from .bigraph import Arrow, Bigraph, Factor, HeightMap, height_maps
+from .bigraph import Arrow, Bigraph, Factor
 from .tensor import Differential, Elem, Layer, Word, graded_component_basis
 from .interlace import (
     CertificationError, Dit, GradedIdeal, IdealData, QuotientPresentation,
     UnsupportedShapeError, certify, check_balanced, check_interlaced,
-    check_triangular_ideal, check_triangular_layer, generated_ideal,
+    check_triangular_ideal, check_triangular_layer, generated_ideal, ideal_levels,
     lift_differential, quotient,
 )
 from .modcat import (

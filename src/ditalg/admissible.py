@@ -9,9 +9,9 @@ lambda and rho induced by the P-action.  The sigma expansion carries products
 across: sigma(delta(w)) is expanded once per source arrow w and read at every
 pair of dual basis vectors, each word prefix that delta values and ideal
 generators share is multiplied out once (`SigmaExpander`), and the functor
-F^X is built from the sigma matrix of each letter.  The x-heights that
-weight the reduced ideal are bounded by dim P + 1, which holds exactly when
-P is nilpotent.
+F^X is built from the sigma matrix of each letter.  The reduced ideal is
+the sigma entries of the ideal generators; its triangular filtration is
+derived from the reduced delta (`interlace.ideal_levels`), not stored.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ class DualBasisElement:
     summand: Summand
     point: str            # source point carrying this basis vector
     coordinate: int       # index inside the summand's space at that point
-    height: int = 1
 
     @property
     def label(self) -> str:
@@ -93,7 +92,6 @@ class AdmissibleModuleData:
     # multiplication data
     p_products: List[List[List]]     # coords of p_i . p_j over the p-basis
     x_p_action: List[List[List]]     # coords of x_i . p_j over the x-basis
-    ell_x: int = 1                   # the largest x-height
 
     @property
     def c_x(self) -> int:
@@ -203,7 +201,7 @@ def build_admissible(dit: Dit, b_arrows: Sequence[str],
         dit=dit, b_arrows=tuple(b_arrows), b_dit=b_dit, summands=summands, x_basis=x_basis,
         p_basis=p_basis, p_products=_products(b_dit, p_basis),
         x_p_action=[[action(x, pj) for pj in p_basis] for x in x_basis])
-    adm.ell_x = _fill_heights(adm)
+    _check_nilpotent(adm)
     if check:
         _verify_associative(F, adm.p_products)
     return adm
@@ -260,25 +258,22 @@ def _products(b_dit: Dit, p_basis: List[RadBasisElement]) -> List[List[List]]:
     return table
 
 
-def _fill_heights(adm: AdmissibleModuleData) -> int:
-    """Set each x-height, the least m >= 1 with x . P^m = 0, and return the
-    largest.  P acts faithfully on X, so every height is at most dim P + 1
-    exactly when P is nilpotent."""
+def _check_nilpotent(adm: AdmissibleModuleData):
+    """Raise unless X . P^m = 0 for some m <= dim P + 1, with X . P^m kept
+    as a row-reduced basis.  P acts faithfully on X, so that holds exactly
+    when P is nilpotent."""
     F = adm.dit.field
     n_x, n_p = len(adm.x_basis), len(adm.p_basis)
     acts = [[adm.x_p_action[i][j] for i in range(n_x)] for j in range(n_p)]
-    for x in adm.x_basis:
-        span = [[F.one if i == x.index else F.zero for i in range(n_x)]]
-        m = 0
-        while span:
-            if m > n_p:
-                raise AdmissibleError("P is not nilpotent")
-            rows = [r for a in acts for r in linalg.mul(F, span, a)]
-            red, piv = linalg.rref(F, rows) if rows else ([], [])
-            span = red[:len(piv)]
-            m += 1
-        x.height = m
-    return max((x.height for x in adm.x_basis), default=1)
+    span = [[F.one if i == k else F.zero for i in range(n_x)] for k in range(n_x)]
+    for _ in range(n_p + 1):
+        if not span:
+            return
+        rows = [r for a in acts for r in linalg.mul(F, span, a)]
+        red, piv = linalg.rref(F, rows) if rows else ([], [])
+        span = red[:len(piv)]
+    if span:
+        raise AdmissibleError("P is not nilpotent")
 
 
 def _verify_associative(F, table: List[List[List]]):
@@ -503,21 +498,14 @@ def reduce_admissible(dit: Dit, adm: AdmissibleModuleData,
     layer = Layer(tgt)
     delta = Differential(layer, delta_values)
 
-    # the reduced ideal: sigma entries of the ideal generators, filtered by
-    # the height weight ht(nu) + 2 ell_X ht(h) + ht(x)
+    # the reduced ideal: sigma entries of the ideal generators
     ideal_gens: List[Elem] = []
-    weighted: List[Tuple[int, Elem]] = []
     for g in dit.ideal.generators:
         mat = sigma.expand(g)
         for u, v in itertools.product(adm.x_basis, repeat=2):
             if (e := _at(mat, u, v)) is not None:
                 ideal_gens.append(e)
-                weighted.append((u.height + 2 * adm.ell_x + v.height, e))
-    weighted.sort(key=lambda t: t[0])
-    filtration = [[e for m, e in weighted if m <= top]
-                  for top in sorted({m for m, _ in weighted})] or None
-    new_dit = Dit(layer, delta, IdealData(ideal_gens, filtration),
-                  name=name or f"{dit.name}^X")
+    new_dit = Dit(layer, delta, IdealData(ideal_gens), name=name or f"{dit.name}^X")
     inherit_certificates(dit, new_dit)
     for s in adm.summands:
         new_dit.point_weights[s.label] = summand_weight(

@@ -1,9 +1,9 @@
 """Elementary bigraphs: points with minimal-algebra factors, solid and dashed
-arrows, directedness, and the two height maps driving triangularity."""
+arrows, and directedness."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .scalars import Field, LocalizedRing, Poly
@@ -196,29 +196,3 @@ class Bigraph:
                     return cyc
         return None
 
-
-@dataclass
-class HeightMap:
-    point_height: Dict[str, int]
-    pair_height: Dict[Tuple[str, str], int]
-
-
-def height_maps(b: Bigraph) -> HeightMap:
-    """Point heights (the longest path into a point) and pair heights for
-    the product order (i, j) <= (i', j') iff i' <= i and j <= j', with
-    i <= j iff there is a path i ~> j; rejects non-directed input.  A height
-    in a product order is the sum of the factors' heights, and the height of
-    i in the reversed path order is the longest path out of i, so the pair
-    height of (i, j) is that plus the point height of j."""
-    order = b.topological_order()
-    if order is None:
-        raise BigraphError("bigraph is not directed")
-    h: Dict[str, int] = {}
-    for p in order:
-        h[p] = max((h[a.source] + 1 for a in b.arrows_into(p)), default=0)
-    out: Dict[str, int] = {}
-    for p in reversed(order):
-        out[p] = max((out[a.target] + 1 for a in b.arrows_from(p)), default=0)
-    return HeightMap(point_height=h,
-                     pair_height={(i, j): out[i] + h[j]
-                                  for i in b.point_order for j in b.point_order})

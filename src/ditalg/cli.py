@@ -10,7 +10,9 @@ import argparse
 import sys
 
 from . import modcat
-from .interlace import CertificationError, UnsupportedShapeError, certify, dependency_cycle
+from .interlace import (
+    CertificationError, UnsupportedShapeError, certify, dependency_cycle, ideal_levels,
+)
 from .pipeline import Obstruction, classify, reduce_to_minimal
 from .presentation import (
     ParseError, _read_json, load_module, load_presentation, save_presentation, save_report,
@@ -47,6 +49,11 @@ def cmd_check(args) -> int:
                 cyc = dependency_cycle(dit)
                 if cyc:
                     line += f" (delta-dependency cycle {' -> '.join(cyc + cyc[:1])})"
+            elif key == "triangular_ideal":
+                left = ideal_levels(dit)[1]
+                if left:
+                    line += (f" (no level for ideal component {left[0]}:"
+                             f" delta = {dit.delta.apply(left[0])})")
             print(line)
             failed = True
     return EXIT_CERT if failed else EXIT_OK

@@ -9,13 +9,15 @@ Every graded-window question is asked component by component:
 quotient normal form is the residue itself.  The check functions return a
 bool and write no flag: `certify` records every flag in `Dit.certificates`,
 and `inherit_certificates` carries them through a construction.
-The triangular layer filtrations are derived from delta, not stored: `Dit.levels`
-is the least one, the longest-path levels of the same-kind delta-dependency
-graph (`_dependency_levels`), computed once per presentation and kept as the
-names each level adds; when there is none, `dependency_cycle` names one
-cycle of that graph.  Filtration keys in an input file are accepted but not
-read, and emitted ones are these least levels as ascending unions
-(`ascending_levels`)."""
+The triangular filtrations are derived from delta, not stored.  `Dit.levels`
+is the least one of the layer, the longest-path levels of the same-kind
+delta-dependency graph (`_dependency_levels`), computed once per
+presentation and kept as the names each level adds; when there is none,
+`dependency_cycle` names one cycle of that graph.  `ideal_levels` is the
+least one of the ideal components, each placed as soon as its delta lies in
+the window around the levels below.  Filtration keys in an input file are
+accepted but not read, and emitted layer ones are the least levels as
+ascending unions (`ascending_levels`)."""
 
 from __future__ import annotations
 
@@ -23,10 +25,10 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .bigraph import Bigraph, BigraphError, height_maps
+from .bigraph import Bigraph, BigraphError
 from .scalars import LocalizedRing, Poly, linalg, strip_h_factors
 from .tensor import (
-    UNIT, Differential, Elem, Layer, Word, elem_coordinates, graded_component_basis, in_span,
+    UNIT, Differential, Elem, Layer, Word, elem_coordinates, graded_component_basis,
     key_to_locelt,
 )
 
@@ -44,11 +46,10 @@ class CertificationError(ValueError):
 
 @dataclass
 class IdealData:
-    """Degree-0 generators of I, with an optional triangularity filtration
-    (ascending spanning sets H_1 <= ... <= H_t = I)."""
+    """Degree-0 generators of I.  Its triangular filtration is derived from
+    delta (`ideal_levels`), not stored."""
 
     generators: List[Elem] = field(default_factory=list)
-    filtration: Optional[List[List[Elem]]] = None
 
     def is_zero(self) -> bool:
         return all(g.is_zero() for g in self.generators)
@@ -254,67 +255,33 @@ def check_balanced(dit: Dit) -> bool:
     return True
 
 
-def pair_height_filtration(dit: Dit) -> List[List[Elem]]:
-    """The constructive ideal filtration H_t = sum of e_j I e_i over pairs of
-    pair-height <= t, built from the directed bigraph's height maps."""
-    b = dit.bigraph
-    hm = height_maps(b)
-    comps = dit.ideal_components()
-    if not comps:
-        return []
-    # degree-0 spanning set of each e_j I e_i within the reachable window
-    length_cap = len(b.point_order) + dit.max_word_length()
-    exp_cap = _exp_cap(*dit.ideal.generators, *dit.delta.values.values())
-    piece_span: Dict[Tuple[str, str], List[Elem]] = {}
-    windows: Dict[tuple, Dict[int, List[Elem]]] = {}
-    for i in b.point_order:
-        for j in b.point_order:
-            span = ideal_window_span(dit, 0, i, j, length_cap, exp_cap, windows=windows)
-            if span:
-                piece_span[(i, j)] = span
-    if not piece_span:
-        return []
-    maxh = max(hm.pair_height[(i, j)] for (i, j) in piece_span)
-    filtration = []
-    for t in range(maxh + 1):
-        level = []
-        for (i, j), span in piece_span.items():
-            if hm.pair_height[(i, j)] <= t:
-                level.extend(span)
-        filtration.append(level)
-    return filtration
+def ideal_levels(dit: Dit) -> Tuple[List[List[Elem]], List[Elem]]:
+    """The least triangular filtration of the ideal components, and the
+    components it leaves without a level.  Level 1 holds the components
+    that delta kills; level k those not yet levelled whose delta lies in the
+    degree-1 window around the components of the levels below k.  Window
+    membership only grows with the middle, so each component sits at the
+    lowest level it can, as the arrows do in `_dependency_levels`.  The
+    ideal is triangular exactly when no component is left over."""
+    rest = [(c, dit.delta.apply(c)) for c in dit.ideal_components()]
+    levels: List[List[Elem]] = []
+    below: List[Elem] = []
+    while rest:
+        fits = [ds.is_zero() or (bool(below) and membership_in_ideal_window(
+            dit, ds, 1, middle=below)) for _, ds in rest]
+        if not any(fits):
+            break
+        levels.append([c for (c, _), ok in zip(rest, fits) if ok])
+        below += levels[-1]
+        rest = [cd for cd, ok in zip(rest, fits) if not ok]
+    return levels, [c for c, _ in rest]
 
 
 def check_triangular_ideal(dit: Dit) -> bool:
-    """Certify the ideal filtration.  When none is supplied it constructs
-    one: the pair-height filtration in the directed, balanced case, and the
-    one level of the ideal components otherwise, which passes exactly when
-    delta kills every component.  A certified filtration is stored in
-    `dit.ideal.filtration`."""
-    if dit.ideal.is_zero():
-        return True
-    filtration = dit.ideal.filtration
-    if filtration is None and not dit.bigraph.is_directed():
-        filtration = [dit.ideal_components()]
-    elif filtration is None:
-        if not check_balanced(dit):
-            return False
-        filtration = pair_height_filtration(dit)
-    prev: List[Elem] = []
-    for level in filtration:
-        for s in level:
-            ds = dit.delta.apply(s)
-            if ds.is_zero():
-                continue
-            if not prev or not membership_in_ideal_window(dit, ds, 1, middle=prev):
-                return False
-        prev = list(level)
-    # the top level must span I (generators in span)
-    for g in dit.ideal_components():
-        if not in_span(prev, g):
-            return False
-    dit.ideal.filtration = filtration
-    return True
+    """Ideal triangularity: `ideal_levels` gives every ideal component a
+    level.  A triangular ideal is balanced, since then delta of each
+    component lies in the window around the components below it."""
+    return not ideal_levels(dit)[1]
 
 
 def _dependency_graph(dit: Dit):
@@ -621,13 +588,14 @@ def lift_differential(bigraph: Bigraph, ideal_gens: List[Elem],
         lifted_values[name] = reduce_mod_IVVI(val, deg)
     delta = Differential(layer, lifted_values)
     dit = Dit(layer, delta, IdealData(list(ideal_gens)), name="lifted")
+    flags = certify(dit)
 
     # consistency: delta(I) must die under pi, i.e. lie in I*V + V*I
-    if not check_balanced(dit):
+    if not flags["balanced"]:
         raise CertificationError(
             "input differential does not vanish on the ideal (not liftable)")
     # the input had to be a ditalgebra: delta^2 lands in J
-    if not check_interlaced(dit):
+    if not flags["interlaced"]:
         raise CertificationError("lifted differential does not interlace; "
                                  "the quotient input was not a ditalgebra")
     # commuting square on generators: delta(a) == dotted(a) modulo ker pi
@@ -636,7 +604,6 @@ def lift_differential(bigraph: Bigraph, ideal_gens: List[Elem],
         diff = delta.of_arrow(name) - reduce_mod_IVVI(dotted_delta.get(name, Elem.zero(b)), deg)
         if not diff.is_zero():
             raise CertificationError(f"commuting square fails on {name}")
-    certify(dit)
     return dit
 
 

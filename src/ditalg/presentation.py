@@ -1,14 +1,15 @@
 """Presentation and report files.
 
 A presentation file is restricted JSON: field spec, points with factors and
-inverted polynomials, solid/dashed arrows, differential values, ideal
-generators, and an optional ideal filtration.  The layer filtration keys
-`w0_filtration`/`w1_filtration` are accepted but not read: the levels are
-derived from the differential (`Dit.levels`), and emitted files carry the least
-ones when they have more than one level.  Any other top-level key is a parse
-error.  Decorated words are arrays that alternate coefficient strings and
-arrow names, read right to left from the source (paths from i to j act like
-b*a).  Polynomials are strings such as "x^2-3*x+1"; all numbers are exact.
+inverted polynomials, solid/dashed arrows, differential values and ideal
+generators.  The filtration keys `w0_filtration`, `w1_filtration` and
+`ideal_filtration` are accepted but not read: the filtrations are derived
+from the differential (`Dit.levels`, `interlace.ideal_levels`), and emitted
+files carry the least layer ones when they have more than one level.  Any
+other top-level key is a parse error.  Decorated words are arrays that
+alternate coefficient strings and arrow names, read right to left from the
+source (paths from i to j act like b*a).  Polynomials are strings such as
+"x^2-3*x+1"; all numbers are exact.
 """
 
 from __future__ import annotations
@@ -284,7 +285,7 @@ def _entry(value, allowed: FrozenSet[str], where: str = "") -> dict:
 
 
 # the keys of a presentation file, of a point and of an arrow: those
-# `emit_presentation` writes, and at the top an optional ideal filtration
+# `emit_presentation` writes, and at the top an ideal filtration, not read
 _PRESENTATION_KEYS = frozenset({"field", "name", "points", "solid_arrows", "dashed_arrows",
                                 "differential", "ideal", "w0_filtration", "w1_filtration",
                                 "ideal_filtration"})
@@ -340,12 +341,7 @@ def parse_presentation(data: dict, name: str = "") -> Dit:
         raise ParseError(str(exc), "differential")
     gens = [parse_elem(b, arrs, f"ideal[{i}]")
             for i, arrs in enumerate(_shaped(data.get("ideal", []), list, "ideal"))]
-    filtration = None
-    if "ideal_filtration" in data:
-        filtration = [[parse_elem(b, arrs, "ideal_filtration")
-                       for arrs in _shaped(level, list, "ideal_filtration")]
-                      for level in _shaped(data["ideal_filtration"], list, "ideal_filtration")]
-    return Dit(layer, delta, IdealData([g for g in gens if not g.is_zero()], filtration),
+    return Dit(layer, delta, IdealData([g for g in gens if not g.is_zero()]),
                name=name or data.get("name", ""))
 
 

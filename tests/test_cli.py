@@ -103,6 +103,43 @@ def test_cmd_check_names_a_delta_dependency_cycle(tmp_path, capsys):
     assert "triangular_layer: pass" in capsys.readouterr().out
 
 
+def test_cmd_check_names_an_ideal_component_without_a_level(tmp_path, capsys):
+    # a loop ell at 1, a: 1 -> 2, b: 2 -> 3, I = <b a> and delta(b) = w: the
+    # one component b a has delta w a, and nothing lies below it
+    data = {"field": "F3",
+            "points": [{"name": p, "factor": "trivial"} for p in "123"],
+            "solid_arrows": [{"name": "ell", "source": "1", "target": "1"},
+                             {"name": "a", "source": "1", "target": "2"},
+                             {"name": "b", "source": "2", "target": "3"}],
+            "dashed_arrows": [{"name": "w", "source": "2", "target": "3"}],
+            "differential": {"b": [["1", "w", "1"]]},
+            "ideal": [[["1", "b", "1", "a", "1"]]]}
+    p = tmp_path / "loop_then_path.json"
+    p.write_text(json.dumps(data))
+    assert main(["check", str(p)]) == 3
+    out = capsys.readouterr().out
+    assert "triangular_ideal: FAIL (no level for ideal component b*a: delta = w*a)" in out
+    del data["differential"]
+    p.write_text(json.dumps(data))
+    main(["check", str(p)])
+    assert "triangular_ideal: pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bogus", [[[["1", "a", "1"]]], [[["1", "nope", "1"]]], "levels"])
+def test_cmd_check_ignores_an_ideal_filtration_key(files, tmp_path, capsys, bogus):
+    # the key is accepted but not read: the ideal levels come from delta
+    paths, _ = files
+    with open(paths["exi"], encoding="utf8") as fh:
+        data = json.load(fh)
+    data["ideal_filtration"] = bogus
+    p = tmp_path / "exi_filtration.json"
+    p.write_text(json.dumps(data))
+    assert main(["check", str(p)]) == 0
+    assert "triangular_ideal: pass" in capsys.readouterr().out
+    assert emit_presentation(load_presentation(str(p))) == \
+        emit_presentation(load_presentation(paths["exi"]))
+
+
 def test_cmd_check_parse_error(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{not json")

@@ -2,13 +2,14 @@ import pytest
 
 from ditalg import interlace
 from ditalg.bigraph import Bigraph, BigraphError, Factor
-from ditalg.fixtures import ex1, ex2, exa, exi, exk, exl, exl2
+from ditalg.fixtures import ex1, ex2, exa, exi, exk, exl, exl2, stellar_case2
 from ditalg.interlace import (
     CertificationError, Dit, IdealData, certify, check_balanced,
     check_interlaced, check_triangular_ideal, check_triangular_layer,
-    generated_ideal, kernel_lemma_dimension_check, lift_differential,
-    _reduce_mod_J, pair_height_filtration, quotient,
+    generated_ideal, ideal_levels, kernel_lemma_dimension_check, lift_differential,
+    membership_in_ideal_window, _reduce_mod_J, quotient,
 )
+from ditalg.pipeline import reduce_to_minimal
 from ditalg.scalars import PrimeField
 from ditalg.tensor import Differential, Elem, Layer
 
@@ -34,19 +35,10 @@ def test_ex2_certifies():
 def test_exi_balanced_and_triangular():
     d = exi(F5)
     assert check_balanced(d)            # delta = 0
-    assert check_triangular_ideal(d)    # via the pair-height construction
-    assert d.ideal.filtration           # filtration recorded
-    assert check_interlaced(d)
-
-
-def test_pair_height_filtration_spans_ideal():
-    d = exi(F5)
-    filt = pair_height_filtration(d)
-    assert filt
-    top = filt[-1]
+    assert check_triangular_ideal(d)    # delta kills b a: one level
     ba = Elem.arrow(d.bigraph, "b") * Elem.arrow(d.bigraph, "a")
-    from ditalg.tensor import in_span
-    assert in_span(top, ba)
+    assert ideal_levels(d) == ([[ba]], [])
+    assert check_interlaced(d)
 
 
 def test_non_balanced_detected():
@@ -187,20 +179,86 @@ def _loop_then_path(delta_b: bool) -> Dit:
 
 
 def test_triangular_ideal_of_a_non_directed_bigraph_is_one_level():
-    # with no filtration supplied, the one level {b a} passes since
-    # delta(b a) = 0, and fails once delta(b a) = w a is not zero
+    # the one component b a is levelled since delta(b a) = 0, and left over
+    # once delta(b a) = w a is not zero, as nothing lies below it
     d = _loop_then_path(delta_b=False)
     assert not d.bigraph.is_directed()
     certs = certify(d)
     assert certs["triangular_ideal"] and certs["roiter"]
-    assert d.ideal.filtration == [d.ideal_components()]
-    assert not certify(_loop_then_path(delta_b=True))["triangular_ideal"]
+    assert ideal_levels(d) == ([d.ideal_components()], [])
+    d = _loop_then_path(delta_b=True)
+    assert ideal_levels(d) == ([], d.ideal_components())
+    assert not certify(d)["triangular_ideal"]
+
+
+def _loop_path_and_arm(with_loop: bool = True) -> Dit:
+    # points 1-4, solid a: 1 -> 2, b: 2 -> 3, c: 1 -> 4 and (with_loop) a
+    # loop ell at 1, dashed v: 3 -> 4, delta(c) = v b a and I = <b a, c>
+    b = Bigraph(F3, [(p, Factor.trivial()) for p in "1234"],
+                solid=[("a", "1", "2"), ("b", "2", "3"), ("c", "1", "4")]
+                + ([("ell", "1", "1")] if with_loop else []),
+                dashed=[("v", "3", "4")])
+    layer = Layer(b)
+    a, bb, c, v = (Elem.arrow(b, n) for n in "abcv")
+    delta = Differential(layer, {"c": v * bb * a})
+    return Dit(layer, delta, IdealData([bb * a, c]))
+
+
+def test_triangular_ideal_of_a_non_directed_bigraph_has_two_levels():
+    # delta(c) = v (b a) lies in the window around b a, so c sits one level
+    # above b a; the unused loop ell changes nothing
+    for with_loop in (True, False):
+        d = _loop_path_and_arm(with_loop)
+        assert d.bigraph.is_directed() is not with_loop
+        b = d.bigraph
+        ba, c = Elem.arrow(b, "b") * Elem.arrow(b, "a"), Elem.arrow(b, "c")
+        assert ideal_levels(d) == ([[ba], [c]], [])
+        certs = certify(d)
+        assert certs["triangular_ideal"] and certs["balanced"] and certs["roiter"]
+
+
+def _stellar_case2_localization() -> Dit:
+    # the target of the first step of the stellar_case2 F3 plan at d = 3
+    return reduce_to_minimal(stellar_case2(F3), 3).steps[0].functor.target
+
+
+@pytest.mark.parametrize("make", [_loop_path_and_arm, _stellar_case2_localization])
+def test_ideal_levels_are_least(make):
+    # each component at level k > 1 fails the window condition against the
+    # levels below k - 1, and every component at level 1 is killed by delta
+    d = make()
+    levels, left = ideal_levels(d)
+    assert len(levels) > 1 and not left
+    assert sum(map(len, levels)) == len(d.ideal_components())
+    for k, level in enumerate(levels):
+        below = [c for lv in levels[:k - 1] for c in lv]
+        for c in level:
+            dc = d.delta.apply(c)
+            if k == 0:
+                assert dc.is_zero()
+            else:
+                assert not dc.is_zero()
+                assert not (below and membership_in_ideal_window(d, dc, 1, middle=below))
 
 
 def test_triangular_layer_from_heights():
     d = ex2(F5)
     assert check_triangular_layer(d)
     assert all(d.levels)
+
+
+def test_lift_differential_certifies_once(monkeypatch):
+    # building exl through lift_differential runs each check once
+    calls = {"check_balanced": 0, "check_interlaced": 0}
+    for name in calls:
+        real = getattr(interlace, name)
+
+        def counted(dit, name=name, real=real):
+            calls[name] += 1
+            return real(dit)
+        monkeypatch.setattr(interlace, name, counted)
+    exl(F3)
+    assert calls == {"check_balanced": 1, "check_interlaced": 1}
 
 
 def test_triangular_ideal_implies_balanced():

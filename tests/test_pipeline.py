@@ -200,6 +200,39 @@ def test_plan_steps_replay_through_their_specs():
     assert replays > 60
 
 
+def _plan_steps(fixture, F, d):
+    out = reduce_to_minimal(fixture(F), d)
+    return out.steps if isinstance(out, Obstruction) else out[0].steps
+
+
+@pytest.mark.parametrize("fixture, F, d", [
+    (stellar_case2, F3, 3), (exi, F3, 3), (exi, QQ, 4), (exl, F2, 4), (exl, QQ, 4),
+    (exl2, F2, 3), (exl2, QQ, 4), (stellar_case1, F3, 3),
+], ids=["stellar_case2-F3-3", "exi-F3-3", "exi-Q-4", "exl-F2-4", "exl-Q-4",
+        "exl2-F2-3", "exl2-Q-4", "stellar_case1-F3-3"])
+def test_step_targets_recertify_their_inherited_triangular_ideal(fixture, F, d):
+    # certify on each step target derives the flag that the step inherited
+    steps = _plan_steps(fixture, F, d)
+    assert steps
+    for step in steps:
+        target = step.functor.target
+        inherited = target.certificates.get("triangular_ideal")
+        assert certify(target)["triangular_ideal"] == inherited, step.note
+
+
+def test_stellar_case2_localization_has_three_ideal_levels():
+    # the case-2 localization's reduced ideal: w1[z4.p.1;e0] has its delta
+    # around w1[z4.p.0;e0] and w1[z3.p.0;e0], so it sits two levels up
+    from ditalg.interlace import ideal_levels
+
+    step = _plan_steps(stellar_case2, F3, 3)[0]
+    assert step.note == "case-2 localization h = ['x']"
+    levels, left = ideal_levels(step.functor.target)
+    assert [[str(e) for e in level] for level in levels] == [
+        ["w1[z4.p.0;e0]", "[x^1/h^0]*w1[r_p_5;e0]"], ["w1[z3.p.0;e0]"], ["w1[z4.p.1;e0]"]]
+    assert not left
+
+
 def test_stellar_case2_produces_summand_witness():
     # the stellar phase localizes at h = x, base-changes the arm so the ideal
     # is a direct summand of W0 and factors it out; the seminested loop then

@@ -594,14 +594,16 @@ def exi_step_spec(F):
 
 
 def test_admissible_ideal_filtration_certifies():
-    # the height-weighted ideal filtration of the reduced presentation passes
-    # the explicit triangularity check (no directedness assumption needed)
-    from ditalg.interlace import check_triangular_ideal
+    # the reduced ideal a[pb.2.0;1] is killed by the reduced delta, so its
+    # derived filtration has one level and the triangularity check passes
+    from ditalg.interlace import check_triangular_ideal, ideal_levels
 
     d, spec = exi_step_spec(F2)
     nd, f = spec.apply(d)
     assert nd.ideal.generators
-    assert nd.ideal.filtration
+    levels, left = ideal_levels(nd)
+    assert [[str(e) for e in level] for level in levels] == [["a[pb.2.0;1]"]]
+    assert not left
     assert check_triangular_ideal(nd)
 
 
@@ -619,24 +621,20 @@ def test_admissible_step_hosts_its_summands_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_admissible_x_heights_and_ideal_filtration():
-    # x-height = least m with x . P^m = 0; ell_x is the largest
-    from ditalg.admissible import _sub_bigraph_dit
+def test_admissible_radical_must_act_nilpotently():
+    # P = rad End(X) passes; an x-action of P with x . p = x does not
+    from ditalg.admissible import _check_nilpotent, _sub_bigraph_dit
 
     d = ex1(F3)
     certify(d)
     b_dit = _sub_bigraph_dit(d, ["a"])
     s1, s2, p1 = a2_indecomposables(b_dit, F3)
     adm = build_admissible(d, ["a"], findim=[("s1", s1), ("s2", s2), ("p1", p1)])
-    assert [x.height for x in adm.x_basis] == [1, 2, 2, 1]
-    assert adm.ell_x == 2
-
-    d, findim = exi_step_summands(F2)
-    adm = build_admissible(d, ["b"], findim=findim, regular=[("1", "1", ())], check=False)
-    assert [x.height for x in adm.x_basis] == [1, 2, 2, 1, 1]
-    assert adm.ell_x == 2
-    nd, _ = reduce_admissible(d, adm)
-    assert [[str(e) for e in level] for level in nd.ideal.filtration] == [["a[pb.2.0;1]"]]
+    assert adm.p_basis
+    n_x = len(adm.x_basis)
+    adm.x_p_action[0][0] = [F3.one if i == 0 else F3.zero for i in range(n_x)]
+    with pytest.raises(AdmissibleError, match="not nilpotent"):
+        _check_nilpotent(adm)
 
 
 # -- the incremental pushforward ----------------------------------------------------

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ditalg.bigraph import Bigraph, Factor, height_maps, BigraphError
+from ditalg.bigraph import Bigraph, Factor, BigraphError
 from ditalg.fixtures import ALL_FIXTURES, ex1, ex2, exa, exi, exk, stellar_case1, stellar_case2
 from ditalg.scalars import PrimeField, Poly, QQ, LocalizedRing, LocElt
 from ditalg.tensor import (
@@ -56,45 +56,12 @@ def test_find_cycle_witness_is_a_cycle():
     assert witnesses > 100
 
 
-def _pair_heights_by_fixpoint(b):
-    """Pair heights from their definition: the longest chain below (i, j)
-    in the product order (i, j) <= (i', j') iff i' <= i and j <= j', with
-    i <= j iff there is a path i ~> j."""
-    order = b.topological_order()
-    reach = {p: {p} for p in b.points}
-    for p in reversed(order):
-        for a in b.arrows_from(p):
-            reach[p] |= reach[a.target]
-    pairs = [(i, j) for i in b.point_order for j in b.point_order]
-    hp = {}
-    while len(hp) < len(pairs):
-        for u in pairs:
-            if u in hp:
-                continue
-            below = [v for v in pairs if v != u and v[0] in reach[u[0]] and u[1] in reach[v[1]]]
-            if all(v in hp for v in below):
-                hp[u] = max((hp[v] for v in below), default=-1) + 1
-    return hp
-
-
-def test_pair_heights_equal_the_fixpoint():
-    rng = random.Random(11)
-    for _ in range(60):
-        n = rng.randint(1, 6)
-        # arrows go up in a shuffled order of the points, so b is directed
-        rank = rng.sample(range(n), n)
-        edges = [(i, j) for i in range(n) for j in range(n) if rank[i] < rank[j]
-                 and rng.random() < 0.4]
-        b = Bigraph(F5, [(str(i), Factor.trivial()) for i in range(n)],
-                    solid=[(f"a{k}", str(i), str(j)) for k, (i, j) in enumerate(edges)])
-        assert height_maps(b).pair_height == _pair_heights_by_fixpoint(b)
-
-
 def test_ex1_directed_and_heights():
+    # the topological order puts 1 below 2, and the one solid arrow is the
+    # one level of the layer
     d = ex1(F5)
-    assert d.bigraph.is_directed()
-    hm = height_maps(d.bigraph)
-    assert hm.point_height == {"1": 0, "2": 1}
+    assert d.bigraph.topological_order() == ["1", "2"]
+    assert d.levels == ((("a",),), ())
 
 
 def test_rational_factor_inverts_each_polynomial_once():
@@ -103,45 +70,6 @@ def test_rational_factor_inverts_each_polynomial_once():
         Factor.rational([x, x + Poly.const(F5, 1)])
     assert Factor.rational([x + Poly.const(F5, 1), x.scale(2), x]).inverted == \
         (x + Poly.const(F5, 1), x)
-
-
-def test_chain_heights():
-    b = Bigraph(F5, [("1", Factor.trivial()), ("2", Factor.trivial()), ("3", Factor.trivial())],
-                solid=[("a", "1", "2"), ("b", "2", "3")])
-    hm = height_maps(b)
-    assert [hm.point_height[p] for p in "123"] == [0, 1, 2]
-
-
-def test_isolated_points_height_zero():
-    b = Bigraph(F5, [("1", Factor.trivial()), ("2", Factor.trivial())])
-    hm = height_maps(b)
-    assert set(hm.point_height.values()) == {0}
-
-
-def test_kronecker_heights():
-    d = exk(F5)
-    hm = height_maps(d.bigraph)
-    assert hm.point_height == {"1": 0, "2": 1}
-
-
-def test_arrow_drop_positive_on_directed():
-    d = exi(F5)
-    hm = height_maps(d.bigraph)
-    for a in d.bigraph.arrows.values():
-        assert hm.point_height[a.target] - hm.point_height[a.source] >= 1
-
-
-def test_subpath_inequality():
-    # d(gamma) > d(eta) for every proper nontrivial subpath eta
-    d = exi(F5)
-    b = d.bigraph
-    hm = height_maps(b)
-
-    def drop(path):
-        return hm.point_height[b.arrow(path[-1]).target] - hm.point_height[b.arrow(path[0]).source]
-
-    full = ["a", "b"]
-    assert drop(full) > drop(["a"]) and drop(full) > drop(["b"])
 
 
 # -- decorations -----------------------------------------------------------
