@@ -33,7 +33,9 @@ import sys
 
 from ditalg import fixtures
 from ditalg.bimodule import generic_regular
-from ditalg.interlace import certify, kernel_lemma_dimension_check, quotient
+from ditalg.interlace import (
+    GradedIdeal, certify, generated_ideal, kernel_lemma_dimension_check, quotient,
+)
 from ditalg.modcat import decompose, direct_sum, simple_at, transport_structure
 from ditalg.pipeline import Obstruction, brute_force_indecomposables, classify
 from ditalg.presentation import emit_elem, emit_presentation, emit_report
@@ -125,8 +127,12 @@ def interlace_snapshot(dit) -> dict:
 
     out = {"certify": certify(dit), "certified": emit_presentation(dit),
            "quotient": outcome(quotient_data)}
+    # J is built once for every pair; where it cannot be built, each pair
+    # whose window is not empty reports the error itself
+    ideal = outcome(lambda: generated_ideal(dit))
+    gi = ideal if isinstance(ideal, GradedIdeal) else None
     out["kernel_lemma"] = {
-        f"{i}->{j}": outcome(lambda: kernel_lemma_dimension_check(dit, i, j, length_cap=3))
+        f"{i}->{j}": outcome(lambda: kernel_lemma_dimension_check(dit, i, j, length_cap=3, gi=gi))
         for i in b.point_order for j in b.point_order}
     return out
 

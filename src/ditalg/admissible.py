@@ -29,7 +29,7 @@ from .modcat import (
 from .reduce import ReductionFunctor, RepData
 from .scalars import LocalizedRing, LocElt, Poly, linalg
 from .scalars.linalg import Mat
-from .tensor import Differential, Elem, Layer, UNIT
+from .tensor import Differential, Elem, Layer, UNIT, Word, add_term
 
 
 class AdmissibleError(ValueError):
@@ -323,7 +323,15 @@ class SigmaExpander:
     idempotents at the summands of x_at[p], every entry in row u of sigma of
     a word ending at p ends at u's summand, and every entry in column v of
     sigma of an arrow leaving p starts at v's summand, so multiplying by
-    sigma(e_p) on either side returns each entry word for word."""
+    sigma(e_p) on either side returns each entry word for word.
+
+    A word is renamed, not multiplied out, when it starts at a point whose X
+    has a single dual basis vector, all its decorations are UNIT, and every
+    letter lies outside B and ends at such a point.  sigma of each letter is
+    then the 1x1 matrix [nu_u (x) w (x) x_v] with scalar one, and the unit
+    decorations are not multiplied, so sigma of the word is the 1x1 matrix
+    holding the word of the renamed letters with scalar one: the product
+    the multiplication would return."""
 
     def __init__(self, adm: AdmissibleModuleData, target: Bigraph,
                  names: Dict[Tuple[str, int, int], str],
@@ -333,6 +341,11 @@ class SigmaExpander:
         self.names = names
         self.x_at = x_at
         self.F = adm.dit.field
+        # the points whose X has one dual basis vector, and the letters
+        # outside B that end at one: the words `_renamed` builds directly
+        self._single = single = frozenset(p for p, xs in x_at.items() if len(xs) == 1)
+        self._plain = frozenset(n for n, a in adm.dit.bigraph.arrows.items()
+                                if n not in adm.b_arrows and a.target in single)
         # sigma of each letter, keyed by arrow name or (point, key), and of
         # each word prefix, keyed by (start, arrows, coeffs)
         self._memo: Dict[object, Sparse] = {}
@@ -390,31 +403,56 @@ class SigmaExpander:
 
     def _word(self, start: str, arrows: Tuple[str, ...], coeffs: Tuple) -> Sparse:
         """sigma of the decorated word (start, arrows, coeffs): the last
-        decoration times the last arrow times sigma of the shorter prefix."""
+        decoration times the last arrow times sigma of the shorter prefix,
+        or the renamed word where the class docstring says so."""
         key = (start, arrows, coeffs)
         if key in self._memo:
             return self._memo[key]
         if not arrows:
             return self.letter_decoration(start, coeffs[0])
-        step = self.letter_arrow(arrows[-1])
-        if len(arrows) > 1 or coeffs[0] != UNIT:
-            step = self._mat_mul(step, self._word(start, arrows[:-1], coeffs[:-1]))
-        if coeffs[-1] != UNIT:
-            end = self.adm.dit.bigraph.arrow(arrows[-1]).target
-            step = self._mat_mul(self.letter_decoration(end, coeffs[-1]), step)
+        if (start in self._single and all(a in self._plain for a in arrows)
+                and all(k == UNIT for k in coeffs)):
+            step = self._renamed(start, arrows)
+        else:
+            step = self.letter_arrow(arrows[-1])
+            if len(arrows) > 1 or coeffs[0] != UNIT:
+                step = self._mat_mul(step, self._word(start, arrows[:-1], coeffs[:-1]))
+            if coeffs[-1] != UNIT:
+                end = self.adm.dit.bigraph.arrow(arrows[-1]).target
+                step = self._mat_mul(self.letter_decoration(end, coeffs[-1]), step)
         self._memo[key] = step
         return step
 
+    def _renamed(self, start: str, arrows: Tuple[str, ...]) -> Sparse:
+        """sigma of a word that `_word` renames: the 1x1 matrix at the single
+        dual basis vectors of its ends, holding the word of the renamed
+        letters with scalar one."""
+        src = self.adm.dit.bigraph
+        xs = [self.x_at[start][0]] + [self.x_at[src.arrow(a).target][0] for a in arrows]
+        word = Word(xs[0].summand.label,
+                    tuple(self.names[a, xs[i + 1].index, xs[i].index]
+                          for i, a in enumerate(arrows)),
+                    (UNIT,) * (len(arrows) + 1))
+        return {xs[-1].index: {xs[0].index: Elem.from_word(self.target, word)}}
+
     def expand(self, elem: Elem) -> Sparse:
-        """Full sigma matrix of an element of the source algebra."""
-        total: Sparse = {}
+        """Full sigma matrix of an element of the source algebra.  The terms
+        of each entry accumulate in one dictionary, in the order and with
+        the cancellations of a chain of sums."""
+        F = self.F
+        one = F.one
+        total: Dict[int, Dict[int, Dict[Word, object]]] = {}
         for w, coeff in elem.terms.items():
             for u, row in self._word(w.start, w.arrows, w.coeffs).items():
                 acc = total.setdefault(u, {})
                 for v, e in row.items():
-                    piece = e.scale(coeff)
-                    acc[v] = acc[v] + piece if v in acc else piece
-        return _drop_zeros(total)
+                    terms = acc.setdefault(v, {})
+                    for t, c in e.terms.items():
+                        add_term(F, terms, t, c if coeff == one else
+                                 coeff if c == one else F.mul(coeff, c))
+        return {u: kept for u, row in total.items()
+                if (kept := {v: Elem.nonzero(self.target, terms)
+                             for v, terms in row.items() if terms})}
 
     def _mat_mul(self, a: Sparse, c: Sparse) -> Sparse:
         """a * c over the nonzero entries, each sum taken in ascending k."""

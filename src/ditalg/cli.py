@@ -213,6 +213,9 @@ def main(argv=None) -> int:
     if args.command == "reduce" and not args.plan and args.auto is None:
         print("reduce needs --plan or --auto D", file=sys.stderr)
         return EXIT_PARSE
+    if args.command == "reduce" and args.plan and args.auto is not None:
+        print("reduce takes --plan or --auto D, not both", file=sys.stderr)
+        return EXIT_PARSE
     try:
         return args.func(args)
     except ParseError as exc:

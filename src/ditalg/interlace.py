@@ -454,10 +454,18 @@ class GradedIdeal:
         return span
 
 
+def _certified(dit: Dit, key: str, check: Callable[[Dit], bool]) -> bool:
+    """The dit's certified flag `key`, or check(dit) when it has none."""
+    flag = dit.certificates.get(key)
+    return check(dit) if flag is None else flag
+
+
 def generated_ideal(dit: Dit) -> GradedIdeal:
-    """Lemma hypothesis: the dit is interlaced with I, or I is balanced;
-    otherwise raises naming the failed inclusion."""
-    if not (check_balanced(dit) or check_interlaced(dit)):
+    """Lemma hypothesis: the dit is interlaced with I, or I is balanced,
+    read off the certified flags where present; otherwise raises naming
+    the failed inclusion."""
+    if not (_certified(dit, "balanced", check_balanced)
+            or _certified(dit, "interlaced", check_interlaced)):
         raise CertificationError(
             "neither `balanced` (delta(I) in IV+VI) nor `interlaced` certifies")
     b = dit.bigraph
@@ -516,10 +524,7 @@ def _reduce_mod_J(gi: GradedIdeal, elem: Elem, degree: int) -> Elem:
 def quotient(dit: Dit) -> QuotientPresentation:
     """Quotient ditalgebra presentation; requires the interlacing certificate
     and verifies that the induced differential squares to zero."""
-    interlaced = dit.certificates.get("interlaced")
-    if interlaced is None:
-        interlaced = check_interlaced(dit)
-    if not interlaced:
+    if not _certified(dit, "interlaced", check_interlaced):
         raise CertificationError("quotient requires the interlaced certificate")
     b = dit.bigraph
     gi = generated_ideal(dit)
@@ -621,18 +626,22 @@ def _split_degree_one_word(b: Bigraph, w: Word) -> Tuple[Word, Word, Word]:
 
 
 def kernel_lemma_dimension_check(dit: Dit, source: str, target: str,
-                                 length_cap: int = 4) -> bool:
+                                 length_cap: int = 4,
+                                 gi: Optional[GradedIdeal] = None) -> bool:
     """Exact dimension count on a graded window of V = A (x) W1 (x) A:
     the kernel of pi (x) 1 (x) pi equals I*W1*A + A*W1*I.  Needs a directed
     bigraph: the window is enumerated exactly (`graded_component_basis`), which
-    raises BigraphError on a bigraph with oriented cycles."""
+    raises BigraphError on a bigraph with oriented cycles.  Pass the dit's
+    generated ideal J to share it between point pairs; otherwise it is built
+    here when the window is not empty."""
     b = dit.bigraph
     F = b.field
     exp_cap = _exp_cap(*dit.ideal.generators, *dit.delta.values.values())
     words = [w for w in graded_component_basis(b, source, target, 1, length_cap, exp_cap)]
     if not words:
         return True
-    gi = generated_ideal(dit)
+    if gi is None:
+        gi = generated_ideal(dit)
     images = []
     for w in words:
         suffix, mid, prefix = _split_degree_one_word(b, w)

@@ -109,7 +109,9 @@ def _map_elem(src: Bigraph, tgt: Bigraph, images: Dict[str, Elem], elem: Elem,
     unchanged factor ring, so multiplying the images back together returns
     the word itself.  An element made only of such words is copied whole;
     otherwise the terms accumulate in one dictionary, where a word seen for
-    the first time is stored as it comes (a product of nonzero scalars)."""
+    the first time is stored as it comes (a product of nonzero scalars).
+    Each image runs between the endpoints of its generator, so a unit
+    decoration after a letter is not multiplied."""
     F = tgt.field
     one = F.one
 
@@ -139,7 +141,9 @@ def _map_elem(src: Bigraph, tgt: Bigraph, images: Dict[str, Elem], elem: Elem,
             img = images.get(name)
             if img is None or img.is_zero() or nxt not in tgt.points:
                 break
-            cur = Elem(tgt, {Word(nxt, (), (w.coeffs[i + 1],)): F.one}) * (img * cur)
+            cur = img * cur
+            if w.coeffs[i + 1] != UNIT:  # a unit decoration at nxt multiplies nothing out
+                cur = Elem(tgt, {Word(nxt, (), (w.coeffs[i + 1],)): F.one}) * cur
         else:
             for u, v in cur.terms.items():
                 add_term(F, out, u, v if c == one else c if v == one else F.mul(c, v))
@@ -169,7 +173,8 @@ def _pushforward(dit: Dit, tgt: Bigraph, changed: Dict[str, Elem], name: str,
     again: the source presentation validated it, and fixed letters keep
     their kind and endpoints.  Every other value is validated.
     Raises ReductionError on a target arrow that is neither lifted nor a
-    source generator, and unless delta' phi = phi delta on every generator
+    source generator, on an image that does not run between the endpoints
+    of its generator, and unless delta' phi = phi delta on every generator
     other than a fixed letter, where it holds by definition."""
     b = dit.bigraph
     lifts = lifts or {}
@@ -195,6 +200,13 @@ def _pushforward(dit: Dit, tgt: Bigraph, changed: Dict[str, Elem], name: str,
             raise ReductionError(f"target arrow {t} is neither lifted nor a source generator")
     layer = Layer(tgt)
     delta = Differential(layer, values, _copied=copied)
+    # `_map_elem` skips a unit decoration after a letter on this condition;
+    # checked after the validation above, which names a target arrow moved
+    # to other endpoints when its own value shows the move
+    for s, img in images.items():
+        a = b.arrows[s]
+        if any(w.start != a.source or w.end(tgt) != a.target for w in img.terms):
+            raise ReductionError(f"the image of {s} does not run from {a.source} to {a.target}")
     # a fixed letter s has delta'(s) = phi(delta(s)); a generator that keeps
     # its name has that value in values[s] already, built above
     for s, img in images.items():
@@ -247,9 +259,13 @@ def induced_reduction(dit: Dit, target_bigraph: Bigraph, changed: Dict[str, Elem
 def delete_idempotents(dit: Dit, kept_points: Sequence[str],
                        name: str = "") -> Tuple[Dit, ReductionFunctor]:
     """Deletion of the idempotent complementary to the kept points; image =
-    modules annihilated by the deleted points."""
+    modules annihilated by the deleted points.  Raises ReductionError on a
+    kept point the presentation does not have."""
     b = dit.bigraph
     kept = set(kept_points)
+    unknown = [p for p in kept_points if p not in b.points]
+    if unknown:
+        raise ReductionError(f"kept points not in the presentation: {', '.join(unknown)}")
     tgt = b.without(points=[p for p in b.point_order if p not in kept])
     return induced_reduction(dit, tgt, {}, name=name or f"{dit.name}^d", kind="deletion")
 
@@ -488,8 +504,7 @@ class StepSpec:
 
     def apply(self, dit: Dit, name: str = ""):
         if self.kind == "deletion":
-            kept = [p for p in dit.bigraph.point_order if p in set(self.data["kept"])]
-            return delete_idempotents(dit, kept, name=name)
+            return delete_idempotents(dit, self.data["kept"], name=name)
         if self.kind == "regularization":
             return regularize(dit, self.data["solid"], name=name)
         if self.kind == "factor_out":

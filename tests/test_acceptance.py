@@ -13,7 +13,7 @@ import pytest
 from ditalg.admissible import build_admissible, reduce_admissible
 from ditalg.bigraph import Bigraph, Factor
 from ditalg.fixtures import ex1, ex2, exi, exk, exl, exa, exq, exr, exx
-from ditalg.interlace import certify, kernel_lemma_dimension_check
+from ditalg.interlace import certify
 from ditalg.modcat import (
     MorphismPair, Rep, compose, decompose, hom, hom_dim, hom_via_quotient,
     identity_morphism, in_hom, is_indecomposable, is_isomorphism, iso_test,

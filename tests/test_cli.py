@@ -303,6 +303,28 @@ def test_cmd_reduce_plan_step_without_its_data(files, tmp_path, capsys):
     assert "parse error" in err and "'kept'" in err and "steps[0]" in err
 
 
+def test_cmd_reduce_plan_deletion_of_an_unknown_point(files, tmp_path, capsys):
+    # keeping a point ex2 does not have fails the step: exit 4, no file
+    paths, tp = files
+    plan, out = tp / "plan.json", tp / "target.json"
+    plan.write_text(json.dumps({"steps": [{"kind": "deletion", "kept": ["zz", "1"]}]}))
+    assert main(["reduce", paths["ex2"], "--plan", str(plan), "--out", str(out)]) == 4
+    assert ("step 0 (deletion) failed: kept points not in the presentation: zz"
+            in capsys.readouterr().out)
+    assert not out.exists()
+
+
+def test_cmd_reduce_takes_a_plan_or_auto_not_both(files, tmp_path, capsys):
+    paths, tp = files
+    plan = tp / "plan.json"
+    plan.write_text(json.dumps({"steps": [{"kind": "regularization", "solid": ["a"]}]}))
+    assert main(["reduce", paths["ex2"], "--plan", str(plan), "--auto", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "not both" in captured.err and captured.out == ""
+    assert main(["reduce", paths["ex2"]]) == 2
+    assert "reduce needs --plan or --auto D" in capsys.readouterr().err
+
+
 # module files that ex1 (solid a: 1 -> 2, both points trivial) rejects, each
 # with the key that the parse error names
 BAD_MODULES = {

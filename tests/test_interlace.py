@@ -111,9 +111,10 @@ def test_kernel_lemma_on_fixtures():
     for fix in (exi, exl):
         d = fix(F5)
         b = d.bigraph
+        gi = generated_ideal(d)
         for i in b.point_order:
             for j in b.point_order:
-                assert kernel_lemma_dimension_check(d, i, j, length_cap=4)
+                assert kernel_lemma_dimension_check(d, i, j, length_cap=4, gi=gi)
 
 
 def test_kernel_lemma_needs_a_directed_bigraph():
@@ -324,6 +325,42 @@ def test_quotient_builds_generated_ideal_once(monkeypatch):
     b = q.dit.bigraph
     assert q.reduce0(Elem.arrow(b, "b") * Elem.arrow(b, "a")).is_zero()
     assert len(built) == 1
+
+
+def test_generated_ideal_reads_the_certified_flags(monkeypatch):
+    # a certified dit is not checked again; an uncertified one still is
+    runs = []
+    for name in ("check_balanced", "check_interlaced"):
+        check = getattr(interlace, name)
+        monkeypatch.setattr(interlace, name,
+                            lambda dit, check=check, name=name: runs.append(name) or check(dit))
+    d = exl2(F5)
+    generated_ideal(d)
+    assert runs[0] == "check_balanced"
+    flags = certify(d)
+    assert flags["balanced"] is not None and flags["interlaced"]
+    runs.clear()
+    gi = generated_ideal(d)
+    quotient(d)
+    assert runs == [] and gi.degree0_span
+
+
+def test_kernel_lemma_takes_a_prebuilt_ideal(monkeypatch):
+    # given J, the check builds no J of its own, and answers as without it
+    d = exl(F5)
+    gi = generated_ideal(d)
+    built = []
+
+    def counting(dit):
+        built.append(dit)
+        return generated_ideal(dit)
+
+    monkeypatch.setattr(interlace, "generated_ideal", counting)
+    pairs = [(i, j) for i in d.bigraph.point_order for j in d.bigraph.point_order]
+    with_gi = [kernel_lemma_dimension_check(d, i, j, length_cap=4, gi=gi) for i, j in pairs]
+    assert built == []
+    assert with_gi == [kernel_lemma_dimension_check(d, i, j, length_cap=4) for i, j in pairs]
+    assert built
 
 
 def test_ideal_window_span_enumerates_each_window_once(monkeypatch):

@@ -709,6 +709,67 @@ def test_verbatim_copy_equals_the_full_push(monkeypatch):
     assert copied
 
 
+def _reference_push(src, tgt, images, elem):
+    """phi(elem) word by word, multiplying by the image of every letter and
+    by every decoration, the unit ones too, with no fixed letters."""
+    from ditalg.tensor import UNIT, Elem, Word
+
+    F = tgt.field
+    out = Elem.zero(tgt)
+    for w, c in elem.terms.items():
+        pts = w.path(src)
+        if pts[0] not in tgt.points or (tgt.factor(pts[0]).is_trivial
+                                        and w.coeffs[0] != UNIT):
+            continue
+        cur = Elem(tgt, {Word(pts[0], (), (w.coeffs[0],)): F.one})
+        for i, name in enumerate(w.arrows):
+            img = images.get(name)
+            if img is None or img.is_zero() or pts[i + 1] not in tgt.points:
+                break
+            cur = Elem(tgt, {Word(pts[i + 1], (), (w.coeffs[i + 1],)): F.one}) * (img * cur)
+        else:
+            out = out + cur.scale(c)
+    return out
+
+
+def test_push_equals_the_reference_that_multiplies_every_decoration(monkeypatch):
+    # on every pushforward of these plans, _map_elem (which does not multiply
+    # by a unit decoration after a letter) gives the terms, in order, of the
+    # push that multiplies by every decoration; stellar_case1 pushes words
+    # with a decoration after a letter that is not fixed
+    from ditalg import reduce
+    from ditalg.fixtures import stellar_case1
+    from ditalg.pipeline import reduce_to_minimal
+    from ditalg.scalars import QQ
+    from ditalg.tensor import UNIT
+
+    calls = []
+    real = reduce._pushforward
+
+    def recording(dit, tgt, changed, name, lifts=None):
+        calls.append((dit, tgt, changed, lifts or {}))
+        return real(dit, tgt, changed, name, lifts)
+
+    monkeypatch.setattr(reduce, "_pushforward", recording)
+    for dit, d in ((exk(QQ), 6), (exk(F3), 4), (stellar_case1(F3), 3)):
+        reduce_to_minimal(dit, d)
+    decorated = pushed = 0
+    for dit, tgt, changed, lifts in calls:
+        b = dit.bigraph
+        same, fixed = reduce._fixed_letters(b, tgt, changed, lifts)
+        fast = reduce._generator_images(b, tgt, changed, fixed)
+        full = reduce._generator_images(b, tgt, changed)
+        for e in [*dit.delta.values.values(), *dit.ideal.generators,
+                  *(dit.delta.apply(v) for v in lifts.values())]:
+            want = list(_reference_push(b, tgt, full, e).terms.items())
+            assert list(reduce._map_elem(b, tgt, full, e).terms.items()) == want
+            assert list(reduce._map_elem(b, tgt, fast, e, same, fixed).terms.items()) == want
+            decorated += sum(k != UNIT for w in e.terms
+                             for a, k in zip(w.arrows, w.coeffs[1:]) if a not in fixed)
+            pushed += 1
+    assert pushed and decorated
+
+
 def _plan_steps():
     """The steps of the exk Q/6, exk F3/4, exl F2/4 and stellar_case1 F3/3
     plans, and those of stellar_case2 F3/2 before its obstruction, which
@@ -948,6 +1009,22 @@ def test_a_moved_arrow_keeps_its_delta_validated(monkeypatch, moved, message):
     with pytest.raises(ValueError, match=message):
         reduce._pushforward(d, tgt, {}, "moved")
     assert copied == [{"v"}]
+
+
+def test_an_image_off_its_generators_endpoints_is_rejected():
+    # a keeps its name but moves to 1 -> 3 with delta(a) = 0, so its value
+    # validates; phi(a) no longer ends where a does, and the push is refused
+    from ditalg import reduce
+    from ditalg.interlace import Dit, IdealData
+    from ditalg.tensor import Differential, Elem, Layer
+
+    pts = [(p, Factor.trivial()) for p in ("1", "2", "3")]
+    b = Bigraph(F3, pts, solid=[("a", "1", "2")])
+    layer = Layer(b)
+    d = Dit(layer, Differential(layer, {}), IdealData())
+    tgt = Bigraph(F3, pts, solid=[("a", "1", "3")])
+    with pytest.raises(ReductionError, match="image of a does not run from 1 to 2"):
+        reduce._pushforward(d, tgt, {}, "moved")
 
 
 def test_absorb_copies_no_word_through_the_absorbed_point(monkeypatch):
