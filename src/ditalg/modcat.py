@@ -1248,7 +1248,8 @@ class IsoClassIndex:
 
     `find` and `add` raise DecomposableError for an M that `_local_end`
     rejects: at once, with no End(M), for a direct sum visible in M's own
-    matrices, and otherwise when End(M), built once, is not local.  The same
+    matrices (`splits_in_coordinates`, which a caller need not test first),
+    and otherwise when End(M), built once, is not local.  The same
     End data, whose radical `_locality` has built, picks M's bucket and
     matches M against its classes by `_indec_iso`.
     `ends` keeps the End algebra of each stored representative, in the order

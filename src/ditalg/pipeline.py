@@ -21,8 +21,7 @@ from .interlace import (
     CertificationError, Dit, UnsupportedShapeError, certify, ideal_point_polynomial,
     point_in_ideal,
 )
-from .modcat import (DecomposableError, IsoClassIndex, ModcatError, Rep, simple_at,
-                     splits_in_coordinates)
+from .modcat import DecomposableError, IsoClassIndex, ModcatError, Rep, simple_at
 from .reduce import (
     ReductionError, ReductionFunctor, RepData, StepSpec, compose_functors,
     delete_idempotents,
@@ -680,17 +679,18 @@ def brute_force_indecomposables(dit: Dit, d: int,
     a caller that passes one can read their End algebras off `index.ends`.
 
     The candidates are those of `_referee_candidates`, which puts the
-    non-loop arrows up to the first nonzero one in rank normal form.  One that
-    `splits_in_coordinates` is a direct sum of the classes of basis vectors
-    that its matrices link, so it is skipped before `Rep.validate` and
-    without an End algebra: the coordinate projection onto a class is a
-    nontrivial idempotent of End(M), exactly.  Every other candidate passes
-    `Rep.validate` and `IsoClassIndex.add`, which compares it only with the
-    classes of equal dimension vector, dim End and dim rad End."""
+    non-loop arrows up to the first nonzero one in rank normal form.  Every
+    candidate that passes `Rep.validate` goes to `IsoClassIndex.add`, which
+    splits its coordinates once: one that `splits_in_coordinates` is a
+    direct sum of the classes of basis vectors that its matrices link, so
+    `add` rejects it with DecomposableError and no End algebra (the
+    coordinate projection onto a class is a nontrivial idempotent of End(M),
+    exactly).  Any other is compared only with the classes of equal
+    dimension vector, dim End and dim rad End."""
     if index is None:
         index = IsoClassIndex(dit)
     for rep in _referee_candidates(dit, d):
-        if splits_in_coordinates(rep) or rep.validate() is not None:
+        if rep.validate() is not None:
             continue
         try:
             index.add(rep)

@@ -121,9 +121,10 @@ def parse_poly_fraction(F: Field, s: str) -> Tuple[Poly, Poly]:
                     d2 = ""
                     while tk.peek().isdigit():
                         d2 += tk.take()
-                    from fractions import Fraction
-
-                    return Poly.const(F, Fraction(int(digits), int(d2))), one
+                    b = int(d2)
+                    if b == 0:
+                        raise ParseError("zero denominator", s)
+                    return Poly.const(F, F.div(F.from_int(int(digits)), F.from_int(b))), one
                 tk.pos = save
             return Poly.const(F, F.from_int(int(digits))), one
         if c == "-":

@@ -1,12 +1,18 @@
 """Exact ground fields: prime fields F_p and the rationals Q.
 
-Field elements are kept as raw values (ints for F_p, Fraction for Q) and all
-arithmetic goes through a field context object.  This keeps the linear
-algebra cheap while staying exact everywhere.  The one row update of every
-elimination, `sub_scaled` (row[j] -= f*w over the nonzero entries (j, w) of a
-pivot row), is a context method too: `Field` spells it with `sub` and `mul`,
-and `PrimeField` inlines the reduction mod p, so `linalg` never asks which
-field it has.
+Field elements are kept as raw values and all arithmetic goes through a
+field context object.  An F_p value is an int in [0, p).  A Q value is an
+int when it is integral and a `Fraction` only when its denominator is not 1:
+almost every scalar of a reduction is 0, 1, -1 or another small integer, and
+Python adds, multiplies and compares ints many times faster than
+`Fraction`s.  Equal values compare, hash and print the same in either form,
+so the representation shows in no output.  This keeps the linear algebra
+cheap while staying exact everywhere.  The one row update of every
+elimination, `sub_scaled` (row[j] -= f*w over the nonzero entries (j, w) of
+a pivot row), is a context method too: `Field` spells it with `sub` and
+`mul`, `PrimeField` inlines the reduction mod p and `RationalField` the
+return of an integral result to an int, so `linalg` never asks which field
+it has.
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ class Field:
         return not self.is_zero(a)
 
     def is_zero(self, a) -> bool:
-        # values are ints in [0, p) or Fractions: zero is the only falsy one
+        # values are ints or Fractions: zero is the only falsy one
         return not a
 
     def random(self, rng):
@@ -148,42 +154,65 @@ class PrimeField(Field):
 
 
 class RationalField(Field):
-    """Q with Fraction values."""
+    """Q in one canonical form: an integral value is always an int (so
+    `zero` is 0 and `one` is 1), and only a value whose denominator is not 1
+    is a `Fraction`.  Every operation that can make an integral `Fraction`
+    (a sum, difference, product or quotient) turns it back into an int; a
+    negation cannot.  No other module builds a `Fraction`: a Q value enters
+    through `from_int`, `parse`, `random` or `div`."""
 
     __slots__ = ("zero", "one", "char")
 
     def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+        self.zero = 0
+        self.one = 1
         self.char = 0
 
     def add(self, a, b):
-        return a + b
+        c = a + b
+        return c if c.__class__ is int or c.denominator != 1 else c.numerator
 
     def sub(self, a, b):
-        return a - b
+        c = a - b
+        return c if c.__class__ is int or c.denominator != 1 else c.numerator
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        return c if c.__class__ is int or c.denominator != 1 else c.numerator
 
     def neg(self, a):
         return -a
 
+    def sub_scaled(self, row, f, nz):
+        for j, w in nz:
+            c = row[j] - f * w
+            row[j] = c if c.__class__ is int or c.denominator != 1 else c.numerator
+
     def inv(self, a):
-        if a == 0:
+        return self.div(1, a)
+
+    def div(self, a, b):
+        if not b:
             raise ZeroDivisionError("division by zero in Q")
-        return 1 / Fraction(a)
+        if a.__class__ is int and b.__class__ is int:
+            # a / b would be a float
+            return a // b if a % b == 0 else Fraction(a, b)
+        c = a / b
+        return c if c.denominator != 1 else c.numerator
 
     def from_int(self, n: int):
-        return Fraction(n)
+        return n
 
     def random(self, rng):
         num = rng.randrange(-6, 7)
         den = rng.randrange(1, 5)
-        return Fraction(num, den)
+        return self.div(num, den)
 
     def parse(self, s: str):
-        return Fraction(s)
+        """A decimal integer, quotient a/b or decimal fraction, as
+        `Fraction` reads it; ZeroDivisionError when b is 0."""
+        c = Fraction(s)
+        return c if c.denominator != 1 else c.numerator
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

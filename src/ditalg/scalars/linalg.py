@@ -5,9 +5,10 @@ the ring context explicitly.  A ring context has `zero`, `one`, `add`, `sub`,
 `mul`, `neg`, `is_zero`, `is_unit` and `inv`; there are three: a ground
 `Field` (F_p or Q), `LocalizedRing` (k[x]_h, entries `LocElt`) and
 `PolyRing` (k[x], entries `Poly`).  Every ring value is falsy exactly when
-it is zero (F_p ints and `Fraction`s are; `Poly` and `LocElt` define
-`__bool__`), so `bool(a) == (not R.is_zero(a))` and this module tests an
-entry by its truth value, with no call.  `zeros`, `identity`, `add`, `sub`,
+it is zero (F_p values and integral Q values are ints, any other Q value a
+`Fraction`; `Poly` and `LocElt` define `__bool__`), so
+`bool(a) == (not R.is_zero(a))` and this module tests an entry by its truth
+value, with no call.  `zeros`, `identity`, `add`, `sub`,
 `mul`, `transpose`, `cofactor_det` and `adjugate_inverse` work over any of
 them.  The eliminations (`rref`, `kernel_basis`, `solve`, `det`, `inverse`)
 divide by pivots and need a field.  Every "is v in this span" and

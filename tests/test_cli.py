@@ -146,6 +146,17 @@ def test_cmd_check_parse_error(tmp_path, capsys):
     assert main(["check", str(p)]) == 2
 
 
+@pytest.mark.parametrize("literal", ["1/0", "0/0"])
+def test_cmd_check_rejects_a_zero_denominator_over_q(tmp_path, capsys, literal):
+    p = tmp_path / "exl.json"
+    save_presentation(exl(QQ), str(p))
+    data = json.loads(p.read_text())
+    data["ideal"][0][0][0] = literal
+    p.write_text(json.dumps(data))
+    assert main(["check", str(p)]) == 2
+    assert f"parse error: zero denominator (at {literal})" in capsys.readouterr().err
+
+
 def test_cmd_check_names_a_cycle_that_closes(tmp_path, capsys):
     # the arrow c: z0 -> 1 leads into the loop ell but lies on no cycle
     p = tmp_path / "exa.json"

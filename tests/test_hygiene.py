@@ -9,10 +9,13 @@ name ends in `_det`, `_inverse` or `mat_mul` (methods are exempt), and the
 kernel itself names no particular field and reads no modulus `.p`: per-field
 arithmetic lives in the ring contexts (`Field.sub_scaled`).  Nor does it read
 a context's `is_zero`: ring values are falsy exactly at zero, so the kernel
-tests an entry by its truth value.  `Poly` is the one polynomial arithmetic:
-outside its methods no function, module-level or nested, has a name that
-ends in `poly_mul`, `exact_div` or `divmod` or starts with `pm_`.  Every module-level function is used by
-package or script code, not by the tests alone.  `tensor.Elem` is the one
+tests an entry by its truth value.  No module but `scalars/fields.py`
+imports or names `Fraction`: a Q value enters through the field context,
+which keeps it canonical (an int when integral).  `Poly` is the one
+polynomial arithmetic: outside its methods no function, module-level or
+nested, has a name that ends in `poly_mul`, `exact_div` or `divmod` or
+starts with `pm_`.  Every module-level function is used by package or
+script code, not by the tests alone.  `tensor.Elem` is the one
 word algebra: no other class keeps a `terms` attribute or slot.  `certify`
 and `inherit_certificates` are the only writers of certificate flags."""
 
@@ -200,6 +203,23 @@ def _is_zero_reads(tree):
 
 def test_matrix_kernel_makes_no_is_zero_call():
     assert _is_zero_reads(_tree(SRC / "scalars" / "linalg.py")) == []
+
+
+def _fraction_uses(tree):
+    """Line numbers that import `fractions` or name `Fraction`, as a name,
+    an attribute or an imported alias."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
+                  or (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+                  or (isinstance(node, ast.Name) and node.id == "Fraction")
+                  or (isinstance(node, ast.Attribute) and node.attr == "Fraction"))
+
+
+def test_only_the_field_context_names_fraction():
+    offenders = {str(p.relative_to(SRC)): _fraction_uses(_tree(p))
+                 for p in SRC.rglob("*.py") if p != SRC / "scalars" / "fields.py"}
+    assert {k: v for k, v in offenders.items() if v} == {}
+    assert _fraction_uses(_tree(SRC / "scalars" / "fields.py"))
 
 
 SCRIPTS = SRC.parent.parent / "scripts"

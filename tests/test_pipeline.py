@@ -658,6 +658,28 @@ def test_referee_builds_no_end_algebra_for_a_coordinate_split(monkeypatch, build
     assert 0 < calls[0] <= cap
 
 
+@pytest.mark.parametrize("build, F, d", [(exk, F3, 4), (exl, F2, 4)], ids=["exk-F3-4", "exl-F2-4"])
+def test_referee_splits_each_candidate_once(monkeypatch, build, F, d):
+    # the referee's own coordinate split before `IsoClassIndex.add` split
+    # again made 432 splits for 258 candidates on exk/F3/4
+    from ditalg import modcat
+    from ditalg.pipeline import _referee_candidates
+
+    calls = [0]
+    real = modcat._coordinate_classes
+
+    def counting(M):
+        calls[0] += 1
+        return real(M)
+
+    dit = build(F)
+    certify(dit)
+    candidates = sum(1 for _ in _referee_candidates(dit, d))
+    monkeypatch.setattr(modcat, "_coordinate_classes", counting)
+    brute_force_indecomposables(dit, d)
+    assert 0 < calls[0] <= candidates
+
+
 @pytest.mark.parametrize("build, F, d", [
     (exk, F2, 3), (exl, F2, 3), (exr, F2, 3),
     (exk, F3, 3),               # b, parallel to a, is ranked while a is zero
@@ -781,7 +803,9 @@ def test_classify_exk_q6_field_operation_count(monkeypatch):
     # every structure-constant product added c*0; 4,512 and 7,518 when the
     # radical's trace, the U-condition rows and the image terms of a
     # reduction still added zeros and multiplied by ones; 2,160 and 4,811
-    # when the trace still multiplied by a coordinate one; 2,160 and 4,763 now
+    # when the trace still multiplied by a coordinate one; 2,160 and 4,763
+    # later; 1,305 and 3,224 before `RationalField.sub_scaled` multiplied
+    # inline, out of this count's sight; 1,305 and 2,288 now
     from ditalg.scalars.fields import RationalField
 
     calls = {"add": 0, "mul": 0}
@@ -799,6 +823,49 @@ def test_classify_exk_q6_field_operation_count(monkeypatch):
     classify(exk(QQ), 6)
     assert calls["add"] <= 2_375
     assert calls["mul"] <= 5_240
+
+
+def _scalars(obj):
+    """Every field scalar that obj holds: the coefficients of its tensor
+    elements and polynomials and the entries of its matrices."""
+    from fractions import Fraction
+
+    from ditalg.scalars import LocElt
+
+    if isinstance(obj, (int, Fraction)):
+        yield obj
+    elif isinstance(obj, Poly):
+        yield from obj.coeffs
+    elif isinstance(obj, LocElt):
+        yield from _scalars(obj.num)
+    elif isinstance(obj, Mat):
+        for row in obj.data:
+            for v in row:
+                yield from _scalars(v)
+    elif isinstance(obj, Elem):
+        for c in obj.terms.values():
+            yield from _scalars(c)
+    elif isinstance(obj, Rep):
+        for m in (*obj.arrow_ops.values(), *obj.point_ops.values()):
+            yield from _scalars(m)
+    else:
+        raise TypeError(f"no scalars known in {type(obj).__name__}")
+
+
+def test_classify_exk_q6_keeps_every_scalar_canonical():
+    # over Q an integral value is an int and only a non-integral one a
+    # Fraction, through every reduction step, listing and family
+    from fractions import Fraction
+
+    report = classify(exk(QQ), 6)
+    held = [*report.minimal.delta.values.values(), *report.minimal.ideal.generators,
+            *report.indecomposables, *report.exceptional]
+    for fam in report.families:
+        held += [*fam.inverted, fam.bimodule, *(r for _, r in fam.sample_images)]
+    values = [c for obj in held for c in _scalars(obj)]
+    assert report.families and len(values) > 100
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in values)
 
 
 def test_classify_exk_q6_step_functor_and_validation_count(monkeypatch):

@@ -12,6 +12,7 @@ from ditalg.scalars import (
     LocalizedRing, LocElt, ModulePresentation, localize_to_free,
     independent_over_localization, in_localized_span, squarefree_decomposition,
 )
+from ditalg.presentation import parse_poly_fraction
 from ditalg.scalars import poly as poly_module
 
 F5 = PrimeField(5)
@@ -55,6 +56,53 @@ def test_poly_ring_axioms(a, b, c):
         assert r.degree < pb.degree
 
 
+def _canonical(q):
+    return q.numerator if q.denominator == 1 else q
+
+
+def _assert_canonical(got, want):
+    assert got == want
+    assert type(got) is (int if want.denominator == 1 else Fraction)
+
+
+_RATIONALS = st.fractions(max_denominator=12).map(_canonical)
+
+
+@given(_RATIONALS, _RATIONALS)
+def test_rational_operations_are_fraction_arithmetic_in_canonical_form(a, b):
+    # a Q value is an int exactly when it is integral, through every operation
+    fa, fb = Fraction(a), Fraction(b)
+    _assert_canonical(QQ.add(a, b), fa + fb)
+    _assert_canonical(QQ.sub(a, b), fa - fb)
+    _assert_canonical(QQ.mul(a, b), fa * fb)
+    _assert_canonical(QQ.neg(a), -fa)
+    row = [a, b]
+    QQ.sub_scaled(row, b, [(0, a), (1, b)])
+    _assert_canonical(row[0], fa - fb * fa)
+    _assert_canonical(row[1], fb - fb * fb)
+    if b:
+        _assert_canonical(QQ.div(a, b), fa / fb)
+        _assert_canonical(QQ.inv(b), 1 / fb)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            QQ.div(a, b)
+    assert hash(a) == hash(fa) and str(a) == str(fa) and QQ.format(a) == str(fa)
+
+
+def test_rational_constants_and_literals_are_canonical():
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert type(QQ.from_int(-3)) is int
+    for text, want in (("4", Fraction(4)), ("4/2", Fraction(2)), ("-6/4", Fraction(-3, 2)),
+                       ("0/5", Fraction(0))):
+        _assert_canonical(QQ.parse(text), want)
+    rng = random.Random(0)
+    for _ in range(50):
+        q = QQ.random(rng)
+        _assert_canonical(q, Fraction(q))
+    num, den = parse_poly_fraction(QQ, "4/2")
+    assert type(num.coeff(0)) is int and num.coeff(0) == 2 and den == Poly.one(QQ)
+
+
 _F3 = PrimeField(3)
 _CONTEXTS = {"F2": PrimeField(2), "F3": _F3, "F101": F101, "Q": QQ,
              "k[x]": PolyRing(_F3), "k[x]_x": LocalizedRing(_F3, [Poly.x(_F3)])}
@@ -65,7 +113,7 @@ def _ring_value(R, ints, e):
         return Poly.from_ints(R.field, ints)
     if isinstance(R, LocalizedRing):
         return LocElt(R, Poly.from_ints(R.field, ints), e)
-    return R.from_int(ints[0]) if R.char else Fraction(ints[0], e + 1)
+    return R.from_int(ints[0]) if R.char else R.div(ints[0], e + 1)
 
 
 @settings(max_examples=150)

@@ -387,7 +387,7 @@ _CHAIN_WORDS = {
 def _scalar(F, data):
     if F.char:
         return F.from_int(data.draw(st.integers(0, F.char - 1)))
-    return F.from_int(data.draw(st.integers(-3, 3))) / data.draw(st.integers(1, 3))
+    return F.div(F.from_int(data.draw(st.integers(-3, 3))), F.from_int(data.draw(st.integers(1, 3))))
 
 
 def _drawn_elem(F, b, words, data):
