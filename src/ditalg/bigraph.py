@@ -1,10 +1,16 @@
 """Elementary bigraphs: points with minimal-algebra factors, solid and dashed
-arrows, and directedness."""
+arrows, and directedness.
+
+Acyclicity is decided by one levelling pass, `longest_path_levels`, a Kahn
+worklist over a dependency graph, and a cycle is named by one walk,
+`unlevelled_cycle`, that follows unlevelled dependencies until it closes.
+`Bigraph.is_directed` and `find_cycle` run them on the point graph;
+`interlace` runs them on the delta-dependency graph of the layer."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .scalars import Field, LocalizedRing, Poly
 
@@ -131,68 +137,71 @@ class Bigraph:
 
     # -- directedness ------------------------------------------------------
 
-    def topological_order(self) -> Optional[List[str]]:
-        """Kahn topological sort over all arrows; None when a cycle exists.
-
-        Of the points ready at each step the first declared comes next, so
-        the order is canonical.  A source may follow a point that is not
-        one: points s1, x, s2 with s1 -> x give [s1, x, s2].
-        """
-        indeg = {p: 0 for p in self.point_order}
+    def _point_deps(self) -> Dict[str, List[str]]:
+        # every arrow p -> q makes q depend on p: loops and dashed arrows too
+        deps: Dict[str, List[str]] = {p: [] for p in self.point_order}
         for a in self.arrows.values():
-            if a.source != a.target:
-                indeg[a.target] += 1
-            else:
-                return None  # a loop is a cycle
-        order = []
-        ready = [p for p in self.point_order if indeg[p] == 0]
-        while ready:
-            p = ready.pop(0)
-            order.append(p)
-            for a in self.arrows.values():
-                if a.source == p:
-                    indeg[a.target] -= 1
-                    if indeg[a.target] == 0 and a.target not in order and a.target not in ready:
-                        ready.append(a.target)
-            ready.sort(key=self.point_order.index)
-        if len(order) != len(self.point_order):
-            return None
-        return order
+            deps[a.target].append(a.source)
+        return deps
+
+    def point_levels(self) -> Dict[str, int]:
+        """The longest-path level of each point that lies neither on nor
+        above a cycle (`longest_path_levels`): 1 with no arrow into it,
+        else one above the highest source of an arrow into it."""
+        return longest_path_levels(self._point_deps())
 
     def is_directed(self) -> bool:
-        return self.topological_order() is not None
+        return len(self.point_levels()) == len(self.points)
 
     def find_cycle(self) -> Optional[List[str]]:
         """A witness oriented cycle (arrow names, each arrow's target the
         next one's source and the last one's target the first one's
-        source), or None."""
-        color = {p: 0 for p in self.points}
-        stack: List[str] = []
-
-        def dfs(p):
-            color[p] = 1
-            for a in self.arrows.values():
-                if a.source != p:
-                    continue
-                if color[a.target] == 1:
-                    # the cycle starts after the arrow that entered a.target
-                    # on the DFS path, or at the root
-                    start = next((k + 1 for k, name in enumerate(stack)
-                                  if self.arrows[name].target == a.target), 0)
-                    return stack[start:] + [a.name]
-                if color[a.target] == 0:
-                    stack.append(a.name)
-                    found = dfs(a.target)
-                    if found:
-                        return found
-                    stack.pop()
-            color[p] = 2
+        source), or None.  `unlevelled_cycle` walks it backwards, from each
+        point to the source of an arrow into it; of parallel arrows the
+        first declared is named."""
+        pts = unlevelled_cycle(self._point_deps())
+        if pts is None:
             return None
+        fwd = pts[:1] + pts[:0:-1]   # an arrow runs pts[i + 1] -> pts[i]
+        return [next(a.name for a in self.arrows_into(t) if a.source == s)
+                for s, t in zip(fwd, fwd[1:] + fwd[:1])]
 
-        for p in self.point_order:
-            if color[p] == 0:
-                cyc = dfs(p)
-                if cyc:
-                    return cyc
+
+def longest_path_levels(deps: Mapping[str, Sequence[str]]) -> Dict[str, int]:
+    """Kahn's worklist on the graph with an edge m -> n for each m in
+    deps[n]: a node is levelled as soon as its last dependency is, one level
+    above the highest of them (1 with none), so each gets its longest-path
+    level.  The nodes it never reaches are those on or above a cycle."""
+    users: Dict[str, List[str]] = {n: [] for n in deps}
+    waiting: Dict[str, int] = {}
+    for n, ds in deps.items():
+        waiting[n] = len(ds)
+        for m in ds:
+            users[m].append(n)
+    ready = [n for n, k in waiting.items() if not k]
+    level: Dict[str, int] = {}
+    while ready:
+        n = ready.pop()
+        level[n] = 1 + max((level[m] for m in deps[n]), default=0)
+        for u in users[n]:
+            waiting[u] -= 1
+            if not waiting[u]:
+                ready.append(u)
+    return level
+
+
+def unlevelled_cycle(deps: Mapping[str, Sequence[str]]) -> Optional[List[str]]:
+    """One cycle [n1, ..., nk] of the graph of `longest_path_levels`, each
+    n(i+1) in deps[ni] and n1 in deps[nk]; None when every node is levelled.
+    A node left unlevelled has an unlevelled dependency, so following the
+    least such dependency from the first unlevelled node must come back to
+    a node already on the path."""
+    level = longest_path_levels(deps)
+    n = next((n for n in deps if n not in level), None)
+    if n is None:
         return None
-
+    path: List[str] = []
+    while n not in path:
+        path.append(n)
+        n = min(m for m in deps[n] if m not in level)
+    return path[path.index(n):]

@@ -13,9 +13,10 @@ The triangular filtrations are derived from delta, not stored.  `Dit.levels`
 is the least one of the layer, the longest-path levels of the same-kind
 delta-dependency graph (`_dependency_levels`), computed once per
 presentation and kept as the names each level adds; when there is none,
-`dependency_cycle` names one cycle of that graph.  `ideal_levels` is the
-least one of the ideal components, each placed as soon as its delta lies in
-the window around the levels below.  Filtration keys in an input file are
+`dependency_cycle` names one cycle of that graph.  Both run the levelling
+pass and the cycle walk of `bigraph`, which decide `directed` on the point
+graph too.  `ideal_levels` is the least one of the ideal components, each
+placed as soon as its delta lies in the window around the levels below.  Filtration keys in an input file are
 accepted but not read, and emitted layer ones are the least levels as
 ascending unions (`ascending_levels`)."""
 
@@ -25,7 +26,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .bigraph import Bigraph, BigraphError
+from .bigraph import Bigraph, BigraphError, longest_path_levels, unlevelled_cycle
 from .scalars import LocalizedRing, Poly, linalg, strip_h_factors
 from .tensor import (
     UNIT, Differential, Elem, Layer, Word, elem_coordinates, graded_component_basis,
@@ -284,41 +285,23 @@ def check_triangular_ideal(dit: Dit) -> bool:
     return not ideal_levels(dit)[1]
 
 
-def _dependency_graph(dit: Dit):
-    """(dashed, deps, level): each arrow's kind, the same-kind arrows in its
-    delta, and the level of every arrow that the worklist reaches.  One scan
-    of delta builds the graph of both kinds, and one worklist pass (Kahn)
-    levels an arrow as soon as its last dependency is levelled, one level
-    above the highest of them.  The arrows it never reaches are those on or
-    above a cycle of the graph."""
+def _dependency_graph(dit: Dit) -> Tuple[Dict[str, bool], Dict[str, Set[str]]]:
+    """(dashed, deps): each arrow's kind and the same-kind arrows in its
+    delta, both kinds from one scan of delta."""
     dashed = {n: a.dashed for n, a in dit.bigraph.arrows.items()}
-    deps: Dict[str, Set[str]] = {}
-    users: Dict[str, List[str]] = {n: [] for n in dashed}
-    for n, kind in dashed.items():
-        deps[n] = {m for w in dit.delta.of_arrow(n).terms for m in w.arrows
-                   if dashed[m] == kind}
-        for m in deps[n]:
-            users[m].append(n)
-    waiting = {n: len(ds) for n, ds in deps.items()}
-    ready = [n for n, k in waiting.items() if not k]
-    level: Dict[str, int] = {}
-    while ready:
-        n = ready.pop()
-        level[n] = 1 + max((level[m] for m in deps[n]), default=0)
-        for u in users[n]:
-            waiting[u] -= 1
-            if not waiting[u]:
-                ready.append(u)
-    return dashed, deps, level
+    return dashed, {n: {m for w in dit.delta.of_arrow(n).terms for m in w.arrows
+                        if dashed[m] == kind} for n, kind in dashed.items()}
 
 
 def _dependency_levels(dit: Dit) -> Optional[Tuple[Levels, Levels]]:
     """The least triangular filtrations (solid, dashed) of the layer: an
     arrow sits one level above the highest same-kind arrow in its delta (the
-    longest-path levels of the delta-dependency graph), each returned as the
-    sorted names of each level, lowest first; None when the dependencies
-    contain a cycle, that is when no triangular filtration exists."""
-    dashed, deps, level = _dependency_graph(dit)
+    longest-path levels of the delta-dependency graph, `longest_path_levels`),
+    each returned as the sorted names of each level, lowest first; None when
+    the dependencies contain a cycle, that is when no triangular filtration
+    exists."""
+    dashed, deps = _dependency_graph(dit)
+    level = longest_path_levels(deps)
     if len(level) < len(deps):
         return None
 
@@ -334,20 +317,10 @@ def _dependency_levels(dit: Dit) -> Optional[Tuple[Levels, Levels]]:
 
 def dependency_cycle(dit: Dit) -> Optional[List[str]]:
     """One cycle of the delta-dependency graph as arrow names [n1, ..., nk],
-    where the delta of each uses the next and that of nk uses n1; None when
-    `_dependency_levels` levels every arrow.  An arrow that the worklist
-    leaves unlevelled has an unlevelled dependency, so following the least
-    such dependency from the first unlevelled arrow must come back to an
-    arrow already on the path."""
-    _, deps, level = _dependency_graph(dit)
-    n = next((n for n in deps if n not in level), None)
-    if n is None:
-        return None
-    path: List[str] = []
-    while n not in path:
-        path.append(n)
-        n = min(m for m in deps[n] if m not in level)
-    return path[path.index(n):]
+    where the delta of each uses the next and that of nk uses n1
+    (`unlevelled_cycle`); None when `_dependency_levels` levels every
+    arrow."""
+    return unlevelled_cycle(_dependency_graph(dit)[1])
 
 
 def ascending_levels(levels: Levels) -> Tuple[FrozenSet[str], ...]:

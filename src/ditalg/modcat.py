@@ -15,11 +15,15 @@ element by its Fitting rank or lifted from End(M)/rad.  Krull-Schmidt
 decomposition splits off the Fitting idempotent of f, a polynomial in f
 built from its minimal polynomial x^k q by xgcd(x^k, q).  `iso_test`
 rejects first on the four hom dimensions, which are isomorphism
-invariants.
+invariants.  `IsoClassIndex` is the one index of isomorphism classes:
+`iso_test` decides a module with two or more summands by the class
+multiplicities of both sides' summands in one index, and `classify`, the
+referee and `build_admissible` deduplicate through it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -835,8 +839,9 @@ def split_idempotent(dit: Dit, M: Rep, e: MorphismPair):
     curM = Mt
 
     # Step 2: kill e1 along the dashed filtration; each conjugator (1, u1) is
-    # a morphism from the transported structure, so the module changes too.
-    iso_chain: List[Tuple[MorphismPair, Rep, Rep]] = [(H, Mt, M)]
+    # a morphism from the transported structure, so the module changes too,
+    # and h = H . u_1 . u_2 . ... (u_k applied first) grows with it
+    h = H
     for new_names in dit.levels[1]:
         u1map: Dict[str, Mat] = {}
         nontrivial = False
@@ -872,7 +877,7 @@ def split_idempotent(dit: Dit, M: Rep, e: MorphismPair):
         if uinv is None:
             raise ModcatError("conjugator failed to invert")
         cur = compose(dit, uinv, compose(dit, cur, u, nextM, curM, curM), nextM, curM, nextM)
-        iso_chain.append((u, nextM, curM))
+        h = compose(dit, h, u, nextM, curM, M)
         curM = nextM
     if not cur.f1_is_zero():
         raise ModcatError("idempotent normalization failed to kill f1")
@@ -888,17 +893,6 @@ def split_idempotent(dit: Dit, M: Rep, e: MorphismPair):
         rt, rs = rank1[a.target], rank1[a.source]
         if not m.submatrix(rt, m.rows, 0, rs).is_zero() or not m.submatrix(0, rt, rs, m.cols).is_zero():
             raise ModcatError("block structure violated after normalization")
-
-    # h = H . u_1 . u_2 . ... (u_k applied first): iso_chain entries map
-    # (source rep) -> (target rep) left to right down the chain
-    h = None
-    h_source = None
-    for iso, src, tgt in iso_chain:
-        if h is None:
-            h, h_source = iso, src
-        else:
-            h = compose(dit, h, iso, src, h_source, M)
-            h_source = src
     return M1, M2, h
 
 
@@ -1201,8 +1195,10 @@ def iso_test(dit: Dit, M: Rep, N: Rep) -> bool:
     and N start from when the module is not a direct sum in its own
     coordinates, dim Hom(N,M) by a rank and dim Hom(M,N) by the kernel whose
     basis `_indec_iso` scans when M is indecomposable.  Any other M is
-    decided by Krull-Schmidt matching of the summands, each side cut into
-    its coordinate pieces first, as in `decompose`."""
+    decided by Krull-Schmidt: the local End algebras of both sides'
+    summands, each side cut into its coordinate pieces first as in
+    `decompose`, go into one IsoClassIndex, and M and N are isomorphic when
+    each class holds as many summands of M as of N."""
     if M.dim_vector() != N.dim_vector():
         return False
     if M.is_zero():
@@ -1220,22 +1216,12 @@ def iso_test(dit: Dit, M: Rep, N: Rep) -> bool:
     parts_m = _summand_ends(dit, M, E)
     if len(parts_m) == 1:
         return _indec_iso(parts_m[0], N, hom_vecs) is not None
-    parts_n = [En.M for En in _summand_ends(dit, N, E_n)]
+    parts_n = _summand_ends(dit, N, E_n)
     if len(parts_m) != len(parts_n):
         return False
-    used = [False] * len(parts_n)
-    for em in parts_m:
-        found = False
-        for i, pn in enumerate(parts_n):
-            if used[i]:
-                continue
-            if _indec_iso(em, pn) is not None:
-                used[i] = True
-                found = True
-                break
-        if not found:
-            return False
-    return True
+    index = IsoClassIndex(dit)
+    return (Counter(id(index.add_end(part)) for part in parts_m)
+            == Counter(id(index.add_end(part)) for part in parts_n))
 
 
 class DecomposableError(ModcatError):
@@ -1251,7 +1237,9 @@ class IsoClassIndex:
     matrices (`splits_in_coordinates`, which a caller need not test first),
     and otherwise when End(M), built once, is not local.  The same
     End data, whose radical `_locality` has built, picks M's bucket and
-    matches M against its classes by `_indec_iso`.
+    matches M against its classes by `_indec_iso`.  `add_end` takes an End
+    algebra already known to be local, such as a summand's from
+    `_decompose`, and makes no locality decision.
     `ends` keeps the End algebra of each stored representative, in the order
     they were added, so another index can `match` them with no second
     locality decision; `classes` lists the representatives themselves.
@@ -1289,15 +1277,21 @@ class IsoClassIndex:
         """The stored class isomorphic to the indecomposable M, or None."""
         return self.match(self._end(M))
 
+    def add_end(self, E: EndAlgebra) -> Rep:
+        """The stored class isomorphic to M = E.M, for an End algebra E over
+        this index's presentation already known to be local; M itself, now
+        stored as a new class, when there is none."""
+        N = self.match(E)
+        if N is None:
+            N = E.M
+            self._buckets.setdefault(self._key(E), []).append(N)
+            self.ends.append(E)
+        return N
+
     def add(self, M: Rep) -> bool:
         """Store the indecomposable M unless its class is present; True when
         M is new."""
-        E = self._end(M)
-        if self.match(E) is not None:
-            return False
-        self._buckets.setdefault(self._key(E), []).append(M)
-        self.ends.append(E)
-        return True
+        return self.add_end(self._end(M)) is M
 
 
 def hom_via_quotient(dit: Dit, M: Rep, N: Rep, qp=None) -> List[MorphismPair]:

@@ -21,7 +21,9 @@ from .interlace import (
     CertificationError, Dit, UnsupportedShapeError, certify, ideal_point_polynomial,
     point_in_ideal,
 )
-from .modcat import DecomposableError, IsoClassIndex, ModcatError, Rep, simple_at
+from .modcat import (
+    EndAlgebra, IsoClassIndex, ModcatError, Rep, _locality, simple_at, splits_in_coordinates,
+)
 from .reduce import (
     ReductionError, ReductionFunctor, RepData, StepSpec, compose_functors,
     delete_idempotents,
@@ -525,11 +527,11 @@ def _reduce_rec(run: _Run, dit: Dit, d: int) -> Tuple[List[PlanStep], Dit]:
 def _lift_source_plan(run: _Run, cur: Dit, d: int) -> Dit:
     """Reduce `cur` with a source point deleted and lift that plan back over
     the source (section 8 commutations); after it every solid arrow starts
-    at the source."""
-    order = cur.bigraph.topological_order()
-    if order is None:
+    at the source.  The source is the first declared trivial point with no
+    arrow into it."""
+    if not cur.bigraph.is_directed():
         raise PipelineError("driver requires a directed presentation")
-    source = next((p for p in order if cur.bigraph.factor(p).is_trivial
+    source = next((p for p in cur.bigraph.point_order if cur.bigraph.factor(p).is_trivial
                    and not cur.bigraph.arrows_into(p)), None)
     if source is None:
         raise PipelineError("no source point available")
@@ -679,23 +681,23 @@ def brute_force_indecomposables(dit: Dit, d: int,
     a caller that passes one can read their End algebras off `index.ends`.
 
     The candidates are those of `_referee_candidates`, which puts the
-    non-loop arrows up to the first nonzero one in rank normal form.  Every
-    candidate that passes `Rep.validate` goes to `IsoClassIndex.add`, which
-    splits its coordinates once: one that `splits_in_coordinates` is a
-    direct sum of the classes of basis vectors that its matrices link, so
-    `add` rejects it with DecomposableError and no End algebra (the
-    coordinate projection onto a class is a nontrivial idempotent of End(M),
-    exactly).  Any other is compared only with the classes of equal
-    dimension vector, dim End and dim rad End."""
+    non-loop arrows up to the first nonzero one in rank normal form.  Each
+    candidate's coordinates are split first, once: one that
+    `splits_in_coordinates` is a direct sum of the classes of basis vectors
+    that its matrices link (the coordinate projection onto a class is a
+    nontrivial idempotent of End(M), exactly), so it is no class and is
+    neither validated nor given an End algebra.  Any other that passes
+    `Rep.validate` gets its End algebra; when that is local it goes to
+    `IsoClassIndex.add_end`, which compares it only with the classes of
+    equal dimension vector, dim End and dim rad End."""
     if index is None:
         index = IsoClassIndex(dit)
     for rep in _referee_candidates(dit, d):
-        if rep.validate() is not None:
+        if splits_in_coordinates(rep) or rep.validate() is not None:
             continue
-        try:
-            index.add(rep)
-        except DecomposableError:
-            pass          # not a class: classes are indecomposable
+        E = EndAlgebra(dit, rep)
+        if _locality(E)[0]:
+            index.add_end(E)
     return index.classes
 
 

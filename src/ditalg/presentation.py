@@ -313,6 +313,8 @@ def parse_presentation(data: dict, name: str = "") -> Dit:
                 num, den = parse_poly_fraction(field, _shaped(s, str, f"{where}.inverted"))
                 if not den.is_constant():
                     raise ParseError("inverted entries must be polynomials", where)
+                if num.is_zero():
+                    raise ParseError("cannot invert the zero polynomial", f"{where}.inverted")
                 inv.append(num.monic())
             points.append((pname, Factor.rational(inv)))
         else:

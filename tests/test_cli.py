@@ -78,7 +78,7 @@ def test_cmd_check_cycle(tmp_path, capsys):
     p.write_text(json.dumps(data))
     assert main(["check", str(p)]) == 3
     out = capsys.readouterr().out
-    assert "directed: FAIL" in out and "cycle" in out
+    assert "directed: FAIL (cycle through a -> v)" in out
 
 
 def test_cmd_check_names_a_delta_dependency_cycle(tmp_path, capsys):
@@ -175,6 +175,10 @@ BAD_PRESENTATIONS = {
                                      "solid_arrows": [{"name": "a", "source": "1"}]},
     "inverted_as_a_number": {"field": "F5", "points": [
         {"name": "1", "factor": "rational", "inverted": [3]}]},
+    "inverted_zero": {"field": "F5", "points": [
+        {"name": "1", "factor": "rational", "inverted": ["0"]}]},
+    "inverted_zero_mod_3": {"field": "F3", "points": [
+        {"name": "1", "factor": "rational", "inverted": ["3"]}]},
     "differential_as_a_list": {"field": "F5", "points": _POINTS, "differential": [1]},
     "arrows_under_an_unknown_key": {"field": "F5", "points": _POINTS,
                                     "solid": [{"name": "a", "source": "1", "target": "2"}]},
@@ -188,7 +192,8 @@ BAD_PRESENTATIONS = {
 BAD_PRESENTATION_KEYS = {
     "points_as_a_string": "points", "point_without_a_name": "points[0]",
     "solid_arrow_without_a_target": "solid_arrows[0]",
-    "inverted_as_a_number": "points[0].inverted", "differential_as_a_list": "differential",
+    "inverted_as_a_number": "points[0].inverted", "inverted_zero": "points[0].inverted",
+    "inverted_zero_mod_3": "points[0].inverted", "differential_as_a_list": "differential",
     "arrows_under_an_unknown_key": "solid", "point_with_an_unknown_key": "points[0].factr",
     "arrow_with_an_unknown_key": "solid_arrows[0].wieght",
     "dashed_arrow_with_an_unknown_key": "dashed_arrows[0].kind",

@@ -17,7 +17,9 @@ nested, has a name that ends in `poly_mul`, `exact_div` or `divmod` or
 starts with `pm_`.  Every module-level function is used by package or
 script code, not by the tests alone.  `tensor.Elem` is the one
 word algebra: no other class keeps a `terms` attribute or slot.  `certify`
-and `inherit_certificates` are the only writers of certificate flags."""
+and `inherit_certificates` are the only writers of certificate flags.
+`IsoClassIndex` is the one isomorphism-class index: no function outside it
+calls `_indec_iso` inside a loop, which would match summands on its own."""
 
 import ast
 import collections
@@ -312,3 +314,27 @@ def test_one_certificate_writer():
     offenders = {str(p.relative_to(SRC)): _certificate_writers(_tree(p)) for p in MODULES}
     assert {k: v for k, v in offenders.items() if v} == {
         "interlace.py": ["certify", "inherit_certificates"]}
+
+
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _indec_iso_in_a_loop(tree):
+    """Functions outside the class `IsoClassIndex` that call `_indec_iso`,
+    as a name or an attribute, inside a loop or a comprehension."""
+    index = {id(n) for cls in ast.walk(tree)
+             if isinstance(cls, ast.ClassDef) and cls.name == "IsoClassIndex"
+             for n in ast.walk(cls)}
+
+    def calls(node):
+        return any(isinstance(c, ast.Call) and "_indec_iso" in _referenced_names(c.func)
+                   for c in ast.walk(node))
+
+    return sorted({fn.name for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and id(fn) not in index
+                   and any(isinstance(loop, _LOOPS) and calls(loop) for loop in ast.walk(fn))})
+
+
+def test_one_isomorphism_class_index():
+    offenders = {str(p.relative_to(SRC)): _indec_iso_in_a_loop(_tree(p)) for p in MODULES}
+    assert {k: v for k, v in offenders.items() if v} == {}

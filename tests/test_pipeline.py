@@ -680,6 +680,34 @@ def test_referee_splits_each_candidate_once(monkeypatch, build, F, d):
     assert 0 < calls[0] <= candidates
 
 
+@pytest.mark.parametrize("build, F, d, counts", [
+    (exk, F3, 4, (258, 174, 174)), (exl, F2, 4, (110, 9, 6))], ids=["exk-F3-4", "exl-F2-4"])
+def test_referee_validates_only_the_candidates_that_do_not_split(monkeypatch, build, F, d,
+                                                                 counts):
+    # (coordinate splits, validations, End algebras): every candidate is
+    # split once, and only one that does not split is validated; validating
+    # each candidate first made 258 and 110 validations
+    from ditalg import modcat
+
+    calls = {"split": 0, "validate": 0, "end": 0}
+
+    def counting(key, real):
+        def wrapper(*args):
+            calls[key] += 1
+            return real(*args)
+        return wrapper
+
+    dit = build(F)
+    certify(dit)
+    monkeypatch.setattr(modcat, "_coordinate_classes",
+                        counting("split", modcat._coordinate_classes))
+    monkeypatch.setattr(modcat.Rep, "validate", counting("validate", modcat.Rep.validate))
+    monkeypatch.setattr(modcat.EndAlgebra, "__init__",
+                        counting("end", modcat.EndAlgebra.__init__))
+    brute_force_indecomposables(dit, d)
+    assert (calls["split"], calls["validate"], calls["end"]) == counts
+
+
 @pytest.mark.parametrize("build, F, d", [
     (exk, F2, 3), (exl, F2, 3), (exr, F2, 3),
     (exk, F3, 3),               # b, parallel to a, is ranked while a is zero

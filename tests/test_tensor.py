@@ -57,10 +57,10 @@ def test_find_cycle_witness_is_a_cycle():
 
 
 def test_ex1_directed_and_heights():
-    # the topological order puts 1 below 2, and the one solid arrow is the
-    # one level of the layer
+    # the point levels put 1 below 2, and the one solid arrow is the one
+    # level of the layer
     d = ex1(F5)
-    assert d.bigraph.topological_order() == ["1", "2"]
+    assert d.bigraph.point_levels() == {"1": 1, "2": 2}
     assert d.levels == ((("a",),), ())
 
 
