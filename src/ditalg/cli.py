@@ -15,7 +15,7 @@ from .interlace import (
 )
 from .pipeline import Obstruction, classify, reduce_to_minimal
 from .presentation import (
-    ParseError, _read_json, load_module, load_presentation, save_presentation, save_report,
+    ParseError, _entry, _read_json, load_module, load_presentation, save_presentation, save_report,
 )
 from .reduce import ReductionError, StepSpec
 
@@ -87,7 +87,7 @@ PLAN_KINDS = {"deletion": "kept", "regularization": "solid", "factor_out": "soli
 
 
 def _load_plan(path):
-    entries = _read_json(path).get("steps", [])
+    entries = _entry(_read_json(path), frozenset({"steps"})).get("steps", [])
     if not isinstance(entries, list):
         raise ParseError("'steps' must be a list", path)
     steps = []
@@ -99,13 +99,14 @@ def _load_plan(path):
         if kind not in PLAN_KINDS:
             raise ParseError(f"unsupported plan step kind {kind!r}", where)
         key = PLAN_KINDS[kind]
+        _entry(entry, frozenset({"kind", key}), where)
         if key not in entry:
             raise ParseError(f"{kind} step needs {key!r}", where)
         names = [entry[key]] if key == "loop" else entry[key]
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise ParseError(f"{key!r} must be {'a name' if key == 'loop' else 'a list of names'}",
                              f"{where}.{key}")
-        steps.append(StepSpec(kind, {k: v for k, v in entry.items() if k != "kind"}))
+        steps.append(StepSpec(kind, {key: entry[key]}))
     return steps
 
 

@@ -84,9 +84,16 @@ class Dit:
     def field(self):
         return self.bigraph.field
 
+    @functools.cached_property
+    def ideal_parts(self) -> List[Tuple[Tuple[str, str], Elem]]:
+        """Each ideal generator split by (source, target) once, as pairs
+        ((source, target), component); the ideal is never changed after
+        construction."""
+        return [part for g in self.ideal.generators for part in g.components().items()]
+
     def ideal_components(self) -> List[Elem]:
         """Ideal generators split by (source, target); components stay in I."""
-        return [c for g in self.ideal.generators for c in g.components().values()]
+        return [c for _, c in self.ideal_parts]
 
     @functools.cached_property
     def levels(self) -> Tuple[Levels, Levels]:

@@ -2,6 +2,11 @@
 
 Objects are point-graded spaces with solid-arrow actions (plus an x-action at
 rational points) annihilated by the ideal; morphisms are pairs (f0, f1).
+`_word_action` is the one action of a word of any degree through modules
+and dashed maps (M --f1--> N --g1--> L), and `_elem_action` its sum over an
+element: module actions, the U-condition check, transport, composition and
+the Roiter inverse all use them.  An End(M) combination is read off one
+kernel vector, the product of its coordinates with the basis vectors.
 Everything reduces to exact linear algebra: hom spaces are kernels of the
 U-condition system, and isomorphism testing and idempotent splitting run
 through the Roiter property.  `splits_in_coordinates` recognizes a module
@@ -118,36 +123,14 @@ class Rep:
         return out
 
     def word_action(self, w: Word) -> Mat:
-        """Action of a degree-0 decorated word (a matrix M_source -> M_target):
-        the product of its arrow matrices and decoration actions.  A unit
-        decoration acts as the identity and is not multiplied in; a word of
-        one plain arrow returns a copy of its matrix, never the matrix the
-        Rep holds."""
-        b = self.dit.bigraph
-        pts = w.path(b)
-        cur = None  # the identity on M_start until a factor acts
-        for i, key in enumerate(w.coeffs):
-            if i:
-                name = w.arrows[i - 1]
-                if b.arrow(name).dashed:
-                    raise ModcatError("word_action needs a degree-0 word")
-                op = self.arrow_ops[name]
-                cur = op.copy() if cur is None else op * cur
-            if key != UNIT:
-                dec = self.decoration_action(pts[i], key)
-                cur = dec if cur is None else dec * cur
-        return Mat.identity_of(self.ring, self.dims[w.start]) if cur is None else cur
+        """Action of a degree-0 decorated word (a matrix M_source -> M_target),
+        by `_word_action`."""
+        return _word_action(w, (self,))
 
     def elem_action(self, elem: Elem, source: str, target: str) -> Mat:
-        R = self.ring
-        one = self.field.one
-        out = Mat(R, self.dims[target], self.dims[source])
-        b = self.dit.bigraph
-        for w, c in elem.terms.items():
-            if w.start == source and w.end(b) == target:
-                act = self.word_action(w)
-                out = out + (act if c == one else act.scale(R.embed(c)))
-        return out
+        """Action of the (source, target) terms of a degree-0 element, by
+        `_elem_action`."""
+        return _elem_action(elem, source, target, (self,))
 
     def validate(self) -> Optional[str]:
         """None if valid, else a diagnostic: ideal annihilation and
@@ -160,10 +143,9 @@ class Rep:
                     m = self.poly_action(p, h)
                     if m.rows and not self.ring.is_unit(m.det()):
                         return f"inverted polynomial {h} is singular at point {p}"
-        for g in self.dit.ideal.generators:
-            for (i, j), comp in g.components().items():
-                if not self.elem_action(comp, i, j).is_zero():
-                    return f"ideal generator acts nontrivially ({i}->{j})"
+        for (i, j), comp in self.dit.ideal_parts:
+            if not _elem_action(comp, i, j, (self,)).is_zero():
+                return f"ideal generator acts nontrivially ({i}->{j})"
         return None
 
 
@@ -201,34 +183,55 @@ def identity_morphism(M: Rep) -> MorphismPair:
     return out
 
 
-def _mixed_word_action(word: Word, reps: Sequence[Rep], dashed_maps: Sequence[Dict[str, Mat]]) -> Mat:
-    """Action of a degree-k word through k dashed-generator map families:
-    levels switch at each dashed arrow (M --f1--> N --g1--> L ...)."""
+def _word_action(w: Word, reps: Sequence[Rep], dashed_maps: Sequence[Dict[str, Mat]] = ()) -> Mat:
+    """Action of a decorated word of degree k = len(dashed_maps), a matrix
+    from reps[0] at its start to reps[k] at its end: levels switch at each
+    dashed letter (M --f1--> N --g1--> L), a solid letter acts by the module
+    of the current level, the i-th dashed letter by dashed_maps[i], and a
+    decoration by the module of its level.  A unit decoration acts as the
+    identity and is not multiplied in; a word of one plain letter returns a
+    copy of its matrix, never the matrix a Rep holds, and a word with no
+    factor the identity.  A word of another degree is a ModcatError."""
     b = reps[0].dit.bigraph
-    pts = word.path(b)
+    pts = w.path(b)
     level = 0
-    cur = reps[0].decoration_action(pts[0], word.coeffs[0])
-    for i, name in enumerate(word.arrows):
-        arr = b.arrow(name)
-        if arr.dashed:
-            cur = dashed_maps[level][name] * cur
-            level += 1
-        else:
-            cur = reps[level].arrow_ops[name] * cur
-        cur = reps[level].decoration_action(pts[i + 1], word.coeffs[i + 1]) * cur
-    return cur
+    cur = None  # the identity on reps[0] at the start until a factor acts
+    for i, key in enumerate(w.coeffs):
+        if i:
+            name = w.arrows[i - 1]
+            if b.arrow(name).dashed:
+                if level == len(dashed_maps):
+                    raise ModcatError(f"{w} has degree above {len(dashed_maps)}")
+                op = dashed_maps[level][name]
+                level += 1
+            else:
+                op = reps[level].arrow_ops[name]
+            cur = op.copy() if cur is None else op * cur
+        if key != UNIT:
+            dec = reps[level].decoration_action(pts[i], key)
+            cur = dec if cur is None else dec * cur
+    if level != len(dashed_maps):
+        raise ModcatError(f"{w} has degree {level}, not {len(dashed_maps)}")
+    return Mat.identity_of(reps[0].ring, reps[0].dims[w.start]) if cur is None else cur
 
 
-def evaluate_f1(dit: Dit, M: Rep, N: Rep, f1: Dict[str, Mat], elem: Elem,
-                source: str, target: str) -> Mat:
-    """Bimodule extension of f1 evaluated on a degree-1 element."""
-    F = M.field
-    out = Mat(F, N.dims[target], M.dims[source])
-    b = dit.bigraph
+def _elem_action(elem: Elem, source: str, target: str, reps: Sequence[Rep],
+                 dashed_maps: Sequence[Dict[str, Mat]] = ()) -> Mat:
+    """Action of the (source, target) terms of an element of degree
+    k = len(dashed_maps): the sum of their `_word_action`s, each scaled by
+    its coefficient, a matrix from reps[0] at source to reps[k] at target."""
+    R = reps[0].ring
+    one = reps[0].field.one
+    b = reps[0].dit.bigraph
+    out = None
     for w, c in elem.terms.items():
-        if w.start != source or w.end(b) != target:
-            continue
-        out = out + _mixed_word_action(w, [M, N], [f1]).scale(c)
+        if w.start == source and w.end(b) == target:
+            act = _word_action(w, reps, dashed_maps)
+            if c != one:
+                act = act.scale(R.embed(c))
+            out = act if out is None else out + act
+    if out is None:
+        return Mat(R, reps[len(dashed_maps)].dims[target], reps[0].dims[source])
     return out
 
 
@@ -409,8 +412,8 @@ def in_hom(dit: Dit, M: Rep, N: Rep, f: MorphismPair) -> bool:
     for arr in b.solid_arrows():
         lhs = N.arrow_ops[arr.name] * f.f0[arr.source]
         rhs = f.f0[arr.target] * M.arrow_ops[arr.name]
-        corr = evaluate_f1(dit, M, N, f.f1, dit.delta.of_arrow(arr.name),
-                           arr.source, arr.target)
+        corr = _elem_action(dit.delta.of_arrow(arr.name), arr.source, arr.target,
+                            (M, N), (f.f1,))
         if not (lhs - rhs - corr).is_zero():
             return False
     return True
@@ -427,11 +430,10 @@ def compose(dit: Dit, g: MorphismPair, f: MorphismPair, M: Rep, N: Rep, L: Rep) 
     for p in b.point_order:
         out.f0[p] = g.f0[p] * f.f0[p]
     for arr in b.dashed_arrows():
-        acc = g.f0[arr.target] * f.f1[arr.name]
-        acc = acc + g.f1[arr.name] * f.f0[arr.source]
+        acc = g.f0[arr.target] * f.f1[arr.name] + g.f1[arr.name] * f.f0[arr.source]
         dv = dit.delta.of_arrow(arr.name)
-        for w, coeff in dv.terms.items():
-            acc = acc + _mixed_word_action(w, [M, N, L], [f.f1, g.f1]).scale(coeff)
+        if not dv.is_zero():
+            acc = acc + _elem_action(dv, arr.source, arr.target, (M, N, L), (f.f1, g.f1))
         out.f1[arr.name] = acc
     return out
 
@@ -463,7 +465,7 @@ def transport_structure(dit: Dit, N: Rep, f0: Dict[str, Mat], f1: Dict[str, Mat]
             M.point_ops[p] = f0_inv[p] * N.point_ops[p] * f0[p]
     for name in (n for new in dit.levels[0] for n in new):
         arr = b.arrow(name)
-        corr = evaluate_f1(dit, M, N, f1, dit.delta.of_arrow(name), arr.source, arr.target)
+        corr = _elem_action(dit.delta.of_arrow(name), arr.source, arr.target, (M, N), (f1,))
         M.arrow_ops[name] = f0_inv[arr.target] * (
             N.arrow_ops[name] * f0[arr.source] - corr)
     return M
@@ -493,24 +495,14 @@ def is_isomorphism(dit: Dit, f: MorphismPair, M: Rep, N: Rep):
         arr = b.arrow(name)
         acc = g.f0[arr.target] * f.f1[name]
         dv = dit.delta.of_arrow(name)
-        for w, coeff in dv.terms.items():
-            acc = acc + _mixed_word_action(w, [M, N, M], [f.f1, g.f1]).scale(coeff)
+        if not dv.is_zero():
+            acc = acc + _elem_action(dv, arr.source, arr.target, (M, N, M), (f.f1, g.f1))
         g.f1[name] = acc.scale(F.neg(F.one)) * g0[arr.source]
     gf = compose(dit, g, f, M, N, M)
     fg = compose(dit, f, g, N, M, N)
     if gf == identity_morphism(M) and fg == identity_morphism(N):
         return g
     return None
-
-
-def morphism_sum(f: MorphismPair, g: MorphismPair) -> MorphismPair:
-    return MorphismPair({p: f.f0[p] + g.f0[p] for p in f.f0},
-                        {v: f.f1[v] + g.f1[v] for v in f.f1})
-
-
-def morphism_scale(f: MorphismPair, c) -> MorphismPair:
-    return MorphismPair({p: f.f0[p].scale(c) for p in f.f0},
-                        {v: f.f1[v].scale(c) for v in f.f1})
 
 
 # -- direct sums ---------------------------------------------------------------
@@ -614,12 +606,10 @@ class EndAlgebra:
         return coords
 
     def from_coordinates(self, coords) -> MorphismPair:
-        F = self.F
-        out = zero_morphism(self.M, self.M)
-        for c, b in zip(coords, self.basis):
-            if not F.is_zero(c):
-                out = morphism_sum(out, morphism_scale(b, c))
-        return out
+        """The endomorphism sum_k coords[k] basis[k], read off the one
+        kernel vector coords . _vecs."""
+        return _vector_to_pair(self.dit, self.M, self.M,
+                               linalg.mul(self.F, [coords], self._vecs)[0])
 
     def identity_coords(self) -> List:
         return self.coordinates(identity_morphism(self.M))
@@ -913,10 +903,7 @@ def _quotient_algebra(E: EndAlgebra):
             v[j] = val
         return v
 
-    def unit(j):
-        return [F.one if t == j else F.zero for t in range(dim)]
-
-    qtable = [[proj(_convolve(F, E.table, unit(i), unit(j), dim)) for j in free] for i in free]
+    qtable = [[proj(E.table[i][j]) for j in free] for i in free]
     return proj, lift, qtable, len(free)
 
 
@@ -1104,25 +1091,24 @@ def _fitting_idempotent(E: EndAlgebra, f: MorphismPair) -> MorphismPair:
     xgcd, e = (s x^k)(f) is 0 mod x^k and 1 mod q, so e^2 = e, e != 0, 1,
     exactly in End(M): the projection onto the part where f is invertible."""
     dit, M, F = E.dit, E.M, E.F
-    powers = [identity_morphism(M)]
+    coords = []  # the coordinates of f^0, f^1, ...
 
-    def coords():
+    def powers():
+        fk = identity_morphism(M)
         while True:
-            yield E.coordinates(powers[-1])
-            powers.append(compose(dit, powers[-1], f, M, M, M))
+            coords.append(E.coordinates(fk))
+            yield coords[-1]
+            fk = compose(dit, fk, f, M, M, M)
 
-    mp = min_poly(F, coords())
+    mp = min_poly(F, powers())
     k = next(i for i, c in enumerate(mp.coeffs) if not F.is_zero(c))
     xk = Poly.make(F, [F.zero] * k + [F.one])
     q = mp // xk
     if k == 0 or q.is_constant():
         raise ModcatError("a Fitting idempotent needs a non-unit, non-nilpotent f")
     _, s, _ = xk.xgcd(q)
-    e = zero_morphism(M, M)
-    for c, fk in zip((s * xk).coeffs, powers):
-        if not F.is_zero(c):
-            e = morphism_sum(e, morphism_scale(fk, c))
-    return e
+    cs = (s * xk).coeffs
+    return E.from_coordinates(linalg.mul(F, [cs], coords[:len(cs)])[0])
 
 
 def _decompose(E: EndAlgebra) -> List[EndAlgebra]:

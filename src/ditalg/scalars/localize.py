@@ -177,17 +177,6 @@ class LocElt:
     def __neg__(self):
         return self.ring.neg(self)
 
-    def eval(self, v):
-        """Evaluate at a field point where h does not vanish."""
-        F = self.ring.field
-        hv = self.ring.h.eval(v)
-        if F.is_zero(hv) and self.den_exp > 0:
-            raise ZeroDivisionError("evaluation point is a zero of the inverted product")
-        val = self.num.eval(v)
-        if self.den_exp:
-            val = F.mul(val, F.inv(pow_field(F, hv, self.den_exp)))
-        return val
-
     def __str__(self):
         if self.den_exp == 0:
             return str(self.num)
@@ -195,13 +184,6 @@ class LocElt:
 
     def __repr__(self):
         return f"LocElt({self})"
-
-
-def pow_field(F: Field, a, n: int):
-    out = F.one
-    for _ in range(n):
-        out = F.mul(out, a)
-    return out
 
 
 # -- finitely generated module presentations ----------------------------

@@ -183,13 +183,6 @@ class Elem:
         return Elem(b, {idempotent_word(point): c})
 
     @staticmethod
-    def unit(b: Bigraph) -> "Elem":
-        out = Elem(b)
-        for p in b.point_order:
-            out = out + Elem.idempotent(b, p)
-        return out
-
-    @staticmethod
     def arrow(b: Bigraph, name: str, scalar=None) -> "Elem":
         a = b.arrow(name)
         c = b.field.one if scalar is None else scalar

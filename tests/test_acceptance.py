@@ -15,9 +15,9 @@ from ditalg.bigraph import Bigraph, Factor
 from ditalg.fixtures import ex1, ex2, exi, exk, exl, exa, exq, exr, exx
 from ditalg.interlace import certify
 from ditalg.modcat import (
-    MorphismPair, Rep, compose, decompose, hom, hom_dim, hom_via_quotient,
-    identity_morphism, in_hom, is_indecomposable, is_isomorphism, iso_test,
-    morphism_scale, morphism_sum, simple_at, transport_structure, zero_morphism,
+    MorphismPair, Rep, compose, decompose, hom_dim, hom_via_quotient,
+    _hom_space, _vector_to_pair, identity_morphism, in_hom, is_indecomposable,
+    is_isomorphism, iso_test, simple_at, transport_structure, zero_morphism,
 )
 from ditalg.pipeline import Obstruction, brute_force_indecomposables, classify
 from ditalg.presentation import save_presentation
@@ -27,7 +27,7 @@ from ditalg.reduce import (
 )
 from ditalg.scalars import (
     LocalizedRing, ModulePresentation, Poly, PrimeField,
-    in_localized_span, independent_over_localization, localize_to_free,
+    in_localized_span, independent_over_localization, localize_to_free, linalg,
 )
 from ditalg.scalars.linalg import Mat
 from ditalg.tensor import Elem, graded_component_basis
@@ -99,11 +99,13 @@ def _module_pool(dit, rng, count=4):
 
 
 def _random_hom_element(dit, M, N, rng):
-    basis = hom(dit, M, N)
-    out = zero_morphism(M, N)
-    for f in basis:
-        out = morphism_sum(out, morphism_scale(f, dit.field.random(rng)))
-    return out
+    """A random combination of the hom basis vectors, one coefficient each
+    in basis order."""
+    vecs, _ = _hom_space(dit, M, N)
+    coeffs = [dit.field.random(rng) for _ in vecs]
+    if not vecs:
+        return zero_morphism(M, N)
+    return _vector_to_pair(dit, M, N, linalg.mul(dit.field, [coeffs], vecs)[0])
 
 
 def test_criterion_2_category_axioms():

@@ -380,6 +380,11 @@ BAD_PLANS = {
                          "steps[0].kept"),
     "loop_as_a_number": (json.dumps({"steps": [{"kind": "absorption", "loop": 3}]}),
                          "steps[0].loop"),
+    "misspelled_steps": (json.dumps({"step": [{"kind": "deletion", "kept": ["1"]}]}), "step"),
+    "unknown_step_key": (json.dumps({"steps": [{"kind": "deletion", "kept": ["1"], "x": 0}]}),
+                         "steps[0].x"),
+    "another_kinds_key": (json.dumps({"steps": [{"kind": "deletion", "kept": ["1"],
+                                                 "solid": ["a"]}]}), "steps[0].solid"),
 }
 
 

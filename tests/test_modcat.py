@@ -12,7 +12,6 @@ from ditalg.modcat import (
     algebra_radical, charpoly, compose, decompose, direct_sum, hom, hom_dim,
     identity_morphism, in_hom, is_indecomposable, is_isomorphism, iso_test, jordan_at,
     pair_to_vector, simple_at, split_idempotent, transport_structure, zero_morphism,
-    morphism_sum, morphism_scale,
 )
 from ditalg.scalars import PrimeField, Poly, QQ, linalg
 from ditalg.scalars.linalg import Mat
@@ -91,13 +90,10 @@ def test_compose_associative_random():
     certify(d)
     rng = random.Random(5)
     M = direct_sum([simple_at(d, "1"), simple_at(d, "2")])
-    homMM = hom(d, M, M)
+    E = EndAlgebra(d, M)
 
     def rand_endo():
-        out = zero_morphism(M, M)
-        for h in homMM:
-            out = morphism_sum(out, morphism_scale(h, F101.random(rng)))
-        return out
+        return E.from_coordinates([F101.random(rng) for _ in range(E.dim)])
 
     for _ in range(50):
         f, g, h = rand_endo(), rand_endo(), rand_endo()
@@ -677,6 +673,108 @@ def test_word_action_rejects_a_decoration_at_a_trivial_point():
             M.word_action(w)
 
 
+def _rational_dashed_chain():
+    """Modules M, N, L over 1 -> 2 -> 3 over Q, with solid a, b and dashed
+    u, u2 along the chain and dashed v: 1 -> 3, delta(a) = x u and
+    delta(v) = u2 x u + u2 u (1/x); x is inverted at 1 and x^2 + 1 at 2, so
+    decorations act on every level.  Also f1, g1: M -> N -> L on the dashed
+    arrows."""
+    from ditalg.interlace import Dit, IdealData
+    from ditalg.tensor import UNIT, Differential, Elem, Layer, Word
+
+    F = QQ
+    b = Bigraph(F, [("1", Factor.rational([Poly.x(F)])),
+                    ("2", Factor.rational([Poly.from_ints(F, [1, 0, 1])])),
+                    ("3", Factor.trivial())],
+                solid=[("a", "1", "2"), ("b", "2", "3")],
+                dashed=[("u", "1", "2"), ("u2", "2", "3"), ("v", "1", "3")])
+    layer = Layer(b)
+    x_u = Elem.from_word(b, Word("1", ("u",), (UNIT, (1, 0))))
+    dv = (Elem.from_word(b, Word("1", ("u", "u2"), (UNIT, (1, 0), UNIT)))
+          + Elem.from_word(b, Word("1", ("u", "u2"), ((0, 1), UNIT, UNIT)), F.from_int(3)))
+    d = Dit(layer, Differential(layer, {"a": x_u, "v": dv}), IdealData(), name="rational-dashed")
+    rng = random.Random(11)
+
+    def mat(r, c, diag=None):
+        m = Mat(F, r, c, [[F.random(rng) for _ in range(c)] for _ in range(r)])
+        for i in range(min(r, c) if diag else 0):
+            m.data[i][i] = F.from_int(diag + i)
+            for j in range(i):
+                m.data[i][j] = F.zero
+        return m
+
+    def rep(n1, n2, n3):
+        dims = {"1": n1, "2": n2, "3": n3}
+        return Rep(d, dims, {"a": mat(n2, n1), "b": mat(n3, n2)},
+                   {"1": mat(n1, n1, diag=1), "2": mat(n2, n2, diag=2)})
+
+    M, N, L = rep(2, 2, 1), rep(1, 2, 2), rep(2, 1, 2)
+
+    def maps(X, Y):
+        return {a.name: mat(Y.dims[a.target], X.dims[a.source]) for a in b.dashed_arrows()}
+    return d, (M, N, L), (maps(M, N), maps(N, L))
+
+
+def _explicit_word_action(w, reps, dashed_maps):
+    """The product of a word's letters and decorations through the levels,
+    with the identity matrix of every unit decoration multiplied in."""
+    b = reps[0].dit.bigraph
+    pts = w.path(b)
+    level = 0
+    want = reps[0].decoration_action(pts[0], w.coeffs[0])
+    for i, name in enumerate(w.arrows):
+        if b.arrow(name).dashed:
+            want = dashed_maps[level][name] * want
+            level += 1
+        else:
+            want = reps[level].arrow_ops[name] * want
+        want = reps[level].decoration_action(pts[i + 1], w.coeffs[i + 1]) * want
+    return want
+
+
+def test_word_action_of_degrees_one_and_two_equals_the_explicit_product():
+    from ditalg.tensor import Elem, graded_component_basis
+
+    d, (M, N, L), (f1, g1) = _rational_dashed_chain()
+    b = d.bigraph
+    F = d.field
+    for degree, reps, maps in ((1, (M, N), (f1,)), (2, (M, N, L), (f1, g1))):
+        words = [w for s in b.point_order for t in b.point_order
+                 for w in graded_component_basis(b, s, t, degree, 3, 2)]
+        assert any(key != (0, 0) for w in words for key in w.coeffs)
+        assert len(words) > 10
+        for w in words:
+            want = _explicit_word_action(w, reps, maps)
+            assert modcat._word_action(w, reps, maps) == want
+            elem = Elem.from_word(b, w, F.from_int(-2))
+            got = modcat._elem_action(elem, w.start, w.end(b), reps, maps)
+            assert got == want.scale(F.from_int(-2))
+    # the differential's own values, summed over their terms
+    for name, reps, maps in (("a", (M, N), (f1,)), ("v", (M, N, L), (f1, g1))):
+        arr = b.arrow(name)
+        want = Mat(F, reps[-1].dims[arr.target], M.dims[arr.source])
+        for w, c in d.delta.of_arrow(name).terms.items():
+            want = want + _explicit_word_action(w, reps, maps).scale(c)
+        assert modcat._elem_action(d.delta.of_arrow(name), arr.source, arr.target,
+                                   reps, maps) == want
+
+
+def test_word_action_rejects_a_word_of_another_degree():
+    from ditalg.tensor import UNIT, Word
+
+    d, (M, N, L), (f1, g1) = _rational_dashed_chain()
+    dashed = Word("1", ("u",), (UNIT, UNIT))
+    with pytest.raises(ModcatError, match="degree"):
+        M.word_action(dashed)
+    with pytest.raises(ModcatError, match="degree"):
+        M.word_action(Word("1", ("u", "b"), (UNIT, UNIT, UNIT)))
+    with pytest.raises(ModcatError, match="degree"):
+        modcat._word_action(Word("1", ("u", "u2"), (UNIT, UNIT, UNIT)), (M, N), (f1,))
+    with pytest.raises(ModcatError, match="degree"):
+        modcat._word_action(dashed, (M, N, L), (f1, g1))
+    assert modcat._word_action(dashed, (M, N), (f1,)) == f1["u"]
+
+
 # -- endomorphism algebra radical ------------------------------------------------
 
 def test_algebra_radical_known_cases():
@@ -747,6 +845,24 @@ def test_mult_table_matches_solved_coordinates():
             for j, b in enumerate(E.basis):
                 vec = pair_to_vector(d, M, M, compose(d, a, b, M, M, M))
                 assert E.table[i][j] == linalg.solve(E.F, cols, vec)
+
+
+def test_from_coordinates_inverts_coordinates():
+    # a random endomorphism summed from the basis pairs matrix by matrix,
+    # and each unit vector, come back from their coordinates
+    rng = random.Random(3)
+    for d, M in _end_cases():
+        E = EndAlgebra(d, M)
+        F = E.F
+        for k, e in enumerate(linalg.identity(F, E.dim)):
+            assert E.from_coordinates(e) == E.basis[k]
+        for _ in range(5):
+            f = zero_morphism(M, M)
+            for h in E.basis:
+                c = F.random(rng)
+                f = MorphismPair({p: f.f0[p] + h.f0[p].scale(c) for p in f.f0},
+                                 {v: f.f1[v] + h.f1[v].scale(c) for v in f.f1})
+            assert E.from_coordinates(E.coordinates(f)) == f
 
 
 def test_vector_to_pair_blocks_own_their_rows():
