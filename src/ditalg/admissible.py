@@ -331,7 +331,12 @@ class SigmaExpander:
     then the 1x1 matrix [nu_u (x) w (x) x_v] with scalar one, and the unit
     decorations are not multiplied, so sigma of the word is the 1x1 matrix
     holding the word of the renamed letters with scalar one: the product
-    the multiplication would return."""
+    the multiplication would return.  The renamed letters come from one
+    letter map per expander.  A delta value every word of which is renamed
+    is renamed whole (`renamed_whole`): one pass over its terms through
+    that map, in their order and with their scalars, which is the entry
+    `expand` accumulates from the renamed words, since the renaming is
+    injective."""
 
     def __init__(self, adm: AdmissibleModuleData, target: Bigraph,
                  names: Dict[Tuple[str, int, int], str],
@@ -344,8 +349,15 @@ class SigmaExpander:
         # the points whose X has one dual basis vector, and the letters
         # outside B that end at one: the words `_renamed` builds directly
         self._single = single = frozenset(p for p, xs in x_at.items() if len(xs) == 1)
-        self._plain = frozenset(n for n, a in adm.dit.bigraph.arrows.items()
+        arrows = adm.dit.bigraph.arrows
+        self._plain = frozenset(n for n, a in arrows.items()
                                 if n not in adm.b_arrows and a.target in single)
+        # the letter map of those words, built once: each plain letter from a
+        # single point to its renamed letter, and each single point to the
+        # label of its summand
+        self._letter = {n: names[n, x_at[a.target][0].index, x_at[a.source][0].index]
+                        for n in self._plain if (a := arrows[n]).source in single}
+        self._label = {p: x_at[p][0].summand.label for p in single}
         # sigma of each letter, keyed by arrow name or (point, key), and of
         # each word prefix, keyed by (start, arrows, coeffs)
         self._memo: Dict[object, Sparse] = {}
@@ -410,9 +422,9 @@ class SigmaExpander:
             return self._memo[key]
         if not arrows:
             return self.letter_decoration(start, coeffs[0])
-        if (start in self._single and all(a in self._plain for a in arrows)
-                and all(k == UNIT for k in coeffs)):
-            step = self._renamed(start, arrows)
+        if (start in self._single and self._plain.issuperset(arrows)
+                and coeffs.count(UNIT) == len(coeffs)):
+            step = self._renamed(start, arrows, coeffs)
         else:
             step = self.letter_arrow(arrows[-1])
             if len(arrows) > 1 or coeffs[0] != UNIT:
@@ -423,17 +435,35 @@ class SigmaExpander:
         self._memo[key] = step
         return step
 
-    def _renamed(self, start: str, arrows: Tuple[str, ...]) -> Sparse:
-        """sigma of a word that `_word` renames: the 1x1 matrix at the single
-        dual basis vectors of its ends, holding the word of the renamed
-        letters with scalar one."""
-        src = self.adm.dit.bigraph
-        xs = [self.x_at[start][0]] + [self.x_at[src.arrow(a).target][0] for a in arrows]
-        word = Word(xs[0].summand.label,
-                    tuple(self.names[a, xs[i + 1].index, xs[i].index]
-                          for i, a in enumerate(arrows)),
-                    (UNIT,) * (len(arrows) + 1))
-        return {xs[-1].index: {xs[0].index: Elem.from_word(self.target, word)}}
+    def _renamed(self, start: str, arrows: Tuple[str, ...], coeffs: Tuple) -> Sparse:
+        """sigma of a word that `_word` renames: the word of the renamed
+        letters with scalar one, at its ends (`_at_ends`)."""
+        word = Word(self._label[start], tuple(map(self._letter.__getitem__, arrows)), coeffs)
+        return self._at_ends(start, arrows, Elem.from_word(self.target, word))
+
+    def renamed_whole(self, elem: Elem) -> Optional[Sparse]:
+        """sigma of a nonzero delta value (its words run between the same
+        two points) every word of which `_word` renames, in one pass: each
+        word renamed through the letter map, with its scalar, in the value's
+        term order, at the value's ends.  The renaming is injective, so no
+        two terms meet, and this is what `expand` returns.  None for any
+        other value."""
+        single, plain = self._single, self._plain
+        if not elem.terms or not all(
+                w.arrows and w.start in single and plain.issuperset(w.arrows)
+                and w.coeffs.count(UNIT) == len(w.coeffs) for w in elem.terms):
+            return None
+        letter, label = self._letter.__getitem__, self._label
+        renamed = {Word(label[w.start], tuple(map(letter, w.arrows)), w.coeffs): c
+                   for w, c in elem.terms.items()}
+        w = next(iter(elem.terms))
+        return self._at_ends(w.start, w.arrows, Elem.nonzero(self.target, renamed))
+
+    def _at_ends(self, start: str, arrows: Tuple[str, ...], entry: Elem) -> Sparse:
+        """The 1x1 matrix holding `entry` at the single dual basis vectors
+        of the ends of a renamed word (start, arrows)."""
+        end = self.adm.dit.bigraph.arrows[arrows[-1]].target
+        return {self.x_at[end][0].index: {self.x_at[start][0].index: entry}}
 
     def expand(self, elem: Elem) -> Sparse:
         """Full sigma matrix of an element of the source algebra.  The terms
@@ -511,7 +541,7 @@ def reduce_admissible(dit: Dit, adm: AdmissibleModuleData,
 
     for a in arrows:
         dw = dit.delta.of_arrow(a.name)
-        sig = sigma.expand(dw)
+        sig = sigma.renamed_whole(dw) or sigma.expand(dw)
         sign = F.one if a.dashed else F.neg(F.one)        # (-1)^(deg w + 1)
         for v in x_at[a.source]:
             for u in x_at[a.target]:

@@ -140,3 +140,34 @@ def stellar_case2(F: Field) -> Dit:
     ring = b.factor_ring("p")
     gen = Elem.decorated(b, "p", LocElt(ring, Poly.x(F), 0)) * Elem.arrow(b, "w1")
     return Dit(layer, delta, IdealData([gen]), name="STL2")
+
+
+def parabolic(F: Field, t: int) -> Dit:
+    """The parabolic-action ditalgebra P_t: trivial points 1..t, a solid
+    a_ij and a dashed v_ij, both i -> j, for each i < j, with
+
+        delta(a_ij) = sum_{i<k<j} (a_kj v_ik - v_kj a_ik),
+        delta(v_ij) = -sum_{i<k<j} v_kj v_ik.
+
+    Its modules are the Delta-filtered modules of the Auslander algebra of
+    k[T]/T^t, that is the orbits of a parabolic subgroup of GL_n with t
+    blocks on the Lie algebra of its unipotent radical (Bruestle, Hille,
+    Ringel and Roehrle, 1999): finitely many for t <= 5, tame for t = 6
+    and wild beyond."""
+    pairs = [(i, j) for i in range(1, t + 1) for j in range(i + 1, t + 1)]
+    b = Bigraph(F, [(str(p), Factor.trivial()) for p in range(1, t + 1)],
+                solid=[(f"a_{i}{j}", str(i), str(j)) for i, j in pairs],
+                dashed=[(f"v_{i}{j}", str(i), str(j)) for i, j in pairs])
+    layer = Layer(b)
+
+    def x(kind, i, j):
+        return Elem.arrow(b, f"{kind}_{i}{j}")
+
+    values = {}
+    for i, j in pairs:
+        da, dv = Elem.zero(b), Elem.zero(b)
+        for k in range(i + 1, j):
+            da = da + x("a", k, j) * x("v", i, k) - x("v", k, j) * x("a", i, k)
+            dv = dv - x("v", k, j) * x("v", i, k)
+        values[f"a_{i}{j}"], values[f"v_{i}{j}"] = da, dv
+    return Dit(layer, Differential(layer, values), IdealData(), name=f"P{t}")

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .bigraph import Bigraph, BigraphError, longest_path_levels, unlevelled_cycle
 from .scalars import LocalizedRing, Poly, linalg, strip_h_factors
@@ -255,12 +255,16 @@ def point_in_ideal(dit: Dit, p: str) -> bool:
 # -- certification ops ----------------------------------------------------
 
 
+def unbalanced_generator(dit: Dit) -> Optional[Elem]:
+    """The first ideal generator g whose delta(g) lies outside I*V + V*I,
+    or None."""
+    return next((g for g in dit.ideal.generators
+                 if not membership_in_ideal_window(dit, dit.delta.apply(g), 1)), None)
+
+
 def check_balanced(dit: Dit) -> bool:
     """delta(I) inside I*V + V*I, checked generator by generator."""
-    for g in dit.ideal.generators:
-        if not membership_in_ideal_window(dit, dit.delta.apply(g), 1):
-            return False
-    return True
+    return unbalanced_generator(dit) is None
 
 
 def ideal_levels(dit: Dit) -> Tuple[List[List[Elem]], List[Elem]]:
@@ -292,12 +296,17 @@ def check_triangular_ideal(dit: Dit) -> bool:
     return not ideal_levels(dit)[1]
 
 
-def _dependency_graph(dit: Dit) -> Tuple[Dict[str, bool], Dict[str, Set[str]]]:
+def _dependency_graph(dit: Dit) -> Tuple[Dict[str, bool], Dict[str, FrozenSet[str]]]:
     """(dashed, deps): each arrow's kind and the same-kind arrows in its
-    delta, both kinds from one scan of delta."""
-    dashed = {n: a.dashed for n, a in dit.bigraph.arrows.items()}
-    return dashed, {n: {m for w in dit.delta.of_arrow(n).terms for m in w.arrows
-                        if dashed[m] == kind} for n, kind in dashed.items()}
+    delta: the union of the letters of its words, cut down to the names of
+    its kind."""
+    b = dit.bigraph
+    dashed = {n: a.dashed for n, a in b.arrows.items()}
+    of_kind = {False: frozenset(a.name for a in b.solid_arrows()),
+               True: frozenset(a.name for a in b.dashed_arrows())}
+    return dashed, {n: of_kind[kind].intersection(
+        set().union(*[w.arrows for w in dit.delta.of_arrow(n).terms]))
+        for n, kind in dashed.items()}
 
 
 def _dependency_levels(dit: Dit) -> Optional[Tuple[Levels, Levels]]:
@@ -350,16 +359,21 @@ def check_triangular_layer(dit: Dit) -> bool:
     return True
 
 
-def check_interlaced(dit: Dit) -> bool:
-    """Both interlacing inclusions, arrow by arrow: delta^2 of a solid arrow
-    in the degree-2 window of J and of a dashed arrow in the degree-3 window,
-    the solid arrows first; a zero square passes at once."""
+def uninterlaced_arrow(dit: Dit) -> Optional[str]:
+    """The first arrow whose delta^2 lies outside its window, or None: the
+    degree-2 window of J for a solid arrow and the degree-3 window for a
+    dashed one, the solid arrows first; a zero square passes at once."""
     b = dit.bigraph
     for arr in b.solid_arrows() + b.dashed_arrows():
         sq = dit.delta.apply(dit.delta.of_arrow(arr.name))
         if not membership_in_ideal_window(dit, sq, 3 if arr.dashed else 2):
-            return False
-    return True
+            return arr.name
+    return None
+
+
+def check_interlaced(dit: Dit) -> bool:
+    """Both interlacing inclusions, arrow by arrow (`uninterlaced_arrow`)."""
+    return uninterlaced_arrow(dit) is None
 
 
 def _unless_unsupported(check: Callable[[Dit], bool], dit: Dit) -> Optional[bool]:

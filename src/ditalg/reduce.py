@@ -116,7 +116,7 @@ def _map_elem(src: Bigraph, tgt: Bigraph, images: Dict[str, Elem], elem: Elem,
     one = F.one
 
     def verbatim(w: Word) -> bool:
-        return all(a in fixed for a in w.arrows) if w.arrows else w.start in same
+        return fixed.issuperset(w.arrows) if w.arrows else w.start in same
 
     if all(verbatim(w) for w in elem.terms):
         return Elem.nonzero(tgt, dict(elem.terms))
@@ -125,25 +125,31 @@ def _map_elem(src: Bigraph, tgt: Bigraph, images: Dict[str, Elem], elem: Elem,
         if verbatim(w):
             add_term(F, out, w, c)
             continue
-        pts = w.path(src)
-        if pts[0] not in tgt.points:
+        if w.start not in tgt.points:
             continue
-        if tgt.factor(pts[0]).is_trivial and w.coeffs[0] != UNIT:
+        if tgt.factor(w.start).is_trivial and w.coeffs[0] != UNIT:
             continue
-        cur = Elem(tgt, {Word(pts[0], (), (w.coeffs[0],)): F.one})
-        for i, name in enumerate(w.arrows):
-            nxt = pts[i + 1]
-            if name in fixed:  # appending it multiplies nothing out
-                key = w.coeffs[i + 1]
-                cur = Elem(tgt, {Word(u.start, u.arrows + (name,), u.coeffs + (key,)): v
-                                 for u, v in cur.terms.items()})
+        cur = Elem(tgt, {Word(w.start, (), (w.coeffs[0],)): F.one})
+        n, i = len(w.arrows), 0
+        while i < n:
+            name = w.arrows[i]
+            if name in fixed:  # appending a run of fixed letters multiplies nothing out
+                j = i + 1
+                while j < n and w.arrows[j] in fixed:
+                    j += 1
+                run, keys = w.arrows[i:j], w.coeffs[i + 1:j + 1]
+                cur = Elem.nonzero(tgt, {Word(u.start, u.arrows + run, u.coeffs + keys): v
+                                         for u, v in cur.terms.items()})
+                i = j
                 continue
+            nxt = src.arrows[name].target
             img = images.get(name)
             if img is None or img.is_zero() or nxt not in tgt.points:
                 break
             cur = img * cur
             if w.coeffs[i + 1] != UNIT:  # a unit decoration at nxt multiplies nothing out
                 cur = Elem(tgt, {Word(nxt, (), (w.coeffs[i + 1],)): F.one}) * cur
+            i += 1
         else:
             for u, v in cur.terms.items():
                 add_term(F, out, u, v if c == one else c if v == one else F.mul(c, v))
@@ -191,7 +197,7 @@ def _pushforward(dit: Dit, tgt: Bigraph, changed: Dict[str, Elem], name: str,
             values[t] = push(dit.delta.apply(lifts[t]))
         elif t in b.arrows:
             v = dit.delta.of_arrow(t)
-            if b.arrows[t] == arr and all(a in fixed for w in v.terms for a in w.arrows):
+            if b.arrows[t] == arr and all(fixed.issuperset(w.arrows) for w in v.terms):
                 values[t] = Elem.nonzero(tgt, dict(v.terms))  # what push(v) returns
                 copied.add(t)
             else:

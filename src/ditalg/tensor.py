@@ -247,10 +247,16 @@ class Elem:
         for w2, c2 in other.terms.items():  # w2 acts first
             end2 = w2.end(b)
             ring = b.factor_ring(end2)
+            # at a trivial point two unit decorations meet in the unit
+            plain = ring is None and w2.coeffs[-1] == UNIT
             for w1, c1 in self.terms.items():
                 if w1.start != end2:
                     continue
                 scalar = c2 if c1 == one else c1 if c2 == one else F.mul(c1, c2)
+                if plain and w1.coeffs[0] == UNIT:
+                    add_term(F, out, Word(w2.start, w2.arrows + w1.arrows,
+                                          w2.coeffs + w1.coeffs[1:]), scalar)
+                    continue
                 for key, kc in mul_keys(ring, w1.coeffs[0], w2.coeffs[-1]):
                     word = Word(w2.start, w2.arrows + w1.arrows,
                                 w2.coeffs[:-1] + (key,) + w1.coeffs[1:])
@@ -322,6 +328,8 @@ class Differential:
         which are stored unchecked."""
         self.layer = layer
         b = layer.bigraph
+        dashed = frozenset(a.name for a in b.dashed_arrows())
+        target = {n: a.target for n, a in b.arrows.items()}
         self.values: Dict[str, Elem] = {}
         for name, arr in b.arrows.items():
             v = values.get(name)
@@ -330,9 +338,9 @@ class Differential:
             elif name not in _copied:
                 expected = 2 if arr.dashed else 1
                 for w in v.terms:
-                    if w.degree(b) != expected:
+                    if sum(map(dashed.__contains__, w.arrows)) != expected:
                         raise ValueError(f"delta({name}) must be homogeneous of degree {expected}")
-                    if w.start != arr.source or w.end(b) != arr.target:
+                    if w.start != arr.source or target[w.arrows[-1]] != arr.target:
                         raise ValueError(f"delta({name}) violates the bimodule constraint")
             self.values[name] = v
 

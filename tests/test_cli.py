@@ -125,6 +125,58 @@ def test_cmd_check_names_an_ideal_component_without_a_level(tmp_path, capsys):
     assert "triangular_ideal: pass" in capsys.readouterr().out
 
 
+def _no_witness_on_a_pass(monkeypatch, name):
+    from ditalg import cli
+
+    def refuse(dit):
+        raise AssertionError(f"{name} computed on a pass")
+
+    monkeypatch.setattr(cli, name, refuse)
+
+
+def test_cmd_check_names_an_unbalanced_ideal_generator(tmp_path, capsys, monkeypatch):
+    # a: 1 -> 2 with I = <a> and delta(a) = v: delta of the generator a is
+    # v, which no word through a spans
+    data = {"field": "F3",
+            "points": [{"name": p, "factor": "trivial"} for p in "12"],
+            "solid_arrows": [{"name": "a", "source": "1", "target": "2"}],
+            "dashed_arrows": [{"name": "v", "source": "1", "target": "2"}],
+            "differential": {"a": [["1", "v", "1"]]},
+            "ideal": [[["1", "a", "1"]]]}
+    p = tmp_path / "unbalanced.json"
+    p.write_text(json.dumps(data))
+    assert main(["check", str(p)]) == 3
+    out = capsys.readouterr().out
+    assert "balanced: FAIL (delta of ideal generator a = v lies outside I*V + V*I)" in out
+    del data["differential"]
+    p.write_text(json.dumps(data))
+    _no_witness_on_a_pass(monkeypatch, "unbalanced_generator")
+    main(["check", str(p)])
+    assert "balanced: pass" in capsys.readouterr().out
+
+
+def test_cmd_check_names_an_arrow_whose_square_leaves_its_window(tmp_path, capsys, monkeypatch):
+    # delta(a) = v and delta(v) = w u with a zero ideal: delta^2(a) = w u is
+    # not zero, so it lies outside the (zero) degree-2 window
+    data = {"field": "F3",
+            "points": [{"name": p, "factor": "trivial"} for p in "123"],
+            "solid_arrows": [{"name": "a", "source": "1", "target": "3"}],
+            "dashed_arrows": [{"name": "u", "source": "1", "target": "2"},
+                              {"name": "w", "source": "2", "target": "3"},
+                              {"name": "v", "source": "1", "target": "3"}],
+            "differential": {"a": [["1", "v", "1"]], "v": [["1", "w", "1", "u", "1"]]}}
+    p = tmp_path / "not_interlaced.json"
+    p.write_text(json.dumps(data))
+    assert main(["check", str(p)]) == 3
+    out = capsys.readouterr().out
+    assert "interlaced: FAIL (delta^2(a) = w*u lies outside its window)" in out
+    del data["differential"]["v"]
+    p.write_text(json.dumps(data))
+    _no_witness_on_a_pass(monkeypatch, "uninterlaced_arrow")
+    main(["check", str(p)])
+    assert "interlaced: pass" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("bogus", [[[["1", "a", "1"]]], [[["1", "nope", "1"]]], "levels"])
 def test_cmd_check_ignores_an_ideal_filtration_key(files, tmp_path, capsys, bogus):
     # the key is accepted but not read: the ideal levels come from delta

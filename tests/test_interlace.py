@@ -2,7 +2,7 @@ import pytest
 
 from ditalg import interlace
 from ditalg.bigraph import Bigraph, BigraphError, Factor
-from ditalg.fixtures import ex1, ex2, exa, exi, exk, exl, exl2, stellar_case2
+from ditalg.fixtures import ex1, ex2, exa, exi, exk, exl, exl2, parabolic, stellar_case2
 from ditalg.interlace import (
     CertificationError, Dit, IdealData, certify, check_balanced,
     check_interlaced, check_triangular_ideal, check_triangular_layer,
@@ -10,7 +10,7 @@ from ditalg.interlace import (
     membership_in_ideal_window, _reduce_mod_J, quotient,
 )
 from ditalg.pipeline import reduce_to_minimal
-from ditalg.scalars import PrimeField
+from ditalg.scalars import PrimeField, QQ
 from ditalg.tensor import Differential, Elem, Layer
 
 F3 = PrimeField(3)
@@ -411,3 +411,16 @@ def test_without_leaves_out_points_their_arrows_and_named_arrows():
     assert all(same.factor(p) is b.factor(p) for p in b.point_order)
     assert same.arrows == b.arrows
     assert same.solid_arrows() == b.solid_arrows() and same.dashed_arrows() == b.dashed_arrows()
+
+
+@pytest.mark.parametrize("F", [PrimeField(2), F3, QQ], ids=["F2", "F3", "Q"])
+def test_parabolic_delta_squares_to_zero_and_certifies_roiter(F):
+    # P4: delta^2 vanishes on every generator, and every certificate passes
+    d = parabolic(F, 4)
+    b = d.bigraph
+    assert len(b.solid_arrows()) == len(b.dashed_arrows()) == 6
+    assert not d.delta.of_arrow("a_14").is_zero()
+    for name in b.arrows:
+        assert d.delta.square(Elem.arrow(b, name)).is_zero(), name
+    flags = certify(d)
+    assert all(flags.values()) and flags["roiter"]

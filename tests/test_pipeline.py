@@ -6,7 +6,8 @@ from ditalg.bimodule import (
     verify_wild_certificate,
 )
 from ditalg.fixtures import (
-    ex1, ex2, exa, exi, exk, exl, exl2, exq, exr, exx, stellar_case1, stellar_case2,
+    ex1, ex2, exa, exi, exk, exl, exl2, exq, exr, exx, parabolic, stellar_case1,
+    stellar_case2,
 )
 from ditalg.interlace import UnsupportedShapeError, certify
 from ditalg.modcat import Rep, hom_dim, is_indecomposable, iso_test, jordan_at, simple_at
@@ -488,47 +489,73 @@ def test_layer_levels_derived_once_per_presentation(monkeypatch):
     assert len(derived) <= len(built)
 
 
-def _fixpoint_levels(dit, dashed):
-    """The least levels of one arrow kind by rescanning the same-kind
-    delta-dependencies until every arrow is levelled: the reference for the
-    worklist pass in `interlace._dependency_levels`."""
-    b = dit.bigraph
-    deps = {a.name: {n for w in dit.delta.of_arrow(a.name).terms for n in w.arrows
-                     if b.arrow(n).dashed == dashed}
-            for a in (b.dashed_arrows() if dashed else b.solid_arrows())}
-    level = {}
-    while len(level) < len(deps):
-        ready = [n for n in deps if n not in level and deps[n].issubset(level)]
-        if not ready:
-            return None
-        for n in ready:
-            level[n] = 1 + max((level[m] for m in deps[n]), default=0)
-    return tuple(frozenset(n for n, lv in level.items() if lv <= t)
-                 for t in range(1, max(level.values(), default=0) + 1))
-
-
-def test_worklist_levels_equal_the_fixpoint_on_the_exk_q6_plan():
+def test_a_delta_dependency_cycle_has_no_levels():
+    # a cycle a -> b -> a among the solid loops has no levels
     from ditalg import interlace
     from ditalg.interlace import CertificationError, Dit, IdealData
-    from ditalg.tensor import Differential, Elem, Layer
+    from ditalg.tensor import Differential, Layer
 
-    d = exk(QQ)
-    plan, _ = reduce_to_minimal(d, 6)
-    for dit in [d] + [s.functor.target for s in plan.steps]:
-        levels = interlace._dependency_levels(dit)
-        assert all(list(names) == sorted(names) for kind in levels for names in kind)
-        assert tuple(interlace.ascending_levels(kind) for kind in levels) == \
-            (_fixpoint_levels(dit, False), _fixpoint_levels(dit, True))
-    # a cycle a -> b -> a among the solid loops has no levels
     b = Bigraph(F3, [("1", Factor.trivial())], solid=[("a", "1", "1"), ("b", "1", "1")],
                 dashed=[("v", "1", "1")])
     layer = Layer(b)
     v = Elem.arrow(b, "v")
     cyc = Dit(layer, Differential(layer, {"a": v * Elem.arrow(b, "b"),
                                           "b": v * Elem.arrow(b, "a")}), IdealData())
-    assert interlace._dependency_levels(cyc) is None is _fixpoint_levels(cyc, False)
+    assert interlace._dependency_levels(cyc) is None
+    assert interlace.dependency_cycle(cyc) in (["a", "b"], ["b", "a"])
     with pytest.raises(CertificationError, match="cycle"):
         cyc.levels
+
+
+def _scanned_levels(dit):
+    """The layer levels by a scan of every delta word, letter by letter: an
+    arrow's level is one above the highest level of a same-kind letter in
+    its delta (1 with none), computed by recursion, with each level listed
+    as its sorted names.  The reference for `Dit.levels`."""
+    b = dit.bigraph
+    level = {}
+
+    def lv(name):
+        if name not in level:
+            kind = b.arrow(name).dashed
+            top = 0
+            for w in dit.delta.of_arrow(name).terms:
+                for m in w.arrows:
+                    if b.arrow(m).dashed == kind:
+                        top = max(top, lv(m))
+            level[name] = top + 1
+        return level[name]
+
+    def of_kind(arrows):
+        names = {}
+        for a in arrows:
+            names.setdefault(lv(a.name), []).append(a.name)
+        return tuple(tuple(sorted(names[t])) for t in range(1, len(names) + 1))
+
+    return of_kind(b.solid_arrows()), of_kind(b.dashed_arrows())
+
+
+@pytest.mark.parametrize("build, d", [(lambda: exk(QQ), 6), (lambda: parabolic(F2, 4), 4)],
+                         ids=["exk-Q-6", "P4-F2-4"])
+def test_levels_equal_a_per_word_scan_on_every_plan_presentation(build, d):
+    dit = build()
+    plan, _ = reduce_to_minimal(dit, d)
+    dits = [dit] + [s.functor.target for s in plan.steps]
+    assert len(dits) > 40
+    for each in dits:
+        assert each.levels == _scanned_levels(each)
+
+
+def test_parabolic_p3_classifies_with_an_empty_residue():
+    # P3 over F2 up to dimension 4: finite type, so no family, and the
+    # referee finds no class the listing misses
+    d = parabolic(F2, 3)
+    certify(d)
+    rep = classify(d, 4)
+    assert len(rep.plan.steps) == 11
+    assert len(rep.indecomposables) == 7
+    assert not rep.families
+    assert rep.brute_residue == []
 
 
 def _kronecker_counts(q: int, d: int):

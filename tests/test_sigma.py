@@ -13,11 +13,12 @@ from ditalg.admissible import (
 from ditalg.bigraph import Bigraph, Factor
 from ditalg.interlace import Dit, IdealData, certify
 from ditalg.modcat import Rep, simple_at
-from ditalg.pipeline import Obstruction, classify
+from ditalg.pipeline import Obstruction, classify, reduce_to_minimal
 from ditalg.scalars import PrimeField, QQ
 from ditalg.scalars.linalg import Mat
 from ditalg.tensor import UNIT, Differential, Elem, Layer, Word
 
+F2 = PrimeField(2)
 F3 = PrimeField(3)
 
 
@@ -163,6 +164,36 @@ def test_expand_equals_the_naive_reference(monkeypatch, case):
             sig.expand(Elem.arrow(src, a.name))
             sig.expand(Elem.from_word(src, Word(a.source, (a.name,),
                                                 (x_at[a.source], x_at[a.target]))))
+
+
+def _entries(m):
+    return [(u, v, list(e.terms.items())) for u, row in m.items() for v, e in row.items()]
+
+
+@pytest.mark.parametrize("build, d", [
+    (lambda: fixtures.exk(QQ), 6), (lambda: fixtures.parabolic(F2, 4), 4),
+    (lambda: fixtures.stellar_case1(F3), 3)], ids=["exk-Q-6", "P4-F2-4", "stellar_case1-F3-3"])
+def test_whole_renamed_delta_values_equal_the_expansion(monkeypatch, build, d):
+    # on every admissible step of the plan, a delta value renamed whole is
+    # the expansion's one entry, term for term and in the same order (the
+    # regularization picks the first unit pivot in term order), and the
+    # naive reference's
+    renamed, steps = [0], set()
+    real = SigmaExpander.renamed_whole
+
+    def checked(self, elem):
+        out = real(self, elem)
+        steps.add(id(self))
+        if out is not None:
+            assert _entries(out) == _entries(self.expand(elem))
+            assert len(_entries(out)) == 1
+            assert_same(out, naive_expand(self, elem))
+            renamed[0] += 1
+        return out
+
+    monkeypatch.setattr(SigmaExpander, "renamed_whole", checked)
+    assert not isinstance(reduce_to_minimal(build(), d), Obstruction)
+    assert steps and renamed[0]
 
 
 def _frozen(m):

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ditalg.bigraph import Bigraph, Factor, BigraphError
+from ditalg.bigraph import (
+    Bigraph, BigraphError, Factor, longest_path_levels, unlevelled_cycle,
+)
 from ditalg.fixtures import ALL_FIXTURES, ex1, ex2, exa, exi, exk, stellar_case1, stellar_case2
 from ditalg.scalars import PrimeField, Poly, QQ, LocalizedRing, LocElt
 from ditalg.tensor import (
@@ -54,6 +57,56 @@ def test_find_cycle_witness_is_a_cycle():
         assert all(x.target == y.source for x, y in zip(arrows, arrows[1:] + arrows[:1]))
         assert len({a.source for a in arrows}) == len(arrows)
     assert witnesses > 100
+
+
+def _recursive_levels(deps):
+    """The longest-path level of each node by recursion on its
+    dependencies, None for a node that reaches a cycle (one of its
+    dependency chains comes back to a node still being levelled)."""
+    level, open_ = {}, set()
+
+    def lv(n):
+        if n not in level:
+            if n in open_:
+                return None
+            open_.add(n)
+            below = [lv(m) for m in deps[n]]
+            open_.discard(n)
+            level[n] = None if None in below else 1 + max(below, default=0)
+        return level[n]
+
+    for n in deps:
+        lv(n)
+    return level
+
+
+@st.composite
+def _digraphs(draw):
+    """deps of a random digraph on nodes "0".."n-1", with repeated
+    dependencies; acyclic when each node depends on lower nodes only."""
+    n = draw(st.integers(1, 12))
+    acyclic = draw(st.booleans())
+    deps = {}
+    for i in range(n):
+        pool = list(range(i)) if acyclic else list(range(n))
+        picks = draw(st.lists(st.sampled_from(pool), max_size=4)) if pool else []
+        deps[str(i)] = [str(j) for j in picks]
+    return deps
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_digraphs())
+def test_round_levels_equal_the_recursive_longest_paths(deps):
+    # the same levels, and the same nodes left unlevelled, as the recursion;
+    # a cycle is named exactly when some node is unlevelled
+    want = _recursive_levels(deps)
+    got = longest_path_levels(deps)
+    assert got == {n: lv for n, lv in want.items() if lv is not None}
+    cyc = unlevelled_cycle(deps)
+    assert (cyc is None) == (None not in want.values())
+    if cyc is not None:
+        assert all(m in deps[n] for n, m in zip(cyc, cyc[1:] + cyc[:1]))
 
 
 def test_ex1_directed_and_heights():
@@ -290,8 +343,6 @@ def test_graded_basis_rejects_cycles():
         graded_component_basis(b, "1", "1", 0, 2)
 
 
-from hypothesis import given, settings, strategies as st
-
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
@@ -421,6 +472,54 @@ def test_elem_arithmetic_matches_naive_accumulation(char, data):
         want = {} if F.is_zero(c) else {k: F.mul(c, s) for k, s in u.terms.items()}
         _assert_stored(u.scale(c), want)
     assert (u + u.scale(minus_one)).is_zero()
+
+
+def _mixed_chain(F):
+    """1 -> 2 -> 3 -> 4 with rational 1 and 3 and trivial 2 and 4: solid a,
+    b, c, dashed u: 2 -> 3 and v: 1 -> 4, so products meet at trivial
+    points between two letters as well as at rational ones."""
+    x = Poly.x(F)
+    return Bigraph(F, [("1", Factor.rational([x])), ("2", Factor.trivial()),
+                       ("3", Factor.rational([Poly.from_ints(F, [1, 1, 1])])),
+                       ("4", Factor.trivial())],
+                   solid=[("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")],
+                   dashed=[("u", "2", "3"), ("v", "1", "4")])
+
+
+_MIXED = {F.char: (F, _mixed_chain(F)) for F in (PrimeField(2), PrimeField(3), QQ)}
+_MIXED_WORDS = {
+    char: [w for s in b.point_order for t in b.point_order for deg in (0, 1)
+           for w in graded_component_basis(b, s, t, deg, 2, 1)]
+    for char, (_, b) in _MIXED.items()
+}
+
+
+@pytest.mark.parametrize("char", sorted(_MIXED))
+def test_word_products_at_trivial_points_equal_the_mul_keys_route(char):
+    # every product of two basis words, the composable ones at a trivial
+    # point concatenated directly, is what mul_keys gives
+    F, b = _MIXED[char]
+    words = _MIXED_WORDS[char]
+    trivial = 0
+    for w1 in words:
+        for w2 in words:
+            x, y = Elem.from_word(b, w1), Elem.from_word(b, w2, F.neg(F.one))
+            _assert_stored(x * y, _naive_mul(F, b, x, y))
+            trivial += w1.start == w2.end(b) and b.factor(w1.start).is_trivial
+    assert trivial > len(words)
+
+
+@pytest.mark.parametrize("char", sorted(_MIXED))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_products_over_trivial_and_rational_points_equal_the_mul_keys_route(char, data):
+    F, b = _MIXED[char]
+    words = _MIXED_WORDS[char]
+    u = _drawn_elem(F, b, words, data)
+    v = _drawn_elem(F, b, words, data)
+    w = u + v
+    for x, y in ((u, v), (v, u), (w, u), (u, w), (w, w)):
+        _assert_stored(x * y, _naive_mul(F, b, x, y))
 
 
 _DECORATION = st.sampled_from([UNIT, (1, 0), (0, 1)])
