@@ -422,8 +422,7 @@ class SigmaExpander:
             return self._memo[key]
         if not arrows:
             return self.letter_decoration(start, coeffs[0])
-        if (start in self._single and self._plain.issuperset(arrows)
-                and coeffs.count(UNIT) == len(coeffs)):
+        if self._renames(start, arrows, coeffs):
             step = self._renamed(start, arrows, coeffs)
         else:
             step = self.letter_arrow(arrows[-1])
@@ -434,6 +433,12 @@ class SigmaExpander:
                 step = self._mat_mul(self.letter_decoration(end, coeffs[-1]), step)
         self._memo[key] = step
         return step
+
+    def _renames(self, start: str, arrows: Tuple[str, ...], coeffs: Tuple) -> bool:
+        """Whether `_word` renames the word (start, arrows, coeffs) of at
+        least one arrow: the condition the class docstring states."""
+        return (start in self._single and self._plain.issuperset(arrows)
+                and coeffs.count(UNIT) == len(coeffs))
 
     def _renamed(self, start: str, arrows: Tuple[str, ...], coeffs: Tuple) -> Sparse:
         """sigma of a word that `_word` renames: the word of the renamed
@@ -448,10 +453,8 @@ class SigmaExpander:
         term order, at the value's ends.  The renaming is injective, so no
         two terms meet, and this is what `expand` returns.  None for any
         other value."""
-        single, plain = self._single, self._plain
-        if not elem.terms or not all(
-                w.arrows and w.start in single and plain.issuperset(w.arrows)
-                and w.coeffs.count(UNIT) == len(w.coeffs) for w in elem.terms):
+        if not elem.terms or not all(w.arrows and self._renames(w.start, w.arrows, w.coeffs)
+                                     for w in elem.terms):
             return None
         letter, label = self._letter.__getitem__, self._label
         renamed = {Word(label[w.start], tuple(map(letter, w.arrows)), w.coeffs): c
