@@ -10,11 +10,20 @@ other top-level key is a parse error.  Decorated words are arrays that
 alternate coefficient strings and arrow names, read right to left from the
 source (paths from i to j act like b*a).  Polynomials are strings such as
 "x^2-3*x+1"; all numbers are exact.
+
+Coefficient text (word coefficients, inverted polynomials, module matrix
+entries) is read by one precedence grammar, the same in every field
+(`parse_poly_fraction`): `+` and `-` bind loosest, then `*` and `/`, then
+a sign, then `^` with a digit exponent, applied left to right.  So `-x^2` is
+-(x^2), `2*-x^2` is -2x^2, `2/3^2` is 2/9 and `x^2^3` is x^6, over Q and
+over F_p alike.  Dividing by a nonzero constant scales the numerator, and
+division by zero is a parse error.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import FrozenSet, List, Optional, Tuple
 
 from .bigraph import Bigraph, Factor
@@ -32,137 +41,114 @@ class ParseError(ValueError):
 # -- coefficient expressions ---------------------------------------------------
 
 
-class _Tok:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self):
-        c = self.peek()
-        self.pos += 1
-        return c
+_TOKEN = re.compile(r"\s*([0-9]+|\S)")
 
 
 def parse_poly_fraction(F: Field, s: str) -> Tuple[Poly, Poly]:
-    """Parse an expression in x into (numerator, denominator) polynomials."""
-    tk = _Tok(s)
+    """Parse an expression in x into (numerator, denominator) polynomials,
+    by one grammar in every field:
 
-    def parse_expr():
-        sign = 1
-        while tk.peek() in ("+", "-"):
-            if tk.take() == "-":
-                sign = -sign
-        num, den = parse_term()
-        if sign < 0:
-            num = -num
-        while tk.peek() in ("+", "-"):
-            op = tk.take()
-            n2, d2 = parse_term()
-            if op == "-":
-                n2 = -n2
-            num, den = num * d2 + n2 * den, den * d2
+        expr   := term (('+' | '-') term)*
+        term   := factor (('*' | '/') factor)*
+        factor := ('+' | '-') factor | power
+        power  := atom ('^' digits)*
+        atom   := digits | 'x' | '(' expr ')'
+
+    Dividing by a nonzero constant scales the numerator, and dividing by a
+    nonconstant polynomial multiplies the denominator, so the denominator is
+    1 or has positive degree."""
+    toks = _TOKEN.findall(s)
+    pos = 0
+
+    def take(*accept) -> str:
+        """The next token, consumed, when `accept` is empty or holds it;
+        else '' (also at the end)."""
+        nonlocal pos
+        if pos == len(toks) or accept and toks[pos] not in accept:
+            return ""
+        pos += 1
+        return toks[pos - 1]
+
+    def expr():
+        num, den = term()
+        while op := take("+", "-"):
+            n2, d2 = term()
+            num, den = num * d2 + (n2 if op == "+" else -n2) * den, den * d2
         return num, den
 
-    def parse_term():
-        num, den = parse_power()
-        while tk.peek() in ("*", "/"):
-            op = tk.take()
-            n2, d2 = parse_power()
+    def term():
+        num, den = factor()
+        while op := take("*", "/"):
+            n2, d2 = factor()
             if op == "*":
                 num, den = num * n2, den * d2
+            elif n2.is_zero():
+                raise ParseError("zero denominator", s)
+            elif n2.is_constant():
+                num = (num * d2).scale(F.inv(n2.coeff(0)))
             else:
-                if n2.is_zero():
-                    raise ParseError("division by zero polynomial", s)
                 num, den = num * d2, den * n2
         return num, den
 
-    def parse_power():
-        num, den = parse_atom()
-        while tk.peek() == "^":
-            tk.take()
-            exp = parse_int()
-            num, den = num ** exp, den ** exp
+    def factor():
+        if op := take("+", "-"):
+            num, den = factor()
+            return (num if op == "+" else -num), den
+        num, den = atom()
+        while take("^"):
+            exp = take()
+            if not (exp.isascii() and exp.isdigit()):
+                raise ParseError("expected an integer exponent", s)
+            num, den = num ** int(exp), den ** int(exp)
         return num, den
 
-    def parse_int() -> int:
-        digits = ""
-        while tk.peek().isdigit():
-            digits += tk.take()
-        if not digits:
-            raise ParseError("expected an integer exponent", s)
-        return int(digits)
-
-    def parse_atom():
-        c = tk.peek()
-        one = Poly.one(F)
-        if c == "(":
-            tk.take()
-            out = parse_expr()
-            if tk.take() != ")":
+    def atom():
+        tok = take()
+        if tok == "(":
+            out = expr()
+            if not take(")"):
                 raise ParseError("unbalanced parenthesis", s)
             return out
-        if c == "x":
-            tk.take()
-            return Poly.x(F), one
-        if c.isdigit():
-            digits = ""
-            while tk.peek().isdigit():
-                digits += tk.take()
-            if tk.peek() == "/" and F.char == 0:
-                # a/b rational literal only when the next atom is a digit
-                save = tk.pos
-                tk.take()
-                if tk.peek().isdigit():
-                    d2 = ""
-                    while tk.peek().isdigit():
-                        d2 += tk.take()
-                    b = int(d2)
-                    if b == 0:
-                        raise ParseError("zero denominator", s)
-                    return Poly.const(F, F.div(F.from_int(int(digits)), F.from_int(b))), one
-                tk.pos = save
-            return Poly.const(F, F.from_int(int(digits))), one
-        if c == "-":
-            tk.take()
-            n, d = parse_atom()
-            return -n, d
-        raise ParseError(f"unexpected character {c!r}", s)
+        if tok == "x":
+            return Poly.x(F), Poly.one(F)
+        if tok.isascii() and tok.isdigit():
+            return Poly.const(F, F.from_int(int(tok))), Poly.one(F)
+        raise ParseError(f"unexpected character {tok!r}", s)
 
-    num, den = parse_expr()
-    if tk.peek():
-        raise ParseError(f"trailing input {tk.text[tk.pos:]!r}", s)
+    num, den = expr()
+    if pos < len(toks):
+        rest = s[list(_TOKEN.finditer(s))[pos].start(1):]
+        raise ParseError(f"trailing input {rest!r}", s)
     return num, den
 
 
-def coefficient_value(F: Field, ring: Optional[LocalizedRing], s: str):
-    """Parse a coefficient string into (field scalar, decoration LocElt-or-None)."""
+def coefficient_value(F: Field, ring: Optional[LocalizedRing], s: str, where: str = ""):
+    """The value of the coefficient string `s`: a field scalar when `ring` is
+    None (at a trivial point, or in a module matrix), else an element of
+    `ring`.  The ParseError for a non-scalar names `where`, or else `s`."""
     num, den = parse_poly_fraction(F, s)
     if ring is None:
         if num.degree > 0 or den.degree > 0:
-            raise ParseError("polynomial coefficient at a trivial point", s)
-        if den.is_zero() or F.is_zero(den.coeff(0)):
-            raise ParseError("zero denominator", s)
-        return F.div(num.coeff(0) if num.coeffs else F.zero, den.coeff(0)), None
-    stripped = strip_h_factors(den, ring.h)
-    if not stripped.is_constant():
+            raise ParseError("expected a scalar, not an expression in x", where or s)
+        return num.coeff(0)
+    if not strip_h_factors(den, ring.h).is_constant():
         raise ParseError(f"denominator {den} is not invertible in {ring!r}", s)
-    val = LocElt(ring, num, 0)
-    inv = ring.inv(LocElt(ring, den, 0))
-    return F.one, val * inv
+    return LocElt(ring, num, 0) * ring.inv(LocElt(ring, den, 0))
 
 
 # -- words and elements -----------------------------------------------------------
 
 
+def _coefficient_elem(b: Bigraph, point: str, s: str) -> Elem:
+    """The coefficient string `s` at `point`, as an element of the word algebra."""
+    ring = b.factor_ring(point)
+    value = coefficient_value(b.field, ring, s)
+    return Elem.idempotent(b, point, value) if ring is None else Elem.decorated(b, point, value)
+
+
 def parse_word_array(b: Bigraph, arr: List[str], where: str) -> Elem:
     """One decorated word: alternating coefficients and arrow names, read
     right to left (rightmost coefficient sits at the source point)."""
-    F = b.field
     if len(arr) % 2 == 0:
         raise ParseError("word arrays must have odd length", where)
     if len(arr) == 1:
@@ -171,38 +157,20 @@ def parse_word_array(b: Bigraph, arr: List[str], where: str) -> Elem:
             raise ParseError("idempotent words need the form 'coeff*e_point' or 'e_point'",
                              where)
         coeff_str, _, pt = token.rpartition("e_")
-        coeff_str = coeff_str.rstrip("*").strip() or "1"
         if pt not in b.points:
             raise ParseError(f"unknown point {pt!r}", where)
-        ring = b.factor_ring(pt)
-        scalar, dec = coefficient_value(F, ring, coeff_str)
-        if dec is None:
-            return Elem.idempotent(b, pt, scalar)
-        return Elem.decorated(b, pt, dec).scale(scalar)
+        return _coefficient_elem(b, pt, coeff_str.rstrip("*").strip() or "1")
     items = list(reversed(arr))  # now source first: c0, a1, c1, a2, ...
-    arrows = []
-    for i in range(1, len(items), 2):
-        name = items[i]
+    arrows = items[1::2]
+    for name in arrows:
         if name not in b.arrows:
             raise ParseError(f"unknown arrow {name!r}", where)
-        arrows.append(name)
-    for i in range(len(arrows) - 1):
-        if b.arrow(arrows[i]).target != b.arrow(arrows[i + 1]).source:
-            raise ParseError(f"arrows {arrows[i]} and {arrows[i+1]} do not compose", where)
-    pts = [b.arrow(arrows[0]).source] + [b.arrow(a).target for a in arrows]
-
-    def decoration(i: int) -> Elem:
-        coeff_str = items[2 * i]
-        ring = b.factor_ring(pts[i])
-        scalar, dec = coefficient_value(F, ring, coeff_str)
-        if dec is None:
-            return Elem.idempotent(b, pts[i], scalar)
-        return Elem.decorated(b, pts[i], dec).scale(scalar)
-
-    out = decoration(0)
-    for i, name in enumerate(arrows):
-        out = Elem.arrow(b, name) * out
-        out = decoration(i + 1) * out
+    for a1, a2 in zip(arrows, arrows[1:]):
+        if b.arrow(a1).target != b.arrow(a2).source:
+            raise ParseError(f"arrows {a1} and {a2} do not compose", where)
+    out = _coefficient_elem(b, b.arrow(arrows[0]).source, items[0])
+    for name, coeff_str in zip(arrows, items[2::2]):
+        out = _coefficient_elem(b, b.arrow(name).target, coeff_str) * (Elem.arrow(b, name) * out)
     return out
 
 
@@ -286,12 +254,14 @@ def _entry(value, allowed: FrozenSet[str], where: str = "") -> dict:
 
 
 # the keys of a presentation file, of a point and of an arrow: those
-# `emit_presentation` writes, and at the top an ideal filtration, not read
+# `emit_presentation` writes, and at the top an ideal filtration, not read;
+# and the keys of a module file, those `emit_module` writes
 _PRESENTATION_KEYS = frozenset({"field", "name", "points", "solid_arrows", "dashed_arrows",
                                 "differential", "ideal", "w0_filtration", "w1_filtration",
                                 "ideal_filtration"})
 _POINT_KEYS = frozenset({"name", "factor", "inverted"})
 _ARROW_KEYS = frozenset({"name", "source", "target"})
+_MODULE_KEYS = frozenset({"dims", "arrows", "points"})
 
 
 def parse_presentation(data: dict, name: str = "") -> Dit:
@@ -370,7 +340,7 @@ def load_presentation(path: str) -> Dit:
 
 def emit_presentation(dit: Dit) -> dict:
     b = dit.bigraph
-    data = {"field": repr(b.field) if not repr(b.field) == "Q" else "Q",
+    data = {"field": repr(b.field),
             "name": dit.name,
             "points": [], "solid_arrows": [], "dashed_arrows": [],
             "differential": {}, "ideal": []}
@@ -415,14 +385,12 @@ def parse_module(dit: Dit, data: dict, where: str = "module"):
     from .modcat import Rep
     from .scalars.linalg import Mat
 
+    _entry(data, _MODULE_KEYS, where)
     b = dit.bigraph
     F = b.field
 
     def entries(key):
-        value = data.get(key, {})
-        if not isinstance(value, dict):
-            raise ParseError(f"{key!r} must be an object", where)
-        return value.items()
+        return _shaped(data.get(key, {}), dict, f"{where}.{key}").items()
 
     dims = {}
     for p, v in entries("dims"):
@@ -437,14 +405,8 @@ def parse_module(dit: Dit, data: dict, where: str = "module"):
         if (not isinstance(rows, list) or len(rows) != r
                 or any(not isinstance(row, list) or len(row) != c for row in rows)):
             raise ParseError(f"matrix must be {r}x{c}", wh)
-        out = Mat(F, r, c)
-        for i, row in enumerate(rows):
-            for j, entry in enumerate(row):
-                num, den = parse_poly_fraction(F, str(entry))
-                if num.degree > 0 or den.degree > 0:
-                    raise ParseError("matrix entries must be scalars", wh)
-                out.data[i][j] = F.div(num.coeff(0) if num.coeffs else F.zero, den.coeff(0))
-        return out
+        return Mat._owning(F, r, c, [[coefficient_value(F, None, str(e), wh) for e in row]
+                                     for row in rows])
 
     for aname, rows in entries("arrows"):
         wh = f"{where}.arrows[{aname}]"

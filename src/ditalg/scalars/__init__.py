@@ -9,7 +9,6 @@ from .localize import (
     LocElt,
     LocalizationResult,
     ModulePresentation,
-    in_localized_span,
     independent_over_localization,
     localize_to_free,
     strip_h_factors,
@@ -22,6 +21,6 @@ __all__ = [
     "linalg",
     "PolyRing", "poly_kernel_basis", "smith_normal_form",
     "LocalizedRing", "LocElt", "LocalizationResult", "ModulePresentation",
-    "in_localized_span", "independent_over_localization", "localize_to_free",
+    "independent_over_localization", "localize_to_free",
     "strip_h_factors",
 ]

@@ -312,27 +312,3 @@ def independent_over_localization(F: Field, cols: List[List[Poly]],
     to zero iff it is zero; independence therefore needs no h at all.
     """
     return not _proj_syzygies(F, cols, rel_cols, rank)
-
-
-def in_localized_span(F: Field, cols: List[List[Poly]], rank: int,
-                      target: List[Poly], h: Poly) -> bool:
-    """Is the ambient vector `target` in the R_h-span of the columns `cols`?"""
-    if all(p.is_zero() for p in target):
-        return True
-    if not cols:
-        return False
-    P, D, Q = smith_normal_form(F, linalg.transpose(cols))
-    pt = linalg.mul(PolyRing(F), [target], linalg.transpose(P))[0]
-    nfac = 0
-    for i in range(min(rank, len(cols))):
-        if not D[i][i].is_zero():
-            nfac += 1
-    for u in range(len(pt)):
-        if u < nfac:
-            d = strip_h_factors(D[u][u], h)
-            if not d.divides(pt[u]):
-                return False
-        else:
-            if not pt[u].is_zero():
-                return False
-    return True

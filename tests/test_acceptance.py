@@ -27,7 +27,7 @@ from ditalg.reduce import (
 )
 from ditalg.scalars import (
     LocalizedRing, ModulePresentation, Poly, PrimeField,
-    in_localized_span, independent_over_localization, localize_to_free, linalg,
+    independent_over_localization, localize_to_free, linalg,
 )
 from ditalg.scalars.linalg import Mat
 from ditalg.tensor import Elem, graded_component_basis

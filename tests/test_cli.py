@@ -400,6 +400,12 @@ BAD_MODULES = {
     "unknown_point": ({"dims": {"1": 1}, "points": {"9": [["1"]]}}, "points[9]"),
     "non_integer_dims": ({"dims": {"1": "x"}}, "dims[1]"),
     "x_action_at_a_trivial_point": ({"dims": {"1": 1}, "points": {"1": [["0"]]}}, "points[1]"),
+    "matrix_of_the_wrong_shape": ({"dims": {"1": 1, "2": 1}, "arrows": {"a": [["1", "0"]]}},
+                                  "arrows[a]"),
+    "polynomial_matrix_entry": ({"dims": {"1": 1, "2": 1}, "arrows": {"a": [["x"]]}},
+                                "arrows[a]"),
+    "dims_as_a_list": ({"dims": [1]}, "dims"),
+    "unknown_key": ({"dims": {"1": 1}, "dimz": {"2": 1}}, "dimz"),
 }
 
 

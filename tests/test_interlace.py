@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ditalg import interlace
@@ -9,8 +11,11 @@ from ditalg.interlace import (
     generated_ideal, ideal_levels, kernel_lemma_dimension_check, lift_differential,
     membership_in_ideal_window, _reduce_mod_J, quotient,
 )
+from ditalg.modcat import Rep, hom_dim, hom_via_quotient
 from ditalg.pipeline import reduce_to_minimal
+from ditalg.presentation import parse_presentation
 from ditalg.scalars import PrimeField, QQ
+from ditalg.scalars.linalg import Mat
 from ditalg.tensor import Differential, Elem, Layer
 
 F3 = PrimeField(3)
@@ -424,3 +429,41 @@ def test_parabolic_delta_squares_to_zero_and_certifies_roiter(F):
         assert d.delta.square(Elem.arrow(b, name)).is_zero(), name
     flags = certify(d)
     assert all(flags.values()) and flags["roiter"]
+
+
+def _q_to_p(ideal):
+    """Trivial point q, rational point p = k[x], solid a: q -> p, dashed
+    v: q -> p, delta(a) = v, over F3."""
+    return parse_presentation({
+        "field": "F3",
+        "points": [{"name": "q", "factor": "trivial"},
+                   {"name": "p", "factor": "rational", "inverted": []}],
+        "solid_arrows": [{"name": "a", "source": "q", "target": "p"}],
+        "dashed_arrows": [{"name": "v", "source": "q", "target": "p"}],
+        "differential": {"a": [["1", "v", "1"]]},
+        "ideal": ideal})
+
+
+def test_hom_through_a_quotient_with_a_dashed_kernel():
+    # I = <(x-1) e_p>: the W1-supported part of I*V + V*I is nonzero, so
+    # the quotient's V-bar rows are built; on modules annihilated by I
+    # (x acts as 1 at p) they are zero rows, and the dimensions must agree
+    d = _q_to_p([[["(x-1)*e_p"]]])
+    assert certify(d)["roiter"]
+    qp = quotient(d)
+    assert qp.dashed_kernel
+    assert all(w.arrows == ("v",) for e in qp.dashed_kernel for w in e.terms)
+    F = d.field
+    rng = random.Random(5)
+
+    def module():
+        dims = {"q": rng.randrange(3), "p": rng.randrange(3)}
+        entries = [[F.random(rng) for _ in range(dims["q"])] for _ in range(dims["p"])]
+        M = Rep(d, dims, arrow_ops={"a": Mat(F, dims["p"], dims["q"], entries)},
+                point_ops={"p": Mat.identity_of(F, dims["p"])})
+        assert M.validate() is None
+        return M
+
+    for _ in range(40):
+        M, N = module(), module()
+        assert len(hom_via_quotient(d, M, N, qp=qp)) == hom_dim(d, M, N), (M, N)

@@ -14,6 +14,7 @@ from ditalg.modcat import Rep, hom_dim, is_indecomposable, iso_test, jordan_at, 
 from ditalg.pipeline import (
     Obstruction, brute_force_indecomposables, classify, is_minimal, reduce_to_minimal,
 )
+from ditalg.presentation import parse_presentation
 from ditalg.reduce import structural_equal
 from ditalg.scalars import PrimeField, Poly, QQ
 from ditalg.scalars.linalg import Mat, block_matrix
@@ -1217,3 +1218,20 @@ def test_bound_zero_prunes_every_point_once():
         assert report.plan.log() == [
             "0: deletion (prune points beyond the dimension bound: ['1', '2'])"]
         assert report.indecomposables == [] and not report.brute_residue
+
+
+def test_a_point_whose_idempotent_lies_in_the_ideal_is_deleted():
+    # I = <x e_p, (x-1) e_p> holds e_p, so p is dead before any reduction
+    d = parse_presentation({
+        "field": "F3",
+        "points": [{"name": "q", "factor": "trivial"},
+                   {"name": "p", "factor": "rational", "inverted": []}],
+        "solid_arrows": [{"name": "a", "source": "q", "target": "p"}],
+        "dashed_arrows": [{"name": "v", "source": "q", "target": "p"}],
+        "differential": {"a": [["1", "v", "1"]]},
+        "ideal": [[["x*e_p"]], [["(x-1)*e_p"]]]})
+    certify(d)
+    report = classify(d, 2)
+    assert report.plan.log() == ["0: deletion (delete ideal idempotents ['p'])"]
+    assert [M.dims for M in report.indecomposables] == [{"q": 1, "p": 0}]
+    assert not report.families and report.brute_residue == []

@@ -16,6 +16,7 @@ from ditalg.reduce import (
     deletion_image_characterization, detach_source, factor_out, is_source_point, regularize,
     structural_equal,
 )
+from ditalg.presentation import parse_presentation
 from ditalg.scalars import Poly, PrimeField
 from ditalg.scalars.linalg import Mat
 
@@ -1163,3 +1164,58 @@ def test_checked_admissible_builds_each_summand_end_once(monkeypatch):
         assert built[0] == 3
         assert sorted((pb.dom.label, pb.cod.label) for pb in adm.p_basis) == \
             [("p1", "s1"), ("s2", "p1")]
+
+
+# points 1 (trivial), 2 (k[x]_x) and 3 (trivial); solid a: 1 -> 2 and
+# b: 2 -> 3, dashed v: 1 -> 2, delta(a) = v
+def _structure(**changes):
+    data = {"field": "F3",
+            "points": [{"name": "1", "factor": "trivial"},
+                       {"name": "2", "factor": "rational", "inverted": ["x"]},
+                       {"name": "3", "factor": "trivial"}],
+            "solid_arrows": [{"name": "a", "source": "1", "target": "2"},
+                             {"name": "b", "source": "2", "target": "3"}],
+            "dashed_arrows": [{"name": "v", "source": "1", "target": "2"}],
+            "differential": {"a": [["1", "v", "1"]]},
+            "ideal": []}
+    data.update(changes)
+    return parse_presentation(data)
+
+
+_BA = [["1", "b", "1", "a", "1"]]
+_STRUCTURE_CHANGES = {
+    "point_order": {"points": [{"name": "2", "factor": "rational", "inverted": ["x"]},
+                               {"name": "1", "factor": "trivial"},
+                               {"name": "3", "factor": "trivial"}]},
+    "factor_kind": {"points": [{"name": "1", "factor": "trivial"},
+                               {"name": "2", "factor": "trivial"},
+                               {"name": "3", "factor": "trivial"}]},
+    "inverted_set": {"points": [{"name": "1", "factor": "trivial"},
+                                {"name": "2", "factor": "rational", "inverted": ["x+1"]},
+                                {"name": "3", "factor": "trivial"}]},
+    "arrow_set": {"dashed_arrows": [{"name": "v", "source": "1", "target": "2"},
+                                    {"name": "w", "source": "1", "target": "3"}]},
+    "arrow_endpoints": {"solid_arrows": [{"name": "a", "source": "1", "target": "2"},
+                                         {"name": "b", "source": "1", "target": "3"}]},
+    "arrow_kind": {"solid_arrows": [{"name": "a", "source": "1", "target": "2"}],
+                   "dashed_arrows": [{"name": "v", "source": "1", "target": "2"},
+                                     {"name": "b", "source": "2", "target": "3"}]},
+    "delta_value": {"differential": {"a": [["2", "v", "1"]]}},
+    "ideal_span": {"ideal": [_BA]},
+}
+
+
+@pytest.mark.parametrize("change", sorted(_STRUCTURE_CHANGES))
+def test_structural_equal_sees_each_difference(change):
+    base, other = _structure(), _structure(**_STRUCTURE_CHANGES[change])
+    assert structural_equal(base, _structure())
+    assert not structural_equal(base, other)
+    # both directions: for the ideal, one generator missing on either side
+    assert not structural_equal(other, base)
+
+
+def test_structural_equal_compares_ideal_spans_not_generators():
+    scaled = [["2", "b", "1", "a", "1"]]
+    assert structural_equal(_structure(ideal=[_BA]), _structure(ideal=[scaled, _BA]))
+    assert not structural_equal(_structure(ideal=[_BA]),
+                                _structure(ideal=[[["1", "b", "x", "a", "1"]]]))

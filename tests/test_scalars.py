@@ -10,7 +10,7 @@ from ditalg.scalars import (
     PrimeField, QQ, FieldError, Poly, factor, linalg,
     smith_normal_form, PolyRing,
     LocalizedRing, LocElt, ModulePresentation, localize_to_free,
-    independent_over_localization, in_localized_span, squarefree_decomposition,
+    independent_over_localization, squarefree_decomposition,
 )
 from ditalg.presentation import parse_poly_fraction
 from ditalg.scalars import poly as poly_module
@@ -738,10 +738,9 @@ def test_localize_random_certified():
                  for _ in range(rank)] for _ in range(rng.randrange(0, 3))]
         pres = ModulePresentation.make(R, rank, rel_cols) if nrel else ModulePresentation.make(R, rank, [])
         res = localize_to_free(pres, [gens] if gens else [])
-        h = res.h
         for basis in res.layer_bases:
             assert independent_over_localization(F, basis, rel_cols, rank)
-        # nested and spanning: every layer basis is contained in the span of the next
+        # nested: every vector of a layer basis is a vector of the next
         for lo, hi in zip(res.layer_bases, res.layer_bases[1:]):
             for vec in lo:
-                assert vec in hi or in_localized_span(F, hi + rel_cols, rank, vec, h)
+                assert vec in hi
