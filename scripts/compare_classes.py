@@ -3,12 +3,12 @@
 Usage: PYTHONPATH=src python scripts/compare_classes.py A B
 
 A and B are directories written by `scripts/snapshot_outputs.py`.  For each
-case file <fixture>-<field>-<bound>.json in A, the certified fixture is built
-again and the modules of the report's `indecomposables` and
-`exhaustive_residue` are parsed on both sides with
-`presentation.parse_module`.  The two lists are matched one to one with
-`modcat.iso_test`; each list holds pairwise non-isomorphic classes, so a
-greedy match is exact.  A case where neither side has a report (the run
+case file <fixture>-<field>-<bound>.json in A, the fixture is read back from
+A's snapshot of its certified presentation and certified, and the modules of
+the report's `indecomposables` and `exhaustive_residue` are parsed on both
+sides with `presentation.parse_module`.  The two lists are matched one to
+one with `modcat.iso_test`; each list holds pairwise non-isomorphic classes,
+so a greedy match is exact.  A case where neither side has a report (the run
 stopped at an obstruction) compares the two obstruction reasons instead.
 One line per case, ending with the plan length (number of steps) of each
 side: MATCH when every class has a partner and the numbers of families
@@ -20,11 +20,9 @@ import json
 import os
 import sys
 
-from ditalg import fixtures
 from ditalg.interlace import certify
 from ditalg.modcat import iso_test
-from ditalg.presentation import parse_module
-from ditalg.scalars import field_from_name
+from ditalg.presentation import parse_module, parse_presentation
 
 
 def classes(dit, report: dict) -> list:
@@ -76,7 +74,7 @@ def main(argv=None) -> int:
             elif ra is None or rb is None:
                 verdict = "MISMATCH report on one side only"
             else:
-                dit = getattr(fixtures, fixture)(field_from_name(field))
+                dit = parse_presentation(sa["interlace"]["certified"])
                 certify(dit)
                 verdict = compare(dit, ra, rb)
         failed |= verdict.startswith("MISMATCH")

@@ -2,7 +2,8 @@
 
 Usage: PYTHONPATH=src python scripts/snapshot_outputs.py OUTDIR
 
-For each case (fixture, field, dimension bound) one file OUTDIR/<case>.json
+For each case (fixture, where P3 is the parabolic ditalgebra P_3; field;
+dimension bound) one file OUTDIR/<case>.json
 holds the plan log, every plan step's kind, note, spec data and target
 presentation, the step functor's image of the simple module at each trivial
 point and of the generic module at each rational point of the step's target
@@ -55,6 +56,7 @@ CASES = [
     ("stellar_case2", "F3", 2),
     ("exa", "F3", 3),
     ("exx", "F3", 3),
+    ("P3", "F2", 4),
 ]
 
 
@@ -146,9 +148,16 @@ def referee_counts(dit, d: int) -> dict:
     return counts
 
 
+def build(fixture: str, F):
+    """The fixture named `fixture` over F; P<t> is the parabolic ditalgebra P_t."""
+    if fixture[0] == "P":
+        return fixtures.parabolic(F, int(fixture[1:]))
+    return getattr(fixtures, fixture)(F)
+
+
 def snapshot(fixture: str, field: str, d: int) -> dict:
-    build = getattr(fixtures, fixture)
-    dit = build(field_from_name(field))
+    F = field_from_name(field)
+    dit = build(fixture, F)
     result = classify(dit, d)
     if isinstance(result, Obstruction):
         steps = result.steps
@@ -158,7 +167,7 @@ def snapshot(fixture: str, field: str, d: int) -> dict:
         out = {"log": result.plan.log(), "final": emit_presentation(result.minimal),
                "report": emit_report(result), "summary": result.summary()}
         if result.brute_residue is not None:
-            out["referee"] = referee_counts(build(field_from_name(field)), d)
+            out["referee"] = referee_counts(build(fixture, F), d)
         listed = result.indecomposables
         if len(listed) >= 2:
             dit, S = listed[0].dit, direct_sum(listed[:2])
@@ -171,7 +180,7 @@ def snapshot(fixture: str, field: str, d: int) -> dict:
                      {"kind": s.spec.kind, "data": plain(s.spec.data)},
                      "target": emit_presentation(s.functor.target),
                      "images": step_images(s.functor)} for s in steps]
-    out["interlace"] = interlace_snapshot(build(field_from_name(field)))
+    out["interlace"] = interlace_snapshot(build(fixture, F))
     return out
 
 

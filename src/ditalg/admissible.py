@@ -5,11 +5,12 @@ and an admissible B-module X with End(X)^op = S (+) P, S a product of trivial
 and rational factors and P the radical part.  The reduced presentation has
 solid arrows nu (x) w (x) x, dashed arrows nu (x) w (x) x and P*-duals, and
 the differential is assembled from the comultiplication mu and the maps
-lambda and rho induced by the P-action.  The sigma expansion carries products
-across: sigma(delta(w)) is expanded once per source arrow w and read at every
-pair of dual basis vectors, each word prefix that delta values and ideal
-generators share is multiplied out once (`SigmaExpander`), and the functor
-F^X is built from the sigma matrix of each letter.  The reduced ideal is
+lambda and rho induced by the P-action.  sigma is the letter map
+`reduce.LetterMap` over the dual basis of X (`sigma_map`): sigma(delta(w))
+is expanded once per source arrow w and read at every pair of dual basis
+vectors (pushed, between one-vector points), each word prefix that delta
+values and ideal generators share is multiplied out once, and the functor
+F^X is the letter map's `pullback`.  The reduced ideal is
 the sigma entries of the ideal generators; its triangular filtration is
 derived from the reduced delta (`interlace.ideal_levels`), not stored.
 """
@@ -26,10 +27,9 @@ from .modcat import (
     DecomposableError, EndAlgebra, IsoClassIndex, MorphismPair, Rep, _convolve, compose, hom,
     pair_to_vector,
 )
-from .reduce import ReductionFunctor, RepData
+from .reduce import LetterMap, ReductionFunctor, RepData, Sparse, pullback
 from .scalars import LocalizedRing, LocElt, Poly, linalg
-from .scalars.linalg import Mat
-from .tensor import Differential, Elem, Layer, UNIT, Word, add_term
+from .tensor import Differential, Elem, Layer, UNIT
 
 
 class AdmissibleError(ValueError):
@@ -304,74 +304,26 @@ def _convert_decoration(tgt_ring: LocalizedRing, src_ring: LocalizedRing,
     return LocElt(tgt_ring, num * quot ** j, j)
 
 
-# a sigma matrix: row -> column -> nonzero entry
-Sparse = Dict[int, Dict[int, Elem]]
+def sigma_map(adm: AdmissibleModuleData, tgt: Bigraph, names: Dict[Tuple[str, int, int], str],
+              x_at: Dict[str, List[DualBasisElement]]) -> LetterMap:
+    """sigma_{nu,x}: T -> T^X as the letter map over the dual basis of X.
+    `names` maps (w, u, v) to the target arrow nu_u (x) w (x) x_v, and
+    `x_at` lists the dual basis vectors at each source point.  An arrow
+    outside B goes to the arrows nu_u (x) w (x) x_v, and renames to its one
+    such arrow between points whose X has a single dual basis vector; an
+    arrow of B has scalar entries where it acts on X.
 
-
-class SigmaExpander:
-    """sigma_{nu,x}: T -> T^X computed letter-by-letter as a matrix over the
-    reduced algebra, indexed by the dual basis of X.  `names` maps
-    (w, u, v) to the target arrow nu_u (x) w (x) x_v; `x_at` lists the dual
-    basis vectors at each source point.
-
-    A sigma matrix is held sparse, as {row: {column: Elem}} with only the
-    nonzero entries.  sigma of each letter (an arrow, or a decoration key at
-    a point) and sigma of each word prefix, keyed by (start, arrows[:k],
-    coeffs[:k+1]), are computed once per expander and kept for its lifetime:
-    the delta values and ideal generators of one reduction share prefixes.
-    A UNIT decoration is never multiplied: sigma(e_p) is the diagonal of the
+    A unit decoration is never multiplied: sigma(e_p) is the diagonal of the
     idempotents at the summands of x_at[p], every entry in row u of sigma of
     a word ending at p ends at u's summand, and every entry in column v of
     sigma of an arrow leaving p starts at v's summand, so multiplying by
-    sigma(e_p) on either side returns each entry word for word.
+    sigma(e_p) on either side returns each entry word for word."""
+    src, F = adm.dit.bigraph, adm.dit.field
 
-    A word is renamed, not multiplied out, when it starts at a point whose X
-    has a single dual basis vector, all its decorations are UNIT, and every
-    letter lies outside B and ends at such a point.  sigma of each letter is
-    then the 1x1 matrix [nu_u (x) w (x) x_v] with scalar one, and the unit
-    decorations are not multiplied, so sigma of the word is the 1x1 matrix
-    holding the word of the renamed letters with scalar one: the product
-    the multiplication would return.  The renamed letters come from one
-    letter map per expander.  A delta value every word of which is renamed
-    is renamed whole (`renamed_whole`): one pass over its terms through
-    that map, in their order and with their scalars, which is the entry
-    `expand` accumulates from the renamed words, since the renaming is
-    injective."""
-
-    def __init__(self, adm: AdmissibleModuleData, target: Bigraph,
-                 names: Dict[Tuple[str, int, int], str],
-                 x_at: Dict[str, List[DualBasisElement]]):
-        self.adm = adm
-        self.target = target
-        self.names = names
-        self.x_at = x_at
-        self.F = adm.dit.field
-        # the points whose X has one dual basis vector, and the letters
-        # outside B that end at one: the words `_renamed` builds directly
-        self._single = single = frozenset(p for p, xs in x_at.items() if len(xs) == 1)
-        arrows = adm.dit.bigraph.arrows
-        self._plain = frozenset(n for n, a in arrows.items()
-                                if n not in adm.b_arrows and a.target in single)
-        # the letter map of those words, built once: each plain letter from a
-        # single point to its renamed letter, and each single point to the
-        # label of its summand
-        self._letter = {n: names[n, x_at[a.target][0].index, x_at[a.source][0].index]
-                        for n in self._plain if (a := arrows[n]).source in single}
-        self._label = {p: x_at[p][0].summand.label for p in single}
-        # sigma of each letter, keyed by arrow name or (point, key), and of
-        # each word prefix, keyed by (start, arrows, coeffs)
-        self._memo: Dict[object, Sparse] = {}
-
-    def arrow_elem(self, w: str, u: DualBasisElement, v: DualBasisElement) -> Elem:
-        return Elem.arrow(self.target, self.names[w, u.index, v.index])
-
-    def letter_decoration(self, point: str, key) -> Sparse:
-        """Matrix of sigma on a decoration c e_point."""
-        if (point, key) in self._memo:
-            return self._memo[point, key]
-        adm, F, tgt = self.adm, self.F, self.target
+    def decoration(point: str, key) -> Sparse:
+        """sigma of the decoration c e_point."""
         out: Sparse = {}
-        for v in self.x_at[point]:
+        for v in x_at[point]:
             s = v.summand
             if s.kind == "regular":
                 tgt_ring = tgt.factor_ring(s.label)
@@ -380,129 +332,39 @@ class SigmaExpander:
                         raise AdmissibleError("decorated trivial regular summand")
                     out[v.index] = {v.index: Elem.idempotent(tgt, s.label)}
                     continue
-                src_ring = adm.dit.bigraph.factor_ring(point)
-                val = _convert_decoration(tgt_ring, src_ring, key)
+                val = _convert_decoration(tgt_ring, src.factor_ring(point), key)
                 out[v.index] = {v.index: Elem.decorated(tgt, s.label, val)}
             else:
                 act = s.rep.decoration_action(point, key)
-                for u in self.x_at[point]:
+                for u in x_at[point]:
                     if u.summand is s:
                         c = act.data[u.coordinate][v.coordinate]
                         if not F.is_zero(c):
                             out.setdefault(u.index, {})[v.index] = Elem.idempotent(tgt, s.label, c)
-        self._memo[point, key] = out
         return out
 
-    def letter_arrow(self, name: str) -> Sparse:
-        """Matrix of sigma on an arrow: scalar entries where B acts on X,
-        the arrows nu_u (x) w (x) x_v otherwise."""
-        if name in self._memo:
-            return self._memo[name]
-        arr = self.adm.dit.bigraph.arrow(name)
-        in_b = name in self.adm.b_arrows
-        out: Sparse = {}
-        for v in self.x_at[arr.source]:
-            for u in self.x_at[arr.target]:
-                if not in_b:
-                    out.setdefault(u.index, {})[v.index] = self.arrow_elem(name, u, v)
+    def letter(name: str) -> Sparse:
+        arr, out = src.arrows[name], {}
+        for v in x_at[arr.source]:
+            for u in x_at[arr.target]:
+                if name not in adm.b_arrows:
+                    e = Elem.arrow(tgt, names[name, u.index, v.index])
                 elif u.summand is v.summand and v.summand.kind == "findim":
                     c = v.summand.rep.arrow_ops[name].data[u.coordinate][v.coordinate]
-                    if not self.F.is_zero(c):
-                        out.setdefault(u.index, {})[v.index] = Elem.idempotent(
-                            self.target, u.summand.label, c)
-        self._memo[name] = out
+                    e = Elem.idempotent(tgt, u.summand.label, c)
+                else:
+                    continue
+                if e.terms:
+                    out.setdefault(u.index, {})[v.index] = e
         return out
 
-    def _word(self, start: str, arrows: Tuple[str, ...], coeffs: Tuple) -> Sparse:
-        """sigma of the decorated word (start, arrows, coeffs): the last
-        decoration times the last arrow times sigma of the shorter prefix,
-        or the renamed word where the class docstring says so."""
-        key = (start, arrows, coeffs)
-        if key in self._memo:
-            return self._memo[key]
-        if not arrows:
-            return self.letter_decoration(start, coeffs[0])
-        if self._renames(start, arrows, coeffs):
-            step = self._renamed(start, arrows, coeffs)
-        else:
-            step = self.letter_arrow(arrows[-1])
-            if len(arrows) > 1 or coeffs[0] != UNIT:
-                step = self._mat_mul(step, self._word(start, arrows[:-1], coeffs[:-1]))
-            if coeffs[-1] != UNIT:
-                end = self.adm.dit.bigraph.arrow(arrows[-1]).target
-                step = self._mat_mul(self.letter_decoration(end, coeffs[-1]), step)
-        self._memo[key] = step
-        return step
-
-    def _renames(self, start: str, arrows: Tuple[str, ...], coeffs: Tuple) -> bool:
-        """Whether `_word` renames the word (start, arrows, coeffs) of at
-        least one arrow: the condition the class docstring states."""
-        return (start in self._single and self._plain.issuperset(arrows)
-                and coeffs.count(UNIT) == len(coeffs))
-
-    def _renamed(self, start: str, arrows: Tuple[str, ...], coeffs: Tuple) -> Sparse:
-        """sigma of a word that `_word` renames: the word of the renamed
-        letters with scalar one, at its ends (`_at_ends`)."""
-        word = Word(self._label[start], tuple(map(self._letter.__getitem__, arrows)), coeffs)
-        return self._at_ends(start, arrows, Elem.from_word(self.target, word))
-
-    def renamed_whole(self, elem: Elem) -> Optional[Sparse]:
-        """sigma of a nonzero delta value (its words run between the same
-        two points) every word of which `_word` renames, in one pass: each
-        word renamed through the letter map, with its scalar, in the value's
-        term order, at the value's ends.  The renaming is injective, so no
-        two terms meet, and this is what `expand` returns.  None for any
-        other value."""
-        if not elem.terms or not all(w.arrows and self._renames(w.start, w.arrows, w.coeffs)
-                                     for w in elem.terms):
-            return None
-        letter, label = self._letter.__getitem__, self._label
-        renamed = {Word(label[w.start], tuple(map(letter, w.arrows)), w.coeffs): c
-                   for w, c in elem.terms.items()}
-        w = next(iter(elem.terms))
-        return self._at_ends(w.start, w.arrows, Elem.nonzero(self.target, renamed))
-
-    def _at_ends(self, start: str, arrows: Tuple[str, ...], entry: Elem) -> Sparse:
-        """The 1x1 matrix holding `entry` at the single dual basis vectors
-        of the ends of a renamed word (start, arrows)."""
-        end = self.adm.dit.bigraph.arrows[arrows[-1]].target
-        return {self.x_at[end][0].index: {self.x_at[start][0].index: entry}}
-
-    def expand(self, elem: Elem) -> Sparse:
-        """Full sigma matrix of an element of the source algebra.  The terms
-        of each entry accumulate in one dictionary, in the order and with
-        the cancellations of a chain of sums."""
-        F = self.F
-        one = F.one
-        total: Dict[int, Dict[int, Dict[Word, object]]] = {}
-        for w, coeff in elem.terms.items():
-            for u, row in self._word(w.start, w.arrows, w.coeffs).items():
-                acc = total.setdefault(u, {})
-                for v, e in row.items():
-                    terms = acc.setdefault(v, {})
-                    for t, c in e.terms.items():
-                        add_term(F, terms, t, c if coeff == one else
-                                 coeff if c == one else F.mul(coeff, c))
-        return {u: kept for u, row in total.items()
-                if (kept := {v: Elem.nonzero(self.target, terms)
-                             for v, terms in row.items() if terms})}
-
-    def _mat_mul(self, a: Sparse, c: Sparse) -> Sparse:
-        """a * c over the nonzero entries, each sum taken in ascending k."""
-        out: Sparse = {}
-        for i, row in a.items():
-            acc = out[i] = {}
-            for k in sorted(row):
-                for j, e in c.get(k, {}).items():
-                    prod = row[k] * e
-                    if not prod.is_zero():
-                        acc[j] = acc[j] + prod if j in acc else prod
-        return _drop_zeros(out)
-
-
-def _drop_zeros(m: Sparse) -> Sparse:
-    return {i: kept for i, row in m.items()
-            if (kept := {j: e for j, e in row.items() if not e.is_zero()})}
+    single = {p for p, xs in x_at.items() if len(xs) == 1}
+    renaming = {n: names[n, x_at[a.target][0].index, x_at[a.source][0].index]
+                for n, a in src.arrows.items()
+                if n not in adm.b_arrows and a.source in single and a.target in single}
+    return LetterMap(src, tgt, {p: [x.index for x in xs] for p, xs in x_at.items()},
+                     [x.summand.label for x in adm.x_basis], letter, decoration, renaming,
+                     frozenset())
 
 
 def _at(m: Sparse, u: DualBasisElement, v: DualBasisElement) -> Optional[Elem]:
@@ -529,8 +391,11 @@ def reduce_admissible(dit: Dit, adm: AdmissibleModuleData,
     decl[True] += [(nm, pb.dom.label, pb.cod.label) for nm, pb in zip(gamma_names, adm.p_basis)]
     tgt = Bigraph(F, [(s.label, s.s_factor(b)) for s in adm.summands],
                   solid=decl[False], dashed=decl[True])
-    sigma = SigmaExpander(adm, tgt, names, x_at)
+    sigma = sigma_map(adm, tgt, names, x_at)
     gamma = [Elem.arrow(tgt, nm) for nm in gamma_names]
+
+    def nu(w: str, u: DualBasisElement, v: DualBasisElement) -> Elem:
+        return Elem.arrow(tgt, names[w, u.index, v.index])
 
     delta_values: Dict[str, Elem] = {}
     # gamma differentials: mu
@@ -544,7 +409,10 @@ def reduce_admissible(dit: Dit, adm: AdmissibleModuleData,
 
     for a in arrows:
         dw = dit.delta.of_arrow(a.name)
-        sig = sigma.renamed_whole(dw) or sigma.expand(dw)
+        # between one-vector points sigma is 1x1, and its one entry the push
+        ends = x_at[a.target], x_at[a.source]
+        sig = ({ends[0][0].index: {ends[1][0].index: sigma.push(dw)}}
+               if len(ends[0]) == len(ends[1]) == 1 else sigma.expand(dw))
         sign = F.one if a.dashed else F.neg(F.one)        # (-1)^(deg w + 1)
         for v in x_at[a.source]:
             for u in x_at[a.target]:
@@ -554,7 +422,7 @@ def reduce_admissible(dit: Dit, adm: AdmissibleModuleData,
                     for y in x_at[a.target]:
                         c = adm.x_p_action[y.index][j][u.index]
                         if not F.is_zero(c):
-                            acc = acc + (g * sigma.arrow_elem(a.name, y, v)).scale(c)
+                            acc = acc + (g * nu(a.name, y, v)).scale(c)
                 # sigma_{nu_u, x_v}(delta(w))
                 if (e := _at(sig, u, v)) is not None:
                     acc = acc + e
@@ -563,7 +431,7 @@ def reduce_admissible(dit: Dit, adm: AdmissibleModuleData,
                     for y in x_at[a.source]:
                         c = adm.x_p_action[v.index][j][y.index]
                         if not F.is_zero(c):
-                            acc = acc + (sigma.arrow_elem(a.name, u, y) * g).scale(F.mul(sign, c))
+                            acc = acc + (nu(a.name, u, y) * g).scale(F.mul(sign, c))
                 delta_values[names[a.name, u.index, v.index]] = acc
 
     layer = Layer(tgt)
@@ -581,44 +449,6 @@ def reduce_admissible(dit: Dit, adm: AdmissibleModuleData,
     for s in adm.summands:
         new_dit.point_weights[s.label] = summand_weight(
             dit, s.rep.dims if s.kind == "findim" else {s.point: 1})
-
-    # ---- functor data: the nonzero entries of sigma of each letter ----
-    def entries(mat, src: str, dst: str) -> List[Tuple[int, int, Elem]]:
-        """(row, column, entry) with the positions in x_at[dst] and x_at[src]."""
-        return [(ri, ci, e) for ri, u in enumerate(x_at[dst]) for ci, v in enumerate(x_at[src])
-                if (e := _at(mat, u, v)) is not None]
-
-    point_sigma = {p: entries(sigma.letter_decoration(p, (1, 0)), p, p)
-                   for p in b.point_order if not b.factor(p).is_trivial}
-    arrow_sigma = {a.name: entries(sigma.letter_arrow(a.name), a.source, a.target)
-                   for a in b.solid_arrows()}
-
-    def assemble(N: Rep, roffs: List[int], coffs: List[int], src: str, dst: str, ents) -> Mat:
-        """The matrix of one letter on F^X(N), with N's block at each
-        sigma entry; an entry whose row or column block N leaves empty
-        writes nothing, so it is skipped."""
-        out = Mat(N.ring, roffs[-1], coffs[-1])
-        if not out.rows or not out.cols:
-            return out
-        for ri, ci, e in ents:
-            r0, c0, c1 = roffs[ri], coffs[ci], coffs[ci + 1]
-            if r0 == roffs[ri + 1] or c0 == c1:
-                continue
-            blk = N.elem_action(e, x_at[src][ci].summand.label, x_at[dst][ri].summand.label)
-            for i, row in enumerate(blk.data):
-                out.data[r0 + i][c0:c1] = row
-        return out
-
-    def apply_rep(N: Rep) -> Rep:
-        offs = {p: list(itertools.accumulate([0] + [N.dims[x.summand.label] for x in x_at[p]]))
-                for p in b.point_order}
-        return Rep(dit, {p: offs[p][-1] for p in b.point_order},
-                   {a.name: assemble(N, offs[a.target], offs[a.source], a.source, a.target,
-                                     arrow_sigma[a.name]) for a in b.solid_arrows()},
-                   {p: assemble(N, offs[p], offs[p], p, p, ents)
-                    for p, ents in point_sigma.items()},
-                   ring=N.ring)
-
     functor = ReductionFunctor(kind="admissible", source=dit, target=new_dit,
-                               apply_rep=apply_rep, dim_scale=adm.c_x)
+                               apply_rep=pullback(dit, sigma), dim_scale=adm.c_x)
     return new_dit, functor

@@ -491,7 +491,7 @@ class QuotientPresentation:
     `reduce0` rewrites degree-0 elements to their residue modulo I, read off
     the generated ideal `ideal` built once with the quotient;
     `dashed_kernel` lists W1-supported elements of IV + delta(I) + VI (the
-    identifications defining V-bar)."""
+    identifications defining V-bar), each once, in order of first occurrence."""
 
     dit: Dit
     reduced_delta: Dict[str, Elem]
@@ -551,7 +551,8 @@ def quotient(dit: Dit) -> QuotientPresentation:
                     e = e + sp.scale(c)
             if not e.is_zero():
                 dashed_kernel.append(e)
-    return QuotientPresentation(dit, reduced_delta, dashed_kernel, gi)
+    # the windows overlap, so one element may come from several: list it once
+    return QuotientPresentation(dit, reduced_delta, list(dict.fromkeys(dashed_kernel)), gi)
 
 
 # -- lifting a differential -------------------------------------------------

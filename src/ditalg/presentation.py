@@ -125,8 +125,12 @@ def parse_poly_fraction(F: Field, s: str) -> Tuple[Poly, Poly]:
 def coefficient_value(F: Field, ring: Optional[LocalizedRing], s: str, where: str = ""):
     """The value of the coefficient string `s`: a field scalar when `ring` is
     None (at a trivial point, or in a module matrix), else an element of
-    `ring`.  The ParseError for a non-scalar names `where`, or else `s`."""
+    `ring`.  The fraction is read in lowest terms, with a monic denominator,
+    so x/x is 1.  The ParseError for a non-scalar names `where`, or else
+    `s`."""
     num, den = parse_poly_fraction(F, s)
+    g = num.gcd(den).scale(den.leading())
+    num, den = num // g, den // g
     if ring is None:
         if num.degree > 0 or den.degree > 0:
             raise ParseError("expected a scalar, not an expression in x", where or s)

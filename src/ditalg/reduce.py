@@ -1,24 +1,25 @@
 """The reduction calculus.  Each reduction F: Mod(A', I') -> Mod(A, I) comes
-from a morphism phi of tensor algebras, and its target presentation is the
-pushforward of delta and I along phi (`_pushforward`).  phi keeps the points of
-the target bigraph and kills the others; a reduction names only the generators
-it changes, and every other generator goes to the target arrow of the same
+from an algebra map of tensor algebras given on letters, and `LetterMap` is
+the one engine for all of them: it renames the words whose letters all go
+to single letters, multiplies out the rest, and `pullback` makes the functor
+on modules from its letter images.  The pushforward of delta and I along
+phi (`_pushforward`) uses the letter map with one vector per kept point:
+phi kills the other points, a reduction names only the generators it
+changes, and every other generator goes to the target arrow of the same
 name or to zero.  A fixed letter keeps its name, endpoints and kind between
-points whose factor is unchanged.  The pushforward copies a word made of
-fixed letters verbatim, which is exact because its decorations are already
-canonical basis keys of the same factor rings; only the words through a
-changed letter or point are multiplied out again.  Deletion,
+points whose factor is unchanged, and renames to itself.  Deletion,
 regularization, factoring out and base change of a solid arm go through
-`induced_reduction`, and absorption and source detachment have their own
-object formulas.  Admissible-module reduction lives in `admissible`.  Each
-step returns a ReductionFunctor, which maps target-side modules back to the
-source category."""
+`induced_reduction`; absorption and source detachment push along phi but
+keep their own functors.  Admissible-module reduction (`admissible`) runs
+the same engine over the dual basis of X.  Each step returns a
+ReductionFunctor, which maps target-side modules back to the source
+category."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bigraph import Bigraph, Factor
 from .interlace import (
@@ -82,133 +83,310 @@ def compose_functors(steps: Sequence[ReductionFunctor]) -> ReductionFunctor:
                             dim_scale=math.prod(s.dim_scale for s in steps))
 
 
+# -- the letter map -------------------------------------------------------------
+
+
+# a letter-image matrix: row -> column -> nonzero entry
+Sparse = Dict[int, Dict[int, Elem]]
+
+
+class LetterMap:
+    """An algebra map T(src) -> Mat(T(tgt)) of tensor algebras, given on
+    letters: the one engine for the maps that induce the reductions
+    (Bautista, Salmeron & Zuazua, Differential Tensor Algebras and their
+    Module Categories, 2009).  The pushforward's phi has one vector per kept
+    point (`_point_map`), the admissible sigma the dual basis of X
+    (`admissible.sigma_map`).  `vectors[p]` lists the vectors (rows and
+    columns) at the source point p and `labels[i]` is the target point of
+    vector i.  `letter(name)` and `decoration(point, key)` are the images,
+    sparse matrices {row: {column: Elem}}, each made once; they run between
+    the labels of their rows and columns, so a unit decoration is never
+    multiplied.
+
+    A word whose letters are all in `renaming` (letters between one-vector
+    points, each to one target letter with scalar one) and whose decorations
+    all pass (a unit at a one-vector point, any at a point of `passing`) is
+    renamed: its image is the word of the renamed letters with the same
+    decorations, the product the multiplication would return, and the
+    source word itself under a map that renames everything to itself.  Any
+    other word's image is its last letter's times its prefix's, or its
+    prefix's with a renamed last letter appended to each word, made once in
+    a memo that lives as long as the map (one reduction step).  Terms keep
+    the order of a chain of sums: `regularize` picks the first unit pivot
+    in term order."""
+
+    def __init__(self, src: Bigraph, tgt: Bigraph, vectors: Dict[str, Sequence[int]],
+                 labels: Sequence[str], letter: Callable[[str], Sparse],
+                 decoration: Callable[[str, Tuple[int, int]], Sparse],
+                 renaming: Dict[str, str], passing: FrozenSet[str]):
+        self.src, self.target, self.F = src, tgt, tgt.field
+        self.vectors, self.labels = vectors, labels
+        self._letter, self._decoration = letter, decoration
+        self.renaming, self.passing = renaming, passing
+        # the vector of each one-vector point, and the renamed letters whose
+        # words keep every decoration
+        self._at = {p: vs[0] for p, vs in vectors.items() if len(vs) == 1}
+        self._plain = frozenset(renaming)
+        self._kept = frozenset(n for n in renaming if src.arrows[n].source in passing
+                               and src.arrows[n].target in passing)
+        self._identity = (all(n == t for n, t in renaming.items())
+                          and all(labels[i] == p for p, i in self._at.items()))
+        self._memo: Dict[object, Sparse] = {}
+
+    def letter(self, name: str) -> Sparse:
+        out = self._memo.get(name)
+        if out is None:
+            out = self._memo[name] = self._letter(name)
+        return out
+
+    def decoration(self, point: str, key: Tuple[int, int]) -> Sparse:
+        out = self._memo.get((point, key))
+        if out is None:
+            out = self._memo[point, key] = self._decoration(point, key)
+        return out
+
+    def _renames(self, w: Word) -> bool:
+        if w.arrows:
+            return self._kept.issuperset(w.arrows) or (
+                self._plain.issuperset(w.arrows) and w.coeffs.count(UNIT) == len(w.coeffs))
+        return w.start in self._at and (w.coeffs[0] == UNIT or w.start in self.passing)
+
+    def _rename(self, w: Word) -> Word:
+        if self._identity:
+            return w
+        return Word(self.labels[self._at[w.start]], tuple(map(self.renaming.__getitem__, w.arrows)),
+                    w.coeffs)
+
+    def _word(self, w: Word) -> Sparse:
+        """The image of the decorated word w."""
+        out = self._memo.get(w)
+        if out is not None:
+            return out
+        end = self.src.arrows[w.arrows[-1]].target if w.arrows else w.start
+        if self._renames(w):
+            renamed = Elem.nonzero(self.target, {self._rename(w): self.F.one})
+            out = {self._at[end]: {self._at[w.start]: renamed}}
+        elif not w.arrows:
+            out = self.decoration(w.start, w.coeffs[0])
+        else:
+            last, key = w.arrows[-1], w.coeffs[-1]
+            if len(w.arrows) == 1 and w.coeffs[0] == UNIT and last not in self._plain:
+                out = self.letter(last)
+            else:
+                prefix = self._word(Word(w.start, w.arrows[:-1], w.coeffs[:-1]))
+                if last not in self._plain:
+                    out = self._mat_mul(self.letter(last), prefix)
+                else:   # appended with the last decoration when it passes
+                    k, key = (key, UNIT) if key == UNIT or end in self.passing else (UNIT, key)
+                    out = self._appended(prefix, last, k)
+            if key != UNIT:
+                out = self._mat_mul(self.decoration(end, key), out)
+        self._memo[w] = out
+        return out
+
+    def _appended(self, prefix: Sparse, name: str, key: Tuple[int, int]) -> Sparse:
+        """The product of the renamed letter `name`, followed by the
+        decoration `key`, with the image `prefix`: the renamed letter and
+        the key appended to each of its words."""
+        a = self.src.arrows[name]
+        row = prefix.get(self._at[a.source])
+        if not row:
+            return {}
+        t = self.renaming[name]
+        return {self._at[a.target]: {
+            v: Elem.nonzero(self.target, {Word(w.start, w.arrows + (t,), w.coeffs + (key,)): c
+                                          for w, c in e.terms.items()})
+            for v, e in row.items()}}
+
+    def _mat_mul(self, a: Sparse, c: Sparse) -> Sparse:
+        """a * c over the nonzero entries, each sum taken in ascending k."""
+        out: Sparse = {}
+        for i, row in a.items():
+            acc: Dict[int, Elem] = {}
+            for k in sorted(row):
+                for j, e in c.get(k, {}).items():
+                    prod = row[k] * e
+                    if prod.terms:
+                        acc[j] = acc[j] + prod if j in acc else prod
+            if kept := {j: e for j, e in acc.items() if e.terms}:
+                out[i] = kept
+        return out
+
+    def _accumulate(self, elem: Elem, cell: Callable[[int, int], Dict[Word, object]]):
+        """Add each term of the image of elem to the dictionary cell(row,
+        column) of its entry, in order: a renamed word with its scalar, and
+        the entries of every other word's image scaled by its scalar."""
+        F, at, arrows = self.F, self._at, self.src.arrows
+        one = F.one
+        for w, c in elem.terms.items():
+            if self._renames(w):
+                end = arrows[w.arrows[-1]].target if w.arrows else w.start
+                add_term(F, cell(at[end], at[w.start]), self._rename(w), c)
+                continue
+            for u, row in self._word(w).items():
+                for v, e in row.items():
+                    terms = cell(u, v)
+                    for t, s in e.terms.items():
+                        add_term(F, terms, t, c if s == one else s if c == one else F.mul(c, s))
+
+    def expand(self, elem: Elem) -> Sparse:
+        """The image of an element, each entry accumulated in one dictionary."""
+        total: Dict[int, Dict[int, Dict[Word, object]]] = {}
+        self._accumulate(elem, lambda u, v: total.setdefault(u, {}).setdefault(v, {}))
+        return {u: kept for u, row in total.items()
+                if (kept := {v: Elem.nonzero(self.target, terms)
+                             for v, terms in row.items() if terms})}
+
+    def renamed(self, elem: Elem) -> Optional[Elem]:
+        """The image of an element every word of which is renamed, in one
+        pass over its terms; None for any other element."""
+        if not all(map(self._renames, elem.terms)):
+            return None
+        if self._identity:
+            return Elem.nonzero(self.target, dict(elem.terms))
+        out: Dict[Word, object] = {}
+        for w, c in elem.terms.items():
+            add_term(self.F, out, self._rename(w), c)
+        return Elem.nonzero(self.target, out)
+
+    def push(self, elem: Elem) -> Elem:
+        """The sum of the entries of the image of elem, accumulated in one
+        dictionary, or its image `renamed` whole: the image itself under a
+        map with one vector per point, the one entry between one-vector
+        points."""
+        whole = self.renamed(elem)
+        if whole is not None:
+            return whole
+        out: Dict[Word, object] = {}
+        self._accumulate(elem, lambda u, v: out)
+        return Elem.nonzero(self.target, out)
+
+
+def pullback(dit: Dit, lm: LetterMap) -> Callable[[Rep], Rep]:
+    """The module functor of a letter map: N over the target goes to the
+    module over `dit` that is the sum of N at the labels of a point's
+    vectors, and whose solid letters and x-actions act by the block matrix
+    of N's action of their image entries, built where N has support at both
+    ends of a block.  N's own matrix is read for a renamed letter, for x at
+    a point of `passing`, and for a block that fills its matrix."""
+    b = dit.bigraph
+    labels = lm.labels
+    pos = {i: k for vs in lm.vectors.values() for k, i in enumerate(vs)}
+    at = {p: [labels[i] for i in lm.vectors[p]] for p in b.point_order}
+
+    def entries(m: Sparse) -> List[Tuple[int, int, str, str, Elem]]:
+        """(row position, column position, column label, row label, entry)"""
+        return [(pos[u], pos[v], labels[v], labels[u], e) for u, row in m.items()
+                for v, e in row.items()]
+
+    # (name, renamed name, or None and the image entries, source, target)
+    arrows = [(a.name, lm.renaming.get(a.name), a.source, a.target) for a in b.solid_arrows()]
+    arrows = [(n, r, None if r else entries(lm.letter(n)), s, t) for n, r, s, t in arrows]
+    xs = {p: None if p in lm.passing else entries(lm.decoration(p, (1, 0)))
+          for p in b.point_order if not b.factor(p).is_trivial}
+
+    def apply_rep(N: Rep) -> Rep:
+        dims = N.dims.__getitem__
+        offs = {}
+        for p, labs in at.items():
+            offs[p] = o = [0]
+            for lab in labs:
+                o.append(o[-1] + dims(lab))
+
+        def assemble(ents, s: str, t: str) -> Mat:
+            ro, co = offs[t], offs[s]
+            out = Mat(N.ring, ro[-1], co[-1])
+            for ri, ci, ls, lt, e in ents:
+                if ro[ri] < ro[ri + 1] and co[ci] < co[ci + 1]:
+                    blk = N.elem_action(e, ls, lt)
+                    if (blk.rows, blk.cols) == (out.rows, out.cols):
+                        return blk
+                    for i, row in enumerate(blk.data):
+                        out.data[ro[ri] + i][co[ci]:co[ci + 1]] = row
+            return out
+
+        return Rep(dit, {p: o[-1] for p, o in offs.items()},
+                   {n: N.arrow_ops[r] if r else assemble(ents, s, t)
+                    for n, r, ents, s, t in arrows},
+                   {p: N.point_ops[at[p][0]] if ents is None else assemble(ents, p, p)
+                    for p, ents in xs.items()},
+                   ring=N.ring)
+
+    return apply_rep
+
+
 # -- the pushforward along phi -------------------------------------------------
 
 
-def _fixed_letters(src: Bigraph, tgt: Bigraph, changed: Dict[str, Elem],
-                   lifts: Dict[str, Elem]) -> Tuple[FrozenSet[str], FrozenSet[str]]:
-    """(same, fixed): the points of `tgt` whose factor is unchanged, and the
-    generators that phi sends to the target arrow of the same name, with the
-    same endpoints and kind, between two such points (the fixed letters)."""
+def _image(tgt: Bigraph, changed: Dict[str, Elem], s: str) -> Elem:
+    """phi on a generator: its image in `changed`, else the target arrow of
+    the same name, else zero."""
+    return changed[s] if s in changed else Elem.arrow(tgt, s) if s in tgt.arrows else Elem.zero(tgt)
+
+
+def _point_map(src: Bigraph, tgt: Bigraph, changed: Dict[str, Elem],
+               lifts: Dict[str, Elem]) -> LetterMap:
+    """phi: T(src) -> T(tgt) as the letter map with one vector per point of
+    `tgt`, which kills the other points and sends each generator to
+    `_image`, read when first asked for.  A fixed letter keeps its name,
+    endpoints and kind between two points whose factor is unchanged: it
+    renames to itself, and every decoration passes at those points, as a
+    canonical basis key of the same factor ring."""
     same = frozenset(p for p, fac in tgt.points.items() if src.points.get(p) == fac)
-    fixed = frozenset(s for s, a in src.arrows.items()
-                      if s not in changed and s not in lifts and tgt.arrows.get(s) == a
-                      and a.source in same and a.target in same)
-    return same, fixed
+    fixed = {s: s for s, a in src.arrows.items()
+             if s not in changed and s not in lifts and tgt.arrows.get(s) == a
+             and a.source in same and a.target in same}
+    points = [p for p in src.point_order if p in tgt.points]
+    at = {p: i for i, p in enumerate(points)}
 
+    def letter(s: str) -> Sparse:
+        a, img = src.arrows[s], _image(tgt, changed, s)
+        live = img.terms and a.source in at and a.target in at
+        return {at[a.target]: {at[a.source]: img}} if live else {}
 
-def _map_elem(src: Bigraph, tgt: Bigraph, images: Dict[str, Elem], elem: Elem,
-              same: FrozenSet[str] = frozenset(),
-              fixed: FrozenSet[str] = frozenset()) -> Elem:
-    """Push an element of T(src) through the graded algebra morphism that
-    keeps the points of `tgt`, kills the others, sends each fixed letter to
-    itself and every other generator to its image in `images` (zero when it
-    has none).  A word whose letters are all fixed, or a word with no arrows
-    at a point of `same`, is copied verbatim: each letter goes to the plain
-    arrow of the same name, and a decoration is a canonical basis key of an
-    unchanged factor ring, so multiplying the images back together returns
-    the word itself.  An element made only of such words is copied whole;
-    otherwise the terms accumulate in one dictionary, where a word seen for
-    the first time is stored as it comes (a product of nonzero scalars).
-    Each image runs between the endpoints of its generator, so a unit
-    decoration after a letter is not multiplied."""
-    F = tgt.field
-    one = F.one
+    def decoration(p: str, key: Tuple[int, int]) -> Sparse:
+        live = p in at and (key == UNIT or tgt.factor_ring(p) is not None)
+        return {at[p]: {at[p]: Elem.from_word(tgt, Word(p, (), (key,)))}} if live else {}
 
-    def verbatim(w: Word) -> bool:
-        return fixed.issuperset(w.arrows) if w.arrows else w.start in same
-
-    if all(verbatim(w) for w in elem.terms):
-        return Elem.nonzero(tgt, dict(elem.terms))
-    out: Dict[Word, object] = {}
-    for w, c in elem.terms.items():
-        if verbatim(w):
-            add_term(F, out, w, c)
-            continue
-        if w.start not in tgt.points:
-            continue
-        if tgt.factor(w.start).is_trivial and w.coeffs[0] != UNIT:
-            continue
-        cur = Elem(tgt, {Word(w.start, (), (w.coeffs[0],)): F.one})
-        n, i = len(w.arrows), 0
-        while i < n:
-            name = w.arrows[i]
-            if name in fixed:  # appending a run of fixed letters multiplies nothing out
-                j = i + 1
-                while j < n and w.arrows[j] in fixed:
-                    j += 1
-                run, keys = w.arrows[i:j], w.coeffs[i + 1:j + 1]
-                cur = Elem.nonzero(tgt, {Word(u.start, u.arrows + run, u.coeffs + keys): v
-                                         for u, v in cur.terms.items()})
-                i = j
-                continue
-            nxt = src.arrows[name].target
-            img = images.get(name)
-            if img is None or img.is_zero() or nxt not in tgt.points:
-                break
-            cur = img * cur
-            if w.coeffs[i + 1] != UNIT:  # a unit decoration at nxt multiplies nothing out
-                cur = Elem(tgt, {Word(nxt, (), (w.coeffs[i + 1],)): F.one}) * cur
-            i += 1
-        else:
-            for u, v in cur.terms.items():
-                add_term(F, out, u, v if c == one else c if v == one else F.mul(c, v))
-    return Elem.nonzero(tgt, out)
-
-
-def _generator_images(src: Bigraph, tgt: Bigraph, changed: Dict[str, Elem],
-                      fixed: FrozenSet[str] = frozenset()) -> Dict[str, Elem]:
-    """phi on every generator of `src` but the fixed letters: its image in
-    `changed`, else the target arrow of the same name, else zero."""
-    zero = Elem.zero(tgt)
-    return {s: changed[s] if s in changed else
-            Elem.arrow(tgt, s) if s in tgt.arrows else zero
-            for s in src.arrows if s not in fixed}
+    return LetterMap(src, tgt, {p: [at[p]] if p in at else [] for p in src.point_order}, points,
+                     letter, decoration, fixed, same)
 
 
 def _pushforward(dit: Dit, tgt: Bigraph, changed: Dict[str, Elem], name: str,
-                 lifts: Optional[Dict[str, Elem]] = None) -> Dit:
-    """The target presentation of the reduction along phi: T(dit) -> T(tgt),
-    which keeps the points of `tgt`, kills the others, fixes the letters that
-    `_fixed_letters` names and sends the other generators as
-    `_generator_images` says.  delta'(t) = phi(delta(lifts[t])) for a lifted
-    t and phi(delta(t)) otherwise; I' is generated by phi(I).  The fixed set
-    is derived once, so each push copies the all-fixed words verbatim.  A
-    value of a target arrow with the name, endpoints and kind it has in the
-    source, made only of fixed letters, is copied whole and not validated
-    again: the source presentation validated it, and fixed letters keep
-    their kind and endpoints.  Every other value is validated.
-    Raises ReductionError on a target arrow that is neither lifted nor a
-    source generator, on an image that does not run between the endpoints
-    of its generator, and unless delta' phi = phi delta on every generator
-    other than a fixed letter, where it holds by definition."""
+                 lifts: Optional[Dict[str, Elem]] = None) -> Tuple[Dit, LetterMap]:
+    """The target presentation of the reduction along phi (`_point_map`),
+    and phi: delta'(t) = phi(delta(lifts[t])) for a lifted t and
+    phi(delta(t)) otherwise; I' is generated by phi(I).  A value of a target
+    arrow with the name, endpoints and kind it has in the source, every word
+    of which phi renames, is not validated again: the source presentation
+    validated it, and fixed letters keep their kind and endpoints.  Every
+    other value is validated.  Raises ReductionError on a target arrow that
+    is neither lifted nor a source generator, on an image that does not run
+    between the endpoints of its generator, and unless delta' phi = phi
+    delta on every generator other than a fixed letter, where it holds by
+    definition."""
     b = dit.bigraph
     lifts = lifts or {}
-    same, fixed = _fixed_letters(b, tgt, changed, lifts)
-    images = _generator_images(b, tgt, changed, fixed)
-
-    def push(e: Elem) -> Elem:
-        return _map_elem(b, tgt, images, e, same, fixed)
-
+    phi = _point_map(b, tgt, changed, lifts)
     values: Dict[str, Elem] = {}
     copied = set()
     for t, arr in tgt.arrows.items():
         if t in lifts:
-            values[t] = push(dit.delta.apply(lifts[t]))
+            values[t] = phi.push(dit.delta.apply(lifts[t]))
         elif t in b.arrows:
             v = dit.delta.of_arrow(t)
-            if b.arrows[t] == arr and all(fixed.issuperset(w.arrows) for w in v.terms):
-                values[t] = Elem.nonzero(tgt, dict(v.terms))  # what push(v) returns
+            whole = phi.renamed(v) if b.arrows[t] == arr else None
+            if whole is not None:
                 copied.add(t)
-            else:
-                values[t] = push(v)
+            values[t] = phi.push(v) if whole is None else whole
         else:
             raise ReductionError(f"target arrow {t} is neither lifted nor a source generator")
     layer = Layer(tgt)
     delta = Differential(layer, values, _copied=copied)
-    # `_map_elem` skips a unit decoration after a letter on this condition;
-    # checked after the validation above, which names a target arrow moved
-    # to other endpoints when its own value shows the move
+    # the letter map skips a unit decoration after a letter on this
+    # condition; checked after the validation above, which names a target
+    # arrow moved to other endpoints when its own value shows the move
+    images = {s: _image(tgt, changed, s) for s in b.arrows if s not in phi.renaming}
     for s, img in images.items():
         a = b.arrows[s]
         if any(w.start != a.source or w.end(tgt) != a.target for w in img.terms):
@@ -217,12 +395,12 @@ def _pushforward(dit: Dit, tgt: Bigraph, changed: Dict[str, Elem], name: str,
     # its name has that value in values[s] already, built above
     for s, img in images.items():
         kept = s not in changed and s not in lifts and s in tgt.arrows
-        if (values[s] if kept else push(dit.delta.of_arrow(s))) != delta.apply(img):
+        if (values[s] if kept else phi.push(dit.delta.of_arrow(s))) != delta.apply(img):
             raise ReductionError(f"commuting square fails at generator {s}")
-    ideal = [g2 for g2 in (push(g) for g in dit.ideal.generators) if not g2.is_zero()]
+    ideal = [g2 for g2 in map(phi.push, dit.ideal.generators) if not g2.is_zero()]
     new_dit = Dit(layer, delta, IdealData(ideal), name=name)
     inherit_certificates(dit, new_dit)
-    return new_dit
+    return new_dit, phi
 
 
 def induced_reduction(dit: Dit, target_bigraph: Bigraph, changed: Dict[str, Elem],
@@ -232,30 +410,10 @@ def induced_reduction(dit: Dit, target_bigraph: Bigraph, changed: Dict[str, Elem
                       ) -> Tuple[Dit, ReductionFunctor]:
     """Reduction along phi, which sends the generators named in `changed` to
     their given images and fixes the rest (see `_pushforward`); a module N
-    over the target goes to phi^* N, which reads a fixed letter's matrix off
-    N directly and builds every other matrix once, acting by an image only
-    where N has support at both of its ends."""
-    b = dit.bigraph
-    tgt = target_bigraph
-    new_dit = _pushforward(dit, tgt, changed, name, lifts)
-
-    def apply_rep(N: Rep) -> Rep:
-        dims = {p: N.dims[p] if p in tgt.points else 0 for p in b.point_order}
-        arrow_ops = {}
-        for arr in b.solid_arrows():
-            img = changed.get(arr.name)
-            rows, cols = dims[arr.target], dims[arr.source]
-            if img is None and arr.name in tgt.arrows:
-                arrow_ops[arr.name] = N.arrow_ops[arr.name]
-            elif img is not None and rows and cols and not img.is_zero():
-                arrow_ops[arr.name] = N.elem_action(img, arr.source, arr.target)
-            else:
-                arrow_ops[arr.name] = Mat(N.ring, rows, cols)
-        point_ops = {p: N.point_ops[p] if p in tgt.points else Mat(N.ring, 0, 0)
-                     for p in b.point_order if not b.factor(p).is_trivial}
-        return Rep(dit, dims, arrow_ops, point_ops, ring=N.ring)
-
-    functor = ReductionFunctor(kind=kind, source=dit, target=new_dit, apply_rep=apply_rep)
+    over the target goes to phi^* N (`pullback`)."""
+    new_dit, phi = _pushforward(dit, target_bigraph, changed, name, lifts)
+    functor = ReductionFunctor(kind=kind, source=dit, target=new_dit,
+                               apply_rep=pullback(dit, phi))
     return new_dit, functor
 
 
@@ -335,9 +493,10 @@ def regularize(dit: Dit, solid_selection: Sequence[str],
 
     # phi on the pivot arrows: v_pivot = c^-1 (delta(a) - other terms) |->
     # -c^-1 phi(other terms), so that delta(a) maps to zero; the triangular
-    # system is solved pass by pass, each pass solving at least one pivot.
-    same, fixed = _fixed_letters(b, tgt, {}, {})
-    phi = _generator_images(b, tgt, {}, fixed)
+    # system is solved pass by pass, each pass solving at least one pivot,
+    # and phi reads a pivot's image only once it is solved.
+    changed: Dict[str, Elem] = {}
+    phi = _point_map(b, tgt, changed, {})
     pending = {pivots[a]: images[a] for a in pivots}
     for _ in range(len(pending)):
         for vp, img in list(pending.items()):
@@ -345,13 +504,12 @@ def regularize(dit: Dit, solid_selection: Sequence[str],
             rest = {w: c for w, c in img.terms.items() if w != piv}
             if any(w.arrows[0] in pending for w in rest):
                 continue
-            phi[vp] = _map_elem(b, tgt, phi, Elem(b, rest), same, fixed).scale(
-                F.neg(F.inv(img.terms[piv])))
+            changed[vp] = phi.push(Elem(b, rest)).scale(F.neg(F.inv(img.terms[piv])))
             del pending[vp]
     if pending:
         raise ReductionError("could not triangularize the dashed base change")
-    return induced_reduction(dit, tgt, {vp: phi[vp] for vp in pivots.values()},
-                             name=name or f"{dit.name}^r", kind="regularization")
+    return induced_reduction(dit, tgt, changed, name=name or f"{dit.name}^r",
+                             kind="regularization")
 
 
 # -- factoring out a direct summand of W0 ---------------------------------------
@@ -402,10 +560,10 @@ def absorb(dit: Dit, loop_arrow: str, name: str = "") -> Tuple[Dit, ReductionFun
                          if a.name != loop_arrow],
                   dashed=[(a.name, a.source, a.target) for a in b.dashed_arrows()])
     x_elem = Elem.decorated(tgt, point, tgt.factor_ring(point).from_poly(Poly.x(b.field)))
-    new_dit = _pushforward(dit, tgt, {loop_arrow: x_elem}, name or f"{dit.name}^a")
+    new_dit, _ = _pushforward(dit, tgt, {loop_arrow: x_elem}, name or f"{dit.name}^a")
 
     # N's matrices are reinterpreted as they are, which is cheaper than the
-    # generic phi^* of `induced_reduction`
+    # generic `pullback`
     def apply_rep(N: Rep) -> Rep:
         arrow_ops = {a.name: N.point_ops[point] if a.name == loop_arrow else
                      N.arrow_ops[a.name] for a in b.solid_arrows()}
@@ -440,7 +598,7 @@ def detach_source(dit: Dit, point: str, name: str = "") -> Tuple[Dit, ReductionF
         raise ReductionError(f"{point} is not a source of (A, I)")
     # a source has no arrow into it
     tgt = b.without(arrows=[a.name for a in b.arrows_from(point)])
-    new_dit = _pushforward(dit, tgt, {}, name or f"{dit.name}^o")
+    new_dit, _ = _pushforward(dit, tgt, {}, name or f"{dit.name}^o")
 
     def res_rep(M: Rep) -> Rep:
         return Rep(new_dit, dict(M.dims),

@@ -19,7 +19,10 @@ script code, not by the tests alone.  `tensor.Elem` is the one
 word algebra: no other class keeps a `terms` attribute or slot.  `certify`
 and `inherit_certificates` are the only writers of certificate flags.
 `IsoClassIndex` is the one isomorphism-class index: no function outside it
-calls `_indec_iso` inside a loop, which would match summands on its own."""
+calls `_indec_iso` inside a loop, which would match summands on its own.
+`reduce.LetterMap` is the one letter-map engine: no function or method
+outside it has a name that ends in `mat_mul`, `expand` or `map_elem`, which
+would mark a second sparse letter-image product or word expansion."""
 
 import ast
 import collections
@@ -338,3 +341,22 @@ def _indec_iso_in_a_loop(tree):
 def test_one_isomorphism_class_index():
     offenders = {str(p.relative_to(SRC)): _indec_iso_in_a_loop(_tree(p)) for p in MODULES}
     assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def _letter_map_engines(tree):
+    """Functions and methods, at any depth, outside the class `LetterMap`
+    whose names mark a sparse letter-image product or a word expansion."""
+    engine = {id(n) for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and cls.name == "LetterMap" for n in ast.walk(cls)}
+    return sorted(node.name for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and id(node) not in engine
+                  and node.name.endswith(("mat_mul", "expand", "map_elem")))
+
+
+def test_one_letter_map_engine():
+    offenders = {str(p.relative_to(SRC)): _letter_map_engines(_tree(p)) for p in MODULES}
+    assert {k: v for k, v in offenders.items() if v} == {}
+    [engine] = [cls for cls in ast.walk(_tree(SRC / "reduce.py"))
+                if isinstance(cls, ast.ClassDef) and cls.name == "LetterMap"]
+    assert {"_mat_mul", "expand"} <= {n.name for n in engine.body
+                                     if isinstance(n, ast.FunctionDef)}

@@ -11,10 +11,10 @@ from ditalg.cli import main
 from ditalg.interlace import certify
 from ditalg.modcat import Rep, hom_dim
 from ditalg.presentation import (
-    ParseError, emit_elem, emit_module, emit_presentation, parse_elem, parse_module,
-    parse_poly_fraction, parse_presentation,
+    ParseError, coefficient_value, emit_elem, emit_module, emit_presentation, parse_elem,
+    parse_module, parse_poly_fraction, parse_presentation,
 )
-from ditalg.scalars import Poly, PrimeField, QQ
+from ditalg.scalars import LocalizedRing, Poly, PrimeField, QQ
 from ditalg.scalars.linalg import Mat
 from ditalg.tensor import Elem, graded_component_basis
 
@@ -60,6 +60,22 @@ def test_dividing_by_a_constant_keeps_q_values_canonical():
     assert num.coeffs == (2,) and type(num.coeffs[0]) is int and den == Poly.one(QQ)
     num, den = parse_poly_fraction(QQ, "1/(x+1)")
     assert num == Poly.one(QQ) and den == Poly.from_ints(QQ, [1, 1])
+
+
+def test_a_coefficient_is_read_in_lowest_terms():
+    # a fraction whose factors cancel is its reduced value: a scalar at a
+    # trivial point, a polynomial at k[x]; 1/x is still not in k[x]
+    F = PrimeField(3)
+    ring = LocalizedRing(F, ())
+    assert coefficient_value(F, None, "x/x") == F.one
+    assert coefficient_value(F, None, "(2*x)/x") == F.from_int(2)
+    assert coefficient_value(F, None, "x/(2*x)") == F.from_int(2)
+    assert coefficient_value(F, None, "0/x") == F.zero
+    assert coefficient_value(F, ring, "(x^2-1)/(x-1)") == ring.from_poly(Poly.from_ints(F, [1, 1]))
+    with pytest.raises(ParseError, match="is not invertible"):
+        coefficient_value(F, ring, "1/x")
+    with pytest.raises(ParseError, match="expected a scalar"):
+        coefficient_value(F, None, "x^2/x")
 
 
 PARSE_ERRORS = {

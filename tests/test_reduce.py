@@ -224,6 +224,25 @@ def test_absorb_guard_nonzero_delta():
         absorb(d, "a")  # not a loop
 
 
+@pytest.mark.parametrize("case, message", [
+    ("delta", r"needs delta\(loop\) = 0"), ("rational", "must currently be trivial"),
+    ("ideal", "loop occurs in an ideal generator")])
+def test_absorb_guards(case, message):
+    # absorption refuses a loop with a nonzero differential, a loop at a
+    # point that is rational already, and a loop inside an ideal generator
+    from ditalg.interlace import Dit, IdealData
+    from ditalg.tensor import Differential, Elem, Layer
+
+    fac = Factor.rational([]) if case == "rational" else Factor.trivial()
+    b = Bigraph(F3, [("1", fac)], solid=[("ell", "1", "1")], dashed=[("w", "1", "1")])
+    layer = Layer(b)
+    ell = Elem.arrow(b, "ell")
+    d = Dit(layer, Differential(layer, {"ell": Elem.arrow(b, "w")} if case == "delta" else {}),
+            IdealData([ell * ell] if case == "ideal" else []))
+    with pytest.raises(ReductionError, match=message):
+        absorb(d, "ell")
+
+
 # -- base change of a solid arm ------------------------------------------------------
 
 def _kronecker_arm(coeffs):
@@ -670,24 +689,42 @@ def _deletion_step(steps):
     return PlanStep(spec, functor, f"delete {heavy}")
 
 
-def test_verbatim_copy_equals_the_full_push(monkeypatch):
-    # on every pushforward of these plans (and of stellar_case2's steps before
-    # its obstruction), copying the all-fixed words verbatim gives the same
-    # terms in the same order as pushing every word through phi; between them
-    # the plans reach every kind of step that goes through the pushforward
+def _full_map(phi):
+    """phi with no letter renamed and no decoration passing: every letter
+    of every word multiplied out through its image."""
+    from ditalg.reduce import LetterMap
+
+    return LetterMap(phi.src, phi.target, phi.vectors, phi.labels, phi.letter, phi.decoration,
+                     {}, frozenset())
+
+
+def _recording_pushforward(monkeypatch):
+    """(dit, tgt, changed, lifts, phi) of each `_pushforward` call from here on."""
     from ditalg import reduce
-    from ditalg.fixtures import exl, stellar_case1, stellar_case2
-    from ditalg.pipeline import Obstruction, reduce_to_minimal
-    from ditalg.scalars import QQ
 
     calls = []
     real = reduce._pushforward
 
     def recording(dit, tgt, changed, name, lifts=None):
-        calls.append((dit, tgt, changed, lifts or {}))
-        return real(dit, tgt, changed, name, lifts)
+        new_dit, phi = real(dit, tgt, changed, name, lifts)
+        calls.append((dit, tgt, changed, lifts or {}, phi))
+        return new_dit, phi
 
     monkeypatch.setattr(reduce, "_pushforward", recording)
+    return calls
+
+
+def test_verbatim_copy_equals_the_full_push(monkeypatch):
+    # on every pushforward of these plans (and of stellar_case2's steps before
+    # its obstruction), renaming the all-fixed words to themselves gives the
+    # same terms in the same order as multiplying every word out through phi;
+    # between them the plans reach every kind of step that goes through the
+    # pushforward
+    from ditalg.fixtures import exl, stellar_case1, stellar_case2
+    from ditalg.pipeline import Obstruction, reduce_to_minimal
+    from ditalg.scalars import QQ
+
+    calls = _recording_pushforward(monkeypatch)
     steps = []
     for dit, d in ((exk(QQ), 6), (exk(F3), 4), (exl(F2), 4), (stellar_case1(F3), 3),
                    (stellar_case2(F3), 2)):
@@ -697,16 +734,11 @@ def test_verbatim_copy_equals_the_full_push(monkeypatch):
     kinds = {s.functor.kind for s in steps}
     assert {"deletion", "regularization", "factor_out", "absorption", "basechange"} <= kinds
     copied = 0
-    for dit, tgt, changed, lifts in calls:
-        b = dit.bigraph
-        same, fixed = reduce._fixed_letters(b, tgt, changed, lifts)
-        fast = reduce._generator_images(b, tgt, changed, fixed)
-        full = reduce._generator_images(b, tgt, changed)
-        copied += len(fixed)
+    for dit, tgt, changed, lifts, phi in calls:
+        full = _full_map(phi)
+        copied += len(phi.renaming)
         for e in [*dit.delta.values.values(), *dit.ideal.generators]:
-            pushed = reduce._map_elem(b, tgt, fast, e, same, fixed)
-            assert list(pushed.terms.items()) == \
-                list(reduce._map_elem(b, tgt, full, e).terms.items())
+            assert list(phi.push(e).terms.items()) == list(full.push(e).terms.items())
     assert copied
 
 
@@ -734,41 +766,52 @@ def _reference_push(src, tgt, images, elem):
 
 
 def test_push_equals_the_reference_that_multiplies_every_decoration(monkeypatch):
-    # on every pushforward of these plans, _map_elem (which does not multiply
-    # by a unit decoration after a letter) gives the terms, in order, of the
-    # push that multiplies by every decoration; stellar_case1 pushes words
-    # with a decoration after a letter that is not fixed
+    # on every pushforward of these plans, phi (which does not multiply by a
+    # unit decoration after a letter), with and without its renamed letters,
+    # gives the terms, in order, of the push that multiplies by every
+    # decoration; stellar_case1 pushes words with a decoration after a
+    # letter that is not fixed
     from ditalg import reduce
     from ditalg.fixtures import stellar_case1
     from ditalg.pipeline import reduce_to_minimal
     from ditalg.scalars import QQ
     from ditalg.tensor import UNIT
 
-    calls = []
-    real = reduce._pushforward
-
-    def recording(dit, tgt, changed, name, lifts=None):
-        calls.append((dit, tgt, changed, lifts or {}))
-        return real(dit, tgt, changed, name, lifts)
-
-    monkeypatch.setattr(reduce, "_pushforward", recording)
+    calls = _recording_pushforward(monkeypatch)
     for dit, d in ((exk(QQ), 6), (exk(F3), 4), (stellar_case1(F3), 3)):
         reduce_to_minimal(dit, d)
     decorated = pushed = 0
-    for dit, tgt, changed, lifts in calls:
+    for dit, tgt, changed, lifts, phi in calls:
         b = dit.bigraph
-        same, fixed = reduce._fixed_letters(b, tgt, changed, lifts)
-        fast = reduce._generator_images(b, tgt, changed, fixed)
-        full = reduce._generator_images(b, tgt, changed)
+        images = {s: reduce._image(tgt, changed, s) for s in b.arrows}
+        full = _full_map(phi)
         for e in [*dit.delta.values.values(), *dit.ideal.generators,
                   *(dit.delta.apply(v) for v in lifts.values())]:
-            want = list(_reference_push(b, tgt, full, e).terms.items())
-            assert list(reduce._map_elem(b, tgt, full, e).terms.items()) == want
-            assert list(reduce._map_elem(b, tgt, fast, e, same, fixed).terms.items()) == want
+            want = list(_reference_push(b, tgt, images, e).terms.items())
+            assert list(full.push(e).terms.items()) == want
+            assert list(phi.push(e).terms.items()) == want
             decorated += sum(k != UNIT for w in e.terms
-                             for a, k in zip(w.arrows, w.coeffs[1:]) if a not in fixed)
+                             for a, k in zip(w.arrows, w.coeffs[1:]) if a not in phi.renaming)
             pushed += 1
     assert pushed and decorated
+
+
+def test_a_fixed_letter_after_a_multiplied_prefix_keeps_its_decoration():
+    # x b x a with a changed and b fixed between unchanged rational points:
+    # b and the x after it are appended to each word of phi(x a), which is
+    # the push that multiplies every letter and decoration
+    from ditalg import reduce
+    from ditalg.tensor import UNIT, Elem, Word
+
+    pts = [("1", Factor.trivial()), ("2", Factor.rational([])), ("3", Factor.rational([]))]
+    b = Bigraph(F3, pts, solid=[("a", "1", "2"), ("b", "2", "3")])
+    changed = {"a": Elem.arrow(b, "a", F3.from_int(2))}
+    phi = reduce._point_map(b, b, changed, {})
+    assert list(phi.renaming) == ["b"]
+    e = Elem.from_word(b, Word("1", ("a", "b"), (UNIT, (1, 0), (1, 0))))
+    want = _reference_push(b, b, {s: reduce._image(b, changed, s) for s in b.arrows}, e)
+    assert want == e.scale(F3.from_int(2))
+    assert list(phi.push(e).terms.items()) == list(want.terms.items())
 
 
 def _plan_steps():
@@ -824,14 +867,14 @@ def _full_absorption(dit, loop, N):
 def _full_admissible(dit, adm, tgt, N):
     """F^X(N) with every sigma entry of every letter sent through
     `elem_action`, whatever N's dimensions at its row and column blocks."""
-    from ditalg.admissible import SigmaExpander
+    from ditalg.admissible import sigma_map
 
     b = dit.bigraph
     x_at = {p: [x for x in adm.x_basis if x.point == p] for p in b.point_order}
     names = {(a.name, u.index, v.index): f"{a.name}[{u.label};{v.label}]"
              for a in b.arrows.values() if a.name not in adm.b_arrows
              for v in x_at[a.source] for u in x_at[a.target]}
-    sigma = SigmaExpander(adm, tgt, names, x_at)
+    sigma = sigma_map(adm, tgt, names, x_at)
     offs = {p: list(itertools.accumulate([0] + [N.dims[x.summand.label] for x in x_at[p]]))
             for p in b.point_order}
 
@@ -847,9 +890,9 @@ def _full_admissible(dit, adm, tgt, N):
         return out
 
     return _zero_then_overwrite(
-        dit, N, {a.name: full(sigma.letter_arrow(a.name), a.source, a.target)
+        dit, N, {a.name: full(sigma.letter(a.name), a.source, a.target)
                  for a in b.solid_arrows()},
-        {p: full(sigma.letter_decoration(p, (1, 0)), p, p)
+        {p: full(sigma.decoration(p, (1, 0)), p, p)
          for p in b.point_order if not b.factor(p).is_trivial},
         {p: offs[p][-1] for p in b.point_order})
 
@@ -942,10 +985,10 @@ def test_step_functors_equal_the_full_assembly(monkeypatch):
 
 def test_copied_delta_values_are_the_pushed_values(monkeypatch):
     # a pushforward copies a delta value whole, with no validation, when the
-    # target arrow keeps its name, endpoints and kind and the value's words
-    # use only fixed letters; on every pushforward of these plans such a
-    # value is the push of the source value, and validating every value
-    # anew accepts them all and gives the same values
+    # target arrow keeps its name, endpoints and kind and phi renames every
+    # word of the value; on every pushforward of these plans such a value is
+    # the value multiplied out through phi, and validating every value anew
+    # accepts them all and gives the same values
     from ditalg import reduce
     from ditalg.tensor import Differential, Layer
 
@@ -957,21 +1000,21 @@ def test_copied_delta_values_are_the_pushed_values(monkeypatch):
         return real_diff(layer, values, _copied=_copied)
 
     def recording_push(dit, tgt, changed, name, lifts=None):
-        calls.append([dit, tgt, changed, lifts or {}])
-        calls[-1].append(real_push(dit, tgt, changed, name, lifts))
-        return calls[-1][-1]
+        calls.append([dit, tgt, lifts or {}])
+        out = real_push(dit, tgt, changed, name, lifts)
+        calls[-1].extend(out)
+        return out
 
     monkeypatch.setattr(reduce, "Differential", recording_diff)
     monkeypatch.setattr(reduce, "_pushforward", recording_push)
     _plan_steps()
     copied_total = checked_total = 0
-    for dit, tgt, changed, lifts, copied, new_dit in calls:
+    for dit, tgt, lifts, copied, new_dit, phi in calls:
         b = dit.bigraph
-        same, fixed = reduce._fixed_letters(b, tgt, changed, lifts)
-        images = reduce._generator_images(b, tgt, changed, fixed)
+        full = _full_map(phi)
         for t in copied:
             assert t not in lifts and b.arrows[t] == tgt.arrows[t]
-            pushed = reduce._map_elem(b, tgt, images, dit.delta.of_arrow(t), same, fixed)
+            pushed = full.push(dit.delta.of_arrow(t))
             assert list(new_dit.delta.of_arrow(t).terms.items()) == list(pushed.terms.items())
         full = Differential(Layer(tgt), new_dit.delta.values)
         assert full.values == new_dit.delta.values
@@ -1032,23 +1075,24 @@ def test_absorb_copies_no_word_through_the_absorbed_point(monkeypatch):
     # the absorbed point changes its factor, so the letter c into it is not
     # fixed, and a word through it is multiplied out through phi
     from ditalg import reduce
-    from ditalg.tensor import Elem
+    from ditalg.tensor import UNIT, Elem, Word
 
-    derived = []
-    fixed_letters = reduce._fixed_letters
-    monkeypatch.setattr(reduce, "_fixed_letters",
-                        lambda *a: derived.append(fixed_letters(*a)) or derived[-1])
+    maps = []
+    point_map = reduce._point_map
+    monkeypatch.setattr(reduce, "_point_map", lambda *a: maps.append(point_map(*a)) or maps[-1])
     d = exa(F5)
     certify(d)
     nd, _ = absorb(d, "ell")
-    [(same, fixed)] = derived
-    assert same == {"z0"} and not fixed
+    [phi] = maps
+    assert phi.passing == {"z0"} and not phi.renaming
     products = _count_products(monkeypatch)
     b, tgt = d.bigraph, nd.bigraph
-    images = reduce._generator_images(b, tgt, {"ell": Elem.zero(tgt)}, fixed)
-    assert reduce._map_elem(b, tgt, images, Elem.arrow(b, "c"), same, fixed) \
-        == Elem.arrow(tgt, "c")
-    assert products[0] > 0
+    assert phi.push(Elem.arrow(b, "c")) == Elem.arrow(tgt, "c")
+    assert products[0] == 0
+    # ell c goes to x c, the image of ell times that of c
+    assert phi.push(Elem.arrow(b, "ell") * Elem.arrow(b, "c")) \
+        == Elem.from_word(tgt, Word("z0", ("c",), (UNIT, (1, 0))))
+    assert products[0] > 1
 
 
 def test_deletion_keeping_every_point_multiplies_nothing(monkeypatch):
