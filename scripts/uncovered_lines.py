@@ -2,11 +2,13 @@
 
 Usage: python scripts/uncovered_lines.py [PYTEST_ARGS...]
 
-Runs `pytest.main` on `tests/` (or on PYTEST_ARGS) under `sys.settrace` and
+Runs `pytest.main` on PYTEST_ARGS under `sys.settrace` and
 `threading.settrace`, recording the lines executed in `src/ditalg`, and
 prints, for each source file, the executable lines that never ran, as
-ranges.  A line is executable when the compiled module maps bytecode to it;
-docstrings are left out.  Lines run only by a subprocess are not seen.
+ranges.  `tests/` is added when no argument names an existing path, so
+options alone (`-q -x`) still run the whole suite.  A line is executable
+when the compiled module maps bytecode to it; docstrings are left out.
+Lines run only by a subprocess are not seen.
 
 The suite runs from a temporary working directory with
 `-p no:cacheprovider` and without writing bytecode, so nothing is written
@@ -58,6 +60,17 @@ def ranges(numbers) -> str:
     return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in out)
 
 
+def pytest_args(argv) -> list:
+    """The pytest arguments for argv: each one that names an existing path
+    (before any `::`) made absolute from the calling directory, since the
+    suite runs elsewhere, followed by `tests/` when none does."""
+    def is_path(a):
+        return os.path.exists(a.split("::")[0])
+
+    args = [os.path.abspath(a) if is_path(a) else a for a in argv]
+    return args if any(map(is_path, argv)) else [*args, os.path.join(ROOT, "tests")]
+
+
 def main(argv) -> int:
     sys.path.insert(0, SRC)
     os.environ["PYTHONPATH"] = os.pathsep.join(
@@ -79,8 +92,7 @@ def main(argv) -> int:
         return local
 
     # paths are read from the calling directory, before the suite moves out
-    args = [os.path.abspath(a) if os.path.exists(a.split("::")[0]) else a for a in argv]
-    args = args or [os.path.join(ROOT, "tests")]
+    args = pytest_args(argv)
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)

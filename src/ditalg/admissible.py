@@ -411,7 +411,7 @@ def reduce_admissible(dit: Dit, adm: AdmissibleModuleData,
         dw = dit.delta.of_arrow(a.name)
         # between one-vector points sigma is 1x1, and its one entry the push
         ends = x_at[a.target], x_at[a.source]
-        sig = ({ends[0][0].index: {ends[1][0].index: sigma.push(dw)}}
+        sig = ({ends[0][0].index: {ends[1][0].index: sigma.push(dw)[0]}}
                if len(ends[0]) == len(ends[1]) == 1 else sigma.expand(dw))
         sign = F.one if a.dashed else F.neg(F.one)        # (-1)^(deg w + 1)
         for v in x_at[a.source]:

@@ -101,17 +101,19 @@ class Bigraph:
     def without(self, points: Sequence[str] = (), arrows: Sequence[str] = ()) -> "Bigraph":
         """The sub-bigraph with the given points, every arrow that touches
         one of them, and the given arrows left out.  The remaining points,
-        solid arrows and dashed arrows keep their order and their `Factor`
-        objects."""
+        solid arrows and dashed arrows keep their order and share the
+        source's `Factor`, ring and frozen `Arrow` objects, which this
+        bigraph already validated and built."""
         gone_p, gone_a = set(points), set(arrows)
-
-        def kept(arrs):
-            return [(a.name, a.source, a.target) for a in arrs if a.name not in gone_a
-                    and a.source not in gone_p and a.target not in gone_p]
-
-        return Bigraph(self.field, [(p, self.points[p]) for p in self.point_order
-                                    if p not in gone_p],
-                       solid=kept(self._solid), dashed=kept(self._dashed))
+        out = Bigraph(self.field, [])
+        out.point_order = [p for p in self.point_order if p not in gone_p]
+        out.points = {p: self.points[p] for p in out.point_order}
+        out._rings = {p: self._rings[p] for p in out.point_order}
+        out.arrows = {n: a for n, a in self.arrows.items() if n not in gone_a
+                      and a.source not in gone_p and a.target not in gone_p}
+        out._solid = tuple(a for a in self._solid if a.name in out.arrows)
+        out._dashed = tuple(a for a in self._dashed if a.name in out.arrows)
+        return out
 
     # -- views -----------------------------------------------------------
 

@@ -305,7 +305,7 @@ def _dependency_graph(dit: Dit) -> Tuple[Dict[str, bool], Dict[str, FrozenSet[st
     of_kind = {False: frozenset(a.name for a in b.solid_arrows()),
                True: frozenset(a.name for a in b.dashed_arrows())}
     return dashed, {n: of_kind[kind].intersection(
-        set().union(*[w.arrows for w in dit.delta.of_arrow(n).terms]))
+        {a for w in dit.delta.of_arrow(n).terms for a in w.arrows})
         for n, kind in dashed.items()}
 
 

@@ -2,23 +2,26 @@
 from an algebra map of tensor algebras given on letters, and `LetterMap` is
 the one engine for all of them: it renames the words whose letters all go
 to single letters, multiplies out the rest, and `pullback` makes the functor
-on modules from its letter images.  The pushforward of delta and I along
-phi (`_pushforward`) uses the letter map with one vector per kept point:
-phi kills the other points, a reduction names only the generators it
-changes, and every other generator goes to the target arrow of the same
-name or to zero.  A fixed letter keeps its name, endpoints and kind between
-points whose factor is unchanged, and renames to itself.  Deletion,
-regularization, factoring out and base change of a solid arm go through
-`induced_reduction`; absorption and source detachment push along phi but
-keep their own functors.  Admissible-module reduction (`admissible`) runs
-the same engine over the dual basis of X.  Each step returns a
-ReductionFunctor, which maps target-side modules back to the source
-category."""
+on modules from its letter images.  The pushforward of delta and I
+(`_pushforward`) runs along phi, the letter map with one vector per kept
+point (`_point_map`): phi kills the other points, a reduction names only
+the generators it changes, and every other generator goes to the target
+arrow of the same name or to zero.  A fixed letter keeps its name,
+endpoints and kind between points whose factor is unchanged, and renames
+to itself, so a value phi renames whole keeps the source value's terms,
+shared.  Each step builds phi once: `regularize` pushes delta and I along
+the map it solved its pivots with.  Deletion, regularization, factoring out
+and base change of a solid arm make the functor phi^* (`pullback`);
+absorption and source detachment push along phi but keep their own
+functors.  Admissible-module reduction (`admissible`) runs the same engine
+over the dual basis of X.  Each step returns a ReductionFunctor, which maps
+target-side modules back to the source category."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bigraph import Bigraph, Factor
@@ -111,9 +114,11 @@ class LetterMap:
     source word itself under a map that renames everything to itself.  Any
     other word's image is its last letter's times its prefix's, or its
     prefix's with a renamed last letter appended to each word, made once in
-    a memo that lives as long as the map (one reduction step).  Terms keep
-    the order of a chain of sums: `regularize` picks the first unit pivot
-    in term order."""
+    a memo that lives as long as the map (one reduction step).  `push`
+    tests each word of an element once and reports whether it renamed them
+    all; under a map that renames every letter to itself such an element's
+    image shares its `terms`.  Terms keep the order of a chain of sums:
+    `regularize` picks the first unit pivot in term order."""
 
     def __init__(self, src: Bigraph, tgt: Bigraph, vectors: Dict[str, Sequence[int]],
                  labels: Sequence[str], letter: Callable[[str], Sparse],
@@ -212,54 +217,70 @@ class LetterMap:
                 out[i] = kept
         return out
 
-    def _accumulate(self, elem: Elem, cell: Callable[[int, int], Dict[Word, object]]):
-        """Add each term of the image of elem to the dictionary cell(row,
-        column) of its entry, in order: a renamed word with its scalar, and
-        the entries of every other word's image scaled by its scalar."""
-        F, at, arrows = self.F, self._at, self.src.arrows
+    def _add_image(self, cell: Callable[[int, int], Dict[Word, object]], w: Word, c) -> None:
+        """Add c times each entry of the image of the word w, which is not
+        renamed, to the dictionary cell(row, column) of that entry, in
+        order."""
+        F = self.F
         one = F.one
+        for u, row in self._word(w).items():
+            for v, e in row.items():
+                terms = cell(u, v)
+                for t, s in e.terms.items():
+                    add_term(F, terms, t, c if s == one else s if c == one else F.mul(c, s))
+
+    def expand(self, elem: Elem) -> Sparse:
+        """The image of an element, each entry accumulated in one dictionary:
+        a renamed word with its scalar, and the entries of every other
+        word's image scaled by its scalar."""
+        total: Dict[int, Dict[int, Dict[Word, object]]] = {}
+
+        def cell(u: int, v: int) -> Dict[Word, object]:
+            return total.setdefault(u, {}).setdefault(v, {})
+
+        arrows = self.src.arrows
         for w, c in elem.terms.items():
             if self._renames(w):
                 end = arrows[w.arrows[-1]].target if w.arrows else w.start
-                add_term(F, cell(at[end], at[w.start]), self._rename(w), c)
-                continue
-            for u, row in self._word(w).items():
-                for v, e in row.items():
-                    terms = cell(u, v)
-                    for t, s in e.terms.items():
-                        add_term(F, terms, t, c if s == one else s if c == one else F.mul(c, s))
-
-    def expand(self, elem: Elem) -> Sparse:
-        """The image of an element, each entry accumulated in one dictionary."""
-        total: Dict[int, Dict[int, Dict[Word, object]]] = {}
-        self._accumulate(elem, lambda u, v: total.setdefault(u, {}).setdefault(v, {}))
+                add_term(self.F, cell(self._at[end], self._at[w.start]), self._rename(w), c)
+            else:
+                self._add_image(cell, w, c)
         return {u: kept for u, row in total.items()
                 if (kept := {v: Elem.nonzero(self.target, terms)
                              for v, terms in row.items() if terms})}
 
-    def renamed(self, elem: Elem) -> Optional[Elem]:
-        """The image of an element every word of which is renamed, in one
-        pass over its terms; None for any other element."""
-        if not all(map(self._renames, elem.terms)):
-            return None
-        if self._identity:
-            return Elem.nonzero(self.target, dict(elem.terms))
-        out: Dict[Word, object] = {}
-        for w, c in elem.terms.items():
-            add_term(self.F, out, self._rename(w), c)
-        return Elem.nonzero(self.target, out)
-
-    def push(self, elem: Elem) -> Elem:
+    def push(self, elem: Elem) -> Tuple[Elem, bool]:
         """The sum of the entries of the image of elem, accumulated in one
-        dictionary, or its image `renamed` whole: the image itself under a
-        map with one vector per point, the one entry between one-vector
-        points."""
-        whole = self.renamed(elem)
-        if whole is not None:
-            return whole
+        dictionary, and whether every word of elem is renamed: then the
+        image is the one entry between one-vector points, and under a map
+        that renames every letter to itself it is elem's own `terms`,
+        shared, not copied (an `Elem` is never changed in place).  One pass
+        tests each word once: the words before the first one that is not
+        renamed are renamed only when that word is met."""
+        terms = elem.terms
+        items = iter(terms.items())
+        n = 0
+        for w, c in items:
+            if not self._renames(w):
+                break
+            n += 1
+        else:
+            if self._identity:
+                return Elem.nonzero(self.target, terms), True
+        F, rename = self.F, self._rename
         out: Dict[Word, object] = {}
-        self._accumulate(elem, lambda u, v: out)
-        return Elem.nonzero(self.target, out)
+        for u, d in islice(terms.items(), n):
+            add_term(F, out, rename(u), d)
+        if n == len(terms):
+            return Elem.nonzero(self.target, out), True
+        cell = lambda u, v: out
+        self._add_image(cell, w, c)
+        for w, c in items:
+            if self._renames(w):
+                add_term(F, out, rename(w), c)
+            else:
+                self._add_image(cell, w, c)
+        return Elem.nonzero(self.target, out), False
 
 
 def pullback(dit: Dit, lm: LetterMap) -> Callable[[Rep], Rep]:
@@ -352,33 +373,32 @@ def _point_map(src: Bigraph, tgt: Bigraph, changed: Dict[str, Elem],
                      letter, decoration, fixed, same)
 
 
-def _pushforward(dit: Dit, tgt: Bigraph, changed: Dict[str, Elem], name: str,
-                 lifts: Optional[Dict[str, Elem]] = None) -> Tuple[Dit, LetterMap]:
-    """The target presentation of the reduction along phi (`_point_map`),
-    and phi: delta'(t) = phi(delta(lifts[t])) for a lifted t and
-    phi(delta(t)) otherwise; I' is generated by phi(I).  A value of a target
-    arrow with the name, endpoints and kind it has in the source, every word
-    of which phi renames, is not validated again: the source presentation
-    validated it, and fixed letters keep their kind and endpoints.  Every
-    other value is validated.  Raises ReductionError on a target arrow that
-    is neither lifted nor a source generator, on an image that does not run
-    between the endpoints of its generator, and unless delta' phi = phi
-    delta on every generator other than a fixed letter, where it holds by
-    definition."""
-    b = dit.bigraph
+def _pushforward(dit: Dit, phi: LetterMap, changed: Dict[str, Elem], name: str,
+                 lifts: Optional[Dict[str, Elem]] = None) -> Dit:
+    """The target presentation of the reduction along phi, the caller's
+    `_point_map` of `changed` and `lifts` into phi.target: delta'(t) =
+    phi(delta(lifts[t])) for a lifted t and phi(delta(t)) otherwise; I' is
+    generated by phi(I).  A value of a target arrow with the name, endpoints
+    and kind it has in the source, every word of which phi renames (as
+    `push` reports), is not validated again: the source presentation
+    validated it, and fixed letters keep their kind and endpoints.  Since
+    phi renames every letter to itself, such a value shares the source
+    value's terms.  Every other value is validated.  Raises ReductionError
+    on a target arrow that is neither lifted nor a source generator, on an
+    image that does not run between the endpoints of its generator, and
+    unless delta' phi = phi delta on every generator other than a fixed
+    letter, where it holds by definition."""
+    b, tgt = dit.bigraph, phi.target
     lifts = lifts or {}
-    phi = _point_map(b, tgt, changed, lifts)
     values: Dict[str, Elem] = {}
     copied = set()
     for t, arr in tgt.arrows.items():
         if t in lifts:
-            values[t] = phi.push(dit.delta.apply(lifts[t]))
+            values[t] = phi.push(dit.delta.apply(lifts[t]))[0]
         elif t in b.arrows:
-            v = dit.delta.of_arrow(t)
-            whole = phi.renamed(v) if b.arrows[t] == arr else None
-            if whole is not None:
+            values[t], whole = phi.push(dit.delta.of_arrow(t))
+            if whole and b.arrows[t] == arr:
                 copied.add(t)
-            values[t] = phi.push(v) if whole is None else whole
         else:
             raise ReductionError(f"target arrow {t} is neither lifted nor a source generator")
     layer = Layer(tgt)
@@ -395,12 +415,12 @@ def _pushforward(dit: Dit, tgt: Bigraph, changed: Dict[str, Elem], name: str,
     # its name has that value in values[s] already, built above
     for s, img in images.items():
         kept = s not in changed and s not in lifts and s in tgt.arrows
-        if (values[s] if kept else phi.push(dit.delta.of_arrow(s))) != delta.apply(img):
+        if (values[s] if kept else phi.push(dit.delta.of_arrow(s))[0]) != delta.apply(img):
             raise ReductionError(f"commuting square fails at generator {s}")
-    ideal = [g2 for g2 in map(phi.push, dit.ideal.generators) if not g2.is_zero()]
+    ideal = [g2 for g2, _ in map(phi.push, dit.ideal.generators) if not g2.is_zero()]
     new_dit = Dit(layer, delta, IdealData(ideal), name=name)
     inherit_certificates(dit, new_dit)
-    return new_dit, phi
+    return new_dit
 
 
 def induced_reduction(dit: Dit, target_bigraph: Bigraph, changed: Dict[str, Elem],
@@ -411,10 +431,10 @@ def induced_reduction(dit: Dit, target_bigraph: Bigraph, changed: Dict[str, Elem
     """Reduction along phi, which sends the generators named in `changed` to
     their given images and fixes the rest (see `_pushforward`); a module N
     over the target goes to phi^* N (`pullback`)."""
-    new_dit, phi = _pushforward(dit, target_bigraph, changed, name, lifts)
-    functor = ReductionFunctor(kind=kind, source=dit, target=new_dit,
-                               apply_rep=pullback(dit, phi))
-    return new_dit, functor
+    phi = _point_map(dit.bigraph, target_bigraph, changed, lifts or {})
+    new_dit = _pushforward(dit, phi, changed, name, lifts)
+    return new_dit, ReductionFunctor(kind=kind, source=dit, target=new_dit,
+                                     apply_rep=pullback(dit, phi))
 
 
 # -- deletion -----------------------------------------------------------------
@@ -504,12 +524,15 @@ def regularize(dit: Dit, solid_selection: Sequence[str],
             rest = {w: c for w, c in img.terms.items() if w != piv}
             if any(w.arrows[0] in pending for w in rest):
                 continue
-            changed[vp] = phi.push(Elem(b, rest)).scale(F.neg(F.inv(img.terms[piv])))
+            changed[vp] = phi.push(Elem(b, rest))[0].scale(F.neg(F.inv(img.terms[piv])))
             del pending[vp]
     if pending:
         raise ReductionError("could not triangularize the dashed base change")
-    return induced_reduction(dit, tgt, changed, name=name or f"{dit.name}^r",
-                             kind="regularization")
+    # phi, solved with, pushes delta and I: each letter image and word it
+    # made is the one a map built from the final `changed` would make
+    new_dit = _pushforward(dit, phi, changed, name or f"{dit.name}^r")
+    return new_dit, ReductionFunctor(kind="regularization", source=dit, target=new_dit,
+                                     apply_rep=pullback(dit, phi))
 
 
 # -- factoring out a direct summand of W0 ---------------------------------------
@@ -560,7 +583,9 @@ def absorb(dit: Dit, loop_arrow: str, name: str = "") -> Tuple[Dit, ReductionFun
                          if a.name != loop_arrow],
                   dashed=[(a.name, a.source, a.target) for a in b.dashed_arrows()])
     x_elem = Elem.decorated(tgt, point, tgt.factor_ring(point).from_poly(Poly.x(b.field)))
-    new_dit, _ = _pushforward(dit, tgt, {loop_arrow: x_elem}, name or f"{dit.name}^a")
+    changed = {loop_arrow: x_elem}
+    new_dit = _pushforward(dit, _point_map(b, tgt, changed, {}), changed,
+                           name or f"{dit.name}^a")
 
     # N's matrices are reinterpreted as they are, which is cheaper than the
     # generic `pullback`
@@ -598,7 +623,7 @@ def detach_source(dit: Dit, point: str, name: str = "") -> Tuple[Dit, ReductionF
         raise ReductionError(f"{point} is not a source of (A, I)")
     # a source has no arrow into it
     tgt = b.without(arrows=[a.name for a in b.arrows_from(point)])
-    new_dit, _ = _pushforward(dit, tgt, {}, name or f"{dit.name}^o")
+    new_dit = _pushforward(dit, _point_map(b, tgt, {}, {}), {}, name or f"{dit.name}^o")
 
     def res_rep(M: Rep) -> Rep:
         return Rep(new_dit, dict(M.dims),

@@ -155,7 +155,14 @@ class Elem:
     and on the field having no zero divisors: a word met for the first time
     is stored with its scalar as it comes (a product of nonzero scalars is
     nonzero), so only a repeated word costs an addition, and a factor equal
-    to one costs no multiplication."""
+    to one costs no multiplication.
+
+    Invariant: `terms` is never changed after construction.  Every sum and
+    product accumulates into a fresh dictionary, so two elements may share
+    one `terms`: a value that a pushforward renames to itself keeps the
+    source value's dictionary, uncopied (`LetterMap.push`).
+    `tests/test_hygiene.py` keeps every module from writing into a
+    `.terms`."""
 
     __slots__ = ("bigraph", "terms")
 

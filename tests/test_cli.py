@@ -541,6 +541,28 @@ def test_compare_classes_compares_obstruction_reasons(tmp_path, capsys):
         "exa F3 d=3: MISMATCH obstruction reasons differ; plan steps 3 / 3\n"
 
 
+def test_uncovered_lines_runs_the_suite_unless_a_path_is_named(tmp_path, monkeypatch):
+    # options alone keep tests/; a named path, also with a node id, is made
+    # absolute from the calling directory and replaces tests/
+    import importlib.util
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "uncovered_lines", root / "scripts" / "uncovered_lines.py")
+    uncovered_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(uncovered_lines)
+    tests = str(root / "tests")
+    (tmp_path / "test_x.py").write_text("")
+    monkeypatch.chdir(tmp_path)
+    assert uncovered_lines.pytest_args([]) == [tests]
+    assert uncovered_lines.pytest_args(["-q", "-x"]) == ["-q", "-x", tests]
+    assert uncovered_lines.pytest_args(["-k", "nowhere.py"]) == ["-k", "nowhere.py", tests]
+    assert uncovered_lines.pytest_args(["-q", "test_x.py::test_a"]) == \
+        ["-q", str(tmp_path / "test_x.py::test_a")]
+    assert uncovered_lines.pytest_args([".", "-x"]) == [str(tmp_path), "-x"]
+
+
 @pytest.mark.parametrize("argv", [["classify", "--dim", "-2"], ["reduce", "--auto", "-1"],
                                   ["classify", "--dim", "2", "--budget", "-1"],
                                   ["reduce", "--auto", "2", "--budget", "-3"]],

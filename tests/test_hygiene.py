@@ -22,7 +22,10 @@ and `inherit_certificates` are the only writers of certificate flags.
 calls `_indec_iso` inside a loop, which would match summands on its own.
 `reduce.LetterMap` is the one letter-map engine: no function or method
 outside it has a name that ends in `mat_mul`, `expand` or `map_elem`, which
-would mark a second sparse letter-image product or word expansion."""
+would mark a second sparse letter-image product or word expansion.  No
+module changes an element's `terms` in place (a subscript store or delete,
+an augmented assignment, a mutating dict method or `add_term` into it), and
+only the `Elem` constructors bind one: elements may share their terms."""
 
 import ast
 import collections
@@ -360,3 +363,37 @@ def test_one_letter_map_engine():
                 if isinstance(cls, ast.ClassDef) and cls.name == "LetterMap"]
     assert {"_mat_mul", "expand"} <= {n.name for n in engine.body
                                      if isinstance(n, ast.FunctionDef)}
+
+
+def _terms_writers(tree):
+    """(writers, binders): the functions that change some `.terms` in place
+    (a subscript store or delete, an augmented assignment, a call of a
+    mutating dict method on it, or `add_term` into it), and those that
+    assign or delete a `.terms` attribute itself."""
+    def terms(node):
+        return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+    def writes(node):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            return terms(node.value)
+        if isinstance(node, ast.AugAssign):
+            return terms(node.target)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in _DICT_MUTATORS:
+            return terms(node.func.value)
+        if isinstance(node, ast.Call) and "add_term" in _referenced_names(node.func):
+            return any(terms(arg) for arg in node.args)
+        return False
+
+    def binds(node):
+        return terms(node) and isinstance(node.ctx, (ast.Store, ast.Del))
+
+    functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+    return (sorted({fn.name for fn in functions if any(map(writes, ast.walk(fn)))}),
+            sorted({fn.name for fn in functions if any(map(binds, ast.walk(fn)))}))
+
+
+def test_no_element_terms_are_changed_in_place():
+    found = {str(p.relative_to(SRC)): _terms_writers(_tree(p)) for p in SRC.rglob("*.py")}
+    assert {k: w for k, (w, _) in found.items() if w} == {}
+    assert {k: b for k, (_, b) in found.items() if b} == {"tensor.py": ["__init__", "nonzero"]}

@@ -705,10 +705,10 @@ def _recording_pushforward(monkeypatch):
     calls = []
     real = reduce._pushforward
 
-    def recording(dit, tgt, changed, name, lifts=None):
-        new_dit, phi = real(dit, tgt, changed, name, lifts)
-        calls.append((dit, tgt, changed, lifts or {}, phi))
-        return new_dit, phi
+    def recording(dit, phi, changed, name, lifts=None):
+        new_dit = real(dit, phi, changed, name, lifts)
+        calls.append((dit, phi.target, changed, lifts or {}, phi))
+        return new_dit
 
     monkeypatch.setattr(reduce, "_pushforward", recording)
     return calls
@@ -738,7 +738,7 @@ def test_verbatim_copy_equals_the_full_push(monkeypatch):
         full = _full_map(phi)
         copied += len(phi.renaming)
         for e in [*dit.delta.values.values(), *dit.ideal.generators]:
-            assert list(phi.push(e).terms.items()) == list(full.push(e).terms.items())
+            assert list(phi.push(e)[0].terms.items()) == list(full.push(e)[0].terms.items())
     assert copied
 
 
@@ -788,8 +788,8 @@ def test_push_equals_the_reference_that_multiplies_every_decoration(monkeypatch)
         for e in [*dit.delta.values.values(), *dit.ideal.generators,
                   *(dit.delta.apply(v) for v in lifts.values())]:
             want = list(_reference_push(b, tgt, images, e).terms.items())
-            assert list(full.push(e).terms.items()) == want
-            assert list(phi.push(e).terms.items()) == want
+            assert list(full.push(e)[0].terms.items()) == want
+            assert list(phi.push(e)[0].terms.items()) == want
             decorated += sum(k != UNIT for w in e.terms
                              for a, k in zip(w.arrows, w.coeffs[1:]) if a not in phi.renaming)
             pushed += 1
@@ -811,7 +811,7 @@ def test_a_fixed_letter_after_a_multiplied_prefix_keeps_its_decoration():
     e = Elem.from_word(b, Word("1", ("a", "b"), (UNIT, (1, 0), (1, 0))))
     want = _reference_push(b, b, {s: reduce._image(b, changed, s) for s in b.arrows}, e)
     assert want == e.scale(F3.from_int(2))
-    assert list(phi.push(e).terms.items()) == list(want.terms.items())
+    assert list(phi.push(e)[0].terms.items()) == list(want.terms.items())
 
 
 def _plan_steps():
@@ -935,21 +935,22 @@ def test_step_functors_equal_the_full_assembly(monkeypatch):
     # elem_action, with the same matrices under the same keys in the same order
     from ditalg import admissible, reduce
 
+    # the full assembly of each step, keyed by the step's target presentation
     made = {}
-    real_induced, real_admissible = reduce.induced_reduction, admissible.reduce_admissible
+    real_push, real_admissible = reduce._pushforward, admissible.reduce_admissible
 
-    def induced(dit, tgt, changed, *args, **kwargs):
-        new_dit, functor = real_induced(dit, tgt, changed, *args, **kwargs)
-        made[id(functor)] = functor, lambda N: _full_induced(dit, tgt, changed, N)
-        return new_dit, functor
+    def pushforward(dit, phi, changed, name, lifts=None):
+        new_dit = real_push(dit, phi, changed, name, lifts)
+        made[id(new_dit)] = new_dit, lambda N: _full_induced(dit, phi.target, changed, N)
+        return new_dit
 
     def reduce_adm(dit, adm, name=""):
         new_dit, functor = real_admissible(dit, adm, name)
-        made[id(functor)] = functor, lambda N: _full_admissible(
+        made[id(new_dit)] = new_dit, lambda N: _full_admissible(
             dit, adm, new_dit.bigraph, N)
         return new_dit, functor
 
-    monkeypatch.setattr(reduce, "induced_reduction", induced)
+    monkeypatch.setattr(reduce, "_pushforward", pushforward)
     monkeypatch.setattr(admissible, "reduce_admissible", reduce_adm)
     steps = _plan_steps()
     calls = {True: 0, False: 0}    # elem_action calls by the functors, by the reference
@@ -967,8 +968,8 @@ def test_step_functors_equal_the_full_assembly(monkeypatch):
         if f.kind == "absorption":
             full = functools.partial(_full_absorption, f.source, step.spec.data["loop"])
         else:
-            assert made[id(f)][0] is f
-            full = made[id(f)][1]
+            assert made[id(f.target)][0] is f.target
+            full = made[id(f.target)][1]
         kinds.add(f.kind)
         for N in _step_inputs(f.target):
             side[0] = True
@@ -999,10 +1000,10 @@ def test_copied_delta_values_are_the_pushed_values(monkeypatch):
         calls[-1].append(frozenset(_copied))
         return real_diff(layer, values, _copied=_copied)
 
-    def recording_push(dit, tgt, changed, name, lifts=None):
-        calls.append([dit, tgt, lifts or {}])
-        out = real_push(dit, tgt, changed, name, lifts)
-        calls[-1].extend(out)
+    def recording_push(dit, phi, changed, name, lifts=None):
+        calls.append([dit, phi.target, lifts or {}])
+        out = real_push(dit, phi, changed, name, lifts)
+        calls[-1].extend((out, phi))
         return out
 
     monkeypatch.setattr(reduce, "Differential", recording_diff)
@@ -1014,7 +1015,7 @@ def test_copied_delta_values_are_the_pushed_values(monkeypatch):
         full = _full_map(phi)
         for t in copied:
             assert t not in lifts and b.arrows[t] == tgt.arrows[t]
-            pushed = full.push(dit.delta.of_arrow(t))
+            pushed = full.push(dit.delta.of_arrow(t))[0]
             assert list(new_dit.delta.of_arrow(t).terms.items()) == list(pushed.terms.items())
         full = Differential(Layer(tgt), new_dit.delta.values)
         assert full.values == new_dit.delta.values
@@ -1051,7 +1052,7 @@ def test_a_moved_arrow_keeps_its_delta_validated(monkeypatch, moved, message):
 
     monkeypatch.setattr(reduce, "Differential", recording)
     with pytest.raises(ValueError, match=message):
-        reduce._pushforward(d, tgt, {}, "moved")
+        reduce._pushforward(d, reduce._point_map(b, tgt, {}, {}), {}, "moved")
     assert copied == [{"v"}]
 
 
@@ -1068,7 +1069,7 @@ def test_an_image_off_its_generators_endpoints_is_rejected():
     d = Dit(layer, Differential(layer, {}), IdealData())
     tgt = Bigraph(F3, pts, solid=[("a", "1", "3")])
     with pytest.raises(ReductionError, match="image of a does not run from 1 to 2"):
-        reduce._pushforward(d, tgt, {}, "moved")
+        reduce._pushforward(d, reduce._point_map(b, tgt, {}, {}), {}, "moved")
 
 
 def test_absorb_copies_no_word_through_the_absorbed_point(monkeypatch):
@@ -1087,10 +1088,10 @@ def test_absorb_copies_no_word_through_the_absorbed_point(monkeypatch):
     assert phi.passing == {"z0"} and not phi.renaming
     products = _count_products(monkeypatch)
     b, tgt = d.bigraph, nd.bigraph
-    assert phi.push(Elem.arrow(b, "c")) == Elem.arrow(tgt, "c")
+    assert phi.push(Elem.arrow(b, "c"))[0] == Elem.arrow(tgt, "c")
     assert products[0] == 0
     # ell c goes to x c, the image of ell times that of c
-    assert phi.push(Elem.arrow(b, "ell") * Elem.arrow(b, "c")) \
+    assert phi.push(Elem.arrow(b, "ell") * Elem.arrow(b, "c"))[0] \
         == Elem.from_word(tgt, Word("z0", ("c",), (UNIT, (1, 0))))
     assert products[0] > 1
 
@@ -1106,6 +1107,74 @@ def test_deletion_keeping_every_point_multiplies_nothing(monkeypatch):
                for a in d.bigraph.arrows)
     assert [g.terms for g in nd.ideal.generators] == [g.terms for g in d.ideal.generators]
 
+
+
+def _presentation(dit):
+    """Every delta value and ideal generator of dit, term for term."""
+    return ([(n, list(v.terms.items())) for n, v in dit.delta.values.items()],
+            [list(g.terms.items()) for g in dit.ideal.generators])
+
+
+def test_deletion_and_regularization_leave_their_source_unchanged(monkeypatch):
+    # the regularizations of the exk Q/6 plan and a deletion after it,
+    # replayed on their source presentations, change no delta value or
+    # ideal generator of any presentation of the plan; a value that a step
+    # copies is the source value's terms dictionary itself, shared
+    from ditalg import reduce
+    from ditalg.pipeline import reduce_to_minimal
+    from ditalg.scalars import QQ
+
+    steps = reduce_to_minimal(exk(QQ), 6)[0].steps
+    steps.append(_deletion_step(steps))
+    dits = list({id(d): d for s in steps for d in (s.functor.source, s.functor.target)}.values())
+    before = [_presentation(d) for d in dits]
+    copied = []
+    real = reduce.Differential
+
+    def recording(layer, values, _copied=frozenset()):
+        copied.append(set(_copied))
+        return real(layer, values, _copied=_copied)
+
+    monkeypatch.setattr(reduce, "Differential", recording)
+    replayed, shared = set(), 0
+    for step in steps:
+        if step.spec.kind in ("deletion", "regularization"):
+            src = step.functor.source
+            new_dit, _ = step.spec.apply(src)
+            for t in copied[-1]:
+                assert new_dit.delta.of_arrow(t).terms is src.delta.of_arrow(t).terms
+            replayed.add(step.spec.kind)
+            shared += len(copied[-1])
+    assert [_presentation(d) for d in dits] == before
+    assert replayed == {"deletion", "regularization"} and shared
+
+
+def test_each_word_is_tested_once_and_each_step_builds_one_point_map(monkeypatch):
+    # classify(exk, Q, 6) tested words for renaming 22,174 times, up to three
+    # times per word in a pushforward, and built 72 point maps: two for each
+    # of its 35 regularizations, one for its absorption and one for the
+    # deletion that lifts its plan over the source point; a push tests each
+    # word once, and regularize hands the map it solved with to the
+    # pushforward
+    from ditalg import reduce
+    from ditalg.pipeline import classify
+    from ditalg.scalars import QQ
+
+    calls = {"_renames": 0, "_point_map": 0}
+    renames, point_map = reduce.LetterMap._renames, reduce._point_map
+
+    def counting_renames(self, w):
+        calls["_renames"] += 1
+        return renames(self, w)
+
+    def counting_point_map(*args):
+        calls["_point_map"] += 1
+        return point_map(*args)
+
+    monkeypatch.setattr(reduce.LetterMap, "_renames", counting_renames)
+    monkeypatch.setattr(reduce, "_point_map", counting_point_map)
+    classify(exk(QQ), 6)
+    assert calls == {"_renames": 16953, "_point_map": 37}
 
 def _old_radical_blocks(b_dit, summands):
     """The radical of End(Z), Z the direct sum of the summands, by
